@@ -1,15 +1,26 @@
 //! Max–min fair-share solver benchmark.
 //!
-//! The fluid network recomputes the allocation on every flow arrival and
-//! departure, so the progressive-filling solver sits on the simulator's
-//! hot path. Measured over link/flow counts bracketing the paper's setups
-//! (90-site topologies ≈ 100 links; ≤ ~30 concurrent flows).
+//! Two groups:
+//!
+//! * `max_min_rates` — the executable specification, which re-describes
+//!   every flow and allocates per call, over link/flow counts bracketing
+//!   the paper's setups (90-site topologies ≈ 100 links; ≤ ~30 concurrent
+//!   flows);
+//! * `max_min_solver_churn` — the incremental `MaxMinSolver` the fluid
+//!   network actually runs. One flow per site streams from the file server
+//!   over the paper topology; each step retires one flow, admits its
+//!   successor and solves, the way a site's data server finishes one fetch
+//!   and starts the next. With `same_route` the successor takes the
+//!   finished flow's route, so the route multiset is unchanged and the
+//!   solver skips the fill; with `route_change` it takes another site's
+//!   route and every step pays a full progressive fill.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use gridsched_net::fair::max_min_rates;
+use gridsched_net::fair::{max_min_rates, MaxMinSolver};
+use gridsched_topology::{generate, TiersConfig};
 
 fn random_case(links: usize, flows: usize, seed: u64) -> (Vec<f64>, Vec<Vec<usize>>) {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -39,5 +50,52 @@ fn bench_maxmin(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_maxmin);
+/// Churn steps per timed sample (one step alone is below timer resolution).
+const STEPS: usize = 100;
+
+fn bench_solver_churn(c: &mut Criterion) {
+    let topology = generate(&TiersConfig::paper(7));
+    let mut group = c.benchmark_group("max_min_solver_churn");
+    for sites in [25usize, 40] {
+        let routes: Vec<Vec<usize>> = (0..sites)
+            .map(|s| {
+                let route = topology.routes.site_to_file_server(s);
+                route.links.iter().map(|l| l.index()).collect()
+            })
+            .collect();
+        for (case, same_route) in [("same_route", true), ("route_change", false)] {
+            let mut solver = MaxMinSolver::new(topology.graph.bandwidths());
+            let mut live: Vec<(u32, usize)> = (0..sites)
+                .map(|s| (solver.add_flow(&routes[s]), s))
+                .collect();
+            solver.solve();
+            let mut k = 0;
+            group.bench_with_input(
+                BenchmarkId::new(case, format!("{sites}sites")),
+                &sites,
+                |b, _| {
+                    b.iter(|| {
+                        for _ in 0..STEPS {
+                            k = (k + 1) % sites;
+                            let (slot, site) = live[k];
+                            solver.remove_flow(slot);
+                            // Any offset in 1..sites picks another site.
+                            let next = if same_route {
+                                site
+                            } else {
+                                (site + 1 + k % (sites - 1)) % sites
+                            };
+                            live[k] = (solver.add_flow(&routes[next]), next);
+                            solver.solve();
+                        }
+                        std::hint::black_box(solver.rate(live[k].0))
+                    })
+                },
+            );
+        }
+    }
+    group.finish();
+}
+
+criterion_group!(benches, bench_maxmin, bench_solver_churn);
 criterion_main!(benches);

@@ -447,8 +447,8 @@ fn main() {
     //   * ranked picks repair O(1) stale entries per pick, independent of
     //     S (the sparse-propagation claim from the per-site update work);
     //   * the max–min solver visits exactly the concurrent flows per
-    //     recompute, so its per-recompute maximum dominates the sampled
-    //     in-flight peak — work tracks concurrency, not flow history.
+    //     solve, so its per-solve maximum dominates the sampled in-flight
+    //     peak — work tracks concurrency, not flow history.
     //
     // The worker count is modest: the claims are about per-decision ratios,
     // which do not need the 10⁴-worker timing scale.
@@ -844,9 +844,11 @@ fn main() {
                 ok = false;
             }
         }
-        // Solver work tracks concurrency: recomputes fire on every flow
-        // arrival/departure, so the per-recompute flow count must reach at
-        // least the probe-sampled in-flight peak at every site count.
+        // Solver work tracks concurrency: a solve runs whenever the route
+        // multiset changes (same-route swaps skip it), and the in-flight
+        // count can only rise through such a change, so the per-solve flow
+        // count must reach at least the probe-sampled in-flight peak at
+        // every site count.
         for p in &complexity {
             if p.recomputes == 0 {
                 eprintln!("CHECK FAIL: no solver recomputes at {} sites", p.sites);

@@ -70,7 +70,9 @@ impl FlowState {
 /// therefore cost one recompute instead of one per mutation, with
 /// bit-identical results: rates are a pure function of the flow set and
 /// the drained state, both of which are unchanged while the clock stands
-/// still.
+/// still. When the burst replaced each finished flow with one on the same
+/// route, the route multiset is unchanged too, and the solver skips the
+/// fill entirely (see [`MaxMinSolver`]); only the per-flow readback runs.
 ///
 /// See the [crate docs](crate) for an end-to-end example.
 #[derive(Debug)]
@@ -93,10 +95,11 @@ pub struct NetSim {
     bytes_delivered: f64,
     /// Number of flows finished (stats).
     flows_finished: u64,
-    /// `net.solver.recomputes` — lazy rate recomputations actually run
-    /// (inert unless telemetry is attached).
+    /// `net.solver.recomputes` — max–min solves actually run; skipped
+    /// same-route swaps are not counted (inert unless telemetry is
+    /// attached).
     recomputes: Counter,
-    /// `net.solver.touched_flows` — flows visited per recompute.
+    /// `net.solver.touched_flows` — flows visited per solve run.
     touched_flows: Histogram,
 }
 
@@ -221,8 +224,8 @@ impl NetSim {
     /// transfer guard uses to size timeouts. `+∞` for an empty route.
     #[must_use]
     pub fn fair_share_estimate(&self, route: &[EdgeId]) -> f64 {
-        let links: Vec<usize> = route.iter().map(|e| e.index()).collect();
-        self.solver.fair_share_estimate(&links)
+        self.solver
+            .fair_share_estimate(route.iter().map(|e| e.index()))
     }
 
     /// Starts a flow of `bytes` bytes across `route` with propagation
@@ -251,8 +254,7 @@ impl NetSim {
         self.advance_to(now);
         let id = self.next_id;
         self.next_id += 1;
-        let route_idx: Vec<usize> = route.iter().map(|e| e.index()).collect();
-        let slot = self.solver.add_flow(&route_idx);
+        let slot = self.solver.add_flow(route.iter().map(|e| e.index()));
         self.flows.insert(
             id,
             FlowState {
@@ -370,7 +372,7 @@ impl NetSim {
             "NetSim driven backwards: now={now:?} last={:?}",
             self.last_update
         );
-        let mut dt = (now - self.last_update).as_secs();
+        let dt = (now - self.last_update).as_secs();
         self.last_update = now;
         if dt == 0.0 || self.flows.is_empty() {
             return;
@@ -401,23 +403,24 @@ impl NetSim {
                 self.bytes_delivered += drained;
             }
         }
-        // `dt` consumed entirely; silence unused warning on the var reuse.
-        dt = 0.0;
-        let _ = dt;
     }
 
     /// Recomputes the max–min fair allocation for the current flow set
     /// (ascending flow id — the `BTreeMap` iteration order — matching the
     /// sorted-snapshot order of the original implementation), without
-    /// allocating.
+    /// allocating. The solver skips the fill when the flow set only
+    /// swapped finished flows for new ones on the same routes; the
+    /// readback still runs, since the new flows need their rates and the
+    /// earliest completion changed.
     fn recompute_rates(&mut self) {
         self.dirty = false;
         if self.flows.is_empty() {
             return;
         }
-        self.recomputes.incr();
-        self.touched_flows.record(self.flows.len() as u64);
-        self.solver.solve();
+        if self.solver.solve() {
+            self.recomputes.incr();
+            self.touched_flows.record(self.flows.len() as u64);
+        }
         // Fold the earliest-completion search into the readback pass: the
         // same (eta, id) minimum the scan would take, over the same
         // ascending-id order, computed while the flows are already being

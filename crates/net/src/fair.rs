@@ -23,7 +23,11 @@
 //!   `remaining` is decremented once per unsaturated crossing flow with
 //!   the same value either way), and per-link flow lists make the freeze
 //!   step `O(crossing flows)` instead of a full flow scan. Scratch buffers
-//!   persist across calls, so a recompute allocates nothing.
+//!   persist across calls, so a recompute allocates nothing, and a solve
+//!   whose flow set only swapped a finished flow for one on the same route
+//!   is skipped outright (the rates are a function of the route multiset).
+
+use std::borrow::Borrow;
 
 /// Computes max–min fair rates.
 ///
@@ -149,6 +153,18 @@ pub fn max_min_rates(capacities: &[f64], flow_routes: &[Vec<usize>]) -> Vec<f64>
 /// link re-enters the fill at `base_capacity × factor`. Both states keep
 /// the solver bit-identical to a fresh [`max_min_rates`] call over the
 /// effective capacities and the non-stalled flows (property-tested).
+///
+/// **Same-route swaps skip the solve.** The fill is a pure function of the
+/// route multiset, the capacities and the down states: flows with equal
+/// routes saturate in the same round, and the freeze order commutes. So
+/// [`MaxMinSolver::remove_flow`] *parks* the slot — its links are
+/// deregistered at once, but its route and last-solved rate are kept until
+/// the next solve — and a [`MaxMinSolver::add_flow`] over an equal route
+/// revives a parked slot with that rate, which is still exact. Only an
+/// unmatched add, a link down/up or a capacity change marks the solver
+/// dirty; [`MaxMinSolver::solve`] does no work (and says so) when nothing
+/// is dirty and no slot is still parked, i.e. when every removal since the
+/// last solve was replaced on the same route.
 #[derive(Debug)]
 pub struct MaxMinSolver {
     capacities: Vec<f64>,
@@ -175,6 +191,15 @@ pub struct MaxMinSolver {
     /// multiplicity). Non-zero ⇒ the flow is stalled at rate `0.0`.
     stalled_by: Vec<u32>,
     free_slots: Vec<u32>,
+    /// Slots removed since the last solve: deregistered from every link,
+    /// but still holding their route and last-solved rate for a same-route
+    /// [`MaxMinSolver::add_flow`] to revive. Released to `free_slots` by
+    /// the next solve.
+    parked: Vec<u32>,
+    /// Whether a change that can move a rate (an add not matched by a
+    /// parked slot, a link state or capacity change) happened since the
+    /// last solve.
+    dirty: bool,
     live_slots: Vec<u32>,
     live_pos: Vec<u32>,
     /// Ascending link ids with `crossing > 0`.
@@ -241,6 +266,8 @@ impl MaxMinSolver {
             routes: Vec::new(),
             stalled_by: Vec::new(),
             free_slots: Vec::new(),
+            parked: Vec::new(),
+            dirty: false,
             live_slots: Vec::new(),
             live_pos: Vec::new(),
             touched: Vec::new(),
@@ -254,37 +281,60 @@ impl MaxMinSolver {
         }
     }
 
-    /// Registers a flow crossing `route` (empty = co-located endpoints,
-    /// rate `+∞`). Returns the flow's slot.
+    /// Registers a flow crossing `route` (link indices; empty = co-located
+    /// endpoints, rate `+∞`). Returns the flow's slot.
+    ///
+    /// A route equal to a slot parked by [`MaxMinSolver::remove_flow`]
+    /// since the last solve revives that slot, last-solved rate included;
+    /// any other route marks the solver dirty.
     ///
     /// # Panics
     ///
     /// Panics if the route references a link `>= capacities.len()`.
-    pub fn add_flow(&mut self, route: &[usize]) -> u32 {
-        let slot = self.free_slots.pop().unwrap_or_else(|| {
-            let s = self.routes.len() as u32;
-            self.routes.push(Vec::new());
-            self.stalled_by.push(0);
-            self.saturated.push(false);
-            self.rates.push(0.0);
-            self.live_pos.push(0);
-            s
+    pub fn add_flow<I>(&mut self, route: I) -> u32
+    where
+        I: IntoIterator,
+        I::Item: Borrow<usize>,
+        I::IntoIter: Clone,
+    {
+        let route = route.into_iter();
+        let links = || route.clone().map(|l| *l.borrow());
+        let revived = self.parked.iter().position(|&p| {
+            self.routes[p as usize]
+                .iter()
+                .map(|&l| l as usize)
+                .eq(links())
         });
+        let slot = if let Some(i) = revived {
+            self.parked.swap_remove(i)
+        } else {
+            self.dirty = true;
+            let slot = self.free_slots.pop().unwrap_or_else(|| {
+                let s = self.routes.len() as u32;
+                self.routes.push(Vec::new());
+                self.stalled_by.push(0);
+                self.saturated.push(false);
+                self.rates.push(0.0);
+                self.live_pos.push(0);
+                s
+            });
+            let n_links = self.capacities.len();
+            let r = &mut self.routes[slot as usize];
+            r.clear();
+            r.extend(links().map(|l| {
+                assert!(l < n_links, "route references unknown link {l}");
+                l as u32
+            }));
+            slot
+        };
         let s = slot as usize;
-        self.routes[s].clear();
-        let mut stalls = 0u32;
-        for &l in route {
-            assert!(
-                l < self.capacities.len(),
-                "route references unknown link {l}"
-            );
-            if self.down[l] {
-                stalls += 1;
-            }
-        }
+        let stalls = self.routes[s]
+            .iter()
+            .filter(|&&l| self.down[l as usize])
+            .count() as u32;
         self.stalled_by[s] = stalls;
-        for &l in route {
-            self.routes[s].push(l as u32);
+        for j in 0..self.routes[s].len() {
+            let l = self.routes[s][j] as usize;
             if self.crossing[l] == 0 {
                 let pos = self
                     .touched
@@ -303,7 +353,10 @@ impl MaxMinSolver {
         slot
     }
 
-    /// Unregisters a flow.
+    /// Unregisters a flow. Its links are released at once; the slot
+    /// itself stays parked (route and rate kept) until the next
+    /// [`MaxMinSolver::solve`], for a same-route [`MaxMinSolver::add_flow`]
+    /// to revive.
     ///
     /// # Panics
     ///
@@ -334,7 +387,7 @@ impl MaxMinSolver {
             self.live_slots[pos] = last;
             self.live_pos[last as usize] = pos as u32;
         }
-        self.free_slots.push(slot);
+        self.parked.push(slot);
     }
 
     /// Marks link `l` down: every crossing flow stalls at rate `0.0` on
@@ -350,6 +403,7 @@ impl MaxMinSolver {
         assert!(!self.down[l], "link {l} already down");
         self.down[l] = true;
         self.down_count += 1;
+        self.dirty = true;
         for i in 0..self.link_flows[l].len() {
             let s = self.link_flows[l][i] as usize;
             if self.stalled_by[s] == 0 {
@@ -373,6 +427,7 @@ impl MaxMinSolver {
         assert!(self.down[l], "link {l} is not down");
         self.down[l] = false;
         self.down_count -= 1;
+        self.dirty = true;
         for i in 0..self.link_flows[l].len() {
             let s = self.link_flows[l][i] as usize;
             self.stalled_by[s] -= 1;
@@ -398,6 +453,7 @@ impl MaxMinSolver {
             factor > 0.0 && factor <= 1.0 && factor.is_finite(),
             "degrade factor must be in (0, 1]: {factor}"
         );
+        self.dirty = true;
         self.capacities[l] = if factor == 1.0 {
             self.base_capacities[l]
         } else {
@@ -464,16 +520,31 @@ impl MaxMinSolver {
     /// progressing at its fair share never times out. An empty route (no
     /// links crossed) estimates `+∞`.
     #[must_use]
-    pub fn fair_share_estimate(&self, route: &[usize]) -> f64 {
+    pub fn fair_share_estimate<I>(&self, route: I) -> f64
+    where
+        I: IntoIterator,
+        I::Item: Borrow<usize>,
+    {
         route
-            .iter()
-            .map(|&l| self.capacities[l] / f64::from(self.crossing_up[l].max(1)))
+            .into_iter()
+            .map(|l| {
+                let l = *l.borrow();
+                self.capacities[l] / f64::from(self.crossing_up[l].max(1))
+            })
             .fold(f64::INFINITY, f64::min)
     }
 
     /// Computes max–min fair rates for the registered flows (read back
-    /// with [`MaxMinSolver::rate`]).
-    pub fn solve(&mut self) {
+    /// with [`MaxMinSolver::rate`]). Returns whether a fill actually ran:
+    /// `false` when every removal since the last solve was revived by a
+    /// same-route add and nothing else changed, so every rate already
+    /// holds.
+    pub fn solve(&mut self) -> bool {
+        if !self.dirty && self.parked.is_empty() {
+            return false;
+        }
+        self.dirty = false;
+        self.free_slots.append(&mut self.parked);
         for i in 0..self.live_slots.len() {
             let s = self.live_slots[i] as usize;
             if self.stalled_by[s] > 0 {
@@ -615,6 +686,7 @@ impl MaxMinSolver {
             // Numerical hygiene: clamp tiny negatives from float error.
             self.remaining[bottleneck] = self.remaining[bottleneck].max(0.0);
         }
+        true
     }
 }
 
@@ -677,11 +749,11 @@ mod tests {
         // matching its solved rate; the single-link flows solve to 5 each,
         // above their estimate of 4.
         let mut s = MaxMinSolver::new(vec![12.0, 2.0]);
-        let a = s.add_flow(&[0, 1]);
-        let b = s.add_flow(&[0]);
-        let c = s.add_flow(&[0]);
-        assert!((s.fair_share_estimate(&[0, 1]) - 2.0).abs() < EPS);
-        assert!((s.fair_share_estimate(&[0]) - 4.0).abs() < EPS);
+        let a = s.add_flow([0, 1]);
+        let b = s.add_flow([0]);
+        let c = s.add_flow([0]);
+        assert!((s.fair_share_estimate([0, 1]) - 2.0).abs() < EPS);
+        assert!((s.fair_share_estimate([0]) - 4.0).abs() < EPS);
         s.solve();
         for slot in [a, b, c] {
             let route = if slot == a { vec![0, 1] } else { vec![0] };
@@ -691,11 +763,13 @@ mod tests {
             );
         }
         // Empty route: no links crossed, unbounded estimate.
-        assert!(s.fair_share_estimate(&[]).is_infinite());
+        assert!(s
+            .fair_share_estimate(std::iter::empty::<usize>())
+            .is_infinite());
         // Stalled flows are invisible: downing link 1 withdraws flow `a`
         // from link 0's reduced crossing count.
         s.set_link_down(1);
-        assert!((s.fair_share_estimate(&[0]) - 6.0).abs() < EPS);
+        assert!((s.fair_share_estimate([0]) - 6.0).abs() < EPS);
     }
 
     #[test]
@@ -778,8 +852,8 @@ mod tests {
     fn down_link_stalls_crossing_flows_and_frees_capacity() {
         // f0 crosses both links, f1 only link 1. Baseline: f0=5, f1=5.
         let mut s = MaxMinSolver::new(vec![10.0, 10.0]);
-        let f0 = s.add_flow(&[0, 1]);
-        let f1 = s.add_flow(&[1]);
+        let f0 = s.add_flow([0, 1]);
+        let f1 = s.add_flow([1]);
         s.solve();
         assert!((s.rate(f0) - 5.0).abs() < EPS);
         assert!((s.rate(f1) - 5.0).abs() < EPS);
@@ -807,8 +881,8 @@ mod tests {
     fn flow_added_on_down_link_starts_stalled() {
         let mut s = MaxMinSolver::new(vec![10.0, 10.0]);
         s.set_link_down(0);
-        let f0 = s.add_flow(&[0, 1]);
-        let f1 = s.add_flow(&[1]);
+        let f0 = s.add_flow([0, 1]);
+        let f1 = s.add_flow([1]);
         assert!(s.flow_stalled(f0));
         s.solve();
         assert_eq!(s.rate(f0).to_bits(), 0.0f64.to_bits());
@@ -822,7 +896,7 @@ mod tests {
     #[test]
     fn overlapping_outages_stall_until_last_recovery() {
         let mut s = MaxMinSolver::new(vec![10.0, 10.0, 10.0]);
-        let f = s.add_flow(&[0, 1, 2]);
+        let f = s.add_flow([0, 1, 2]);
         s.set_link_down(0);
         s.set_link_down(2);
         assert!(s.flow_stalled(f));
@@ -837,8 +911,8 @@ mod tests {
     #[test]
     fn degraded_link_matches_fresh_solve_at_scaled_capacity() {
         let mut s = MaxMinSolver::new(vec![8.0, 32.0]);
-        let f0 = s.add_flow(&[0, 1]);
-        let f1 = s.add_flow(&[1]);
+        let f0 = s.add_flow([0, 1]);
+        let f1 = s.add_flow([1]);
         // Degrade link 1 to a quarter: it becomes the bottleneck.
         s.set_link_capacity_factor(1, 0.25);
         s.solve();
@@ -873,6 +947,77 @@ mod tests {
     fn bad_degrade_factor_panics() {
         let mut s = MaxMinSolver::new(vec![1.0]);
         s.set_link_capacity_factor(0, 0.0);
+    }
+
+    #[test]
+    fn same_route_swap_skips_the_solve() {
+        let caps = vec![10.0, 6.0, 30.0];
+        let mut s = MaxMinSolver::new(caps.clone());
+        let a = s.add_flow([0, 2]);
+        let b = s.add_flow([1, 2]);
+        let c = s.add_flow([1, 2]);
+        assert!(s.solve(), "first solve runs");
+        let rate_b = s.rate(b);
+        s.remove_flow(b);
+        let d = s.add_flow([1, 2]);
+        assert!(!s.solve(), "a same-route swap leaves every rate in place");
+        assert_eq!(s.rate(d).to_bits(), rate_b.to_bits());
+        let spec = max_min_rates(&caps, &[vec![0, 2], vec![1, 2], vec![1, 2]]);
+        for (slot, want) in [a, d, c].into_iter().zip(spec) {
+            assert_eq!(s.rate(slot).to_bits(), want.to_bits());
+        }
+        // Several removes before several adds, matched in any order.
+        s.remove_flow(a);
+        s.remove_flow(c);
+        let e = s.add_flow([1, 2]);
+        let f = s.add_flow([0, 2]);
+        assert!(!s.solve());
+        let spec = max_min_rates(&caps, &[vec![1, 2], vec![1, 2], vec![0, 2]]);
+        for (slot, want) in [d, e, f].into_iter().zip(spec) {
+            assert_eq!(s.rate(slot).to_bits(), want.to_bits());
+        }
+        assert_eq!(s.flow_count(), 3);
+        assert!(!s.solve(), "nothing changed since");
+    }
+
+    #[test]
+    fn route_change_or_link_event_forces_a_solve() {
+        let caps = vec![10.0, 6.0, 30.0];
+        let mut s = MaxMinSolver::new(caps.clone());
+        let a = s.add_flow([0, 2]);
+        let b = s.add_flow([1, 2]);
+        assert!(s.solve());
+        // A different route.
+        s.remove_flow(b);
+        let c = s.add_flow([2]);
+        assert!(s.solve());
+        let spec = max_min_rates(&caps, &[vec![0, 2], vec![2]]);
+        assert_eq!(s.rate(a).to_bits(), spec[0].to_bits());
+        assert_eq!(s.rate(c).to_bits(), spec[1].to_bits());
+        // A removal not replaced.
+        s.remove_flow(c);
+        assert!(s.solve());
+        assert_eq!(s.rate(a).to_bits(), 10.0f64.to_bits());
+        // A same-route swap alongside a link going down, then up.
+        s.remove_flow(a);
+        let d = s.add_flow([0, 2]);
+        s.set_link_down(0);
+        assert!(s.solve());
+        assert_eq!(s.rate(d).to_bits(), 0.0f64.to_bits());
+        s.set_link_up(0);
+        assert!(s.solve());
+        assert_eq!(s.rate(d).to_bits(), 10.0f64.to_bits());
+        // A capacity change.
+        s.set_link_capacity_factor(0, 0.5);
+        assert!(s.solve());
+        assert_eq!(s.rate(d).to_bits(), 5.0f64.to_bits());
+        // A revived slot picks up link state changed while it was parked.
+        s.remove_flow(d);
+        s.set_link_down(2);
+        let e = s.add_flow([0, 2]);
+        assert!(s.flow_stalled(e));
+        assert!(s.solve());
+        assert_eq!(s.rate(e).to_bits(), 0.0f64.to_bits());
     }
 
     #[test]
@@ -980,6 +1125,147 @@ mod proptests {
             while let Some((slot, _)) = live.pop() {
                 solver.remove_flow(slot);
                 check(&mut solver, &live);
+            }
+        }
+
+        /// Bursts of removes and adds with no solve in between — same-route
+        /// swaps (the parked-slot path), route changes, several removes
+        /// before several adds — interleaved with link down/up and degrade
+        /// toggles. After each burst the solver is bit-identical to the
+        /// specification over the live non-stalled flows, reports no work
+        /// only when the route multiset and the link state are unchanged,
+        /// and always skips a burst of pure same-route swaps.
+        #[test]
+        fn solver_churn_without_intermediate_solves(
+            (caps, pool, initial) in (2usize..7).prop_flat_map(|n_links| {
+                let caps = proptest::collection::vec(0.5f64..100.0, n_links);
+                let route = proptest::collection::btree_set(0..n_links, 1..=n_links)
+                    .prop_map(|s| s.into_iter().collect::<Vec<_>>());
+                let pool = proptest::collection::vec(route, 1..5);
+                let initial = proptest::collection::vec(0usize..64, 1..12);
+                (caps, pool, initial)
+            }),
+            // Per op: (kind, a, b). 0 = same-route swap, 1 = swap onto a
+            // pool route, 2 = several removes then several adds, 3 = add,
+            // 4 = remove, 5 = toggle link down/up, 6 = toggle degrade.
+            bursts in proptest::collection::vec(
+                proptest::collection::vec((0u8..7, 0usize..64, 0usize..64), 1..6),
+                1..12,
+            ),
+        ) {
+            let n_links = caps.len();
+            let mut solver = MaxMinSolver::new(caps.clone());
+            let mut live: Vec<(u32, Vec<usize>)> = Vec::new();
+            let mut down = vec![false; n_links];
+            let mut degraded = vec![false; n_links];
+            for &k in &initial {
+                let route = pool[k % pool.len()].clone();
+                live.push((solver.add_flow(&route), route));
+            }
+            solver.solve();
+            let sorted_routes = |live: &[(u32, Vec<usize>)]| {
+                let mut r: Vec<Vec<usize>> = live.iter().map(|(_, r)| r.clone()).collect();
+                r.sort();
+                r
+            };
+            let mut solved_routes = sorted_routes(&live);
+            for burst in &bursts {
+                let mut link_event = false;
+                let only_same_route_swaps = burst.iter().all(|&(kind, _, _)| kind == 0);
+                for &(kind, a, b) in burst {
+                    match kind {
+                        0 | 1 if !live.is_empty() => {
+                            let (slot, route) = live.swap_remove(a % live.len());
+                            solver.remove_flow(slot);
+                            let route = if kind == 0 { route } else { pool[b % pool.len()].clone() };
+                            live.push((solver.add_flow(&route), route));
+                        }
+                        2 => {
+                            let n = (1 + a % 3).min(live.len());
+                            let mut removed = Vec::new();
+                            for j in 0..n {
+                                let (slot, route) = live.swap_remove((a + j) % live.len());
+                                solver.remove_flow(slot);
+                                removed.push(route);
+                            }
+                            // Re-add in reverse; an odd `b` replaces the
+                            // last route with a pool route.
+                            if b % 2 == 1 {
+                                if let Some(last) = removed.first_mut() {
+                                    *last = pool[b % pool.len()].clone();
+                                }
+                            }
+                            while let Some(route) = removed.pop() {
+                                live.push((solver.add_flow(&route), route));
+                            }
+                        }
+                        3 => {
+                            let route = pool[b % pool.len()].clone();
+                            live.push((solver.add_flow(&route), route));
+                        }
+                        4 if !live.is_empty() => {
+                            let (slot, _) = live.swap_remove(a % live.len());
+                            solver.remove_flow(slot);
+                        }
+                        5 => {
+                            let l = b % n_links;
+                            if down[l] {
+                                solver.set_link_up(l);
+                            } else {
+                                solver.set_link_down(l);
+                            }
+                            down[l] = !down[l];
+                            link_event = true;
+                        }
+                        6 => {
+                            let l = b % n_links;
+                            degraded[l] = !degraded[l];
+                            solver.set_link_capacity_factor(l, if degraded[l] { 0.25 } else { 1.0 });
+                            link_event = true;
+                        }
+                        _ => {}
+                    }
+                }
+                let ran = solver.solve();
+                let now_routes = sorted_routes(&live);
+                if !ran {
+                    prop_assert!(!link_event, "skipped a solve after a link event");
+                    prop_assert_eq!(&now_routes, &solved_routes);
+                }
+                if only_same_route_swaps {
+                    prop_assert!(!ran, "a burst of same-route swaps must skip the solve");
+                }
+                solved_routes = now_routes;
+                let eff: Vec<f64> = caps
+                    .iter()
+                    .zip(&degraded)
+                    .map(|(&c, &d)| if d { c * 0.25 } else { c })
+                    .collect();
+                let stalled = |r: &[usize]| r.iter().any(|&l| down[l]);
+                let spec_routes: Vec<Vec<usize>> = live
+                    .iter()
+                    .filter(|(_, r)| !stalled(r))
+                    .map(|(_, r)| r.clone())
+                    .collect();
+                let spec = max_min_rates(&eff, &spec_routes);
+                let mut k = 0;
+                for (slot, route) in &live {
+                    let got = solver.rate(*slot);
+                    prop_assert_eq!(solver.flow_stalled(*slot), stalled(route));
+                    if stalled(route) {
+                        prop_assert_eq!(got.to_bits(), 0.0f64.to_bits());
+                    } else {
+                        prop_assert_eq!(
+                            spec[k].to_bits(),
+                            got.to_bits(),
+                            "slot {} differs: {} vs {}",
+                            slot,
+                            spec[k],
+                            got
+                        );
+                        k += 1;
+                    }
+                }
             }
         }
 

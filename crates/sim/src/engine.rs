@@ -1692,7 +1692,10 @@ impl GridSim {
                 // instant, the resync here would arm a flow event that the
                 // fetch's own resync immediately cancels — skip the dead
                 // pair, so the finish(+start) burst costs one rate
-                // recompute instead of two. That certainty holds in two
+                // recompute instead of two — and, when the next fetch runs
+                // over the finished one's route, no max–min solve at all
+                // (the solver revives the finished flow's slot with its
+                // still-exact rate). That certainty holds in two
                 // cases: the batch itself still has a missing file to
                 // fetch, or the batch is done and the server's next
                 // serviceable request (first queue entry with a live
