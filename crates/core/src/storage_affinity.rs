@@ -433,13 +433,13 @@ impl Scheduler for StorageAffinity {
             );
         }
 
-        // Predicted storage per site, seeded from actual contents.
+        // Predicted storage per site, seeded from actual contents (in the
+        // store's ascending-id order, so the seeding is deterministic).
         let mut virtuals: Vec<VirtualStore> = stores
             .iter()
             .map(|s| {
                 let mut v = VirtualStore::new(env.capacity_files);
-                let mut resident: Vec<FileId> = s.resident().collect();
-                resident.sort_unstable();
+                let resident: Vec<FileId> = s.resident().collect();
                 v.admit(&resident);
                 v
             })

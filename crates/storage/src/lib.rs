@@ -16,12 +16,15 @@
 //!   this site — the `combined` metric's input. Reference counts survive
 //!   eviction (they are bookkeeping, not cache state).
 //!
-//! [`SiteStore`] implements all of this with O(log n) insert/evict and O(1)
-//! lookup; residency lives in a dense [`FileSet`] bitset (FileIds are dense
-//! `u32`s) so membership probes are a shift-and-mask and overlap queries
-//! can use AND+popcount via [`FileMask`]. [`ImageVault`] holds the checkpoint images the checkpoint/restart
-//! subsystem parks beside the file cache — task-private blobs that never
-//! enter the replacement policy but are lost with the server when it fails.
+//! [`SiteStore`] implements all of this with O(1) LRU/FIFO insert and
+//! touch (an intrusive list over a per-site node slab; LFU uses an ordered
+//! set) and evictions that cost O(pinned files skipped); residency lives
+//! in a dense [`FileSet`] bitset (FileIds are dense `u32`s) so membership
+//! probes are a shift-and-mask and overlap queries can use AND+popcount
+//! via [`FileMask`]. [`ImageVault`] holds the checkpoint images the
+//! checkpoint/restart subsystem parks beside the file cache — task-private
+//! blobs that never enter the replacement policy but are lost with the
+//! server when it fails.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
