@@ -6,6 +6,8 @@
 //!
 //! * the naive `O(T·I)` weight evaluation (direct file probing),
 //! * the indexed `O(T)` evaluation (this library's incremental fast path),
+//! * the ranked path: storage events feeding a per-site `TaskRank`, each
+//!   batch followed by one ranked pick off the bucket heads,
 //! * storage affinity's full `O(T·I·S)` assignment phase,
 //!
 //! at several queue lengths `T`.
@@ -13,10 +15,14 @@
 use std::sync::Arc;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
-use gridsched_core::index::{weigh_all_indexed, FileIndex, SiteView};
+use gridsched_core::index::{
+    enable_ranks, weigh_all_indexed, ComboAggregates, FileIndex, SiteView,
+};
 use gridsched_core::weight::weigh_all_naive;
-use gridsched_core::{GridEnv, Scheduler, StorageAffinity, TaskPool, WeightMetric};
+use gridsched_core::{ChooseTask, GridEnv, Scheduler, StorageAffinity, TaskPool, WeightMetric};
 use gridsched_storage::{EvictionPolicy, SiteStore};
 use gridsched_workload::coadd::CoaddConfig;
 use gridsched_workload::Workload;
@@ -75,6 +81,82 @@ fn bench_decision(c: &mut Criterion) {
     group.finish();
 }
 
+/// Storage events per ranked pick: file arrivals, each followed by one
+/// task reference to the arrived file (LRU evictions ride along).
+const EVENTS_PER_PICK: usize = 16;
+/// Picks per timed sample.
+const PICKS_PER_SAMPLE: usize = 100;
+
+/// The ranked read path under storage churn. A site's view over a warm
+/// 3000-file LRU store has a rank attached and the whole queue pending;
+/// every pick is preceded by [`EVENTS_PER_PICK`] arrivals of the next
+/// coadd inputs (in task order) and their references, forwarded to the
+/// view together with the evictions they cause. The `combined`
+/// normalisers are held at their warm-store values, so only the rank's
+/// maintenance and the read are timed.
+fn bench_ranked_refile(c: &mut Criterion) {
+    let mut group = c.benchmark_group("ranked_refile");
+    for &tasks in &[500u32, 2000, 6000] {
+        let mut cfg = CoaddConfig::paper_6000();
+        cfg.tasks = tasks;
+        let workload = Arc::new(cfg.generate());
+        let arrivals: Vec<_> = workload
+            .tasks()
+            .iter()
+            .flat_map(|t| t.files().iter().copied())
+            .collect();
+        let pool = TaskPool::full(workload.task_count());
+        let index = FileIndex::build(&workload);
+        for metric in [WeightMetric::Rest, WeightMetric::Combined] {
+            let mut store = warm_store(&workload, 3000);
+            let mut view = SiteView::new(workload.task_count());
+            let mut combo = ComboAggregates::new(&index, &pool, 1);
+            for f in store.resident() {
+                let rc = store.ref_count(f);
+                view.on_file_added(&index, f, rc);
+                combo.on_file_added(0, &index, &view, f, rc, &pool);
+            }
+            let totals = (metric == WeightMetric::Combined).then(|| combo.totals(0));
+            enable_ranks(std::slice::from_mut(&mut view), metric, &index, &pool);
+            let chooser = ChooseTask::new(2);
+            let mut rng = StdRng::seed_from_u64(0);
+            let mut next = store.len() % arrivals.len();
+            group.bench_with_input(
+                BenchmarkId::new(metric.to_string(), tasks),
+                &tasks,
+                |b, _| {
+                    b.iter(|| {
+                        for _ in 0..PICKS_PER_SAMPLE {
+                            let mut events = 0;
+                            while events < EVENTS_PER_PICK {
+                                let f = arrivals[next];
+                                next = (next + 1) % arrivals.len();
+                                if store.contains(f) {
+                                    continue;
+                                }
+                                for e in store.insert(f) {
+                                    view.on_file_evicted(&index, e, store.ref_count(e));
+                                }
+                                view.on_file_added(&index, f, store.ref_count(f));
+                                store.record_task_reference(f);
+                                view.on_task_reference(&index, f);
+                                events += 1;
+                            }
+                            std::hint::black_box(view.pick_ranked(
+                                &chooser,
+                                &mut rng,
+                                |_| true,
+                                totals,
+                            ));
+                        }
+                    })
+                },
+            );
+        }
+    }
+    group.finish();
+}
+
 fn bench_storage_affinity_assignment(c: &mut Criterion) {
     let mut group = c.benchmark_group("sa_assignment_OTIS");
     group.sample_size(10);
@@ -101,5 +183,10 @@ fn bench_storage_affinity_assignment(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_decision, bench_storage_affinity_assignment);
+criterion_group!(
+    benches,
+    bench_decision,
+    bench_ranked_refile,
+    bench_storage_affinity_assignment
+);
 criterion_main!(benches);

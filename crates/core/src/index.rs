@@ -35,14 +35,27 @@
 //!   its next read ([`SiteView::sync_pending`]) — `O(1)` at event time,
 //!   each (site, insert) pair processed once.
 //!
-//! Storage-change notifications stay eager — they are site-local already —
-//! so every *physical* rank entry always carries current coordinates; only
-//! pool membership can go stale. The `combined` metric's queue-wide
-//! normalisers cannot be read off a rank with stale members, so they move
-//! to [`ComboAggregates`], which maintains them exactly with per-file site
-//! residency lists: a membership change costs `O(Σ_f |sites holding f|)`
-//! over the task's files — flat in `S` for data-local workloads — instead
-//! of `O(S)`.
+//! The `combined` metric's queue-wide normalisers cannot be read off a
+//! rank with stale members, so they move to [`ComboAggregates`], which
+//! maintains them exactly with per-file site residency lists: a
+//! membership change costs `O(Σ_f |sites holding f|)` over the task's
+//! files — flat in `S` for data-local workloads — instead of `O(S)`.
+//!
+//! ## Deferred re-filing
+//!
+//! Storage-change notifications update the cached counters at once, and
+//! prune stale members at once, but they do not move a live member
+//! between buckets: they only *mark* it (one flag plus a push onto the
+//! rank's mark list). Only a ranked read looks at the order, so
+//! [`SiteView::pick_ranked`] and [`SiteView::top_overlap_where`] first
+//! re-file every marked member from the view's current counters — once,
+//! however many events touched it since the last read — and move it only
+//! if its (level, key) changed. A site that sees hundreds of file
+//! arrivals between two requests therefore pays a few hundred flag
+//! writes instead of a few hundred `BTreeSet` remove + insert pairs. An
+//! unmarked member always sits at its current coordinates; a marked one
+//! sits at the coordinates it was last filed under, which is also what
+//! [`TaskRank`]'s removal uses.
 //!
 //! None of this changes any scheduling decision — [`weigh_all_indexed`]
 //! and the ranked picks are property-tested to agree exactly with
@@ -51,6 +64,7 @@
 //! bench and the `perf_scale` harness quantify the gap.
 
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 use rand::Rng;
 
@@ -70,7 +84,8 @@ use crate::weight::{combined_weight, rest_weight, total_rest_from_counts, Weight
 pub struct FileIndex {
     offsets: Vec<u32>,
     task_lists: Vec<u32>,
-    task_sizes: Vec<u32>,
+    /// Shared with every [`TaskRank`] built over this index.
+    task_sizes: Arc<[u32]>,
 }
 
 impl FileIndex {
@@ -168,37 +183,47 @@ impl FileIndex {
 /// buckets. The zero-missing `Combined` bucket orders by id alone — its
 /// weight is `+∞` regardless of references.
 ///
-/// The owning [`SiteView`] keeps the bucket coordinates in sync on every
-/// counter change. Pool membership propagates **lazily** (see the module
-/// docs): a member may be stale — no longer pending — until a read at this
-/// site encounters and repairs it, so `len()` bounds the pending
-/// population from above rather than equalling it. Each maintenance step
-/// is one `BTreeSet` remove + insert — `O(log T)`.
+/// Both coordinates are maintained **lazily** (see the module docs). A
+/// storage event that changes a member's counters only marks it, and the
+/// owning [`SiteView`] re-files every marked member at its next ranked
+/// read — one `BTreeSet` remove + insert (`O(log T)`) per member whose
+/// (level, key) actually changed, however many events touched it. Pool
+/// membership is lazy too: a member may be stale — no longer pending —
+/// until a read at this site encounters and repairs it, so `len()` bounds
+/// the pending population from above rather than equalling it.
 #[derive(Debug, Clone)]
 pub struct TaskRank {
     metric: WeightMetric,
     /// `buckets[level]` — ordered `(key, task id)`; see [`TaskRank`] docs
     /// for the key.
     buckets: Vec<BTreeSet<(u64, u32)>>,
+    /// `|t|` per task (the [`FileIndex`]'s table, shared).
+    sizes: Arc<[u32]>,
     member: Vec<bool>,
+    /// The (level, key) each member is physically filed under.
     level_of: Vec<u32>,
     key_of: Vec<u64>,
-    /// Member tasks' cached `Σ r_i` (mirrors [`SiteView::refsum`] so key
-    /// changes need no caller-side bookkeeping).
-    refsum_of: Vec<u64>,
+    /// `marked[t]`: `t`'s counters changed since it was last filed, so it
+    /// waits in `marks` for the next read to re-file it.
+    marked: Vec<bool>,
+    /// The marked tasks, each once.
+    marks: Vec<u32>,
     len: usize,
 }
 
 impl TaskRank {
-    fn new(metric: WeightMetric, num_tasks: usize, max_level: u32) -> Self {
-        let levels = max_level as usize + 1;
+    fn new(metric: WeightMetric, index: &FileIndex) -> Self {
+        let num_tasks = index.task_count();
+        let levels = index.max_task_size() as usize + 1;
         TaskRank {
             metric,
             buckets: vec![BTreeSet::new(); levels],
+            sizes: Arc::clone(&index.task_sizes),
             member: vec![false; num_tasks],
             level_of: vec![0; num_tasks],
             key_of: vec![0; num_tasks],
-            refsum_of: vec![0; num_tasks],
+            marked: vec![false; num_tasks],
+            marks: Vec::new(),
             len: 0,
         }
     }
@@ -238,16 +263,21 @@ impl TaskRank {
         }
     }
 
-    fn insert(&mut self, t: usize, level: u32, refsum: u64) {
+    /// The (level, key) a task of input-set size `size` belongs under
+    /// with counters (`overlap`, `refsum`).
+    fn coords(&self, size: u32, overlap: u32, refsum: u64) -> (u32, u64) {
+        let level = self.level_for(size, overlap);
+        (level, self.key_for(level, refsum))
+    }
+
+    fn insert(&mut self, t: usize, (level, key): (u32, u64)) {
         if self.member[t] {
             return;
         }
-        let key = self.key_for(level, refsum);
         self.buckets[level as usize].insert((key, t as u32));
         self.member[t] = true;
         self.level_of[t] = level;
         self.key_of[t] = key;
-        self.refsum_of[t] = refsum;
         self.len += 1;
     }
 
@@ -261,21 +291,25 @@ impl TaskRank {
         self.len -= 1;
     }
 
-    /// Re-files `t` after its cached counters changed.
-    fn sync(&mut self, t: usize, level: u32, refsum: u64) {
-        if !self.member[t] {
-            return;
+    /// Queues member `t` for re-filing at the next read.
+    fn mark(&mut self, t: usize) {
+        if !self.marked[t] {
+            self.marked[t] = true;
+            self.marks.push(t as u32);
         }
-        self.refsum_of[t] = refsum;
-        let key = self.key_for(level, refsum);
+    }
+
+    /// Moves member `t` to (`level`, `key`); returns whether it moved.
+    fn refile(&mut self, t: usize, (level, key): (u32, u64)) -> bool {
         if level == self.level_of[t] && key == self.key_of[t] {
-            return;
+            return false;
         }
         let old_level = self.level_of[t] as usize;
         self.buckets[old_level].remove(&(self.key_of[t], t as u32));
         self.buckets[level as usize].insert((key, t as u32));
         self.level_of[t] = level;
         self.key_of[t] = key;
+        true
     }
 }
 
@@ -296,6 +330,9 @@ pub struct RankStats {
     /// Stale entries physically removed during ranked reads —
     /// `scheduler.rank.repairs`.
     pub repairs: Counter,
+    /// Marked members moved to another bucket position when a ranked read
+    /// applied the marks — `scheduler.rank.refiles`.
+    pub refiles: Counter,
     /// [`SiteView::sync_pending`] calls with a rank attached —
     /// `scheduler.pending_log.replays`.
     pub replays: Counter,
@@ -312,6 +349,7 @@ impl RankStats {
         RankStats {
             picks: telemetry.counter("scheduler.rank.picks"),
             repairs: telemetry.counter("scheduler.rank.repairs"),
+            refiles: telemetry.counter("scheduler.rank.refiles"),
             replays: telemetry.counter("scheduler.pending_log.replays"),
             replay_len: telemetry.histogram("scheduler.pending_log.replay_len"),
         }
@@ -451,11 +489,7 @@ impl SiteView {
     /// seeding the counters from pre-populated storage, then admit the
     /// pending pool via [`SiteView::rank_insert`].
     pub fn enable_rank(&mut self, metric: WeightMetric, index: &FileIndex) {
-        self.rank = Some(TaskRank::new(
-            metric,
-            self.overlap.len(),
-            index.max_task_size(),
-        ));
+        self.rank = Some(TaskRank::new(metric, index));
     }
 
     /// The attached priority index, if any.
@@ -468,10 +502,9 @@ impl SiteView {
     /// without a rank or if already tracked.
     pub fn rank_insert(&mut self, index: &FileIndex, task: TaskId) {
         let t = task.index();
-        let (overlap, refsum) = (self.overlap[t], self.refsum[t]);
         if let Some(rank) = self.rank.as_mut() {
-            let level = rank.level_for(index.task_size(task), overlap);
-            rank.insert(t, level, refsum);
+            let coords = rank.coords(index.task_size(task), self.overlap[t], self.refsum[t]);
+            rank.insert(t, coords);
         }
     }
 
@@ -503,14 +536,11 @@ impl SiteView {
             if rank.member[t] {
                 continue;
             }
-            let (overlap, refsum) = (self.overlap[t], self.refsum[t]);
-            let level = rank.level_for(index.task_size(task), overlap);
-            let key = rank.key_for(level, refsum);
+            let (level, key) = rank.coords(index.task_size(task), self.overlap[t], self.refsum[t]);
             buckets[level as usize].push((key, task.0));
             rank.member[t] = true;
             rank.level_of[t] = level;
             rank.key_of[t] = key;
-            rank.refsum_of[t] = refsum;
             rank.len += 1;
         }
         for (level, entries) in buckets.into_iter().enumerate() {
@@ -534,12 +564,12 @@ impl SiteView {
     }
 
     /// [`SiteView::on_file_added`] with opportunistic stale repair: a rank
-    /// member failing `live` is physically removed instead of re-filed —
-    /// the event handler is touching the entry anyway, so the repair that
-    /// would otherwise wait for a read at this site comes for free, and
-    /// dead entries stop paying `O(log T)` re-files on every later storage
-    /// event. The predicate must be the owner's rank-liveness (the same
-    /// one its reads pass), or live tasks would vanish from the index.
+    /// member failing `live` is physically removed instead of marked for
+    /// re-filing — the event handler is touching the entry anyway, so the
+    /// repair that would otherwise wait for a read at this site comes for
+    /// free, and dead entries stop being re-filed at later reads. The
+    /// predicate must be the owner's rank-liveness (the same one its reads
+    /// pass), or live tasks would vanish from the index.
     pub fn on_file_added_pruning<F: FnMut(TaskId) -> bool>(
         &mut self,
         index: &FileIndex,
@@ -556,8 +586,7 @@ impl SiteView {
                     continue;
                 }
                 if live(TaskId(t)) {
-                    let level = rank.level_for(index.task_size(TaskId(t)), self.overlap[ti]);
-                    rank.sync(ti, level, self.refsum[ti]);
+                    rank.mark(ti);
                 } else {
                     rank.remove(ti);
                 }
@@ -589,8 +618,7 @@ impl SiteView {
                     continue;
                 }
                 if live(TaskId(t)) {
-                    let level = rank.level_for(index.task_size(TaskId(t)), self.overlap[ti]);
-                    rank.sync(ti, level, self.refsum[ti]);
+                    rank.mark(ti);
                 } else {
                     rank.remove(ti);
                 }
@@ -618,11 +646,11 @@ impl SiteView {
                 if !rank.member[ti] {
                     continue;
                 }
-                if live(TaskId(t)) {
-                    let level = rank.level_of[ti];
-                    rank.sync(ti, level, self.refsum[ti]);
-                } else {
+                if !live(TaskId(t)) {
                     rank.remove(ti);
+                } else if rank.metric == WeightMetric::Combined {
+                    // Only finite Combined buckets key on references.
+                    rank.mark(ti);
                 }
             }
         }
@@ -645,6 +673,10 @@ impl SiteView {
     /// the best few bucket heads (`O(log T)` amortized; `Combined`
     /// additionally reads its queue-wide normalisers from the supplied
     /// `combined_totals`, maintained exactly by [`ComboAggregates`]).
+    ///
+    /// Tasks marked by storage events since the last read are re-filed
+    /// first (see the module docs), so every member is read at its
+    /// current coordinates.
     ///
     /// Pool membership is lazy: entries failing `live` are skipped *and
     /// physically removed* (each stale entry is repaired at most once), so
@@ -676,6 +708,7 @@ impl SiteView {
         F: FnMut(TaskId) -> bool,
     {
         self.stats.picks.incr();
+        self.apply_marks();
         let n = chooser.n();
         let mut stale: Vec<u32> = Vec::new();
         let mut cands: Vec<(TaskId, f64)> = Vec::with_capacity(n);
@@ -753,6 +786,28 @@ impl SiteView {
         chooser.pick(&cands, rng)
     }
 
+    /// Re-files every marked member that is still a member from the
+    /// current counters — the deferred half of the storage-event hooks.
+    /// Afterwards every member sits at its current coordinates.
+    fn apply_marks(&mut self) {
+        let Some(rank) = self.rank.as_mut() else {
+            return;
+        };
+        let marks = std::mem::take(&mut rank.marks);
+        let mut moved = 0;
+        for &t in &marks {
+            let t = t as usize;
+            rank.marked[t] = false;
+            if rank.member[t] {
+                let coords = rank.coords(rank.sizes[t], self.overlap[t], self.refsum[t]);
+                moved += u64::from(rank.refile(t, coords));
+            }
+        }
+        rank.marks = marks;
+        rank.marks.clear();
+        self.stats.refiles.add(moved);
+    }
+
     /// Physically removes lazily-discovered stale entries from the rank.
     fn repair(&mut self, stale: &[u32]) {
         if stale.is_empty() {
@@ -773,7 +828,8 @@ impl SiteView {
     /// `live` is the lazy-membership predicate: entries failing it are
     /// skipped and physically repaired. `keep` is a *transient* caller
     /// filter (e.g. "not already executing at this worker") — entries
-    /// failing only `keep` stay in the rank. Call
+    /// failing only `keep` stay in the rank. Marked tasks are re-filed
+    /// first, as in [`SiteView::pick_ranked`]. Call
     /// [`SiteView::sync_pending`] first.
     ///
     /// # Panics
@@ -786,6 +842,7 @@ impl SiteView {
         K: FnMut(TaskId) -> bool,
     {
         self.stats.picks.incr();
+        self.apply_marks();
         let mut stale: Vec<u32> = Vec::new();
         let mut found = None;
         {
@@ -816,11 +873,21 @@ impl SiteView {
         found
     }
 
-    /// Debug helper: checks this view against ground truth from the store.
+    /// Debug helper: checks this view against ground truth from the store,
+    /// and the attached rank (if any) against the view's counters.
+    ///
+    /// For the rank: every member is filed in exactly one bucket entry at
+    /// its recorded coordinates, no bucket holds anything else, `len()`
+    /// counts the members, the mark list holds each marked task once, and
+    /// every *unmarked* member already sits at
+    /// `buckets[level_for(|t|, overlap)]` under `key_for(level, refsum)` —
+    /// so applying the pending marks puts every member at its current
+    /// coordinates.
     ///
     /// # Panics
     ///
-    /// Panics (in any build) if a cached counter disagrees with the store.
+    /// Panics (in any build) if a cached counter disagrees with the store
+    /// or the rank breaks one of the invariants above.
     pub fn assert_consistent(&self, index: &FileIndex, workload: &Workload, store: &SiteStore) {
         for t in workload.tasks() {
             let files = t.files();
@@ -839,7 +906,38 @@ impl SiteView {
                 t.id
             );
         }
-        let _ = index;
+        let Some(rank) = self.rank.as_ref() else {
+            return;
+        };
+        let mut members = 0;
+        for t in workload.tasks() {
+            let ti = t.id.index();
+            if !rank.member[ti] {
+                continue;
+            }
+            members += 1;
+            let filed = (rank.level_of[ti], rank.key_of[ti]);
+            assert!(
+                rank.buckets[filed.0 as usize].contains(&(filed.1, t.id.0)),
+                "rank member {} missing from its bucket",
+                t.id
+            );
+            let current = rank.coords(index.task_size(t.id), self.overlap[ti], self.refsum[ti]);
+            assert!(
+                rank.marked[ti] || filed == current,
+                "unmarked rank member {} filed at {filed:?}, belongs at {current:?}",
+                t.id
+            );
+        }
+        assert_eq!(rank.len, members, "rank len disagrees with its members");
+        let entries: usize = rank.buckets.iter().map(BTreeSet::len).sum();
+        assert_eq!(entries, members, "bucket entries disagree with the members");
+        let marked = rank.marked.iter().filter(|&&m| m).count();
+        assert_eq!(rank.marks.len(), marked, "mark list out of step");
+        assert!(
+            rank.marks.iter().all(|&t| rank.marked[t as usize]),
+            "mark list holds an unmarked task"
+        );
     }
 }
 
@@ -1456,6 +1554,11 @@ mod proptests {
         Insert(u32),
         Reference(u32),
         RemoveTask(u32),
+        /// Take the `k`-th marked task (modulo the mark count) out of the
+        /// pool; with `true`, requeue it through the journal at once.
+        ToggleMarked(u32, bool),
+        /// A ranked read, checked against the naive scan.
+        Read,
     }
 
     fn arb_workload() -> impl Strategy<Value = Workload> {
@@ -1481,6 +1584,123 @@ mod proptests {
             (0u32..10).prop_map(Op::RemoveTask),
         ];
         proptest::collection::vec(op, 0..60)
+    }
+
+    /// Storage and membership ops with reads only at random points, so
+    /// several events (and membership flips of marked tasks) pile up
+    /// between two reads.
+    fn arb_burst_ops() -> impl Strategy<Value = Vec<Op>> {
+        let op = (0u32..12, 0u32..12, any::<bool>()).prop_map(|(kind, x, now)| match kind {
+            0..=3 => Op::Insert(x),
+            4..=6 => Op::Reference(x),
+            7 => Op::RemoveTask(x),
+            8 | 9 => Op::ToggleMarked(x, now),
+            _ => Op::Read,
+        });
+        proptest::collection::vec(op, 0..80)
+    }
+
+    /// One site driven the way the schedulers drive theirs: pruning
+    /// storage hooks with the pool as the liveness predicate, removals
+    /// that touch no rank, requeues through the journal.
+    struct RankedSite {
+        workload: Workload,
+        idx: FileIndex,
+        store: SiteStore,
+        view: SiteView,
+        pool: TaskPool,
+        combo: ComboAggregates,
+        log: PendingLog,
+    }
+
+    impl RankedSite {
+        fn new(workload: Workload, cap: usize, metric: WeightMetric) -> Self {
+            let idx = FileIndex::build(&workload);
+            let pool = TaskPool::full(workload.task_count());
+            let mut view = SiteView::new(workload.task_count());
+            enable_ranks(std::slice::from_mut(&mut view), metric, &idx, &pool);
+            RankedSite {
+                combo: ComboAggregates::new(&idx, &pool, 1),
+                store: SiteStore::new(cap, EvictionPolicy::Lru),
+                log: PendingLog::new(),
+                workload,
+                idx,
+                view,
+                pool,
+            }
+        }
+
+        fn apply(&mut self, op: &Op) {
+            let RankedSite {
+                idx,
+                store,
+                view,
+                pool,
+                combo,
+                ..
+            } = self;
+            match *op {
+                Op::Insert(f) => {
+                    let f = FileId(f);
+                    if !store.contains(f) {
+                        for e in store.insert(f) {
+                            let rc = store.ref_count(e);
+                            view.on_file_evicted_pruning(idx, e, rc, |t| pool.contains(t));
+                            combo.on_file_evicted(0, idx, view, e, rc, pool);
+                        }
+                        let rc = store.ref_count(f);
+                        view.on_file_added_pruning(idx, f, rc, |t| pool.contains(t));
+                        combo.on_file_added(0, idx, view, f, rc, pool);
+                    }
+                }
+                Op::Reference(f) => {
+                    let f = FileId(f);
+                    if store.contains(f) {
+                        store.record_task_reference(f);
+                        view.on_task_reference_pruning(idx, f, |t| pool.contains(t));
+                        combo.on_task_reference(0, idx, f, pool);
+                    }
+                }
+                Op::RemoveTask(t) => {
+                    if (t as usize) < self.workload.task_count() {
+                        self.toggle(TaskId(t));
+                    }
+                }
+                Op::ToggleMarked(k, requeue) => {
+                    let marks = &view.rank().expect("enabled").marks;
+                    if !marks.is_empty() {
+                        let t = TaskId(marks[k as usize % marks.len()]);
+                        if self.pool.contains(t) {
+                            self.toggle(t);
+                            if requeue {
+                                self.toggle(t);
+                            }
+                        }
+                    }
+                }
+                Op::Read => {}
+            }
+        }
+
+        /// Flips `t`'s pool membership: a removal touches no rank, an
+        /// insert is journaled.
+        fn toggle(&mut self, t: TaskId) {
+            let files: Vec<FileId> = self.workload.task(t).files().to_vec();
+            let views = std::slice::from_ref(&self.view);
+            if self.pool.remove(t) {
+                self.combo.on_pool_remove(&self.idx, t, &files, views);
+            } else {
+                self.pool.insert(t);
+                self.combo.on_pool_insert(&self.idx, t, &files, views);
+                self.log.record(t, std::slice::from_mut(&mut self.view));
+            }
+        }
+
+        fn sync(&mut self) {
+            let pool = &self.pool;
+            self.view
+                .sync_pending(&self.idx, &self.log, |t| pool.contains(t));
+        }
     }
 
     proptest! {
@@ -1520,6 +1740,7 @@ mod proptests {
                             pool.remove(TaskId(t));
                         }
                     }
+                    Op::ToggleMarked(..) | Op::Read => unreachable!("not generated by arb_ops"),
                 }
                 for metric in [WeightMetric::Overlap, WeightMetric::Rest, WeightMetric::Combined] {
                     let naive = crate::weight::weigh_all_naive(metric, &workload, &pool, &store);
@@ -1599,6 +1820,7 @@ mod proptests {
                             }
                         }
                     }
+                    Op::ToggleMarked(..) | Op::Read => unreachable!("not generated by arb_ops"),
                 }
                 let weights = crate::weight::weigh_all_naive(metric, &workload, &pool, &store);
                 let naive = chooser.pick(&weights, &mut rng_naive);
@@ -1606,6 +1828,78 @@ mod proptests {
                 view.sync_pending(&idx, &log, |t| pool.contains(t));
                 let ranked = view.pick_ranked(&chooser, &mut rng_ranked, |t| pool.contains(t), totals);
                 prop_assert_eq!(naive, ranked, "metric {} n {}", metric, n);
+            }
+        }
+
+        /// Deferred re-filing under bursts: many storage events, and pool
+        /// flips of marked tasks, between two reads. Every read still
+        /// makes the naive scan's pick with the same RNG draws, and leaves
+        /// the rank consistent.
+        #[test]
+        fn burst_ranked_pick_matches_naive_scan(
+            workload in arb_workload(),
+            ops in arb_burst_ops(),
+            cap in 1usize..8,
+            metric_ix in 0usize..3,
+            n in 1usize..4,
+            seed in 0u64..8,
+        ) {
+            use rand::rngs::StdRng;
+            use rand::SeedableRng;
+
+            let metric = [WeightMetric::Overlap, WeightMetric::Rest, WeightMetric::Combined][metric_ix];
+            let chooser = ChooseTask::new(n);
+            let mut site = RankedSite::new(workload, cap, metric);
+            let mut rng_naive = StdRng::seed_from_u64(seed);
+            let mut rng_ranked = StdRng::seed_from_u64(seed);
+            for op in ops.iter().chain([&Op::Read]) {
+                site.apply(op);
+                if !matches!(op, Op::Read) {
+                    continue;
+                }
+                let weights = crate::weight::weigh_all_naive(metric, &site.workload, &site.pool, &site.store);
+                let naive = chooser.pick(&weights, &mut rng_naive);
+                let totals = (metric == WeightMetric::Combined).then(|| site.combo.totals(0));
+                site.sync();
+                let pool = &site.pool;
+                let ranked = site.view.pick_ranked(&chooser, &mut rng_ranked, |t| pool.contains(t), totals);
+                prop_assert_eq!(naive, ranked, "metric {} n {}", metric, n);
+                site.view.assert_consistent(&site.idx, &site.workload, &site.store);
+                prop_assert!(site.view.rank().expect("enabled").marks.is_empty());
+            }
+        }
+
+        /// The same bursts through `top_overlap_where`, with a `keep`
+        /// filter that changes from read to read: the result is the
+        /// highest-overlap pending task passing `keep`, lowest id on ties.
+        #[test]
+        fn burst_top_overlap_matches_naive_scan(
+            workload in arb_workload(),
+            ops in arb_burst_ops(),
+            cap in 1usize..8,
+            modulus in 2u32..4,
+        ) {
+            let mut site = RankedSite::new(workload, cap, WeightMetric::Overlap);
+            let mut reads = 0u32;
+            for op in ops.iter().chain([&Op::Read]) {
+                site.apply(op);
+                if !matches!(op, Op::Read) {
+                    continue;
+                }
+                reads += 1;
+                let keep = |t: TaskId| !(t.0 + reads).is_multiple_of(modulus);
+                let mut naive: Option<(TaskId, usize)> = None;
+                for t in site.pool.iter().filter(|&t| keep(t)) {
+                    let overlap = site.store.overlap(site.workload.task(t).files());
+                    if naive.is_none_or(|(_, best)| overlap > best) {
+                        naive = Some((t, overlap));
+                    }
+                }
+                site.sync();
+                let pool = &site.pool;
+                let ranked = site.view.top_overlap_where(|t| pool.contains(t), keep);
+                prop_assert_eq!(naive.map(|(t, _)| t), ranked);
+                site.view.assert_consistent(&site.idx, &site.workload, &site.store);
             }
         }
     }
