@@ -5,9 +5,9 @@
 //! task-centric assignment. We measure:
 //!
 //! * the naive `O(T·I)` weight evaluation (direct file probing),
-//! * the indexed `O(T)` evaluation (this library's incremental fast path),
-//! * the ranked path: storage events feeding a per-site `TaskRank`, each
-//!   batch followed by one ranked pick off the bucket heads,
+//! * the ranked path (this library's incremental default): storage events
+//!   feeding a per-site `TaskRank`, each batch followed by one ranked pick
+//!   off the bucket heads,
 //! * storage affinity's full `O(T·I·S)` assignment phase,
 //!
 //! at several queue lengths `T`.
@@ -18,9 +18,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use gridsched_core::index::{
-    enable_ranks, weigh_all_indexed, ComboAggregates, FileIndex, SiteView,
-};
+use gridsched_core::index::{enable_ranks, ComboAggregates, FileIndex, SiteView};
 use gridsched_core::weight::weigh_all_naive;
 use gridsched_core::{ChooseTask, GridEnv, Scheduler, StorageAffinity, TaskPool, WeightMetric};
 use gridsched_storage::{EvictionPolicy, SiteStore};
@@ -49,12 +47,6 @@ fn bench_decision(c: &mut Criterion) {
         let workload = Arc::new(cfg.generate());
         let store = warm_store(&workload, 3000);
         let pool = TaskPool::full(workload.task_count());
-        let index = FileIndex::build(&workload);
-        let mut view = SiteView::new(workload.task_count());
-        for f in store.resident() {
-            view.on_file_added(&index, f, store.ref_count(f));
-        }
-
         for metric in [
             WeightMetric::Overlap,
             WeightMetric::Rest,
@@ -67,13 +59,6 @@ fn bench_decision(c: &mut Criterion) {
                     b.iter(|| {
                         std::hint::black_box(weigh_all_naive(metric, &workload, &pool, &store))
                     })
-                },
-            );
-            group.bench_with_input(
-                BenchmarkId::new(format!("indexed_OT_{metric}"), tasks),
-                &tasks,
-                |b, _| {
-                    b.iter(|| std::hint::black_box(weigh_all_indexed(metric, &index, &pool, &view)))
                 },
             );
         }

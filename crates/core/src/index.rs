@@ -7,15 +7,16 @@
 //! maintained **incrementally**: an inverted index maps each file to the
 //! tasks that read it, and every storage change updates the per-task
 //! overlap counters of the affected tasks. A scheduling decision then
-//! degenerates to an `O(T)` scan over cached counters.
+//! needs no file probe.
 //!
-//! An `O(T)` scan per decision is still an `O(T²)` run, which caps the
-//! engine far below 10⁵ workers. The same storage-change notifications can
-//! therefore also maintain a **priority index**: every [`SiteView`] may
-//! carry a [`TaskRank`] that buckets the pending tasks by their (small
-//! integer) overlap or missing-file count, each bucket an ordered set.
-//! A scheduling decision then degenerates to reading the best few bucket
-//! heads — `O(log T)` amortized — instead of scanning the pool.
+//! A scan over those counters per decision would still be an `O(T²)` run,
+//! which caps the engine far below 10⁵ workers. The same storage-change
+//! notifications therefore also maintain a **priority index**: every
+//! [`SiteView`] may carry a [`TaskRank`] that buckets the pending tasks by
+//! their (small integer) overlap or missing-file count, each bucket an
+//! ordered set. A scheduling decision then degenerates to reading the
+//! best few bucket heads — `O(log T)` amortized — instead of scanning the
+//! pool.
 //!
 //! ## Sparse membership propagation
 //!
@@ -57,11 +58,12 @@
 //! sits at the coordinates it was last filed under, which is also what
 //! [`TaskRank`]'s removal uses.
 //!
-//! None of this changes any scheduling decision — [`weigh_all_indexed`]
-//! and the ranked picks are property-tested to agree exactly with
-//! [`crate::weight::weigh_all_naive`] plus [`crate::choose::ChooseTask`] —
-//! it only changes the constant/complexity; the `sched_decision` criterion
-//! bench and the `perf_scale` harness quantify the gap.
+//! None of this changes any scheduling decision — the ranked picks are
+//! property-tested to agree exactly with [`crate::weight::weigh_all_naive`]
+//! plus [`crate::choose::ChooseTask`], and [`SiteView::assert_consistent`]
+//! checks the cached counters against the store — it only changes the
+//! constant/complexity; the `sched_decision` criterion bench and the
+//! `perf_scale` harness quantify the gap.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -1185,54 +1187,6 @@ impl ComboAggregates {
     }
 }
 
-/// Indexed equivalent of [`weigh_all_naive`]: `O(T)` per decision.
-///
-/// [`weigh_all_naive`]: crate::weight::weigh_all_naive
-#[must_use]
-pub fn weigh_all_indexed(
-    metric: WeightMetric,
-    index: &FileIndex,
-    pool: &TaskPool,
-    view: &SiteView,
-) -> Vec<(TaskId, f64)> {
-    match metric {
-        WeightMetric::Overlap => pool
-            .iter()
-            .map(|t| (t, f64::from(view.overlap(t))))
-            .collect(),
-        WeightMetric::Rest => pool
-            .iter()
-            .map(|t| {
-                let missing = (index.task_size(t) - view.overlap(t)) as usize;
-                (t, rest_weight(missing))
-            })
-            .collect(),
-        WeightMetric::Combined => {
-            let mut per_task: Vec<(TaskId, u64, usize)> = Vec::with_capacity(pool.len());
-            let mut total_ref: u64 = 0;
-            let mut missing_counts: Vec<u32> = Vec::new();
-            for t in pool.iter() {
-                let missing = (index.task_size(t) - view.overlap(t)) as usize;
-                let ref_t = view.refsum(t);
-                total_ref += ref_t;
-                if missing >= missing_counts.len() {
-                    missing_counts.resize(missing + 1, 0);
-                }
-                missing_counts[missing] += 1;
-                per_task.push((t, ref_t, missing));
-            }
-            let total_rest = total_rest_from_counts(missing_counts.iter().copied());
-            per_task
-                .into_iter()
-                .map(|(t, ref_t, missing)| {
-                    let rest_t = rest_weight(missing);
-                    (t, combined_weight(ref_t, rest_t, total_ref, total_rest))
-                })
-                .collect()
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1304,30 +1258,6 @@ mod tests {
         view.assert_consistent(&idx, &workload, &store);
         assert_eq!(view.overlap(TaskId(0)), 0);
         assert_eq!(view.refsum(TaskId(0)), 0);
-    }
-
-    #[test]
-    fn indexed_matches_naive_on_example() {
-        let workload = wl();
-        let idx = FileIndex::build(&workload);
-        let mut store = SiteStore::new(10, EvictionPolicy::Lru);
-        let mut view = SiteView::new(3);
-        for f in [0u32, 2] {
-            store.insert(FileId(f));
-            view.on_file_added(&idx, FileId(f), store.ref_count(FileId(f)));
-        }
-        store.record_task_reference(FileId(2));
-        view.on_task_reference(&idx, FileId(2));
-        let pool = TaskPool::full(3);
-        for metric in [
-            WeightMetric::Overlap,
-            WeightMetric::Rest,
-            WeightMetric::Combined,
-        ] {
-            let naive = crate::weight::weigh_all_naive(metric, &workload, &pool, &store);
-            let indexed = weigh_all_indexed(metric, &idx, &pool, &view);
-            assert_eq!(naive, indexed, "metric {metric}");
-        }
     }
 }
 
@@ -1706,8 +1636,11 @@ mod proptests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(128))]
 
+        /// A view with no rank attached — the one `Sufferage`'s naive scan
+        /// reads — keeps its cached overlap and reference sums equal to
+        /// the store's across storage churn and pool removals.
         #[test]
-        fn indexed_always_matches_naive(
+        fn view_counters_match_store(
             workload in arb_workload(),
             ops in arb_ops(),
             cap in 1usize..8,
@@ -1717,22 +1650,23 @@ mod proptests {
             let mut view = SiteView::new(workload.task_count());
             let mut pool = TaskPool::full(workload.task_count());
             for op in ops {
+                let live = |t: TaskId| pool.contains(t);
                 match op {
                     Op::Insert(f) => {
                         let f = FileId(f);
                         if !store.contains(f) {
                             let evicted = store.insert(f);
                             for e in evicted {
-                                view.on_file_evicted(&idx, e, store.ref_count(e));
+                                view.on_file_evicted_pruning(&idx, e, store.ref_count(e), live);
                             }
-                            view.on_file_added(&idx, f, store.ref_count(f));
+                            view.on_file_added_pruning(&idx, f, store.ref_count(f), live);
                         }
                     }
                     Op::Reference(f) => {
                         let f = FileId(f);
                         if store.contains(f) {
                             store.record_task_reference(f);
-                            view.on_task_reference(&idx, f);
+                            view.on_task_reference_pruning(&idx, f, live);
                         }
                     }
                     Op::RemoveTask(t) => {
@@ -1742,11 +1676,7 @@ mod proptests {
                     }
                     Op::ToggleMarked(..) | Op::Read => unreachable!("not generated by arb_ops"),
                 }
-                for metric in [WeightMetric::Overlap, WeightMetric::Rest, WeightMetric::Combined] {
-                    let naive = crate::weight::weigh_all_naive(metric, &workload, &pool, &store);
-                    let indexed = weigh_all_indexed(metric, &idx, &pool, &view);
-                    prop_assert_eq!(naive, indexed, "metric {}", metric);
-                }
+                view.assert_consistent(&idx, &workload, &store);
             }
         }
 

@@ -19,7 +19,7 @@
 //!   overlap and reference sums, plus bucketed priority indexes over the
 //!   pending pool, turning each scheduling decision from `O(T·I)` file
 //!   probes into an `O(log T)` amortized pick (the complexity the paper
-//!   quotes is the naive evaluation; all paths are provided, selectable
+//!   quotes is the naive evaluation; both paths are provided, selectable
 //!   via [`EvalMode`], and property-tested for byte-identical decisions).
 //!
 //! All strategies implement the [`Scheduler`] trait, which the grid

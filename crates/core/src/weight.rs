@@ -94,10 +94,10 @@ pub fn rest_weight(missing: usize) -> f64 {
 /// `m` files. Any task with `m = 0` (infinite rest) makes the total
 /// infinite, exactly as a per-task accumulation would.
 ///
-/// This is the **single** implementation of the canonical order — every
-/// evaluation path (naive scan, indexed scan, `TaskRank` pick) must feed
-/// its per-level counts through here so the byte-identity contract lives
-/// in one place.
+/// This is the **single** implementation of the canonical order — both
+/// evaluation paths (the naive scan, and `ComboAggregates` behind the
+/// ranked pick) feed their per-level counts through here so the
+/// byte-identity contract lives in one place.
 #[must_use]
 pub fn total_rest_from_counts<I: IntoIterator<Item = u32>>(counts: I) -> f64 {
     let mut total = 0.0f64;

@@ -28,9 +28,7 @@ use gridsched_telemetry::Telemetry;
 
 use crate::choose::ChooseTask;
 use crate::ids::{GridEnv, SiteId, WorkerId};
-use crate::index::{
-    enable_ranks, weigh_all_indexed, ComboAggregates, FileIndex, PendingLog, RankStats, SiteView,
-};
+use crate::index::{enable_ranks, ComboAggregates, FileIndex, PendingLog, RankStats, SiteView};
 use crate::pool::TaskPool;
 use crate::scheduler::{Assignment, CompletionOutcome, EvalMode, Scheduler};
 use crate::weight::{weigh_all_naive, WeightMetric};
@@ -56,6 +54,8 @@ pub struct WorkerCentric {
     mode: EvalMode,
     pool: TaskPool,
     index: Arc<FileIndex>,
+    /// Per-site ranked views (incremental mode only; empty in naive mode,
+    /// which probes the store on every request).
     views: Vec<SiteView>,
     /// Become-live journal for the lazy per-site ranks (incremental mode):
     /// requeues append here instead of broadcasting into every view.
@@ -150,17 +150,6 @@ impl WorkerCentric {
         self.pool.len()
     }
 
-    fn weigh(&self, site: SiteId, store: &SiteStore) -> Vec<(TaskId, f64)> {
-        match self.mode {
-            EvalMode::Incremental => unreachable!("incremental mode picks off the rank"),
-            EvalMode::Indexed => {
-                let view = &self.views[site.index()];
-                weigh_all_indexed(self.metric, &self.index, &self.pool, view)
-            }
-            EvalMode::Naive => weigh_all_naive(self.metric, &self.workload, &self.pool, store),
-        }
-    }
-
     /// Removes an assigned task from the pending pool. `O(1)` plus the
     /// sparse `combined`-normaliser sweep: no rank is touched — the ranks'
     /// entries go stale in place and are repaired lazily at read time.
@@ -209,6 +198,11 @@ impl Scheduler for WorkerCentric {
 
     fn initialize(&mut self, env: &GridEnv, stores: &[SiteStore]) {
         assert_eq!(env.sites, stores.len(), "one store per site");
+        if self.mode == EvalMode::Naive {
+            // The reference path probes the store on every request and
+            // shares no state with the incremental one.
+            return;
+        }
         self.views = (0..env.sites)
             .map(|_| {
                 let mut v = SiteView::new(self.workload.task_count());
@@ -216,7 +210,7 @@ impl Scheduler for WorkerCentric {
                 v
             })
             .collect();
-        if self.mode == EvalMode::Incremental && self.metric == WeightMetric::Combined {
+        if self.metric == WeightMetric::Combined {
             self.combo = Some(ComboAggregates::new(&self.index, &self.pool, env.sites));
         }
         // Seed views (and normalisers) from any pre-populated storage
@@ -230,9 +224,7 @@ impl Scheduler for WorkerCentric {
                 }
             }
         }
-        if self.mode == EvalMode::Incremental {
-            enable_ranks(&mut self.views, self.metric, &self.index, &self.pool);
-        }
+        enable_ranks(&mut self.views, self.metric, &self.index, &self.pool);
     }
 
     fn on_worker_idle(&mut self, worker: WorkerId, store: &SiteStore) -> Assignment {
@@ -249,7 +241,7 @@ impl Scheduler for WorkerCentric {
             view.pick_ranked(&self.chooser, &mut self.rng, |t| pool.contains(t), totals)
                 .expect("pool is non-empty")
         } else {
-            let weights = self.weigh(worker.site, store);
+            let weights = weigh_all_naive(self.metric, &self.workload, &self.pool, store);
             self.chooser
                 .pick(&weights, &mut self.rng)
                 .expect("pool is non-empty")
@@ -434,11 +426,10 @@ mod tests {
             WeightMetric::Combined,
         ] {
             for n in [1usize, 2] {
-                let mut scheds: Vec<WorkerCentric> =
-                    [EvalMode::Incremental, EvalMode::Indexed, EvalMode::Naive]
-                        .into_iter()
-                        .map(|mode| WorkerCentric::new(wl(), metric, n, 7).with_eval_mode(mode))
-                        .collect();
+                let mut scheds: Vec<WorkerCentric> = [EvalMode::Incremental, EvalMode::Naive]
+                    .into_iter()
+                    .map(|mode| WorkerCentric::new(wl(), metric, n, 7).with_eval_mode(mode))
+                    .collect();
                 let mut st = stores(2);
                 st[1].insert(FileId(0));
                 for s in &mut scheds {
@@ -451,7 +442,6 @@ mod tests {
                         .map(|s| s.on_worker_idle(w, &st[1]))
                         .collect();
                     assert_eq!(picks[0], picks[1], "metric {metric} n {n}");
-                    assert_eq!(picks[0], picks[2], "metric {metric} n {n}");
                     if let Assignment::Run(t) = picks[0] {
                         for s in &mut scheds {
                             s.on_task_complete(w, t);

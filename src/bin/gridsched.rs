@@ -116,7 +116,7 @@ usage:
                      [--replication-threshold N] [--trace FILE] [--csv]
                      [--replica-cap N] [--site-replica-budget N] (storage-affinity
                        replica throttle; default unbounded)
-                     [--eval-mode incremental|indexed|naive] (scheduler internals;
+                     [--eval-mode incremental|naive] (scheduler internals;
                        identical output, different per-decision cost)
                      [--mtbf SECS] [--mttr SECS] (worker churn, default MTTR 600)
                      [--mttr-shape K] (Weibull repair shape; 1 = exponential)

@@ -184,6 +184,14 @@ fn simulate_rejects_bad_fault_flags() {
 }
 
 #[test]
+fn simulate_rejects_unknown_eval_mode() {
+    let out = gridsched(&["simulate", "--tasks", "20", "--eval-mode", "indexed"]);
+    assert!(!out.status.success());
+    let stderr = String::from_utf8(out.stderr).expect("utf8");
+    assert!(stderr.contains("incremental|naive"), "stderr: {stderr}");
+}
+
+#[test]
 fn simulate_rejects_bad_checkpoint_flags() {
     // Interval/size without a policy would otherwise be silently ignored.
     let out = gridsched(&["simulate", "--checkpoint-interval", "600"]);

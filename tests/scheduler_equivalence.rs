@@ -1,9 +1,9 @@
-//! The optimisation-correctness contract: every scheduler evaluation path
-//! — `Naive` (the paper's per-decision file probing), `Indexed` (cached
-//! counters) and `Incremental` (bucketed priority indexes, the default) —
-//! must produce **byte-identical simulations**: the same assignment
-//! sequence, hence the same event trace, hence the same `MetricsReport`
-//! down to the last bit of every float.
+//! The optimisation-correctness contract: both scheduler evaluation paths
+//! — `Naive` (the paper's per-decision file probing) and `Incremental`
+//! (bucketed priority indexes, the default) — must produce
+//! **byte-identical simulations**: the same assignment sequence, hence the
+//! same event trace, hence the same `MetricsReport` down to the last bit
+//! of every float.
 //!
 //! Checked for all strategies over random grid shapes, with randomized
 //! `ChooseTask(2)` selection (which also pins down RNG-consumption
@@ -45,7 +45,7 @@ proptest! {
     // Whole-simulation cases are expensive; keep the case count moderate.
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Fault-free runs: all three paths agree exactly.
+    /// Fault-free runs: both paths agree exactly.
     #[test]
     fn eval_modes_agree(
         strategy in arb_strategy(),
@@ -64,9 +64,7 @@ proptest! {
             .with_capacity(capacity)
             .with_seed(seed);
         let incremental = run_with(&config, EvalMode::Incremental);
-        let indexed = run_with(&config, EvalMode::Indexed);
         let naive = run_with(&config, EvalMode::Naive);
-        prop_assert_eq!(&incremental, &indexed, "incremental vs indexed ({})", strategy);
         prop_assert_eq!(&incremental, &naive, "incremental vs naive ({})", strategy);
     }
 
@@ -96,9 +94,7 @@ proptest! {
             config = config.with_checkpointing(CheckpointConfig::fixed(300.0));
         }
         let incremental = run_with(&config, EvalMode::Incremental);
-        let indexed = run_with(&config, EvalMode::Indexed);
         let naive = run_with(&config, EvalMode::Naive);
-        prop_assert_eq!(&incremental, &indexed, "incremental vs indexed ({})", strategy);
         prop_assert_eq!(&incremental, &naive, "incremental vs naive ({})", strategy);
     }
 }
@@ -108,7 +104,7 @@ proptest! {
 
     /// Replica-throttled storage affinity: the capped pick — site-budget
     /// pre-check plus saturated tasks withdrawn from the overlap index —
-    /// must agree byte-for-byte across all three evaluation paths, with
+    /// must agree byte-for-byte across both evaluation paths, with
     /// and without churn-driven requeues.
     #[test]
     fn eval_modes_agree_under_replica_throttle(
@@ -140,9 +136,7 @@ proptest! {
             config = config.with_faults(FaultConfig::none().with_worker_faults(mtbf, 400.0));
         }
         let incremental = run_with(&config, EvalMode::Incremental);
-        let indexed = run_with(&config, EvalMode::Indexed);
         let naive = run_with(&config, EvalMode::Naive);
-        prop_assert_eq!(&incremental, &indexed, "incremental vs indexed ({:?})", throttle);
         prop_assert_eq!(&incremental, &naive, "incremental vs naive ({:?})", throttle);
         prop_assert_eq!(incremental.tasks_completed, 100);
     }
@@ -198,7 +192,6 @@ proptest! {
         seed in 0u64..3,
         mode in prop_oneof![
             Just(EvalMode::Incremental),
-            Just(EvalMode::Indexed),
             Just(EvalMode::Naive),
         ],
     ) {
@@ -225,7 +218,7 @@ proptest! {
 }
 
 /// The acceptance matrix pinned deterministically: telemetry on vs off is
-/// byte-identical for **all 8 strategies × all 3 eval modes** under churn
+/// byte-identical for **all 8 strategies × both eval modes** under churn
 /// and checkpointing, plus throttled storage affinity.
 #[test]
 fn telemetry_on_off_identical_all_strategies_and_modes() {
@@ -253,7 +246,7 @@ fn telemetry_on_off_identical_all_strategies_and_modes() {
                     .with_server_faults(25_000.0, 700.0),
             )
             .with_checkpointing(CheckpointConfig::fixed(300.0));
-        for mode in [EvalMode::Incremental, EvalMode::Indexed, EvalMode::Naive] {
+        for mode in [EvalMode::Incremental, EvalMode::Naive] {
             let off = run_with(&config, mode);
             let on = run_traced(&config, mode);
             assert_eq!(off, on, "telemetry perturbed {strategy} in {mode:?}");
@@ -271,7 +264,7 @@ fn telemetry_on_off_identical_all_strategies_and_modes() {
                 .with_site_budget(2),
         )
         .with_faults(FaultConfig::none().with_worker_faults(3_000.0, 400.0));
-    for mode in [EvalMode::Incremental, EvalMode::Indexed, EvalMode::Naive] {
+    for mode in [EvalMode::Incremental, EvalMode::Naive] {
         let off = run_with(&config, mode);
         let on = run_traced(&config, mode);
         assert_eq!(off, on, "telemetry perturbed the throttled run in {mode:?}");
@@ -370,7 +363,7 @@ fn controls_default_off_is_inert() {
 }
 
 /// The controllers-disabled byte-identity matrix: with every loop off, all
-/// 8 strategies × all 3 eval modes under churn + checkpointing (plus the
+/// 8 strategies × both eval modes under churn + checkpointing (plus the
 /// replica throttle on storage affinity) produce byte-identical
 /// `MetricsReport`s AND byte-identical determinism-digest streams whether
 /// the config spells out `ControlConfig::none()` or never mentions the
@@ -416,7 +409,7 @@ fn controllers_disabled_byte_identity_full_matrix() {
                     .with_site_budget(2),
             );
         }
-        for mode in [EvalMode::Incremental, EvalMode::Indexed, EvalMode::Naive] {
+        for mode in [EvalMode::Incremental, EvalMode::Naive] {
             let plain =
                 GridSim::new(base.clone().with_eval_mode(mode).with_digest_out(&digest_a)).run();
             let explicit = GridSim::new(
@@ -497,7 +490,7 @@ fn controllers_enabled_runs_are_repeatable() {
 
 /// The transfer guard's zero-link-fault contract: with no link faults
 /// configured, the guard's armed-but-always-cancelled deadlines must leave
-/// the run byte-identical to today's — for **all 8 strategies × all 3 eval
+/// the run byte-identical to today's — for **all 8 strategies × both eval
 /// modes** under worker/server churn + checkpointing. Cancelled guard
 /// events never dispatch, so the determinism-digest streams compare equal
 /// byte-for-byte, and the reports agree on everything except the config
@@ -540,7 +533,7 @@ fn transfer_guard_without_link_faults_is_byte_inert() {
             .with_transfer_timeout(4.0)
             .with_transfer_retries(3)
             .with_retry_backoff(30.0);
-        for mode in [EvalMode::Incremental, EvalMode::Indexed, EvalMode::Naive] {
+        for mode in [EvalMode::Incremental, EvalMode::Naive] {
             let plain =
                 GridSim::new(base.clone().with_eval_mode(mode).with_digest_out(&digest_a)).run();
             let on = GridSim::new(
@@ -612,9 +605,7 @@ fn eval_modes_agree_large_s() {
             )
             .with_checkpointing(CheckpointConfig::fixed(300.0));
         let incremental = run_with(&config, EvalMode::Incremental);
-        let indexed = run_with(&config, EvalMode::Indexed);
         let naive = run_with(&config, EvalMode::Naive);
-        assert_eq!(incremental, indexed, "incremental vs indexed ({strategy})");
         assert_eq!(incremental, naive, "incremental vs naive ({strategy})");
         assert_eq!(incremental.tasks_completed, 120, "{strategy}");
     }
@@ -632,9 +623,7 @@ fn eval_modes_agree_large_s() {
         )
         .with_faults(FaultConfig::none().with_worker_faults(3_000.0, 400.0));
     let incremental = run_with(&config, EvalMode::Incremental);
-    let indexed = run_with(&config, EvalMode::Indexed);
     let naive = run_with(&config, EvalMode::Naive);
-    assert_eq!(incremental, indexed, "throttled incremental vs indexed");
     assert_eq!(incremental, naive, "throttled incremental vs naive");
     assert_eq!(incremental.tasks_completed, 120);
 }
