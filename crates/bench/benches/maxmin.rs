@@ -1,6 +1,6 @@
-//! Max–min fair-share solver benchmark.
+//! Max–min solver, fluid network and event queue benchmarks.
 //!
-//! Two groups:
+//! Two groups time the max–min solver:
 //!
 //! * `max_min_rates` — the executable specification, which re-describes
 //!   every flow and allocates per call, over link/flow counts bracketing
@@ -14,12 +14,26 @@
 //!   finished flow's route, so the route multiset is unchanged and the
 //!   solver skips the fill; with `route_change` it takes another site's
 //!   route and every step pays a full progressive fill.
+//!
+//! Two time the layers around it on the path every file hop takes:
+//!
+//! * `net_swap` — the fluid engine `NetSim` with one flow per site over the
+//!   paper topology. Each step finishes the earliest completion, starts its
+//!   successor on the same route and asks for the next completion: the
+//!   flow-table and readback cost a `FlowDone` event pays, with the fill
+//!   itself skipped;
+//! * `event_queue_hold` — the event queue under the classic hold model: a
+//!   constant population where each step pops the earliest event and
+//!   pushes a successor, and one step in four also cancels and re-pushes a
+//!   random pending event (a flow-completion reschedule).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use gridsched_des::{EventHandle, EventQueue, SimTime};
 use gridsched_net::fair::{max_min_rates, MaxMinSolver};
+use gridsched_net::NetSim;
 use gridsched_topology::{generate, TiersConfig};
 
 fn random_case(links: usize, flows: usize, seed: u64) -> (Vec<f64>, Vec<Vec<usize>>) {
@@ -97,5 +111,74 @@ fn bench_solver_churn(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_maxmin, bench_solver_churn);
+fn bench_net_swap(c: &mut Criterion) {
+    let topology = generate(&TiersConfig::paper(7));
+    let mut group = c.benchmark_group("net_swap");
+    for flows in [5usize, 20, 80] {
+        const BYTES: f64 = 25e6;
+        let mut net = NetSim::new(topology.graph.bandwidths());
+        for site in 0..flows {
+            let route = topology.routes.site_to_file_server(site);
+            // Staggered sizes, so completions come one at a time.
+            let bytes = BYTES * (1.0 + site as f64 / flows as f64);
+            net.start_flow(SimTime::ZERO, &route.links, bytes, route.latency_s, site);
+        }
+        group.bench_with_input(BenchmarkId::from_parameter(flows), &flows, |b, _| {
+            b.iter(|| {
+                for _ in 0..STEPS {
+                    let (t, id) = net.next_completion().expect("flows stay active");
+                    let site = net.finish_flow(t, id);
+                    let route = topology.routes.site_to_file_server(site);
+                    net.start_flow(t, &route.links, BYTES, route.latency_s, site);
+                }
+                std::hint::black_box(net.next_completion())
+            });
+        });
+    }
+    group.finish();
+}
+
+fn bench_event_queue_hold(c: &mut Criterion) {
+    let mut group = c.benchmark_group("event_queue_hold");
+    for population in [80usize, 500] {
+        let mut rng = StdRng::seed_from_u64(42);
+        let mut queue = EventQueue::new();
+        let mut handles: Vec<EventHandle> = (0..population)
+            .map(|i| queue.push(SimTime::from_secs(rng.gen_range(0.0..1_000.0)), i))
+            .collect();
+        let mut op = 0usize;
+        group.bench_with_input(
+            BenchmarkId::from_parameter(population),
+            &population,
+            |b, _| {
+                b.iter(|| {
+                    for _ in 0..STEPS {
+                        let (at, i) = queue.pop().expect("population is constant");
+                        let later = |rng: &mut StdRng| {
+                            SimTime::from_secs(at.as_secs() + rng.gen_range(0.0..1_000.0))
+                        };
+                        handles[i] = queue.push(later(&mut rng), i);
+                        op += 1;
+                        if op.is_multiple_of(4) {
+                            let victim = rng.gen_range(0..population);
+                            if queue.cancel(handles[victim]) {
+                                handles[victim] = queue.push(later(&mut rng), victim);
+                            }
+                        }
+                    }
+                    std::hint::black_box(queue.len())
+                });
+            },
+        );
+    }
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_maxmin,
+    bench_solver_churn,
+    bench_net_swap,
+    bench_event_queue_hold
+);
 criterion_main!(benches);

@@ -6,7 +6,8 @@
 //! * [`SimTime`] / [`SimDuration`] — totally-ordered simulation timestamps
 //!   (seconds, `f64` under the hood, NaN-free by construction),
 //! * [`EventQueue`] — a cancellable priority queue of timestamped events with
-//!   stable FIFO ordering for simultaneous events,
+//!   stable FIFO ordering for simultaneous events (O(1), hash-free
+//!   cancellation through slot-checked handles),
 //! * [`Schedule`] — a thin driver that owns the queue and the clock and
 //!   enforces time monotonicity,
 //! * [`rng`] — seed-derivation helpers so every simulation component gets an

@@ -2,13 +2,19 @@
 //!
 //! [`EventQueue`] orders events primarily by [`SimTime`] and secondarily by
 //! insertion order, so two events scheduled for the same instant pop in the
-//! order they were pushed — this keeps simulations deterministic. Events can
-//! be cancelled in O(1) via the [`EventHandle`] returned at push time;
-//! cancelled entries are lazily discarded on pop (the standard
-//! tombstone technique for binary-heap event queues).
+//! order they were pushed — this keeps simulations deterministic.
+//!
+//! Cancellation is O(1) and hash-free. Every heap entry owns a *slot*, and
+//! `slots[slot]` holds the sequence number of the live event in it, or a
+//! dead marker once that event is cancelled. Cancelling just writes the
+//! marker; the entry stays in the heap and is discarded when it surfaces.
+//! A slot returns to the free list only when its heap entry is popped, so
+//! while an entry is in the heap nobody else can own its slot, and a stale
+//! [`EventHandle`] (its event fired or was cancelled, the slot perhaps
+//! reused since) fails the sequence check and is a no-op.
 
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, HashSet};
+use std::collections::BinaryHeap;
 
 use crate::time::SimTime;
 
@@ -17,11 +23,19 @@ use crate::time::SimTime;
 /// Handles are unique over the lifetime of one [`EventQueue`]; cancelling a
 /// handle twice, or after its event fired, is a no-op.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct EventHandle(u64);
+pub struct EventHandle {
+    seq: u64,
+    slot: u32,
+}
+
+/// `slots` marker for a slot whose event was cancelled or popped
+/// (sequence numbers never reach it).
+const DEAD: u64 = u64::MAX;
 
 struct Entry<E> {
     at: SimTime,
     seq: u64,
+    slot: u32,
     event: E,
 }
 
@@ -64,11 +78,13 @@ impl<E> Ord for Entry<E> {
 /// ```
 pub struct EventQueue<E> {
     heap: BinaryHeap<Entry<E>>,
-    /// Sequence numbers currently scheduled (pushed, not yet popped or
-    /// cancelled).
-    pending: HashSet<u64>,
-    /// Sequence numbers cancelled while still in the heap (tombstones).
-    cancelled: HashSet<u64>,
+    /// Per slot: the sequence number of the live event in it, or [`DEAD`].
+    /// One slot per heap entry, live or cancelled.
+    slots: Vec<u64>,
+    /// Slots whose heap entry has been popped.
+    free: Vec<u32>,
+    /// Number of live (pushed, not yet popped or cancelled) events.
+    live: usize,
     next_seq: u64,
 }
 
@@ -84,8 +100,9 @@ impl<E> EventQueue<E> {
     pub fn new() -> Self {
         EventQueue {
             heap: BinaryHeap::new(),
-            pending: HashSet::new(),
-            cancelled: HashSet::new(),
+            slots: Vec::new(),
+            free: Vec::new(),
+            live: 0,
             next_seq: 0,
         }
     }
@@ -95,9 +112,24 @@ impl<E> EventQueue<E> {
     pub fn push(&mut self, at: SimTime, event: E) -> EventHandle {
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.heap.push(Entry { at, seq, event });
-        self.pending.insert(seq);
-        EventHandle(seq)
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slots[slot as usize] = seq;
+                slot
+            }
+            None => {
+                self.slots.push(seq);
+                (self.slots.len() - 1) as u32
+            }
+        };
+        self.heap.push(Entry {
+            at,
+            seq,
+            slot,
+            event,
+        });
+        self.live += 1;
+        EventHandle { seq, slot }
     }
 
     /// Cancels a previously scheduled event.
@@ -105,22 +137,25 @@ impl<E> EventQueue<E> {
     /// Returns `true` if the event was still pending, `false` if it already
     /// fired or was already cancelled.
     pub fn cancel(&mut self, handle: EventHandle) -> bool {
-        if self.pending.remove(&handle.0) {
-            self.cancelled.insert(handle.0);
-            true
-        } else {
-            false
+        match self.slots.get_mut(handle.slot as usize) {
+            Some(seq) if *seq == handle.seq => {
+                *seq = DEAD;
+                self.live -= 1;
+                true
+            }
+            _ => false,
         }
     }
 
     /// Removes and returns the earliest live event, skipping cancelled ones.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
         while let Some(entry) = self.heap.pop() {
-            if self.cancelled.remove(&entry.seq) {
-                continue;
+            let seq = std::mem::replace(&mut self.slots[entry.slot as usize], DEAD);
+            self.free.push(entry.slot);
+            if seq == entry.seq {
+                self.live -= 1;
+                return Some((entry.at, entry.event));
             }
-            self.pending.remove(&entry.seq);
-            return Some((entry.at, entry.event));
         }
         None
     }
@@ -128,17 +163,16 @@ impl<E> EventQueue<E> {
     /// The timestamp of the earliest live event, if any.
     ///
     /// Takes `&mut self` because it opportunistically drains cancelled
-    /// tombstones off the top of the heap.
+    /// entries off the top of the heap.
     #[must_use]
     pub fn peek_time(&mut self) -> Option<SimTime> {
         while let Some(entry) = self.heap.peek() {
-            if self.cancelled.contains(&entry.seq) {
-                let seq = entry.seq;
-                self.heap.pop();
-                self.cancelled.remove(&seq);
-            } else {
+            if self.slots[entry.slot as usize] == entry.seq {
                 return Some(entry.at);
             }
+            let slot = entry.slot;
+            self.heap.pop();
+            self.free.push(slot);
         }
         None
     }
@@ -146,20 +180,20 @@ impl<E> EventQueue<E> {
     /// Number of live (non-cancelled) events.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.pending.len()
+        self.live
     }
 
     /// Whether the queue holds no live events.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.pending.is_empty()
+        self.live == 0
     }
 }
 
 impl<E> std::fmt::Debug for EventQueue<E> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("EventQueue")
-            .field("live", &self.pending.len())
+            .field("live", &self.live)
             .field("heap_len", &self.heap.len())
             .finish()
     }
@@ -223,7 +257,40 @@ mod tests {
     #[test]
     fn cancel_unknown_handle_is_noop() {
         let mut q: EventQueue<()> = EventQueue::new();
-        assert!(!q.cancel(EventHandle(42)));
+        assert!(!q.cancel(EventHandle { seq: 42, slot: 0 }));
+        // A handle naming a live slot with the wrong sequence is unknown too.
+        let live = q.push(t(1.0), ());
+        assert!(!q.cancel(EventHandle {
+            seq: 42,
+            slot: live.slot,
+        }));
+        assert_eq!(q.len(), 1);
+    }
+
+    #[test]
+    fn stale_handle_cannot_cancel_the_reuser_of_its_slot() {
+        let mut q = EventQueue::new();
+        let a = q.push(t(1.0), "a");
+        assert_eq!(q.pop().map(|(_, e)| e), Some("a"));
+        let b = q.push(t(2.0), "b");
+        assert_eq!(b.slot, a.slot, "b reuses a's freed slot");
+        assert!(!q.cancel(a), "a already fired");
+        assert_eq!(q.len(), 1);
+        assert_eq!(q.pop().map(|(_, e)| e), Some("b"));
+        assert!(q.is_empty());
+    }
+
+    #[test]
+    fn cancelled_slot_stays_taken_until_its_entry_pops() {
+        let mut q = EventQueue::new();
+        let a = q.push(t(5.0), "a");
+        assert!(q.cancel(a));
+        // The cancelled entry is still in the heap: a new push must not
+        // reuse its slot, or the dead entry would surface as live.
+        let b = q.push(t(1.0), "b");
+        assert_ne!(b.slot, a.slot);
+        assert_eq!(q.pop().map(|(_, e)| e), Some("b"));
+        assert_eq!(q.pop(), None);
     }
 
     #[test]
@@ -291,6 +358,71 @@ mod proptests {
             }
             prop_assert_eq!(got, expected);
             prop_assert!(q.is_empty());
+        }
+
+        /// Interleaved push, pop, cancel (of live, fired and cancelled
+        /// handles alike) and peek agree with a sorted-`Vec` model at every
+        /// step: same popped event, same peeked time, same cancel result,
+        /// same length.
+        #[test]
+        fn matches_sorted_vec_model(
+            ops in proptest::collection::vec((0u8..4, 0u32..50, any::<u16>()), 1..200),
+        ) {
+            let mut q = EventQueue::new();
+            // Model: live (time, seq, id) triples; the queue pops the least.
+            let mut model: Vec<(u32, u64, usize)> = Vec::new();
+            // Every handle ever issued, with the model's id for it.
+            let mut handles: Vec<(EventHandle, u64)> = Vec::new();
+            let mut next_seq = 0u64;
+            for (op, time, pick) in ops {
+                match op {
+                    0 | 1 => {
+                        let h = q.push(SimTime::from_secs(f64::from(time)), next_seq as usize);
+                        model.push((time, next_seq, next_seq as usize));
+                        handles.push((h, next_seq));
+                        next_seq += 1;
+                    }
+                    2 => {
+                        if handles.is_empty() {
+                            continue;
+                        }
+                        let (h, seq) = handles[usize::from(pick) % handles.len()];
+                        let pos = model.iter().position(|&(_, s, _)| s == seq);
+                        prop_assert_eq!(q.cancel(h), pos.is_some());
+                        if let Some(pos) = pos {
+                            model.remove(pos);
+                        }
+                    }
+                    _ => {
+                        if pick % 2 == 0 {
+                            let want = model.iter().map(|&(t, s, _)| (t, s)).min();
+                            let got = q.peek_time().map(|at| at.as_secs() as u32);
+                            prop_assert_eq!(got, want.map(|(t, _)| t));
+                        } else {
+                            let want = model
+                                .iter()
+                                .enumerate()
+                                .min_by_key(|&(_, &(t, s, _))| (t, s))
+                                .map(|(i, _)| i);
+                            let got = q.pop().map(|(at, id)| (at.as_secs() as u32, id));
+                            let want = want.map(|i| {
+                                let (t, _, id) = model.remove(i);
+                                (t, id)
+                            });
+                            prop_assert_eq!(got, want);
+                        }
+                    }
+                }
+                prop_assert_eq!(q.len(), model.len());
+                prop_assert_eq!(q.is_empty(), model.is_empty());
+            }
+            model.sort_unstable();
+            let mut rest = Vec::new();
+            while let Some((at, id)) = q.pop() {
+                rest.push((at.as_secs() as u32, id));
+            }
+            let want: Vec<(u32, usize)> = model.iter().map(|&(t, _, id)| (t, id)).collect();
+            prop_assert_eq!(rest, want);
         }
 
         /// len() always equals pushes − pops − successful cancels.

@@ -14,8 +14,10 @@
 //! A flow's lifetime is `latency + bytes / rate(t)`: the latency phase
 //! elapses first (propagation), then bytes drain at the flow's current
 //! max–min rate.
-
-use std::collections::BTreeMap;
+//!
+//! Each flow carries a caller tag (what the transfer is for), handed back
+//! by [`NetSim::finish_flow`] and listed by [`NetSim::flows`], so the owner
+//! keeps no flow map of its own.
 
 use gridsched_des::{SimDuration, SimTime};
 use gridsched_telemetry::{Counter, Histogram, Telemetry};
@@ -24,28 +26,40 @@ use gridsched_topology::EdgeId;
 use crate::fair::MaxMinSolver;
 
 /// Identifier of an active (or completed) flow.
+///
+/// Ordered by creation: a later flow sorts after every earlier one, even
+/// when it reuses a lower slot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct FlowId(u64);
+pub struct FlowId {
+    /// Creation ordinal, unique over the engine's lifetime.
+    ord: u64,
+    /// The flow's solver slot, which is also its index in the engine's
+    /// slot table; reused once the flow is gone.
+    slot: u32,
+}
 
 impl FlowId {
     /// The flow's creation ordinal, a deterministic run-stable word (used
     /// by the engine's determinism digest to encode flow events).
     #[must_use]
     pub fn raw(self) -> u64 {
-        self.0
+        self.ord
     }
 }
 
+/// `NetSim::pos` marker for a slot holding no active flow.
+const NO_FLOW: u32 = u32::MAX;
+
 #[derive(Debug, Clone)]
-struct FlowState {
-    /// The flow's registration slot in the max–min solver.
-    slot: u32,
+struct FlowState<T> {
+    id: FlowId,
     remaining_latency_s: f64,
     remaining_bytes: f64,
     rate_bps: f64,
+    tag: T,
 }
 
-impl FlowState {
+impl<T> FlowState<T> {
     /// Absolute completion time if the rate never changes again.
     fn eta(&self, now: SimTime) -> SimTime {
         if self.rate_bps.is_infinite() {
@@ -60,7 +74,8 @@ impl FlowState {
     }
 }
 
-/// Fluid network simulator with max–min fair bandwidth sharing.
+/// Fluid network simulator with max–min fair bandwidth sharing. Every
+/// active flow carries a caller tag of type `T`.
 ///
 /// Rates are recomputed **lazily**: flow mutations only mark the
 /// allocation dirty, and the recompute runs at the next point the rates
@@ -74,13 +89,24 @@ impl FlowState {
 /// route, the route multiset is unchanged too, and the solver skips the
 /// fill entirely (see [`MaxMinSolver`]); only the per-flow readback runs.
 ///
+/// **No hashing, no tree.** Active flows live in a dense array visited in
+/// whatever order removals left it; a slot table indexed by the solver's
+/// (dense, reused) slot finds a flow's position in O(1), and the id's
+/// creation ordinal rejects stale ids. The visit order cannot change any
+/// result: the solver's rates do not depend on it, each flow's drain is
+/// independent of the others, and the earliest completion is a minimum
+/// over the total order `(eta, id)`. Only the running
+/// [`NetSim::bytes_delivered`] total sums in a different order.
+///
 /// See the [crate docs](crate) for an end-to-end example.
 #[derive(Debug)]
-pub struct NetSim {
-    /// Active flows, ordered by id — the deterministic recompute order
-    /// (previously achieved by sorting a key snapshot per recompute).
-    flows: BTreeMap<u64, FlowState>,
-    next_id: u64,
+pub struct NetSim<T> {
+    /// Active flows, dense, in no particular order.
+    flows: Vec<FlowState<T>>,
+    /// Per solver slot: the position of its flow in `flows`, or
+    /// [`NO_FLOW`].
+    pos: Vec<u32>,
+    next_ord: u64,
     last_update: SimTime,
     /// Whether the flow set changed since the last rate recompute.
     dirty: bool,
@@ -103,7 +129,7 @@ pub struct NetSim {
     touched_flows: Histogram,
 }
 
-impl NetSim {
+impl<T> NetSim<T> {
     /// Creates an engine over links with the given capacities
     /// (bytes/second), indexed by [`EdgeId::index`].
     ///
@@ -114,8 +140,9 @@ impl NetSim {
     pub fn new(capacities: Vec<f64>) -> Self {
         NetSim {
             solver: MaxMinSolver::new(capacities),
-            flows: BTreeMap::new(),
-            next_id: 0,
+            flows: Vec::new(),
+            pos: Vec::new(),
+            next_ord: 0,
             last_update: SimTime::ZERO,
             dirty: false,
             cached_next: None,
@@ -212,9 +239,7 @@ impl NetSim {
     /// `None` if the flow is unknown/already done.
     #[must_use]
     pub fn flow_stalled(&self, id: FlowId) -> Option<bool> {
-        self.flows
-            .get(&id.0)
-            .map(|f| self.solver.flow_stalled(f.slot))
+        self.position(id).map(|_| self.solver.flow_stalled(id.slot))
     }
 
     /// An optimistic fair-share rate estimate over `route` — the minimum
@@ -229,7 +254,7 @@ impl NetSim {
     }
 
     /// Starts a flow of `bytes` bytes across `route` with propagation
-    /// latency `latency_s`, at time `now`. Returns its id.
+    /// latency `latency_s`, at time `now`, carrying `tag`. Returns its id.
     ///
     /// An empty route means both endpoints are co-located: the flow
     /// completes after `latency_s` alone.
@@ -245,6 +270,7 @@ impl NetSim {
         route: &[EdgeId],
         bytes: f64,
         latency_s: f64,
+        tag: T,
     ) -> FlowId {
         assert!(bytes >= 0.0 && bytes.is_finite(), "bad flow size: {bytes}");
         assert!(
@@ -252,20 +278,27 @@ impl NetSim {
             "bad latency: {latency_s}"
         );
         self.advance_to(now);
-        let id = self.next_id;
-        self.next_id += 1;
         let slot = self.solver.add_flow(route.iter().map(|e| e.index()));
-        self.flows.insert(
+        let id = FlowId {
+            ord: self.next_ord,
+            slot,
+        };
+        self.next_ord += 1;
+        let s = slot as usize;
+        if s >= self.pos.len() {
+            self.pos.resize(s + 1, NO_FLOW);
+        }
+        debug_assert_eq!(self.pos[s], NO_FLOW, "solver handed out a live slot");
+        self.pos[s] = self.flows.len() as u32;
+        self.flows.push(FlowState {
             id,
-            FlowState {
-                slot,
-                remaining_latency_s: latency_s,
-                remaining_bytes: bytes,
-                rate_bps: 0.0,
-            },
-        );
+            remaining_latency_s: latency_s,
+            remaining_bytes: bytes,
+            rate_bps: 0.0,
+            tag,
+        });
         self.mark_dirty();
-        FlowId(id)
+        id
     }
 
     /// Cancels an active flow (e.g. a replicated task got cancelled while
@@ -273,27 +306,25 @@ impl NetSim {
     /// yet been delivered, or `None` if the flow was unknown/already done.
     pub fn cancel_flow(&mut self, now: SimTime, id: FlowId) -> Option<f64> {
         self.advance_to(now);
-        let state = self.flows.remove(&id.0)?;
-        self.solver.remove_flow(state.slot);
+        let state = self.remove(id)?;
         self.mark_dirty();
         Some(state.remaining_bytes)
     }
 
-    /// Marks the flow finished at `now`. The engine checks that the flow is
-    /// indeed (numerically) drained — the owner must call this exactly at
-    /// the instant reported by [`NetSim::next_completion`].
+    /// Marks the flow finished at `now` and returns its tag. The engine
+    /// checks that the flow is indeed (numerically) drained — the owner
+    /// must call this exactly at the instant reported by
+    /// [`NetSim::next_completion`].
     ///
     /// # Panics
     ///
     /// Panics if the flow is unknown or demonstrably unfinished (more than
     /// a relative `1e-6` of its bytes left).
-    pub fn finish_flow(&mut self, now: SimTime, id: FlowId) {
+    pub fn finish_flow(&mut self, now: SimTime, id: FlowId) -> T {
         self.advance_to(now);
         let state = self
-            .flows
-            .remove(&id.0)
+            .remove(id)
             .unwrap_or_else(|| panic!("finish_flow: unknown flow {id:?}"));
-        self.solver.remove_flow(state.slot);
         let slack = state.remaining_bytes.max(0.0);
         assert!(
             state.remaining_latency_s <= 1e-9 && slack <= 1e-3,
@@ -303,6 +334,7 @@ impl NetSim {
         self.bytes_delivered += slack; // account the numerically-lost tail
         self.flows_finished += 1;
         self.mark_dirty();
+        state.tag
     }
 
     /// The earliest `(time, flow)` completion among active flows, assuming
@@ -322,7 +354,38 @@ impl NetSim {
         if self.dirty {
             self.recompute_rates();
         }
-        self.flows.get(&id.0).map(|f| f.rate_bps)
+        self.position(id).map(|p| self.flows[p].rate_bps)
+    }
+
+    /// The tag of an active flow, `None` if the flow is unknown/already
+    /// done.
+    #[must_use]
+    pub fn tag(&self, id: FlowId) -> Option<&T> {
+        self.position(id).map(|p| &self.flows[p].tag)
+    }
+
+    /// The active flows and their tags, in no particular order.
+    pub fn flows(&self) -> impl Iterator<Item = (FlowId, &T)> {
+        self.flows.iter().map(|f| (f.id, &f.tag))
+    }
+
+    /// Position of an active flow in `flows`; `None` for an id whose flow
+    /// is gone (its slot empty, or reused by a later flow).
+    fn position(&self, id: FlowId) -> Option<usize> {
+        let p = *self.pos.get(id.slot as usize)?;
+        (p != NO_FLOW && self.flows[p as usize].id == id).then_some(p as usize)
+    }
+
+    /// Unlinks an active flow from the table and the solver.
+    fn remove(&mut self, id: FlowId) -> Option<FlowState<T>> {
+        let p = self.position(id)?;
+        self.pos[id.slot as usize] = NO_FLOW;
+        let state = self.flows.swap_remove(p);
+        if let Some(moved) = self.flows.get(p) {
+            self.pos[moved.id.slot as usize] = p as u32;
+        }
+        self.solver.remove_flow(id.slot);
+        Some(state)
     }
 
     fn mark_dirty(&mut self) {
@@ -334,13 +397,13 @@ impl NetSim {
         debug_assert!(!self.dirty, "scan over unreconciled rates");
         self.flows
             .iter()
-            .map(|(&id, f)| (f.eta(self.last_update), FlowId(id)))
+            .map(|f| (f.eta(self.last_update), f.id))
             // Stalled flows (down link on the route) have no reachable
             // completion — they wait for recovery, cancellation, or a
             // transfer-guard timeout, never for a completion event.
             .filter(|&(eta, _)| eta < SimTime::FAR_FUTURE)
-            // Deterministic tie-break on flow id.
-            .min_by(|a, b| a.0.cmp(&b.0).then_with(|| a.1.cmp(&b.1)))
+            // Deterministic tie-break on flow id (creation order).
+            .min()
     }
 
     /// Number of active flows.
@@ -385,7 +448,7 @@ impl NetSim {
             self.recompute_rates();
         }
         self.cached_next = None;
-        for f in self.flows.values_mut() {
+        for f in &mut self.flows {
             let mut local_dt = dt;
             if f.remaining_latency_s > 0.0 {
                 let consumed = f.remaining_latency_s.min(local_dt);
@@ -405,11 +468,9 @@ impl NetSim {
         }
     }
 
-    /// Recomputes the max–min fair allocation for the current flow set
-    /// (ascending flow id — the `BTreeMap` iteration order — matching the
-    /// sorted-snapshot order of the original implementation), without
-    /// allocating. The solver skips the fill when the flow set only
-    /// swapped finished flows for new ones on the same routes; the
+    /// Recomputes the max–min fair allocation for the current flow set,
+    /// without allocating. The solver skips the fill when the flow set
+    /// only swapped finished flows for new ones on the same routes; the
     /// readback still runs, since the new flows need their rates and the
     /// earliest completion changed.
     fn recompute_rates(&mut self) {
@@ -422,19 +483,17 @@ impl NetSim {
             self.touched_flows.record(self.flows.len() as u64);
         }
         // Fold the earliest-completion search into the readback pass: the
-        // same (eta, id) minimum the scan would take, over the same
-        // ascending-id order, computed while the flows are already being
-        // visited.
+        // same (eta, id) minimum the scan would take, computed while the
+        // flows are already being visited.
         let now = self.last_update;
         let mut next: Option<(SimTime, FlowId)> = None;
-        for (&id, state) in self.flows.iter_mut() {
-            state.rate_bps = self.solver.rate(state.slot);
-            let eta = state.eta(now);
+        for f in &mut self.flows {
+            f.rate_bps = self.solver.rate(f.id.slot);
+            let eta = f.eta(now);
             // Stalled flows never surface as a completion (see
             // `scan_next_completion`).
-            if eta < SimTime::FAR_FUTURE && next.is_none_or(|(t, fid)| (eta, FlowId(id)) < (t, fid))
-            {
-                next = Some((eta, FlowId(id)));
+            if eta < SimTime::FAR_FUTURE && next.is_none_or(|best| (eta, f.id) < best) {
+                next = Some((eta, f.id));
             }
         }
         self.cached_next = next;
@@ -456,7 +515,7 @@ mod tests {
     #[test]
     fn single_flow_latency_plus_transfer() {
         let mut net = NetSim::new(vec![10.0]);
-        let f = net.start_flow(SimTime::ZERO, &[e(0)], 100.0, 2.0);
+        let f = net.start_flow(SimTime::ZERO, &[e(0)], 100.0, 2.0, ());
         let (eta, id) = net.next_completion().unwrap();
         assert_eq!(id, f);
         assert!((eta.as_secs() - 12.0).abs() < 1e-9);
@@ -469,7 +528,7 @@ mod tests {
     #[test]
     fn zero_byte_flow_is_pure_latency() {
         let mut net = NetSim::new(vec![10.0]);
-        let f = net.start_flow(SimTime::ZERO, &[e(0)], 0.0, 1.5);
+        let f = net.start_flow(SimTime::ZERO, &[e(0)], 0.0, 1.5, ());
         let (eta, _) = net.next_completion().unwrap();
         assert!((eta.as_secs() - 1.5).abs() < 1e-12);
         net.finish_flow(eta, f);
@@ -478,7 +537,7 @@ mod tests {
     #[test]
     fn empty_route_completes_after_latency() {
         let mut net = NetSim::new(vec![10.0]);
-        let f = net.start_flow(SimTime::ZERO, &[], 1e9, 0.5);
+        let f = net.start_flow(SimTime::ZERO, &[], 1e9, 0.5, ());
         let (eta, _) = net.next_completion().unwrap();
         assert!((eta.as_secs() - 0.5).abs() < 1e-12);
         net.finish_flow(eta, f);
@@ -489,8 +548,8 @@ mod tests {
         // Link 10 B/s. Flow A: 100 bytes at t=0. Flow B: 100 bytes at t=0.
         // Both get 5 B/s → finish at t=20 (no latency).
         let mut net = NetSim::new(vec![10.0]);
-        let _a = net.start_flow(SimTime::ZERO, &[e(0)], 100.0, 0.0);
-        let _b = net.start_flow(SimTime::ZERO, &[e(0)], 100.0, 0.0);
+        let _a = net.start_flow(SimTime::ZERO, &[e(0)], 100.0, 0.0, ());
+        let _b = net.start_flow(SimTime::ZERO, &[e(0)], 100.0, 0.0, ());
         let (eta, first) = net.next_completion().unwrap();
         assert!((eta.as_secs() - 20.0).abs() < 1e-9);
         net.finish_flow(eta, first);
@@ -510,8 +569,8 @@ mod tests {
         // 0 + (50/5 then 50/10) — after A leaves, B speeds back up:
         // at t=15 B has 100-50=50 left, full rate 10 → t=20.
         let mut net = NetSim::new(vec![10.0]);
-        let a = net.start_flow(SimTime::ZERO, &[e(0)], 100.0, 0.0);
-        let b = net.start_flow(t(5.0), &[e(0)], 100.0, 0.0);
+        let a = net.start_flow(SimTime::ZERO, &[e(0)], 100.0, 0.0, ());
+        let b = net.start_flow(t(5.0), &[e(0)], 100.0, 0.0, ());
         let (eta_a, id) = net.next_completion().unwrap();
         assert_eq!(id, a);
         assert!((eta_a.as_secs() - 15.0).abs() < 1e-9, "eta_a={eta_a}");
@@ -526,8 +585,8 @@ mod tests {
     #[test]
     fn cancel_frees_bandwidth() {
         let mut net = NetSim::new(vec![10.0]);
-        let a = net.start_flow(SimTime::ZERO, &[e(0)], 100.0, 0.0);
-        let b = net.start_flow(SimTime::ZERO, &[e(0)], 100.0, 0.0);
+        let a = net.start_flow(SimTime::ZERO, &[e(0)], 100.0, 0.0, ());
+        let b = net.start_flow(SimTime::ZERO, &[e(0)], 100.0, 0.0, ());
         // At t=4 cancel B (it delivered 20 of its bytes).
         let left = net.cancel_flow(t(4.0), b).unwrap();
         assert!((left - 80.0).abs() < 1e-9);
@@ -542,7 +601,7 @@ mod tests {
     fn multi_link_route_bottleneck() {
         // Route over links of 10 and 4 → rate 4.
         let mut net = NetSim::new(vec![10.0, 4.0]);
-        let f = net.start_flow(SimTime::ZERO, &[e(0), e(1)], 40.0, 0.0);
+        let f = net.start_flow(SimTime::ZERO, &[e(0), e(1)], 40.0, 0.0, ());
         let (eta, _) = net.next_completion().unwrap();
         assert!((eta.as_secs() - 10.0).abs() < 1e-9);
         net.finish_flow(eta, f);
@@ -551,9 +610,9 @@ mod tests {
     #[test]
     fn latency_phase_does_not_drain_bytes() {
         let mut net = NetSim::new(vec![10.0]);
-        let f = net.start_flow(SimTime::ZERO, &[e(0)], 100.0, 5.0);
+        let f = net.start_flow(SimTime::ZERO, &[e(0)], 100.0, 5.0, ());
         // Probe state mid-latency by starting/cancelling another flow.
-        let probe = net.start_flow(t(3.0), &[e(0)], 1.0, 0.0);
+        let probe = net.start_flow(t(3.0), &[e(0)], 1.0, 0.0, ());
         net.cancel_flow(t(3.5), probe);
         let (eta, _) = net.next_completion().unwrap();
         // 5s latency, plus bytes drained at 5 B/s between 3.0 and 3.5 is
@@ -567,7 +626,7 @@ mod tests {
     #[should_panic(expected = "unfinished flow")]
     fn finish_early_panics() {
         let mut net = NetSim::new(vec![10.0]);
-        let f = net.start_flow(SimTime::ZERO, &[e(0)], 100.0, 0.0);
+        let f = net.start_flow(SimTime::ZERO, &[e(0)], 100.0, 0.0, ());
         net.finish_flow(t(1.0), f);
     }
 
@@ -575,23 +634,67 @@ mod tests {
     #[should_panic(expected = "driven backwards")]
     fn time_backwards_panics() {
         let mut net = NetSim::new(vec![10.0]);
-        let _ = net.start_flow(t(5.0), &[e(0)], 1.0, 0.0);
-        let _ = net.start_flow(t(4.0), &[e(0)], 1.0, 0.0);
+        let _ = net.start_flow(t(5.0), &[e(0)], 1.0, 0.0, ());
+        let _ = net.start_flow(t(4.0), &[e(0)], 1.0, 0.0, ());
     }
 
     #[test]
     fn deterministic_tie_break_on_simultaneous_completion() {
         let mut net = NetSim::new(vec![10.0]);
-        let a = net.start_flow(SimTime::ZERO, &[e(0)], 50.0, 0.0);
-        let _b = net.start_flow(SimTime::ZERO, &[e(0)], 50.0, 0.0);
+        let a = net.start_flow(SimTime::ZERO, &[e(0)], 50.0, 0.0, ());
+        let _b = net.start_flow(SimTime::ZERO, &[e(0)], 50.0, 0.0, ());
         let (_, id) = net.next_completion().unwrap();
         assert_eq!(id, a, "lowest flow id wins ties");
     }
 
     #[test]
+    fn tie_break_follows_creation_not_table_position() {
+        let mut net = NetSim::new(vec![10.0]);
+        let a = net.start_flow(SimTime::ZERO, &[e(0)], 50.0, 0.0, ());
+        let b = net.start_flow(SimTime::ZERO, &[e(0)], 50.0, 0.0, ());
+        let c = net.start_flow(SimTime::ZERO, &[e(0)], 50.0, 0.0, ());
+        // Removing `a` moves `c` ahead of `b` in the dense table; `b` and
+        // `c` still finish at the same instant, and `b` is older.
+        net.cancel_flow(SimTime::ZERO, a);
+        let (_, id) = net.next_completion().unwrap();
+        assert_eq!(id, b);
+        assert_ne!(id, c);
+        // Advancing the clock without changing the flow set (a stale
+        // cancel) re-derives the earliest completion by a fresh scan.
+        assert_eq!(net.cancel_flow(t(1.0), a), None);
+        let (_, id) = net.next_completion().unwrap();
+        assert_eq!(id, b);
+    }
+
+    #[test]
+    fn flow_ids_order_by_creation_across_slot_reuse() {
+        let mut net = NetSim::new(vec![10.0, 10.0]);
+        let a = net.start_flow(SimTime::ZERO, &[e(0)], 100.0, 0.0, 'a');
+        let b = net.start_flow(SimTime::ZERO, &[e(1)], 100.0, 0.0, 'b');
+        // Solve so `a`'s slot is released for reuse, then free it.
+        assert!(net.next_completion().is_some());
+        assert_eq!(net.cancel_flow(t(1.0), a), Some(90.0));
+        assert!(net.next_completion().is_some());
+        // `c` reuses `a`'s (lower) slot on a route `a` never had.
+        let c = net.start_flow(t(1.0), &[e(1)], 100.0, 0.0, 'c');
+        assert_eq!(c.slot, a.slot);
+        assert!(c.slot < b.slot);
+        assert_eq!([a.raw(), b.raw(), c.raw()], [0, 1, 2]);
+        assert!(a < b && b < c, "ids sort by creation, not by slot");
+        let mut live: Vec<FlowId> = net.flows().map(|(id, _)| id).collect();
+        live.sort_unstable();
+        assert_eq!(live, [b, c]);
+        // The stale id no longer names anything, though its slot is live.
+        assert_eq!(net.tag(a), None);
+        assert_eq!(net.cancel_flow(t(1.0), a), None);
+        assert_eq!(net.tag(c), Some(&'c'));
+        assert_eq!(net.tag(b), Some(&'b'));
+    }
+
+    #[test]
     fn outage_stalls_flow_and_preserves_partial_bytes() {
         let mut net = NetSim::new(vec![10.0]);
-        let f = net.start_flow(SimTime::ZERO, &[e(0)], 100.0, 0.0);
+        let f = net.start_flow(SimTime::ZERO, &[e(0)], 100.0, 0.0, ());
         // 40 bytes delivered by t=4, then the link fails.
         net.set_link_down(t(4.0), e(0));
         assert_eq!(net.links_down(), 1);
@@ -616,13 +719,13 @@ mod tests {
         // The resume primitive: cancel a stalled flow and restart only the
         // remaining bytes on another route.
         let mut net = NetSim::new(vec![10.0, 10.0]);
-        let f = net.start_flow(SimTime::ZERO, &[e(0)], 100.0, 0.0);
+        let f = net.start_flow(SimTime::ZERO, &[e(0)], 100.0, 0.0, ());
         net.set_link_down(t(4.0), e(0));
         let left = net.cancel_flow(t(9.0), f).unwrap();
         assert!((left - 60.0).abs() < 1e-9, "left={left}");
         // Resume on the other link at the remaining size.
         assert!(net.route_up(&[e(1)]));
-        let r = net.start_flow(t(9.0), &[e(1)], left, 0.0);
+        let r = net.start_flow(t(9.0), &[e(1)], left, 0.0, ());
         let (eta, id) = net.next_completion().unwrap();
         assert_eq!(id, r);
         assert!((eta.as_secs() - 15.0).abs() < 1e-9, "eta={eta}");
@@ -633,7 +736,7 @@ mod tests {
     #[test]
     fn degraded_window_slows_then_restores() {
         let mut net = NetSim::new(vec![10.0]);
-        let f = net.start_flow(SimTime::ZERO, &[e(0)], 100.0, 0.0);
+        let f = net.start_flow(SimTime::ZERO, &[e(0)], 100.0, 0.0, ());
         // Half capacity from t=2: 20 bytes done, 80 left at 5 B/s.
         net.set_link_capacity_factor(t(2.0), e(0), 0.5);
         let (eta, _) = net.next_completion().unwrap();
@@ -649,8 +752,8 @@ mod tests {
     #[test]
     fn unaffected_flows_complete_during_outage() {
         let mut net = NetSim::new(vec![10.0, 10.0]);
-        let stalled = net.start_flow(SimTime::ZERO, &[e(0)], 100.0, 0.0);
-        let healthy = net.start_flow(SimTime::ZERO, &[e(1)], 100.0, 0.0);
+        let stalled = net.start_flow(SimTime::ZERO, &[e(0)], 100.0, 0.0, ());
+        let healthy = net.start_flow(SimTime::ZERO, &[e(1)], 100.0, 0.0, ());
         net.set_link_down(SimTime::ZERO, e(0));
         let (eta, id) = net.next_completion().unwrap();
         assert_eq!(id, healthy);
@@ -687,7 +790,7 @@ mod proptests {
                         let _ = at;
                         now = ts;
                         let route: Vec<EdgeId> = route.iter().map(|&l| EdgeId(l as u32)).collect();
-                        net.start_flow(now, &route, bytes, lat);
+                        net.start_flow(now, &route, bytes, lat, ());
                         idx += 1;
                     } else {
                         now = td;
@@ -698,7 +801,7 @@ mod proptests {
                     let (_, route, bytes, lat) = pending[idx].clone();
                     now = ts;
                     let route: Vec<EdgeId> = route.iter().map(|&l| EdgeId(l as u32)).collect();
-                    net.start_flow(now, &route, bytes, lat);
+                    net.start_flow(now, &route, bytes, lat, ());
                     idx += 1;
                 }
                 (None, Some((td, fid))) => {

@@ -11,7 +11,12 @@
 //! * [`fair::MaxMinSolver`] — its bit-identical hot-path implementation
 //!   (incremental flow registration, no per-recompute allocation),
 //! * [`NetSim`] — the stateful engine: start/cancel flows, advance fluid
-//!   state, query the next completion instant.
+//!   state, query the next completion instant. Each flow carries a caller
+//!   tag (the grid simulator tags it with what the transfer is for), and
+//!   the flow table is a dense array with a slot table — no hashing, no
+//!   ordered map. Its visit order is unspecified and cannot change a
+//!   result: rates come from the solver, each flow drains independently,
+//!   and the next completion is a minimum over `(eta, creation ordinal)`.
 //!
 //! The engine is deliberately decoupled from the event queue: the caller
 //! (the grid simulator) owns the clock, asks [`NetSim::next_completion`]
@@ -24,7 +29,7 @@
 //!
 //! // One link of 10 bytes/s; a 100-byte flow with 2s latency.
 //! let mut net = NetSim::new(vec![10.0]);
-//! let f = net.start_flow(SimTime::ZERO, &[EdgeId(0)], 100.0, 2.0);
+//! let f = net.start_flow(SimTime::ZERO, &[EdgeId(0)], 100.0, 2.0, ());
 //! let (t, id) = net.next_completion().expect("one active flow");
 //! assert_eq!(id, f);
 //! assert!((t.as_secs() - 12.0).abs() < 1e-9); // 2s latency + 100/10
@@ -35,5 +40,7 @@
 
 pub mod engine;
 pub mod fair;
+#[cfg(test)]
+mod reference;
 
 pub use engine::{FlowId, NetSim};

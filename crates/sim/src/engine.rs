@@ -56,7 +56,7 @@
 //! to the PR 1 churn engine; `tests/checkpoint_restart.rs` property-tests
 //! this.
 
-use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeSet, VecDeque};
 use std::sync::Arc;
 
 use rand::rngs::StdRng;
@@ -403,7 +403,8 @@ pub struct GridSim {
     /// are needed at run time.
     site_routes: Vec<Arc<Route>>,
     schedule: Schedule<Event>,
-    net: NetSim,
+    /// The fluid network; each flow is tagged with what it carries.
+    net: NetSim<FlowPurpose>,
     net_handle: Option<EventHandle>,
     stores: Vec<SiteStore>,
     scheduler: Box<dyn Scheduler>,
@@ -437,7 +438,6 @@ pub struct GridSim {
     wake_calls: Counter,
     wake_fanout: Histogram,
     wake_targeted: Counter,
-    flow_purpose: HashMap<FlowId, FlowPurpose>,
     replication: Option<ReplicationState>,
     replication_rng: rand::rngs::StdRng,
     // --- fault injection ---
@@ -732,7 +732,6 @@ impl GridSim {
             xfer_failover_count: telemetry.counter("xfer.failovers"),
             xfer_resumed_bytes: telemetry.histogram("xfer.bytes_resumed"),
             telemetry,
-            flow_purpose: HashMap::new(),
             replication,
             faults_active,
             worker_timelines,
@@ -1389,11 +1388,14 @@ impl GridSim {
             }
             let route = Arc::clone(&self.site_routes[site]);
             let bytes = self.config.workload.file_size_bytes;
-            let fid = self
-                .net
-                .start_flow(self.now(), &route.links, bytes, route.latency_s);
+            let fid = self.net.start_flow(
+                self.now(),
+                &route.links,
+                bytes,
+                route.latency_s,
+                FlowPurpose::Batch { site },
+            );
             self.flows_started += 1;
-            self.flow_purpose.insert(fid, FlowPurpose::Batch { site });
             self.servers[site]
                 .active
                 .as_mut()
@@ -1496,17 +1498,17 @@ impl GridSim {
             }
         }
         let size = ckpt.size_bytes;
-        let fid = self
-            .net
-            .start_flow(self.now(), &links, size, src.latency_s + dst.latency_s);
-        self.flows_started += 1;
-        self.flow_purpose.insert(
-            fid,
+        let fid = self.net.start_flow(
+            self.now(),
+            &links,
+            size,
+            src.latency_s + dst.latency_s,
             FlowPurpose::Restore {
                 worker: w,
                 from_site: img_site,
             },
         );
+        self.flows_started += 1;
         let started = self.now();
         let current = self.workers[w].current.as_mut().expect("running");
         current.ckpt_flow = Some(fid);
@@ -1603,10 +1605,14 @@ impl GridSim {
             .expect("checkpoint event implies checkpointing");
         let link = ckpt.access_link[site];
         let size = ckpt.size_bytes;
-        let fid = self.net.start_flow(now, &[link], size, 0.0);
+        let fid = self.net.start_flow(
+            now,
+            &[link],
+            size,
+            0.0,
+            FlowPurpose::Checkpoint { worker: w },
+        );
         self.flows_started += 1;
-        self.flow_purpose
-            .insert(fid, FlowPurpose::Checkpoint { worker: w });
         let current = self.workers[w].current.as_mut().expect("computing");
         current.ckpt_flow = Some(fid);
         current.ckpt_flow_started = Some(now);
@@ -1631,13 +1637,9 @@ impl GridSim {
     }
 
     fn handle_flow_done(&mut self, fid: FlowId) {
-        self.net.finish_flow(self.now(), fid);
+        let purpose = self.net.finish_flow(self.now(), fid);
         self.net_handle = None;
         self.flows_completed += 1;
-        let purpose = self
-            .flow_purpose
-            .remove(&fid)
-            .expect("completed flow has a purpose");
         match purpose {
             FlowPurpose::Batch { site } => {
                 let (file, flow) = self.servers[site]
@@ -1873,20 +1875,17 @@ impl GridSim {
             self.replication.as_mut().expect("checked").mark_pushed(f);
             self.replication_pushes += 1;
             let route = Arc::clone(&self.site_routes[target]);
-            let fid = self.net.start_flow(
+            self.net.start_flow(
                 self.now(),
                 &route.links,
                 self.config.workload.file_size_bytes,
                 route.latency_s,
-            );
-            self.flows_started += 1;
-            self.flow_purpose.insert(
-                fid,
                 FlowPurpose::Replication {
                     site: target,
                     file: f,
                 },
             );
+            self.flows_started += 1;
             self.resync_net();
         }
     }
@@ -2048,7 +2047,6 @@ impl GridSim {
                         .take()
                         .expect("checked active above");
                     if let Some((_file, fid)) = batch.current {
-                        self.flow_purpose.remove(&fid);
                         // Guard-aware byte base: a resumed re-fetch
                         // carries fewer bytes than the full file.
                         let attempt_size = self
@@ -2080,7 +2078,6 @@ impl GridSim {
                 // survives at its source for the next attempt. The aborted
                 // transfer still counts as checkpoint overhead.
                 if let Some(fid) = current.ckpt_flow {
-                    self.flow_purpose.remove(&fid);
                     if let Some(left) = self.net.cancel_flow(self.now(), fid) {
                         self.flows_aborted += 1;
                         self.cancelled_bytes += left;
@@ -2096,7 +2093,6 @@ impl GridSim {
                 // Crash mid-image-write: the write dies with the worker,
                 // but the stall it caused was still paid.
                 if let Some(fid) = current.ckpt_flow {
-                    self.flow_purpose.remove(&fid);
                     if let Some(left) = self.net.cancel_flow(self.now(), fid) {
                         self.flows_aborted += 1;
                         self.cancelled_bytes += left;
@@ -2405,7 +2401,6 @@ impl GridSim {
             return;
         };
         let now = self.now();
-        self.flow_purpose.remove(&fid);
         let attempt_size = self.xfer.as_ref().expect("guarded").slots[site].remaining;
         let left = self
             .net
@@ -2575,9 +2570,14 @@ impl GridSim {
                 (route.links.clone(), route.latency_s)
             }
         };
-        let fid = self.net.start_flow(now, &links, remaining, latency_s);
+        let fid = self.net.start_flow(
+            now,
+            &links,
+            remaining,
+            latency_s,
+            FlowPurpose::Batch { site },
+        );
         self.flows_started += 1;
-        self.flow_purpose.insert(fid, FlowPurpose::Batch { site });
         self.servers[site]
             .active
             .as_mut()
@@ -2724,7 +2724,6 @@ impl GridSim {
         if let Some(batch) = self.servers[site].active.take() {
             let w = batch.worker;
             if let Some((_file, fid)) = batch.current {
-                self.flow_purpose.remove(&fid);
                 let attempt_size = self
                     .xfer
                     .as_ref()
@@ -2769,14 +2768,13 @@ impl GridSim {
         }
         // Inbound replication pushes have no destination anymore.
         let mut inbound: Vec<FlowId> = self
-            .flow_purpose
-            .iter()
+            .net
+            .flows()
             .filter(|(_, p)| matches!(p, FlowPurpose::Replication { site: s, .. } if *s == site))
-            .map(|(&fid, _)| fid)
+            .map(|(fid, _)| fid)
             .collect();
         inbound.sort_unstable();
         for fid in inbound {
-            self.flow_purpose.remove(&fid);
             if let Some(left) = self.net.cancel_flow(self.now(), fid) {
                 self.flows_aborted += 1;
                 self.cancelled_bytes += left;
@@ -2828,8 +2826,8 @@ impl GridSim {
     fn abort_ckpt_flows_for_failed_server(&mut self, site: usize) {
         let mut writes: Vec<(FlowId, usize)> = Vec::new();
         let mut restores: Vec<(FlowId, usize)> = Vec::new();
-        for (&fid, p) in &self.flow_purpose {
-            match *p {
+        for (fid, &p) in self.net.flows() {
+            match p {
                 FlowPurpose::Checkpoint { worker }
                     if self.workers[worker].id.site.index() == site =>
                 {
@@ -2844,7 +2842,6 @@ impl GridSim {
         writes.sort_unstable();
         restores.sort_unstable();
         for &(fid, w) in writes.iter().chain(&restores) {
-            self.flow_purpose.remove(&fid);
             if let Some(left) = self.net.cancel_flow(self.now(), fid) {
                 self.flows_aborted += 1;
                 self.cancelled_bytes += left;
