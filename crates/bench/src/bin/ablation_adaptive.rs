@@ -411,6 +411,16 @@ fn run_checks(cli: &Cli, t: &ThrottleFace, p: &PlacementFace, yd: &YoungDalyFace
         "circuit breakers actually tripped under the storm",
         p.breaker_opens > 0,
     );
+    check(
+        cli,
+        "tripped breakers cooled into half-open probes",
+        p.breaker_half_opens > 0,
+    );
+    check(
+        cli,
+        "the placement face sweeps all 8 static strategies",
+        p.statics.len() == 8,
+    );
 
     // Face 3: the estimator must approach the declared-MTBF oracle.
     check(

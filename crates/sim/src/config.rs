@@ -130,7 +130,7 @@ pub struct SimConfig {
 }
 
 /// Serializable summary of a configuration (embedded in reports).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct ConfigSummary {
     /// Algorithm label (paper's naming, e.g. `rest.2`).
     pub strategy: String,

@@ -266,12 +266,6 @@ struct CkptState {
     vaults: Vec<ImageVault>,
     /// Which site holds each task's latest image.
     tracker: ImageTracker,
-    /// Executions that resumed from an image.
-    restores: u64,
-    /// Compute stalls while writing images + restore transfer time.
-    overhead_s: f64,
-    /// Compute-seconds restores rescued from re-execution.
-    work_saved_s: f64,
     /// Per-site access-link write cost of one image, seconds — kept so
     /// the adaptive Young/Daly loop can re-derive `interval_s` at tick
     /// time from the *observed* failure process.
@@ -433,11 +427,7 @@ pub struct GridSim {
     /// recording through it is provably inert either way — no RNG draw, no
     /// event, no effect on any scheduling decision.
     telemetry: Telemetry,
-    /// Cached wake-path instruments (the facade's registry lookup is a
-    /// `BTreeMap` walk — too slow for a per-completion hot path).
-    wake_calls: Counter,
-    wake_fanout: Histogram,
-    wake_targeted: Counter,
+    instruments: EngineInstruments,
     replication: Option<ReplicationState>,
     replication_rng: rand::rngs::StdRng,
     // --- fault injection ---
@@ -467,8 +457,21 @@ pub struct GridSim {
     /// Transfer-resilience layer (`None` keeps every guard code path
     /// dormant so the run matches the unguarded engine exactly).
     xfer: Option<XferGuard>,
-    /// Cached controller instruments (same rationale as the wake-path
-    /// handles: the registry lookup is too slow for per-event hot paths).
+    /// Tasks that were fault-orphaned at least once (re-execution
+    /// accounting).
+    lost_ever: Vec<bool>,
+    /// The run's accounting, incremented in place by the handlers;
+    /// [`GridSim::report`] adds the derived totals.
+    ledger: MetricsReport,
+    last_completion: SimTime,
+}
+
+/// The engine's cached instrument handles: the facade's registry lookup
+/// is a `BTreeMap` walk, too slow for per-event hot paths.
+struct EngineInstruments {
+    wake_calls: Counter,
+    wake_fanout: Histogram,
+    wake_targeted: Counter,
     control_ticks: Counter,
     control_estimates: Counter,
     control_cap_raises: Counter,
@@ -476,48 +479,55 @@ pub struct GridSim {
     control_breaker_opens: Counter,
     control_breaker_half_opens: Counter,
     control_breaker_closes: Counter,
-    /// Tasks that were fault-orphaned at least once (re-execution
-    /// accounting).
-    lost_ever: Vec<bool>,
-    // --- metrics ---
-    per_site: Vec<SiteMetrics>,
-    tasks_completed: u64,
-    replicas_launched: u64,
-    replicas_cancelled: u64,
-    replicas_completed: u64,
-    primaries_cancelled: u64,
-    replicas_lost: u64,
-    cancelled_bytes: f64,
-    replication_pushes: u64,
-    replication_bytes: f64,
-    last_completion: SimTime,
-    tasks_lost: u64,
-    re_executions: u64,
-    worker_crashes: u64,
-    server_outages: u64,
-    wasted_compute_s: f64,
-    // --- network faults & transfer resilience ---
-    link_outages: u64,
-    link_downtime_s: f64,
-    xfer_timeouts: u64,
-    xfer_retries: u64,
-    xfer_failovers: u64,
-    xfer_bytes_resumed: f64,
-    xfer_bytes_retransmitted: f64,
-    /// Flow-conservation ledger: every started flow ends in exactly one
-    /// of completed/aborted/retrying/requeued (asserted in `report`).
-    flows_started: u64,
-    flows_completed: u64,
-    flows_aborted: u64,
-    flows_retrying: u64,
-    flows_requeued: u64,
-    /// Cached network-fault instruments (same rationale as the wake-path
-    /// handles).
     link_outage_count: Counter,
     xfer_timeout_count: Counter,
     xfer_retry_count: Counter,
     xfer_failover_count: Counter,
     xfer_resumed_bytes: Histogram,
+}
+
+impl EngineInstruments {
+    fn new(telemetry: &Telemetry) -> Self {
+        EngineInstruments {
+            wake_calls: telemetry.counter("engine.wake.calls"),
+            wake_fanout: telemetry.histogram("engine.wake.fanout"),
+            wake_targeted: telemetry.counter("engine.wake.targeted"),
+            control_ticks: telemetry.counter("control.ticks"),
+            control_estimates: telemetry.counter("control.estimator.updates"),
+            control_cap_raises: telemetry.counter("control.cap.raises"),
+            control_cap_lowers: telemetry.counter("control.cap.lowers"),
+            control_breaker_opens: telemetry.counter("control.breaker.opens"),
+            control_breaker_half_opens: telemetry.counter("control.breaker.half_opens"),
+            control_breaker_closes: telemetry.counter("control.breaker.closes"),
+            link_outage_count: telemetry.counter("net.link.outages"),
+            xfer_timeout_count: telemetry.counter("xfer.timeouts"),
+            xfer_retry_count: telemetry.counter("xfer.retries"),
+            xfer_failover_count: telemetry.counter("xfer.failovers"),
+            xfer_resumed_bytes: telemetry.histogram("xfer.bytes_resumed"),
+        }
+    }
+}
+
+/// A sampler that runs between dispatched events at every `k·dt`, never
+/// as an event: boundaries are computed as `dt · k` (not accumulated) so
+/// the series is exact and strictly increasing, and the event queue —
+/// including `events_dispatched` — never sees it. `dt: None` never fires.
+struct Cadence {
+    dt: Option<f64>,
+    emitted: u64,
+}
+
+impl Cadence {
+    /// The next boundary at or before `now`, counted as emitted, or
+    /// `None` once every boundary up to `now` has been.
+    fn next_due(&mut self, now: SimTime) -> Option<SimTime> {
+        let at = SimTime::from_secs(self.dt? * (self.emitted + 1) as f64);
+        if at > now {
+            return None;
+        }
+        self.emitted += 1;
+        Some(at)
+    }
 }
 
 impl GridSim {
@@ -716,21 +726,7 @@ impl GridSim {
             parked,
             parked_count: 0,
             throttled,
-            wake_calls: telemetry.counter("engine.wake.calls"),
-            wake_fanout: telemetry.histogram("engine.wake.fanout"),
-            wake_targeted: telemetry.counter("engine.wake.targeted"),
-            control_ticks: telemetry.counter("control.ticks"),
-            control_estimates: telemetry.counter("control.estimator.updates"),
-            control_cap_raises: telemetry.counter("control.cap.raises"),
-            control_cap_lowers: telemetry.counter("control.cap.lowers"),
-            control_breaker_opens: telemetry.counter("control.breaker.opens"),
-            control_breaker_half_opens: telemetry.counter("control.breaker.half_opens"),
-            control_breaker_closes: telemetry.counter("control.breaker.closes"),
-            link_outage_count: telemetry.counter("net.link.outages"),
-            xfer_timeout_count: telemetry.counter("xfer.timeouts"),
-            xfer_retry_count: telemetry.counter("xfer.retries"),
-            xfer_failover_count: telemetry.counter("xfer.failovers"),
-            xfer_resumed_bytes: telemetry.histogram("xfer.bytes_resumed"),
+            instruments: EngineInstruments::new(&telemetry),
             telemetry,
             replication,
             faults_active,
@@ -743,34 +739,11 @@ impl GridSim {
             link_window,
             xfer,
             lost_ever,
-            per_site,
-            tasks_completed: 0,
-            replicas_launched: 0,
-            replicas_cancelled: 0,
-            replicas_completed: 0,
-            primaries_cancelled: 0,
-            replicas_lost: 0,
-            cancelled_bytes: 0.0,
-            replication_pushes: 0,
-            replication_bytes: 0.0,
+            ledger: MetricsReport {
+                per_site,
+                ..MetricsReport::default()
+            },
             last_completion: SimTime::ZERO,
-            tasks_lost: 0,
-            re_executions: 0,
-            worker_crashes: 0,
-            server_outages: 0,
-            wasted_compute_s: 0.0,
-            link_outages: 0,
-            link_downtime_s: 0.0,
-            xfer_timeouts: 0,
-            xfer_retries: 0,
-            xfer_failovers: 0,
-            xfer_bytes_resumed: 0.0,
-            xfer_bytes_retransmitted: 0.0,
-            flows_started: 0,
-            flows_completed: 0,
-            flows_aborted: 0,
-            flows_retrying: 0,
-            flows_requeued: 0,
         }
     }
 
@@ -783,21 +756,7 @@ impl GridSim {
     pub fn with_telemetry(mut self, telemetry: Telemetry) -> Self {
         self.scheduler.attach_telemetry(&telemetry);
         self.net.attach_telemetry(&telemetry);
-        self.wake_calls = telemetry.counter("engine.wake.calls");
-        self.wake_fanout = telemetry.histogram("engine.wake.fanout");
-        self.wake_targeted = telemetry.counter("engine.wake.targeted");
-        self.control_ticks = telemetry.counter("control.ticks");
-        self.control_estimates = telemetry.counter("control.estimator.updates");
-        self.control_cap_raises = telemetry.counter("control.cap.raises");
-        self.control_cap_lowers = telemetry.counter("control.cap.lowers");
-        self.control_breaker_opens = telemetry.counter("control.breaker.opens");
-        self.control_breaker_half_opens = telemetry.counter("control.breaker.half_opens");
-        self.control_breaker_closes = telemetry.counter("control.breaker.closes");
-        self.link_outage_count = telemetry.counter("net.link.outages");
-        self.xfer_timeout_count = telemetry.counter("xfer.timeouts");
-        self.xfer_retry_count = telemetry.counter("xfer.retries");
-        self.xfer_failover_count = telemetry.counter("xfer.failovers");
-        self.xfer_resumed_bytes = telemetry.histogram("xfer.bytes_resumed");
+        self.instruments = EngineInstruments::new(&telemetry);
         self.telemetry = telemetry;
         self
     }
@@ -827,18 +786,17 @@ impl GridSim {
             self.schedule.schedule_now(Event::WorkerIdle(w));
         }
         self.arm_faults();
-        // The probe sampler runs between dispatched events, never *as* an
-        // event: boundaries are computed as k·dt (not accumulated) so the
-        // series is exact and strictly increasing, and the event queue —
-        // including `events_dispatched` — never sees it.
-        let probe_dt = self
-            .config
-            .probe_interval_s
-            .filter(|_| self.telemetry.is_enabled());
-        let mut probes_emitted: u64 = 0;
-        // The determinism digest follows the same discipline: it folds
-        // each popped event into a rolling hash right here, between
-        // dispatches — never scheduling anything, drawing no randomness.
+        let mut probes = Cadence {
+            dt: self
+                .config
+                .probe_interval_s
+                .filter(|_| self.telemetry.is_enabled()),
+            emitted: 0,
+        };
+        // Like the `Cadence` samplers, the determinism digest works
+        // between dispatches: it folds each popped event into a rolling
+        // hash right here, never scheduling anything, drawing no
+        // randomness.
         let mut digest = self
             .config
             .digest_out
@@ -848,35 +806,21 @@ impl GridSim {
             MetricsServer::start(addr)
                 .unwrap_or_else(|e| panic!("cannot serve metrics at {addr}: {e}"))
         });
-        // Controller ticks follow the probe sampler's not-an-event
-        // discipline: boundaries are computed as k·dt between dispatches,
-        // the event queue never sees them, and with every loop disabled
-        // (`control: None`) the block is dead code — the open-loop engine
-        // byte for byte. Actuation a tick performs (cap moves, wake-ups)
-        // lands at the *current* event's time, like any handler's.
-        let tick_dt = self.control.as_ref().map(|c| c.config().tick_s);
-        let mut ticks_emitted: u64 = 0;
+        // With every control loop disabled (`control: None`) the tick
+        // cadence never fires — the open-loop engine byte for byte.
+        // Actuation a tick performs (cap moves, wake-ups) lands at the
+        // *current* event's time, like any handler's.
+        let mut ticks = Cadence {
+            dt: self.control.as_ref().map(|c| c.config().tick_s),
+            emitted: 0,
+        };
         let mut dispatched: u64 = 0;
         while let Some((now, event)) = self.schedule.next() {
-            if let Some(dt) = probe_dt {
-                loop {
-                    let at = SimTime::from_secs(dt * (probes_emitted + 1) as f64);
-                    if at > now {
-                        break;
-                    }
-                    self.record_probe(at);
-                    probes_emitted += 1;
-                }
+            while let Some(at) = probes.next_due(now) {
+                self.record_probe(at);
             }
-            if let Some(dt) = tick_dt {
-                loop {
-                    let at = SimTime::from_secs(dt * (ticks_emitted + 1) as f64);
-                    if at > now {
-                        break;
-                    }
-                    self.control_tick(at);
-                    ticks_emitted += 1;
-                }
+            while let Some(at) = ticks.next_due(now) {
+                self.control_tick(at);
             }
             if let Some(d) = digest.as_mut() {
                 Self::fold_event(d, now, &event);
@@ -920,7 +864,7 @@ impl GridSim {
             self.scheduler.unfinished(),
             self.scheduler.name()
         );
-        self.close_open_fault_spans();
+        self.close_open_windows();
         let report = self.report();
         self.flush_telemetry();
         if let Some(d) = digest {
@@ -1003,7 +947,7 @@ impl GridSim {
             &mut out,
             "gridsched_tasks_completed_total",
             &[],
-            self.tasks_completed as f64,
+            self.ledger.tasks_completed as f64,
         );
         out.push_str("# TYPE gridsched_run_info gauge\n");
         expose::write_sample(
@@ -1075,27 +1019,27 @@ impl GridSim {
     /// boundary — in-flight segments are never rescheduled).
     fn control_tick(&mut self, at: SimTime) {
         let mut plane = self.control.take().expect("tick implies a control plane");
-        self.control_ticks.incr();
+        self.instruments.control_ticks.incr();
         // Cancelled *or* fault-lost replicas both count as speculative
         // waste the throttle should react to.
         let outcome = plane.tick(
             at.as_secs(),
-            self.replicas_cancelled + self.replicas_lost,
-            self.replicas_completed,
+            self.ledger.replicas_cancelled + self.ledger.replicas_lost,
+            self.ledger.replicas_completed,
         );
         if let Some(cap) = outcome.new_cap {
             self.scheduler
                 .on_control(&ControlDirective::SetReplicaCap(cap));
             if outcome.cap_raised {
-                self.control_cap_raises.incr();
+                self.instruments.control_cap_raises.incr();
                 // The raise re-admits parked replica candidates.
                 self.wake_parked();
             } else {
-                self.control_cap_lowers.incr();
+                self.instruments.control_cap_lowers.incr();
             }
         }
         for &site in &outcome.half_opened {
-            self.control_breaker_half_opens.incr();
+            self.instruments.control_breaker_half_opens.incr();
             // Half-open re-admits the site's traffic (the dispatch gate
             // only blocks while fully open): wake every parked worker.
             // The first crash re-trips the breaker for a fresh cooldown;
@@ -1131,20 +1075,30 @@ impl GridSim {
         self.control = Some(plane);
     }
 
-    /// Closes the fault spans still open when the event queue drains
-    /// (scripted crashes/outages with no scripted recovery never see a
-    /// recover event).
-    fn close_open_fault_spans(&self) {
+    /// Closes the fault windows still open when the event queue drains
+    /// (a scripted crash, outage or link cut with no scripted recovery
+    /// never sees a recover event): ends their spans and books their
+    /// downtime up to the makespan.
+    fn close_open_windows(&mut self) {
         let t = self.now().as_secs();
         for (w, worker) in self.workers.iter().enumerate() {
-            if worker.down_since.is_some() {
+            if let Some(since) = worker.down_since {
                 self.telemetry.span_end(Track::worker(w), "down", t);
+                let end = self.last_completion.max(since);
+                self.ledger.per_site[worker.id.site.index()].worker_downtime_s +=
+                    (end - since).as_secs();
             }
         }
-        for (s, server) in self.servers.iter().enumerate() {
-            if server.down_since.is_some() {
-                self.telemetry.span_end(Track::server(s), "outage", t);
+        for (site, server) in self.servers.iter().enumerate() {
+            if let Some(since) = server.down_since {
+                self.telemetry.span_end(Track::server(site), "outage", t);
+                let end = self.last_completion.max(since);
+                self.ledger.per_site[site].server_downtime_s += (end - since).as_secs();
             }
+        }
+        for &(_, since) in self.link_window.iter().flatten() {
+            let end = self.last_completion.max(since);
+            self.ledger.link_downtime_s += (end - since).as_secs();
         }
     }
 
@@ -1197,10 +1151,10 @@ impl GridSim {
             Assignment::Run(task) | Assignment::Replicate(task) => {
                 let is_replica = matches!(assignment, Assignment::Replicate(_));
                 if is_replica {
-                    self.replicas_launched += 1;
+                    self.ledger.replicas_launched += 1;
                 }
                 if self.lost_ever[task.index()] {
-                    self.re_executions += 1;
+                    self.ledger.re_executions += 1;
                 }
                 self.workers[w].state = WorkerState::WaitingData;
                 self.workers[w].current = Some(RunningTask::new(task, is_replica));
@@ -1255,9 +1209,9 @@ impl GridSim {
     /// decision — is unchanged). Entries whose worker has since crashed
     /// are silently dropped. `O(1)` when nothing is parked.
     fn wake_parked(&mut self) {
-        self.wake_calls.incr();
+        self.instruments.wake_calls.incr();
         if self.parked_count == 0 {
-            self.wake_fanout.record(0);
+            self.instruments.wake_fanout.record(0);
             return;
         }
         let mut list: Vec<usize> = Vec::new();
@@ -1266,7 +1220,7 @@ impl GridSim {
         }
         self.parked_count = 0;
         list.sort_unstable();
-        self.wake_fanout.record(list.len() as u64);
+        self.instruments.wake_fanout.record(list.len() as u64);
         for w in list {
             if self.workers[w].state == WorkerState::Parked {
                 self.workers[w].state = WorkerState::Idle;
@@ -1281,7 +1235,7 @@ impl GridSim {
     /// entries (workers that crashed since parking) are dropped along the
     /// way.
     fn wake_one_parked(&mut self, site: usize) {
-        self.wake_targeted.incr();
+        self.instruments.wake_targeted.incr();
         while let Some(w) = self.parked[site].pop_first() {
             self.parked_count -= 1;
             if self.workers[w].state == WorkerState::Parked {
@@ -1334,7 +1288,7 @@ impl GridSim {
         let files: Vec<FileId> = self.config.workload.task(task).files().to_vec();
         // Waiting time: enqueue → service start (Table 3 column 1).
         let waited = (self.now() - request.enqueued_at).as_secs();
-        let sm = &mut self.per_site[site];
+        let sm = &mut self.ledger.per_site[site];
         sm.requests += 1;
         sm.waiting_time_s += waited;
         // Pin what is present; fetch the rest.
@@ -1395,7 +1349,7 @@ impl GridSim {
                 route.latency_s,
                 FlowPurpose::Batch { site },
             );
-            self.flows_started += 1;
+            self.ledger.flows_started += 1;
             self.servers[site]
                 .active
                 .as_mut()
@@ -1426,8 +1380,8 @@ impl GridSim {
         self.telemetry
             .span_end(Track::worker(w), "staging", self.now().as_secs());
         let transfer_time = (self.now() - batch.service_start).as_secs();
-        self.per_site[site].transfer_time_s += transfer_time;
-        self.per_site[site].tasks_started += 1;
+        self.ledger.per_site[site].transfer_time_s += transfer_time;
+        self.ledger.per_site[site].tasks_started += 1;
 
         let task = self.workers[w]
             .current
@@ -1481,34 +1435,26 @@ impl GridSim {
         if img_site == site {
             // Intra-site reads are free in the paper's model; the rescue
             // takes effect right now.
-            ckpt.restores += 1;
-            ckpt.work_saved_s += image.invested_s;
+            self.ledger.checkpoint_restores += 1;
+            self.ledger.work_saved_s += image.invested_s;
             return false;
         }
         // The image travels source site → backbone → destination site
         // (all inter-site traffic rides the file-server backbone in this
-        // model). Shared links are crossed once.
-        let src = Arc::clone(&self.site_routes[img_site]);
-        let dst = Arc::clone(&self.site_routes[site]);
-        let mut links = Vec::with_capacity(src.links.len() + dst.links.len());
-        links.extend_from_slice(&src.links);
-        for &l in &dst.links {
-            if !links.contains(&l) {
-                links.push(l);
-            }
-        }
+        // model).
         let size = ckpt.size_bytes;
+        let (links, latency_s) = self.union_route(img_site, site);
         let fid = self.net.start_flow(
             self.now(),
             &links,
             size,
-            src.latency_s + dst.latency_s,
+            latency_s,
             FlowPurpose::Restore {
                 worker: w,
                 from_site: img_site,
             },
         );
-        self.flows_started += 1;
+        self.ledger.flows_started += 1;
         let started = self.now();
         let current = self.workers[w].current.as_mut().expect("running");
         current.ckpt_flow = Some(fid);
@@ -1612,7 +1558,7 @@ impl GridSim {
             0.0,
             FlowPurpose::Checkpoint { worker: w },
         );
-        self.flows_started += 1;
+        self.ledger.flows_started += 1;
         let current = self.workers[w].current.as_mut().expect("computing");
         current.ckpt_flow = Some(fid);
         current.ckpt_flow_started = Some(now);
@@ -1639,7 +1585,7 @@ impl GridSim {
     fn handle_flow_done(&mut self, fid: FlowId) {
         let purpose = self.net.finish_flow(self.now(), fid);
         self.net_handle = None;
-        self.flows_completed += 1;
+        self.ledger.flows_completed += 1;
         match purpose {
             FlowPurpose::Batch { site } => {
                 let (file, flow) = self.servers[site]
@@ -1658,8 +1604,8 @@ impl GridSim {
                     .map_or(self.config.workload.file_size_bytes, |g| {
                         g.slots[site].remaining
                     });
-                self.per_site[site].file_transfers += 1;
-                self.per_site[site].bytes_transferred += bytes;
+                self.ledger.per_site[site].file_transfers += 1;
+                self.ledger.per_site[site].bytes_transferred += bytes;
                 if self.xfer.is_some() {
                     let t_s = self.now().as_secs();
                     let src = self.xfer.as_ref().expect("checked").slots[site].source;
@@ -1738,9 +1684,9 @@ impl GridSim {
             }
             FlowPurpose::Replication { site, file } => {
                 let bytes = self.config.workload.file_size_bytes;
-                self.replication_bytes += bytes;
-                self.per_site[site].file_transfers += 1;
-                self.per_site[site].bytes_transferred += bytes;
+                self.ledger.replication_bytes += bytes;
+                self.ledger.per_site[site].file_transfers += 1;
+                self.ledger.per_site[site].bytes_transferred += bytes;
                 if !self.stores[site].contains(file) {
                     self.insert_file(site, file);
                 }
@@ -1759,7 +1705,7 @@ impl GridSim {
                 current.ckpt_flow = None;
                 let task = current.task;
                 let ckpt = self.checkpointing.as_mut().expect("checkpoint flow");
-                ckpt.overhead_s += (now - started).as_secs();
+                self.ledger.checkpoint_overhead_s += (now - started).as_secs();
                 // Only-improve: a lagging storage-affinity replica's image
                 // never clobbers a fresher one of the same task.
                 let fresher = ckpt
@@ -1798,10 +1744,9 @@ impl GridSim {
                 let started = current.ckpt_flow_started.take().expect("restore in flight");
                 current.ckpt_flow = None;
                 let saved = current.progress_s;
-                let ckpt = self.checkpointing.as_mut().expect("restore flow");
-                ckpt.overhead_s += (now - started).as_secs();
-                ckpt.restores += 1;
-                ckpt.work_saved_s += saved;
+                self.ledger.checkpoint_overhead_s += (now - started).as_secs();
+                self.ledger.checkpoint_restores += 1;
+                self.ledger.work_saved_s += saved;
                 self.telemetry
                     .span_end(Track::worker(worker), "restore", now.as_secs());
                 self.resync_net();
@@ -1816,7 +1761,7 @@ impl GridSim {
     fn insert_file(&mut self, site: usize, file: FileId) {
         let evicted = self.stores[site].insert(file);
         for e in evicted {
-            self.per_site[site].evictions += 1;
+            self.ledger.per_site[site].evictions += 1;
             self.scheduler
                 .on_file_evicted(SiteId(site as u32), e, self.stores[site].ref_count(e));
             if let Some(rep) = self.replication.as_mut() {
@@ -1873,7 +1818,7 @@ impl GridSim {
                 continue;
             };
             self.replication.as_mut().expect("checked").mark_pushed(f);
-            self.replication_pushes += 1;
+            self.ledger.replication_pushes += 1;
             let route = Arc::clone(&self.site_routes[target]);
             self.net.start_flow(
                 self.now(),
@@ -1885,7 +1830,7 @@ impl GridSim {
                     file: f,
                 },
             );
-            self.flows_started += 1;
+            self.ledger.flows_started += 1;
             self.resync_net();
         }
     }
@@ -1946,9 +1891,9 @@ impl GridSim {
             self.stores[site].unpin(f);
         }
         self.workers[w].state = WorkerState::Idle;
-        self.tasks_completed += 1;
+        self.ledger.tasks_completed += 1;
         if was_replica {
-            self.replicas_completed += 1;
+            self.ledger.replicas_completed += 1;
         }
         self.last_completion = self.now();
         // A completion is the success signal a half-open breaker waits
@@ -1958,7 +1903,7 @@ impl GridSim {
             .as_mut()
             .is_some_and(|plane| plane.on_site_success(site, t));
         if breaker_closed {
-            self.control_breaker_closes.incr();
+            self.instruments.control_breaker_closes.incr();
             self.wake_site_parked(site);
         }
 
@@ -2055,11 +2000,9 @@ impl GridSim {
                             .map_or(self.config.workload.file_size_bytes, |g| {
                                 g.slots[site].remaining
                             });
-                        if let Some(left) = self.net.cancel_flow(self.now(), fid) {
-                            self.flows_aborted += 1;
-                            self.cancelled_bytes += left;
+                        if let Some(left) = self.abort_flow(fid) {
                             let delivered = attempt_size - left;
-                            self.per_site[site].bytes_transferred += delivered.max(0.0);
+                            self.ledger.per_site[site].bytes_transferred += delivered.max(0.0);
                         }
                         self.resync_net();
                     }
@@ -2068,7 +2011,7 @@ impl GridSim {
                     // either way.
                     self.disarm_transfer_guard(site);
                     // Account the aborted service as transfer time spent.
-                    self.per_site[site].transfer_time_s +=
+                    self.ledger.per_site[site].transfer_time_s +=
                         (self.now() - batch.service_start).as_secs();
                     self.maybe_start_service(site);
                 }
@@ -2078,10 +2021,7 @@ impl GridSim {
                 // survives at its source for the next attempt. The aborted
                 // transfer still counts as checkpoint overhead.
                 if let Some(fid) = current.ckpt_flow {
-                    if let Some(left) = self.net.cancel_flow(self.now(), fid) {
-                        self.flows_aborted += 1;
-                        self.cancelled_bytes += left;
-                    }
+                    self.abort_flow(fid);
                     self.resync_net();
                     self.account_aborted_ckpt_stall(current.ckpt_flow_started);
                 }
@@ -2093,18 +2033,15 @@ impl GridSim {
                 // Crash mid-image-write: the write dies with the worker,
                 // but the stall it caused was still paid.
                 if let Some(fid) = current.ckpt_flow {
-                    if let Some(left) = self.net.cancel_flow(self.now(), fid) {
-                        self.flows_aborted += 1;
-                        self.cancelled_bytes += left;
-                    }
+                    self.abort_flow(fid);
                     self.resync_net();
                     self.account_aborted_ckpt_stall(current.ckpt_flow_started);
                 }
                 // Committed-but-undurable segments are lost along with the
                 // in-flight segment; checkpointed work is not.
-                self.wasted_compute_s += current.progress_s - current.durable_s;
+                self.ledger.wasted_compute_s += current.progress_s - current.durable_s;
                 if let Some(started) = current.compute_started {
-                    self.wasted_compute_s += (self.now() - started).as_secs();
+                    self.ledger.wasted_compute_s += (self.now() - started).as_secs();
                 }
             }
             other => panic!("teardown_execution on worker in state {other:?}"),
@@ -2115,15 +2052,23 @@ impl GridSim {
         Some((current.task, current.is_replica))
     }
 
+    /// Cancels flow `fid` as an abort (replica cancel, crash or server
+    /// failure) and books it in the flow ledger, its undelivered bytes as
+    /// cancelled. Returns those bytes, or `None` for a flow that had
+    /// already ended.
+    fn abort_flow(&mut self, fid: FlowId) -> Option<f64> {
+        let left = self.net.cancel_flow(self.now(), fid)?;
+        self.ledger.flows_aborted += 1;
+        self.ledger.cancelled_bytes += left;
+        Some(left)
+    }
+
     /// Adds the elapsed stall of an aborted image write or restore fetch
     /// to the checkpoint overhead (the time was spent even though the
     /// image never landed).
     fn account_aborted_ckpt_stall(&mut self, started: Option<SimTime>) {
         if let Some(started) = started {
-            let stalled = (self.now() - started).as_secs();
-            if let Some(ckpt) = self.checkpointing.as_mut() {
-                ckpt.overhead_s += stalled;
-            }
+            self.ledger.checkpoint_overhead_s += (self.now() - started).as_secs();
         }
     }
 
@@ -2139,9 +2084,9 @@ impl GridSim {
         // A losing *primary* (its replica won the race) is not a cancelled
         // replica flow — keep the speculative-waste accounting honest.
         if was_replica {
-            self.replicas_cancelled += 1;
+            self.ledger.replicas_cancelled += 1;
         } else {
-            self.primaries_cancelled += 1;
+            self.ledger.primaries_cancelled += 1;
         }
         self.workers[w].generation += 1;
         self.workers[w].state = WorkerState::Idle;
@@ -2266,8 +2211,8 @@ impl GridSim {
             LinkFaultMode::Degraded
         };
         self.link_window[link] = Some((mode, now));
-        self.link_outages += 1;
-        self.link_outage_count.incr();
+        self.ledger.link_outages += 1;
+        self.instruments.link_outage_count.incr();
         self.resync_net();
         if let Some(tl) = self.link_timelines.get_mut(link).and_then(Option::as_mut) {
             let d = tl.time_to_repair();
@@ -2290,7 +2235,7 @@ impl GridSim {
             }
         }
         let end = self.downtime_end().max(since);
-        self.link_downtime_s += (end - since).as_secs();
+        self.ledger.link_downtime_s += (end - since).as_secs();
         self.resync_net();
         if self.scheduler.unfinished() == 0 {
             return;
@@ -2309,8 +2254,8 @@ impl GridSim {
     // ----- transfer guard -------------------------------------------------
 
     /// The replica-to-replica transfer route: source site → backbone →
-    /// destination site (shared links crossed once), plus summed latency —
-    /// the same union the checkpoint restore path builds.
+    /// destination site (shared links crossed once), plus summed latency.
+    /// Failover re-fetches and checkpoint restores both travel it.
     fn union_route(&self, from: usize, to: usize) -> (Vec<EdgeId>, f64) {
         let src = &self.site_routes[from];
         let dst = &self.site_routes[to];
@@ -2409,10 +2354,10 @@ impl GridSim {
         // What did move stays on the books; whether it is kept (resume)
         // or re-sent (naive restart) is decided below.
         let delivered = (attempt_size - left).max(0.0);
-        self.per_site[site].bytes_transferred += delivered;
+        self.ledger.per_site[site].bytes_transferred += delivered;
         self.resync_net();
-        self.xfer_timeouts += 1;
-        self.xfer_timeout_count.incr();
+        self.ledger.xfer_timeouts += 1;
+        self.instruments.xfer_timeout_count.incr();
         let t_s = now.as_secs();
         let full_size = self.config.workload.file_size_bytes;
         let guard = self.xfer.as_mut().expect("guarded");
@@ -2428,18 +2373,18 @@ impl GridSim {
         slot.timeout = None;
         slot.attempts += 1;
         if slot.attempts > guard.max_retries {
-            self.flows_requeued += 1;
+            self.ledger.flows_requeued += 1;
             self.requeue_after_exhausted_retries(site, w);
             return;
         }
-        self.flows_retrying += 1;
+        self.ledger.flows_retrying += 1;
         if guard.naive {
-            self.xfer_bytes_retransmitted += delivered;
+            self.ledger.xfer_bytes_retransmitted += delivered;
             slot.remaining = full_size;
         } else {
-            self.xfer_bytes_resumed += delivered;
+            self.ledger.xfer_bytes_resumed += delivered;
             #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-            self.xfer_resumed_bytes.record(delivered as u64);
+            self.instruments.xfer_resumed_bytes.record(delivered as u64);
             slot.remaining = left;
         }
         slot.pending_file = Some(file);
@@ -2470,7 +2415,7 @@ impl GridSim {
             .take()
             .expect("exhausted retries imply an active batch");
         debug_assert_eq!(batch.worker, w);
-        self.per_site[site].transfer_time_s += (self.now() - batch.service_start).as_secs();
+        self.ledger.per_site[site].transfer_time_s += (self.now() - batch.service_start).as_secs();
         let current = self.workers[w]
             .current
             .take()
@@ -2485,7 +2430,7 @@ impl GridSim {
             self.stores[site].unpin(f);
         }
         if was_replica {
-            self.replicas_lost += 1;
+            self.ledger.replicas_lost += 1;
         }
         let worker_id = self.workers[w].id;
         self.workers[w].generation += 1;
@@ -2496,7 +2441,7 @@ impl GridSim {
         let orphaned = self.scheduler.on_worker_lost(worker_id, Some(task));
         self.scheduler.on_worker_recovered(worker_id);
         if orphaned {
-            self.tasks_lost += 1;
+            self.ledger.tasks_lost += 1;
             self.lost_ever[task.index()] = true;
             self.wake_parked();
         } else if self.throttled && was_replica {
@@ -2561,8 +2506,8 @@ impl GridSim {
         }
         let (links, latency_s) = match source {
             Some(src) => {
-                self.xfer_failovers += 1;
-                self.xfer_failover_count.incr();
+                self.ledger.xfer_failovers += 1;
+                self.instruments.xfer_failover_count.incr();
                 self.union_route(src, site)
             }
             None => {
@@ -2577,15 +2522,15 @@ impl GridSim {
             latency_s,
             FlowPurpose::Batch { site },
         );
-        self.flows_started += 1;
+        self.ledger.flows_started += 1;
         self.servers[site]
             .active
             .as_mut()
             .expect("still active")
             .current = Some((file, fid));
         self.xfer.as_mut().expect("checked").slots[site].source = source;
-        self.xfer_retries += 1;
-        self.xfer_retry_count.incr();
+        self.ledger.xfer_retries += 1;
+        self.instruments.xfer_retry_count.incr();
         self.resync_net();
         self.arm_transfer_timeout(site, remaining, &links, latency_s);
     }
@@ -2635,12 +2580,12 @@ impl GridSim {
         let lost = torn.map(|(task, _)| task);
         let was_replica = torn.is_some_and(|(_, is_replica)| is_replica);
         if was_replica {
-            self.replicas_lost += 1;
+            self.ledger.replicas_lost += 1;
         }
         self.workers[w].generation += 1;
         self.workers[w].state = WorkerState::Down;
         self.workers[w].down_since = Some(self.now());
-        self.worker_crashes += 1;
+        self.ledger.worker_crashes += 1;
         self.telemetry
             .span_begin(Track::worker(w), "down", self.now().as_secs());
         // Feed the estimators: availability integral, failure
@@ -2653,15 +2598,15 @@ impl GridSim {
             .as_mut()
             .is_some_and(|plane| plane.on_worker_crash(site, t_s));
         if self.control.is_some() {
-            self.control_estimates.incr();
+            self.instruments.control_estimates.incr();
         }
         if tripped {
-            self.control_breaker_opens.incr();
+            self.instruments.control_breaker_opens.incr();
         }
         let orphaned = self.scheduler.on_worker_lost(worker_id, lost);
         if orphaned {
             let task = lost.expect("orphaned implies an in-flight task");
-            self.tasks_lost += 1;
+            self.ledger.tasks_lost += 1;
             self.lost_ever[task.index()] = true;
             // The requeued task may be picked up by parked workers.
             self.wake_parked();
@@ -2684,7 +2629,7 @@ impl GridSim {
         let site = self.workers[w].id.site.index();
         if let Some(since) = self.workers[w].down_since.take() {
             let end = self.downtime_end().max(since);
-            self.per_site[site].worker_downtime_s += (end - since).as_secs();
+            self.ledger.per_site[site].worker_downtime_s += (end - since).as_secs();
         }
         self.telemetry
             .span_end(Track::worker(w), "down", self.now().as_secs());
@@ -2692,7 +2637,7 @@ impl GridSim {
         let t_s = self.now().as_secs();
         if let Some(plane) = self.control.as_mut() {
             plane.on_worker_recover(site, t_s);
-            self.control_estimates.incr();
+            self.instruments.control_estimates.incr();
         }
         self.scheduler.on_worker_recovered(self.workers[w].id);
         if self.scheduler.unfinished() == 0 {
@@ -2714,7 +2659,7 @@ impl GridSim {
         }
         self.servers[site].down = true;
         self.servers[site].down_since = Some(self.now());
-        self.server_outages += 1;
+        self.ledger.server_outages += 1;
         self.telemetry
             .span_begin(Track::server(site), "outage", self.now().as_secs());
         // The active batch dissolves: its in-flight transfer is aborted
@@ -2730,16 +2675,15 @@ impl GridSim {
                     .map_or(self.config.workload.file_size_bytes, |g| {
                         g.slots[site].remaining
                     });
-                if let Some(left) = self.net.cancel_flow(self.now(), fid) {
-                    self.flows_aborted += 1;
-                    self.cancelled_bytes += left;
+                if let Some(left) = self.abort_flow(fid) {
                     let delivered = attempt_size - left;
-                    self.per_site[site].bytes_transferred += delivered.max(0.0);
+                    self.ledger.per_site[site].bytes_transferred += delivered.max(0.0);
                 }
                 self.resync_net();
             }
             self.disarm_transfer_guard(site);
-            self.per_site[site].transfer_time_s += (self.now() - batch.service_start).as_secs();
+            self.ledger.per_site[site].transfer_time_s +=
+                (self.now() - batch.service_start).as_secs();
             let current = self.workers[w]
                 .current
                 .as_mut()
@@ -2775,10 +2719,7 @@ impl GridSim {
             .collect();
         inbound.sort_unstable();
         for fid in inbound {
-            if let Some(left) = self.net.cancel_flow(self.now(), fid) {
-                self.flows_aborted += 1;
-                self.cancelled_bytes += left;
-            }
+            self.abort_flow(fid);
         }
         self.resync_net();
         // Checkpointing: in-flight image writes to this server and image
@@ -2804,7 +2745,7 @@ impl GridSim {
         }
         // The outage loses every unpinned cached file.
         let lost = self.stores[site].fail();
-        self.per_site[site].files_lost += lost.len() as u64;
+        self.ledger.per_site[site].files_lost += lost.len() as u64;
         for f in lost {
             self.scheduler
                 .on_file_evicted(SiteId(site as u32), f, self.stores[site].ref_count(f));
@@ -2842,10 +2783,7 @@ impl GridSim {
         writes.sort_unstable();
         restores.sort_unstable();
         for &(fid, w) in writes.iter().chain(&restores) {
-            if let Some(left) = self.net.cancel_flow(self.now(), fid) {
-                self.flows_aborted += 1;
-                self.cancelled_bytes += left;
-            }
+            self.abort_flow(fid);
             let current = self.workers[w].current.as_mut().expect("flow owner runs");
             current.ckpt_flow = None;
             let stall_started = current.ckpt_flow_started.take();
@@ -2876,7 +2814,7 @@ impl GridSim {
         self.servers[site].down = false;
         if let Some(since) = self.servers[site].down_since.take() {
             let end = self.downtime_end().max(since);
-            self.per_site[site].server_downtime_s += (end - since).as_secs();
+            self.ledger.per_site[site].server_downtime_s += (end - since).as_secs();
         }
         self.telemetry
             .span_end(Track::server(site), "outage", self.now().as_secs());
@@ -2904,107 +2842,46 @@ impl GridSim {
     }
 
     fn report(&self) -> MetricsReport {
+        let ledger = &self.ledger;
         // Replica books must balance: every launched replica either won,
         // was cancelled by the winner, or died with its worker.
-        debug_assert_eq!(
-            self.replicas_launched,
-            self.replicas_cancelled + self.replicas_completed + self.replicas_lost,
+        assert_eq!(
+            ledger.replicas_launched,
+            ledger.replicas_cancelled + ledger.replicas_completed + ledger.replicas_lost,
             "replica accounting out of balance"
         );
-        let file_transfers: u64 = self.per_site.iter().map(|s| s.file_transfers).sum();
-        let bytes: f64 = self.per_site.iter().map(|s| s.bytes_transferred).sum();
-        let total_evictions: u64 = self.per_site.iter().map(|s| s.evictions).sum();
-        let overflow: u64 = self.stores.iter().map(|s| s.stats().overflow_inserts).sum();
-        let files_lost: u64 = self.per_site.iter().map(|s| s.files_lost).sum();
-        // Entities still down at the end (scripted crash with no scripted
-        // recovery) never saw a recover event; account their downtime up
-        // to the makespan here.
-        let mut per_site = self.per_site.clone();
-        for w in &self.workers {
-            if let Some(since) = w.down_since {
-                let end = self.last_completion.max(since);
-                per_site[w.id.site.index()].worker_downtime_s += (end - since).as_secs();
-            }
-        }
-        for (site, server) in self.servers.iter().enumerate() {
-            if let Some(since) = server.down_since {
-                let end = self.last_completion.max(since);
-                per_site[site].server_downtime_s += (end - since).as_secs();
-            }
-        }
-        let (ckpt_written, ckpt_lost, restores, overhead_s, saved_s) = self
-            .checkpointing
-            .as_ref()
-            .map_or((0, 0, 0, 0.0, 0.0), |c| {
-                (
-                    c.vaults.iter().map(ImageVault::written).sum(),
-                    c.vaults.iter().map(ImageVault::lost).sum(),
-                    c.restores,
-                    c.overhead_s,
-                    c.work_saved_s,
-                )
-            });
-        // Links still impaired at the end (scripted outage with no
-        // scripted recovery) never saw a recover event either.
-        let mut link_downtime_s = self.link_downtime_s;
-        for (_, since) in self.link_window.iter().flatten() {
-            let end = self.last_completion.max(*since);
-            link_downtime_s += (end - *since).as_secs();
-        }
         // Flow conservation: every flow ever started either completed,
         // was aborted by a teardown, was cancelled into a retry/requeue
         // by the transfer guard, or is still stalled in the drained net
         // (a severed route with nothing left to wake it).
-        debug_assert_eq!(
-            self.flows_started,
-            self.flows_completed
-                + self.flows_aborted
-                + self.flows_retrying
-                + self.flows_requeued
+        assert_eq!(
+            ledger.flows_started,
+            ledger.flows_completed
+                + ledger.flows_aborted
+                + ledger.flows_retrying
+                + ledger.flows_requeued
                 + self.net.active_flows() as u64,
             "flow conservation out of balance"
         );
+        let (checkpoints_written, checkpoints_lost) =
+            self.checkpointing.as_ref().map_or((0, 0), |c| {
+                (
+                    c.vaults.iter().map(ImageVault::written).sum(),
+                    c.vaults.iter().map(ImageVault::lost).sum(),
+                )
+            });
         MetricsReport {
             config: self.config.summary(),
             makespan_minutes: self.last_completion.as_minutes(),
-            file_transfers,
-            bytes_transferred: bytes,
-            cancelled_bytes: self.cancelled_bytes,
-            tasks_completed: self.tasks_completed,
-            replicas_launched: self.replicas_launched,
-            replicas_cancelled: self.replicas_cancelled,
-            replicas_completed: self.replicas_completed,
-            primaries_cancelled: self.primaries_cancelled,
-            replicas_lost: self.replicas_lost,
-            per_site,
-            replication_pushes: self.replication_pushes,
-            replication_bytes: self.replication_bytes,
+            file_transfers: ledger.per_site.iter().map(|s| s.file_transfers).sum(),
+            bytes_transferred: ledger.per_site.iter().map(|s| s.bytes_transferred).sum(),
             events_dispatched: self.schedule.dispatched(),
-            total_evictions,
-            overflow_inserts: overflow,
-            tasks_lost: self.tasks_lost,
-            re_executions: self.re_executions,
-            worker_crashes: self.worker_crashes,
-            server_outages: self.server_outages,
-            files_lost,
-            wasted_compute_s: self.wasted_compute_s,
-            checkpoints_written: ckpt_written,
-            checkpoints_lost: ckpt_lost,
-            checkpoint_restores: restores,
-            checkpoint_overhead_s: overhead_s,
-            work_saved_s: saved_s,
-            link_outages: self.link_outages,
-            link_downtime_s,
-            xfer_timeouts: self.xfer_timeouts,
-            xfer_retries: self.xfer_retries,
-            xfer_failovers: self.xfer_failovers,
-            xfer_bytes_resumed: self.xfer_bytes_resumed,
-            xfer_bytes_retransmitted: self.xfer_bytes_retransmitted,
-            flows_started: self.flows_started,
-            flows_completed: self.flows_completed,
-            flows_aborted: self.flows_aborted,
-            flows_retrying: self.flows_retrying,
-            flows_requeued: self.flows_requeued,
+            total_evictions: ledger.per_site.iter().map(|s| s.evictions).sum(),
+            overflow_inserts: self.stores.iter().map(|s| s.stats().overflow_inserts).sum(),
+            files_lost: ledger.per_site.iter().map(|s| s.files_lost).sum(),
+            checkpoints_written,
+            checkpoints_lost,
+            ..ledger.clone()
         }
     }
 }
@@ -3070,9 +2947,6 @@ fn build_ckpt_state(c: &CheckpointConfig, config: &SimConfig, topology: &Topolog
         access_link,
         vaults: vec![ImageVault::new(); config.sites],
         tracker: ImageTracker::new(),
-        restores: 0,
-        overhead_s: 0.0,
-        work_saved_s: 0.0,
         write_cost_s: write_costs,
         adaptive: c.policy == CheckpointPolicy::YoungDalyAdaptive,
     }
@@ -3230,7 +3104,7 @@ mod tests {
         }
         let before = probe(&sim.replication_rng);
         sim.maybe_replicate(&[f], 0);
-        assert_eq!(sim.replication_pushes, 0, "nowhere to push");
+        assert_eq!(sim.ledger.replication_pushes, 0, "nowhere to push");
         assert_eq!(
             probe(&sim.replication_rng),
             before,
@@ -3238,14 +3112,17 @@ mod tests {
         );
         // Exhaustion holds while coverage holds: no re-scan, no draw.
         sim.maybe_replicate(&[f], 0);
-        assert_eq!(sim.replication_pushes, 0, "exhausted file stays inert");
+        assert_eq!(
+            sim.ledger.replication_pushes, 0,
+            "exhausted file stays inert"
+        );
         // All-servers-down window: skipped draw, but the file stays
         // eligible and pushes as soon as a server is back.
         let g = FileId(1);
         sim.servers[1].down = true;
         sim.servers[2].down = true;
         sim.maybe_replicate(&[g], 0);
-        assert_eq!(sim.replication_pushes, 0, "outage blocks the push");
+        assert_eq!(sim.ledger.replication_pushes, 0, "outage blocks the push");
         assert_eq!(
             probe(&sim.replication_rng),
             before,
@@ -3254,7 +3131,10 @@ mod tests {
         sim.servers[1].down = false;
         sim.servers[2].down = false;
         sim.maybe_replicate(&[g], 0);
-        assert_eq!(sim.replication_pushes, 1, "outage only defers the push");
+        assert_eq!(
+            sim.ledger.replication_pushes, 1,
+            "outage only defers the push"
+        );
         assert_ne!(
             probe(&sim.replication_rng),
             before,
@@ -3269,7 +3149,10 @@ mod tests {
             sim.replication.as_mut().expect("enabled").on_copy_lost(e);
         }
         sim.maybe_replicate(&[f], 0);
-        assert_eq!(sim.replication_pushes, 2, "broken coverage re-arms f");
+        assert_eq!(
+            sim.ledger.replication_pushes, 2,
+            "broken coverage re-arms f"
+        );
     }
 
     #[test]
@@ -3722,7 +3605,7 @@ mod tests {
         assert_eq!(a.tasks_completed, 200);
         assert!(a.link_outages > 0, "the MTBF must bite within the run");
         assert!(a.link_downtime_s > 0.0);
-        // Flow conservation (also debug-asserted in report()).
+        // Flow conservation (also asserted in report()).
         assert_eq!(
             a.flows_started,
             a.flows_completed + a.flows_aborted + a.flows_retrying + a.flows_requeued

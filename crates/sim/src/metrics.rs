@@ -54,7 +54,7 @@ impl SiteMetrics {
 }
 
 /// The result of one simulation run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct MetricsReport {
     /// The configuration that produced this report.
     pub config: ConfigSummary,

@@ -347,8 +347,8 @@ proptest! {
         prop_assert!(report.link_outages > 0, "MTBF this short must fault");
 
         // Flow conservation: every flow the run ever started ended in
-        // exactly one sink. (The engine additionally debug-asserts the
-        // exact balance including still-active flows at report time.)
+        // exactly one sink. (The engine additionally asserts the exact
+        // balance including still-active flows at report time.)
         let sinks = report.flows_completed
             + report.flows_aborted
             + report.flows_retrying
