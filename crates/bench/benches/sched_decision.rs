@@ -9,6 +9,9 @@
 //!   feeding a per-site `TaskRank`, each batch followed by one ranked pick
 //!   off the bucket heads,
 //! * storage affinity's full `O(T·I·S)` assignment phase,
+//! * one task start's references at a warm site, through the scheduler's
+//!   batched hook: a no-op for `rest`, one pass over each file's readers
+//!   for `combined`,
 //!
 //! at several queue lengths `T`.
 
@@ -20,7 +23,9 @@ use rand::SeedableRng;
 
 use gridsched_core::index::{enable_ranks, ComboAggregates, FileIndex, SiteView};
 use gridsched_core::weight::weigh_all_naive;
-use gridsched_core::{ChooseTask, GridEnv, Scheduler, StorageAffinity, TaskPool, WeightMetric};
+use gridsched_core::{
+    ChooseTask, GridEnv, Scheduler, SiteId, StorageAffinity, TaskPool, WeightMetric, WorkerCentric,
+};
 use gridsched_storage::{EvictionPolicy, SiteStore};
 use gridsched_workload::coadd::CoaddConfig;
 use gridsched_workload::Workload;
@@ -67,7 +72,8 @@ fn bench_decision(c: &mut Criterion) {
 }
 
 /// Storage events per ranked pick: file arrivals, each followed by one
-/// task reference to the arrived file (LRU evictions ride along).
+/// task reference to the arrived file (LRU evictions ride along). The
+/// reference reaches the view only if it tracks references (`combined`).
 const EVENTS_PER_PICK: usize = 16;
 /// Picks per timed sample.
 const PICKS_PER_SAMPLE: usize = 100;
@@ -94,7 +100,7 @@ fn bench_ranked_refile(c: &mut Criterion) {
         let index = FileIndex::build(&workload);
         for metric in [WeightMetric::Rest, WeightMetric::Combined] {
             let mut store = warm_store(&workload, 3000);
-            let mut view = SiteView::new(workload.task_count());
+            let mut view = SiteView::new(workload.task_count(), metric);
             let mut combo = ComboAggregates::new(&index, &pool, 1);
             for f in store.resident() {
                 let rc = store.ref_count(f);
@@ -102,7 +108,7 @@ fn bench_ranked_refile(c: &mut Criterion) {
                 combo.on_file_added(0, &index, &view, f, rc, &pool);
             }
             let totals = (metric == WeightMetric::Combined).then(|| combo.totals(0));
-            enable_ranks(std::slice::from_mut(&mut view), metric, &index, &pool);
+            enable_ranks(std::slice::from_mut(&mut view), &index, &pool);
             let chooser = ChooseTask::new(2);
             let mut rng = StdRng::seed_from_u64(0);
             let mut next = store.len() % arrivals.len();
@@ -124,7 +130,9 @@ fn bench_ranked_refile(c: &mut Criterion) {
                                 }
                                 view.on_file_added(&index, f, store.ref_count(f));
                                 store.record_task_reference(f);
-                                view.on_task_reference(&index, f);
+                                if view.tracks_references() {
+                                    view.on_files_referenced(&index, &[f], |_| true);
+                                }
                                 events += 1;
                             }
                             std::hint::black_box(view.pick_ranked(
@@ -133,6 +141,59 @@ fn bench_ranked_refile(c: &mut Criterion) {
                                 |_| true,
                                 totals,
                             ));
+                        }
+                    })
+                },
+            );
+        }
+    }
+    group.finish();
+}
+
+/// Task starts per timed sample.
+const STARTS_PER_SAMPLE: usize = 100;
+
+/// One task start's references at a warm site, as the engine's
+/// `finish_batch` delivers them: each input's `r_i` bumped in the store,
+/// then one [`Scheduler::on_files_referenced`] call through a trait
+/// object. The site holds a warm 3000-file store with the whole queue
+/// pending; the starts cycle over the tasks whose inputs are all
+/// resident, so every reference is to a resident file.
+fn bench_task_start_refs(c: &mut Criterion) {
+    let mut group = c.benchmark_group("task_start_refs");
+    for &tasks in &[500u32, 2000, 6000] {
+        let mut cfg = CoaddConfig::paper_6000();
+        cfg.tasks = tasks;
+        let workload = Arc::new(cfg.generate());
+        let env = GridEnv {
+            sites: 1,
+            workers_per_site: 1,
+            capacity_files: 3000,
+        };
+        for metric in [WeightMetric::Rest, WeightMetric::Combined] {
+            let mut stores = vec![warm_store(&workload, 3000)];
+            let mut sched: Box<dyn Scheduler> =
+                Box::new(WorkerCentric::new(Arc::clone(&workload), metric, 2, 0));
+            sched.initialize(&env, &stores);
+            let starts: Vec<_> = workload
+                .tasks()
+                .iter()
+                .filter(|t| t.files().iter().all(|&f| stores[0].contains(f)))
+                .collect();
+            assert!(!starts.is_empty(), "warm store holds whole tasks");
+            let mut next = 0;
+            group.bench_with_input(
+                BenchmarkId::new(metric.to_string(), tasks),
+                &tasks,
+                |b, _| {
+                    b.iter(|| {
+                        for _ in 0..STARTS_PER_SAMPLE {
+                            let files = starts[next].files();
+                            next = (next + 1) % starts.len();
+                            for &f in files {
+                                stores[0].record_task_reference(f);
+                            }
+                            sched.on_files_referenced(SiteId(0), files);
                         }
                     })
                 },
@@ -172,6 +233,7 @@ criterion_group!(
     benches,
     bench_decision,
     bench_ranked_refile,
+    bench_task_start_refs,
     bench_storage_affinity_assignment
 );
 criterion_main!(benches);

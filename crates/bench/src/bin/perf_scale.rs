@@ -32,7 +32,9 @@
 //! ```
 //!
 //! * `--smoke` — tiny sweep (10²/4·10² workers) for CI;
-//! * `--check` — exit non-zero unless every run completed, the incremental
+//! * `--check` — exit non-zero unless every run completed with a positive
+//!   wall time and event count, the sites sweep has at least 3 points and
+//!   covers xsufferage at the worker-sweep site count, the incremental
 //!   path is ≥ 5× faster than naive at the comparison point, (at the
 //!   full 10⁵ scale) the throttled storage-affinity run dispatches ≤ 1/10
 //!   of the uncapped run's events, no duplicate run key was emitted, no
@@ -649,6 +651,31 @@ fn main() {
                 );
                 ok = false;
             }
+            if !(r.wall_s > 0.0 && r.events > 0) {
+                eprintln!(
+                    "CHECK FAIL: {} @ {} workers / {} sites ({}) recorded {}s wall, {} events",
+                    r.strategy, r.workers, r.sites, r.throttle, r.wall_s, r.events
+                );
+                ok = false;
+            }
+        }
+        if sites_sweep.len() < 3 {
+            eprintln!(
+                "CHECK FAIL: sites sweep has {} points, needs at least 3",
+                sites_sweep.len()
+            );
+            ok = false;
+        }
+        // The sites sweep reuses the worker-sweep rows at the overlapping
+        // site count, so an xsufferage row must exist there.
+        if runs
+            .iter()
+            .any(|r| r.sites == SITES && r.strategy == StrategyKind::Sufferage)
+        {
+            println!("CHECK PASS: xsufferage row at the worker-sweep site count ({SITES})");
+        } else {
+            eprintln!("CHECK FAIL: no xsufferage row at the worker-sweep site count ({SITES})");
+            ok = false;
         }
         // One row per configuration: the sites sweep must reuse the
         // worker-sweep measurements instead of re-running (and re-timing)

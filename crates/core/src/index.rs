@@ -9,6 +9,20 @@
 //! overlap counters of the affected tasks. A scheduling decision then
 //! needs no file probe.
 //!
+//! ## Counters by metric
+//!
+//! A [`SiteView`] is built for one [`WeightMetric`] and keeps only the
+//! counters that metric reads. Every view keeps `overlap` (`|F_t|`). Only
+//! `Combined` reads past references, so only a `Combined` view keeps
+//! `refsum` (`ref_t = Σ r_i`) and only its rank keys tasks by it. Views for
+//! `Overlap` and `Rest` — worker-centric overlap/rest, storage affinity and
+//! sufferage — hold 10 bytes per task (`overlap`, and the rank's member
+//! flag, level and mark) instead of 26, and ignore references entirely:
+//! their owners forward none. A `Combined` owner forwards each task
+//! start's references in one batch, [`SiteView::on_files_referenced`],
+//! whose single pass over each file's readers also counts the pending
+//! readers that [`ComboAggregates`] needs.
+//!
 //! A scan over those counters per decision would still be an `O(T²)` run,
 //! which caps the engine far below 10⁵ workers. The same storage-change
 //! notifications therefore also maintain a **priority index**: every
@@ -183,7 +197,8 @@ impl FileIndex {
 /// for `Overlap`/`Rest` (all weights in a bucket are equal there), and
 /// descending cached reference sum (ties by id) for finite `Combined`
 /// buckets. The zero-missing `Combined` bucket orders by id alone — its
-/// weight is `+∞` regardless of references.
+/// weight is `+∞` regardless of references. Every non-`Combined` key is
+/// 0, so only a `Combined` rank records keys per task.
 ///
 /// Both coordinates are maintained **lazily** (see the module docs). A
 /// storage event that changes a member's counters only marks it, and the
@@ -202,7 +217,8 @@ pub struct TaskRank {
     /// `|t|` per task (the [`FileIndex`]'s table, shared).
     sizes: Arc<[u32]>,
     member: Vec<bool>,
-    /// The (level, key) each member is physically filed under.
+    /// The (level, key) each member is physically filed under. `key_of`
+    /// is empty unless the metric reads references: every other key is 0.
     level_of: Vec<u32>,
     key_of: Vec<u64>,
     /// `marked[t]`: `t`'s counters changed since it was last filed, so it
@@ -223,7 +239,11 @@ impl TaskRank {
             sizes: Arc::clone(&index.task_sizes),
             member: vec![false; num_tasks],
             level_of: vec![0; num_tasks],
-            key_of: vec![0; num_tasks],
+            key_of: if metric.reads_references() {
+                vec![0; num_tasks]
+            } else {
+                Vec::new()
+            },
             marked: vec![false; num_tasks],
             marks: Vec::new(),
             len: 0,
@@ -258,7 +278,7 @@ impl TaskRank {
     fn key_for(&self, level: u32, refsum: u64) -> u64 {
         // Only finite Combined buckets order by references; level 0 there
         // means zero missing files (weight +∞ for every reference count).
-        if self.metric == WeightMetric::Combined && level > 0 {
+        if self.metric.reads_references() && level > 0 {
             u64::MAX - refsum
         } else {
             0
@@ -272,14 +292,27 @@ impl TaskRank {
         (level, self.key_for(level, refsum))
     }
 
-    fn insert(&mut self, t: usize, (level, key): (u32, u64)) {
+    /// The (level, key) member `t` is physically filed under.
+    fn filed(&self, t: usize) -> (u32, u64) {
+        (self.level_of[t], self.key_of.get(t).copied().unwrap_or(0))
+    }
+
+    /// Records that `t` is filed at (`level`, `key`); a rank that keys
+    /// nothing by references records only the level (its keys are all 0).
+    fn set_filed(&mut self, t: usize, (level, key): (u32, u64)) {
+        self.level_of[t] = level;
+        if let Some(k) = self.key_of.get_mut(t) {
+            *k = key;
+        }
+    }
+
+    fn insert(&mut self, t: usize, coords: (u32, u64)) {
         if self.member[t] {
             return;
         }
-        self.buckets[level as usize].insert((key, t as u32));
+        self.buckets[coords.0 as usize].insert((coords.1, t as u32));
         self.member[t] = true;
-        self.level_of[t] = level;
-        self.key_of[t] = key;
+        self.set_filed(t, coords);
         self.len += 1;
     }
 
@@ -287,8 +320,8 @@ impl TaskRank {
         if !self.member[t] {
             return;
         }
-        let level = self.level_of[t] as usize;
-        self.buckets[level].remove(&(self.key_of[t], t as u32));
+        let (level, key) = self.filed(t);
+        self.buckets[level as usize].remove(&(key, t as u32));
         self.member[t] = false;
         self.len -= 1;
     }
@@ -301,16 +334,15 @@ impl TaskRank {
         }
     }
 
-    /// Moves member `t` to (`level`, `key`); returns whether it moved.
-    fn refile(&mut self, t: usize, (level, key): (u32, u64)) -> bool {
-        if level == self.level_of[t] && key == self.key_of[t] {
+    /// Moves member `t` to `coords`; returns whether it moved.
+    fn refile(&mut self, t: usize, coords: (u32, u64)) -> bool {
+        let (old_level, old_key) = self.filed(t);
+        if coords == (old_level, old_key) {
             return false;
         }
-        let old_level = self.level_of[t] as usize;
-        self.buckets[old_level].remove(&(self.key_of[t], t as u32));
-        self.buckets[level as usize].insert((key, t as u32));
-        self.level_of[t] = level;
-        self.key_of[t] = key;
+        self.buckets[old_level as usize].remove(&(old_key, t as u32));
+        self.buckets[coords.0 as usize].insert((coords.1, t as u32));
+        self.set_filed(t, coords);
         true
     }
 }
@@ -416,19 +448,27 @@ impl PendingLog {
     }
 }
 
-/// Incrementally-maintained per-site overlap state.
+/// Incrementally-maintained per-site state for one [`WeightMetric`]: the
+/// view keeps only the counters that metric reads.
 ///
 /// For every task `t`, caches:
-/// * `overlap[t]` — `|F_t|` against this site's *current* storage,
-/// * `refsum[t]` — `Σ_{i ∈ F_t} r_i` over the resident overlap.
+/// * `overlap[t]` — `|F_t|` against this site's *current* storage (every
+///   metric);
+/// * `refsum[t]` — `Σ_{i ∈ F_t} r_i` over the resident overlap, only when
+///   the metric [reads references](WeightMetric::reads_references)
+///   (`Combined`). Views for `Overlap` and `Rest` allocate no `refsum`,
+///   and their rank no per-task key: 10 bytes per task instead of 26.
 ///
 /// The owner must forward every storage change:
 /// [`SiteView::on_file_added`] after an insert,
-/// [`SiteView::on_file_evicted`] for each eviction, and
-/// [`SiteView::on_task_reference`] after each `r_i` increment.
+/// [`SiteView::on_file_evicted`] for each eviction, and — on a
+/// reference-tracking view only — [`SiteView::on_files_referenced`] after
+/// a task start's `r_i` increments.
 #[derive(Debug, Clone)]
 pub struct SiteView {
+    metric: WeightMetric,
     overlap: Vec<u32>,
+    /// Empty unless `metric` reads references.
     refsum: Vec<u64>,
     rank: Option<TaskRank>,
     /// How far into the shared [`PendingLog`] this view has replayed.
@@ -438,12 +478,18 @@ pub struct SiteView {
 }
 
 impl SiteView {
-    /// A view for an initially-empty site storage.
+    /// A view for an initially-empty site storage, keeping the counters
+    /// `metric` reads (and ordering its rank by `metric` once enabled).
     #[must_use]
-    pub fn new(num_tasks: usize) -> Self {
+    pub fn new(num_tasks: usize, metric: WeightMetric) -> Self {
         SiteView {
+            metric,
             overlap: vec![0; num_tasks],
-            refsum: vec![0; num_tasks],
+            refsum: if metric.reads_references() {
+                vec![0; num_tasks]
+            } else {
+                Vec::new()
+            },
             rank: None,
             log_cursor: 0,
             stats: RankStats::default(),
@@ -487,11 +533,17 @@ impl SiteView {
         }
     }
 
-    /// Attaches an (empty) priority index ordered for `metric`. Call after
-    /// seeding the counters from pre-populated storage, then admit the
-    /// pending pool via [`SiteView::rank_insert`].
-    pub fn enable_rank(&mut self, metric: WeightMetric, index: &FileIndex) {
-        self.rank = Some(TaskRank::new(metric, index));
+    /// Whether this view keeps `refsum` (its metric reads references).
+    #[must_use]
+    pub fn tracks_references(&self) -> bool {
+        self.metric.reads_references()
+    }
+
+    /// Attaches an (empty) priority index ordered for the view's metric.
+    /// Call after seeding the counters from pre-populated storage, then
+    /// admit the pending pool via [`SiteView::rank_insert`].
+    pub fn enable_rank(&mut self, index: &FileIndex) {
+        self.rank = Some(TaskRank::new(self.metric, index));
     }
 
     /// The attached priority index, if any.
@@ -504,17 +556,10 @@ impl SiteView {
     /// without a rank or if already tracked.
     pub fn rank_insert(&mut self, index: &FileIndex, task: TaskId) {
         let t = task.index();
+        let refsum = refsum_or_zero(&self.refsum, t);
         if let Some(rank) = self.rank.as_mut() {
-            let coords = rank.coords(index.task_size(task), self.overlap[t], self.refsum[t]);
+            let coords = rank.coords(index.task_size(task), self.overlap[t], refsum);
             rank.insert(t, coords);
-        }
-    }
-
-    /// Withdraws `task` (assigned/completed) from the priority index.
-    /// No-op without a rank or if not tracked.
-    pub fn rank_remove(&mut self, task: TaskId) {
-        if let Some(rank) = self.rank.as_mut() {
-            rank.remove(task.index());
         }
     }
 
@@ -538,11 +583,11 @@ impl SiteView {
             if rank.member[t] {
                 continue;
             }
-            let (level, key) = rank.coords(index.task_size(task), self.overlap[t], self.refsum[t]);
+            let refsum = refsum_or_zero(&self.refsum, t);
+            let (level, key) = rank.coords(index.task_size(task), self.overlap[t], refsum);
             buckets[level as usize].push((key, task.0));
             rank.member[t] = true;
-            rank.level_of[t] = level;
-            rank.key_of[t] = key;
+            rank.set_filed(t, (level, key));
             rank.len += 1;
         }
         for (level, entries) in buckets.into_iter().enumerate() {
@@ -560,7 +605,7 @@ impl SiteView {
     }
 
     /// Records that `file` became resident with current reference count
-    /// `ref_count`.
+    /// `ref_count` (read only by a reference-tracking view).
     pub fn on_file_added(&mut self, index: &FileIndex, file: FileId, ref_count: u32) {
         self.on_file_added_pruning(index, file, ref_count, |_| true);
     }
@@ -579,10 +624,13 @@ impl SiteView {
         ref_count: u32,
         mut live: F,
     ) {
+        let track = self.tracks_references();
         for &t in index.tasks_of(file) {
             let ti = t as usize;
             self.overlap[ti] += 1;
-            self.refsum[ti] += u64::from(ref_count);
+            if track {
+                self.refsum[ti] += u64::from(ref_count);
+            }
             if let Some(rank) = self.rank.as_mut() {
                 if !rank.member[ti] {
                     continue;
@@ -597,7 +645,7 @@ impl SiteView {
     }
 
     /// Records that `file` was evicted while holding reference count
-    /// `ref_count`.
+    /// `ref_count` (read only by a reference-tracking view).
     pub fn on_file_evicted(&mut self, index: &FileIndex, file: FileId, ref_count: u32) {
         self.on_file_evicted_pruning(index, file, ref_count, |_| true);
     }
@@ -611,10 +659,13 @@ impl SiteView {
         ref_count: u32,
         mut live: F,
     ) {
+        let track = self.tracks_references();
         for &t in index.tasks_of(file) {
             let ti = t as usize;
             self.overlap[ti] -= 1;
-            self.refsum[ti] -= u64::from(ref_count);
+            if track {
+                self.refsum[ti] -= u64::from(ref_count);
+            }
             if let Some(rank) = self.rank.as_mut() {
                 if !rank.member[ti] {
                     continue;
@@ -628,34 +679,52 @@ impl SiteView {
         }
     }
 
-    /// Records that a task referenced resident `file` (`r_i += 1`).
-    pub fn on_task_reference(&mut self, index: &FileIndex, file: FileId) {
-        self.on_task_reference_pruning(index, file, |_| true);
-    }
-
-    /// [`SiteView::on_task_reference`] with opportunistic stale repair
-    /// (see [`SiteView::on_file_added_pruning`]).
-    pub fn on_task_reference_pruning<F: FnMut(TaskId) -> bool>(
+    /// Records that one task start referenced every resident file in
+    /// `files` (`r_i += 1` each), in one pass over each file's readers:
+    /// every reader's `refsum` rises by one, a rank member passing `live`
+    /// is marked for re-filing, and one failing it is physically removed
+    /// (the opportunistic repair of [`SiteView::on_file_added_pruning`]).
+    ///
+    /// Returns how many (file, reader) pairs passed `live`, calling `live`
+    /// once per pair. With the pending pool as `live` that is the rise of
+    /// the site's `totalRef`, which the owner hands to
+    /// [`ComboAggregates::on_files_referenced`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the view keeps no reference counters (its metric is not
+    /// `Combined`): such an owner must not forward references at all.
+    pub fn on_files_referenced<F: FnMut(TaskId) -> bool>(
         &mut self,
         index: &FileIndex,
-        file: FileId,
+        files: &[FileId],
         mut live: F,
-    ) {
-        for &t in index.tasks_of(file) {
-            let ti = t as usize;
-            self.refsum[ti] += 1;
-            if let Some(rank) = self.rank.as_mut() {
-                if !rank.member[ti] {
-                    continue;
-                }
-                if !live(TaskId(t)) {
-                    rank.remove(ti);
-                } else if rank.metric == WeightMetric::Combined {
-                    // Only finite Combined buckets key on references.
-                    rank.mark(ti);
+    ) -> u64 {
+        assert!(
+            self.tracks_references(),
+            "{} views keep no reference counters",
+            self.metric
+        );
+        let mut live_readers = 0;
+        for &file in files {
+            for &t in index.tasks_of(file) {
+                let ti = t as usize;
+                self.refsum[ti] += 1;
+                let alive = live(TaskId(t));
+                live_readers += u64::from(alive);
+                if let Some(rank) = self.rank.as_mut() {
+                    if !rank.member[ti] {
+                        continue;
+                    }
+                    if alive {
+                        rank.mark(ti);
+                    } else {
+                        rank.remove(ti);
+                    }
                 }
             }
         }
+        live_readers
     }
 
     /// Cached `|F_t|`.
@@ -665,6 +734,11 @@ impl SiteView {
     }
 
     /// Cached `Σ r_i` over the resident overlap of `task`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the view keeps no reference counters (see
+    /// [`SiteView::tracks_references`]).
     #[must_use]
     pub fn refsum(&self, task: TaskId) -> u64 {
         self.refsum[task.index()]
@@ -801,7 +875,8 @@ impl SiteView {
             let t = t as usize;
             rank.marked[t] = false;
             if rank.member[t] {
-                let coords = rank.coords(rank.sizes[t], self.overlap[t], self.refsum[t]);
+                let refsum = refsum_or_zero(&self.refsum, t);
+                let coords = rank.coords(rank.sizes[t], self.overlap[t], refsum);
                 moved += u64::from(rank.refile(t, coords));
             }
         }
@@ -878,6 +953,10 @@ impl SiteView {
     /// Debug helper: checks this view against ground truth from the store,
     /// and the attached rank (if any) against the view's counters.
     ///
+    /// Metric-aware: a reference-tracking (`Combined`) view must match the
+    /// store's `refsum` too; any other view, and its rank, must hold no
+    /// reference state at all.
+    ///
     /// For the rank: every member is filed in exactly one bucket entry at
     /// its recorded coordinates, no bucket holds anything else, `len()`
     /// counts the members, the mark list holds each marked task once, and
@@ -891,26 +970,39 @@ impl SiteView {
     /// Panics (in any build) if a cached counter disagrees with the store
     /// or the rank breaks one of the invariants above.
     pub fn assert_consistent(&self, index: &FileIndex, workload: &Workload, store: &SiteStore) {
+        let track = self.tracks_references();
+        assert!(
+            track || self.refsum.is_empty(),
+            "{} view holds refsum",
+            self.metric
+        );
         for t in workload.tasks() {
             let files = t.files();
             let overlap = store.overlap(files) as u32;
-            let refsum = store.overlap_ref_sum(files);
             assert_eq!(
                 self.overlap(t.id),
                 overlap,
                 "overlap mismatch for task {}",
                 t.id
             );
-            assert_eq!(
-                self.refsum(t.id),
-                refsum,
-                "refsum mismatch for task {}",
-                t.id
-            );
+            if track {
+                assert_eq!(
+                    self.refsum(t.id),
+                    store.overlap_ref_sum(files),
+                    "refsum mismatch for task {}",
+                    t.id
+                );
+            }
         }
         let Some(rank) = self.rank.as_ref() else {
             return;
         };
+        assert_eq!(rank.metric, self.metric, "rank ordered for another metric");
+        assert!(
+            track || rank.key_of.is_empty(),
+            "{} rank holds keys",
+            self.metric
+        );
         let mut members = 0;
         for t in workload.tasks() {
             let ti = t.id.index();
@@ -918,13 +1010,17 @@ impl SiteView {
                 continue;
             }
             members += 1;
-            let filed = (rank.level_of[ti], rank.key_of[ti]);
+            let filed = rank.filed(ti);
             assert!(
                 rank.buckets[filed.0 as usize].contains(&(filed.1, t.id.0)),
                 "rank member {} missing from its bucket",
                 t.id
             );
-            let current = rank.coords(index.task_size(t.id), self.overlap[ti], self.refsum[ti]);
+            let current = rank.coords(
+                index.task_size(t.id),
+                self.overlap[ti],
+                refsum_or_zero(&self.refsum, ti),
+            );
             assert!(
                 rank.marked[ti] || filed == current,
                 "unmarked rank member {} filed at {filed:?}, belongs at {current:?}",
@@ -943,20 +1039,21 @@ impl SiteView {
     }
 }
 
-/// Attaches a `metric`-ordered priority index to every view and admits the
+/// `refsum[t]`, or 0 on a view that keeps no reference counters — the
+/// input a rank key needs, which is 0 for every metric but `Combined`.
+fn refsum_or_zero(refsum: &[u64], t: usize) -> u64 {
+    refsum.get(t).copied().unwrap_or(0)
+}
+
+/// Attaches a priority index ordered by its view's metric to every view and admits the
 /// current pending pool — the shared initialize-time step of every
 /// incremental-mode scheduler. Admission is bulk: per-bucket sorted runs
 /// handed to `BTreeSet::from_iter` (which bulk-builds), instead of
 /// `S × T` individual tree inserts.
-pub fn enable_ranks(
-    views: &mut [SiteView],
-    metric: WeightMetric,
-    index: &FileIndex,
-    pool: &TaskPool,
-) {
+pub fn enable_ranks(views: &mut [SiteView], index: &FileIndex, pool: &TaskPool) {
     let pending: Vec<TaskId> = pool.iter().collect();
     for view in views {
-        view.enable_rank(metric, index);
+        view.enable_rank(index);
         view.rank_bulk_admit(index, &pending);
     }
 }
@@ -986,10 +1083,11 @@ pub fn enable_ranks(
 /// produced by feeding the reconstructed histogram through the canonical
 /// [`total_rest_from_counts`] accumulation.
 ///
-/// Event routing (the owner must keep this in lock-step with the views;
-/// all hooks take the *already updated* [`SiteView`] of the event's site):
+/// Event routing (the owner must keep this in lock-step with the views,
+/// which are reference-tracking `Combined` views; all hooks take the
+/// *already updated* [`SiteView`] of the event's site):
 /// [`ComboAggregates::on_file_added`] / [`ComboAggregates::on_file_evicted`]
-/// / [`ComboAggregates::on_task_reference`] after the view update, and
+/// / [`ComboAggregates::on_files_referenced`] after the view update, and
 /// [`ComboAggregates::on_pool_remove`] / [`ComboAggregates::on_pool_insert`]
 /// on membership changes.
 #[derive(Debug, Clone)]
@@ -1110,20 +1208,11 @@ impl ComboAggregates {
         }
     }
 
-    /// A task at `site` referenced resident `file` (`r_i += 1`): every
-    /// pending reader's refsum rose by one.
-    pub fn on_task_reference(
-        &mut self,
-        site: usize,
-        index: &FileIndex,
-        file: FileId,
-        pool: &TaskPool,
-    ) {
-        let pending_readers = index
-            .tasks_of(file)
-            .iter()
-            .filter(|&&t| pool.contains(TaskId(t)))
-            .count() as u64;
+    /// A task start at `site` referenced resident files (`r_i += 1`
+    /// each): every pending reader's refsum rose by one per file it
+    /// reads. `pending_readers` is that count, as returned by the site
+    /// view's [`SiteView::on_files_referenced`] with the pool as `live`.
+    pub fn on_files_referenced(&mut self, site: usize, pending_readers: u64) {
         self.total_ref[site] += pending_readers;
     }
 
@@ -1221,7 +1310,7 @@ mod tests {
         let workload = wl();
         let idx = FileIndex::build(&workload);
         let mut store = SiteStore::new(10, EvictionPolicy::Lru);
-        let mut view = SiteView::new(3);
+        let mut view = SiteView::new(3, WeightMetric::Combined);
 
         store.insert(FileId(1));
         view.on_file_added(&idx, FileId(1), store.ref_count(FileId(1)));
@@ -1230,7 +1319,7 @@ mod tests {
         assert_eq!(view.overlap(TaskId(2)), 0);
 
         store.record_task_reference(FileId(1));
-        view.on_task_reference(&idx, FileId(1));
+        assert_eq!(view.on_files_referenced(&idx, &[FileId(1)], |_| true), 2);
         assert_eq!(view.refsum(TaskId(0)), 1);
 
         view.assert_consistent(&idx, &workload, &store);
@@ -1241,12 +1330,12 @@ mod tests {
         let workload = wl();
         let idx = FileIndex::build(&workload);
         let mut store = SiteStore::new(1, EvictionPolicy::Lru);
-        let mut view = SiteView::new(3);
+        let mut view = SiteView::new(3, WeightMetric::Combined);
 
         store.insert(FileId(1));
         view.on_file_added(&idx, FileId(1), store.ref_count(FileId(1)));
         store.record_task_reference(FileId(1));
-        view.on_task_reference(&idx, FileId(1));
+        view.on_files_referenced(&idx, &[FileId(1)], |_| true);
 
         // Inserting file 2 evicts file 1 (capacity 1).
         let ref_before = store.ref_count(FileId(1));
@@ -1287,8 +1376,8 @@ mod rank_tests {
         let workload = wl();
         let idx = FileIndex::build(&workload);
         let mut store = SiteStore::new(10, EvictionPolicy::Lru);
-        let mut view = SiteView::new(4);
-        view.enable_rank(metric, &idx);
+        let mut view = SiteView::new(4, metric);
+        view.enable_rank(&idx);
         for t in 0..4 {
             view.rank_insert(&idx, TaskId(t));
         }
@@ -1394,7 +1483,10 @@ mod rank_tests {
         let idx = FileIndex::build(&workload);
         let mut pool = TaskPool::full(4);
         let mut combo = ComboAggregates::new(&idx, &pool, 2);
-        let mut views = vec![SiteView::new(4), SiteView::new(4)];
+        let mut views = vec![
+            SiteView::new(4, WeightMetric::Combined),
+            SiteView::new(4, WeightMetric::Combined),
+        ];
         let mut store = SiteStore::new(2, EvictionPolicy::Lru);
 
         // Baseline (empty stores): totalRef 0, counts all at |t| = 2.
@@ -1434,8 +1526,8 @@ mod rank_tests {
             );
         }
         store.record_task_reference(FileId(1));
-        views[0].on_task_reference(&idx, FileId(1));
-        combo.on_task_reference(0, &idx, FileId(1), &pool);
+        let readers = views[0].on_files_referenced(&idx, &[FileId(1)], |t| pool.contains(t));
+        combo.on_files_referenced(0, readers);
         check(&combo, &pool, &store);
 
         // Membership: remove a nonzero-overlap task, then re-admit it.
@@ -1539,7 +1631,8 @@ mod proptests {
         store: SiteStore,
         view: SiteView,
         pool: TaskPool,
-        combo: ComboAggregates,
+        /// The `combined` normalisers, kept only for a `Combined` view.
+        combo: Option<ComboAggregates>,
         log: PendingLog,
     }
 
@@ -1547,10 +1640,12 @@ mod proptests {
         fn new(workload: Workload, cap: usize, metric: WeightMetric) -> Self {
             let idx = FileIndex::build(&workload);
             let pool = TaskPool::full(workload.task_count());
-            let mut view = SiteView::new(workload.task_count());
-            enable_ranks(std::slice::from_mut(&mut view), metric, &idx, &pool);
+            let mut view = SiteView::new(workload.task_count(), metric);
+            enable_ranks(std::slice::from_mut(&mut view), &idx, &pool);
             RankedSite {
-                combo: ComboAggregates::new(&idx, &pool, 1),
+                combo: metric
+                    .reads_references()
+                    .then(|| ComboAggregates::new(&idx, &pool, 1)),
                 store: SiteStore::new(cap, EvictionPolicy::Lru),
                 log: PendingLog::new(),
                 workload,
@@ -1576,19 +1671,27 @@ mod proptests {
                         for e in store.insert(f) {
                             let rc = store.ref_count(e);
                             view.on_file_evicted_pruning(idx, e, rc, |t| pool.contains(t));
-                            combo.on_file_evicted(0, idx, view, e, rc, pool);
+                            if let Some(combo) = combo {
+                                combo.on_file_evicted(0, idx, view, e, rc, pool);
+                            }
                         }
                         let rc = store.ref_count(f);
                         view.on_file_added_pruning(idx, f, rc, |t| pool.contains(t));
-                        combo.on_file_added(0, idx, view, f, rc, pool);
+                        if let Some(combo) = combo {
+                            combo.on_file_added(0, idx, view, f, rc, pool);
+                        }
                     }
                 }
                 Op::Reference(f) => {
                     let f = FileId(f);
                     if store.contains(f) {
                         store.record_task_reference(f);
-                        view.on_task_reference_pruning(idx, f, |t| pool.contains(t));
-                        combo.on_task_reference(0, idx, f, pool);
+                        // Only a reference-tracking view is told, as in the
+                        // schedulers.
+                        if let Some(combo) = combo {
+                            let readers = view.on_files_referenced(idx, &[f], |t| pool.contains(t));
+                            combo.on_files_referenced(0, readers);
+                        }
                     }
                 }
                 Op::RemoveTask(t) => {
@@ -1618,10 +1721,14 @@ mod proptests {
             let files: Vec<FileId> = self.workload.task(t).files().to_vec();
             let views = std::slice::from_ref(&self.view);
             if self.pool.remove(t) {
-                self.combo.on_pool_remove(&self.idx, t, &files, views);
+                if let Some(combo) = self.combo.as_mut() {
+                    combo.on_pool_remove(&self.idx, t, &files, views);
+                }
             } else {
                 self.pool.insert(t);
-                self.combo.on_pool_insert(&self.idx, t, &files, views);
+                if let Some(combo) = self.combo.as_mut() {
+                    combo.on_pool_insert(&self.idx, t, &files, views);
+                }
                 self.log.record(t, std::slice::from_mut(&mut self.view));
             }
         }
@@ -1636,18 +1743,26 @@ mod proptests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(128))]
 
-        /// A view with no rank attached — the one `Sufferage`'s naive scan
-        /// reads — keeps its cached overlap and reference sums equal to
-        /// the store's across storage churn and pool removals.
+        /// Views with no rank attached — the kind `Sufferage`'s naive scan
+        /// reads — keep their cached counters equal to the store's across
+        /// storage churn, task starts and pool removals: `overlap` and
+        /// `refsum` on a reference-tracking (`Combined`) view, `overlap`
+        /// alone on a non-tracking one, which is never told of references.
+        /// `Reference(x)` starts task `x`: one batch of its resident files.
         #[test]
         fn view_counters_match_store(
             workload in arb_workload(),
             ops in arb_ops(),
             cap in 1usize..8,
+            untracked_ix in 0usize..2,
         ) {
             let idx = FileIndex::build(&workload);
             let mut store = SiteStore::new(cap, EvictionPolicy::Lru);
-            let mut view = SiteView::new(workload.task_count());
+            let untracked = [WeightMetric::Overlap, WeightMetric::Rest][untracked_ix];
+            let mut views = [
+                SiteView::new(workload.task_count(), WeightMetric::Combined),
+                SiteView::new(workload.task_count(), untracked),
+            ];
             let mut pool = TaskPool::full(workload.task_count());
             for op in ops {
                 let live = |t: TaskId| pool.contains(t);
@@ -1656,18 +1771,32 @@ mod proptests {
                         let f = FileId(f);
                         if !store.contains(f) {
                             let evicted = store.insert(f);
-                            for e in evicted {
-                                view.on_file_evicted_pruning(&idx, e, store.ref_count(e), live);
+                            for view in &mut views {
+                                for &e in &evicted {
+                                    view.on_file_evicted_pruning(&idx, e, store.ref_count(e), live);
+                                }
+                                view.on_file_added_pruning(&idx, f, store.ref_count(f), live);
                             }
-                            view.on_file_added_pruning(&idx, f, store.ref_count(f), live);
                         }
                     }
-                    Op::Reference(f) => {
-                        let f = FileId(f);
-                        if store.contains(f) {
+                    Op::Reference(x) => {
+                        let task = TaskId(x % workload.task_count() as u32);
+                        let files: Vec<FileId> = workload
+                            .task(task)
+                            .files()
+                            .iter()
+                            .copied()
+                            .filter(|&f| store.contains(f))
+                            .collect();
+                        for &f in &files {
                             store.record_task_reference(f);
-                            view.on_task_reference_pruning(&idx, f, live);
                         }
+                        let readers = views[0].on_files_referenced(&idx, &files, live);
+                        let expected: usize = files
+                            .iter()
+                            .map(|&f| idx.tasks_of(f).iter().filter(|&&t| live(TaskId(t))).count())
+                            .sum();
+                        prop_assert_eq!(readers, expected as u64);
                     }
                     Op::RemoveTask(t) => {
                         if (t as usize) < workload.task_count() {
@@ -1676,7 +1805,9 @@ mod proptests {
                     }
                     Op::ToggleMarked(..) | Op::Read => unreachable!("not generated by arb_ops"),
                 }
-                view.assert_consistent(&idx, &workload, &store);
+                for view in &views {
+                    view.assert_consistent(&idx, &workload, &store);
+                }
             }
         }
 
@@ -1701,13 +1832,15 @@ mod proptests {
             let chooser = ChooseTask::new(n);
             let idx = FileIndex::build(&workload);
             let mut store = SiteStore::new(cap, EvictionPolicy::Lru);
-            let mut view = SiteView::new(workload.task_count());
-            view.enable_rank(metric, &idx);
+            let mut view = SiteView::new(workload.task_count(), metric);
+            view.enable_rank(&idx);
             let mut pool = TaskPool::full(workload.task_count());
             for t in pool.iter().collect::<Vec<_>>() {
                 view.rank_insert(&idx, t);
             }
-            let mut combo = ComboAggregates::new(&idx, &pool, 1);
+            let mut combo = metric
+                .reads_references()
+                .then(|| ComboAggregates::new(&idx, &pool, 1));
             let mut log = PendingLog::new();
             let mut rng_naive = StdRng::seed_from_u64(seed);
             let mut rng_ranked = StdRng::seed_from_u64(seed);
@@ -1719,18 +1852,25 @@ mod proptests {
                             let evicted = store.insert(f);
                             for e in evicted {
                                 view.on_file_evicted(&idx, e, store.ref_count(e));
-                                combo.on_file_evicted(0, &idx, &view, e, store.ref_count(e), &pool);
+                                if let Some(combo) = combo.as_mut() {
+                                    combo.on_file_evicted(0, &idx, &view, e, store.ref_count(e), &pool);
+                                }
                             }
                             view.on_file_added(&idx, f, store.ref_count(f));
-                            combo.on_file_added(0, &idx, &view, f, store.ref_count(f), &pool);
+                            if let Some(combo) = combo.as_mut() {
+                                combo.on_file_added(0, &idx, &view, f, store.ref_count(f), &pool);
+                            }
                         }
                     }
                     Op::Reference(f) => {
                         let f = FileId(f);
                         if store.contains(f) {
                             store.record_task_reference(f);
-                            view.on_task_reference(&idx, f);
-                            combo.on_task_reference(0, &idx, f, &pool);
+                            if let Some(combo) = combo.as_mut() {
+                                let readers =
+                                    view.on_files_referenced(&idx, &[f], |t| pool.contains(t));
+                                combo.on_files_referenced(0, readers);
+                            }
                         }
                     }
                     Op::RemoveTask(t) => {
@@ -1740,12 +1880,17 @@ mod proptests {
                         if (t as usize) < workload.task_count() {
                             let t = TaskId(t);
                             let files: Vec<FileId> = workload.task(t).files().to_vec();
+                            let views = std::slice::from_ref(&view);
                             if pool.contains(t) {
                                 pool.remove(t);
-                                combo.on_pool_remove(&idx, t, &files, std::slice::from_ref(&view));
+                                if let Some(combo) = combo.as_mut() {
+                                    combo.on_pool_remove(&idx, t, &files, views);
+                                }
                             } else {
                                 pool.insert(t);
-                                combo.on_pool_insert(&idx, t, &files, std::slice::from_ref(&view));
+                                if let Some(combo) = combo.as_mut() {
+                                    combo.on_pool_insert(&idx, t, &files, views);
+                                }
                                 log.record(t, std::slice::from_mut(&mut view));
                             }
                         }
@@ -1754,7 +1899,7 @@ mod proptests {
                 }
                 let weights = crate::weight::weigh_all_naive(metric, &workload, &pool, &store);
                 let naive = chooser.pick(&weights, &mut rng_naive);
-                let totals = (metric == WeightMetric::Combined).then(|| combo.totals(0));
+                let totals = combo.as_ref().map(|c| c.totals(0));
                 view.sync_pending(&idx, &log, |t| pool.contains(t));
                 let ranked = view.pick_ranked(&chooser, &mut rng_ranked, |t| pool.contains(t), totals);
                 prop_assert_eq!(naive, ranked, "metric {} n {}", metric, n);
@@ -1789,7 +1934,7 @@ mod proptests {
                 }
                 let weights = crate::weight::weigh_all_naive(metric, &site.workload, &site.pool, &site.store);
                 let naive = chooser.pick(&weights, &mut rng_naive);
-                let totals = (metric == WeightMetric::Combined).then(|| site.combo.totals(0));
+                let totals = site.combo.as_ref().map(|c| c.totals(0));
                 site.sync();
                 let pool = &site.pool;
                 let ranked = site.view.pick_ranked(&chooser, &mut rng_ranked, |t| pool.contains(t), totals);

@@ -16,15 +16,18 @@
 //! * [`Workqueue`] — the classic FIFO pull scheduler [6];
 //! * [`index::FileIndex`] / [`index::SiteView`] / [`index::TaskRank`] — an
 //!   inverted file→task index with incrementally-maintained per-site
-//!   overlap and reference sums, plus bucketed priority indexes over the
-//!   pending pool, turning each scheduling decision from `O(T·I)` file
-//!   probes into an `O(log T)` amortized pick (the complexity the paper
-//!   quotes is the naive evaluation; both paths are provided, selectable
-//!   via [`EvalMode`], and property-tested for byte-identical decisions).
+//!   counters (overlap for every metric; reference sums only for
+//!   `Combined`, the one metric that reads them), plus bucketed priority
+//!   indexes over the pending pool, turning each scheduling decision from
+//!   `O(T·I)` file probes into an `O(log T)` amortized pick (the
+//!   complexity the paper quotes is the naive evaluation; both paths are
+//!   provided, selectable via [`EvalMode`], and property-tested for
+//!   byte-identical decisions).
 //!
 //! All strategies implement the [`Scheduler`] trait, which the grid
 //! simulator (`gridsched-sim`) drives with worker-idle and task-completion
-//! events plus storage-change notifications.
+//! events plus storage-change notifications: file arrivals and evictions,
+//! and one batch of references per task start.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

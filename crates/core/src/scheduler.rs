@@ -8,10 +8,11 @@
 //!   [`Scheduler::initialize`] time and serves queue pops, issuing
 //!   [`Assignment::Replicate`] once its queues drain.
 //!
-//! Storage-change notifications ([`Scheduler::on_file_added`] etc.) let
-//! implementations keep incremental indexes; they carry no information a
-//! real global scheduler could not obtain (data location is "relatively
-//! static and easy to obtain", §2.4).
+//! Storage-change notifications ([`Scheduler::on_file_added`],
+//! [`Scheduler::on_file_evicted`], and [`Scheduler::on_files_referenced`]
+//! once per task start) let implementations keep incremental indexes;
+//! they carry no information a real global scheduler could not obtain
+//! (data location is "relatively static and easy to obtain", §2.4).
 
 use std::fmt;
 
@@ -251,9 +252,15 @@ pub trait Scheduler {
         let _ = (site, file, ref_count);
     }
 
-    /// A task at `site` referenced `file` (`r_i` incremented by one).
-    fn on_task_reference(&mut self, site: SiteId, file: FileId) {
-        let _ = (site, file);
+    /// A task started at `site` and referenced each of `files` once
+    /// (every file's `r_i` already incremented by one) — one call per task
+    /// start, not per file.
+    ///
+    /// Only the `combined` metric reads past references, so the default
+    /// is a no-op, and every strategy but [`crate::WorkerCentric`] with
+    /// [`WeightMetric::Combined`] keeps it.
+    fn on_files_referenced(&mut self, site: SiteId, files: &[FileId]) {
+        let _ = (site, files);
     }
 
     /// Number of tasks that have not yet completed anywhere.
@@ -395,6 +402,79 @@ mod tests {
     #[should_panic(expected = "replica cap must be >= 1")]
     fn zero_cap_panics() {
         let _ = ReplicaThrottle::none().with_replica_cap(0);
+    }
+
+    /// Every strategy whose metric ignores references keeps the batched
+    /// hook a no-op: its views hold no reference state, the hook leaves
+    /// them untouched, and a copy told of every task start keeps deciding
+    /// exactly like one told of none.
+    #[test]
+    fn reference_hook_leaves_non_combined_state_untouched() {
+        use std::sync::Arc;
+
+        use gridsched_storage::EvictionPolicy;
+        use gridsched_workload::coadd::CoaddConfig;
+        use gridsched_workload::Workload;
+
+        use crate::index::SiteView;
+        use crate::{StorageAffinity, Sufferage, WorkerCentric};
+
+        fn check<S: Scheduler>(
+            workload: &Workload,
+            make: impl Fn() -> S,
+            views: fn(&S) -> &[SiteView],
+        ) {
+            let env = GridEnv {
+                sites: 2,
+                workers_per_site: 1,
+                capacity_files: 10_000,
+            };
+            let mut stores = vec![SiteStore::new(10_000, EvictionPolicy::Lru); 2];
+            for (site, task) in [(0, 0), (1, 40)] {
+                for &f in workload.task(TaskId(task)).files() {
+                    stores[site].insert(f);
+                }
+            }
+            let (mut told, mut untold) = (make(), make());
+            told.initialize(&env, &stores);
+            untold.initialize(&env, &stores);
+            let name = told.name();
+            assert!(!views(&told).is_empty(), "{name}: incremental views");
+            for _ in 0..4 {
+                for (s, store) in stores.iter_mut().enumerate() {
+                    let site = SiteId(s as u32);
+                    let files: Vec<FileId> = store.resident().collect();
+                    for &f in &files {
+                        store.record_task_reference(f);
+                    }
+                    let before = format!("{:?}", views(&told));
+                    told.on_files_referenced(site, &files);
+                    assert_eq!(format!("{:?}", views(&told)), before, "{name}");
+                    assert!(
+                        views(&told).iter().all(|v| !v.tracks_references()),
+                        "{name}"
+                    );
+                    let w = WorkerId::new(site, 0);
+                    assert_eq!(
+                        told.on_worker_idle(w, store),
+                        untold.on_worker_idle(w, store),
+                        "{name}"
+                    );
+                }
+            }
+        }
+
+        let wl = Arc::new(CoaddConfig::small(0).generate());
+        for (metric, n) in [(WeightMetric::Overlap, 1), (WeightMetric::Rest, 2)] {
+            let make = || WorkerCentric::new(Arc::clone(&wl), metric, n, 3);
+            check(&wl, make, WorkerCentric::views);
+        }
+        check(
+            &wl,
+            || StorageAffinity::new(Arc::clone(&wl)),
+            StorageAffinity::views,
+        );
+        check(&wl, || Sufferage::new(Arc::clone(&wl)), Sufferage::views);
     }
 
     #[test]

@@ -290,6 +290,12 @@ impl StorageAffinity {
         }
     }
 
+    /// The per-site views (empty where the strategy keeps none).
+    #[cfg(test)]
+    pub(crate) fn views(&self) -> &[SiteView] {
+        &self.views
+    }
+
     /// Marks a task completed: out of the pending pool in `O(1)` — its
     /// rank entries go stale in place and are repaired lazily on read.
     fn pool_remove(&mut self, task: TaskId) {
@@ -399,7 +405,7 @@ impl Scheduler for StorageAffinity {
         if self.mode == EvalMode::Incremental {
             self.views = (0..env.sites)
                 .map(|_| {
-                    let mut v = SiteView::new(self.workload.task_count());
+                    let mut v = SiteView::new(self.workload.task_count(), WeightMetric::Overlap);
                     v.set_stats(self.stats.clone());
                     v
                 })
@@ -409,12 +415,7 @@ impl Scheduler for StorageAffinity {
                     self.views[site].on_file_added(&self.index, f, store.ref_count(f));
                 }
             }
-            enable_ranks(
-                &mut self.views,
-                WeightMetric::Overlap,
-                &self.index,
-                &self.pending,
-            );
+            enable_ranks(&mut self.views, &self.index, &self.pending);
         }
 
         // Predicted storage per site, seeded from actual contents (in the
@@ -565,17 +566,6 @@ impl Scheduler for StorageAffinity {
             let cap = self.throttle.replica_cap;
             let task_replicas = &self.task_replicas;
             view.on_file_evicted_pruning(&self.index, file, ref_count, |t| {
-                pending.contains(t) && cap.is_none_or(|c| task_replicas[t.index()] < c)
-            });
-        }
-    }
-
-    fn on_task_reference(&mut self, site: SiteId, file: FileId) {
-        if let Some(view) = self.views.get_mut(site.index()) {
-            let pending = &self.pending;
-            let cap = self.throttle.replica_cap;
-            let task_replicas = &self.task_replicas;
-            view.on_task_reference_pruning(&self.index, file, |t| {
                 pending.contains(t) && cap.is_none_or(|c| task_replicas[t.index()] < c)
             });
         }

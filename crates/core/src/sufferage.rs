@@ -214,6 +214,12 @@ impl Sufferage {
         }
     }
 
+    /// The per-site views (empty where the strategy keeps none).
+    #[cfg(test)]
+    pub(crate) fn views(&self) -> &[SiteView] {
+        &self.views
+    }
+
     /// Removes an assigned/completed task from the incremental structures:
     /// one contest-set removal — the fallback ranks are repaired lazily.
     fn pool_remove(&mut self, task: TaskId) {
@@ -272,7 +278,7 @@ impl Scheduler for Sufferage {
         let tasks = self.workload.task_count();
         self.views = (0..env.sites)
             .map(|_| {
-                let mut v = SiteView::new(tasks);
+                let mut v = SiteView::new(tasks, WeightMetric::Overlap);
                 v.set_stats(self.stats.clone());
                 v
             })
@@ -295,12 +301,7 @@ impl Scheduler for Sufferage {
             }
         }
         if self.mode == EvalMode::Incremental {
-            enable_ranks(
-                &mut self.views,
-                WeightMetric::Overlap,
-                &self.index,
-                &self.pool,
-            );
+            enable_ranks(&mut self.views, &self.index, &self.pool);
         }
     }
 
@@ -363,13 +364,6 @@ impl Scheduler for Sufferage {
             if self.mode == EvalMode::Incremental {
                 self.on_site_overlap_changed(site.index(), file, -1);
             }
-        }
-    }
-
-    fn on_task_reference(&mut self, site: SiteId, file: FileId) {
-        if let Some(view) = self.views.get_mut(site.index()) {
-            let pool = &self.pool;
-            view.on_task_reference_pruning(&self.index, file, |t| pool.contains(t));
         }
     }
 

@@ -51,6 +51,16 @@ pub enum WeightMetric {
     Combined,
 }
 
+impl WeightMetric {
+    /// Whether the weight reads past references (`ref_t = Σ r_i`). Only
+    /// `Combined` does; `Overlap` and `Rest` read only `|F_t|`, so views
+    /// built for them keep no reference counters.
+    #[must_use]
+    pub fn reads_references(self) -> bool {
+        self == WeightMetric::Combined
+    }
+}
+
 impl fmt::Display for WeightMetric {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let s = match self {

@@ -54,8 +54,8 @@ pub struct WorkerCentric {
     mode: EvalMode,
     pool: TaskPool,
     index: Arc<FileIndex>,
-    /// Per-site ranked views (incremental mode only; empty in naive mode,
-    /// which probes the store on every request).
+    /// Per-site ranked views, built for `metric` (incremental mode only;
+    /// empty in naive mode, which probes the store on every request).
     views: Vec<SiteView>,
     /// Become-live journal for the lazy per-site ranks (incremental mode):
     /// requeues append here instead of broadcasting into every view.
@@ -78,22 +78,7 @@ impl WorkerCentric {
     #[must_use]
     pub fn new(workload: Arc<Workload>, metric: WeightMetric, n: usize, seed: u64) -> Self {
         let index = Arc::new(FileIndex::build(&workload));
-        let tasks = workload.task_count();
-        WorkerCentric {
-            workload,
-            metric,
-            chooser: ChooseTask::new(n),
-            mode: EvalMode::default(),
-            pool: TaskPool::full(tasks),
-            index,
-            views: Vec::new(),
-            log: PendingLog::new(),
-            combo: None,
-            rng: StdRng::seed_from_u64(derive_seed(seed, Stream::Scheduler)),
-            running: 0,
-            completed: 0,
-            stats: RankStats::default(),
-        }
+        WorkerCentric::with_index(workload, index, metric, n, seed)
     }
 
     /// Creates a scheduler sharing a pre-built [`FileIndex`] (avoids
@@ -165,6 +150,12 @@ impl WorkerCentric {
         }
     }
 
+    /// The per-site views (empty in naive mode).
+    #[cfg(test)]
+    pub(crate) fn views(&self) -> &[SiteView] {
+        &self.views
+    }
+
     /// Requeues a task (fault recovery): `O(1)` journal append plus the
     /// sparse normaliser sweep; each view re-admits it on its next read.
     fn pool_insert(&mut self, task: TaskId) {
@@ -205,7 +196,7 @@ impl Scheduler for WorkerCentric {
         }
         self.views = (0..env.sites)
             .map(|_| {
-                let mut v = SiteView::new(self.workload.task_count());
+                let mut v = SiteView::new(self.workload.task_count(), self.metric);
                 v.set_stats(self.stats.clone());
                 v
             })
@@ -224,7 +215,7 @@ impl Scheduler for WorkerCentric {
                 }
             }
         }
-        enable_ranks(&mut self.views, self.metric, &self.index, &self.pool);
+        enable_ranks(&mut self.views, &self.index, &self.pool);
     }
 
     fn on_worker_idle(&mut self, worker: WorkerId, store: &SiteStore) -> Assignment {
@@ -290,14 +281,16 @@ impl Scheduler for WorkerCentric {
         }
     }
 
-    fn on_task_reference(&mut self, site: SiteId, file: FileId) {
-        if let Some(view) = self.views.get_mut(site.index()) {
-            let pool = &self.pool;
-            view.on_task_reference_pruning(&self.index, file, |t| pool.contains(t));
-            if let Some(combo) = self.combo.as_mut() {
-                combo.on_task_reference(site.index(), &self.index, file, &self.pool);
-            }
-        }
+    fn on_files_referenced(&mut self, site: SiteId, files: &[FileId]) {
+        // Only `combined` reads references; the normalisers exist exactly
+        // when its incremental views (which track them) do.
+        let Some(combo) = self.combo.as_mut() else {
+            return;
+        };
+        let pool = &self.pool;
+        let view = &mut self.views[site.index()];
+        let pending_readers = view.on_files_referenced(&self.index, files, |t| pool.contains(t));
+        combo.on_files_referenced(site.index(), pending_readers);
     }
 
     fn unfinished(&self) -> usize {
@@ -466,6 +459,111 @@ mod tests {
             panic!("requeued task must be assignable");
         };
         assert_eq!(t, t2, "same deterministic pick after requeue");
+    }
+
+    /// Bumps `r_i` of every file in `files` at `store`, then delivers the
+    /// task start to `sched` as one batch.
+    fn start(sched: &mut WorkerCentric, site: usize, store: &mut SiteStore, files: &[FileId]) {
+        for &f in files {
+            store.record_task_reference(f);
+        }
+        sched.on_files_referenced(SiteId(site as u32), files);
+    }
+
+    /// The `combined` normalisers recomputed from the stores and the pool.
+    fn naive_totals(sched: &WorkerCentric, store: &SiteStore) -> (u64, f64) {
+        let mut total_ref = 0;
+        let mut counts = vec![0u32; 1 + sched.index.max_task_size() as usize];
+        for t in sched.pool.iter() {
+            let files = sched.workload.task(t).files();
+            total_ref += store.overlap_ref_sum(files);
+            counts[files.len() - store.overlap(files)] += 1;
+        }
+        (total_ref, crate::weight::total_rest_from_counts(counts))
+    }
+
+    #[test]
+    fn batched_reference_hook_matches_per_file_replay() {
+        use gridsched_workload::coadd::CoaddConfig;
+
+        let workload = Arc::new(CoaddConfig::small(3).generate());
+        let make = || WorkerCentric::new(Arc::clone(&workload), WeightMetric::Combined, 2, 11);
+        let (mut batched, mut replayed) = (make(), make());
+        let mut st = vec![SiteStore::new(10_000, EvictionPolicy::Lru); 2];
+        for f in workload.task(TaskId(0)).files() {
+            st[0].insert(*f);
+        }
+        for t in [1, 2] {
+            for f in workload.task(TaskId(t)).files() {
+                st[1].insert(*f);
+            }
+        }
+        batched.initialize(&env(2), &st);
+        replayed.initialize(&env(2), &st);
+        let w0 = WorkerId::new(SiteId(0), 0);
+        // A pick at site 0 leaves a stale entry at site 1, which the next
+        // reference batch there prunes; requeueing the task then makes it
+        // pending without being a site-1 rank member until that site's
+        // next read — its references must still count in `totalRef`.
+        let picked = batched.on_worker_idle(w0, &st[0]);
+        assert_eq!(picked, replayed.on_worker_idle(w0, &st[0]));
+        let Assignment::Run(lost) = picked else {
+            panic!("expected work");
+        };
+        let mut starts: Vec<(usize, Vec<FileId>)> = vec![
+            (0, workload.task(TaskId(0)).files().to_vec()),
+            (1, workload.task(TaskId(1)).files().to_vec()),
+            (1, workload.task(TaskId(2)).files().to_vec()),
+        ];
+        let shared: Vec<FileId> = workload
+            .task(lost)
+            .files()
+            .iter()
+            .copied()
+            .filter(|&f| st[1].contains(f))
+            .collect();
+        assert!(!shared.is_empty(), "the picked task reads site-1 files");
+        starts.insert(1, (1, shared.clone()));
+        starts.push((1, shared));
+        let mut st_replayed = st.clone();
+        for (i, (site, files)) in starts.iter().enumerate() {
+            if i == 2 {
+                for s in [&mut batched, &mut replayed] {
+                    assert!(s.on_worker_lost(w0, Some(lost)));
+                }
+                let rank = batched.views[1].rank().expect("incremental");
+                assert!(rank.len() < workload.task_count(), "pruned at site 1");
+            }
+            start(&mut batched, *site, &mut st[*site], files);
+            for f in files {
+                start(&mut replayed, *site, &mut st_replayed[*site], &[*f]);
+            }
+            assert_eq!(
+                format!("{:?}", batched.views),
+                format!("{:?}", replayed.views),
+                "views and marks after start {i}"
+            );
+            let combo = batched.combo.as_ref().expect("combined");
+            assert_eq!(
+                format!("{combo:?}"),
+                format!("{:?}", replayed.combo.as_ref().expect("combined"))
+            );
+            for (s, store) in st.iter().enumerate() {
+                batched.views[s].assert_consistent(&batched.index, &workload, store);
+                let (total_ref, total_rest) = combo.totals(s);
+                let (naive_ref, naive_rest) = naive_totals(&batched, store);
+                assert_eq!(total_ref, naive_ref, "totalRef at site {s} after start {i}");
+                assert_eq!(total_rest.to_bits(), naive_rest.to_bits());
+            }
+        }
+        // Both keep deciding alike.
+        let w1 = WorkerId::new(SiteId(1), 0);
+        for _ in 0..5 {
+            assert_eq!(
+                batched.on_worker_idle(w1, &st[1]),
+                replayed.on_worker_idle(w1, &st_replayed[1])
+            );
+        }
     }
 
     #[test]

@@ -1391,8 +1391,9 @@ impl GridSim {
         let files: Vec<FileId> = self.config.workload.task(task).files().to_vec();
         for &f in &files {
             self.stores[site].record_task_reference(f);
-            self.scheduler.on_task_reference(SiteId(site as u32), f);
         }
+        self.scheduler
+            .on_files_referenced(SiteId(site as u32), &files);
         self.maybe_replicate(&files, site);
 
         // Checkpoint restore: a re-executed task resumes from its latest
