@@ -20,8 +20,8 @@
 //! * `net_swap` — the fluid engine `NetSim` with one flow per site over the
 //!   paper topology. Each step finishes the earliest completion, starts its
 //!   successor on the same route and asks for the next completion: the
-//!   flow-table and readback cost a `FlowDone` event pays, with the fill
-//!   itself skipped;
+//!   flow-table and completion-heap cost a `FlowDone` event pays, with the
+//!   fill itself skipped (320 flows widen the topology to 320 sites);
 //! * `event_queue_hold` — the event queue under the classic hold model: a
 //!   constant population where each step pops the earliest event and
 //!   pushes a successor, and one step in four also cancels and re-pushes a
@@ -112,10 +112,14 @@ fn bench_solver_churn(c: &mut Criterion) {
 }
 
 fn bench_net_swap(c: &mut Criterion) {
-    let topology = generate(&TiersConfig::paper(7));
     let mut group = c.benchmark_group("net_swap");
-    for flows in [5usize, 20, 80] {
+    for flows in [5usize, 20, 80, 320] {
         const BYTES: f64 = 25e6;
+        // The paper topology has 90 sites; a larger case widens every MAN
+        // the way `perf_scale` does, so each flow still has its own site.
+        let mut config = TiersConfig::paper(7);
+        config.sites_per_man = config.sites_per_man.max(flows.div_ceil(config.mans));
+        let topology = generate(&config);
         let mut net = NetSim::new(topology.graph.bandwidths());
         for site in 0..flows {
             let route = topology.routes.site_to_file_server(site);

@@ -4,7 +4,7 @@
 //! The owner drives it with wall-clock-style calls:
 //!
 //! 1. [`NetSim::start_flow`] / [`NetSim::cancel_flow`] / [`NetSim::finish_flow`]
-//!    mutate the flow set (each call first advances fluid state to `now`,
+//!    mutate the flow set (each call first moves the engine clock to `now`,
 //!    then marks the allocation dirty — rates are recomputed lazily at the
 //!    next observation point),
 //! 2. [`NetSim::next_completion`] reports when the earliest active flow will
@@ -14,6 +14,36 @@
 //! A flow's lifetime is `latency + bytes / rate(t)`: the latency phase
 //! elapses first (propagation), then bytes drain at the flow's current
 //! max–min rate.
+//!
+//! # Rate epochs
+//!
+//! No call drains every flow. Each flow records `start` (its start time
+//! plus latency, when bytes may begin to drain), `epoch` (when its current
+//! rate took effect), `bytes_at_epoch` (bytes left at `max(epoch, start)`)
+//! and its rate, so the bytes left at any `t` are
+//!
+//! ```text
+//! remaining(t) = bytes_at_epoch − rate · (t − max(epoch, start))   (≥ 0)
+//! ```
+//!
+//! and its completion instant `max(epoch, start) + bytes_at_epoch / rate`
+//! (`start` for a co-located flow at rate `+∞`, never for a stalled flow
+//! at rate `0`) is cached and filed in a min-heap keyed by
+//! `(eta, creation ordinal)`. The drain is materialised only where someone
+//! looks:
+//!
+//! * [`NetSim::cancel_flow`] returns `remaining(now)`;
+//! * [`NetSim::finish_flow`] checks that `remaining(now)` is within its
+//!   slack;
+//! * a solve that changes a flow's rate re-bases that flow at `now`
+//!   (`bytes_at_epoch = remaining(now)`, `epoch = now`) and re-files its
+//!   completion in the heap.
+//!
+//! A solve that leaves a flow's rate bit-identical leaves its epoch and
+//! completion alone, and a skipped solve (a same-route swap, see
+//! [`MaxMinSolver`]) reads only the flows started since the last one. A
+//! file hop — finish one flow, start the next on the same route, ask for
+//! the next completion — therefore costs `O(log flows)`.
 //!
 //! Each flow carries a caller tag (what the transfer is for), handed back
 //! by [`NetSim::finish_flow`] and listed by [`NetSim::flows`], so the owner
@@ -34,7 +64,7 @@ pub struct FlowId {
     /// Creation ordinal, unique over the engine's lifetime.
     ord: u64,
     /// The flow's solver slot, which is also its index in the engine's
-    /// slot table; reused once the flow is gone.
+    /// slot tables; reused once the flow is gone.
     slot: u32,
 }
 
@@ -53,24 +83,143 @@ const NO_FLOW: u32 = u32::MAX;
 #[derive(Debug, Clone)]
 struct FlowState<T> {
     id: FlowId,
-    remaining_latency_s: f64,
-    remaining_bytes: f64,
+    /// When the flow's bytes may begin to drain: start time plus latency.
+    start: SimTime,
+    /// When the flow's current rate took effect.
+    epoch: SimTime,
+    /// Bytes left at `max(epoch, start)`.
+    bytes_at_epoch: f64,
     rate_bps: f64,
+    /// Completion instant under the current rate (the heap key).
+    eta: SimTime,
     tag: T,
 }
 
 impl<T> FlowState<T> {
-    /// Absolute completion time if the rate never changes again.
-    fn eta(&self, now: SimTime) -> SimTime {
+    /// The instant the current rate starts draining bytes.
+    fn drain_from(&self) -> SimTime {
+        self.epoch.max(self.start)
+    }
+
+    /// Bytes not yet delivered at `t` (`t` no earlier than `epoch`).
+    fn remaining_at(&self, t: SimTime) -> f64 {
+        if self.rate_bps.is_infinite() && t >= self.start {
+            // Co-located endpoints: the payload arrives with the latency
+            // edge itself.
+            return 0.0;
+        }
+        let from = self.drain_from();
+        if t <= from {
+            return self.bytes_at_epoch;
+        }
+        (self.bytes_at_epoch - self.rate_bps * (t - from).as_secs()).max(0.0)
+    }
+
+    /// Completion instant if the rate never changes again.
+    fn completion(&self) -> SimTime {
         if self.rate_bps.is_infinite() {
-            return now + SimDuration::from_secs(self.remaining_latency_s);
+            return self.start;
         }
         if self.rate_bps <= 0.0 {
+            // Stalled by a down link on the route: no reachable completion.
             return SimTime::FAR_FUTURE;
         }
-        now + SimDuration::from_secs(
-            self.remaining_latency_s + self.remaining_bytes / self.rate_bps,
-        )
+        self.drain_from() + SimDuration::from_secs(self.bytes_at_epoch / self.rate_bps)
+    }
+}
+
+/// `(eta, id)` order on heap entries, with plain float compares: ETAs are
+/// never NaN, and ids are unique, so creation ordinals break every tie.
+#[inline]
+fn earlier(a: (SimTime, FlowId), b: (SimTime, FlowId)) -> bool {
+    let (x, y) = (a.0.as_secs(), b.0.as_secs());
+    x < y || (x == y && a.1.ord < b.1.ord)
+}
+
+/// Indexed binary min-heap of active flows keyed by `(eta, id)`; `at[slot]`
+/// is the heap index of the flow in solver slot `slot`.
+#[derive(Debug, Default)]
+struct EtaHeap {
+    entries: Vec<(SimTime, FlowId)>,
+    at: Vec<u32>,
+}
+
+impl EtaHeap {
+    fn peek(&self) -> Option<(SimTime, FlowId)> {
+        self.entries.first().copied()
+    }
+
+    fn push(&mut self, eta: SimTime, id: FlowId) {
+        let s = id.slot as usize;
+        if s >= self.at.len() {
+            self.at.resize(s + 1, 0);
+        }
+        self.entries.push((eta, id));
+        self.sift_up(self.entries.len() - 1);
+    }
+
+    /// Re-keys `id`'s entry to `eta`.
+    fn update(&mut self, id: FlowId, eta: SimTime) {
+        let i = self.at[id.slot as usize] as usize;
+        let old = self.entries[i].0;
+        self.entries[i].0 = eta;
+        if eta.as_secs() < old.as_secs() {
+            self.sift_up(i);
+        } else {
+            self.sift_down(i);
+        }
+    }
+
+    fn remove(&mut self, id: FlowId) {
+        let i = self.at[id.slot as usize] as usize;
+        let last = self.entries.pop().expect("flow is filed");
+        if i < self.entries.len() {
+            let old = self.entries[i];
+            self.entries[i] = last;
+            if earlier(last, old) {
+                self.sift_up(i);
+            } else {
+                self.sift_down(i);
+            }
+        }
+    }
+
+    fn sift_up(&mut self, mut i: usize) {
+        let entry = self.entries[i];
+        while i > 0 {
+            let parent = (i - 1) / 2;
+            if !earlier(entry, self.entries[parent]) {
+                break;
+            }
+            self.place(i, self.entries[parent]);
+            i = parent;
+        }
+        self.place(i, entry);
+    }
+
+    fn sift_down(&mut self, mut i: usize) {
+        let entry = self.entries[i];
+        let n = self.entries.len();
+        loop {
+            let mut child = 2 * i + 1;
+            if child >= n {
+                break;
+            }
+            if child + 1 < n && earlier(self.entries[child + 1], self.entries[child]) {
+                child += 1;
+            }
+            if !earlier(self.entries[child], entry) {
+                break;
+            }
+            self.place(i, self.entries[child]);
+            i = child;
+        }
+        self.place(i, entry);
+    }
+
+    fn place(&mut self, i: usize, entry: (SimTime, FlowId)) {
+        self.at[entry.1.slot as usize] = i as u32;
+        self.entries[i] = entry;
     }
 }
 
@@ -79,23 +228,27 @@ impl<T> FlowState<T> {
 ///
 /// Rates are recomputed **lazily**: flow mutations only mark the
 /// allocation dirty, and the recompute runs at the next point the rates
-/// are observable — a time advance that must drain bytes, or a
+/// are observable — a clock move past the mutation instant, or a
 /// [`NetSim::next_completion`] / [`NetSim::rate_of`] query. Same-instant
 /// mutation bursts (a batch finishing one fetch and starting the next)
-/// therefore cost one recompute instead of one per mutation, with
-/// bit-identical results: rates are a pure function of the flow set and
-/// the drained state, both of which are unchanged while the clock stands
-/// still. When the burst replaced each finished flow with one on the same
-/// route, the route multiset is unchanged too, and the solver skips the
-/// fill entirely (see [`MaxMinSolver`]); only the per-flow readback runs.
+/// therefore cost one recompute instead of one per mutation: rates are a
+/// pure function of the flow set and the link states, neither of which
+/// changes while the clock stands still, and a rate read back at the
+/// burst's instant takes effect from that instant. When the burst
+/// replaced each finished flow with one on the same route, the route
+/// multiset is unchanged too, and the solver skips the fill entirely (see
+/// [`MaxMinSolver`]); only the flows started in the burst read their rate.
+///
+/// Bytes drain per rate epoch, not per event (see the
+/// [module docs](self)): the clock advance itself touches no flow.
 ///
 /// **No hashing, no tree.** Active flows live in a dense array visited in
 /// whatever order removals left it; a slot table indexed by the solver's
 /// (dense, reused) slot finds a flow's position in O(1), and the id's
 /// creation ordinal rejects stale ids. The visit order cannot change any
-/// result: the solver's rates do not depend on it, each flow's drain is
-/// independent of the others, and the earliest completion is a minimum
-/// over the total order `(eta, id)`. Only the running
+/// result: the solver's rates do not depend on it, each flow's epoch is
+/// independent of the others, and the earliest completion is the minimum
+/// over the total order `(eta, id)` that the heap keeps. Only the running
 /// [`NetSim::bytes_delivered`] total sums in a different order.
 ///
 /// See the [crate docs](crate) for an end-to-end example.
@@ -106,18 +259,21 @@ pub struct NetSim<T> {
     /// Per solver slot: the position of its flow in `flows`, or
     /// [`NO_FLOW`].
     pos: Vec<u32>,
+    /// Every active flow keyed by its cached completion instant.
+    etas: EtaHeap,
+    /// Flows started since the last rate readback: the only ones a
+    /// skipped solve has to read.
+    fresh: Vec<FlowId>,
     next_ord: u64,
     last_update: SimTime,
-    /// Whether the flow set changed since the last rate recompute.
+    /// Whether the flow set or a link changed since the last rate
+    /// readback.
     dirty: bool,
-    /// Earliest completion cached by the last recompute; invalidated by
-    /// time advances (the ETA expression would be re-evaluated from
-    /// drained state with different rounding).
-    cached_next: Option<(SimTime, FlowId)>,
     /// Incremental max–min solver: flows register on start and deregister
     /// on finish/cancel, so a recompute rebuilds nothing.
     solver: MaxMinSolver,
-    /// Total bytes fully delivered by finished flows (stats).
+    /// Bytes drained so far, booked when a flow is re-based, cancelled
+    /// or finished (stats).
     bytes_delivered: f64,
     /// Number of flows finished (stats).
     flows_finished: u64,
@@ -142,17 +298,17 @@ impl<T> NetSim<T> {
             solver: MaxMinSolver::new(capacities),
             flows: Vec::new(),
             pos: Vec::new(),
+            etas: EtaHeap::default(),
+            fresh: Vec::new(),
             next_ord: 0,
             last_update: SimTime::ZERO,
             dirty: false,
-            cached_next: None,
             bytes_delivered: 0.0,
             flows_finished: 0,
             recomputes: Counter::disabled(),
             touched_flows: Histogram::disabled(),
         }
     }
-
     /// Installs hot-path instrument handles (recompute count, flows
     /// touched per recompute). Recording through inert handles — the
     /// default — is a no-op; attaching never changes any rate or ETA.
@@ -176,8 +332,8 @@ impl<T> NetSim<T> {
     /// Marks `link` down at `now`: every flow crossing it stalls at rate
     /// `0.0` (its ETA becomes unreachable — it never surfaces from
     /// [`NetSim::next_completion`]) and stops consuming capacity on the
-    /// rest of its route. Fluid state is drained up to `now` first, so
-    /// bytes moved before the outage stay moved.
+    /// rest of its route. Bytes moved before the outage stay moved: the
+    /// rate change re-bases each crossing flow at `now`.
     ///
     /// # Panics
     ///
@@ -186,7 +342,7 @@ impl<T> NetSim<T> {
     pub fn set_link_down(&mut self, now: SimTime, link: EdgeId) {
         self.advance_to(now);
         self.solver.set_link_down(link.index());
-        self.mark_dirty();
+        self.dirty = true;
     }
 
     /// Brings `link` back up at `now`; flows stalled solely by it resume
@@ -199,7 +355,7 @@ impl<T> NetSim<T> {
     pub fn set_link_up(&mut self, now: SimTime, link: EdgeId) {
         self.advance_to(now);
         self.solver.set_link_up(link.index());
-        self.mark_dirty();
+        self.dirty = true;
     }
 
     /// Sets `link`'s effective capacity to `base × factor` at `now` (a
@@ -213,7 +369,7 @@ impl<T> NetSim<T> {
     pub fn set_link_capacity_factor(&mut self, now: SimTime, link: EdgeId, factor: f64) {
         self.advance_to(now);
         self.solver.set_link_capacity_factor(link.index(), factor);
-        self.mark_dirty();
+        self.dirty = true;
     }
 
     /// Number of links currently down.
@@ -290,14 +446,20 @@ impl<T> NetSim<T> {
         }
         debug_assert_eq!(self.pos[s], NO_FLOW, "solver handed out a live slot");
         self.pos[s] = self.flows.len() as u32;
+        // Rate 0 until the next readback: no completion yet, and nothing
+        // drains before the readback (it happens at this instant).
         self.flows.push(FlowState {
             id,
-            remaining_latency_s: latency_s,
-            remaining_bytes: bytes,
+            start: now + SimDuration::from_secs(latency_s),
+            epoch: now,
+            bytes_at_epoch: bytes,
             rate_bps: 0.0,
+            eta: SimTime::FAR_FUTURE,
             tag,
         });
-        self.mark_dirty();
+        self.etas.push(SimTime::FAR_FUTURE, id);
+        self.fresh.push(id);
+        self.dirty = true;
         id
     }
 
@@ -307,8 +469,10 @@ impl<T> NetSim<T> {
     pub fn cancel_flow(&mut self, now: SimTime, id: FlowId) -> Option<f64> {
         self.advance_to(now);
         let state = self.remove(id)?;
-        self.mark_dirty();
-        Some(state.remaining_bytes)
+        let left = state.remaining_at(now);
+        self.bytes_delivered += state.bytes_at_epoch - left;
+        self.dirty = true;
+        Some(left)
     }
 
     /// Marks the flow finished at `now` and returns its tag. The engine
@@ -319,21 +483,26 @@ impl<T> NetSim<T> {
     /// # Panics
     ///
     /// Panics if the flow is unknown or demonstrably unfinished (more than
-    /// a relative `1e-6` of its bytes left).
+    /// `1e-3` bytes or `1e-9` s of latency left).
     pub fn finish_flow(&mut self, now: SimTime, id: FlowId) -> T {
         self.advance_to(now);
         let state = self
             .remove(id)
             .unwrap_or_else(|| panic!("finish_flow: unknown flow {id:?}"));
-        let slack = state.remaining_bytes.max(0.0);
+        let latency_left = if now < state.start {
+            (state.start - now).as_secs()
+        } else {
+            0.0
+        };
+        let slack = state.remaining_at(now);
         assert!(
-            state.remaining_latency_s <= 1e-9 && slack <= 1e-3,
-            "finish_flow called on unfinished flow {id:?}: {slack} bytes / {}s latency left",
-            state.remaining_latency_s
+            latency_left <= 1e-9 && slack <= 1e-3,
+            "finish_flow called on unfinished flow {id:?}: {slack} bytes / {latency_left}s latency left",
         );
-        self.bytes_delivered += slack; // account the numerically-lost tail
+        // The drain since the flow's epoch, plus the numerically-lost tail.
+        self.bytes_delivered += state.bytes_at_epoch;
         self.flows_finished += 1;
-        self.mark_dirty();
+        self.dirty = true;
         state.tag
     }
 
@@ -343,10 +512,12 @@ impl<T> NetSim<T> {
         if self.dirty {
             self.recompute_rates();
         }
-        if self.cached_next.is_none() {
-            self.cached_next = self.scan_next_completion();
-        }
-        self.cached_next
+        // Stalled flows (down link on the route) file at `FAR_FUTURE`, after
+        // every reachable completion: they wait for recovery, cancellation,
+        // or a transfer-guard timeout, never for a completion event.
+        self.etas
+            .peek()
+            .filter(|&(eta, _)| eta < SimTime::FAR_FUTURE)
     }
 
     /// Current max–min rate of a flow in bytes/second, if active.
@@ -376,7 +547,7 @@ impl<T> NetSim<T> {
         (p != NO_FLOW && self.flows[p as usize].id == id).then_some(p as usize)
     }
 
-    /// Unlinks an active flow from the table and the solver.
+    /// Unlinks an active flow from the table, the heap and the solver.
     fn remove(&mut self, id: FlowId) -> Option<FlowState<T>> {
         let p = self.position(id)?;
         self.pos[id.slot as usize] = NO_FLOW;
@@ -384,26 +555,9 @@ impl<T> NetSim<T> {
         if let Some(moved) = self.flows.get(p) {
             self.pos[moved.id.slot as usize] = p as u32;
         }
+        self.etas.remove(id);
         self.solver.remove_flow(id.slot);
         Some(state)
-    }
-
-    fn mark_dirty(&mut self) {
-        self.dirty = true;
-        self.cached_next = None;
-    }
-
-    fn scan_next_completion(&self) -> Option<(SimTime, FlowId)> {
-        debug_assert!(!self.dirty, "scan over unreconciled rates");
-        self.flows
-            .iter()
-            .map(|f| (f.eta(self.last_update), f.id))
-            // Stalled flows (down link on the route) have no reachable
-            // completion — they wait for recovery, cancellation, or a
-            // transfer-guard timeout, never for a completion event.
-            .filter(|&(eta, _)| eta < SimTime::FAR_FUTURE)
-            // Deterministic tie-break on flow id (creation order).
-            .min()
     }
 
     /// Number of active flows.
@@ -412,7 +566,9 @@ impl<T> NetSim<T> {
         self.flows.len()
     }
 
-    /// Total bytes delivered by finished flows.
+    /// Total bytes drained so far: every finished flow's bytes, the
+    /// delivered part of every cancelled flow, and what active flows
+    /// drained before their last rate change.
     #[must_use]
     pub fn bytes_delivered(&self) -> f64 {
         self.bytes_delivered
@@ -424,7 +580,10 @@ impl<T> NetSim<T> {
         self.flows_finished
     }
 
-    /// Advances fluid state (latency count-down, byte drain) to `now`.
+    /// Moves the engine clock to `now`. No flow drains here; rates
+    /// deferred by a same-instant mutation burst are read back first, so
+    /// they take effect at the burst's instant exactly as an eager
+    /// recompute would have applied them.
     ///
     /// # Panics
     ///
@@ -435,68 +594,81 @@ impl<T> NetSim<T> {
             "NetSim driven backwards: now={now:?} last={:?}",
             self.last_update
         );
-        let dt = (now - self.last_update).as_secs();
-        self.last_update = now;
-        if dt == 0.0 || self.flows.is_empty() {
-            return;
-        }
-        // Rates deferred by a same-instant mutation burst become
-        // observable now: the interval being drained starts at the burst's
-        // instant, so reconciling here drains with exactly the rates an
-        // eager recompute would have assigned then.
-        if self.dirty {
+        if now > self.last_update && self.dirty && !self.flows.is_empty() {
             self.recompute_rates();
         }
-        self.cached_next = None;
-        for f in &mut self.flows {
-            let mut local_dt = dt;
-            if f.remaining_latency_s > 0.0 {
-                let consumed = f.remaining_latency_s.min(local_dt);
-                f.remaining_latency_s -= consumed;
-                local_dt -= consumed;
-            }
-            if f.remaining_latency_s <= 0.0 && f.rate_bps.is_infinite() {
-                // Co-located endpoints: the payload arrives with the
-                // latency edge itself.
-                self.bytes_delivered += f.remaining_bytes;
-                f.remaining_bytes = 0.0;
-            } else if local_dt > 0.0 {
-                let drained = (f.rate_bps * local_dt).min(f.remaining_bytes);
-                f.remaining_bytes -= drained;
-                self.bytes_delivered += drained;
-            }
-        }
+        self.last_update = now;
     }
 
     /// Recomputes the max–min fair allocation for the current flow set,
-    /// without allocating. The solver skips the fill when the flow set
-    /// only swapped finished flows for new ones on the same routes; the
-    /// readback still runs, since the new flows need their rates and the
-    /// earliest completion changed.
+    /// without allocating, and re-bases every flow whose rate changed. The
+    /// solver skips the fill when the flow set only swapped finished flows
+    /// for new ones on the same routes; then only the new flows read their
+    /// rate.
     fn recompute_rates(&mut self) {
         self.dirty = false;
-        if self.flows.is_empty() {
-            return;
-        }
-        if self.solver.solve() {
-            self.recomputes.incr();
-            self.touched_flows.record(self.flows.len() as u64);
-        }
-        // Fold the earliest-completion search into the readback pass: the
-        // same (eta, id) minimum the scan would take, computed while the
-        // flows are already being visited.
-        let now = self.last_update;
-        let mut next: Option<(SimTime, FlowId)> = None;
-        for f in &mut self.flows {
-            f.rate_bps = self.solver.rate(f.id.slot);
-            let eta = f.eta(now);
-            // Stalled flows never surface as a completion (see
-            // `scan_next_completion`).
-            if eta < SimTime::FAR_FUTURE && next.is_none_or(|best| (eta, f.id) < best) {
-                next = Some((eta, f.id));
+        if !self.flows.is_empty() {
+            if self.solver.solve() {
+                self.recomputes.incr();
+                self.touched_flows.record(self.flows.len() as u64);
+                for p in 0..self.flows.len() {
+                    self.read_rate(p);
+                }
+            } else {
+                for i in 0..self.fresh.len() {
+                    if let Some(p) = self.position(self.fresh[i]) {
+                        self.read_rate(p);
+                    }
+                }
             }
         }
-        self.cached_next = next;
+        self.fresh.clear();
+    }
+
+    /// Reads back the solved rate of the flow at `p`. A changed rate
+    /// re-bases the flow at the engine clock and re-files its completion;
+    /// a bit-identical one leaves the flow untouched.
+    fn read_rate(&mut self, p: usize) {
+        let now = self.last_update;
+        let f = &mut self.flows[p];
+        let rate = self.solver.rate(f.id.slot);
+        if rate.to_bits() == f.rate_bps.to_bits() {
+            return;
+        }
+        let left = f.remaining_at(now);
+        self.bytes_delivered += f.bytes_at_epoch - left;
+        f.bytes_at_epoch = left;
+        f.epoch = now;
+        f.rate_bps = rate;
+        f.eta = f.completion();
+        self.etas.update(f.id, f.eta);
+    }
+
+    /// The cached completion instant of an active flow.
+    #[cfg(test)]
+    pub(crate) fn eta_of(&self, id: FlowId) -> Option<SimTime> {
+        self.position(id).map(|p| self.flows[p].eta)
+    }
+
+    /// Checks the heap exactly: every entry satisfies the heap order and
+    /// is indexed from its slot, the entries are the active flows' cached
+    /// `(eta, id)` pairs, and the top is the minimum of a linear scan.
+    #[cfg(test)]
+    pub(crate) fn assert_heap_consistent(&self) {
+        let entries = &self.etas.entries;
+        assert_eq!(entries.len(), self.flows.len());
+        for (i, &(eta, id)) in entries.iter().enumerate() {
+            assert_eq!(
+                self.etas.at[id.slot as usize] as usize, i,
+                "heap index of {id:?}"
+            );
+            assert_eq!(self.eta_of(id), Some(eta), "heap key of {id:?}");
+            if i > 0 {
+                assert!(entries[(i - 1) / 2] <= entries[i], "heap order at {i}");
+            }
+        }
+        let scan = self.flows.iter().map(|f| (f.eta, f.id)).min();
+        assert_eq!(self.etas.peek(), scan, "heap top vs linear scan");
     }
 }
 
@@ -660,7 +832,7 @@ mod tests {
         assert_eq!(id, b);
         assert_ne!(id, c);
         // Advancing the clock without changing the flow set (a stale
-        // cancel) re-derives the earliest completion by a fresh scan.
+        // cancel) leaves the filed completions as they are.
         assert_eq!(net.cancel_flow(t(1.0), a), None);
         let (_, id) = net.next_completion().unwrap();
         assert_eq!(id, b);
@@ -689,6 +861,33 @@ mod tests {
         assert_eq!(net.cancel_flow(t(1.0), a), None);
         assert_eq!(net.tag(c), Some(&'c'));
         assert_eq!(net.tag(b), Some(&'b'));
+    }
+
+    #[test]
+    fn disjoint_churn_leaves_an_unrelated_eta_bit_identical() {
+        // `a` runs alone on link 0 while flows come and go on links 1 and
+        // 2: new routes force full solves, same-route swaps skip them, and
+        // neither may re-base `a` (its rate never changes).
+        let mut net = NetSim::new(vec![3.0, 7.0, 5.0]);
+        let a = net.start_flow(SimTime::ZERO, &[e(0)], 100.0, 0.25, ());
+        assert_eq!(net.next_completion().map(|c| c.1), Some(a));
+        let eta_a = net.eta_of(a).unwrap();
+        let mut now = t(1.1);
+        let routes: [&[EdgeId]; 4] = [&[e(1)], &[e(1), e(2)], &[e(1), e(2)], &[e(2)]];
+        for (i, route) in routes.into_iter().enumerate() {
+            let f = net.start_flow(now, route, 10.0 + i as f64, 0.0, ());
+            assert!(net.next_completion().is_some());
+            assert_eq!(
+                net.eta_of(a).map(|t| t.as_secs().to_bits()),
+                Some(eta_a.as_secs().to_bits())
+            );
+            now = net.eta_of(f).unwrap();
+            net.finish_flow(now, f);
+            net.assert_heap_consistent();
+        }
+        assert_eq!(net.next_completion(), Some((eta_a, a)));
+        net.finish_flow(eta_a, a);
+        assert!((net.bytes_delivered() - 146.0).abs() < 1e-9);
     }
 
     #[test]

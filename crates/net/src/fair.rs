@@ -161,8 +161,10 @@ pub fn max_min_rates(capacities: &[f64], flow_routes: &[Vec<usize>]) -> Vec<f64>
 /// deregistered at once, but its route and last-solved rate are kept until
 /// the next solve — and a [`MaxMinSolver::add_flow`] over an equal route
 /// revives a parked slot with that rate, which is still exact. Only an
-/// unmatched add, a link down/up or a capacity change marks the solver
-/// dirty; [`MaxMinSolver::solve`] does no work (and says so) when nothing
+/// unmatched add, or a link down/up or capacity change on a link that a
+/// registered or parked flow crosses, marks the solver dirty (rates depend
+/// on no other link); [`MaxMinSolver::solve`] does no work (and says so)
+/// when nothing
 /// is dirty and no slot is still parked, i.e. when every removal since the
 /// last solve was replaced on the same route.
 #[derive(Debug)]
@@ -403,7 +405,7 @@ impl MaxMinSolver {
         assert!(!self.down[l], "link {l} already down");
         self.down[l] = true;
         self.down_count += 1;
-        self.dirty = true;
+        self.dirty |= self.link_in_use(l);
         for i in 0..self.link_flows[l].len() {
             let s = self.link_flows[l][i] as usize;
             if self.stalled_by[s] == 0 {
@@ -427,7 +429,7 @@ impl MaxMinSolver {
         assert!(self.down[l], "link {l} is not down");
         self.down[l] = false;
         self.down_count -= 1;
-        self.dirty = true;
+        self.dirty |= self.link_in_use(l);
         for i in 0..self.link_flows[l].len() {
             let s = self.link_flows[l][i] as usize;
             self.stalled_by[s] -= 1;
@@ -453,7 +455,7 @@ impl MaxMinSolver {
             factor > 0.0 && factor <= 1.0 && factor.is_finite(),
             "degrade factor must be in (0, 1]: {factor}"
         );
-        self.dirty = true;
+        self.dirty |= self.link_in_use(l);
         self.capacities[l] = if factor == 1.0 {
             self.base_capacities[l]
         } else {
@@ -466,6 +468,18 @@ impl MaxMinSolver {
                 .expect("finite capacities")
                 .then(a.cmp(&b))
         });
+    }
+
+    /// Whether a registered flow crosses link `l`, or a parked slot
+    /// whose last-solved rate a same-route add could revive does. Rates
+    /// depend only on the links such flows cross, so a state change on any
+    /// other link leaves every rate as it is and needs no solve.
+    fn link_in_use(&self, l: usize) -> bool {
+        !self.link_flows[l].is_empty()
+            || self
+                .parked
+                .iter()
+                .any(|&p| self.routes[p as usize].contains(&(l as u32)))
     }
 
     /// Whether link `l` is currently down.
@@ -981,6 +995,31 @@ mod tests {
     }
 
     #[test]
+    fn link_event_no_flow_crosses_skips_the_solve() {
+        let caps = vec![10.0, 6.0, 30.0];
+        let mut s = MaxMinSolver::new(caps);
+        let a = s.add_flow([0]);
+        assert!(s.solve());
+        s.set_link_down(1);
+        assert!(!s.solve(), "no flow crosses link 1");
+        assert!(s.is_link_down(1));
+        s.set_link_up(1);
+        s.set_link_capacity_factor(2, 0.5);
+        assert!(!s.solve(), "no flow crosses links 1 or 2");
+        assert_eq!(s.rate(a).to_bits(), 10.0f64.to_bits());
+        // The link state was still recorded: a flow that arrives later
+        // sees the degraded capacity, and one over a down link stalls.
+        let b = s.add_flow([2]);
+        assert!(s.solve());
+        assert_eq!(s.rate(b).to_bits(), 15.0f64.to_bits());
+        s.set_link_down(1);
+        let c = s.add_flow([1]);
+        assert!(s.solve());
+        assert!(s.flow_stalled(c));
+        assert_eq!(s.rate(c).to_bits(), 0.0f64.to_bits());
+    }
+
+    #[test]
     fn route_change_or_link_event_forces_a_solve() {
         let caps = vec![10.0, 6.0, 30.0];
         let mut s = MaxMinSolver::new(caps.clone());
@@ -1133,8 +1172,9 @@ mod proptests {
         /// before several adds — interleaved with link down/up and degrade
         /// toggles. After each burst the solver is bit-identical to the
         /// specification over the live non-stalled flows, reports no work
-        /// only when the route multiset and the link state are unchanged,
-        /// and always skips a burst of pure same-route swaps.
+        /// only when the route multiset and the state of every link a flow
+        /// crosses are unchanged, and always skips a burst of pure
+        /// same-route swaps.
         #[test]
         fn solver_churn_without_intermediate_solves(
             (caps, pool, initial) in (2usize..7).prop_flat_map(|n_links| {
@@ -1170,13 +1210,17 @@ mod proptests {
             };
             let mut solved_routes = sorted_routes(&live);
             for burst in &bursts {
+                // Whether a link event hit a link that a live flow, or one
+                // removed in this burst (a parked slot), crosses.
                 let mut link_event = false;
+                let mut gone: Vec<Vec<usize>> = Vec::new();
                 let only_same_route_swaps = burst.iter().all(|&(kind, _, _)| kind == 0);
                 for &(kind, a, b) in burst {
                     match kind {
                         0 | 1 if !live.is_empty() => {
                             let (slot, route) = live.swap_remove(a % live.len());
                             solver.remove_flow(slot);
+                            gone.push(route.clone());
                             let route = if kind == 0 { route } else { pool[b % pool.len()].clone() };
                             live.push((solver.add_flow(&route), route));
                         }
@@ -1186,6 +1230,7 @@ mod proptests {
                             for j in 0..n {
                                 let (slot, route) = live.swap_remove((a + j) % live.len());
                                 solver.remove_flow(slot);
+                                gone.push(route.clone());
                                 removed.push(route);
                             }
                             // Re-add in reverse; an odd `b` replaces the
@@ -1204,24 +1249,25 @@ mod proptests {
                             live.push((solver.add_flow(&route), route));
                         }
                         4 if !live.is_empty() => {
-                            let (slot, _) = live.swap_remove(a % live.len());
+                            let (slot, route) = live.swap_remove(a % live.len());
                             solver.remove_flow(slot);
+                            gone.push(route);
                         }
                         5 => {
                             let l = b % n_links;
+                            link_event |= live.iter().map(|(_, r)| r).chain(&gone).any(|r| r.contains(&l));
                             if down[l] {
                                 solver.set_link_up(l);
                             } else {
                                 solver.set_link_down(l);
                             }
                             down[l] = !down[l];
-                            link_event = true;
                         }
                         6 => {
                             let l = b % n_links;
+                            link_event |= live.iter().map(|(_, r)| r).chain(&gone).any(|r| r.contains(&l));
                             degraded[l] = !degraded[l];
                             solver.set_link_capacity_factor(l, if degraded[l] { 0.25 } else { 1.0 });
-                            link_event = true;
                         }
                         _ => {}
                     }
@@ -1229,7 +1275,7 @@ mod proptests {
                 let ran = solver.solve();
                 let now_routes = sorted_routes(&live);
                 if !ran {
-                    prop_assert!(!link_event, "skipped a solve after a link event");
+                    prop_assert!(!link_event, "skipped a solve after an event on a used link");
                     prop_assert_eq!(&now_routes, &solved_routes);
                 }
                 if only_same_route_swaps {

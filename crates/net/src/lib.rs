@@ -10,13 +10,18 @@
 //! * [`fair::max_min_rates`] — the progressive-filling specification,
 //! * [`fair::MaxMinSolver`] — its bit-identical hot-path implementation
 //!   (incremental flow registration, no per-recompute allocation),
-//! * [`NetSim`] — the stateful engine: start/cancel flows, advance fluid
-//!   state, query the next completion instant. Each flow carries a caller
-//!   tag (the grid simulator tags it with what the transfer is for), and
-//!   the flow table is a dense array with a slot table — no hashing, no
-//!   ordered map. Its visit order is unspecified and cannot change a
-//!   result: rates come from the solver, each flow drains independently,
-//!   and the next completion is a minimum over `(eta, creation ordinal)`.
+//! * [`NetSim`] — the stateful engine: start/cancel/finish flows and query
+//!   the next completion instant. Each flow carries a caller tag (the grid
+//!   simulator tags it with what the transfer is for), and the flow table
+//!   is a dense array with a slot table — no hashing, no ordered map.
+//!   Bytes drain per **rate epoch**: a flow keeps the bytes it had left
+//!   when its current rate took effect, and `remaining(t) = bytes_at_epoch
+//!   − rate · (t − max(epoch, start))` is evaluated only by a cancel, a
+//!   finish's drained-check, or a solve that changes that flow's rate
+//!   (which re-bases it at that instant). Completion instants are cached
+//!   per flow and kept in a min-heap keyed by `(eta, creation ordinal)`,
+//!   so a file hop whose solve is skipped costs `O(log flows)` and no
+//!   clock advance visits every flow (see [`engine`]).
 //!
 //! The engine is deliberately decoupled from the event queue: the caller
 //! (the grid simulator) owns the clock, asks [`NetSim::next_completion`]

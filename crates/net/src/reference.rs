@@ -1,10 +1,14 @@
-//! The ordered-map flow engine [`NetSim`] replaced, kept as a test oracle.
+//! The per-interval flow engine [`NetSim`] replaced, kept as a test oracle.
 //!
 //! [`RefNetSim`] stores active flows in a `BTreeMap` keyed by creation
-//! ordinal and visits them in ascending order. [`crate::NetSim`] keeps a dense,
-//! unordered flow array with a slot table instead; the property test below
-//! drives both with the same random call sequences and requires every
-//! observable value to agree bit for bit.
+//! ordinal, drains every flow's bytes at every clock advance, and takes the
+//! next completion as a minimum over all flows. [`crate::NetSim`] keeps a
+//! dense flow array, drains per rate epoch and files completions in a heap
+//! instead. The property test below drives both with the same random call
+//! sequences: rates, stall flags, tags and live ids must agree bit for bit,
+//! ETAs and cancelled bytes within the rounding bound of the two drains.
+//!
+//! [`NetSim`]: crate::NetSim
 
 use std::collections::BTreeMap;
 
@@ -143,6 +147,14 @@ impl RefNetSim {
         self.flows.get(&id).map(|f| f.rate_bps)
     }
 
+    /// The flow's completion instant at the current rates.
+    pub(crate) fn eta_of(&mut self, id: u64) -> Option<SimTime> {
+        if self.dirty {
+            self.recompute_rates();
+        }
+        self.flows.get(&id).map(|f| f.eta(self.last_update))
+    }
+
     pub(crate) fn active_flows(&self) -> usize {
         self.flows.len()
     }
@@ -203,6 +215,20 @@ mod proptests {
     use crate::{FlowId, NetSim};
     use proptest::prelude::*;
 
+    /// Whether two ETAs or byte counts agree within the drain's rounding:
+    /// the per-interval engine rounds once per event, the epoch engine
+    /// once per rate change. Equal infinities agree.
+    fn close(a: f64, b: f64) -> bool {
+        a == b || (a - b).abs() <= 1e-9 * a.abs().max(b.abs()) + 1e-9
+    }
+
+    fn close_time(a: Option<SimTime>, b: Option<SimTime>) -> bool {
+        match (a, b) {
+            (Some(a), Some(b)) => close(a.as_secs(), b.as_secs()),
+            (a, b) => a == b,
+        }
+    }
+
     /// Both engines plus every id issued so far (`(new, reference)`,
     /// index = creation ordinal = the flow's tag).
     struct Pair {
@@ -224,16 +250,26 @@ mod proptests {
             self.routes.push(route);
         }
 
-        /// Finishes the earliest completion at its instant; returns the
-        /// finished flow's route.
+        /// Finishes the epoch engine's earliest completion in both engines
+        /// at its instant; returns the finished flow's route. The reference
+        /// must pick the same flow unless its pick completes within the
+        /// rounding bound of it.
         fn finish_next(&mut self) -> Option<Vec<EdgeId>> {
             let got = self.net.next_completion();
             let want = self.reference.next_completion();
-            prop_assert_eq!(
-                got.map(|(t, id)| (t.as_secs().to_bits(), id.raw())),
-                want.map(|(t, id)| (t.as_secs().to_bits(), id))
-            );
+            prop_assert_eq!(got.is_some(), want.is_some());
             let (t, id) = got?;
+            let (rt, rid) = want?;
+            prop_assert!(close(t.as_secs(), rt.as_secs()), "eta {t} vs {rt}");
+            if rid != id.raw() {
+                let reference_eta = self.reference.eta_of(id.raw());
+                prop_assert!(
+                    close_time(Some(t), reference_eta),
+                    "flow {} finishes at {t} but the reference has {rid} first at {rt} \
+                     and this flow at {reference_eta:?}",
+                    id.raw()
+                );
+            }
             self.now = t;
             let tag = self.net.finish_flow(t, id);
             prop_assert_eq!(tag, id.raw());
@@ -245,20 +281,22 @@ mod proptests {
         /// completion (the owner always handles it first).
         fn advance(&mut self, dt: f64) {
             let mut to = self.now + SimDuration::from_secs(dt);
-            if let Some((t, _)) = self.reference.next_completion() {
+            if let Some((t, _)) = self.net.next_completion() {
                 to = to.min(t);
             }
             self.now = to;
         }
 
-        /// Every observable agrees bit for bit.
+        /// Rates, stall flags, tags and live ids agree bit for bit; ETAs
+        /// agree within the rounding bound; the heap's top is exact.
         fn check(&mut self) {
+            self.net.assert_heap_consistent();
             prop_assert_eq!(self.net.active_flows(), self.reference.active_flows());
             let got = self.net.next_completion();
             let want = self.reference.next_completion();
-            prop_assert_eq!(
-                got.map(|(t, id)| (t.as_secs().to_bits(), id.raw())),
-                want.map(|(t, id)| (t.as_secs().to_bits(), id))
+            prop_assert!(
+                close_time(got.map(|c| c.0), want.map(|c| c.0)),
+                "next completion {got:?} vs {want:?}"
             );
             for (ord, &(id, rid)) in self.ids.iter().enumerate() {
                 prop_assert_eq!(id.raw(), rid);
@@ -266,6 +304,11 @@ mod proptests {
                 prop_assert_eq!(
                     self.net.rate_of(id).map(f64::to_bits),
                     self.reference.rate_of(rid).map(f64::to_bits)
+                );
+                let (eta, reference_eta) = (self.net.eta_of(id), self.reference.eta_of(rid));
+                prop_assert!(
+                    close_time(eta, reference_eta),
+                    "flow {rid}: eta {eta:?} vs {reference_eta:?}"
                 );
                 let live = self.reference.flow_stalled(rid).is_some();
                 prop_assert_eq!(self.net.tag(id).copied(), live.then_some(ord as u64));
@@ -275,17 +318,19 @@ mod proptests {
             listed.sort_unstable();
             let want: Vec<(u64, u64)> = self.reference.flows.keys().map(|&k| (k, k)).collect();
             prop_assert_eq!(listed, want);
+            self.net.assert_heap_consistent();
         }
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(128))]
 
-        /// Random starts, cancels of live and
-        /// finished flows, finishes at `next_completion`, same-route swaps,
-        /// clock advances and link down/up/degrade toggles: the dense
-        /// engine matches the ordered-map engine bit for bit after every
-        /// step.
+        /// Random starts, cancels of live and finished flows, finishes at
+        /// `next_completion`, same-route swaps, clock advances and link
+        /// down/up/degrade toggles: after every step the epoch engine
+        /// matches the per-interval engine — rates, stalls, tags and ids
+        /// bit for bit, ETAs and cancelled bytes within the rounding
+        /// bound — and its heap top equals a linear scan.
         #[test]
         fn netsim_matches_ordered_map_reference(
             (caps, pool) in (2usize..6).prop_flat_map(|n_links| {
@@ -320,10 +365,12 @@ mod proptests {
                     2 if !p.ids.is_empty() => {
                         let (id, rid) = p.ids[a % p.ids.len()];
                         let now = p.now;
-                        prop_assert_eq!(
-                            p.net.cancel_flow(now, id).map(f64::to_bits),
-                            p.reference.cancel_flow(now, rid).map(f64::to_bits)
-                        );
+                        let (left, reference_left) =
+                            (p.net.cancel_flow(now, id), p.reference.cancel_flow(now, rid));
+                        prop_assert_eq!(left.is_some(), reference_left.is_some());
+                        if let (Some(l), Some(r)) = (left, reference_left) {
+                            prop_assert!(close(l, r), "cancelled bytes {l} vs {r}");
+                        }
                     }
                     3 => {
                         p.finish_next();

@@ -45,6 +45,9 @@ struct Node {
     /// Insertion sequence number, [`StoreStats::insertions`] at insert
     /// time (LFU tie-break).
     inserted: u64,
+    /// Position stamp in the LRU/FIFO list, assigned at every append:
+    /// stamps ascend from head to tail.
+    stamp: u64,
 }
 
 /// Multiplicative hasher for the `FileId → slot` index. File ids are dense
@@ -96,10 +99,14 @@ type SlotIndex = HashMap<FileId, u32, BuildHasherDefault<IdHasher>>;
 /// * **LFU** keeps an ordered set keyed by (use count, insertion order),
 ///   so a touch is O(log n).
 ///
-/// Eviction takes the first unpinned file in that order, so it costs
-/// O(1 + pinned files skipped). Memory is proportional to the files the
-/// site has touched — the same bound as `r_i` itself — and never to the
-/// size of the file universe.
+/// Eviction takes the first unpinned file in that order. Under LRU/FIFO
+/// a first-unpinned cursor remembers how far the pinned files at the head
+/// of the list reach (every file before it is pinned), so files pinned by
+/// running tasks are skipped once, not on every eviction; an unpin before
+/// the cursor (told apart by the files' list stamps) moves it back. LFU
+/// costs O(1 + pinned files skipped) per eviction. Memory is proportional
+/// to the files the site has touched — the same bound as `r_i` itself —
+/// and never to the size of the file universe.
 ///
 /// # Example
 ///
@@ -126,6 +133,11 @@ pub struct SiteStore {
     /// Ends of the LRU/FIFO eviction list (unused under LFU).
     head: u32,
     tail: u32,
+    /// First-unpinned cursor into the LRU/FIFO list: every file before it
+    /// is pinned (`NIL` when every listed file is).
+    cursor: u32,
+    /// Stamp of the next list append.
+    next_stamp: u64,
     /// LFU eviction order: `(freq, inserted, slot)` (empty otherwise).
     by_freq: BTreeSet<(u64, u64, u32)>,
     stats: StoreStats,
@@ -148,6 +160,8 @@ impl SiteStore {
             resident: FileSet::new(),
             head: NIL,
             tail: NIL,
+            cursor: NIL,
+            next_stamp: 0,
             by_freq: BTreeSet::new(),
             stats: StoreStats::default(),
         }
@@ -240,6 +254,7 @@ impl SiteStore {
                 refs: 0,
                 freq: 0,
                 inserted: 0,
+                stamp: 0,
             });
             slot
         })
@@ -255,6 +270,12 @@ impl SiteStore {
         let node = &mut self.nodes[slot as usize];
         node.prev = self.tail;
         node.next = NIL;
+        node.stamp = self.next_stamp;
+        self.next_stamp += 1;
+        if self.cursor == NIL {
+            // Every file already listed is pinned.
+            self.cursor = slot;
+        }
         match self.tail {
             NIL => self.head = slot,
             tail => self.nodes[tail as usize].next = slot,
@@ -264,6 +285,9 @@ impl SiteStore {
 
     fn unlink(&mut self, slot: u32) {
         let Node { prev, next, .. } = self.nodes[slot as usize];
+        if self.cursor == slot {
+            self.cursor = next;
+        }
         match prev {
             NIL => self.head = next,
             p => self.nodes[p as usize].next = next,
@@ -337,14 +361,13 @@ impl SiteStore {
                 .map(|&(_, _, slot)| slot)
                 .find(|&slot| self.nodes[slot as usize].pins == 0)?
         } else {
-            let mut slot = self.head;
-            while slot != NIL && self.nodes[slot as usize].pins > 0 {
-                slot = self.nodes[slot as usize].next;
+            while self.cursor != NIL && self.nodes[self.cursor as usize].pins > 0 {
+                self.cursor = self.nodes[self.cursor as usize].next;
             }
-            if slot == NIL {
+            if self.cursor == NIL {
                 return None;
             }
-            slot
+            self.cursor
         };
         self.remove_resident(slot);
         self.stats.evictions += 1;
@@ -408,9 +431,16 @@ impl SiteStore {
     /// Panics if `file` is not resident or not pinned.
     pub fn unpin(&mut self, file: FileId) {
         let slot = self.resident_slot(file, "unpin");
-        let pins = &mut self.nodes[slot as usize].pins;
-        assert!(*pins > 0, "unpin: file {file} not pinned");
-        *pins -= 1;
+        let node = &mut self.nodes[slot as usize];
+        assert!(node.pins > 0, "unpin: file {file} not pinned");
+        node.pins -= 1;
+        if node.pins == 0
+            && self.policy != EvictionPolicy::Lfu
+            && (self.cursor == NIL || node.stamp < self.nodes[self.cursor as usize].stamp)
+        {
+            // Freed before the cursor: the first unpinned file may be this one.
+            self.cursor = slot;
+        }
     }
 
     /// Number of currently pinned files.
@@ -892,56 +922,91 @@ mod proptests {
         }
     }
 
+    /// Pin-heavy variant of [`arb_diff_ops`]: most resident files stay
+    /// pinned, so pinned runs pile up at the head of the eviction list and
+    /// unpins land before and after the first-unpinned cursor.
+    fn arb_pin_heavy_ops() -> impl Strategy<Value = (usize, EvictionPolicy, Vec<DiffOp>)> {
+        let op = prop_oneof![
+            (0..UNIVERSE).prop_map(DiffOp::Insert),
+            (0..UNIVERSE).prop_map(DiffOp::Insert),
+            (0..UNIVERSE).prop_map(DiffOp::Insert),
+            (0..UNIVERSE).prop_map(DiffOp::Pin),
+            (0..UNIVERSE).prop_map(DiffOp::Pin),
+            (0..UNIVERSE).prop_map(DiffOp::Pin),
+            (0..UNIVERSE).prop_map(DiffOp::Pin),
+            (0usize..64).prop_map(DiffOp::Unpin),
+            (0usize..64).prop_map(DiffOp::Unpin),
+            (0..UNIVERSE).prop_map(DiffOp::Touch),
+            (0..UNIVERSE).prop_map(DiffOp::Reference),
+        ];
+        (
+            2usize..10,
+            arb_policy(),
+            proptest::collection::vec(op, 0..400),
+        )
+    }
+
+    /// Applies `ops` to a [`SiteStore`] and the [`ModelStore`] and checks
+    /// that every observable agrees after each one.
+    fn check_against_model(cap: usize, policy: EvictionPolicy, ops: Vec<DiffOp>) {
+        let mut s = SiteStore::new(cap, policy);
+        let mut m = ModelStore::new(cap, policy);
+        let mut held: Vec<FileId> = Vec::new();
+        for op in ops {
+            match op {
+                DiffOp::Insert(x) => {
+                    prop_assert_eq!(s.insert(FileId(x)), m.insert(FileId(x)));
+                }
+                DiffOp::Touch(x) => {
+                    s.touch(FileId(x));
+                    m.touch(FileId(x));
+                }
+                DiffOp::Reference(x) => {
+                    s.record_task_reference(FileId(x));
+                    m.record_task_reference(FileId(x));
+                }
+                DiffOp::Pin(x) => {
+                    if m.contains(FileId(x)) {
+                        s.pin(FileId(x));
+                        m.pin(FileId(x));
+                        held.push(FileId(x));
+                    }
+                }
+                DiffOp::Unpin(n) => {
+                    if !held.is_empty() {
+                        let f = held.swap_remove(n % held.len());
+                        s.unpin(f);
+                        m.unpin(f);
+                    }
+                }
+                DiffOp::Fail => prop_assert_eq!(s.fail(), m.fail()),
+            }
+            prop_assert_eq!(s.len(), m.len());
+            prop_assert_eq!(s.stats(), m.stats());
+            prop_assert_eq!(s.pinned_count(), m.pinned_count());
+            for x in 0..UNIVERSE {
+                let f = FileId(x);
+                prop_assert_eq!(s.contains(f), m.contains(f), "contains {}", f);
+                prop_assert_eq!(s.ref_count(f), m.ref_count(f), "ref_count {}", f);
+            }
+            // `resident()` yields ascending ids.
+            let resident: Vec<FileId> = s.resident().collect();
+            let expected: Vec<FileId> = m.resident().into_iter().collect();
+            prop_assert_eq!(resident, expected);
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(512))]
 
         #[test]
         fn matches_reference_model((cap, policy, ops) in arb_diff_ops()) {
-            let mut s = SiteStore::new(cap, policy);
-            let mut m = ModelStore::new(cap, policy);
-            let mut held: Vec<FileId> = Vec::new();
-            for op in ops {
-                match op {
-                    DiffOp::Insert(x) => {
-                        prop_assert_eq!(s.insert(FileId(x)), m.insert(FileId(x)));
-                    }
-                    DiffOp::Touch(x) => {
-                        s.touch(FileId(x));
-                        m.touch(FileId(x));
-                    }
-                    DiffOp::Reference(x) => {
-                        s.record_task_reference(FileId(x));
-                        m.record_task_reference(FileId(x));
-                    }
-                    DiffOp::Pin(x) => {
-                        if m.contains(FileId(x)) {
-                            s.pin(FileId(x));
-                            m.pin(FileId(x));
-                            held.push(FileId(x));
-                        }
-                    }
-                    DiffOp::Unpin(n) => {
-                        if !held.is_empty() {
-                            let f = held.swap_remove(n % held.len());
-                            s.unpin(f);
-                            m.unpin(f);
-                        }
-                    }
-                    DiffOp::Fail => prop_assert_eq!(s.fail(), m.fail()),
-                }
-                prop_assert_eq!(s.len(), m.len());
-                prop_assert_eq!(s.stats(), m.stats());
-                prop_assert_eq!(s.pinned_count(), m.pinned_count());
-                for x in 0..UNIVERSE {
-                    let f = FileId(x);
-                    prop_assert_eq!(s.contains(f), m.contains(f), "contains {}", f);
-                    prop_assert_eq!(s.ref_count(f), m.ref_count(f), "ref_count {}", f);
-                }
-                // `resident()` yields ascending ids.
-                let resident: Vec<FileId> = s.resident().collect();
-                let expected: Vec<FileId> = m.resident().into_iter().collect();
-                prop_assert_eq!(resident, expected);
-            }
+            check_against_model(cap, policy, ops);
+        }
+
+        #[test]
+        fn matches_reference_model_when_pins_pile_up((cap, policy, ops) in arb_pin_heavy_ops()) {
+            check_against_model(cap, policy, ops);
         }
     }
 }

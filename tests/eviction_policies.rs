@@ -7,7 +7,9 @@
 //! were recorded from the `HashMap`/`BTreeSet` implementation of
 //! `SiteStore` that preceded the slab-backed one, so any change to an
 //! eviction or loss sequence shows up here as a changed makespan, eviction,
-//! transfer or event count.
+//! transfer or event count. The LRU makespan was re-recorded when the
+//! network engine moved from a per-event to a per-rate-epoch byte drain
+//! (a rounding-level move, about 5e-14 relative, with every count equal).
 
 use std::sync::Arc;
 
@@ -29,7 +31,7 @@ fn config(policy: EvictionPolicy) -> SimConfig {
 /// events_dispatched)` of `policy`'s run.
 fn golden(policy: EvictionPolicy) -> (u64, u64, u64, u64) {
     match policy {
-        EvictionPolicy::Lru => (0x4098_772b_a233_c4ce, 1826, 3323, 3692),
+        EvictionPolicy::Lru => (0x4098_772b_a233_c369, 1826, 3323, 3692),
         EvictionPolicy::Fifo => (0x4097_a168_7e51_8096, 1478, 2899, 3267),
         EvictionPolicy::Lfu => (0x4099_2fee_0831_2984, 1889, 3313, 3683),
     }
