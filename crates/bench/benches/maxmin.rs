@@ -20,8 +20,11 @@
 //! * `net_swap` — the fluid engine `NetSim` with one flow per site over the
 //!   paper topology. Each step finishes the earliest completion, starts its
 //!   successor on the same route and asks for the next completion: the
-//!   flow-table and completion-heap cost a `FlowDone` event pays, with the
-//!   fill itself skipped (320 flows widen the topology to 320 sites);
+//!   flow-table and completion-heap cost a `FlowDone` event pays. The fill
+//!   is skipped and the hop touches no link list — the solver revives the
+//!   finished flow's still-linked slot — so what is left is the route
+//!   match and two heap operations (320 flows widen the topology to 320
+//!   sites);
 //! * `event_queue_hold` — the event queue under the classic hold model: a
 //!   constant population where each step pops the earliest event and
 //!   pushes a successor, and one step in four also cancels and re-pushes a

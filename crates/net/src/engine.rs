@@ -4,9 +4,8 @@
 //! The owner drives it with wall-clock-style calls:
 //!
 //! 1. [`NetSim::start_flow`] / [`NetSim::cancel_flow`] / [`NetSim::finish_flow`]
-//!    mutate the flow set (each call first moves the engine clock to `now`,
-//!    then marks the allocation dirty — rates are recomputed lazily at the
-//!    next observation point),
+//!    mutate the flow set (each call first moves the engine clock to `now`;
+//!    rates are recomputed lazily at the next observation point),
 //! 2. [`NetSim::next_completion`] reports when the earliest active flow will
 //!    finish if nothing else changes — the owner schedules exactly one DES
 //!    event for that instant and re-queries after every mutation.
@@ -40,10 +39,16 @@
 //!   completion in the heap.
 //!
 //! A solve that leaves a flow's rate bit-identical leaves its epoch and
-//! completion alone, and a skipped solve (a same-route swap, see
-//! [`MaxMinSolver`]) reads only the flows started since the last one. A
-//! file hop — finish one flow, start the next on the same route, ask for
-//! the next completion — therefore costs `O(log flows)`.
+//! completion alone. A flow started on a slot the solver revived (a
+//! same-route swap, see [`MaxMinSolver`]) takes that slot's still-exact
+//! rate and files its real completion at once; any other flow files no
+//! completion until the solve its start made due reads every flow. A
+//! skipped solve therefore reads nothing, and no list of newly started
+//! flows is kept. A file hop — finish one flow, start the next on the same
+//! route, ask for the next completion — costs two heap operations and the
+//! solver's route match, and touches no link list: the solver defers the
+//! finished flow's unlink until link state is read, and the revive finds
+//! it still in place.
 //!
 //! Each flow carries a caller tag (what the transfer is for), handed back
 //! by [`NetSim::finish_flow`] and listed by [`NetSim::flows`], so the owner
@@ -226,9 +231,9 @@ impl EtaHeap {
 /// Fluid network simulator with max–min fair bandwidth sharing. Every
 /// active flow carries a caller tag of type `T`.
 ///
-/// Rates are recomputed **lazily**: flow mutations only mark the
-/// allocation dirty, and the recompute runs at the next point the rates
-/// are observable — a clock move past the mutation instant, or a
+/// Rates are recomputed **lazily**: flow mutations only make a solve due,
+/// and the recompute runs at the next point the rates are observable — a
+/// clock move past the mutation instant, or a
 /// [`NetSim::next_completion`] / [`NetSim::rate_of`] query. Same-instant
 /// mutation bursts (a batch finishing one fetch and starting the next)
 /// therefore cost one recompute instead of one per mutation: rates are a
@@ -237,7 +242,8 @@ impl EtaHeap {
 /// burst's instant takes effect from that instant. When the burst
 /// replaced each finished flow with one on the same route, the route
 /// multiset is unchanged too, and the solver skips the fill entirely (see
-/// [`MaxMinSolver`]); only the flows started in the burst read their rate.
+/// [`MaxMinSolver`]); the flows started in the burst filed their
+/// completions at start.
 ///
 /// Bytes drain per rate epoch, not per event (see the
 /// [module docs](self)): the clock advance itself touches no flow.
@@ -261,16 +267,11 @@ pub struct NetSim<T> {
     pos: Vec<u32>,
     /// Every active flow keyed by its cached completion instant.
     etas: EtaHeap,
-    /// Flows started since the last rate readback: the only ones a
-    /// skipped solve has to read.
-    fresh: Vec<FlowId>,
     next_ord: u64,
     last_update: SimTime,
-    /// Whether the flow set or a link changed since the last rate
-    /// readback.
-    dirty: bool,
     /// Incremental max–min solver: flows register on start and deregister
-    /// on finish/cancel, so a recompute rebuilds nothing.
+    /// on finish/cancel, so a recompute rebuilds nothing. Its "solve due"
+    /// state is the engine's dirty flag.
     solver: MaxMinSolver,
     /// Bytes drained so far, booked when a flow is re-based, cancelled
     /// or finished (stats).
@@ -299,10 +300,8 @@ impl<T> NetSim<T> {
             flows: Vec::new(),
             pos: Vec::new(),
             etas: EtaHeap::default(),
-            fresh: Vec::new(),
             next_ord: 0,
             last_update: SimTime::ZERO,
-            dirty: false,
             bytes_delivered: 0.0,
             flows_finished: 0,
             recomputes: Counter::disabled(),
@@ -319,7 +318,7 @@ impl<T> NetSim<T> {
 
     /// Number of links crossed by at least one active flow.
     #[must_use]
-    pub fn busy_links(&self) -> usize {
+    pub fn busy_links(&mut self) -> usize {
         self.solver.busy_links()
     }
 
@@ -342,7 +341,6 @@ impl<T> NetSim<T> {
     pub fn set_link_down(&mut self, now: SimTime, link: EdgeId) {
         self.advance_to(now);
         self.solver.set_link_down(link.index());
-        self.dirty = true;
     }
 
     /// Brings `link` back up at `now`; flows stalled solely by it resume
@@ -355,7 +353,6 @@ impl<T> NetSim<T> {
     pub fn set_link_up(&mut self, now: SimTime, link: EdgeId) {
         self.advance_to(now);
         self.solver.set_link_up(link.index());
-        self.dirty = true;
     }
 
     /// Sets `link`'s effective capacity to `base × factor` at `now` (a
@@ -369,7 +366,6 @@ impl<T> NetSim<T> {
     pub fn set_link_capacity_factor(&mut self, now: SimTime, link: EdgeId, factor: f64) {
         self.advance_to(now);
         self.solver.set_link_capacity_factor(link.index(), factor);
-        self.dirty = true;
     }
 
     /// Number of links currently down.
@@ -404,7 +400,7 @@ impl<T> NetSim<T> {
     /// `bytes / estimate` upper-bounds its transfer time: the basis the
     /// transfer guard uses to size timeouts. `+∞` for an empty route.
     #[must_use]
-    pub fn fair_share_estimate(&self, route: &[EdgeId]) -> f64 {
+    pub fn fair_share_estimate(&mut self, route: &[EdgeId]) -> f64 {
         self.solver
             .fair_share_estimate(route.iter().map(|e| e.index()))
     }
@@ -446,20 +442,22 @@ impl<T> NetSim<T> {
         }
         debug_assert_eq!(self.pos[s], NO_FLOW, "solver handed out a live slot");
         self.pos[s] = self.flows.len() as u32;
-        // Rate 0 until the next readback: no completion yet, and nothing
-        // drains before the readback (it happens at this instant).
-        self.flows.push(FlowState {
+        // A revived slot's rate is still exact, so its completion is real.
+        // Any other slot reads rate 0 (no completion) until the solve its
+        // registration made due; that solve runs at this instant, before
+        // anything drains, and re-reads every flow.
+        let mut flow = FlowState {
             id,
             start: now + SimDuration::from_secs(latency_s),
             epoch: now,
             bytes_at_epoch: bytes,
-            rate_bps: 0.0,
+            rate_bps: self.solver.rate(slot),
             eta: SimTime::FAR_FUTURE,
             tag,
-        });
-        self.etas.push(SimTime::FAR_FUTURE, id);
-        self.fresh.push(id);
-        self.dirty = true;
+        };
+        flow.eta = flow.completion();
+        self.etas.push(flow.eta, id);
+        self.flows.push(flow);
         id
     }
 
@@ -471,7 +469,6 @@ impl<T> NetSim<T> {
         let state = self.remove(id)?;
         let left = state.remaining_at(now);
         self.bytes_delivered += state.bytes_at_epoch - left;
-        self.dirty = true;
         Some(left)
     }
 
@@ -502,16 +499,13 @@ impl<T> NetSim<T> {
         // The drain since the flow's epoch, plus the numerically-lost tail.
         self.bytes_delivered += state.bytes_at_epoch;
         self.flows_finished += 1;
-        self.dirty = true;
         state.tag
     }
 
     /// The earliest `(time, flow)` completion among active flows, assuming
     /// no further changes. `None` when no flows are active.
     pub fn next_completion(&mut self) -> Option<(SimTime, FlowId)> {
-        if self.dirty {
-            self.recompute_rates();
-        }
+        self.recompute_rates();
         // Stalled flows (down link on the route) file at `FAR_FUTURE`, after
         // every reachable completion: they wait for recovery, cancellation,
         // or a transfer-guard timeout, never for a completion event.
@@ -522,9 +516,7 @@ impl<T> NetSim<T> {
 
     /// Current max–min rate of a flow in bytes/second, if active.
     pub fn rate_of(&mut self, id: FlowId) -> Option<f64> {
-        if self.dirty {
-            self.recompute_rates();
-        }
+        self.recompute_rates();
         self.position(id).map(|p| self.flows[p].rate_bps)
     }
 
@@ -594,35 +586,26 @@ impl<T> NetSim<T> {
             "NetSim driven backwards: now={now:?} last={:?}",
             self.last_update
         );
-        if now > self.last_update && self.dirty && !self.flows.is_empty() {
+        if now > self.last_update {
             self.recompute_rates();
         }
         self.last_update = now;
     }
 
-    /// Recomputes the max–min fair allocation for the current flow set,
-    /// without allocating, and re-bases every flow whose rate changed. The
-    /// solver skips the fill when the flow set only swapped finished flows
-    /// for new ones on the same routes; then only the new flows read their
-    /// rate.
+    /// Recomputes the max–min fair allocation for the current flow set if
+    /// a solve is due, without allocating, and re-bases every flow whose
+    /// rate changed. The solver skips the fill when the flow set only
+    /// swapped finished flows for new ones on the same routes; then no
+    /// flow is read (the new ones filed their completions at start). With
+    /// no active flow nothing is solved: parked slots stay revivable.
     fn recompute_rates(&mut self) {
-        self.dirty = false;
-        if !self.flows.is_empty() {
-            if self.solver.solve() {
-                self.recomputes.incr();
-                self.touched_flows.record(self.flows.len() as u64);
-                for p in 0..self.flows.len() {
-                    self.read_rate(p);
-                }
-            } else {
-                for i in 0..self.fresh.len() {
-                    if let Some(p) = self.position(self.fresh[i]) {
-                        self.read_rate(p);
-                    }
-                }
+        if !self.flows.is_empty() && self.solver.solve() {
+            self.recomputes.incr();
+            self.touched_flows.record(self.flows.len() as u64);
+            for p in 0..self.flows.len() {
+                self.read_rate(p);
             }
         }
-        self.fresh.clear();
     }
 
     /// Reads back the solved rate of the flow at `p`. A changed rate
@@ -888,6 +871,64 @@ mod tests {
         assert_eq!(net.next_completion(), Some((eta_a, a)));
         net.finish_flow(eta_a, a);
         assert!((net.bytes_delivered() - 146.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn same_route_successor_files_its_completion_at_start() {
+        let mut net = NetSim::new(vec![10.0, 30.0]);
+        let a = net.start_flow(SimTime::ZERO, &[e(0), e(1)], 100.0, 0.0, ());
+        let _b = net.start_flow(SimTime::ZERO, &[e(1)], 1_000.0, 0.0, ());
+        let (t_a, id) = net.next_completion().unwrap();
+        assert_eq!(id, a);
+        net.finish_flow(t_a, a);
+        let c = net.start_flow(t_a, &[e(0), e(1)], 50.0, 0.5, ());
+        // The revived slot's rate is exact: the completion is real before
+        // any solve or readback.
+        let eta_c = net.eta_of(c).unwrap();
+        assert!((eta_c.as_secs() - (t_a.as_secs() + 0.5 + 5.0)).abs() < 1e-9);
+        net.assert_heap_consistent();
+        assert_eq!(net.next_completion(), Some((eta_c, c)));
+        assert_eq!(net.eta_of(c), Some(eta_c));
+        net.assert_heap_consistent();
+    }
+
+    #[test]
+    fn link_reads_after_an_unreplaced_finish_match_a_fresh_engine() {
+        let caps = vec![10.0, 20.0, 30.0];
+        let routes: [&[EdgeId]; 3] = [&[e(0), e(2)], &[e(1), e(2)], &[e(2)]];
+        let bytes = [10.0, 100.0, 100.0];
+        // The first flow, alone on link 0, finishes and is not replaced;
+        // the twin only ever saw the surviving flows, solved afresh. Each
+        // read runs on a new pair, so it is the first read after the finish.
+        let pair = || {
+            let mut net = NetSim::new(caps.clone());
+            for (route, b) in routes.into_iter().zip(bytes) {
+                net.start_flow(SimTime::ZERO, route, b, 0.0, ());
+            }
+            net.set_link_down(t(0.5), e(1));
+            let (at, done) = net.next_completion().unwrap();
+            assert_eq!(done.raw(), 0);
+            net.finish_flow(at, done);
+            let mut twin = NetSim::new(caps.clone());
+            for (route, b) in routes.into_iter().zip(bytes).skip(1) {
+                twin.start_flow(SimTime::ZERO, route, b, 0.0, ());
+            }
+            twin.set_link_down(at, e(1));
+            (net, twin)
+        };
+        let (net, twin) = pair();
+        assert_eq!(net.active_flows(), twin.active_flows());
+        let (mut net, mut twin) = pair();
+        assert_eq!(net.busy_links(), twin.busy_links());
+        assert_eq!(net.busy_links(), 2);
+        for route in [&[e(0)][..], &[e(1)], &[e(2)], &[e(0), e(2)], &[e(1), e(2)]] {
+            let (mut net, mut twin) = pair();
+            assert_eq!(
+                net.fair_share_estimate(route).to_bits(),
+                twin.fair_share_estimate(route).to_bits(),
+                "estimate over {route:?}"
+            );
+        }
     }
 
     #[test]

@@ -25,7 +25,8 @@
 //!   step `O(crossing flows)` instead of a full flow scan. Scratch buffers
 //!   persist across calls, so a recompute allocates nothing, and a solve
 //!   whose flow set only swapped a finished flow for one on the same route
-//!   is skipped outright (the rates are a function of the route multiset).
+//!   is skipped outright (the rates are a function of the route multiset),
+//!   as is the swap's unlink and relink of that route.
 
 use std::borrow::Borrow;
 
@@ -157,17 +158,31 @@ pub fn max_min_rates(capacities: &[f64], flow_routes: &[Vec<usize>]) -> Vec<f64>
 /// **Same-route swaps skip the solve.** The fill is a pure function of the
 /// route multiset, the capacities and the down states: flows with equal
 /// routes saturate in the same round, and the freeze order commutes. So
-/// [`MaxMinSolver::remove_flow`] *parks* the slot — its links are
-/// deregistered at once, but its route and last-solved rate are kept until
-/// the next solve — and a [`MaxMinSolver::add_flow`] over an equal route
-/// revives a parked slot with that rate, which is still exact. Only an
-/// unmatched add, or a link down/up or capacity change on a link that a
-/// registered or parked flow crosses, marks the solver dirty (rates depend
-/// on no other link); [`MaxMinSolver::solve`] does no work (and says so)
-/// when nothing
-/// is dirty and no slot is still parked, i.e. when every removal since the
+/// [`MaxMinSolver::remove_flow`] *parks* the slot — its route and
+/// last-solved rate are kept until the next solve — and a
+/// [`MaxMinSolver::add_flow`] over an equal route revives a parked slot
+/// with that rate, which is still exact. Only an unmatched add, or a link
+/// down/up or capacity change on a link that a registered or parked flow
+/// crosses, marks the solver dirty (rates depend on no other link);
+/// [`MaxMinSolver::solve`] does no work (and says so) when nothing is
+/// dirty and no slot is still parked, i.e. when every removal since the
 /// last solve was replaced on the same route.
+///
+/// **The unlink is deferred too.** A parked slot stays registered on its
+/// links (crossing counts, per-link flow lists, touched links, live list)
+/// until something reads that registration: [`MaxMinSolver::solve`],
+/// [`MaxMinSolver::set_link_down`], [`MaxMinSolver::set_link_up`],
+/// [`MaxMinSolver::set_link_capacity_factor`],
+/// [`MaxMinSolver::fair_share_estimate`], [`MaxMinSolver::busy_links`] and
+/// [`MaxMinSolver::flow_count`] each first deregister every parked slot
+/// still linked, so each sees exactly the state an eager unlink would have
+/// left. A same-route add that revives a still-linked slot therefore does
+/// no per-link work at all: its registration is already in place, and its
+/// stall count is current because every link event flushes first. A file
+/// hop — finish a flow, start its successor on the same route, solve —
+/// touches no link list.
 #[derive(Debug)]
+#[cfg_attr(test, derive(Clone))]
 pub struct MaxMinSolver {
     capacities: Vec<f64>,
     /// Configured capacities; `capacities` is `base × degrade factor`.
@@ -193,11 +208,14 @@ pub struct MaxMinSolver {
     /// multiplicity). Non-zero ⇒ the flow is stalled at rate `0.0`.
     stalled_by: Vec<u32>,
     free_slots: Vec<u32>,
-    /// Slots removed since the last solve: deregistered from every link,
-    /// but still holding their route and last-solved rate for a same-route
-    /// [`MaxMinSolver::add_flow`] to revive. Released to `free_slots` by
-    /// the next solve.
+    /// Slots removed since the last solve, still holding their route and
+    /// last-solved rate for a same-route [`MaxMinSolver::add_flow`] to
+    /// revive. Released to `free_slots` by the next solve.
     parked: Vec<u32>,
+    /// Per slot: whether the slot is counted in `crossing`, `crossing_up`,
+    /// `link_flows`, `touched` and `live_slots` — every registered slot,
+    /// and a parked one until the next [`MaxMinSolver::flush`].
+    linked: Vec<bool>,
     /// Whether a change that can move a rate (an add not matched by a
     /// parked slot, a link state or capacity change) happened since the
     /// last solve.
@@ -269,6 +287,7 @@ impl MaxMinSolver {
             stalled_by: Vec::new(),
             free_slots: Vec::new(),
             parked: Vec::new(),
+            linked: Vec::new(),
             dirty: false,
             live_slots: Vec::new(),
             live_pos: Vec::new(),
@@ -287,8 +306,10 @@ impl MaxMinSolver {
     /// endpoints, rate `+∞`). Returns the flow's slot.
     ///
     /// A route equal to a slot parked by [`MaxMinSolver::remove_flow`]
-    /// since the last solve revives that slot, last-solved rate included;
-    /// any other route marks the solver dirty.
+    /// since the last solve revives that slot, last-solved rate included
+    /// (and, if it is still linked, without touching a link); any other
+    /// route marks the solver dirty, and its slot reads rate `0.0` until
+    /// the next solve.
     ///
     /// # Panics
     ///
@@ -308,18 +329,24 @@ impl MaxMinSolver {
                 .eq(links())
         });
         let slot = if let Some(i) = revived {
-            self.parked.swap_remove(i)
+            let slot = self.parked.swap_remove(i);
+            if self.linked[slot as usize] {
+                return slot;
+            }
+            slot
         } else {
             self.dirty = true;
             let slot = self.free_slots.pop().unwrap_or_else(|| {
                 let s = self.routes.len() as u32;
                 self.routes.push(Vec::new());
                 self.stalled_by.push(0);
+                self.linked.push(false);
                 self.saturated.push(false);
                 self.rates.push(0.0);
                 self.live_pos.push(0);
                 s
             });
+            self.rates[slot as usize] = 0.0;
             let n_links = self.capacities.len();
             let r = &mut self.routes[slot as usize];
             r.clear();
@@ -352,18 +379,40 @@ impl MaxMinSolver {
         }
         self.live_pos[s] = self.live_slots.len() as u32;
         self.live_slots.push(slot);
+        self.linked[s] = true;
         slot
     }
 
-    /// Unregisters a flow. Its links are released at once; the slot
-    /// itself stays parked (route and rate kept) until the next
-    /// [`MaxMinSolver::solve`], for a same-route [`MaxMinSolver::add_flow`]
-    /// to revive.
+    /// Unregisters a flow. The slot is parked (route and rate kept) until
+    /// the next [`MaxMinSolver::solve`], for a same-route
+    /// [`MaxMinSolver::add_flow`] to revive; its links are released only
+    /// when link state is next read (see the type docs).
     ///
     /// # Panics
     ///
     /// Panics if `slot` is not a registered flow.
     pub fn remove_flow(&mut self, slot: u32) {
+        assert!(
+            self.linked[slot as usize] && !self.parked.contains(&slot),
+            "flow {slot} not registered"
+        );
+        self.parked.push(slot);
+    }
+
+    /// Deregisters every parked slot that is still linked, leaving the
+    /// link state an eager unlink at each removal would have left. Runs
+    /// first in every call that reads link registration.
+    fn flush(&mut self) {
+        for i in 0..self.parked.len() {
+            let slot = self.parked[i];
+            if self.linked[slot as usize] {
+                self.unlink(slot);
+            }
+        }
+    }
+
+    /// Releases `slot`'s links and drops it from the live list.
+    fn unlink(&mut self, slot: u32) {
         let s = slot as usize;
         let was_up = self.stalled_by[s] == 0;
         for j in 0..self.routes[s].len() {
@@ -389,7 +438,7 @@ impl MaxMinSolver {
             self.live_slots[pos] = last;
             self.live_pos[last as usize] = pos as u32;
         }
-        self.parked.push(slot);
+        self.linked[s] = false;
     }
 
     /// Marks link `l` down: every crossing flow stalls at rate `0.0` on
@@ -403,6 +452,7 @@ impl MaxMinSolver {
     pub fn set_link_down(&mut self, l: usize) {
         assert!(l < self.down.len(), "unknown link {l}");
         assert!(!self.down[l], "link {l} already down");
+        self.flush();
         self.down[l] = true;
         self.down_count += 1;
         self.dirty |= self.link_in_use(l);
@@ -427,6 +477,7 @@ impl MaxMinSolver {
     pub fn set_link_up(&mut self, l: usize) {
         assert!(l < self.down.len(), "unknown link {l}");
         assert!(self.down[l], "link {l} is not down");
+        self.flush();
         self.down[l] = false;
         self.down_count -= 1;
         self.dirty |= self.link_in_use(l);
@@ -455,6 +506,7 @@ impl MaxMinSolver {
             factor > 0.0 && factor <= 1.0 && factor.is_finite(),
             "degrade factor must be in (0, 1]: {factor}"
         );
+        self.flush();
         self.dirty |= self.link_in_use(l);
         self.capacities[l] = if factor == 1.0 {
             self.base_capacities[l]
@@ -502,14 +554,16 @@ impl MaxMinSolver {
 
     /// Number of registered flows.
     #[must_use]
-    pub fn flow_count(&self) -> usize {
+    pub fn flow_count(&mut self) -> usize {
+        self.flush();
         self.live_slots.len()
     }
 
     /// Number of links crossed by at least one registered flow (the
     /// touched-link working set a [`MaxMinSolver::solve`] visits).
     #[must_use]
-    pub fn busy_links(&self) -> usize {
+    pub fn busy_links(&mut self) -> usize {
+        self.flush();
         self.touched.len()
     }
 
@@ -519,7 +573,9 @@ impl MaxMinSolver {
         self.capacities.len()
     }
 
-    /// The rate computed for `slot` by the last [`MaxMinSolver::solve`].
+    /// The rate computed for `slot` by the last [`MaxMinSolver::solve`]:
+    /// a revived slot keeps the rate it was parked with, and a slot
+    /// registered on a new route since reads `0.0`.
     #[must_use]
     pub fn rate(&self, slot: u32) -> f64 {
         self.rates[slot as usize]
@@ -534,11 +590,12 @@ impl MaxMinSolver {
     /// progressing at its fair share never times out. An empty route (no
     /// links crossed) estimates `+∞`.
     #[must_use]
-    pub fn fair_share_estimate<I>(&self, route: I) -> f64
+    pub fn fair_share_estimate<I>(&mut self, route: I) -> f64
     where
         I: IntoIterator,
         I::Item: Borrow<usize>,
     {
+        self.flush();
         route
             .into_iter()
             .map(|l| {
@@ -557,6 +614,7 @@ impl MaxMinSolver {
         if !self.dirty && self.parked.is_empty() {
             return false;
         }
+        self.flush();
         self.dirty = false;
         self.free_slots.append(&mut self.parked);
         for i in 0..self.live_slots.len() {
@@ -701,6 +759,75 @@ impl MaxMinSolver {
             self.remaining[bottleneck] = self.remaining[bottleneck].max(0.0);
         }
         true
+    }
+}
+
+#[cfg(test)]
+impl MaxMinSolver {
+    /// Recounts the link registration from the slots themselves: first as
+    /// stored (every linked slot, parked ones included), then as a flush
+    /// leaves it, which is what every reader sees (only registered slots).
+    pub(crate) fn assert_links_consistent(&self) {
+        for &slot in &self.free_slots {
+            assert!(!self.linked[slot as usize], "free slot {slot} is linked");
+            assert!(!self.parked.contains(&slot), "slot {slot} free and parked");
+        }
+        let linked: Vec<u32> = (0..self.routes.len() as u32)
+            .filter(|&s| self.linked[s as usize])
+            .collect();
+        self.assert_registered(&linked);
+        let mut flushed = self.clone();
+        flushed.flush();
+        for &slot in &flushed.parked {
+            assert!(!flushed.linked[slot as usize], "flush left {slot} linked");
+        }
+        let registered: Vec<u32> = linked
+            .into_iter()
+            .filter(|s| !self.parked.contains(s))
+            .collect();
+        flushed.assert_registered(&registered);
+    }
+
+    /// Checks that the per-link registration counts exactly `slots`
+    /// (ascending), each with a stall count matching the down links.
+    fn assert_registered(&self, slots: &[u32]) {
+        let n = self.capacities.len();
+        let mut crossing = vec![0u32; n];
+        let mut crossing_up = vec![0u32; n];
+        let mut link_flows = vec![Vec::new(); n];
+        for &slot in slots {
+            let route = &self.routes[slot as usize];
+            let stalls = route.iter().filter(|&&l| self.down[l as usize]).count();
+            assert_eq!(
+                self.stalled_by[slot as usize] as usize, stalls,
+                "slot {slot}"
+            );
+            for &l in route {
+                crossing[l as usize] += 1;
+                crossing_up[l as usize] += u32::from(stalls == 0);
+                link_flows[l as usize].push(slot);
+            }
+        }
+        assert_eq!(self.crossing, crossing, "crossing");
+        assert_eq!(self.crossing_up, crossing_up, "crossing_up");
+        for (l, want) in link_flows.iter().enumerate() {
+            let mut got = self.link_flows[l].clone();
+            got.sort_unstable();
+            assert_eq!(&got, want, "link_flows[{l}]");
+        }
+        let touched: Vec<u32> = (0..n as u32)
+            .filter(|&l| crossing[l as usize] > 0)
+            .collect();
+        assert_eq!(self.touched, touched, "touched");
+        let mut live = self.live_slots.clone();
+        live.sort_unstable();
+        assert_eq!(live, slots, "live_slots");
+        for (i, &slot) in self.live_slots.iter().enumerate() {
+            assert_eq!(self.live_pos[slot as usize] as usize, i, "live_pos");
+        }
+        for slot in 0..self.routes.len() as u32 {
+            assert_eq!(self.linked[slot as usize], slots.contains(&slot), "linked");
+        }
     }
 }
 
@@ -957,6 +1084,17 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "not registered")]
+    fn double_remove_panics() {
+        // A second removal while the first is still parked would let two
+        // same-route adds revive one slot.
+        let mut s = MaxMinSolver::new(vec![1.0]);
+        let f = s.add_flow([0]);
+        s.remove_flow(f);
+        s.remove_flow(f);
+    }
+
+    #[test]
     #[should_panic(expected = "degrade factor")]
     fn bad_degrade_factor_panics() {
         let mut s = MaxMinSolver::new(vec![1.0]);
@@ -1170,11 +1308,13 @@ mod proptests {
         /// Bursts of removes and adds with no solve in between — same-route
         /// swaps (the parked-slot path), route changes, several removes
         /// before several adds — interleaved with link down/up and degrade
-        /// toggles. After each burst the solver is bit-identical to the
-        /// specification over the live non-stalled flows, reports no work
-        /// only when the route multiset and the state of every link a flow
-        /// crosses are unchanged, and always skips a burst of pure
-        /// same-route swaps.
+        /// toggles and with reads of the link registration. After every op
+        /// the registration recounts exactly (as stored and as a flush
+        /// leaves it), and each read equals the live flows' counts. After
+        /// each burst the solver is bit-identical to the specification
+        /// over the live non-stalled flows, reports no work only when the
+        /// route multiset and the state of every link a flow crosses are
+        /// unchanged, and always skips a burst of pure same-route swaps.
         #[test]
         fn solver_churn_without_intermediate_solves(
             (caps, pool, initial) in (2usize..7).prop_flat_map(|n_links| {
@@ -1187,9 +1327,11 @@ mod proptests {
             }),
             // Per op: (kind, a, b). 0 = same-route swap, 1 = swap onto a
             // pool route, 2 = several removes then several adds, 3 = add,
-            // 4 = remove, 5 = toggle link down/up, 6 = toggle degrade.
+            // 4 = remove, 5 = toggle link down/up, 6 = toggle degrade,
+            // 7 = read the flow count, the busy links or the per-link
+            // estimates (one reader per op, so each one's flush counts).
             bursts in proptest::collection::vec(
-                proptest::collection::vec((0u8..7, 0usize..64, 0usize..64), 1..6),
+                proptest::collection::vec((0u8..8, 0usize..64, 0usize..64), 1..6),
                 1..12,
             ),
         ) {
@@ -1269,8 +1411,30 @@ mod proptests {
                             degraded[l] = !degraded[l];
                             solver.set_link_capacity_factor(l, if degraded[l] { 0.25 } else { 1.0 });
                         }
+                        7 => {
+                            let crossed = |l: usize| live.iter().filter(move |(_, r)| r.contains(&l));
+                            match a % 3 {
+                                0 => prop_assert_eq!(solver.flow_count(), live.len()),
+                                1 => {
+                                    let busy = (0..n_links).filter(|&l| crossed(l).next().is_some());
+                                    prop_assert_eq!(solver.busy_links(), busy.count());
+                                }
+                                _ => {
+                                    for l in 0..n_links {
+                                        let up = crossed(l).filter(|(_, r)| r.iter().all(|&k| !down[k]));
+                                        let cap = if degraded[l] { caps[l] * 0.25 } else { caps[l] };
+                                        let want = cap / f64::from(up.count().max(1) as u32);
+                                        prop_assert_eq!(
+                                            solver.fair_share_estimate([l]).to_bits(),
+                                            want.to_bits()
+                                        );
+                                    }
+                                }
+                            }
+                        }
                         _ => {}
                     }
+                    solver.assert_links_consistent();
                 }
                 let ran = solver.solve();
                 let now_routes = sorted_routes(&live);
@@ -1350,6 +1514,7 @@ mod proptests {
                     .collect();
                 let spec = max_min_rates(eff, &spec_routes);
                 solver.solve();
+                solver.assert_links_consistent();
                 let mut k = 0;
                 for (slot, route) in live {
                     let got = solver.rate(*slot);
@@ -1375,6 +1540,7 @@ mod proptests {
                     let slot = solver.add_flow(&routes[ri]);
                     live.push((slot, routes[ri].clone()));
                     ri += 1;
+                    solver.assert_links_consistent();
                 }
                 let l = sel % n_links;
                 match op {
@@ -1396,11 +1562,13 @@ mod proptests {
                         eff[l] = caps[l];
                     }
                 }
+                solver.assert_links_consistent();
                 check(&mut solver, &live, &down, &eff);
             }
             // Drain everything with some links still faulted.
             while let Some((slot, _)) = live.pop() {
                 solver.remove_flow(slot);
+                solver.assert_links_consistent();
                 check(&mut solver, &live, &down, &eff);
             }
         }

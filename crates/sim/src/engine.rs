@@ -970,7 +970,7 @@ impl GridSim {
     /// Samples the grid's state at probe boundary `at` — queue depths,
     /// worker states, store occupancy, network load — into the telemetry
     /// time series.
-    fn record_probe(&self, at: SimTime) {
+    fn record_probe(&mut self, at: SimTime) {
         let mut sites = vec![SiteProbe::default(); self.config.sites];
         for (s, server) in self.servers.iter().enumerate() {
             sites[s].queue_depth = server.queue.len() as u64;
