@@ -8,6 +8,8 @@
 //! * the ranked path (this library's incremental default): storage events
 //!   feeding a per-site `TaskRank`, each batch followed by one ranked pick
 //!   off the bucket heads,
+//! * one ranked pick plus its pool removal at a site of an `S`-site grid,
+//!   for `S` ∈ {5, 40, 160}: the per-pick site-count term,
 //! * storage affinity's full `O(T·I·S)` assignment phase,
 //! * one task start's references at a warm site, through the scheduler's
 //!   batched hook: a no-op for `rest`, one pass over each file's readers
@@ -21,7 +23,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use gridsched_core::index::{enable_ranks, ComboAggregates, FileIndex, SiteView};
+use gridsched_core::index::{ColdRank, FileIndex, SiteView};
 use gridsched_core::weight::weigh_all_naive;
 use gridsched_core::{
     ChooseTask, GridEnv, Scheduler, SiteId, StorageAffinity, TaskPool, WeightMetric, WorkerCentric,
@@ -82,9 +84,8 @@ const PICKS_PER_SAMPLE: usize = 100;
 /// 3000-file LRU store has a rank attached and the whole queue pending;
 /// every pick is preceded by [`EVENTS_PER_PICK`] arrivals of the next
 /// coadd inputs (in task order) and their references, forwarded to the
-/// view together with the evictions they cause. The `combined`
-/// normalisers are held at their warm-store values, so only the rank's
-/// maintenance and the read are timed.
+/// view together with the evictions they cause. The pool never changes,
+/// so only the rank's maintenance and the read are timed.
 fn bench_ranked_refile(c: &mut Criterion) {
     let mut group = c.benchmark_group("ranked_refile");
     for &tasks in &[500u32, 2000, 6000] {
@@ -100,15 +101,12 @@ fn bench_ranked_refile(c: &mut Criterion) {
         let index = FileIndex::build(&workload);
         for metric in [WeightMetric::Rest, WeightMetric::Combined] {
             let mut store = warm_store(&workload, 3000);
-            let mut view = SiteView::new(workload.task_count(), metric);
-            let mut combo = ComboAggregates::new(&index, &pool, 1);
+            let mut view = SiteView::new(0, &index, metric);
+            let mut cold = ColdRank::new(metric, &index);
             for f in store.resident() {
-                let rc = store.ref_count(f);
-                view.on_file_added(&index, f, rc);
-                combo.on_file_added(0, &index, &view, f, rc, &pool);
+                view.on_file_added(&index, &mut cold, f, store.ref_count(f));
             }
-            let totals = (metric == WeightMetric::Combined).then(|| combo.totals(0));
-            enable_ranks(std::slice::from_mut(&mut view), &index, &pool);
+            cold.admit_all(std::slice::from_mut(&mut view), &pool);
             let chooser = ChooseTask::new(2);
             let mut rng = StdRng::seed_from_u64(0);
             let mut next = store.len() % arrivals.len();
@@ -126,23 +124,85 @@ fn bench_ranked_refile(c: &mut Criterion) {
                                     continue;
                                 }
                                 for e in store.insert(f) {
-                                    view.on_file_evicted(&index, e, store.ref_count(e));
+                                    view.on_file_evicted(&index, &mut cold, e, store.ref_count(e));
                                 }
-                                view.on_file_added(&index, f, store.ref_count(f));
+                                view.on_file_added(&index, &mut cold, f, store.ref_count(f));
                                 store.record_task_reference(f);
                                 if view.tracks_references() {
-                                    view.on_files_referenced(&index, &[f], |_| true);
+                                    view.on_files_referenced(&index, &cold, &[f]);
                                 }
                                 events += 1;
                             }
-                            std::hint::black_box(view.pick_ranked(
-                                &chooser,
-                                &mut rng,
-                                |_| true,
-                                totals,
-                            ));
+                            std::hint::black_box(view.pick_ranked(&cold, &chooser, &mut rng));
                         }
                     })
+                },
+            );
+        }
+    }
+    group.finish();
+}
+
+/// The ranked state of one `S`-site grid: a view per site over one cold
+/// rank, every task pending, each site holding the inputs of its share of
+/// the (unshuffled, so spatially ordered) tasks.
+fn sited_views(
+    workload: &Workload,
+    index: &FileIndex,
+    metric: WeightMetric,
+    sites: usize,
+) -> (Vec<SiteView>, ColdRank) {
+    let mut views: Vec<SiteView> = (0..sites)
+        .map(|s| SiteView::new(s, index, metric))
+        .collect();
+    let mut cold = ColdRank::new(metric, index);
+    let tasks = workload.task_count();
+    for (s, view) in views.iter_mut().enumerate() {
+        let mut store = SiteStore::new(workload.file_count(), EvictionPolicy::Lru);
+        for task in &workload.tasks()[s * tasks / sites..(s + 1) * tasks / sites] {
+            for &f in task.files() {
+                if !store.contains(f) {
+                    store.insert(f);
+                    view.on_file_added(index, &mut cold, f, store.ref_count(f));
+                }
+            }
+        }
+    }
+    cold.admit_all(&mut views, &TaskPool::full(tasks));
+    (views, cold)
+}
+
+/// One ranked pick plus its pool removal at each site in turn of an
+/// `S`-site grid (see [`sited_views`]), for `combined.2` and `rest.2`
+/// over one workload: tracks the per-pick cost term in `S`. Every sample
+/// starts from the same state (the clone is not timed).
+fn bench_pick_vs_sites(c: &mut Criterion) {
+    let mut group = c.benchmark_group("pick_vs_sites");
+    let mut cfg = CoaddConfig::paper_6000();
+    cfg.tasks = 2000;
+    cfg.shuffle_tasks = false;
+    let workload = cfg.generate();
+    let index = FileIndex::build(&workload);
+    let chooser = ChooseTask::new(2);
+    for metric in [WeightMetric::Combined, WeightMetric::Rest] {
+        for sites in [5usize, 40, 160] {
+            let state = sited_views(&workload, &index, metric, sites);
+            group.bench_with_input(
+                BenchmarkId::new(format!("{metric}.2"), sites),
+                &sites,
+                |b, _| {
+                    b.iter_with_setup(
+                        || (state.clone(), StdRng::seed_from_u64(0)),
+                        |((mut views, mut cold), mut rng)| {
+                            for i in 0..PICKS_PER_SAMPLE {
+                                let t = views[i % sites]
+                                    .pick_ranked(&cold, &chooser, &mut rng)
+                                    .expect("pool outlasts a sample");
+                                cold.remove(&mut views, t);
+                            }
+                            views
+                        },
+                    )
                 },
             );
         }
@@ -233,6 +293,7 @@ criterion_group!(
     benches,
     bench_decision,
     bench_ranked_refile,
+    bench_pick_vs_sites,
     bench_task_start_refs,
     bench_storage_affinity_assignment
 );

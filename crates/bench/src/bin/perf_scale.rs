@@ -42,8 +42,9 @@
 //!   traced re-run dispatches bit-identical events (telemetry inertness),
 //!   repeat runs fold byte-identical windowed event digests (dispatch
 //!   *order* determinism, not just the count),
-//!   the instrumented complexity sweep confirms repairs-per-pick stays
-//!   flat in S and solver touched-flows track concurrency, and the total
+//!   the instrumented complexity sweep confirms the site ranks touched
+//!   per membership change stay flat in S and solver touched-flows track
+//!   concurrency, and the total
 //!   disabled-telemetry wall time stays within budget of the previous
 //!   `BENCH_scale.json` (3% full, 1.5× smoke — CI runners are noisy);
 //! * `--max-workers N` — truncate the sweep (e.g. `--max-workers 10000`);
@@ -446,8 +447,9 @@ fn main() {
     // not time, so they are bit-deterministic for a given seed and `--check`
     // can assert the complexity claims exactly, immune to machine noise:
     //
-    //   * ranked picks repair O(1) stale entries per pick, independent of
-    //     S (the sparse-propagation claim from the per-site update work);
+    //   * a rank-membership change touches O(1) site ranks — the sites
+    //     holding the task's files — independent of S (the sparse
+    //     site-rank claim);
     //   * the max–min solver visits exactly the concurrent flows per
     //     solve, so its per-solve maximum dominates the sampled in-flight
     //     peak — work tracks concurrency, not flow history.
@@ -471,13 +473,19 @@ fn main() {
         let telemetry = Telemetry::enabled();
         let report = GridSim::new(config).with_telemetry(telemetry.clone()).run();
         let mut picks = 0;
-        let mut repairs = 0;
+        let mut changes = 0;
+        let mut overlap_sites = (0u64, 0u64); // (count, sum)
         let mut recomputes = 0;
         let mut touched = (0u64, 0u64, 0u64); // (count, sum, max)
         for snap in telemetry.snapshot() {
             match (snap.name, &snap.value) {
                 ("scheduler.rank.picks", InstrumentValue::Counter { value }) => picks = *value,
-                ("scheduler.rank.repairs", InstrumentValue::Counter { value }) => repairs = *value,
+                ("scheduler.rank.membership_changes", InstrumentValue::Counter { value }) => {
+                    changes = *value;
+                }
+                ("scheduler.rank.overlap_sites", InstrumentValue::Histogram { count, sum, .. }) => {
+                    overlap_sites = (*count, *sum)
+                }
                 ("net.solver.recomputes", InstrumentValue::Counter { value }) => {
                     recomputes = *value;
                 }
@@ -500,7 +508,9 @@ fn main() {
             sites,
             events: report.events_dispatched,
             picks,
-            repairs,
+            changes,
+            overlap_sites_count: overlap_sites.0,
+            overlap_sites_sum: overlap_sites.1,
             recomputes,
             touched_count: touched.0,
             touched_sum: touched.1,
@@ -509,9 +519,9 @@ fn main() {
         };
         eprintln!(
             "  complexity @ {complexity_workers} workers / {sites:>3} sites: \
-             {:.3} repairs/pick ({picks} picks), {:.1} touched flows/recompute \
-             (max {}, sampled peak {probe_max_flows})",
-            point.repairs_per_pick(),
+             {:.3} site ranks/membership change ({changes} changes, {picks} picks), \
+             {:.1} touched flows/recompute (max {}, sampled peak {probe_max_flows})",
+            point.overlap_sites_mean(),
             point.touched_mean(),
             point.touched_max,
         );
@@ -829,44 +839,38 @@ fn main() {
             eprintln!("CHECK FAIL: repeat runs produced different event digests");
             ok = false;
         }
-        // Rank maintenance stays amortized-O(1) per rank entry: lazy
-        // deletion evicts each completed task from each of the S per-site
-        // ranks exactly once, so total repairs are bounded by rank
-        // insertions (tasks × S) and the per-(pick × site) rate stays flat
-        // as S grows — no stale entry is ever re-scanned after repair.
-        // Instrument counts are deterministic, so this cannot flake.
-        let complexity_tasks = complexity_workload.task_count() as u64;
+        // A rank-membership change reaches the cold rank once and the rank
+        // of each site holding one of the task's files, so the mean number
+        // of site ranks touched per change stays flat as S grows (it is
+        // not normalised by S). Instrument counts are deterministic, so
+        // this cannot flake.
         if let (Some(lo), Some(hi)) = (complexity.first(), complexity.last()) {
             if lo.sites != hi.sites {
-                let norm = |p: &ComplexityPoint| p.repairs_per_pick() / p.sites as f64;
-                let (n_lo, n_hi) = (norm(lo), norm(hi));
-                if hi.picks == 0 || lo.picks == 0 {
-                    eprintln!("CHECK FAIL: complexity sweep recorded no ranked picks");
+                let (m_lo, m_hi) = (lo.overlap_sites_mean(), hi.overlap_sites_mean());
+                if hi.changes == 0 || lo.changes == 0 {
+                    eprintln!("CHECK FAIL: complexity sweep recorded no membership changes");
                     ok = false;
-                } else if n_hi > 2.0 * n_lo + 0.5 {
+                } else if m_hi > 2.0 * m_lo + 0.5 {
                     eprintln!(
-                        "CHECK FAIL: repairs per (pick x site) grows with sites: \
-                         {n_lo:.3} @ {} -> {n_hi:.3} @ {} sites",
+                        "CHECK FAIL: site ranks per membership change grow with sites: \
+                         {m_lo:.3} @ {} -> {m_hi:.3} @ {} sites",
                         lo.sites, hi.sites
                     );
                     ok = false;
                 } else {
                     println!(
-                        "CHECK PASS: repairs per (pick x site) flat ({n_lo:.3} @ {} -> \
-                         {n_hi:.3} @ {} sites)",
+                        "CHECK PASS: site ranks per membership change flat ({m_lo:.3} @ {} \
+                         -> {m_hi:.3} @ {} sites)",
                         lo.sites, hi.sites
                     );
                 }
             }
         }
         for p in &complexity {
-            if p.repairs > complexity_tasks * p.sites as u64 {
+            if p.overlap_sites_count != p.changes {
                 eprintln!(
-                    "CHECK FAIL: {} repairs exceed the insertion bound {} at {} sites \
-                     (a stale entry was repaired twice)",
-                    p.repairs,
-                    complexity_tasks * p.sites as u64,
-                    p.sites
+                    "CHECK FAIL: {} membership changes but {} site-count samples at {} sites",
+                    p.changes, p.overlap_sites_count, p.sites
                 );
                 ok = false;
             }
@@ -949,7 +953,9 @@ struct ComplexityPoint {
     sites: usize,
     events: u64,
     picks: u64,
-    repairs: u64,
+    changes: u64,
+    overlap_sites_count: u64,
+    overlap_sites_sum: u64,
     recomputes: u64,
     touched_count: u64,
     touched_sum: u64,
@@ -958,8 +964,8 @@ struct ComplexityPoint {
 }
 
 impl ComplexityPoint {
-    fn repairs_per_pick(&self) -> f64 {
-        self.repairs as f64 / (self.picks as f64).max(1.0)
+    fn overlap_sites_mean(&self) -> f64 {
+        self.overlap_sites_sum as f64 / (self.overlap_sites_count as f64).max(1.0)
     }
 
     fn touched_mean(&self) -> f64 {
@@ -1089,14 +1095,14 @@ fn to_json(
         let _ = writeln!(
             out,
             "    {{\"sites\": {}, \"events\": {}, \"rank_picks\": {}, \
-             \"rank_repairs\": {}, \"repairs_per_pick\": {:.4}, \
+             \"membership_changes\": {}, \"overlap_sites_mean\": {:.4}, \
              \"solver_recomputes\": {}, \"touched_flows_mean\": {:.2}, \
              \"touched_flows_max\": {}, \"probe_max_in_flight\": {}}}{comma}",
             p.sites,
             p.events,
             p.picks,
-            p.repairs,
-            p.repairs_per_pick(),
+            p.changes,
+            p.overlap_sites_mean(),
             p.recomputes,
             p.touched_mean(),
             p.touched_max,

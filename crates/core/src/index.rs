@@ -14,69 +14,118 @@
 //! A [`SiteView`] is built for one [`WeightMetric`] and keeps only the
 //! counters that metric reads. Every view keeps `overlap` (`|F_t|`). Only
 //! `Combined` reads past references, so only a `Combined` view keeps
-//! `refsum` (`ref_t = Σ r_i`) and only its rank keys tasks by it. Views for
-//! `Overlap` and `Rest` — worker-centric overlap/rest, storage affinity and
-//! sufferage — hold 10 bytes per task (`overlap`, and the rank's member
-//! flag, level and mark) instead of 26, and ignore references entirely:
-//! their owners forward none. A `Combined` owner forwards each task
-//! start's references in one batch, [`SiteView::on_files_referenced`],
-//! whose single pass over each file's readers also counts the pending
-//! readers that [`ComboAggregates`] needs.
+//! `refsum` (`ref_t = Σ r_i`), the site's share of the queue-wide
+//! normalisers, and a rank keyed by references. Views for `Overlap` and
+//! `Rest` — worker-centric overlap/rest, storage affinity and sufferage —
+//! hold 10 bytes per task (`overlap`, and the rank's member flag, level
+//! and mark) instead of 26, and ignore references entirely: their owners
+//! forward none. A `Combined` owner forwards each task start's references
+//! in one batch, [`SiteView::on_files_referenced`].
 //!
 //! A scan over those counters per decision would still be an `O(T²)` run,
 //! which caps the engine far below 10⁵ workers. The same storage-change
-//! notifications therefore also maintain a **priority index**: every
-//! [`SiteView`] may carry a [`TaskRank`] that buckets the pending tasks by
-//! their (small integer) overlap or missing-file count, each bucket an
-//! ordered set. A scheduling decision then degenerates to reading the
-//! best few bucket heads — `O(log T)` amortized — instead of scanning the
-//! pool.
+//! notifications therefore also maintain a **priority index**: each
+//! [`SiteView`] carries a [`TaskRank`] that buckets tasks by their (small
+//! integer) overlap or missing-file count, each bucket an ordered set. A
+//! scheduling decision then degenerates to reading the best few bucket
+//! heads — `O(log T)` amortized — instead of scanning the pool.
 //!
-//! ## Sparse membership propagation
+//! ## Sparse site ranks over one shared cold rank
 //!
-//! With one `TaskRank` per site, *eagerly* mirroring pool membership into
-//! every rank makes each pool insert/remove an `O(S log T)` broadcast —
-//! the dominant cost of a scheduling decision once the site count grows
-//! (the `perf_scale` sites sweep showed wall time ~linear in `S`).
-//! Membership therefore propagates **lazily**:
+//! A task has nonzero overlap at only a few sites — about 5 of 40 in a
+//! data-local grid, and fewer as the grid widens — and at every other site
+//! it sits at the same *zero-overlap coordinates*: level `|t|` (level 0
+//! for `Overlap`), reference sum 0. So the ranks are split in two:
 //!
-//! * a pool *removal* touches no rank at all — the entry goes stale in
-//!   place, and a read that encounters it skips it via the caller's `live`
-//!   predicate and physically removes it then (each stale entry is
-//!   repaired at most once per site, and only if it ever surfaces near a
-//!   bucket head at that site);
-//! * a pool *insert* (requeue, replica-cap release) appends to a shared
-//!   [`PendingLog`]; each view holds a cursor and replays the suffix on
-//!   its next read ([`SiteView::sync_pending`]) — `O(1)` at event time,
-//!   each (site, insert) pair processed once.
+//! * a site's [`TaskRank`] holds only the **rank-live** tasks (pending,
+//!   and below the replica cap for storage affinity) with nonzero overlap
+//!   at that site, filed at their real (level, key);
+//! * one [`ColdRank`], shared by every view of a scheduler, holds every
+//!   rank-live task at its zero-overlap coordinates, ordered by id.
 //!
-//! The `combined` metric's queue-wide normalisers cannot be read off a
-//! rank with stale members, so they move to [`ComboAggregates`], which
-//! maintains them exactly with per-file site residency lists: a
-//! membership change costs `O(Σ_f |sites holding f|)` over the task's
-//! files — flat in `S` for data-local workloads — instead of `O(S)`.
+//! A ranked read merges the two: it walks the site rank as before and
+//! takes cold members too, skipping a cold member whose overlap at the
+//! reading site is nonzero — that member is *shadowed*, already in the
+//! site rank at its real coordinates.
 //!
-//! ## Deferred re-filing
+//! Membership is eager and sparse. A pool removal or insertion
+//! ([`ColdRank::remove`] / [`ColdRank::insert`]) updates the cold rank
+//! once and the rank of each site where the task has nonzero overlap —
+//! read off a per-task site list that the storage hooks keep current
+//! whenever a site's overlap for the task goes 0→1 or 1→0. A change
+//! therefore costs `O(sites overlapping the task)`, flat in the site
+//! count for data-local workloads, and a read never meets a task that is
+//! not rank-live.
 //!
-//! Storage-change notifications update the cached counters at once, and
-//! prune stale members at once, but they do not move a live member
-//! between buckets: they only *mark* it (one flag plus a push onto the
-//! rank's mark list). Only a ranked read looks at the order, so
+//! The `combined` metric's queue-wide normalisers need per-site counts of
+//! rank-live tasks by missing-file count. The cold rank's bucket sizes are
+//! that histogram for a site where no task has overlap; each `Combined`
+//! view keeps only the *correction* for its nonzero-overlap tasks, and
+//! `Σ refsum` over them (a zero-overlap task contributes 0), updated in
+//! the same pass over a file's readers that maintains the counters.
+//!
+//! ### Why every pick is unchanged
+//!
+//! [`ChooseTask::pick`] keeps the top `n` of its candidates in
+//! (weight desc, id asc) order, a total order, and then samples; so it
+//! depends only on which tasks are the global top `n`, not on the order or
+//! number of the other candidates. A ranked read therefore only has to
+//! hand over a candidate set containing the global top `n`:
+//!
+//! * `Overlap` and `Rest` weights fall strictly from level to level and
+//!   are equal within one, so the read walks levels best-first and, at
+//!   each level, takes the shortfall's worth of members from the site
+//!   bucket and of unshadowed members from the cold bucket (both in id
+//!   order) until it holds `n`. A shadowed member of a cold level the walk
+//!   reaches sits in the site rank at a better level, which held fewer
+//!   than `n` members, so the walk skips fewer than `n` of them;
+//! * a `Combined` site bucket is ordered by (reference sum desc, id asc),
+//!   which is (weight desc, id asc), so the first `n` of every site bucket
+//!   contain that bucket's share of the top `n`. The read adds the first
+//!   `n` unshadowed cold members in (`|t|` asc, id asc) order. They all
+//!   have reference sum 0, so when `totalRest` is finite and positive
+//!   their weights are `rest(|t|)/totalRest`, strictly decreasing in
+//!   `|t|`, and these `n` hold the cold share of the top `n`. The walk
+//!   also stops once it has skipped `n` shadowed members: each is a site
+//!   member at a level below `|t|` of every cold member after it, so it
+//!   outweighs all of them, and no later cold member can make the top
+//!   `n`. A pick thus reads at most `2n` cold members, however many of
+//!   the site's tasks have overlap there. When
+//!   `totalRest` is infinite, some rank-live task misses no file, and
+//!   [`ChooseTask::pick`] samples only among the infinite-weight members
+//!   of the top `n`: the first zero-missing tasks by id. Those sit at
+//!   level 0, which both walks read first, so the candidates' top `n` has
+//!   the same length and the same infinite-weight members, and the pick
+//!   and its RNG draw are the same. (`totalRest` is 0 only when no task
+//!   is rank-live.)
+//!
+//! The weights themselves come from the same expressions and the same
+//! integer counts as the naive scan, so every pick and its RNG draws are
+//! bit-identical to [`crate::weight::weigh_all_naive`] plus
+//! [`ChooseTask`].
+//!
+//! ## Deferred filing
+//!
+//! Storage-change and membership notifications update the cached
+//! counters, the membership flags and the site lists at once, but they do
+//! not touch a bucket: they only *mark* the task (one flag plus a push
+//! onto the rank's mark list). Only a ranked read looks at the order, so
 //! [`SiteView::pick_ranked`] and [`SiteView::top_overlap_where`] first
-//! re-file every marked member from the view's current counters — once,
-//! however many events touched it since the last read — and move it only
-//! if its (level, key) changed. A site that sees hundreds of file
-//! arrivals between two requests therefore pays a few hundred flag
-//! writes instead of a few hundred `BTreeSet` remove + insert pairs. An
-//! unmarked member always sits at its current coordinates; a marked one
-//! sits at the coordinates it was last filed under, which is also what
-//! [`TaskRank`]'s removal uses.
+//! file every marked task from its membership and current counters —
+//! once, however many events touched it since the last read — inserting,
+//! removing or moving it only if its filing changed. A site that sees
+//! hundreds of file arrivals between two requests therefore pays a few
+//! hundred flag writes instead of a few hundred `BTreeSet` operations, and
+//! a task that enters and leaves a site's rank between two reads there
+//! never touches its buckets. An unmarked task is filed exactly if it is
+//! a member, at its current coordinates.
 //!
 //! None of this changes any scheduling decision — the ranked picks are
-//! property-tested to agree exactly with [`crate::weight::weigh_all_naive`]
-//! plus [`crate::choose::ChooseTask`], and [`SiteView::assert_consistent`]
-//! checks the cached counters against the store — it only changes the
-//! constant/complexity; the `sched_decision` criterion bench and the
+//! property-tested to agree exactly with the naive scan at every site of a
+//! multi-site grid, and [`SiteView::assert_consistent`] /
+//! [`ColdRank::assert_consistent`] check the cached counters, the sparse
+//! membership and the site lists against ground truth — it only changes
+//! the constant/complexity; the `sched_decision` criterion bench and the
 //! `perf_scale` harness quantify the gap.
 
 use std::collections::BTreeSet;
@@ -185,8 +234,8 @@ impl FileIndex {
     }
 }
 
-/// An incrementally-maintained per-site priority index over the *pending*
-/// tasks, bucketed by the metric's small-integer level:
+/// One site's priority index over the rank-live tasks that have nonzero
+/// overlap there, bucketed by the metric's small-integer level:
 ///
 /// * `Overlap` — level `|F_t|`, best bucket is the **highest** level;
 /// * `Rest` / `Combined` — level `|t| − |F_t|` (missing files), best
@@ -200,14 +249,13 @@ impl FileIndex {
 /// weight is `+∞` regardless of references. Every non-`Combined` key is
 /// 0, so only a `Combined` rank records keys per task.
 ///
-/// Both coordinates are maintained **lazily** (see the module docs). A
-/// storage event that changes a member's counters only marks it, and the
-/// owning [`SiteView`] re-files every marked member at its next ranked
-/// read — one `BTreeSet` remove + insert (`O(log T)`) per member whose
-/// (level, key) actually changed, however many events touched it. Pool
-/// membership is lazy too: a member may be stale — no longer pending —
-/// until a read at this site encounters and repairs it, so `len()` bounds
-/// the pending population from above rather than equalling it.
+/// Membership is eager (see the module docs), the filing deferred: a
+/// task entering or leaving the rank, or a member whose counters changed,
+/// is only marked, and the owning [`SiteView`] files every marked task at
+/// its next ranked read — one `BTreeSet` insert, remove or move
+/// (`O(log T)`) per task whose filing actually changed, however many
+/// events touched it. A task that enters and leaves between two reads
+/// never touches a bucket.
 #[derive(Debug, Clone)]
 pub struct TaskRank {
     metric: WeightMetric,
@@ -217,12 +265,13 @@ pub struct TaskRank {
     /// `|t|` per task (the [`FileIndex`]'s table, shared).
     sizes: Arc<[u32]>,
     member: Vec<bool>,
-    /// The (level, key) each member is physically filed under. `key_of`
-    /// is empty unless the metric reads references: every other key is 0.
+    /// The (level, key) each task is physically filed under, level
+    /// [`TaskRank::UNFILED`] if none. `key_of` is empty unless the metric
+    /// reads references: every other key is 0.
     level_of: Vec<u32>,
     key_of: Vec<u64>,
-    /// `marked[t]`: `t`'s counters changed since it was last filed, so it
-    /// waits in `marks` for the next read to re-file it.
+    /// `marked[t]`: `t`'s membership or counters changed since it was
+    /// last filed, so it waits in `marks` for the next read to file it.
     marked: Vec<bool>,
     /// The marked tasks, each once.
     marks: Vec<u32>,
@@ -230,6 +279,9 @@ pub struct TaskRank {
 }
 
 impl TaskRank {
+    /// The `level_of` of a task in no bucket.
+    const UNFILED: u32 = u32::MAX;
+
     fn new(metric: WeightMetric, index: &FileIndex) -> Self {
         let num_tasks = index.task_count();
         let levels = index.max_task_size() as usize + 1;
@@ -238,7 +290,7 @@ impl TaskRank {
             buckets: vec![BTreeSet::new(); levels],
             sizes: Arc::clone(&index.task_sizes),
             member: vec![false; num_tasks],
-            level_of: vec![0; num_tasks],
+            level_of: vec![Self::UNFILED; num_tasks],
             key_of: if metric.reads_references() {
                 vec![0; num_tasks]
             } else {
@@ -250,7 +302,7 @@ impl TaskRank {
         }
     }
 
-    /// Number of member tasks (pending plus not-yet-repaired stale).
+    /// Number of member tasks.
     #[must_use]
     pub fn len(&self) -> usize {
         self.len
@@ -260,6 +312,12 @@ impl TaskRank {
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.len == 0
+    }
+
+    /// Whether `task` is a member.
+    #[cfg(test)]
+    pub(crate) fn contains(&self, task: TaskId) -> bool {
+        self.member[task.index()]
     }
 
     /// The metric whose ordering this rank maintains.
@@ -292,41 +350,29 @@ impl TaskRank {
         (level, self.key_for(level, refsum))
     }
 
-    /// The (level, key) member `t` is physically filed under.
-    fn filed(&self, t: usize) -> (u32, u64) {
-        (self.level_of[t], self.key_of.get(t).copied().unwrap_or(0))
+    /// The (level, key) `t` is physically filed under, if any.
+    fn filed(&self, t: usize) -> Option<(u32, u64)> {
+        let level = self.level_of[t];
+        (level != Self::UNFILED).then(|| (level, self.key_of.get(t).copied().unwrap_or(0)))
     }
 
-    /// Records that `t` is filed at (`level`, `key`); a rank that keys
-    /// nothing by references records only the level (its keys are all 0).
-    fn set_filed(&mut self, t: usize, (level, key): (u32, u64)) {
-        self.level_of[t] = level;
-        if let Some(k) = self.key_of.get_mut(t) {
-            *k = key;
-        }
-    }
-
-    fn insert(&mut self, t: usize, coords: (u32, u64)) {
-        if self.member[t] {
-            return;
-        }
-        self.buckets[coords.0 as usize].insert((coords.1, t as u32));
+    /// `t` becomes a member; it is filed at the next read.
+    fn enter(&mut self, t: usize) {
+        debug_assert!(!self.member[t], "task {t} entered twice");
         self.member[t] = true;
-        self.set_filed(t, coords);
         self.len += 1;
+        self.mark(t);
     }
 
-    fn remove(&mut self, t: usize) {
-        if !self.member[t] {
-            return;
-        }
-        let (level, key) = self.filed(t);
-        self.buckets[level as usize].remove(&(key, t as u32));
+    /// `t` stops being a member; it is unfiled at the next read.
+    fn leave(&mut self, t: usize) {
+        debug_assert!(self.member[t], "task {t} is not a member");
         self.member[t] = false;
         self.len -= 1;
+        self.mark(t);
     }
 
-    /// Queues member `t` for re-filing at the next read.
+    /// Queues `t` for filing at the next read.
     fn mark(&mut self, t: usize) {
         if !self.marked[t] {
             self.marked[t] = true;
@@ -334,45 +380,59 @@ impl TaskRank {
         }
     }
 
-    /// Moves member `t` to `coords`; returns whether it moved.
-    fn refile(&mut self, t: usize, coords: (u32, u64)) -> bool {
-        let (old_level, old_key) = self.filed(t);
-        if coords == (old_level, old_key) {
+    /// Files `t` at `coords`, or nowhere for `None`; returns whether its
+    /// filing changed. A rank that keys nothing by references records
+    /// only the level (its keys are all 0).
+    fn settle(&mut self, t: usize, coords: Option<(u32, u64)>) -> bool {
+        let filed = self.filed(t);
+        if filed == coords {
             return false;
         }
-        self.buckets[old_level as usize].remove(&(old_key, t as u32));
-        self.buckets[coords.0 as usize].insert((coords.1, t as u32));
-        self.set_filed(t, coords);
+        if let Some((level, key)) = filed {
+            self.buckets[level as usize].remove(&(key, t as u32));
+        }
+        match coords {
+            Some((level, key)) => {
+                self.buckets[level as usize].insert((key, t as u32));
+                self.level_of[t] = level;
+                if let Some(k) = self.key_of.get_mut(t) {
+                    *k = key;
+                }
+            }
+            None => self.level_of[t] = Self::UNFILED,
+        }
         true
+    }
+
+    /// The members of `level` in bucket order.
+    fn bucket(&self, level: usize) -> impl Iterator<Item = u32> + '_ {
+        self.buckets[level].iter().map(|&(_, t)| t)
     }
 }
 
-/// Hot-path instruments of the lazy-membership machinery, shared by every
-/// [`SiteView`] of one scheduler (cloning shares the underlying cells).
+/// Hot-path instruments of the ranked views, held by a scheduler's
+/// [`ColdRank`] and shared by every view that reads it.
 ///
 /// The default handles are inert — recording costs one branch — so the
 /// instrumented paths are byte-identical with telemetry off, and the
-/// numbers confirm the complexity claims with it on: mean repairs per pick
-/// should stay flat as the site count grows (each stale entry is repaired
-/// at most once per site), and replay lengths track the requeue window,
-/// not the run length.
+/// numbers confirm the complexity claims with it on: the mean of
+/// `overlap_sites` should stay flat as the site count grows, because a
+/// membership change touches only the sites that hold the task's files.
 #[derive(Debug, Clone, Default)]
 pub struct RankStats {
     /// Ranked reads ([`SiteView::pick_ranked`] /
     /// [`SiteView::top_overlap_where`]) — `scheduler.rank.picks`.
     pub picks: Counter,
-    /// Stale entries physically removed during ranked reads —
-    /// `scheduler.rank.repairs`.
-    pub repairs: Counter,
-    /// Marked members moved to another bucket position when a ranked read
-    /// applied the marks — `scheduler.rank.refiles`.
+    /// Marked tasks filed, unfiled or moved to another bucket position
+    /// when a ranked read applied the marks — `scheduler.rank.refiles`.
     pub refiles: Counter,
-    /// [`SiteView::sync_pending`] calls with a rank attached —
-    /// `scheduler.pending_log.replays`.
-    pub replays: Counter,
-    /// Journal entries replayed per sync —
-    /// `scheduler.pending_log.replay_len`.
-    pub replay_len: Histogram,
+    /// Rank-membership changes ([`ColdRank::insert`] /
+    /// [`ColdRank::remove`] calls that changed membership) —
+    /// `scheduler.rank.membership_changes`.
+    pub membership_changes: Counter,
+    /// Site ranks touched per membership change —
+    /// `scheduler.rank.overlap_sites`.
+    pub overlap_sites: Histogram,
 }
 
 impl RankStats {
@@ -382,69 +442,159 @@ impl RankStats {
     pub fn attach(telemetry: &Telemetry) -> Self {
         RankStats {
             picks: telemetry.counter("scheduler.rank.picks"),
-            repairs: telemetry.counter("scheduler.rank.repairs"),
             refiles: telemetry.counter("scheduler.rank.refiles"),
-            replays: telemetry.counter("scheduler.pending_log.replays"),
-            replay_len: telemetry.histogram("scheduler.pending_log.replay_len"),
+            membership_changes: telemetry.counter("scheduler.rank.membership_changes"),
+            overlap_sites: telemetry.histogram("scheduler.rank.overlap_sites"),
         }
     }
 }
 
-/// Shared journal of *become-live* membership transitions (requeues after
-/// faults, replica-cap releases): the scheduler appends in `O(1)`; each
-/// [`SiteView`] holds a cursor and replays the suffix it has not seen yet
-/// on its next read ([`SiteView::sync_pending`]).
+/// The membership side shared by every [`SiteView`] of one scheduler: the
+/// set of rank-live tasks, each filed at its zero-overlap coordinates,
+/// plus each task's list of nonzero-overlap sites (see the module docs).
 ///
-/// Pool *removals* are never journaled — stale rank entries are filtered
-/// (and repaired) lazily at read time instead.
-#[derive(Debug, Clone, Default)]
-pub struct PendingLog {
-    entries: Vec<u32>,
+/// The owner decides what rank-live means (pending; for storage affinity
+/// also below the replica cap) and reports every change through
+/// [`ColdRank::insert`] / [`ColdRank::remove`], which update the cold
+/// rank and the rank of each site listed for the task. The storage hooks
+/// of the views keep the site lists current.
+#[derive(Debug, Clone)]
+pub struct ColdRank {
+    metric: WeightMetric,
+    /// `buckets[level]` — rank-live tasks at their zero-overlap level
+    /// (`|t|`, or 0 for `Overlap`), by id. The zero-overlap key is the
+    /// same for every task of a level, so id order is rank order.
+    buckets: Vec<BTreeSet<u32>>,
+    /// `|t|` per task (the [`FileIndex`]'s table, shared).
+    sizes: Arc<[u32]>,
+    live: Vec<bool>,
+    /// `sites[t]` — the sites where `t`'s overlap is nonzero, unordered.
+    sites: Vec<Vec<u32>>,
+    stats: RankStats,
 }
 
-impl PendingLog {
-    /// Amortization period for [`PendingLog::record`]'s compaction sweep.
-    const COMPACT_EVERY: usize = 4096;
-
-    /// An empty journal.
+impl ColdRank {
+    /// An empty cold rank (no task rank-live yet) for views built for
+    /// `metric` over `index`.
     #[must_use]
-    pub fn new() -> Self {
-        PendingLog::default()
+    pub fn new(metric: WeightMetric, index: &FileIndex) -> Self {
+        let num_tasks = index.task_count();
+        ColdRank {
+            metric,
+            buckets: vec![BTreeSet::new(); index.max_task_size() as usize + 1],
+            sizes: Arc::clone(&index.task_sizes),
+            live: vec![false; num_tasks],
+            sites: vec![Vec::new(); num_tasks],
+            stats: RankStats::default(),
+        }
     }
 
-    /// Records that `task` (re-)became live for the per-site ranks, and
-    /// periodically drains the prefix every view has already replayed —
-    /// the journal stays bounded by the in-flight window (entries some
-    /// cursor still trails) instead of growing for the run's lifetime.
-    /// The sweep is `O(views)` once per [`PendingLog::COMPACT_EVERY`]
-    /// appends.
-    pub fn record(&mut self, task: TaskId, views: &mut [SiteView]) {
-        self.entries.push(task.0);
-        if self.entries.len().is_multiple_of(Self::COMPACT_EVERY) {
-            let replayed = views
-                .iter()
-                .map(|v| v.log_cursor)
-                .min()
-                .unwrap_or(self.entries.len());
-            if replayed > 0 {
-                self.entries.drain(..replayed);
-                for v in views {
-                    v.log_cursor -= replayed;
-                }
+    /// Installs the hot-path instrument handles. Recording through inert
+    /// handles — the default — is a no-op, so this never changes
+    /// scheduling behaviour.
+    pub fn set_stats(&mut self, stats: RankStats) {
+        self.stats = stats;
+    }
+
+    fn level(&self, t: usize) -> usize {
+        match self.metric {
+            WeightMetric::Overlap => 0,
+            WeightMetric::Rest | WeightMetric::Combined => self.sizes[t] as usize,
+        }
+    }
+
+    /// Makes `task` rank-live: files it in the cold rank and in the rank
+    /// of every view (indexed by site) where its overlap is nonzero.
+    /// Returns whether it was not rank-live before; a no-op otherwise.
+    pub fn insert(&mut self, views: &mut [SiteView], task: TaskId) -> bool {
+        let t = task.index();
+        if self.live[t] {
+            return false;
+        }
+        self.live[t] = true;
+        let level = self.level(t);
+        self.buckets[level].insert(task.0);
+        for &s in &self.sites[t] {
+            views[s as usize].admit(t);
+        }
+        self.record(t);
+        true
+    }
+
+    /// Withdraws `task` from the rank-live set, the cold rank and every
+    /// site rank holding it. Returns whether it was rank-live; a no-op
+    /// otherwise.
+    pub fn remove(&mut self, views: &mut [SiteView], task: TaskId) -> bool {
+        let t = task.index();
+        if !self.live[t] {
+            return false;
+        }
+        self.live[t] = false;
+        let level = self.level(t);
+        self.buckets[level].remove(&task.0);
+        for &s in &self.sites[t] {
+            views[s as usize].withdraw(t);
+        }
+        self.record(t);
+        true
+    }
+
+    fn record(&self, t: usize) {
+        self.stats.membership_changes.incr();
+        self.stats.overlap_sites.record(self.sites[t].len() as u64);
+    }
+
+    /// Makes every task of `pool` rank-live — the initialize-time step of
+    /// every incremental scheduler, after the views were seeded from any
+    /// pre-populated storage. The cold buckets are built from sorted runs
+    /// in one pass; a site rank receives only the tasks that already
+    /// overlap it (none, for the usual empty start). Records no
+    /// membership change.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a task is rank-live already.
+    pub fn admit_all(&mut self, views: &mut [SiteView], pool: &TaskPool) {
+        assert!(
+            self.buckets.iter().all(BTreeSet::is_empty),
+            "admit_all needs a cold rank without members"
+        );
+        let mut runs: Vec<Vec<u32>> = vec![Vec::new(); self.buckets.len()];
+        for task in pool.iter() {
+            let t = task.index();
+            self.live[t] = true;
+            runs[self.level(t)].push(task.0);
+            for &s in &self.sites[t] {
+                views[s as usize].admit(t);
             }
         }
+        for (bucket, run) in self.buckets.iter_mut().zip(runs) {
+            *bucket = run.into_iter().collect();
+        }
     }
 
-    /// Number of journaled transitions still retained.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether nothing is retained.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+    /// Debug helper: checks that the rank-live set is exactly the tasks
+    /// satisfying the owner's `live` rule and that each is filed once, at
+    /// its zero-overlap level. The site lists are checked per view by
+    /// [`SiteView::assert_consistent`].
+    ///
+    /// # Panics
+    ///
+    /// Panics (in any build) if an invariant is broken.
+    pub fn assert_consistent<F: Fn(TaskId) -> bool>(&self, live: F) {
+        let mut members = 0;
+        for t in 0..self.live.len() {
+            let task = TaskId(t as u32);
+            assert_eq!(self.live[t], live(task), "rank-live flag of {task}");
+            assert_eq!(
+                self.buckets[self.level(t)].contains(&task.0),
+                self.live[t],
+                "cold filing of {task}"
+            );
+            members += usize::from(self.live[t]);
+        }
+        let entries: usize = self.buckets.iter().map(BTreeSet::len).sum();
+        assert_eq!(entries, members, "cold entries disagree with the members");
     }
 }
 
@@ -459,6 +609,11 @@ impl PendingLog {
 ///   (`Combined`). Views for `Overlap` and `Rest` allocate no `refsum`,
 ///   and their rank no per-task key: 10 bytes per task instead of 26.
 ///
+/// Its [`TaskRank`] holds the rank-live tasks with nonzero overlap here;
+/// the scheduler's shared [`ColdRank`] holds the rest (see the module
+/// docs). A `Combined` view also keeps the site's share of the
+/// normalisers (see [`SiteView::combined_totals`]).
+///
 /// The owner must forward every storage change:
 /// [`SiteView::on_file_added`] after an insert,
 /// [`SiteView::on_file_evicted`] for each eviction, and — on a
@@ -466,70 +621,44 @@ impl PendingLog {
 /// a task start's `r_i` increments.
 #[derive(Debug, Clone)]
 pub struct SiteView {
+    site: u32,
     metric: WeightMetric,
     overlap: Vec<u32>,
     /// Empty unless `metric` reads references.
     refsum: Vec<u64>,
-    rank: Option<TaskRank>,
-    /// How far into the shared [`PendingLog`] this view has replayed.
-    log_cursor: usize,
-    /// Hot-path instruments (inert by default; see [`RankStats`]).
-    stats: RankStats,
+    rank: TaskRank,
+    /// `Combined` only: per missing count `m`, the correction to the cold
+    /// rank's bucket sizes — `Σ [missing = m] − [|t| = m]` over the
+    /// rank-live tasks with nonzero overlap here.
+    corr: Vec<i64>,
+    /// `Combined` only: `Σ refsum` over the rank-live tasks (a
+    /// zero-overlap task contributes 0).
+    total_ref: u64,
 }
 
 impl SiteView {
-    /// A view for an initially-empty site storage, keeping the counters
-    /// `metric` reads (and ordering its rank by `metric` once enabled).
+    /// The view of site `site` for an initially-empty storage, keeping the
+    /// counters `metric` reads and an empty rank ordered by `metric`.
     #[must_use]
-    pub fn new(num_tasks: usize, metric: WeightMetric) -> Self {
+    pub fn new(site: usize, index: &FileIndex, metric: WeightMetric) -> Self {
+        let num_tasks = index.task_count();
+        let track = metric.reads_references();
         SiteView {
+            site: site as u32,
             metric,
             overlap: vec![0; num_tasks],
-            refsum: if metric.reads_references() {
+            refsum: if track {
                 vec![0; num_tasks]
             } else {
                 Vec::new()
             },
-            rank: None,
-            log_cursor: 0,
-            stats: RankStats::default(),
-        }
-    }
-
-    /// Installs hot-path instrument handles (typically shared across all
-    /// of a scheduler's views). Recording through inert handles — the
-    /// default — is a no-op, so this never changes scheduling behaviour.
-    pub fn set_stats(&mut self, stats: RankStats) {
-        self.stats = stats;
-    }
-
-    /// Replays the [`PendingLog`] suffix this view has not seen yet,
-    /// admitting every journaled task that is still live (per the caller's
-    /// predicate) into the priority index. Call before any ranked read.
-    ///
-    /// `O(new entries)` — each (site, journal entry) pair is processed at
-    /// most once over the run. No-op beyond cursor advancement when no
-    /// rank is attached.
-    pub fn sync_pending<F: FnMut(TaskId) -> bool>(
-        &mut self,
-        index: &FileIndex,
-        log: &PendingLog,
-        mut live: F,
-    ) {
-        if self.rank.is_none() {
-            self.log_cursor = log.entries.len();
-            return;
-        }
-        self.stats.replays.incr();
-        self.stats
-            .replay_len
-            .record((log.entries.len() - self.log_cursor) as u64);
-        while self.log_cursor < log.entries.len() {
-            let task = TaskId(log.entries[self.log_cursor]);
-            self.log_cursor += 1;
-            if live(task) {
-                self.rank_insert(index, task);
-            }
+            rank: TaskRank::new(metric, index),
+            corr: if track {
+                vec![0; index.max_task_size() as usize + 1]
+            } else {
+                Vec::new()
+            },
+            total_ref: 0,
         }
     }
 
@@ -539,192 +668,154 @@ impl SiteView {
         self.metric.reads_references()
     }
 
-    /// Attaches an (empty) priority index ordered for the view's metric.
-    /// Call after seeding the counters from pre-populated storage, then
-    /// admit the pending pool via [`SiteView::rank_insert`].
-    pub fn enable_rank(&mut self, index: &FileIndex) {
-        self.rank = Some(TaskRank::new(self.metric, index));
-    }
-
-    /// The attached priority index, if any.
+    /// The site's priority index.
     #[must_use]
-    pub fn rank(&self) -> Option<&TaskRank> {
-        self.rank.as_ref()
+    pub fn rank(&self) -> &TaskRank {
+        &self.rank
     }
 
-    /// Admits `task` (newly pending) into the priority index. No-op
-    /// without a rank or if already tracked.
-    pub fn rank_insert(&mut self, index: &FileIndex, task: TaskId) {
-        let t = task.index();
-        let refsum = refsum_or_zero(&self.refsum, t);
-        if let Some(rank) = self.rank.as_mut() {
-            let coords = rank.coords(index.task_size(task), self.overlap[t], refsum);
-            rank.insert(t, coords);
+    /// Adds rank-live task `t`, whose overlap here is nonzero, to the
+    /// site rank and the normalisers.
+    fn admit(&mut self, t: usize) {
+        let (size, overlap) = (self.rank.sizes[t], self.overlap[t]);
+        self.rank.enter(t);
+        if self.tracks_references() {
+            self.corr[(size - overlap) as usize] += 1;
+            self.corr[size as usize] -= 1;
+            self.total_ref += self.refsum[t];
         }
     }
 
-    /// Bulk-admits `tasks` (ascending, not yet tracked) into a freshly
-    /// enabled priority index: per-bucket sorted runs built in one pass,
-    /// then loaded via `BTreeSet::from_iter` — equivalent to
-    /// [`SiteView::rank_insert`] per task, minus `O(T)` tree inserts per
-    /// site.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no rank is attached.
-    pub fn rank_bulk_admit(&mut self, index: &FileIndex, tasks: &[TaskId]) {
-        let rank = self
-            .rank
-            .as_mut()
-            .expect("rank_bulk_admit requires an enabled rank");
-        let mut buckets: Vec<Vec<(u64, u32)>> = vec![Vec::new(); rank.buckets.len()];
-        for &task in tasks {
-            let t = task.index();
-            if rank.member[t] {
-                continue;
-            }
-            let refsum = refsum_or_zero(&self.refsum, t);
-            let (level, key) = rank.coords(index.task_size(task), self.overlap[t], refsum);
-            buckets[level as usize].push((key, task.0));
-            rank.member[t] = true;
-            rank.set_filed(t, (level, key));
-            rank.len += 1;
-        }
-        for (level, entries) in buckets.into_iter().enumerate() {
-            if !entries.is_empty() {
-                // A hard assert: silently overwriting a non-empty bucket
-                // would drop tracked tasks while member[]/len still count
-                // them. Cold path (once per rank enable), so it is free.
-                assert!(
-                    rank.buckets[level].is_empty(),
-                    "rank_bulk_admit into a non-empty bucket (level {level})"
-                );
-                rank.buckets[level] = entries.into_iter().collect();
-            }
+    /// Undoes [`SiteView::admit`] for a task leaving the rank-live set.
+    fn withdraw(&mut self, t: usize) {
+        let (size, overlap) = (self.rank.sizes[t], self.overlap[t]);
+        self.rank.leave(t);
+        if self.tracks_references() {
+            self.corr[(size - overlap) as usize] -= 1;
+            self.corr[size as usize] += 1;
+            self.total_ref -= self.refsum[t];
         }
     }
 
     /// Records that `file` became resident with current reference count
-    /// `ref_count` (read only by a reference-tracking view).
-    pub fn on_file_added(&mut self, index: &FileIndex, file: FileId, ref_count: u32) {
-        self.on_file_added_pruning(index, file, ref_count, |_| true);
-    }
-
-    /// [`SiteView::on_file_added`] with opportunistic stale repair: a rank
-    /// member failing `live` is physically removed instead of marked for
-    /// re-filing — the event handler is touching the entry anyway, so the
-    /// repair that would otherwise wait for a read at this site comes for
-    /// free, and dead entries stop being re-filed at later reads. The
-    /// predicate must be the owner's rank-liveness (the same one its reads
-    /// pass), or live tasks would vanish from the index.
-    pub fn on_file_added_pruning<F: FnMut(TaskId) -> bool>(
+    /// `ref_count` (read only by a reference-tracking view). One pass over
+    /// the file's readers updates the counters, the task site lists in
+    /// `cold`, the rank (a rank-live reader whose overlap became nonzero
+    /// enters it, any other rank-live reader is marked) and the
+    /// normalisers.
+    pub fn on_file_added(
         &mut self,
         index: &FileIndex,
+        cold: &mut ColdRank,
         file: FileId,
         ref_count: u32,
-        mut live: F,
     ) {
         let track = self.tracks_references();
+        let rc = u64::from(ref_count);
         for &t in index.tasks_of(file) {
             let ti = t as usize;
             self.overlap[ti] += 1;
+            let overlap = self.overlap[ti];
             if track {
-                self.refsum[ti] += u64::from(ref_count);
+                self.refsum[ti] += rc;
             }
-            if let Some(rank) = self.rank.as_mut() {
-                if !rank.member[ti] {
-                    continue;
-                }
-                if live(TaskId(t)) {
-                    rank.mark(ti);
-                } else {
-                    rank.remove(ti);
-                }
+            if overlap == 1 {
+                cold.sites[ti].push(self.site);
+            }
+            if !cold.live[ti] {
+                continue;
+            }
+            let size = self.rank.sizes[ti];
+            if track {
+                // Overlap rose by one, so the task misses one file fewer.
+                // When it just joined the nonzero-overlap set, the old
+                // "missing" equals |t| — exactly the baseline slot its
+                // correction must now cancel, so the uniform two-slot
+                // update covers both cases.
+                let m = (size - overlap) as usize;
+                self.corr[m + 1] -= 1;
+                self.corr[m] += 1;
+                self.total_ref += rc;
+            }
+            if overlap == 1 {
+                self.rank.enter(ti);
+            } else {
+                self.rank.mark(ti);
             }
         }
     }
 
     /// Records that `file` was evicted while holding reference count
-    /// `ref_count` (read only by a reference-tracking view).
-    pub fn on_file_evicted(&mut self, index: &FileIndex, file: FileId, ref_count: u32) {
-        self.on_file_evicted_pruning(index, file, ref_count, |_| true);
-    }
-
-    /// [`SiteView::on_file_evicted`] with opportunistic stale repair (see
-    /// [`SiteView::on_file_added_pruning`]).
-    pub fn on_file_evicted_pruning<F: FnMut(TaskId) -> bool>(
+    /// `ref_count` (read only by a reference-tracking view) — the mirror
+    /// of [`SiteView::on_file_added`]: a reader whose overlap drops to
+    /// zero leaves the site rank and the site list.
+    pub fn on_file_evicted(
         &mut self,
         index: &FileIndex,
+        cold: &mut ColdRank,
         file: FileId,
         ref_count: u32,
-        mut live: F,
     ) {
         let track = self.tracks_references();
+        let rc = u64::from(ref_count);
         for &t in index.tasks_of(file) {
             let ti = t as usize;
             self.overlap[ti] -= 1;
+            let overlap = self.overlap[ti];
             if track {
-                self.refsum[ti] -= u64::from(ref_count);
+                self.refsum[ti] -= rc;
             }
-            if let Some(rank) = self.rank.as_mut() {
-                if !rank.member[ti] {
-                    continue;
-                }
-                if live(TaskId(t)) {
-                    rank.mark(ti);
-                } else {
-                    rank.remove(ti);
-                }
+            if overlap == 0 {
+                let sites = &mut cold.sites[ti];
+                let at = sites
+                    .iter()
+                    .position(|&s| s == self.site)
+                    .expect("a task with overlap lists the site");
+                sites.swap_remove(at);
+            }
+            if !cold.live[ti] {
+                continue;
+            }
+            if track {
+                let m = (self.rank.sizes[ti] - overlap) as usize;
+                self.corr[m - 1] -= 1;
+                self.corr[m] += 1;
+                self.total_ref -= rc;
+            }
+            if overlap == 0 {
+                self.rank.leave(ti);
+            } else {
+                self.rank.mark(ti);
             }
         }
     }
 
     /// Records that one task start referenced every resident file in
     /// `files` (`r_i += 1` each), in one pass over each file's readers:
-    /// every reader's `refsum` rises by one, a rank member passing `live`
-    /// is marked for re-filing, and one failing it is physically removed
-    /// (the opportunistic repair of [`SiteView::on_file_added_pruning`]).
-    ///
-    /// Returns how many (file, reader) pairs passed `live`, calling `live`
-    /// once per pair. With the pending pool as `live` that is the rise of
-    /// the site's `totalRef`, which the owner hands to
-    /// [`ComboAggregates::on_files_referenced`].
+    /// every reader's `refsum` rises by one, and each rank-live reader —
+    /// a site-rank member, since the file is resident — is marked for
+    /// re-filing and raises the site's `totalRef` by one.
     ///
     /// # Panics
     ///
     /// Panics if the view keeps no reference counters (its metric is not
     /// `Combined`): such an owner must not forward references at all.
-    pub fn on_files_referenced<F: FnMut(TaskId) -> bool>(
-        &mut self,
-        index: &FileIndex,
-        files: &[FileId],
-        mut live: F,
-    ) -> u64 {
+    pub fn on_files_referenced(&mut self, index: &FileIndex, cold: &ColdRank, files: &[FileId]) {
         assert!(
             self.tracks_references(),
             "{} views keep no reference counters",
             self.metric
         );
-        let mut live_readers = 0;
         for &file in files {
             for &t in index.tasks_of(file) {
                 let ti = t as usize;
                 self.refsum[ti] += 1;
-                let alive = live(TaskId(t));
-                live_readers += u64::from(alive);
-                if let Some(rank) = self.rank.as_mut() {
-                    if !rank.member[ti] {
-                        continue;
-                    }
-                    if alive {
-                        rank.mark(ti);
-                    } else {
-                        rank.remove(ti);
-                    }
+                if cold.live[ti] {
+                    self.total_ref += 1;
+                    self.rank.mark(ti);
                 }
             }
         }
-        live_readers
     }
 
     /// Cached `|F_t|`.
@@ -744,292 +835,273 @@ impl SiteView {
         self.refsum[task.index()]
     }
 
-    /// The worker-centric pick straight off the priority index —
-    /// equivalent to `chooser.pick(weigh_all(...), rng)` but reading only
-    /// the best few bucket heads (`O(log T)` amortized; `Combined`
-    /// additionally reads its queue-wide normalisers from the supplied
-    /// `combined_totals`, maintained exactly by [`ComboAggregates`]).
-    ///
-    /// Tasks marked by storage events since the last read are re-filed
-    /// first (see the module docs), so every member is read at its
-    /// current coordinates.
-    ///
-    /// Pool membership is lazy: entries failing `live` are skipped *and
-    /// physically removed* (each stale entry is repaired at most once), so
-    /// the candidate set equals what an eagerly-maintained rank would
-    /// hold. It provably contains the full scan's top-`n` (within a bucket
-    /// the order matches the argmax tie-break; across buckets every bucket
-    /// contributes its first `n` live members), and the weights are
-    /// computed with the identical expressions — so the pick, including
-    /// its RNG consumption, is bit-identical. Call
-    /// [`SiteView::sync_pending`] first so journaled re-inserts are
-    /// visible.
-    ///
-    /// Returns `None` when no live task is tracked.
+    /// The exact `combined` normalisers `(totalRef, totalRest)` at this
+    /// site over the rank-live tasks — `O(levels)`. The per-level counts
+    /// are the cold rank's bucket sizes plus this site's corrections, fed
+    /// through the canonical [`total_rest_from_counts`] accumulation.
     ///
     /// # Panics
     ///
-    /// Panics if no rank is attached (see [`SiteView::enable_rank`]), or
-    /// if the rank orders by [`WeightMetric::Combined`] and
-    /// `combined_totals` is `None`.
-    pub fn pick_ranked<R, F>(
+    /// Panics if the view keeps no reference counters; panics (debug) if
+    /// a reconstructed count is negative.
+    #[must_use]
+    pub fn combined_totals(&self, cold: &ColdRank) -> (u64, f64) {
+        assert!(self.tracks_references(), "{} view", self.metric);
+        let total_rest =
+            total_rest_from_counts(cold.buckets.iter().zip(&self.corr).enumerate().map(
+                |(m, (bucket, &corr))| {
+                    let count = bucket.len() as i64 + corr;
+                    debug_assert!(count >= 0, "negative count at level {m}");
+                    count as u32
+                },
+            ));
+        (self.total_ref, total_rest)
+    }
+
+    /// The worker-centric pick straight off the priority indexes —
+    /// equivalent to `chooser.pick(weigh_all(...), rng)` over the
+    /// rank-live tasks but reading only the best few members of the site
+    /// rank and of `cold`, the owner's shared cold rank (`O(log T)`
+    /// amortized). Tasks marked by storage or membership events since the last read are
+    /// filed first, so every member is read at its current coordinates.
+    ///
+    /// The candidate set contains the full scan's top `n` and the weights
+    /// come from the identical expressions, so the pick, including its RNG
+    /// consumption, is bit-identical (see the module docs).
+    ///
+    /// Returns `None` when no task is rank-live.
+    pub fn pick_ranked<R: Rng + ?Sized>(
         &mut self,
+        cold: &ColdRank,
         chooser: &ChooseTask,
         rng: &mut R,
-        mut live: F,
-        combined_totals: Option<(u64, f64)>,
-    ) -> Option<TaskId>
-    where
-        R: Rng + ?Sized,
-        F: FnMut(TaskId) -> bool,
-    {
-        self.stats.picks.incr();
-        self.apply_marks();
+    ) -> Option<TaskId> {
+        cold.stats.picks.incr();
+        self.apply_marks(&cold.stats);
         let n = chooser.n();
-        let mut stale: Vec<u32> = Vec::new();
-        let mut cands: Vec<(TaskId, f64)> = Vec::with_capacity(n);
-        {
-            let rank = self
-                .rank
-                .as_ref()
-                .expect("pick_ranked requires an enabled rank");
-            match rank.metric {
-                WeightMetric::Overlap => {
-                    // Strictly decreasing weight per level: the first n
-                    // live tasks in (level desc, id asc) order are the
-                    // exact top-n.
-                    'levels: for level in (0..rank.buckets.len()).rev() {
-                        for &(_, t) in &rank.buckets[level] {
-                            if !live(TaskId(t)) {
-                                stale.push(t);
-                                continue;
-                            }
-                            cands.push((TaskId(t), level as f64));
-                            if cands.len() == n {
-                                break 'levels;
-                            }
-                        }
+        let levels = self.rank.buckets.len();
+        let rank = &self.rank;
+        let overlap = &self.overlap;
+        let unshadowed = |level: usize| {
+            cold.buckets[level]
+                .iter()
+                .copied()
+                .filter(|&t| overlap[t as usize] == 0)
+        };
+        let mut cands: Vec<(TaskId, f64)> = Vec::with_capacity(2 * n);
+        match self.metric {
+            WeightMetric::Overlap | WeightMetric::Rest => {
+                // One weight per level, strictly falling best-first: take
+                // each level's first members until n are held.
+                for i in 0..levels {
+                    let (level, w) = if self.metric == WeightMetric::Overlap {
+                        (levels - 1 - i, (levels - 1 - i) as f64)
+                    } else {
+                        (i, rest_weight(i))
+                    };
+                    let need = n - cands.len();
+                    cands.extend(
+                        rank.bucket(level)
+                            .take(need)
+                            .chain(unshadowed(level).take(need))
+                            .map(|t| (TaskId(t), w)),
+                    );
+                    if cands.len() >= n {
+                        break;
                     }
                 }
-                WeightMetric::Rest => {
-                    // Strictly decreasing weight as missing grows:
-                    // ascending levels yield the exact top-n.
-                    'levels: for (level, bucket) in rank.buckets.iter().enumerate() {
-                        for &(_, t) in bucket {
-                            if !live(TaskId(t)) {
-                                stale.push(t);
-                                continue;
-                            }
-                            cands.push((TaskId(t), rest_weight(level)));
-                            if cands.len() == n {
-                                break 'levels;
-                            }
-                        }
-                    }
+            }
+            WeightMetric::Combined => {
+                let (total_ref, total_rest) = self.combined_totals(cold);
+                let refsum = &self.refsum;
+                let weigh = |t: u32, level: usize| {
+                    let w = combined_weight(
+                        refsum[t as usize],
+                        rest_weight(level),
+                        total_ref,
+                        total_rest,
+                    );
+                    (TaskId(t), w)
+                };
+                for level in 0..levels {
+                    cands.extend(rank.bucket(level).take(n).map(|t| weigh(t, level)));
                 }
-                WeightMetric::Combined => {
-                    // Weights mix normalised references and rest, so no
-                    // single bucket order is globally sorted — but within
-                    // a bucket the order is weight-descending, hence the
-                    // global top-n is contained in the union of every
-                    // bucket's first n live members.
-                    let (total_ref, total_rest) =
-                        combined_totals.expect("Combined pick needs ComboAggregates totals");
-                    for (level, bucket) in rank.buckets.iter().enumerate() {
-                        let mut taken = 0;
-                        for &(_, t) in bucket {
-                            if !live(TaskId(t)) {
-                                stale.push(t);
-                                continue;
-                            }
-                            let w = combined_weight(
-                                self.refsum[t as usize],
-                                rest_weight(level),
-                                total_ref,
-                                total_rest,
-                            );
-                            cands.push((TaskId(t), w));
-                            taken += 1;
-                            if taken == n {
-                                break;
-                            }
-                        }
+                // The first n unshadowed cold members in (|t|, id) order
+                // suffice, and n shadowed ones met first outweigh every
+                // later cold member (see the module docs).
+                let (mut taken, mut skipped) = (0, 0);
+                let cold_order = (0..levels)
+                    .flat_map(|level| cold.buckets[level].iter().map(move |&t| (t, level)));
+                for (t, level) in cold_order {
+                    if overlap[t as usize] == 0 {
+                        cands.push(weigh(t, level));
+                        taken += 1;
+                    } else {
+                        skipped += 1;
+                    }
+                    if taken == n || skipped == n {
+                        break;
                     }
                 }
             }
         }
-        self.repair(&stale);
         chooser.pick(&cands, rng)
     }
 
-    /// Re-files every marked member that is still a member from the
-    /// current counters — the deferred half of the storage-event hooks.
-    /// Afterwards every member sits at its current coordinates.
-    fn apply_marks(&mut self) {
-        let Some(rank) = self.rank.as_mut() else {
-            return;
-        };
+    /// Files every marked task from its membership and current counters —
+    /// the deferred half of the storage and membership hooks. Afterwards
+    /// the buckets hold exactly the members, each at its current
+    /// coordinates.
+    fn apply_marks(&mut self, stats: &RankStats) {
+        let rank = &mut self.rank;
         let marks = std::mem::take(&mut rank.marks);
         let mut moved = 0;
         for &t in &marks {
             let t = t as usize;
             rank.marked[t] = false;
-            if rank.member[t] {
+            let coords = rank.member[t].then(|| {
                 let refsum = refsum_or_zero(&self.refsum, t);
-                let coords = rank.coords(rank.sizes[t], self.overlap[t], refsum);
-                moved += u64::from(rank.refile(t, coords));
-            }
+                rank.coords(rank.sizes[t], self.overlap[t], refsum)
+            });
+            moved += u64::from(rank.settle(t, coords));
         }
         rank.marks = marks;
         rank.marks.clear();
-        self.stats.refiles.add(moved);
+        stats.refiles.add(moved);
     }
 
-    /// Physically removes lazily-discovered stale entries from the rank.
-    fn repair(&mut self, stale: &[u32]) {
-        if stale.is_empty() {
-            return;
-        }
-        self.stats.repairs.add(stale.len() as u64);
-        let rank = self.rank.as_mut().expect("repair follows a ranked read");
-        for &t in stale {
-            rank.remove(t as usize);
-        }
-    }
-
-    /// The live task with the largest overlap (ties to the lowest id)
-    /// that satisfies `keep`, walking the index in (overlap desc, id asc)
-    /// order — the storage-affinity replica selection and the sufferage
-    /// fallback.
-    ///
-    /// `live` is the lazy-membership predicate: entries failing it are
-    /// skipped and physically repaired. `keep` is a *transient* caller
-    /// filter (e.g. "not already executing at this worker") — entries
-    /// failing only `keep` stay in the rank. Marked tasks are re-filed
-    /// first, as in [`SiteView::pick_ranked`]. Call
-    /// [`SiteView::sync_pending`] first.
+    /// The rank-live task with the largest overlap (ties to the lowest
+    /// id) that satisfies `keep`, walking the site rank and then the
+    /// unshadowed cold members in (overlap desc, id asc) order — the
+    /// storage-affinity replica selection and the sufferage fallback.
+    /// `keep` is a transient caller filter (e.g. "not already executing at
+    /// this worker"). Marked tasks are filed first, as in
+    /// [`SiteView::pick_ranked`].
     ///
     /// # Panics
     ///
-    /// Panics if no rank is attached or the rank does not order by
-    /// [`WeightMetric::Overlap`].
-    pub fn top_overlap_where<L, K>(&mut self, mut live: L, mut keep: K) -> Option<TaskId>
-    where
-        L: FnMut(TaskId) -> bool,
-        K: FnMut(TaskId) -> bool,
-    {
-        self.stats.picks.incr();
-        self.apply_marks();
-        let mut stale: Vec<u32> = Vec::new();
-        let mut found = None;
-        {
-            let rank = self
-                .rank
-                .as_ref()
-                .expect("top_overlap_where requires an enabled rank");
-            assert_eq!(
-                rank.metric,
-                WeightMetric::Overlap,
-                "top_overlap_where needs an Overlap-ordered rank"
-            );
-            'levels: for level in (0..rank.buckets.len()).rev() {
-                for &(_, t) in &rank.buckets[level] {
-                    let task = TaskId(t);
-                    if !live(task) {
-                        stale.push(t);
-                        continue;
-                    }
-                    if keep(task) {
-                        found = Some(task);
-                        break 'levels;
-                    }
-                }
-            }
-        }
-        self.repair(&stale);
-        found
+    /// Panics if the view's metric is not [`WeightMetric::Overlap`].
+    pub fn top_overlap_where<K: FnMut(TaskId) -> bool>(
+        &mut self,
+        cold: &ColdRank,
+        mut keep: K,
+    ) -> Option<TaskId> {
+        assert_eq!(
+            self.metric,
+            WeightMetric::Overlap,
+            "top_overlap_where needs an Overlap-ordered rank"
+        );
+        cold.stats.picks.incr();
+        self.apply_marks(&cold.stats);
+        let overlap = &self.overlap;
+        let site = self.rank.buckets.iter().rev().flatten().map(|&(_, t)| t);
+        let zero = cold.buckets[0]
+            .iter()
+            .copied()
+            .filter(|&t| overlap[t as usize] == 0);
+        site.chain(zero).map(TaskId).find(|&t| keep(t))
     }
 
     /// Debug helper: checks this view against ground truth from the store,
-    /// and the attached rank (if any) against the view's counters.
+    /// its rank against the view's counters, and its share of the sparse
+    /// membership against `cold`.
     ///
     /// Metric-aware: a reference-tracking (`Combined`) view must match the
-    /// store's `refsum` too; any other view, and its rank, must hold no
-    /// reference state at all.
+    /// store's `refsum` and keep exact normalisers; any other view, and
+    /// its rank, must hold no reference state at all.
     ///
-    /// For the rank: every member is filed in exactly one bucket entry at
-    /// its recorded coordinates, no bucket holds anything else, `len()`
-    /// counts the members, the mark list holds each marked task once, and
-    /// every *unmarked* member already sits at
-    /// `buckets[level_for(|t|, overlap)]` under `key_for(level, refsum)` —
-    /// so applying the pending marks puts every member at its current
-    /// coordinates.
+    /// For the rank: its members are exactly the rank-live tasks with
+    /// nonzero overlap here; each filed task sits in exactly one bucket
+    /// entry, at its recorded coordinates; no bucket holds anything else;
+    /// `len()` counts the members; the mark list holds each marked task
+    /// once; and every *unmarked* task is filed exactly if it is a member,
+    /// at its current coordinates. Each
+    /// task's site list in `cold` names this site exactly once if its
+    /// overlap here is nonzero, and not at all otherwise.
     ///
     /// # Panics
     ///
     /// Panics (in any build) if a cached counter disagrees with the store
-    /// or the rank breaks one of the invariants above.
-    pub fn assert_consistent(&self, index: &FileIndex, workload: &Workload, store: &SiteStore) {
+    /// or an invariant above is broken.
+    pub fn assert_consistent(
+        &self,
+        index: &FileIndex,
+        cold: &ColdRank,
+        workload: &Workload,
+        store: &SiteStore,
+    ) {
         let track = self.tracks_references();
         assert!(
-            track || self.refsum.is_empty(),
-            "{} view holds refsum",
+            track || (self.refsum.is_empty() && self.corr.is_empty()),
+            "{} view holds reference state",
             self.metric
         );
-        for t in workload.tasks() {
-            let files = t.files();
-            let overlap = store.overlap(files) as u32;
-            assert_eq!(
-                self.overlap(t.id),
-                overlap,
-                "overlap mismatch for task {}",
-                t.id
-            );
-            if track {
-                assert_eq!(
-                    self.refsum(t.id),
-                    store.overlap_ref_sum(files),
-                    "refsum mismatch for task {}",
-                    t.id
-                );
-            }
-        }
-        let Some(rank) = self.rank.as_ref() else {
-            return;
-        };
+        let rank = &self.rank;
         assert_eq!(rank.metric, self.metric, "rank ordered for another metric");
         assert!(
             track || rank.key_of.is_empty(),
             "{} rank holds keys",
             self.metric
         );
+        let mut corr = vec![0i64; self.corr.len()];
+        let mut total_ref = 0;
         let mut members = 0;
+        let mut filed_count = 0;
         for t in workload.tasks() {
             let ti = t.id.index();
-            if !rank.member[ti] {
-                continue;
-            }
-            members += 1;
-            let filed = rank.filed(ti);
-            assert!(
-                rank.buckets[filed.0 as usize].contains(&(filed.1, t.id.0)),
-                "rank member {} missing from its bucket",
+            let files = t.files();
+            let overlap = store.overlap(files) as u32;
+            assert_eq!(
+                self.overlap[ti], overlap,
+                "overlap mismatch for task {}",
                 t.id
             );
-            let current = rank.coords(
-                index.task_size(t.id),
-                self.overlap[ti],
-                refsum_or_zero(&self.refsum, ti),
-            );
+            if track {
+                assert_eq!(
+                    self.refsum[ti],
+                    store.overlap_ref_sum(files),
+                    "refsum mismatch for task {}",
+                    t.id
+                );
+            }
+            let listed = cold.sites[ti].iter().filter(|&&s| s == self.site).count();
+            assert_eq!(listed, usize::from(overlap > 0), "site list of {}", t.id);
+            let member = cold.live[ti] && overlap > 0;
+            assert_eq!(rank.member[ti], member, "site-rank membership of {}", t.id);
+            let size = index.task_size(t.id);
+            let filed = rank.filed(ti);
+            if let Some((level, key)) = filed {
+                filed_count += 1;
+                assert!(
+                    rank.buckets[level as usize].contains(&(key, t.id.0)),
+                    "task {} missing from the bucket it is filed under",
+                    t.id
+                );
+            }
+            let current =
+                member.then(|| rank.coords(size, overlap, refsum_or_zero(&self.refsum, ti)));
             assert!(
                 rank.marked[ti] || filed == current,
-                "unmarked rank member {} filed at {filed:?}, belongs at {current:?}",
+                "unmarked task {} filed at {filed:?}, belongs at {current:?}",
                 t.id
             );
+            if member {
+                members += 1;
+                if track {
+                    corr[(size - overlap) as usize] += 1;
+                    corr[size as usize] -= 1;
+                    total_ref += self.refsum[ti];
+                }
+            }
         }
+        assert_eq!(corr, self.corr, "normaliser corrections");
+        assert_eq!(total_ref, self.total_ref, "totalRef");
         assert_eq!(rank.len, members, "rank len disagrees with its members");
         let entries: usize = rank.buckets.iter().map(BTreeSet::len).sum();
-        assert_eq!(entries, members, "bucket entries disagree with the members");
+        assert_eq!(
+            entries, filed_count,
+            "bucket entries disagree with the filed tasks"
+        );
         let marked = rank.marked.iter().filter(|&&m| m).count();
         assert_eq!(rank.marks.len(), marked, "mark list out of step");
         assert!(
@@ -1043,237 +1115,6 @@ impl SiteView {
 /// input a rank key needs, which is 0 for every metric but `Combined`.
 fn refsum_or_zero(refsum: &[u64], t: usize) -> u64 {
     refsum.get(t).copied().unwrap_or(0)
-}
-
-/// Attaches a priority index ordered by its view's metric to every view and admits the
-/// current pending pool — the shared initialize-time step of every
-/// incremental-mode scheduler. Admission is bulk: per-bucket sorted runs
-/// handed to `BTreeSet::from_iter` (which bulk-builds), instead of
-/// `S × T` individual tree inserts.
-pub fn enable_ranks(views: &mut [SiteView], index: &FileIndex, pool: &TaskPool) {
-    let pending: Vec<TaskId> = pool.iter().collect();
-    for view in views {
-        view.enable_rank(index);
-        view.rank_bulk_admit(index, &pending);
-    }
-}
-
-/// Exact, sparsely-maintained queue-wide normalisers for the `combined`
-/// metric — `totalRef` and the per-missing-count histogram behind
-/// `totalRest` — for **every** site at once.
-///
-/// The naive definition is per-site and per-membership:
-/// `totalRef(s) = Σ_{t pending} refsum_s(t)` and
-/// `counts_s[m] = #{t pending : missing_s(t) = m}` — maintaining these
-/// eagerly costs `O(S)` per pool insert/remove, the broadcast this module
-/// eliminates. Two observations make the maintenance sparse:
-///
-/// * a task with **zero overlap** at a site contributes `refsum = 0` and
-///   `missing = |t|` there — so a global `pending_by_size` histogram is a
-///   correct baseline for every site, and each site only needs a
-///   *correction* for its nonzero-overlap pending tasks;
-/// * a task has nonzero overlap exactly at the sites holding at least one
-///   of its files — enumerable from per-file **residency lists** in
-///   `O(Σ_f |sites holding f|)`, independent of `S` for data-local
-///   workloads.
-///
-/// Storage events stay site-local (`O(tasks reading the file)`), exactly
-/// like the [`SiteView`] counter maintenance they piggyback on. All
-/// arithmetic is integer, so the totals are bit-exact; `totalRest` is
-/// produced by feeding the reconstructed histogram through the canonical
-/// [`total_rest_from_counts`] accumulation.
-///
-/// Event routing (the owner must keep this in lock-step with the views,
-/// which are reference-tracking `Combined` views; all hooks take the
-/// *already updated* [`SiteView`] of the event's site):
-/// [`ComboAggregates::on_file_added`] / [`ComboAggregates::on_file_evicted`]
-/// / [`ComboAggregates::on_files_referenced`] after the view update, and
-/// [`ComboAggregates::on_pool_remove`] / [`ComboAggregates::on_pool_insert`]
-/// on membership changes.
-#[derive(Debug, Clone)]
-pub struct ComboAggregates {
-    /// Baseline histogram: `#pending tasks with |t| = k` (global).
-    pending_by_size: Vec<i64>,
-    /// Per-site corrections, flattened `site * levels + m`: for each
-    /// pending task with nonzero overlap at the site,
-    /// `[missing = m] − [|t| = m]`.
-    corr: Vec<i64>,
-    /// Per-site `Σ refsum` over pending tasks (zero-overlap tasks
-    /// contribute zero, so only nonzero-overlap sites ever adjust this).
-    total_ref: Vec<u64>,
-    /// `residency[f]` — sites currently holding file `f`.
-    residency: Vec<Vec<u32>>,
-    /// Site-dedup scratch for membership sweeps (stamp pattern).
-    seen: Vec<u64>,
-    stamp: u64,
-    levels: usize,
-}
-
-impl ComboAggregates {
-    /// Aggregates for `sites` initially-**empty** site stores over the
-    /// current pending pool. Pre-populated stores must be seeded through
-    /// [`ComboAggregates::on_file_added`], file by file, after the
-    /// corresponding view update.
-    #[must_use]
-    pub fn new(index: &FileIndex, pool: &TaskPool, sites: usize) -> Self {
-        let levels = index.max_task_size() as usize + 1;
-        let mut pending_by_size = vec![0i64; levels];
-        for t in pool.iter() {
-            pending_by_size[index.task_size(t) as usize] += 1;
-        }
-        ComboAggregates {
-            pending_by_size,
-            corr: vec![0; sites * levels],
-            total_ref: vec![0; sites],
-            residency: vec![Vec::new(); index.file_count()],
-            seen: vec![0; sites],
-            stamp: 0,
-            levels,
-        }
-    }
-
-    /// The exact `(totalRef, totalRest)` pair for `site`, over the current
-    /// pending pool — `O(levels)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics (debug) if a reconstructed count is negative — an event was
-    /// routed out of lock-step.
-    #[must_use]
-    pub fn totals(&self, site: usize) -> (u64, f64) {
-        let corr = &self.corr[site * self.levels..(site + 1) * self.levels];
-        let total_rest = total_rest_from_counts((0..self.levels).map(|m| {
-            let count = self.pending_by_size[m] + corr[m];
-            debug_assert!(count >= 0, "negative count at level {m}");
-            count as u32
-        }));
-        (self.total_ref[site], total_rest)
-    }
-
-    /// `file` became resident at `site` with reference count `ref_count`;
-    /// `view` is the site's view, already updated.
-    pub fn on_file_added(
-        &mut self,
-        site: usize,
-        index: &FileIndex,
-        view: &SiteView,
-        file: FileId,
-        ref_count: u32,
-        pool: &TaskPool,
-    ) {
-        self.residency[file.index()].push(site as u32);
-        let corr = &mut self.corr[site * self.levels..(site + 1) * self.levels];
-        for &t in index.tasks_of(file) {
-            let task = TaskId(t);
-            if !pool.contains(task) {
-                continue;
-            }
-            // Overlap rose by one, so the task misses one file fewer. When
-            // it just joined the nonzero-overlap set, the old "missing"
-            // equals |t| — exactly the baseline slot its correction must
-            // now cancel, so the uniform two-slot update covers both cases.
-            let m_new = (index.task_size(task) - view.overlap(task)) as usize;
-            corr[m_new + 1] -= 1;
-            corr[m_new] += 1;
-            self.total_ref[site] += u64::from(ref_count);
-        }
-    }
-
-    /// `file` was evicted at `site` while holding `ref_count`; `view` is
-    /// the site's view, already updated.
-    pub fn on_file_evicted(
-        &mut self,
-        site: usize,
-        index: &FileIndex,
-        view: &SiteView,
-        file: FileId,
-        ref_count: u32,
-        pool: &TaskPool,
-    ) {
-        let slot = self.residency[file.index()]
-            .iter()
-            .position(|&s| s == site as u32)
-            .expect("evicted file was resident");
-        self.residency[file.index()].swap_remove(slot);
-        let corr = &mut self.corr[site * self.levels..(site + 1) * self.levels];
-        for &t in index.tasks_of(file) {
-            let task = TaskId(t);
-            if !pool.contains(task) {
-                continue;
-            }
-            let m_new = (index.task_size(task) - view.overlap(task)) as usize;
-            corr[m_new - 1] -= 1;
-            corr[m_new] += 1;
-            self.total_ref[site] -= u64::from(ref_count);
-        }
-    }
-
-    /// A task start at `site` referenced resident files (`r_i += 1`
-    /// each): every pending reader's refsum rose by one per file it
-    /// reads. `pending_readers` is that count, as returned by the site
-    /// view's [`SiteView::on_files_referenced`] with the pool as `live`.
-    pub fn on_files_referenced(&mut self, site: usize, pending_readers: u64) {
-        self.total_ref[site] += pending_readers;
-    }
-
-    /// `task` (input set `files`) left the pending pool. Touches only the
-    /// sites where the task has nonzero overlap, via the residency lists.
-    pub fn on_pool_remove(
-        &mut self,
-        index: &FileIndex,
-        task: TaskId,
-        files: &[FileId],
-        views: &[SiteView],
-    ) {
-        let size = index.task_size(task) as usize;
-        self.pending_by_size[size] -= 1;
-        self.for_each_overlap_site(files, |aggr, site| {
-            let view = &views[site];
-            let m = size - view.overlap(task) as usize;
-            let corr = &mut aggr.corr[site * aggr.levels..(site + 1) * aggr.levels];
-            corr[m] -= 1;
-            corr[size] += 1;
-            aggr.total_ref[site] -= view.refsum(task);
-        });
-    }
-
-    /// `task` (input set `files`) re-joined the pending pool.
-    pub fn on_pool_insert(
-        &mut self,
-        index: &FileIndex,
-        task: TaskId,
-        files: &[FileId],
-        views: &[SiteView],
-    ) {
-        let size = index.task_size(task) as usize;
-        self.pending_by_size[size] += 1;
-        self.for_each_overlap_site(files, |aggr, site| {
-            let view = &views[site];
-            let m = size - view.overlap(task) as usize;
-            let corr = &mut aggr.corr[site * aggr.levels..(site + 1) * aggr.levels];
-            corr[m] += 1;
-            corr[size] -= 1;
-            aggr.total_ref[site] += view.refsum(task);
-        });
-    }
-
-    /// Visits each distinct site holding at least one of `files` — exactly
-    /// the sites where the owning task's overlap is nonzero.
-    fn for_each_overlap_site<F: FnMut(&mut Self, usize)>(&mut self, files: &[FileId], mut f: F) {
-        self.stamp += 1;
-        let stamp = self.stamp;
-        for &file in files {
-            let sites = std::mem::take(&mut self.residency[file.index()]);
-            for &s in &sites {
-                let s = s as usize;
-                if self.seen[s] != stamp {
-                    self.seen[s] = stamp;
-                    f(self, s);
-                }
-            }
-            self.residency[file.index()] = sites;
-        }
-    }
 }
 
 #[cfg(test)]
@@ -1310,19 +1151,22 @@ mod tests {
         let workload = wl();
         let idx = FileIndex::build(&workload);
         let mut store = SiteStore::new(10, EvictionPolicy::Lru);
-        let mut view = SiteView::new(3, WeightMetric::Combined);
+        let mut cold = ColdRank::new(WeightMetric::Combined, &idx);
+        let mut view = SiteView::new(0, &idx, WeightMetric::Combined);
 
         store.insert(FileId(1));
-        view.on_file_added(&idx, FileId(1), store.ref_count(FileId(1)));
+        view.on_file_added(&idx, &mut cold, FileId(1), store.ref_count(FileId(1)));
         assert_eq!(view.overlap(TaskId(0)), 1);
         assert_eq!(view.overlap(TaskId(1)), 1);
         assert_eq!(view.overlap(TaskId(2)), 0);
+        assert_eq!(cold.sites[0], [0]);
+        assert!(cold.sites[2].is_empty());
 
         store.record_task_reference(FileId(1));
-        assert_eq!(view.on_files_referenced(&idx, &[FileId(1)], |_| true), 2);
+        view.on_files_referenced(&idx, &cold, &[FileId(1)]);
         assert_eq!(view.refsum(TaskId(0)), 1);
 
-        view.assert_consistent(&idx, &workload, &store);
+        view.assert_consistent(&idx, &cold, &workload, &store);
     }
 
     #[test]
@@ -1330,23 +1174,25 @@ mod tests {
         let workload = wl();
         let idx = FileIndex::build(&workload);
         let mut store = SiteStore::new(1, EvictionPolicy::Lru);
-        let mut view = SiteView::new(3, WeightMetric::Combined);
+        let mut cold = ColdRank::new(WeightMetric::Combined, &idx);
+        let mut view = SiteView::new(0, &idx, WeightMetric::Combined);
 
         store.insert(FileId(1));
-        view.on_file_added(&idx, FileId(1), store.ref_count(FileId(1)));
+        view.on_file_added(&idx, &mut cold, FileId(1), store.ref_count(FileId(1)));
         store.record_task_reference(FileId(1));
-        view.on_files_referenced(&idx, &[FileId(1)], |_| true);
+        view.on_files_referenced(&idx, &cold, &[FileId(1)]);
 
         // Inserting file 2 evicts file 1 (capacity 1).
         let ref_before = store.ref_count(FileId(1));
         let evicted = store.insert(FileId(2));
         assert_eq!(evicted, vec![FileId(1)]);
-        view.on_file_evicted(&idx, FileId(1), ref_before);
-        view.on_file_added(&idx, FileId(2), store.ref_count(FileId(2)));
+        view.on_file_evicted(&idx, &mut cold, FileId(1), ref_before);
+        view.on_file_added(&idx, &mut cold, FileId(2), store.ref_count(FileId(2)));
 
-        view.assert_consistent(&idx, &workload, &store);
+        view.assert_consistent(&idx, &cold, &workload, &store);
         assert_eq!(view.overlap(TaskId(0)), 0);
         assert_eq!(view.refsum(TaskId(0)), 0);
+        assert!(cold.sites[0].is_empty(), "left the site list");
     }
 }
 
@@ -1372,124 +1218,147 @@ mod rank_tests {
         )
     }
 
-    fn ranked_view(metric: WeightMetric, resident: &[u32]) -> (FileIndex, SiteView, SiteStore) {
+    /// One site holding `resident`, every task rank-live.
+    fn ranked_view(
+        metric: WeightMetric,
+        resident: &[u32],
+    ) -> (FileIndex, SiteView, ColdRank, SiteStore) {
         let workload = wl();
         let idx = FileIndex::build(&workload);
         let mut store = SiteStore::new(10, EvictionPolicy::Lru);
-        let mut view = SiteView::new(4, metric);
-        view.enable_rank(&idx);
-        for t in 0..4 {
-            view.rank_insert(&idx, TaskId(t));
-        }
+        let mut cold = ColdRank::new(metric, &idx);
+        let mut view = SiteView::new(0, &idx, metric);
+        cold.admit_all(std::slice::from_mut(&mut view), &TaskPool::full(4));
         for &f in resident {
             store.insert(FileId(f));
-            view.on_file_added(&idx, FileId(f), store.ref_count(FileId(f)));
+            view.on_file_added(&idx, &mut cold, FileId(f), store.ref_count(FileId(f)));
         }
-        (idx, view, store)
+        (idx, view, cold, store)
     }
 
     #[test]
     fn ranked_overlap_pick_is_argmax() {
-        let (_, mut view, _) = ranked_view(WeightMetric::Overlap, &[2, 3]);
+        let (_, mut view, cold, _) = ranked_view(WeightMetric::Overlap, &[2, 3]);
         let mut rng = StdRng::seed_from_u64(0);
         // Task 2 overlaps {2,3} fully; deterministic argmax.
         assert_eq!(
-            view.pick_ranked(&ChooseTask::new(1), &mut rng, |_| true, None),
+            view.pick_ranked(&cold, &ChooseTask::new(1), &mut rng),
             Some(TaskId(2))
         );
     }
 
     #[test]
     fn ranked_rest_prefers_zero_missing() {
-        let (_, mut view, _) = ranked_view(WeightMetric::Rest, &[0, 1]);
+        let (_, mut view, cold, _) = ranked_view(WeightMetric::Rest, &[0, 1]);
         let mut rng = StdRng::seed_from_u64(0);
         assert_eq!(
-            view.pick_ranked(&ChooseTask::new(1), &mut rng, |_| true, None),
+            view.pick_ranked(&cold, &ChooseTask::new(1), &mut rng),
             Some(TaskId(0)),
             "task 0 needs zero transfers"
         );
     }
 
     #[test]
-    fn ranked_tracks_lazy_membership() {
-        // Membership is conveyed through the `live` predicate + the
-        // PendingLog, never by touching the rank directly.
-        let (idx, mut view, _) = ranked_view(WeightMetric::Overlap, &[0, 1]);
+    fn ranked_tracks_eager_membership() {
+        // Membership changes reach the cold rank and exactly the site
+        // ranks of the sites where the task has overlap.
+        let (idx, mut view, mut cold, store) = ranked_view(WeightMetric::Overlap, &[0, 1]);
+        let workload = wl();
         let mut rng = StdRng::seed_from_u64(0);
         let chooser = ChooseTask::new(1);
-        let mut pool = TaskPool::full(4);
-        let mut log = PendingLog::new();
-        let mut pick = |view: &mut SiteView, pool: &TaskPool, log: &PendingLog| {
-            view.sync_pending(&idx, log, |t| pool.contains(t));
-            view.pick_ranked(&chooser, &mut rng, |t| pool.contains(t), None)
-        };
-        assert_eq!(pick(&mut view, &pool, &log), Some(TaskId(0)));
-        pool.remove(TaskId(0));
-        assert_eq!(pick(&mut view, &pool, &log), Some(TaskId(1)));
-        // The stale entry was physically repaired during the read.
-        assert_eq!(view.rank().expect("enabled").len(), 3);
-        pool.insert(TaskId(0));
-        log.record(TaskId(0), std::slice::from_mut(&mut view));
-        assert_eq!(pick(&mut view, &pool, &log), Some(TaskId(0)));
-        for t in 0..4 {
-            pool.remove(TaskId(t));
+        let views = std::slice::from_mut(&mut view);
+        assert_eq!(
+            views[0].pick_ranked(&cold, &chooser, &mut rng),
+            Some(TaskId(0))
+        );
+        assert!(cold.remove(views, TaskId(0)));
+        assert!(!cold.remove(views, TaskId(0)), "already withdrawn");
+        assert!(!views[0].rank().contains(TaskId(0)));
+        assert_eq!(
+            views[0].pick_ranked(&cold, &chooser, &mut rng),
+            Some(TaskId(1))
+        );
+        // Task 2 overlaps nowhere: only the cold rank changes.
+        assert!(cold.remove(views, TaskId(2)));
+        assert_eq!(views[0].rank().len(), 2, "tasks 1 and 3");
+        assert!(cold.insert(views, TaskId(0)));
+        assert_eq!(
+            views[0].pick_ranked(&cold, &chooser, &mut rng),
+            Some(TaskId(0))
+        );
+        let live = |t: TaskId| t != TaskId(2);
+        cold.assert_consistent(live);
+        views[0].assert_consistent(&idx, &cold, &workload, &store);
+        for t in [0, 1, 3] {
+            cold.remove(views, TaskId(t));
         }
-        assert_eq!(pick(&mut view, &pool, &log), None);
-        assert!(view.rank().expect("enabled").is_empty(), "all repaired");
+        assert_eq!(views[0].pick_ranked(&cold, &chooser, &mut rng), None);
+        assert!(views[0].rank().is_empty());
+        cold.assert_consistent(|_| false);
     }
 
     #[test]
-    fn rank_stats_count_picks_replays_and_repairs() {
-        let (idx, mut view, _) = ranked_view(WeightMetric::Overlap, &[0, 1]);
+    fn rank_stats_count_picks_and_membership_changes() {
+        let (_, mut view, mut cold, _) = ranked_view(WeightMetric::Overlap, &[0, 1]);
         let telemetry = Telemetry::enabled();
-        view.set_stats(RankStats::attach(&telemetry));
-        let mut pool = TaskPool::full(4);
-        let log = PendingLog::new();
-        view.sync_pending(&idx, &log, |t| pool.contains(t));
-        // Task 0 (overlap 2, the bucket head) goes stale in place; the next
-        // ranked read must skip and physically repair it.
-        pool.remove(TaskId(0));
+        cold.set_stats(RankStats::attach(&telemetry));
+        let views = std::slice::from_mut(&mut view);
+        // Task 0 overlaps site 0, task 2 overlaps nowhere.
+        cold.remove(views, TaskId(0));
+        cold.remove(views, TaskId(2));
+        cold.remove(views, TaskId(2));
+        cold.insert(views, TaskId(0));
         let mut rng = StdRng::seed_from_u64(0);
-        let picked = view.pick_ranked(&ChooseTask::new(1), &mut rng, |t| pool.contains(t), None);
-        assert_eq!(picked, Some(TaskId(1)));
+        let picked = views[0].pick_ranked(&cold, &ChooseTask::new(1), &mut rng);
+        assert_eq!(picked, Some(TaskId(0)));
         assert_eq!(telemetry.counter("scheduler.rank.picks").get(), 1);
-        assert_eq!(telemetry.counter("scheduler.rank.repairs").get(), 1);
-        assert_eq!(telemetry.counter("scheduler.pending_log.replays").get(), 1);
-        let lens = telemetry.histogram("scheduler.pending_log.replay_len");
-        assert_eq!(lens.count(), 1, "one sync call, zero entries replayed");
-        assert_eq!(lens.sum(), 0);
+        assert_eq!(
+            telemetry.counter("scheduler.rank.membership_changes").get(),
+            3,
+            "a no-op removal is no change"
+        );
+        let sites = telemetry.histogram("scheduler.rank.overlap_sites");
+        assert_eq!(sites.count(), 3);
+        assert_eq!(
+            sites.sum(),
+            2,
+            "one site for task 0, twice; none for task 2"
+        );
     }
 
     #[test]
     fn top_overlap_where_filters() {
-        let (_, mut view, _) = ranked_view(WeightMetric::Overlap, &[2, 3]);
-        assert_eq!(view.top_overlap_where(|_| true, |_| true), Some(TaskId(2)));
+        let (_, mut view, mut cold, _) = ranked_view(WeightMetric::Overlap, &[2, 3]);
+        assert_eq!(view.top_overlap_where(&cold, |_| true), Some(TaskId(2)));
         assert_eq!(
-            view.top_overlap_where(|_| true, |t| t != TaskId(2)),
+            view.top_overlap_where(&cold, |t| t != TaskId(2)),
             Some(TaskId(1)),
             "next-best overlap after filtering the argmax"
         );
-        assert_eq!(view.top_overlap_where(|_| true, |_| false), None);
-        // A transient `keep` filter must not shrink the rank...
-        assert_eq!(view.rank().expect("enabled").len(), 4);
-        // ...but a failing `live` predicate repairs the walked entries.
-        assert_eq!(view.top_overlap_where(|_| false, |_| true), None);
-        assert!(view.rank().expect("enabled").is_empty());
+        assert_eq!(view.top_overlap_where(&cold, |_| false), None);
+        // A transient `keep` filter does not shrink the rank.
+        assert_eq!(view.rank().len(), 3, "tasks 1, 2 and 3 overlap");
+        // A zero-overlap task is read from the cold rank.
+        let views = std::slice::from_mut(&mut view);
+        for t in [1, 2, 3] {
+            cold.remove(views, TaskId(t));
+        }
+        assert_eq!(views[0].top_overlap_where(&cold, |_| true), Some(TaskId(0)));
     }
 
     #[test]
-    fn combo_aggregates_track_membership_and_storage() {
+    fn combined_totals_track_membership_and_storage() {
         let workload = wl();
         let idx = FileIndex::build(&workload);
         let mut pool = TaskPool::full(4);
-        let mut combo = ComboAggregates::new(&idx, &pool, 2);
+        let mut cold = ColdRank::new(WeightMetric::Combined, &idx);
         let mut views = vec![
-            SiteView::new(4, WeightMetric::Combined),
-            SiteView::new(4, WeightMetric::Combined),
+            SiteView::new(0, &idx, WeightMetric::Combined),
+            SiteView::new(1, &idx, WeightMetric::Combined),
         ];
+        cold.admit_all(&mut views, &pool);
         let mut store = SiteStore::new(2, EvictionPolicy::Lru);
 
-        // Baseline (empty stores): totalRef 0, counts all at |t| = 2.
         let naive_totals = |pool: &TaskPool, store: &SiteStore| {
             let mut total_ref = 0u64;
             let mut counts: Vec<u32> = Vec::new();
@@ -1504,62 +1373,45 @@ mod rank_tests {
             }
             (total_ref, total_rest_from_counts(counts))
         };
-        let check = |combo: &ComboAggregates, pool: &TaskPool, store: &SiteStore| {
-            let (r, rest) = combo.totals(0);
+        let check = |views: &[SiteView], cold: &ColdRank, pool: &TaskPool, store: &SiteStore| {
+            let (r, rest) = views[0].combined_totals(cold);
             let (nr, nrest) = naive_totals(pool, store);
             assert_eq!(r, nr);
             assert_eq!(rest.to_bits(), nrest.to_bits(), "bit-identical totalRest");
         };
-        check(&combo, &pool, &store);
+        // Baseline (empty stores): totalRef 0, counts all at |t| = 2.
+        check(&views, &cold, &pool, &store);
 
         // File events at site 0.
         for f in [1u32, 2] {
             store.insert(FileId(f));
-            views[0].on_file_added(&idx, FileId(f), store.ref_count(FileId(f)));
-            combo.on_file_added(
-                0,
-                &idx,
-                &views[0],
-                FileId(f),
-                store.ref_count(FileId(f)),
-                &pool,
-            );
+            views[0].on_file_added(&idx, &mut cold, FileId(f), store.ref_count(FileId(f)));
         }
         store.record_task_reference(FileId(1));
-        let readers = views[0].on_files_referenced(&idx, &[FileId(1)], |t| pool.contains(t));
-        combo.on_files_referenced(0, readers);
-        check(&combo, &pool, &store);
+        views[0].on_files_referenced(&idx, &cold, &[FileId(1)]);
+        check(&views, &cold, &pool, &store);
 
         // Membership: remove a nonzero-overlap task, then re-admit it.
-        let files1: Vec<FileId> = workload.task(TaskId(1)).files().to_vec();
         pool.remove(TaskId(1));
-        combo.on_pool_remove(&idx, TaskId(1), &files1, &views);
-        check(&combo, &pool, &store);
+        cold.remove(&mut views, TaskId(1));
+        check(&views, &cold, &pool, &store);
         pool.insert(TaskId(1));
-        combo.on_pool_insert(&idx, TaskId(1), &files1, &views);
-        check(&combo, &pool, &store);
+        cold.insert(&mut views, TaskId(1));
+        check(&views, &cold, &pool, &store);
 
         // Eviction (capacity 2, LRU) rolls the correction back.
         let evicted = store.insert(FileId(3));
         assert_eq!(evicted.len(), 1, "capacity 2 forces one eviction");
         for e in evicted {
             let rc = store.ref_count(e);
-            views[0].on_file_evicted(&idx, e, rc);
-            combo.on_file_evicted(0, &idx, &views[0], e, rc, &pool);
+            views[0].on_file_evicted(&idx, &mut cold, e, rc);
         }
-        views[0].on_file_added(&idx, FileId(3), store.ref_count(FileId(3)));
-        combo.on_file_added(
-            0,
-            &idx,
-            &views[0],
-            FileId(3),
-            store.ref_count(FileId(3)),
-            &pool,
-        );
-        check(&combo, &pool, &store);
+        views[0].on_file_added(&idx, &mut cold, FileId(3), store.ref_count(FileId(3)));
+        check(&views, &cold, &pool, &store);
+        views[0].assert_consistent(&idx, &cold, &workload, &store);
 
         // Site 1 never saw a file: its totals stay at the baseline.
-        let (r1, _) = combo.totals(1);
+        let (r1, _) = views[1].combined_totals(&cold);
         assert_eq!(r1, 0);
     }
 }
@@ -1570,16 +1422,31 @@ mod proptests {
     use gridsched_storage::EvictionPolicy;
     use gridsched_workload::TaskSpec;
     use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    /// Sites of the test grid; every op names one modulo this.
+    const SITES: usize = 3;
+    const METRICS: [WeightMetric; 3] = [
+        WeightMetric::Overlap,
+        WeightMetric::Rest,
+        WeightMetric::Combined,
+    ];
 
     #[derive(Debug, Clone)]
     enum Op {
-        Insert(u32),
-        Reference(u32),
-        RemoveTask(u32),
-        /// Take the `k`-th marked task (modulo the mark count) out of the
-        /// pool; with `true`, requeue it through the journal at once.
-        ToggleMarked(u32, bool),
-        /// A ranked read, checked against the naive scan.
+        /// A file arrives at a site (LRU evictions ride along).
+        Insert(u32, u32),
+        /// A task start at a site references the task's resident inputs.
+        Start(u32, u32),
+        /// The site's data server fails: every unpinned file is evicted.
+        Fail(u32),
+        /// Flip a task's rank-live membership.
+        Toggle(u32),
+        /// Take the `k`-th marked task of a site's rank (modulo the mark
+        /// count) out of the live set; with `true`, requeue it at once.
+        ToggleMarked(u32, u32, bool),
+        /// Ranked reads at every site, checked against the naive scan.
         Read,
     }
 
@@ -1599,111 +1466,120 @@ mod proptests {
         )
     }
 
-    fn arb_ops() -> impl Strategy<Value = Vec<Op>> {
-        let op = prop_oneof![
-            (0u32..12).prop_map(Op::Insert),
-            (0u32..12).prop_map(Op::Reference),
-            (0u32..10).prop_map(Op::RemoveTask),
-        ];
-        proptest::collection::vec(op, 0..60)
+    /// Storage and membership ops, with `Read` points mixed in.
+    fn arb_ops(len: usize) -> impl Strategy<Value = Vec<Op>> {
+        let op =
+            (0u32..14, 0u32..12, 0u32..12, any::<bool>()).prop_map(
+                |(kind, x, y, now)| match kind {
+                    0..=4 => Op::Insert(x, y),
+                    5..=6 => Op::Start(x, y),
+                    7 => Op::Fail(x),
+                    8 | 9 => Op::Toggle(x),
+                    10 | 11 => Op::ToggleMarked(x, y, now),
+                    _ => Op::Read,
+                },
+            );
+        proptest::collection::vec(op, 0..len)
     }
 
-    /// Storage and membership ops with reads only at random points, so
-    /// several events (and membership flips of marked tasks) pile up
-    /// between two reads.
-    fn arb_burst_ops() -> impl Strategy<Value = Vec<Op>> {
-        let op = (0u32..12, 0u32..12, any::<bool>()).prop_map(|(kind, x, now)| match kind {
-            0..=3 => Op::Insert(x),
-            4..=6 => Op::Reference(x),
-            7 => Op::RemoveTask(x),
-            8 | 9 => Op::ToggleMarked(x, now),
-            _ => Op::Read,
-        });
-        proptest::collection::vec(op, 0..80)
+    /// One metric's ranked state: a view per site over one cold rank.
+    struct Family {
+        cold: ColdRank,
+        views: Vec<SiteView>,
     }
 
-    /// One site driven the way the schedulers drive theirs: pruning
-    /// storage hooks with the pool as the liveness predicate, removals
-    /// that touch no rank, requeues through the journal.
-    struct RankedSite {
+    /// A grid of [`SITES`] stores driven the way the schedulers drive
+    /// theirs, with one [`Family`] per metric reading it.
+    struct Grid {
         workload: Workload,
         idx: FileIndex,
-        store: SiteStore,
-        view: SiteView,
-        pool: TaskPool,
-        /// The `combined` normalisers, kept only for a `Combined` view.
-        combo: Option<ComboAggregates>,
-        log: PendingLog,
+        stores: Vec<SiteStore>,
+        /// The rank-live set.
+        live: TaskPool,
+        families: Vec<Family>,
     }
 
-    impl RankedSite {
-        fn new(workload: Workload, cap: usize, metric: WeightMetric) -> Self {
+    impl Grid {
+        fn new(workload: Workload, cap: usize) -> Self {
             let idx = FileIndex::build(&workload);
-            let pool = TaskPool::full(workload.task_count());
-            let mut view = SiteView::new(workload.task_count(), metric);
-            enable_ranks(std::slice::from_mut(&mut view), &idx, &pool);
-            RankedSite {
-                combo: metric
-                    .reads_references()
-                    .then(|| ComboAggregates::new(&idx, &pool, 1)),
-                store: SiteStore::new(cap, EvictionPolicy::Lru),
-                log: PendingLog::new(),
+            let live = TaskPool::full(workload.task_count());
+            let families = METRICS
+                .iter()
+                .map(|&metric| {
+                    let mut cold = ColdRank::new(metric, &idx);
+                    let mut views: Vec<SiteView> =
+                        (0..SITES).map(|s| SiteView::new(s, &idx, metric)).collect();
+                    cold.admit_all(&mut views, &live);
+                    Family { cold, views }
+                })
+                .collect();
+            Grid {
+                stores: vec![SiteStore::new(cap, EvictionPolicy::Lru); SITES],
                 workload,
                 idx,
-                view,
-                pool,
+                live,
+                families,
+            }
+        }
+
+        fn evict(&mut self, site: usize, files: &[FileId]) {
+            for &e in files {
+                let rc = self.stores[site].ref_count(e);
+                for fam in &mut self.families {
+                    fam.views[site].on_file_evicted(&self.idx, &mut fam.cold, e, rc);
+                }
             }
         }
 
         fn apply(&mut self, op: &Op) {
-            let RankedSite {
-                idx,
-                store,
-                view,
-                pool,
-                combo,
-                ..
-            } = self;
+            let tasks = self.workload.task_count() as u32;
             match *op {
-                Op::Insert(f) => {
-                    let f = FileId(f);
-                    if !store.contains(f) {
-                        for e in store.insert(f) {
-                            let rc = store.ref_count(e);
-                            view.on_file_evicted_pruning(idx, e, rc, |t| pool.contains(t));
-                            if let Some(combo) = combo {
-                                combo.on_file_evicted(0, idx, view, e, rc, pool);
-                            }
-                        }
-                        let rc = store.ref_count(f);
-                        view.on_file_added_pruning(idx, f, rc, |t| pool.contains(t));
-                        if let Some(combo) = combo {
-                            combo.on_file_added(0, idx, view, f, rc, pool);
+                Op::Insert(s, f) => {
+                    let (site, f) = (s as usize % SITES, FileId(f));
+                    if !self.stores[site].contains(f) {
+                        let evicted = self.stores[site].insert(f);
+                        self.evict(site, &evicted);
+                        let rc = self.stores[site].ref_count(f);
+                        for fam in &mut self.families {
+                            fam.views[site].on_file_added(&self.idx, &mut fam.cold, f, rc);
                         }
                     }
                 }
-                Op::Reference(f) => {
-                    let f = FileId(f);
-                    if store.contains(f) {
-                        store.record_task_reference(f);
-                        // Only a reference-tracking view is told, as in the
-                        // schedulers.
-                        if let Some(combo) = combo {
-                            let readers = view.on_files_referenced(idx, &[f], |t| pool.contains(t));
-                            combo.on_files_referenced(0, readers);
+                Op::Start(s, t) => {
+                    let site = s as usize % SITES;
+                    let files: Vec<FileId> = self
+                        .workload
+                        .task(TaskId(t % tasks))
+                        .files()
+                        .iter()
+                        .copied()
+                        .filter(|&f| self.stores[site].contains(f))
+                        .collect();
+                    for &f in &files {
+                        self.stores[site].record_task_reference(f);
+                    }
+                    // Only a reference-tracking view is told, as in the
+                    // schedulers.
+                    for fam in &mut self.families {
+                        let view = &mut fam.views[site];
+                        if view.tracks_references() {
+                            view.on_files_referenced(&self.idx, &fam.cold, &files);
                         }
                     }
                 }
-                Op::RemoveTask(t) => {
-                    if (t as usize) < self.workload.task_count() {
-                        self.toggle(TaskId(t));
-                    }
+                Op::Fail(s) => {
+                    let site = s as usize % SITES;
+                    let lost = self.stores[site].fail();
+                    self.evict(site, &lost);
                 }
-                Op::ToggleMarked(k, requeue) => {
-                    let marks = &view.rank().expect("enabled").marks;
+                Op::Toggle(t) => self.toggle(TaskId(t % tasks)),
+                Op::ToggleMarked(f, k, requeue) => {
+                    // Marks are per family; the Combined family's site
+                    // rank sees the most of them (references mark too).
+                    let marks = &self.families[2].views[f as usize % SITES].rank().marks;
                     if !marks.is_empty() {
                         let t = TaskId(marks[k as usize % marks.len()]);
-                        if self.pool.contains(t) {
+                        if self.live.contains(t) {
                             self.toggle(t);
                             if requeue {
                                 self.toggle(t);
@@ -1715,266 +1591,168 @@ mod proptests {
             }
         }
 
-        /// Flips `t`'s pool membership: a removal touches no rank, an
-        /// insert is journaled.
         fn toggle(&mut self, t: TaskId) {
-            let files: Vec<FileId> = self.workload.task(t).files().to_vec();
-            let views = std::slice::from_ref(&self.view);
-            if self.pool.remove(t) {
-                if let Some(combo) = self.combo.as_mut() {
-                    combo.on_pool_remove(&self.idx, t, &files, views);
-                }
+            let now_live = !self.live.contains(t);
+            if now_live {
+                self.live.insert(t);
             } else {
-                self.pool.insert(t);
-                if let Some(combo) = self.combo.as_mut() {
-                    combo.on_pool_insert(&self.idx, t, &files, views);
-                }
-                self.log.record(t, std::slice::from_mut(&mut self.view));
+                self.live.remove(t);
+            }
+            for fam in &mut self.families {
+                let changed = if now_live {
+                    fam.cold.insert(&mut fam.views, t)
+                } else {
+                    fam.cold.remove(&mut fam.views, t)
+                };
+                assert!(changed);
             }
         }
 
-        fn sync(&mut self) {
-            let pool = &self.pool;
-            self.view
-                .sync_pending(&self.idx, &self.log, |t| pool.contains(t));
+        fn assert_consistent(&self) {
+            for fam in &self.families {
+                fam.cold.assert_consistent(|t| self.live.contains(t));
+                for (view, store) in fam.views.iter().zip(&self.stores) {
+                    view.assert_consistent(&self.idx, &fam.cold, &self.workload, store);
+                    if view.tracks_references() {
+                        let (total_ref, total_rest) = view.combined_totals(&fam.cold);
+                        let (naive_ref, naive_rest) = self.naive_totals(store);
+                        assert_eq!(total_ref, naive_ref, "totalRef");
+                        assert_eq!(total_rest.to_bits(), naive_rest.to_bits(), "totalRest");
+                    }
+                }
+            }
+        }
+
+        /// The `combined` normalisers at `store`, recomputed from scratch
+        /// over the rank-live tasks.
+        fn naive_totals(&self, store: &SiteStore) -> (u64, f64) {
+            let mut total_ref = 0;
+            let mut counts = vec![0u32; self.idx.max_task_size() as usize + 1];
+            for t in self.live.iter() {
+                let files = self.workload.task(t).files();
+                total_ref += store.overlap_ref_sum(files);
+                counts[files.len() - store.overlap(files)] += 1;
+            }
+            (total_ref, total_rest_from_counts(counts))
+        }
+
+        /// Every site's ranked reads against the naive scan: `pick_ranked`
+        /// for every metric at n ∈ {1, 2, 3} (same RNG seed on both sides),
+        /// and `top_overlap_where` under a `keep` filter that varies with
+        /// `salt`. Re-checks consistency afterwards (the reads apply the
+        /// marks).
+        fn check_reads(&mut self, seed: u64, salt: u32) {
+            for (fam, &metric) in self.families.iter_mut().zip(&METRICS) {
+                for (s, view) in fam.views.iter_mut().enumerate() {
+                    let store = &self.stores[s];
+                    let weights =
+                        crate::weight::weigh_all_naive(metric, &self.workload, &self.live, store);
+                    for n in [1, 2, 3] {
+                        let chooser = ChooseTask::new(n);
+                        let draw = seed ^ u64::from(salt) << 8 ^ (s as u64) << 4 ^ n as u64;
+                        let naive = chooser.pick(&weights, &mut StdRng::seed_from_u64(draw));
+                        let ranked =
+                            view.pick_ranked(&fam.cold, &chooser, &mut StdRng::seed_from_u64(draw));
+                        prop_assert_eq!(naive, ranked, "{} n {} site {}", metric, n, s);
+                    }
+                    prop_assert!(view.rank().marks.is_empty());
+                    if metric != WeightMetric::Overlap {
+                        continue;
+                    }
+                    let keep = |t: TaskId| !(t.0 + salt).is_multiple_of(3);
+                    let mut naive: Option<(TaskId, usize)> = None;
+                    for t in self.live.iter().filter(|&t| keep(t)) {
+                        let overlap = store.overlap(self.workload.task(t).files());
+                        if naive.is_none_or(|(_, best)| overlap > best) {
+                            naive = Some((t, overlap));
+                        }
+                    }
+                    let ranked = view.top_overlap_where(&fam.cold, keep);
+                    prop_assert_eq!(naive.map(|(t, _)| t), ranked, "top overlap site {}", s);
+                }
+            }
+            self.assert_consistent();
         }
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(128))]
 
-        /// Views with no rank attached — the kind `Sufferage`'s naive scan
-        /// reads — keep their cached counters equal to the store's across
-        /// storage churn, task starts and pool removals: `overlap` and
-        /// `refsum` on a reference-tracking (`Combined`) view, `overlap`
-        /// alone on a non-tracking one, which is never told of references.
-        /// `Reference(x)` starts task `x`: one batch of its resident files.
+        /// The cached counters, the sparse membership (site ranks hold
+        /// exactly the rank-live tasks with overlap there, the cold rank
+        /// exactly the rank-live set), the per-task site lists and the
+        /// `Combined` normalisers stay equal to ground truth after every
+        /// storage or membership op at every site — with no read in
+        /// between, so marks pile up.
         #[test]
         fn view_counters_match_store(
             workload in arb_workload(),
-            ops in arb_ops(),
+            ops in arb_ops(60),
             cap in 1usize..8,
-            untracked_ix in 0usize..2,
         ) {
-            let idx = FileIndex::build(&workload);
-            let mut store = SiteStore::new(cap, EvictionPolicy::Lru);
-            let untracked = [WeightMetric::Overlap, WeightMetric::Rest][untracked_ix];
-            let mut views = [
-                SiteView::new(workload.task_count(), WeightMetric::Combined),
-                SiteView::new(workload.task_count(), untracked),
-            ];
-            let mut pool = TaskPool::full(workload.task_count());
-            for op in ops {
-                let live = |t: TaskId| pool.contains(t);
-                match op {
-                    Op::Insert(f) => {
-                        let f = FileId(f);
-                        if !store.contains(f) {
-                            let evicted = store.insert(f);
-                            for view in &mut views {
-                                for &e in &evicted {
-                                    view.on_file_evicted_pruning(&idx, e, store.ref_count(e), live);
-                                }
-                                view.on_file_added_pruning(&idx, f, store.ref_count(f), live);
-                            }
-                        }
-                    }
-                    Op::Reference(x) => {
-                        let task = TaskId(x % workload.task_count() as u32);
-                        let files: Vec<FileId> = workload
-                            .task(task)
-                            .files()
-                            .iter()
-                            .copied()
-                            .filter(|&f| store.contains(f))
-                            .collect();
-                        for &f in &files {
-                            store.record_task_reference(f);
-                        }
-                        let readers = views[0].on_files_referenced(&idx, &files, live);
-                        let expected: usize = files
-                            .iter()
-                            .map(|&f| idx.tasks_of(f).iter().filter(|&&t| live(TaskId(t))).count())
-                            .sum();
-                        prop_assert_eq!(readers, expected as u64);
-                    }
-                    Op::RemoveTask(t) => {
-                        if (t as usize) < workload.task_count() {
-                            pool.remove(TaskId(t));
-                        }
-                    }
-                    Op::ToggleMarked(..) | Op::Read => unreachable!("not generated by arb_ops"),
-                }
-                for view in &views {
-                    view.assert_consistent(&idx, &workload, &store);
-                }
+            let mut grid = Grid::new(workload, cap);
+            for op in &ops {
+                grid.apply(op);
+                grid.assert_consistent();
             }
         }
 
-        /// The ranked pick — lazy membership (stale filtering + PendingLog
-        /// replay), `ComboAggregates` normalisers, candidate selection off
-        /// the bucket heads — makes the same choice as the full naive scan
-        /// + `ChooseTask`, consuming the RNG identically, across storage
-        /// churn and pool membership changes.
+        /// After every op, each site's ranked picks (all three metrics,
+        /// n ∈ {1, 2, 3}) and `top_overlap_where` make the naive scan's
+        /// choice with the same RNG draws.
         #[test]
         fn ranked_pick_matches_naive_scan(
             workload in arb_workload(),
-            ops in arb_ops(),
+            ops in arb_ops(60),
             cap in 1usize..8,
-            metric_ix in 0usize..3,
-            n in 1usize..4,
             seed in 0u64..8,
         ) {
-            use rand::rngs::StdRng;
-            use rand::SeedableRng;
-
-            let metric = [WeightMetric::Overlap, WeightMetric::Rest, WeightMetric::Combined][metric_ix];
-            let chooser = ChooseTask::new(n);
-            let idx = FileIndex::build(&workload);
-            let mut store = SiteStore::new(cap, EvictionPolicy::Lru);
-            let mut view = SiteView::new(workload.task_count(), metric);
-            view.enable_rank(&idx);
-            let mut pool = TaskPool::full(workload.task_count());
-            for t in pool.iter().collect::<Vec<_>>() {
-                view.rank_insert(&idx, t);
-            }
-            let mut combo = metric
-                .reads_references()
-                .then(|| ComboAggregates::new(&idx, &pool, 1));
-            let mut log = PendingLog::new();
-            let mut rng_naive = StdRng::seed_from_u64(seed);
-            let mut rng_ranked = StdRng::seed_from_u64(seed);
-            for op in ops {
-                match op {
-                    Op::Insert(f) => {
-                        let f = FileId(f);
-                        if !store.contains(f) {
-                            let evicted = store.insert(f);
-                            for e in evicted {
-                                view.on_file_evicted(&idx, e, store.ref_count(e));
-                                if let Some(combo) = combo.as_mut() {
-                                    combo.on_file_evicted(0, &idx, &view, e, store.ref_count(e), &pool);
-                                }
-                            }
-                            view.on_file_added(&idx, f, store.ref_count(f));
-                            if let Some(combo) = combo.as_mut() {
-                                combo.on_file_added(0, &idx, &view, f, store.ref_count(f), &pool);
-                            }
-                        }
-                    }
-                    Op::Reference(f) => {
-                        let f = FileId(f);
-                        if store.contains(f) {
-                            store.record_task_reference(f);
-                            if let Some(combo) = combo.as_mut() {
-                                let readers =
-                                    view.on_files_referenced(&idx, &[f], |t| pool.contains(t));
-                                combo.on_files_referenced(0, readers);
-                            }
-                        }
-                    }
-                    Op::RemoveTask(t) => {
-                        // Toggle pool membership to exercise requeues: a
-                        // removal touches no rank (lazy), an insert goes
-                        // through the journal.
-                        if (t as usize) < workload.task_count() {
-                            let t = TaskId(t);
-                            let files: Vec<FileId> = workload.task(t).files().to_vec();
-                            let views = std::slice::from_ref(&view);
-                            if pool.contains(t) {
-                                pool.remove(t);
-                                if let Some(combo) = combo.as_mut() {
-                                    combo.on_pool_remove(&idx, t, &files, views);
-                                }
-                            } else {
-                                pool.insert(t);
-                                if let Some(combo) = combo.as_mut() {
-                                    combo.on_pool_insert(&idx, t, &files, views);
-                                }
-                                log.record(t, std::slice::from_mut(&mut view));
-                            }
-                        }
-                    }
-                    Op::ToggleMarked(..) | Op::Read => unreachable!("not generated by arb_ops"),
-                }
-                let weights = crate::weight::weigh_all_naive(metric, &workload, &pool, &store);
-                let naive = chooser.pick(&weights, &mut rng_naive);
-                let totals = combo.as_ref().map(|c| c.totals(0));
-                view.sync_pending(&idx, &log, |t| pool.contains(t));
-                let ranked = view.pick_ranked(&chooser, &mut rng_ranked, |t| pool.contains(t), totals);
-                prop_assert_eq!(naive, ranked, "metric {} n {}", metric, n);
+            let mut grid = Grid::new(workload, cap);
+            grid.check_reads(seed, 0);
+            for (i, op) in ops.iter().enumerate() {
+                grid.apply(op);
+                grid.check_reads(seed, i as u32 + 1);
             }
         }
 
-        /// Deferred re-filing under bursts: many storage events, and pool
-        /// flips of marked tasks, between two reads. Every read still
-        /// makes the naive scan's pick with the same RNG draws, and leaves
-        /// the rank consistent.
+        /// Deferred re-filing under bursts: many storage events, and
+        /// membership flips of marked tasks, between two reads. Every read
+        /// still matches the naive scan and leaves every rank consistent.
         #[test]
         fn burst_ranked_pick_matches_naive_scan(
             workload in arb_workload(),
-            ops in arb_burst_ops(),
+            ops in arb_ops(100),
             cap in 1usize..8,
-            metric_ix in 0usize..3,
-            n in 1usize..4,
             seed in 0u64..8,
         ) {
-            use rand::rngs::StdRng;
-            use rand::SeedableRng;
-
-            let metric = [WeightMetric::Overlap, WeightMetric::Rest, WeightMetric::Combined][metric_ix];
-            let chooser = ChooseTask::new(n);
-            let mut site = RankedSite::new(workload, cap, metric);
-            let mut rng_naive = StdRng::seed_from_u64(seed);
-            let mut rng_ranked = StdRng::seed_from_u64(seed);
-            for op in ops.iter().chain([&Op::Read]) {
-                site.apply(op);
-                if !matches!(op, Op::Read) {
-                    continue;
+            let mut grid = Grid::new(workload, cap);
+            for (i, op) in ops.iter().chain([&Op::Read]).enumerate() {
+                grid.apply(op);
+                if matches!(op, Op::Read) {
+                    grid.check_reads(seed, i as u32);
                 }
-                let weights = crate::weight::weigh_all_naive(metric, &site.workload, &site.pool, &site.store);
-                let naive = chooser.pick(&weights, &mut rng_naive);
-                let totals = site.combo.as_ref().map(|c| c.totals(0));
-                site.sync();
-                let pool = &site.pool;
-                let ranked = site.view.pick_ranked(&chooser, &mut rng_ranked, |t| pool.contains(t), totals);
-                prop_assert_eq!(naive, ranked, "metric {} n {}", metric, n);
-                site.view.assert_consistent(&site.idx, &site.workload, &site.store);
-                prop_assert!(site.view.rank().expect("enabled").marks.is_empty());
             }
         }
 
-        /// The same bursts through `top_overlap_where`, with a `keep`
-        /// filter that changes from read to read: the result is the
-        /// highest-overlap pending task passing `keep`, lowest id on ties.
+        /// The same bursts with large stores and a requeue after every
+        /// removal of a marked task: a task's overlap spreads over several
+        /// sites, so membership changes fan out to more than one site rank.
         #[test]
         fn burst_top_overlap_matches_naive_scan(
             workload in arb_workload(),
-            ops in arb_burst_ops(),
-            cap in 1usize..8,
-            modulus in 2u32..4,
+            ops in arb_ops(100),
+            seed in 0u64..8,
         ) {
-            let mut site = RankedSite::new(workload, cap, WeightMetric::Overlap);
-            let mut reads = 0u32;
-            for op in ops.iter().chain([&Op::Read]) {
-                site.apply(op);
-                if !matches!(op, Op::Read) {
-                    continue;
+            let mut grid = Grid::new(workload, 12);
+            for (i, op) in ops.iter().chain([&Op::Read]).enumerate() {
+                let op = match *op {
+                    Op::ToggleMarked(f, k, _) => Op::ToggleMarked(f, k, true),
+                    ref other => other.clone(),
+                };
+                grid.apply(&op);
+                if matches!(op, Op::Read) {
+                    grid.check_reads(seed, i as u32);
                 }
-                reads += 1;
-                let keep = |t: TaskId| !(t.0 + reads).is_multiple_of(modulus);
-                let mut naive: Option<(TaskId, usize)> = None;
-                for t in site.pool.iter().filter(|&t| keep(t)) {
-                    let overlap = site.store.overlap(site.workload.task(t).files());
-                    if naive.is_none_or(|(_, best)| overlap > best) {
-                        naive = Some((t, overlap));
-                    }
-                }
-                site.sync();
-                let pool = &site.pool;
-                let ranked = site.view.top_overlap_where(|t| pool.contains(t), keep);
-                prop_assert_eq!(naive.map(|(t, _)| t), ranked);
-                site.view.assert_consistent(&site.idx, &site.workload, &site.store);
             }
         }
     }

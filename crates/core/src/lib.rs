@@ -14,15 +14,16 @@
 //! * [`StorageAffinity`] — the task-centric baseline of Santos-Neto et al.
 //!   (data reuse + task replication), §3.1/[14];
 //! * [`Workqueue`] — the classic FIFO pull scheduler [6];
-//! * [`index::FileIndex`] / [`index::SiteView`] / [`index::TaskRank`] — an
-//!   inverted file→task index with incrementally-maintained per-site
-//!   counters (overlap for every metric; reference sums only for
-//!   `Combined`, the one metric that reads them), plus bucketed priority
-//!   indexes over the pending pool, turning each scheduling decision from
-//!   `O(T·I)` file probes into an `O(log T)` amortized pick (the
-//!   complexity the paper quotes is the naive evaluation; both paths are
-//!   provided, selectable via [`EvalMode`], and property-tested for
-//!   byte-identical decisions).
+//! * [`index::FileIndex`] / [`index::SiteView`] / [`index::TaskRank`] /
+//!   [`index::ColdRank`] — an inverted file→task index with
+//!   incrementally-maintained per-site counters (overlap for every metric;
+//!   reference sums only for `Combined`, the one metric that reads them),
+//!   plus bucketed priority indexes over the pending pool — sparse per
+//!   site, over one shared rank of the zero-overlap tasks — turning each
+//!   scheduling decision from `O(T·I)` file probes into an `O(log T)`
+//!   amortized pick (the complexity the paper quotes is the naive
+//!   evaluation; both paths are provided, selectable via [`EvalMode`], and
+//!   property-tested for byte-identical decisions).
 //!
 //! All strategies implement the [`Scheduler`] trait, which the grid
 //! simulator (`gridsched-sim`) drives with worker-idle and task-completion

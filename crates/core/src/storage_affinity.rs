@@ -44,7 +44,7 @@ use gridsched_workload::{FileId, TaskId, Workload};
 
 use crate::control::ControlDirective;
 use crate::ids::{GridEnv, SiteId, WorkerId};
-use crate::index::{enable_ranks, FileIndex, PendingLog, RankStats, SiteView};
+use crate::index::{ColdRank, FileIndex, RankStats, SiteView};
 use crate::pool::TaskPool;
 use crate::scheduler::{Assignment, CompletionOutcome, EvalMode, ReplicaThrottle, Scheduler};
 use crate::weight::WeightMetric;
@@ -121,6 +121,10 @@ pub struct StorageAffinity {
     /// mode; `views` stays empty in naive mode, which probes the store).
     index: Arc<FileIndex>,
     views: Vec<SiteView>,
+    /// The rank-live tasks — pending and below the replica cap — at
+    /// zero-overlap coordinates, shared by the views (no member in naive
+    /// mode).
+    cold: ColdRank,
     mode: EvalMode,
     completed: usize,
     initialized: bool,
@@ -130,20 +134,12 @@ pub struct StorageAffinity {
     throttle: ReplicaThrottle,
     /// Active replica executions: worker → the task it replicates.
     replica_at: HashMap<WorkerId, TaskId>,
-    /// Concurrent replica executions per task. A task at the cap simply
-    /// stops satisfying the ranked walk's `live` predicate — its index
-    /// entries go stale in place and are repaired lazily on encounter,
-    /// `O(1)` at saturation time instead of an `O(S log T)` withdrawal
-    /// broadcast.
+    /// Concurrent replica executions per task. A task reaching the cap
+    /// leaves the ranks — the cold rank and the few site ranks holding
+    /// its files — and rejoins them when it drops below the cap again.
     task_replicas: Vec<u32>,
     /// Concurrent replica executions launched by each site's workers.
     site_inflight: Vec<u32>,
-    /// Become-live journal: cap releases of still-pending tasks append
-    /// here; each site's rank re-admits them on its next read.
-    log: PendingLog,
-    /// Hot-path instruments for the ranked replica walks (inert unless
-    /// telemetry is attached).
-    stats: RankStats,
     /// `throttle.admits` — replica executions launched.
     admits: Counter,
     /// `throttle.parks` — idle workers parked by a saturated site budget.
@@ -168,6 +164,7 @@ impl StorageAffinity {
             done: vec![false; tasks],
             pending: TaskPool::full(tasks),
             running: HashMap::new(),
+            cold: ColdRank::new(WeightMetric::Overlap, &index),
             index,
             views: Vec::new(),
             mode: EvalMode::default(),
@@ -177,8 +174,6 @@ impl StorageAffinity {
             replica_at: HashMap::new(),
             task_replicas: vec![0; tasks],
             site_inflight: Vec::new(),
-            log: PendingLog::new(),
-            stats: RankStats::default(),
             admits: Counter::disabled(),
             parks: Counter::disabled(),
             releases: Counter::disabled(),
@@ -242,26 +237,16 @@ impl StorageAffinity {
     /// Picks the unfinished task (queued or running, assigned to some other
     /// worker) with the largest overlap against the idle worker's current
     /// site storage. Tasks at their replica cap are skipped — in
-    /// incremental mode their stale index entries are repaired on
-    /// encounter.
+    /// incremental mode they are out of the ranks altogether.
     fn pick_replica(&mut self, worker: WorkerId, store: &SiteStore) -> Option<TaskId> {
         match self.mode {
             // O(log T): walk the overlap-ordered index until a task not
-            // already executing at this very worker appears. Completed or
-            // cap-saturated tasks fail the `live` predicate (and are
-            // physically repaired); "already running here" is transient,
-            // so it is only a `keep` filter.
+            // already executing at this very worker appears. The ranks
+            // hold only pending tasks below the cap; "already running
+            // here" is transient, so it is a `keep` filter.
             EvalMode::Incremental => {
-                let pending = &self.pending;
-                let cap = self.throttle.replica_cap;
-                let task_replicas = &self.task_replicas;
                 let running = &self.running;
-                let live = |t: TaskId| {
-                    pending.contains(t) && cap.is_none_or(|c| task_replicas[t.index()] < c)
-                };
-                let view = &mut self.views[worker.site.index()];
-                view.sync_pending(&self.index, &self.log, live);
-                view.top_overlap_where(live, |t| {
+                self.views[worker.site.index()].top_overlap_where(&self.cold, |t| {
                     !running
                         .get(&t)
                         .is_some_and(|workers| workers.contains(&worker))
@@ -296,15 +281,28 @@ impl StorageAffinity {
         &self.views
     }
 
-    /// Marks a task completed: out of the pending pool in `O(1)` — its
-    /// rank entries go stale in place and are repaired lazily on read.
+    /// Marks a task completed: out of the pending pool and the ranks.
     fn pool_remove(&mut self, task: TaskId) {
         self.pending.remove(task);
+        self.sync_rank(task);
+    }
+
+    /// Puts `task` in the ranks exactly while it is rank-live — pending
+    /// and below the replica cap (incremental mode only). A no-op unless
+    /// its liveness changed.
+    fn sync_rank(&mut self, task: TaskId) {
+        if self.mode != EvalMode::Incremental {
+            return;
+        }
+        if self.pending.contains(task) && !self.capped(task) {
+            self.cold.insert(&mut self.views, task);
+        } else {
+            self.cold.remove(&mut self.views, task);
+        }
     }
 
     /// Throttle bookkeeping for a replica execution starting at `worker`.
-    /// Saturating a task's cap flips its `live` predicate — `O(1)`, no
-    /// index is touched.
+    /// A task reaching its cap leaves the ranks.
     fn note_replica_started(&mut self, worker: WorkerId, task: TaskId) {
         if !self.throttle.is_active() {
             return;
@@ -313,12 +311,12 @@ impl StorageAffinity {
         self.replica_at.insert(worker, task);
         self.site_inflight[worker.site.index()] += 1;
         self.task_replicas[task.index()] += 1;
+        self.sync_rank(task);
     }
 
     /// Throttle bookkeeping for an execution ending at `worker` (won,
     /// cancelled, or fault-killed). A no-op for primary executions. A task
-    /// dropping back below its cap while still pending becomes live again:
-    /// one journal append, replayed by each site's rank on its next read.
+    /// dropping back below its cap while still pending rejoins the ranks.
     fn note_execution_ended(&mut self, worker: WorkerId) {
         if !self.throttle.is_active() {
             return;
@@ -328,14 +326,8 @@ impl StorageAffinity {
         };
         self.releases.incr();
         self.site_inflight[worker.site.index()] -= 1;
-        let n = &mut self.task_replicas[task.index()];
-        *n -= 1;
-        if Some(*n + 1) == self.throttle.replica_cap
-            && self.pending.contains(task)
-            && self.mode == EvalMode::Incremental
-        {
-            self.log.record(task, &mut self.views);
-        }
+        self.task_replicas[task.index()] -= 1;
+        self.sync_rank(task);
     }
 }
 
@@ -345,7 +337,7 @@ impl Scheduler for StorageAffinity {
     }
 
     fn attach_telemetry(&mut self, telemetry: &Telemetry) {
-        self.stats = RankStats::attach(telemetry);
+        self.cold.set_stats(RankStats::attach(telemetry));
         self.admits = telemetry.counter("throttle.admits");
         self.parks = telemetry.counter("throttle.parks");
         self.releases = telemetry.counter("throttle.releases");
@@ -360,29 +352,19 @@ impl Scheduler for StorageAffinity {
                 if !self.throttle.is_active() {
                     return;
                 }
-                let old = self.throttle.replica_cap;
-                if old == Some(*cap) {
+                if self.throttle.replica_cap == Some(*cap) {
                     return;
                 }
                 self.throttle.replica_cap = Some(*cap);
-                // Lowering is free: saturated tasks simply stop satisfying
-                // the `live` predicate and their rank entries are repaired
-                // lazily. Raising must re-admit tasks that were saturated
-                // under the old cap — their entries were already repaired
-                // *out* of the ranks, so journal them back in.
-                if self.mode == EvalMode::Incremental && old.is_some_and(|o| *cap > o) {
-                    let o = old.expect("checked above");
-                    let revived: Vec<TaskId> = self
-                        .pending
-                        .iter()
-                        .filter(|t| {
-                            let n = self.task_replicas[t.index()];
-                            n >= o && n < *cap
-                        })
-                        .collect();
-                    for t in revived {
-                        self.log.record(t, &mut self.views);
-                    }
+                // Only a task with replicas running can cross the new cap
+                // (every cap is at least 1).
+                let replicated: Vec<TaskId> = self
+                    .pending
+                    .iter()
+                    .filter(|t| self.task_replicas[t.index()] > 0)
+                    .collect();
+                for t in replicated {
+                    self.sync_rank(t);
                 }
             }
             ControlDirective::SiteScores(_) => {
@@ -404,18 +386,14 @@ impl Scheduler for StorageAffinity {
         // view, so the storage hooks find none to update.
         if self.mode == EvalMode::Incremental {
             self.views = (0..env.sites)
-                .map(|_| {
-                    let mut v = SiteView::new(self.workload.task_count(), WeightMetric::Overlap);
-                    v.set_stats(self.stats.clone());
-                    v
-                })
+                .map(|s| SiteView::new(s, &self.index, WeightMetric::Overlap))
                 .collect();
-            for (site, store) in stores.iter().enumerate() {
+            for (view, store) in self.views.iter_mut().zip(stores) {
                 for f in store.resident() {
-                    self.views[site].on_file_added(&self.index, f, store.ref_count(f));
+                    view.on_file_added(&self.index, &mut self.cold, f, store.ref_count(f));
                 }
             }
-            enable_ranks(&mut self.views, &self.index, &self.pending);
+            self.cold.admit_all(&mut self.views, &self.pending);
         }
 
         // Predicted storage per site, seeded from actual contents (in the
@@ -511,9 +489,7 @@ impl Scheduler for StorageAffinity {
         self.completed += 1;
         // The winning execution may itself be a replica. Its slots are
         // released only now, after the pool removal, so a cap-saturated
-        // winner is not pointlessly journaled as become-live (the task is
-        // done — sites would re-admit it just to repair the entry on
-        // their next read).
+        // winner does not rejoin the ranks on its way out.
         self.note_execution_ended(worker);
         let mut others = self.running.remove(&task).unwrap_or_default();
         others.retain(|w| *w != worker);
@@ -551,23 +527,13 @@ impl Scheduler for StorageAffinity {
 
     fn on_file_added(&mut self, site: SiteId, file: FileId, ref_count: u32) {
         if let Some(view) = self.views.get_mut(site.index()) {
-            let pending = &self.pending;
-            let cap = self.throttle.replica_cap;
-            let task_replicas = &self.task_replicas;
-            view.on_file_added_pruning(&self.index, file, ref_count, |t| {
-                pending.contains(t) && cap.is_none_or(|c| task_replicas[t.index()] < c)
-            });
+            view.on_file_added(&self.index, &mut self.cold, file, ref_count);
         }
     }
 
     fn on_file_evicted(&mut self, site: SiteId, file: FileId, ref_count: u32) {
         if let Some(view) = self.views.get_mut(site.index()) {
-            let pending = &self.pending;
-            let cap = self.throttle.replica_cap;
-            let task_replicas = &self.task_replicas;
-            view.on_file_evicted_pruning(&self.index, file, ref_count, |t| {
-                pending.contains(t) && cap.is_none_or(|c| task_replicas[t.index()] < c)
-            });
+            view.on_file_evicted(&self.index, &mut self.cold, file, ref_count);
         }
     }
 
@@ -844,6 +810,68 @@ mod tests {
             Assignment::Replicate(t) => assert_eq!(t, a, "freed task is the best pick again"),
             other => panic!("expected a replica, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn replica_cap_moves_keep_modes_agree() {
+        // Lowering the cap withdraws tasks that now sit at it from the
+        // ranks; raising it re-admits them. Both eval modes must keep
+        // picking alike across the moves.
+        let env = GridEnv {
+            sites: 4,
+            workers_per_site: 1,
+            capacity_files: 500,
+        };
+        let stores: Vec<SiteStore> = (0..4)
+            .map(|_| SiteStore::new(500, EvictionPolicy::Lru))
+            .collect();
+        let mut scheds: Vec<StorageAffinity> = [EvalMode::Incremental, EvalMode::Naive]
+            .into_iter()
+            .map(|mode| {
+                let mut cfg = CoaddConfig::small(0);
+                cfg.shuffle_tasks = false;
+                StorageAffinity::new(Arc::new(cfg.generate()))
+                    .with_budget_slack(1.0)
+                    .with_throttle(ReplicaThrottle::none().with_replica_cap(2))
+                    .with_eval_mode(mode)
+            })
+            .collect();
+        let w3 = WorkerId::new(SiteId(3), 0);
+        let mut keep: Vec<TaskId> = Vec::new();
+        for s in &mut scheds {
+            s.initialize(&env, &stores);
+            keep = s.queue_of(w3).iter().copied().take(2).collect();
+            keep.sort_unstable();
+            complete_all_except(s, w3, &keep);
+        }
+        let (a, b) = (keep[0], keep[1]);
+        // One idle poll at `site` after moving the cap to `cap`.
+        let mut step = |cap: Option<u32>, site: u32| {
+            let w = WorkerId::new(SiteId(site), 0);
+            let picks: Vec<Assignment> = scheds
+                .iter_mut()
+                .map(|s| {
+                    if let Some(cap) = cap {
+                        s.on_control(&ControlDirective::SetReplicaCap(cap));
+                    }
+                    s.on_worker_idle(w, &stores[site as usize])
+                })
+                .collect();
+            assert_eq!(picks[0], picks[1], "site {site}");
+            picks[0]
+        };
+        // Empty stores: every overlap is zero, so the lowest id wins.
+        assert_eq!(step(None, 0), Assignment::Replicate(a));
+        assert_eq!(
+            step(Some(1), 1),
+            Assignment::Replicate(b),
+            "{a} sits at cap 1"
+        );
+        assert_eq!(
+            step(Some(3), 2),
+            Assignment::Replicate(a),
+            "cap 3 re-admits {a}"
+        );
     }
 
     #[test]

@@ -36,14 +36,15 @@
 //! The triples feed two incrementally-maintained ordered structures — a
 //! per-site *contest* set keyed by `(sufferage desc, id asc)` over the
 //! pending tasks whose best site it is, and a per-site overlap
-//! [`TaskRank`] for the fallback, with pool membership propagated lazily
-//! (see [`crate::index`]): a pool removal is `O(log T)` (one contest
-//! entry), a requeue additionally appends to the [`PendingLog`]. A
-//! decision then reads one set head, `O(log T)`; the [`EvalMode::Naive`]
+//! [`TaskRank`] for the fallback over a shared [`ColdRank`] (see
+//! [`crate::index`]): a pool removal or requeue touches one contest entry,
+//! the cold rank and the ranks of the few sites holding the task's files.
+//! A decision then reads one set head, `O(log T)`; the [`EvalMode::Naive`]
 //! scan is kept for validation and benchmarking and is property-tested to
 //! pick identically.
 //!
 //! [`TaskRank`]: crate::index::TaskRank
+//! [`ColdRank`]: crate::index::ColdRank
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -53,7 +54,7 @@ use gridsched_telemetry::Telemetry;
 use gridsched_workload::{FileId, TaskId, Workload};
 
 use crate::ids::{GridEnv, SiteId, WorkerId};
-use crate::index::{enable_ranks, FileIndex, PendingLog, RankStats, SiteView};
+use crate::index::{ColdRank, FileIndex, RankStats, SiteView};
 use crate::pool::TaskPool;
 use crate::scheduler::{Assignment, CompletionOutcome, EvalMode, Scheduler};
 use crate::weight::WeightMetric;
@@ -76,6 +77,9 @@ pub struct Sufferage {
     pool: TaskPool,
     index: Arc<FileIndex>,
     views: Vec<SiteView>,
+    /// The fallback ranks' shared zero-overlap side (no member in naive
+    /// mode).
+    cold: ColdRank,
     mode: EvalMode,
     /// Per-task ordered set of the sites with nonzero overlap, keyed
     /// `(overlap, u32::MAX − site)` so the tail yields the best-two in
@@ -89,12 +93,7 @@ pub struct Sufferage {
     /// `best > 0`), ordered `(sufferage desc, id asc)` via the key
     /// `(u64::MAX − sufferage, id)`.
     contest: Vec<BTreeSet<(u64, u32)>>,
-    /// Become-live journal for the lazy fallback ranks.
-    log: PendingLog,
     completed: usize,
-    /// Hot-path instruments for the fallback ranked walks (inert unless
-    /// telemetry is attached).
-    stats: RankStats,
 }
 
 /// Reads `(best, second, best_site)` off a task's nonzero-overlap site
@@ -121,15 +120,14 @@ impl Sufferage {
         Sufferage {
             workload,
             pool: TaskPool::full(tasks),
+            cold: ColdRank::new(WeightMetric::Overlap, &index),
             index,
             views: Vec::new(),
             mode: EvalMode::default(),
             site_rank: Vec::new(),
             best: Vec::new(),
             contest: Vec::new(),
-            log: PendingLog::new(),
             completed: 0,
-            stats: RankStats::default(),
         }
     }
 
@@ -221,20 +219,20 @@ impl Sufferage {
     }
 
     /// Removes an assigned/completed task from the incremental structures:
-    /// one contest-set removal — the fallback ranks are repaired lazily.
+    /// its contest entry and its fallback-rank entries.
     fn pool_remove(&mut self, task: TaskId) {
         self.pool.remove(task);
         if self.mode == EvalMode::Incremental {
             self.contest_remove(task);
+            self.cold.remove(&mut self.views, task);
         }
     }
 
-    /// Requeues a task (fault recovery) into the incremental structures:
-    /// one contest-set insert plus a journal append.
+    /// Requeues a task (fault recovery) into the incremental structures.
     fn pool_insert(&mut self, task: TaskId) {
         if self.pool.insert(task) && self.mode == EvalMode::Incremental {
             self.contest_insert(task);
-            self.log.record(task, &mut self.views);
+            self.cold.insert(&mut self.views, task);
         }
     }
 
@@ -270,18 +268,14 @@ impl Scheduler for Sufferage {
     }
 
     fn attach_telemetry(&mut self, telemetry: &Telemetry) {
-        self.stats = RankStats::attach(telemetry);
+        self.cold.set_stats(RankStats::attach(telemetry));
     }
 
     fn initialize(&mut self, env: &GridEnv, stores: &[SiteStore]) {
         assert_eq!(env.sites, stores.len(), "one store per site");
         let tasks = self.workload.task_count();
         self.views = (0..env.sites)
-            .map(|_| {
-                let mut v = SiteView::new(tasks, WeightMetric::Overlap);
-                v.set_stats(self.stats.clone());
-                v
-            })
+            .map(|s| SiteView::new(s, &self.index, WeightMetric::Overlap))
             .collect();
         if self.mode == EvalMode::Incremental {
             // Allocate the incremental structures *before* seeding so the
@@ -294,14 +288,15 @@ impl Scheduler for Sufferage {
         }
         for (site, store) in stores.iter().enumerate() {
             for f in store.resident() {
-                self.views[site].on_file_added(&self.index, f, store.ref_count(f));
+                let rc = store.ref_count(f);
+                self.views[site].on_file_added(&self.index, &mut self.cold, f, rc);
                 if self.mode == EvalMode::Incremental {
                     self.on_site_overlap_changed(site, f, 1);
                 }
             }
         }
         if self.mode == EvalMode::Incremental {
-            enable_ranks(&mut self.views, &self.index, &self.pool);
+            self.cold.admit_all(&mut self.views, &self.pool);
         }
     }
 
@@ -315,13 +310,9 @@ impl Scheduler for Sufferage {
         let task = if self.mode == EvalMode::Incremental {
             match self.contest[my_site].first() {
                 Some(&(_, t)) => TaskId(t),
-                None => {
-                    let pool = &self.pool;
-                    let view = &mut self.views[my_site];
-                    view.sync_pending(&self.index, &self.log, |t| pool.contains(t));
-                    view.top_overlap_where(|t| pool.contains(t), |_| true)
-                        .expect("pool is non-empty")
-                }
+                None => self.views[my_site]
+                    .top_overlap_where(&self.cold, |_| true)
+                    .expect("pool is non-empty"),
             }
         } else {
             self.pick_scan(my_site)
@@ -349,8 +340,7 @@ impl Scheduler for Sufferage {
 
     fn on_file_added(&mut self, site: SiteId, file: FileId, ref_count: u32) {
         if let Some(view) = self.views.get_mut(site.index()) {
-            let pool = &self.pool;
-            view.on_file_added_pruning(&self.index, file, ref_count, |t| pool.contains(t));
+            view.on_file_added(&self.index, &mut self.cold, file, ref_count);
             if self.mode == EvalMode::Incremental {
                 self.on_site_overlap_changed(site.index(), file, 1);
             }
@@ -359,8 +349,7 @@ impl Scheduler for Sufferage {
 
     fn on_file_evicted(&mut self, site: SiteId, file: FileId, ref_count: u32) {
         if let Some(view) = self.views.get_mut(site.index()) {
-            let pool = &self.pool;
-            view.on_file_evicted_pruning(&self.index, file, ref_count, |t| pool.contains(t));
+            view.on_file_evicted(&self.index, &mut self.cold, file, ref_count);
             if self.mode == EvalMode::Incremental {
                 self.on_site_overlap_changed(site.index(), file, -1);
             }

@@ -105,8 +105,8 @@ pub fn rest_weight(missing: usize) -> f64 {
 /// infinite, exactly as a per-task accumulation would.
 ///
 /// This is the **single** implementation of the canonical order — both
-/// evaluation paths (the naive scan, and `ComboAggregates` behind the
-/// ranked pick) feed their per-level counts through here so the
+/// evaluation paths (the naive scan, and the ranked pick's
+/// [`crate::index::SiteView::combined_totals`]) feed their per-level counts through here so the
 /// byte-identity contract lives in one place.
 #[must_use]
 pub fn total_rest_from_counts<I: IntoIterator<Item = u32>>(counts: I) -> f64 {

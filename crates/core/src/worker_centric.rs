@@ -28,7 +28,7 @@ use gridsched_telemetry::Telemetry;
 
 use crate::choose::ChooseTask;
 use crate::ids::{GridEnv, SiteId, WorkerId};
-use crate::index::{enable_ranks, ComboAggregates, FileIndex, PendingLog, RankStats, SiteView};
+use crate::index::{ColdRank, FileIndex, RankStats, SiteView};
 use crate::pool::TaskPool;
 use crate::scheduler::{Assignment, CompletionOutcome, EvalMode, Scheduler};
 use crate::weight::{weigh_all_naive, WeightMetric};
@@ -57,18 +57,12 @@ pub struct WorkerCentric {
     /// Per-site ranked views, built for `metric` (incremental mode only;
     /// empty in naive mode, which probes the store on every request).
     views: Vec<SiteView>,
-    /// Become-live journal for the lazy per-site ranks (incremental mode):
-    /// requeues append here instead of broadcasting into every view.
-    log: PendingLog,
-    /// Exact `combined` normalisers, maintained sparsely (incremental mode
-    /// with [`WeightMetric::Combined`] only).
-    combo: Option<ComboAggregates>,
+    /// The pending pool at zero-overlap coordinates, shared by the views
+    /// (no member in naive mode).
+    cold: ColdRank,
     rng: StdRng,
     running: usize,
     completed: usize,
-    /// Hot-path instruments, installed into every view at initialize time
-    /// (inert unless [`Scheduler::attach_telemetry`] ran).
-    stats: RankStats,
 }
 
 impl WorkerCentric {
@@ -98,14 +92,12 @@ impl WorkerCentric {
             chooser: ChooseTask::new(n),
             mode: EvalMode::default(),
             pool: TaskPool::full(tasks),
+            cold: ColdRank::new(metric, &index),
             index,
             views: Vec::new(),
-            log: PendingLog::new(),
-            combo: None,
             rng: StdRng::seed_from_u64(derive_seed(seed, Stream::Scheduler)),
             running: 0,
             completed: 0,
-            stats: RankStats::default(),
         }
     }
 
@@ -135,19 +127,11 @@ impl WorkerCentric {
         self.pool.len()
     }
 
-    /// Removes an assigned task from the pending pool. `O(1)` plus the
-    /// sparse `combined`-normaliser sweep: no rank is touched — the ranks'
-    /// entries go stale in place and are repaired lazily at read time.
+    /// Removes an assigned task from the pending pool, the cold rank and
+    /// the rank of each site where it has overlap.
     fn pool_remove(&mut self, task: TaskId) {
         self.pool.remove(task);
-        if let Some(combo) = self.combo.as_mut() {
-            combo.on_pool_remove(
-                &self.index,
-                task,
-                self.workload.task(task).files(),
-                &self.views,
-            );
-        }
+        self.cold.remove(&mut self.views, task);
     }
 
     /// The per-site views (empty in naive mode).
@@ -156,20 +140,11 @@ impl WorkerCentric {
         &self.views
     }
 
-    /// Requeues a task (fault recovery): `O(1)` journal append plus the
-    /// sparse normaliser sweep; each view re-admits it on its next read.
+    /// Requeues a task (fault recovery) into the pool and, in incremental
+    /// mode, the cold rank and the rank of each site where it has overlap.
     fn pool_insert(&mut self, task: TaskId) {
-        self.pool.insert(task);
-        if let Some(combo) = self.combo.as_mut() {
-            combo.on_pool_insert(
-                &self.index,
-                task,
-                self.workload.task(task).files(),
-                &self.views,
-            );
-        }
-        if self.mode == EvalMode::Incremental {
-            self.log.record(task, &mut self.views);
+        if self.pool.insert(task) && self.mode == EvalMode::Incremental {
+            self.cold.insert(&mut self.views, task);
         }
     }
 }
@@ -184,7 +159,7 @@ impl Scheduler for WorkerCentric {
     }
 
     fn attach_telemetry(&mut self, telemetry: &Telemetry) {
-        self.stats = RankStats::attach(telemetry);
+        self.cold.set_stats(RankStats::attach(telemetry));
     }
 
     fn initialize(&mut self, env: &GridEnv, stores: &[SiteStore]) {
@@ -195,27 +170,16 @@ impl Scheduler for WorkerCentric {
             return;
         }
         self.views = (0..env.sites)
-            .map(|_| {
-                let mut v = SiteView::new(self.workload.task_count(), self.metric);
-                v.set_stats(self.stats.clone());
-                v
-            })
+            .map(|s| SiteView::new(s, &self.index, self.metric))
             .collect();
-        if self.metric == WeightMetric::Combined {
-            self.combo = Some(ComboAggregates::new(&self.index, &self.pool, env.sites));
-        }
-        // Seed views (and normalisers) from any pre-populated storage
-        // (normally empty).
-        for (s, store) in stores.iter().enumerate() {
+        // Seed views from any pre-populated storage (normally empty), then
+        // admit the pool.
+        for (view, store) in self.views.iter_mut().zip(stores) {
             for f in store.resident() {
-                let view = &mut self.views[s];
-                view.on_file_added(&self.index, f, store.ref_count(f));
-                if let Some(combo) = self.combo.as_mut() {
-                    combo.on_file_added(s, &self.index, view, f, store.ref_count(f), &self.pool);
-                }
+                view.on_file_added(&self.index, &mut self.cold, f, store.ref_count(f));
             }
         }
-        enable_ranks(&mut self.views, &self.index, &self.pool);
+        self.cold.admit_all(&mut self.views, &self.pool);
     }
 
     fn on_worker_idle(&mut self, worker: WorkerId, store: &SiteStore) -> Assignment {
@@ -225,11 +189,8 @@ impl Scheduler for WorkerCentric {
             return Assignment::Finished;
         }
         let task = if self.mode == EvalMode::Incremental {
-            let totals = self.combo.as_ref().map(|c| c.totals(worker.site.index()));
-            let pool = &self.pool;
-            let view = &mut self.views[worker.site.index()];
-            view.sync_pending(&self.index, &self.log, |t| pool.contains(t));
-            view.pick_ranked(&self.chooser, &mut self.rng, |t| pool.contains(t), totals)
+            self.views[worker.site.index()]
+                .pick_ranked(&self.cold, &self.chooser, &mut self.rng)
                 .expect("pool is non-empty")
         } else {
             let weights = weigh_all_naive(self.metric, &self.workload, &self.pool, store);
@@ -263,34 +224,24 @@ impl Scheduler for WorkerCentric {
 
     fn on_file_added(&mut self, site: SiteId, file: FileId, ref_count: u32) {
         if let Some(view) = self.views.get_mut(site.index()) {
-            let pool = &self.pool;
-            view.on_file_added_pruning(&self.index, file, ref_count, |t| pool.contains(t));
-            if let Some(combo) = self.combo.as_mut() {
-                combo.on_file_added(site.index(), &self.index, view, file, ref_count, &self.pool);
-            }
+            view.on_file_added(&self.index, &mut self.cold, file, ref_count);
         }
     }
 
     fn on_file_evicted(&mut self, site: SiteId, file: FileId, ref_count: u32) {
         if let Some(view) = self.views.get_mut(site.index()) {
-            let pool = &self.pool;
-            view.on_file_evicted_pruning(&self.index, file, ref_count, |t| pool.contains(t));
-            if let Some(combo) = self.combo.as_mut() {
-                combo.on_file_evicted(site.index(), &self.index, view, file, ref_count, &self.pool);
-            }
+            view.on_file_evicted(&self.index, &mut self.cold, file, ref_count);
         }
     }
 
     fn on_files_referenced(&mut self, site: SiteId, files: &[FileId]) {
-        // Only `combined` reads references; the normalisers exist exactly
-        // when its incremental views (which track them) do.
-        let Some(combo) = self.combo.as_mut() else {
-            return;
-        };
-        let pool = &self.pool;
-        let view = &mut self.views[site.index()];
-        let pending_readers = view.on_files_referenced(&self.index, files, |t| pool.contains(t));
-        combo.on_files_referenced(site.index(), pending_readers);
+        // Only `combined` reads references, and only its incremental views
+        // track them.
+        if let Some(view) = self.views.get_mut(site.index()) {
+            if view.tracks_references() {
+                view.on_files_referenced(&self.index, &self.cold, files);
+            }
+        }
     }
 
     fn unfinished(&self) -> usize {
@@ -501,10 +452,9 @@ mod tests {
         batched.initialize(&env(2), &st);
         replayed.initialize(&env(2), &st);
         let w0 = WorkerId::new(SiteId(0), 0);
-        // A pick at site 0 leaves a stale entry at site 1, which the next
-        // reference batch there prunes; requeueing the task then makes it
-        // pending without being a site-1 rank member until that site's
-        // next read — its references must still count in `totalRef`.
+        // A pick at site 0 withdraws the task from site 1's rank too (it
+        // reads site-1 files); requeueing it files it there again, and its
+        // references must count in `totalRef` both before and after.
         let picked = batched.on_worker_idle(w0, &st[0]);
         assert_eq!(picked, replayed.on_worker_idle(w0, &st[0]));
         let Assignment::Run(lost) = picked else {
@@ -528,11 +478,14 @@ mod tests {
         let mut st_replayed = st.clone();
         for (i, (site, files)) in starts.iter().enumerate() {
             if i == 2 {
+                assert!(
+                    !batched.views[1].rank().contains(lost),
+                    "withdrawn at site 1"
+                );
                 for s in [&mut batched, &mut replayed] {
                     assert!(s.on_worker_lost(w0, Some(lost)));
                 }
-                let rank = batched.views[1].rank().expect("incremental");
-                assert!(rank.len() < workload.task_count(), "pruned at site 1");
+                assert!(batched.views[1].rank().contains(lost), "requeued at site 1");
             }
             start(&mut batched, *site, &mut st[*site], files);
             for f in files {
@@ -543,14 +496,14 @@ mod tests {
                 format!("{:?}", replayed.views),
                 "views and marks after start {i}"
             );
-            let combo = batched.combo.as_ref().expect("combined");
             assert_eq!(
-                format!("{combo:?}"),
-                format!("{:?}", replayed.combo.as_ref().expect("combined"))
+                format!("{:?}", batched.cold),
+                format!("{:?}", replayed.cold)
             );
             for (s, store) in st.iter().enumerate() {
-                batched.views[s].assert_consistent(&batched.index, &workload, store);
-                let (total_ref, total_rest) = combo.totals(s);
+                let view = &batched.views[s];
+                view.assert_consistent(&batched.index, &batched.cold, &workload, store);
+                let (total_ref, total_rest) = view.combined_totals(&batched.cold);
                 let (naive_ref, naive_rest) = naive_totals(&batched, store);
                 assert_eq!(total_ref, naive_ref, "totalRef at site {s} after start {i}");
                 assert_eq!(total_rest.to_bits(), naive_rest.to_bits());

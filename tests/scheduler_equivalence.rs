@@ -572,11 +572,11 @@ fn transfer_guard_without_link_faults_is_byte_inert() {
 /// The sparse-propagation path at the site counts where it actually
 /// matters: with S ≥ 32 every pool insert/remove used to broadcast into
 /// 32+ rank indexes, and sufferage's best-two refresh rescanned 32+ sites
-/// per storage event — the lazy journal/repair machinery and the
-/// per-task site sets replace all of that, and must stay byte-identical
+/// per storage event — the sparse site ranks over one shared cold rank and
+/// the per-task site sets replace all of that, and must stay byte-identical
 /// to the scan paths for **all** strategies with churn and checkpointing
 /// requeuing tasks mid-run (plus a replica-throttled storage-affinity
-/// variant, whose cap releases exercise the become-live journal under a
+/// variant, whose cap crossings move tasks in and out of the ranks under a
 /// wide fan-out).
 #[test]
 fn eval_modes_agree_large_s() {
@@ -610,8 +610,8 @@ fn eval_modes_agree_large_s() {
         assert_eq!(incremental.tasks_completed, 120, "{strategy}");
     }
     // Replica-throttled storage affinity at 32 sites: a tight cap keeps
-    // tasks cycling through saturation/release, so the lazy re-admission
-    // journal is exercised across many sites.
+    // tasks cycling through saturation/release, so rank withdrawal and
+    // re-admission are exercised across many sites.
     let config = SimConfig::paper(workload, StrategyKind::StorageAffinity)
         .with_sites(32)
         .with_capacity(400)

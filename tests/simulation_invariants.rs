@@ -214,7 +214,7 @@ proptest! {
 
         // 4. Histogram observation counts equal their sibling counters:
         // every wake call records exactly one fanout sample, and every
-        // pending-log replay records exactly one replay length.
+        // rank-membership change records exactly one site count.
         let snaps: HashMap<&str, InstrumentValue> = telemetry
             .snapshot()
             .into_iter()
@@ -233,12 +233,12 @@ proptest! {
         let (fanout_count, fanout_buckets) = histogram("engine.wake.fanout");
         prop_assert_eq!(fanout_count, counter("engine.wake.calls"));
         prop_assert_eq!(fanout_buckets, fanout_count, "bucket totals != count");
-        // Only worker-centric strategies keep a pending log.
-        if snaps.contains_key("scheduler.pending_log.replays") {
-            let (replay_count, replay_buckets) =
-                histogram("scheduler.pending_log.replay_len");
-            prop_assert_eq!(replay_count, counter("scheduler.pending_log.replays"));
-            prop_assert_eq!(replay_buckets, replay_count, "bucket totals != count");
+        // Only the ranked strategies record membership changes; each one
+        // records the number of site ranks it touched.
+        if snaps.contains_key("scheduler.rank.membership_changes") {
+            let (sites_count, sites_buckets) = histogram("scheduler.rank.overlap_sites");
+            prop_assert_eq!(sites_count, counter("scheduler.rank.membership_changes"));
+            prop_assert_eq!(sites_buckets, sites_count, "bucket totals != count");
         }
     }
 
