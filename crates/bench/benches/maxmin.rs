@@ -17,14 +17,15 @@
 //!
 //! Two time the layers around it on the path every file hop takes:
 //!
-//! * `net_swap` — the fluid engine `NetSim` with one flow per site over the
-//!   paper topology. Each step finishes the earliest completion, starts its
-//!   successor on the same route and asks for the next completion: the
-//!   flow-table and completion-heap cost a `FlowDone` event pays. The fill
-//!   is skipped and the hop touches no link list — the solver revives the
-//!   finished flow's still-linked slot — so what is left is the route
-//!   match and two heap operations (320 flows widen the topology to 320
-//!   sites);
+//! * `file_hop` — the fluid engine `NetSim` with one flow per site over
+//!   the paper topology. Each step hops from the earliest completion to
+//!   its successor on the same route and asks for the next completion:
+//!   the network cost of a `FlowDone` event. `finish_start` finishes the
+//!   flow and starts the successor, which the solver matches by route to
+//!   the finished flow's parked slot (the fill is skipped and no link list
+//!   is touched) — two heap operations and the route match; `continue`
+//!   hands the slot to the successor with `continue_flow` — one heap
+//!   re-key and no solver call. 320 flows widen the topology to 320 sites;
 //! * `event_queue_hold` — the event queue under the classic hold model: a
 //!   constant population where each step pops the earliest event and
 //!   pushes a successor, and one step in four also cancels and re-pushes a
@@ -114,33 +115,46 @@ fn bench_solver_churn(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_net_swap(c: &mut Criterion) {
-    let mut group = c.benchmark_group("net_swap");
-    for flows in [5usize, 20, 80, 320] {
-        const BYTES: f64 = 25e6;
-        // The paper topology has 90 sites; a larger case widens every MAN
-        // the way `perf_scale` does, so each flow still has its own site.
-        let mut config = TiersConfig::paper(7);
-        config.sites_per_man = config.sites_per_man.max(flows.div_ceil(config.mans));
-        let topology = generate(&config);
-        let mut net = NetSim::new(topology.graph.bandwidths());
-        for site in 0..flows {
-            let route = topology.routes.site_to_file_server(site);
-            // Staggered sizes, so completions come one at a time.
-            let bytes = BYTES * (1.0 + site as f64 / flows as f64);
-            net.start_flow(SimTime::ZERO, &route.links, bytes, route.latency_s, site);
-        }
-        group.bench_with_input(BenchmarkId::from_parameter(flows), &flows, |b, _| {
-            b.iter(|| {
-                for _ in 0..STEPS {
-                    let (t, id) = net.next_completion().expect("flows stay active");
-                    let site = net.finish_flow(t, id);
-                    let route = topology.routes.site_to_file_server(site);
-                    net.start_flow(t, &route.links, BYTES, route.latency_s, site);
-                }
-                std::hint::black_box(net.next_completion())
+fn bench_file_hop(c: &mut Criterion) {
+    let mut group = c.benchmark_group("file_hop");
+    for continued in [false, true] {
+        for flows in [5usize, 20, 80, 320] {
+            const BYTES: f64 = 25e6;
+            // The paper topology has 90 sites; a larger case widens every
+            // MAN the way `perf_scale` does, so each flow still has its own
+            // site.
+            let mut config = TiersConfig::paper(7);
+            config.sites_per_man = config.sites_per_man.max(flows.div_ceil(config.mans));
+            let topology = generate(&config);
+            let mut net = NetSim::new(topology.graph.bandwidths());
+            for site in 0..flows {
+                let route = topology.routes.site_to_file_server(site);
+                // Staggered sizes, so completions come one at a time.
+                let bytes = BYTES * (1.0 + site as f64 / flows as f64);
+                net.start_flow(SimTime::ZERO, &route.links, bytes, route.latency_s, site);
+            }
+            let name = if continued {
+                "continue"
+            } else {
+                "finish_start"
+            };
+            group.bench_with_input(BenchmarkId::new(name, flows), &flows, |b, _| {
+                b.iter(|| {
+                    for _ in 0..STEPS {
+                        let (t, id) = net.next_completion().expect("flows stay active");
+                        let site = *net.tag(id).expect("active flow");
+                        let route = topology.routes.site_to_file_server(site);
+                        if continued {
+                            net.continue_flow(t, id, &route.links, BYTES, route.latency_s, site);
+                        } else {
+                            net.finish_flow(t, id);
+                            net.start_flow(t, &route.links, BYTES, route.latency_s, site);
+                        }
+                    }
+                    std::hint::black_box(net.next_completion())
+                });
             });
-        });
+        }
     }
     group.finish();
 }
@@ -185,7 +199,7 @@ criterion_group!(
     benches,
     bench_maxmin,
     bench_solver_churn,
-    bench_net_swap,
+    bench_file_hop,
     bench_event_queue_hold
 );
 criterion_main!(benches);

@@ -7,7 +7,10 @@
 //!   (seconds, `f64` under the hood, NaN-free by construction),
 //! * [`EventQueue`] — a cancellable priority queue of timestamped events with
 //!   stable FIFO ordering for simultaneous events (O(1), hash-free
-//!   cancellation through slot-checked handles),
+//!   cancellation through slot-checked handles), plus one *armed* event
+//!   kept outside the heap for an owner that re-aims a single pending
+//!   event after every state change; arming dispatches exactly as a cancel
+//!   plus a push would, so it changes no dispatch order,
 //! * [`Schedule`] — a thin driver that owns the queue and the clock and
 //!   enforces time monotonicity,
 //! * [`rng`] — seed-derivation helpers so every simulation component gets an

@@ -12,6 +12,32 @@
 //! while an entry is in the heap nobody else can own its slot, and a stale
 //! [`EventHandle`] (its event fired or was cancelled, the slot perhaps
 //! reused since) fails the sequence check and is a no-op.
+//!
+//! # The armed event
+//!
+//! Besides the heap, the queue holds at most one *armed* event
+//! ([`EventQueue::arm`]), for an owner that keeps exactly one event of a
+//! kind pending and moves it often — the simulator's next flow completion,
+//! re-aimed after every change to the flow set. Re-arming overwrites the
+//! entry in place: no heap push, no dead entry left behind for a later pop
+//! to skip.
+//!
+//! Dispatch order is exactly that of the heap-only queue in which each
+//! `arm` is a cancel of the previously armed event followed by a push:
+//!
+//! * `arm` takes a fresh sequence number from the same counter as
+//!   [`EventQueue::push`], so every event — armed or pushed — carries the
+//!   number the heap-only queue would have given it;
+//! * a replaced or disarmed event is gone, as a cancelled one is;
+//! * [`EventQueue::pop`] and [`EventQueue::peek_time`] compare the armed
+//!   entry with the earliest live heap entry on the same `(time, sequence)`
+//!   key the heap orders by, and the keys are unique, so the armed event
+//!   pops exactly when it would have surfaced from the heap.
+//!
+//! Re-arming takes a new number even when `(time, event)` is unchanged.
+//! Keeping the old one would let the re-armed event pop before events
+//! pushed for the same instant between the two arms, which the cancel and
+//! push it stands for would have let go first.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -31,6 +57,9 @@ pub struct EventHandle {
 /// `slots` marker for a slot whose event was cancelled or popped
 /// (sequence numbers never reach it).
 const DEAD: u64 = u64::MAX;
+
+/// `Entry::slot` of the armed event, which owns no slot.
+const ARMED: u32 = u32::MAX;
 
 struct Entry<E> {
     at: SimTime,
@@ -83,9 +112,12 @@ pub struct EventQueue<E> {
     slots: Vec<u64>,
     /// Slots whose heap entry has been popped.
     free: Vec<u32>,
-    /// Number of live (pushed, not yet popped or cancelled) events.
+    /// Number of live (pushed, not yet popped or cancelled) heap events.
     live: usize,
     next_seq: u64,
+    /// The armed event, kept outside the heap (see the
+    /// [module docs](self)).
+    armed: Option<Entry<E>>,
 }
 
 impl<E> Default for EventQueue<E> {
@@ -104,6 +136,7 @@ impl<E> EventQueue<E> {
             free: Vec::new(),
             live: 0,
             next_seq: 0,
+            armed: None,
         }
     }
 
@@ -147,8 +180,40 @@ impl<E> EventQueue<E> {
         }
     }
 
+    /// Arms `event` at `at`, replacing the armed event, if any. Every call
+    /// takes a fresh sequence number, even for an unchanged `(at, event)`,
+    /// so the event pops exactly where cancelling the previous armed event
+    /// and pushing this one would put it (see the [module docs](self)).
+    pub fn arm(&mut self, at: SimTime, event: E) {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        self.armed = Some(Entry {
+            at,
+            seq,
+            slot: ARMED,
+            event,
+        });
+    }
+
+    /// Drops the armed event, if any.
+    pub fn disarm(&mut self) {
+        self.armed = None;
+    }
+
     /// Removes and returns the earliest live event, skipping cancelled ones.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
+        if self.armed.is_some() {
+            self.drop_dead_top();
+            let armed = self.armed.as_ref().expect("checked above");
+            if self
+                .heap
+                .peek()
+                .is_none_or(|top| (armed.at, armed.seq) < (top.at, top.seq))
+            {
+                let armed = self.armed.take().expect("checked above");
+                return Some((armed.at, armed.event));
+            }
+        }
         while let Some(entry) = self.heap.pop() {
             let seq = std::mem::replace(&mut self.slots[entry.slot as usize], DEAD);
             self.free.push(entry.slot);
@@ -166,27 +231,37 @@ impl<E> EventQueue<E> {
     /// entries off the top of the heap.
     #[must_use]
     pub fn peek_time(&mut self) -> Option<SimTime> {
+        self.drop_dead_top();
+        let queued = self.heap.peek().map(|top| top.at);
+        match (self.armed.as_ref().map(|armed| armed.at), queued) {
+            (Some(a), Some(q)) => Some(a.min(q)),
+            (a, q) => a.or(q),
+        }
+    }
+
+    /// Pops cancelled entries off the top of the heap, so that its top, if
+    /// any, is live.
+    fn drop_dead_top(&mut self) {
         while let Some(entry) = self.heap.peek() {
             if self.slots[entry.slot as usize] == entry.seq {
-                return Some(entry.at);
+                return;
             }
             let slot = entry.slot;
             self.heap.pop();
             self.free.push(slot);
         }
-        None
     }
 
-    /// Number of live (non-cancelled) events.
+    /// Number of live (non-cancelled) events, the armed one included.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.live
+        self.live + usize::from(self.armed.is_some())
     }
 
     /// Whether the queue holds no live events.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.live == 0
+        self.len() == 0
     }
 }
 
@@ -195,6 +270,7 @@ impl<E> std::fmt::Debug for EventQueue<E> {
         f.debug_struct("EventQueue")
             .field("live", &self.live)
             .field("heap_len", &self.heap.len())
+            .field("armed", &self.armed.is_some())
             .finish()
     }
 }
@@ -313,6 +389,49 @@ mod tests {
     }
 
     #[test]
+    fn armed_event_pops_in_sequence_order_among_ties() {
+        let mut q = EventQueue::new();
+        q.push(t(1.0), "queued before");
+        q.arm(t(1.0), "armed");
+        q.push(t(1.0), "queued after");
+        q.push(t(0.5), "earlier");
+        assert_eq!(q.len(), 4);
+        assert_eq!(q.peek_time(), Some(t(0.5)));
+        let order: Vec<&str> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
+        assert_eq!(order, ["earlier", "queued before", "armed", "queued after"]);
+    }
+
+    #[test]
+    fn rearming_replaces_and_takes_a_fresh_sequence() {
+        let mut q = EventQueue::new();
+        q.arm(t(2.0), "stale");
+        q.push(t(2.0), "queued");
+        // Re-armed at the same instant: it now sorts after `queued`, as a
+        // cancel plus a fresh push would.
+        q.arm(t(2.0), "armed");
+        assert_eq!(q.len(), 2);
+        assert_eq!(q.pop().map(|(_, e)| e), Some("queued"));
+        assert_eq!(q.pop().map(|(_, e)| e), Some("armed"));
+        assert_eq!(q.pop(), None);
+    }
+
+    #[test]
+    fn disarm_drops_the_armed_event() {
+        let mut q = EventQueue::new();
+        q.arm(t(1.0), 'a');
+        let b = q.push(t(3.0), 'b');
+        q.disarm();
+        assert_eq!(q.len(), 1);
+        assert_eq!(q.peek_time(), Some(t(3.0)));
+        // A cancelled heap top does not hide the armed event behind it.
+        q.arm(t(4.0), 'c');
+        assert!(q.cancel(b));
+        assert_eq!(q.peek_time(), Some(t(4.0)));
+        assert_eq!(q.pop().map(|(_, e)| e), Some('c'));
+        assert!(q.is_empty());
+    }
+
+    #[test]
     fn interleaved_push_pop_cancel() {
         let mut q = EventQueue::new();
         let h1 = q.push(t(10.0), 1);
@@ -361,18 +480,23 @@ mod proptests {
         }
 
         /// Interleaved push, pop, cancel (of live, fired and cancelled
-        /// handles alike) and peek agree with a sorted-`Vec` model at every
-        /// step: same popped event, same peeked time, same cancel result,
-        /// same length.
+        /// handles alike), peek, arm and disarm agree with a sorted-`Vec`
+        /// model at every step: same popped event, same peeked time, same
+        /// cancel result, same length. The model knows no armed event: an
+        /// arm is a cancel of the previously armed event plus a push, and a
+        /// disarm is that cancel alone, so pops of tied events must follow
+        /// the sequence numbers of those pushes.
         #[test]
         fn matches_sorted_vec_model(
-            ops in proptest::collection::vec((0u8..4, 0u32..50, any::<u16>()), 1..200),
+            ops in proptest::collection::vec((0u8..6, 0u32..50, any::<u16>()), 1..200),
         ) {
             let mut q = EventQueue::new();
             // Model: live (time, seq, id) triples; the queue pops the least.
             let mut model: Vec<(u32, u64, usize)> = Vec::new();
             // Every handle ever issued, with the model's id for it.
             let mut handles: Vec<(EventHandle, u64)> = Vec::new();
+            // The model's seq of the armed event while it is live.
+            let mut armed: Option<u64> = None;
             let mut next_seq = 0u64;
             for (op, time, pick) in ops {
                 match op {
@@ -393,7 +517,7 @@ mod proptests {
                             model.remove(pos);
                         }
                     }
-                    _ => {
+                    3 => {
                         if pick % 2 == 0 {
                             let want = model.iter().map(|&(t, s, _)| (t, s)).min();
                             let got = q.peek_time().map(|at| at.as_secs() as u32);
@@ -406,10 +530,26 @@ mod proptests {
                                 .map(|(i, _)| i);
                             let got = q.pop().map(|(at, id)| (at.as_secs() as u32, id));
                             let want = want.map(|i| {
-                                let (t, _, id) = model.remove(i);
+                                let (t, s, id) = model.remove(i);
+                                if armed == Some(s) {
+                                    armed = None;
+                                }
                                 (t, id)
                             });
                             prop_assert_eq!(got, want);
+                        }
+                    }
+                    _ => {
+                        if let Some(seq) = armed.take() {
+                            model.retain(|&(_, s, _)| s != seq);
+                        }
+                        if op == 4 {
+                            q.arm(SimTime::from_secs(f64::from(time)), next_seq as usize);
+                            model.push((time, next_seq, next_seq as usize));
+                            armed = Some(next_seq);
+                            next_seq += 1;
+                        } else {
+                            q.disarm();
                         }
                     }
                 }

@@ -4,6 +4,13 @@
 //! deliberately minimal: the grid simulator (in `gridsched-sim`) pulls events
 //! one at a time with [`Schedule::next`] and dispatches them itself, which
 //! keeps borrow patterns simple for large mutable simulation states.
+//!
+//! Besides the events it schedules, a [`Schedule`] holds at most one
+//! *armed* event ([`Schedule::arm`]): an event the owner re-aims often and
+//! never needs a handle to, kept outside the heap. It dispatches exactly
+//! where a cancel of the previous armed event plus a fresh
+//! [`Schedule::schedule_at`] would have put it (see the
+//! [queue docs](crate::queue)).
 
 use crate::queue::{EventHandle, EventQueue};
 use crate::time::{SimDuration, SimTime};
@@ -67,13 +74,19 @@ impl<E> Schedule<E> {
     ///
     /// Panics if `at` is before the current time or is not finite.
     pub fn schedule_at(&mut self, at: SimTime, event: E) -> EventHandle {
+        self.check_time(at);
+        self.queue.push(at, event)
+    }
+
+    /// Panics unless an event can be scheduled at `at`: not before the
+    /// current time, and finite.
+    fn check_time(&self, at: SimTime) {
         assert!(
             at >= self.now,
             "cannot schedule event in the past: at={at:?} now={:?}",
             self.now
         );
         assert!(at.is_finite(), "cannot schedule event at FAR_FUTURE");
-        self.queue.push(at, event)
     }
 
     /// Schedules `event` after a delay from the current time.
@@ -89,6 +102,24 @@ impl<E> Schedule<E> {
     /// events already scheduled for this instant).
     pub fn schedule_now(&mut self, event: E) -> EventHandle {
         self.schedule_at(self.now, event)
+    }
+
+    /// Arms `event` at the absolute time `at`, replacing the armed event,
+    /// if any. It dispatches where cancelling the previous armed event and
+    /// calling `schedule_at(at, event)` would: after the events already
+    /// scheduled for `at`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `at` is before the current time or is not finite.
+    pub fn arm(&mut self, at: SimTime, event: E) {
+        self.check_time(at);
+        self.queue.arm(at, event);
+    }
+
+    /// Drops the armed event, if any.
+    pub fn disarm(&mut self) {
+        self.queue.disarm();
     }
 
     /// Cancels a pending event. Returns `true` if it had not yet fired.
@@ -165,6 +196,36 @@ mod tests {
         s.schedule_at(SimTime::from_secs(5.0), 1);
         s.next();
         s.schedule_at(SimTime::from_secs(1.0), 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "in the past")]
+    fn arming_in_past_panics() {
+        let mut s: Schedule<u32> = Schedule::new();
+        s.schedule_at(SimTime::from_secs(5.0), 1);
+        s.next();
+        s.arm(SimTime::from_secs(1.0), 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "FAR_FUTURE")]
+    fn arming_at_far_future_panics() {
+        let mut s: Schedule<u32> = Schedule::new();
+        s.arm(SimTime::FAR_FUTURE, 1);
+    }
+
+    #[test]
+    fn armed_event_tied_with_queued_events_dispatches_in_sequence_order() {
+        let mut s: Schedule<&str> = Schedule::new();
+        let at = SimTime::from_secs(2.0);
+        s.schedule_at(at, "queued first");
+        s.arm(at, "armed");
+        s.schedule_at(at, "queued last");
+        assert_eq!(s.pending(), 3);
+        let order: Vec<&str> = std::iter::from_fn(|| s.next().map(|(_, e)| e)).collect();
+        assert_eq!(order, ["queued first", "armed", "queued last"]);
+        assert_eq!(s.dispatched(), 3);
+        assert!(s.is_idle());
     }
 
     #[test]

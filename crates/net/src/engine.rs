@@ -4,8 +4,9 @@
 //! The owner drives it with wall-clock-style calls:
 //!
 //! 1. [`NetSim::start_flow`] / [`NetSim::cancel_flow`] / [`NetSim::finish_flow`]
-//!    mutate the flow set (each call first moves the engine clock to `now`;
-//!    rates are recomputed lazily at the next observation point),
+//!    / [`NetSim::continue_flow`] mutate the flow set (each call first
+//!    moves the engine clock to `now`; rates are recomputed lazily at the
+//!    next observation point),
 //! 2. [`NetSim::next_completion`] reports when the earliest active flow will
 //!    finish if nothing else changes — the owner schedules exactly one DES
 //!    event for that instant and re-queries after every mutation.
@@ -44,11 +45,20 @@
 //! rate and files its real completion at once; any other flow files no
 //! completion until the solve its start made due reads every flow. A
 //! skipped solve therefore reads nothing, and no list of newly started
-//! flows is kept. A file hop — finish one flow, start the next on the same
-//! route, ask for the next completion — costs two heap operations and the
-//! solver's route match, and touches no link list: the solver defers the
-//! finished flow's unlink until link state is read, and the revive finds
-//! it still in place.
+//! flows is kept.
+//!
+//! # File hops
+//!
+//! A batch stages its files one at a time over one route, so most flows
+//! end where the next begins. [`NetSim::continue_flow`] makes that hop one
+//! call: the successor takes the finished flow's solver slot, whose rate
+//! is still exact because the route multiset is unchanged, and re-keys the
+//! slot's heap entry in place. The hop costs one heap re-key; the solver
+//! is not called, and the solve stays skipped. A hop across a batch
+//! boundary (the next batch's first file, started after the server picks
+//! its next request) is still a finish and a start: the solver parks the
+//! finished slot and the start revives it by route match, touching no link
+//! list, because the unlink is deferred until link state is read.
 //!
 //! Each flow carries a caller tag (what the transfer is for), handed back
 //! by [`NetSim::finish_flow`] and listed by [`NetSim::flows`], so the owner
@@ -84,6 +94,15 @@ impl FlowId {
 
 /// `NetSim::pos` marker for a slot holding no active flow.
 const NO_FLOW: u32 = u32::MAX;
+
+/// Panics on a flow size or latency no flow can have.
+fn check_flow_args(bytes: f64, latency_s: f64) {
+    assert!(bytes >= 0.0 && bytes.is_finite(), "bad flow size: {bytes}");
+    assert!(
+        latency_s >= 0.0 && latency_s.is_finite(),
+        "bad latency: {latency_s}"
+    );
+}
 
 #[derive(Debug, Clone)]
 struct FlowState<T> {
@@ -163,12 +182,14 @@ impl EtaHeap {
         self.sift_up(self.entries.len() - 1);
     }
 
-    /// Re-keys `id`'s entry to `eta`.
-    fn update(&mut self, id: FlowId, eta: SimTime) {
+    /// Replaces the entry of the flow in `id`'s slot with `(eta, id)`:
+    /// a new completion for the same flow, or the entry of a successor
+    /// that took the slot over.
+    fn update(&mut self, eta: SimTime, id: FlowId) {
         let i = self.at[id.slot as usize] as usize;
-        let old = self.entries[i].0;
-        self.entries[i].0 = eta;
-        if eta.as_secs() < old.as_secs() {
+        let old = self.entries[i];
+        self.entries[i] = (eta, id);
+        if earlier((eta, id), old) {
             self.sift_up(i);
         } else {
             self.sift_down(i);
@@ -243,7 +264,8 @@ impl EtaHeap {
 /// replaced each finished flow with one on the same route, the route
 /// multiset is unchanged too, and the solver skips the fill entirely (see
 /// [`MaxMinSolver`]); the flows started in the burst filed their
-/// completions at start.
+/// completions at start. A hop made with [`NetSim::continue_flow`] does
+/// not reach the solver at all.
 ///
 /// Bytes drain per rate epoch, not per event (see the
 /// [module docs](self)): the clock advance itself touches no flow.
@@ -284,6 +306,12 @@ pub struct NetSim<T> {
     recomputes: Counter,
     /// `net.solver.touched_flows` — flows visited per solve run.
     touched_flows: Histogram,
+    /// `net.flow.continued` — file hops continued in place by
+    /// [`NetSim::continue_flow`].
+    continued: Counter,
+    /// `net.solver.revives` — flows started on a parked slot the solver
+    /// revived (a same-route swap the solve then skips).
+    revives: Counter,
 }
 
 impl<T> NetSim<T> {
@@ -306,14 +334,20 @@ impl<T> NetSim<T> {
             flows_finished: 0,
             recomputes: Counter::disabled(),
             touched_flows: Histogram::disabled(),
+            continued: Counter::disabled(),
+            revives: Counter::disabled(),
         }
     }
+
     /// Installs hot-path instrument handles (recompute count, flows
-    /// touched per recompute). Recording through inert handles — the
-    /// default — is a no-op; attaching never changes any rate or ETA.
+    /// touched per recompute, hops continued in place, parked slots
+    /// revived). Recording through inert handles — the default — is a
+    /// no-op; attaching never changes any rate or ETA.
     pub fn attach_telemetry(&mut self, telemetry: &Telemetry) {
         self.recomputes = telemetry.counter("net.solver.recomputes");
         self.touched_flows = telemetry.histogram("net.solver.touched_flows");
+        self.continued = telemetry.counter("net.flow.continued");
+        self.revives = telemetry.counter("net.solver.revives");
     }
 
     /// Number of links crossed by at least one active flow.
@@ -424,28 +458,88 @@ impl<T> NetSim<T> {
         latency_s: f64,
         tag: T,
     ) -> FlowId {
-        assert!(bytes >= 0.0 && bytes.is_finite(), "bad flow size: {bytes}");
-        assert!(
-            latency_s >= 0.0 && latency_s.is_finite(),
-            "bad latency: {latency_s}"
-        );
+        check_flow_args(bytes, latency_s);
         self.advance_to(now);
-        let slot = self.solver.add_flow(route.iter().map(|e| e.index()));
-        let id = FlowId {
-            ord: self.next_ord,
-            slot,
-        };
-        self.next_ord += 1;
+        let (slot, revived) = self.solver.register_flow(route.iter().map(|e| e.index()));
+        if revived {
+            self.revives.incr();
+        }
         let s = slot as usize;
         if s >= self.pos.len() {
             self.pos.resize(s + 1, NO_FLOW);
         }
         debug_assert_eq!(self.pos[s], NO_FLOW, "solver handed out a live slot");
-        self.pos[s] = self.flows.len() as u32;
         // A revived slot's rate is still exact, so its completion is real.
         // Any other slot reads rate 0 (no completion) until the solve its
         // registration made due; that solve runs at this instant, before
         // anything drains, and re-reads every flow.
+        let flow = self.successor(now, slot, bytes, latency_s, tag);
+        self.etas.push(flow.eta, flow.id);
+        self.append(flow)
+    }
+
+    /// Finishes flow `id` at `now`, exactly as [`NetSim::finish_flow`]
+    /// does, and starts its successor over `route` in the same call, as
+    /// [`NetSim::start_flow`] would: a batch's next file fetched over the
+    /// route of the one that just arrived. Returns the successor's id.
+    ///
+    /// When `id`'s solver slot already crosses `route`, the successor
+    /// takes the slot over: it keeps the slot's rate, which a same-route
+    /// start would have revived, gets a fresh creation ordinal, and
+    /// re-keys the slot's heap entry in place. It moves to the end of the
+    /// flow table, where a start would have put it, so a later solve books
+    /// delivered bytes in the same order. The solver is not called, and
+    /// every rate, completion, id and byte total matches finish + start
+    /// bit for bit (a revived slot would hold the same rate, since flows
+    /// on equal routes solve to equal rates). Any other route falls back
+    /// to finish + start.
+    ///
+    /// # Panics
+    ///
+    /// As [`NetSim::finish_flow`] for `id`, and as [`NetSim::start_flow`]
+    /// for the successor's arguments.
+    pub fn continue_flow(
+        &mut self,
+        now: SimTime,
+        id: FlowId,
+        route: &[EdgeId],
+        bytes: f64,
+        latency_s: f64,
+        tag: T,
+    ) -> FlowId {
+        self.advance_to(now);
+        let same_route = self.position(id).is_some()
+            && self
+                .solver
+                .route_is(id.slot, route.iter().map(|e| e.index()));
+        if !same_route {
+            self.finish_flow(now, id);
+            return self.start_flow(now, route, bytes, latency_s, tag);
+        }
+        check_flow_args(bytes, latency_s);
+        let done = self.unfile(id).expect("checked above");
+        self.book_finished(now, &done);
+        let flow = self.successor(now, id.slot, bytes, latency_s, tag);
+        self.etas.update(flow.eta, flow.id);
+        self.continued.incr();
+        self.append(flow)
+    }
+
+    /// A new flow in solver slot `slot` at the slot's current rate, with
+    /// the next creation ordinal and its completion filled in.
+    fn successor(
+        &mut self,
+        now: SimTime,
+        slot: u32,
+        bytes: f64,
+        latency_s: f64,
+        tag: T,
+    ) -> FlowState<T> {
+        let id = FlowId {
+            ord: self.next_ord,
+            slot,
+        };
+        self.next_ord += 1;
         let mut flow = FlowState {
             id,
             start: now + SimDuration::from_secs(latency_s),
@@ -456,7 +550,13 @@ impl<T> NetSim<T> {
             tag,
         };
         flow.eta = flow.completion();
-        self.etas.push(flow.eta, id);
+        flow
+    }
+
+    /// Appends `flow` to the end of the flow table and returns its id.
+    fn append(&mut self, flow: FlowState<T>) -> FlowId {
+        let id = flow.id;
+        self.pos[id.slot as usize] = self.flows.len() as u32;
         self.flows.push(flow);
         id
     }
@@ -486,6 +586,13 @@ impl<T> NetSim<T> {
         let state = self
             .remove(id)
             .unwrap_or_else(|| panic!("finish_flow: unknown flow {id:?}"));
+        self.book_finished(now, &state);
+        state.tag
+    }
+
+    /// Checks that a flow just taken out of the table is drained at `now`
+    /// and books it as finished.
+    fn book_finished(&mut self, now: SimTime, state: &FlowState<T>) {
         let latency_left = if now < state.start {
             (state.start - now).as_secs()
         } else {
@@ -494,12 +601,12 @@ impl<T> NetSim<T> {
         let slack = state.remaining_at(now);
         assert!(
             latency_left <= 1e-9 && slack <= 1e-3,
-            "finish_flow called on unfinished flow {id:?}: {slack} bytes / {latency_left}s latency left",
+            "finish_flow called on unfinished flow {:?}: {slack} bytes / {latency_left}s latency left",
+            state.id,
         );
         // The drain since the flow's epoch, plus the numerically-lost tail.
         self.bytes_delivered += state.bytes_at_epoch;
         self.flows_finished += 1;
-        state.tag
     }
 
     /// The earliest `(time, flow)` completion among active flows, assuming
@@ -541,14 +648,21 @@ impl<T> NetSim<T> {
 
     /// Unlinks an active flow from the table, the heap and the solver.
     fn remove(&mut self, id: FlowId) -> Option<FlowState<T>> {
+        let state = self.unfile(id)?;
+        self.etas.remove(id);
+        self.solver.remove_flow(id.slot);
+        Some(state)
+    }
+
+    /// Takes an active flow out of the table, leaving its slot's heap
+    /// entry and solver registration in place.
+    fn unfile(&mut self, id: FlowId) -> Option<FlowState<T>> {
         let p = self.position(id)?;
         self.pos[id.slot as usize] = NO_FLOW;
         let state = self.flows.swap_remove(p);
         if let Some(moved) = self.flows.get(p) {
             self.pos[moved.id.slot as usize] = p as u32;
         }
-        self.etas.remove(id);
-        self.solver.remove_flow(id.slot);
         Some(state)
     }
 
@@ -624,7 +738,7 @@ impl<T> NetSim<T> {
         f.epoch = now;
         f.rate_bps = rate;
         f.eta = f.completion();
-        self.etas.update(f.id, f.eta);
+        self.etas.update(f.eta, f.id);
     }
 
     /// The cached completion instant of an active flow.
@@ -893,6 +1007,54 @@ mod tests {
     }
 
     #[test]
+    fn continued_hop_keeps_the_slot_and_files_its_completion_at_once() {
+        let mut net = NetSim::new(vec![10.0, 30.0]);
+        let a = net.start_flow(SimTime::ZERO, &[e(0), e(1)], 100.0, 0.0, 'a');
+        let b = net.start_flow(SimTime::ZERO, &[e(1)], 1_000.0, 0.0, 'b');
+        let (t_a, id) = net.next_completion().unwrap();
+        assert_eq!(id, a);
+        let c = net.continue_flow(t_a, a, &[e(0), e(1)], 50.0, 0.5, 'c');
+        assert_eq!((c.slot, c.raw()), (a.slot, 2), "same slot, fresh ordinal");
+        assert_eq!(net.tag(a), None);
+        assert_eq!(net.tag(c), Some(&'c'));
+        assert_eq!(net.flows_finished(), 1);
+        // The rate carried over is exact: the completion is real at once.
+        let eta_c = net.eta_of(c).unwrap();
+        assert!((eta_c.as_secs() - (t_a.as_secs() + 0.5 + 5.0)).abs() < 1e-9);
+        net.assert_heap_consistent();
+        assert_eq!(net.next_completion(), Some((eta_c, c)));
+        // `b` kept its rate throughout, so it was never re-based: only the
+        // two finished flows are booked.
+        assert_eq!(net.rate_of(b), Some(20.0));
+        net.finish_flow(eta_c, c);
+        assert!((net.bytes_delivered() - 150.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn continued_hop_on_another_route_falls_back_to_finish_and_start() {
+        let mut net = NetSim::new(vec![10.0, 30.0]);
+        let a = net.start_flow(SimTime::ZERO, &[e(0)], 100.0, 0.0, ());
+        let (t_a, _) = net.next_completion().unwrap();
+        let c = net.continue_flow(t_a, a, &[e(1)], 60.0, 0.0, ());
+        assert_eq!(c.raw(), 1);
+        assert_eq!(net.active_flows(), 1);
+        assert_eq!(net.flows_finished(), 1);
+        // The new route needs a solve: 60 bytes at 30 B/s.
+        let (eta, id) = net.next_completion().unwrap();
+        assert_eq!(id, c);
+        assert!((eta.as_secs() - (t_a.as_secs() + 2.0)).abs() < 1e-9);
+        net.assert_heap_consistent();
+    }
+
+    #[test]
+    #[should_panic(expected = "unfinished flow")]
+    fn continuing_an_unfinished_flow_panics() {
+        let mut net = NetSim::new(vec![10.0]);
+        let f = net.start_flow(SimTime::ZERO, &[e(0)], 100.0, 0.0, ());
+        net.continue_flow(t(1.0), f, &[e(0)], 1.0, 0.0, ());
+    }
+
+    #[test]
     fn link_reads_after_an_unreplaced_finish_match_a_fresh_engine() {
         let caps = vec![10.0, 20.0, 30.0];
         let routes: [&[EdgeId]; 3] = [&[e(0), e(2)], &[e(1), e(2)], &[e(2)]];
@@ -1072,8 +1234,179 @@ mod proptests {
         })
     }
 
+    /// Two engines fed the same calls, except that each file hop is a
+    /// [`NetSim::continue_flow`] in `cont` and a finish plus a start in
+    /// `twin`. Index = creation ordinal = tag.
+    struct HopPair {
+        cont: NetSim<u64>,
+        twin: NetSim<u64>,
+        ids: Vec<(FlowId, FlowId)>,
+        routes: Vec<Vec<EdgeId>>,
+        now: SimTime,
+    }
+
+    impl HopPair {
+        fn start(&mut self, route: Vec<EdgeId>, bytes: f64, latency_s: f64) {
+            let tag = self.ids.len() as u64;
+            let a = self
+                .cont
+                .start_flow(self.now, &route, bytes, latency_s, tag);
+            let b = self
+                .twin
+                .start_flow(self.now, &route, bytes, latency_s, tag);
+            self.ids.push((a, b));
+            self.routes.push(route);
+        }
+
+        /// Both engines' next completion, which must agree bit for bit.
+        fn next_done(&mut self) -> Option<(SimTime, FlowId, FlowId)> {
+            let (a, b) = (self.cont.next_completion(), self.twin.next_completion());
+            prop_assert_eq!(
+                a.map(|(t, id)| (t.as_secs().to_bits(), id.raw())),
+                b.map(|(t, id)| (t.as_secs().to_bits(), id.raw()))
+            );
+            let ((t, a), (_, b)) = (a?, b?);
+            self.now = t;
+            Some((t, a, b))
+        }
+
+        fn hop(&mut self, route: Option<Vec<EdgeId>>, bytes: f64, latency_s: f64) {
+            let Some((t, a, b)) = self.next_done() else {
+                return;
+            };
+            let route = route.unwrap_or_else(|| self.routes[a.raw() as usize].clone());
+            let tag = self.ids.len() as u64;
+            let next_a = self.cont.continue_flow(t, a, &route, bytes, latency_s, tag);
+            prop_assert_eq!(self.twin.finish_flow(t, b), a.raw());
+            let next_b = self.twin.start_flow(t, &route, bytes, latency_s, tag);
+            prop_assert_eq!(next_a.raw(), next_b.raw());
+            self.ids.push((next_a, next_b));
+            self.routes.push(route);
+        }
+
+        /// Everything observable agrees bit for bit.
+        fn check(&mut self) {
+            prop_assert_eq!(
+                self.cont
+                    .next_completion()
+                    .map(|(t, id)| (t.as_secs().to_bits(), id.raw())),
+                self.twin
+                    .next_completion()
+                    .map(|(t, id)| (t.as_secs().to_bits(), id.raw()))
+            );
+            for &(a, b) in &self.ids {
+                prop_assert_eq!(
+                    self.cont.rate_of(a).map(f64::to_bits),
+                    self.twin.rate_of(b).map(f64::to_bits)
+                );
+                prop_assert_eq!(
+                    self.cont.eta_of(a).map(|t| t.as_secs().to_bits()),
+                    self.twin.eta_of(b).map(|t| t.as_secs().to_bits())
+                );
+                prop_assert_eq!(self.cont.tag(a), self.twin.tag(b));
+                prop_assert_eq!(self.cont.flow_stalled(a), self.twin.flow_stalled(b));
+            }
+            prop_assert_eq!(
+                self.cont.bytes_delivered().to_bits(),
+                self.twin.bytes_delivered().to_bits()
+            );
+            prop_assert_eq!(self.cont.flows_finished(), self.twin.flows_finished());
+            prop_assert_eq!(self.cont.busy_links(), self.twin.busy_links());
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// A hop continued in place is indistinguishable from finish plus
+        /// start: over random routes, hops on the finished flow's route and
+        /// on others, cancels, clock advances and link down/up and degrade
+        /// toggles, both engines report bit-identical completions, rates,
+        /// ETAs, ids and delivered bytes, and both heaps stay exact after
+        /// every call. Observations that solve run after only some calls,
+        /// so same-instant bursts of starts, hops and cancels go unsolved.
+        #[test]
+        fn continued_hops_match_finish_then_start(
+            (caps, pool) in (2usize..6).prop_flat_map(|n_links| {
+                let caps = proptest::collection::vec(1.0f64..50.0, n_links);
+                let route = proptest::collection::btree_set(0..n_links, 0..=n_links)
+                    .prop_map(|s| s.into_iter().map(|l| EdgeId(l as u32)).collect::<Vec<_>>());
+                (caps, proptest::collection::vec(route, 1..5))
+            }),
+            // (kind, a, x): 0–1 start, 2 cancel, 3–4 hop, 5 finish,
+            // 6 advance, 7 toggle a link down/up, 8 toggle degrade.
+            ops in proptest::collection::vec((0u8..9, 0usize..64, 0.0f64..1.0), 1..100),
+        ) {
+            let n_links = caps.len();
+            let mut p = HopPair {
+                cont: NetSim::new(caps.clone()),
+                twin: NetSim::new(caps),
+                ids: Vec::new(),
+                routes: Vec::new(),
+                now: SimTime::ZERO,
+            };
+            let mut down = vec![false; n_links];
+            let mut degraded = vec![false; n_links];
+            for (kind, a, x) in ops {
+                let bytes = if a % 2 == 0 { 100.0 } else { 500.0 * x };
+                let latency = if a % 3 == 0 { x } else { 0.0 };
+                match kind {
+                    0 | 1 => p.start(pool[a % pool.len()].clone(), bytes, latency),
+                    2 if !p.ids.is_empty() => {
+                        let (ca, tb) = p.ids[a % p.ids.len()];
+                        let now = p.now;
+                        prop_assert_eq!(
+                            p.cont.cancel_flow(now, ca).map(f64::to_bits),
+                            p.twin.cancel_flow(now, tb).map(f64::to_bits)
+                        );
+                    }
+                    3 | 4 => {
+                        let route = (a % 4 == 0).then(|| pool[a % pool.len()].clone());
+                        p.hop(route, bytes, latency);
+                    }
+                    5 => {
+                        if let Some((t, ca, tb)) = p.next_done() {
+                            prop_assert_eq!(p.cont.finish_flow(t, ca), p.twin.finish_flow(t, tb));
+                        }
+                    }
+                    6 => {
+                        let mut to = p.now + SimDuration::from_secs(10.0 * x);
+                        if let Some((t, _)) = p.cont.next_completion() {
+                            to = to.min(t);
+                        }
+                        p.now = to;
+                    }
+                    7 => {
+                        let l = a % n_links;
+                        let (now, link) = (p.now, EdgeId(l as u32));
+                        for net in [&mut p.cont, &mut p.twin] {
+                            if down[l] {
+                                net.set_link_up(now, link);
+                            } else {
+                                net.set_link_down(now, link);
+                            }
+                        }
+                        down[l] = !down[l];
+                    }
+                    8 => {
+                        let l = a % n_links;
+                        let factor = if degraded[l] { 1.0 } else { 0.1 + 0.9 * x };
+                        let (now, link) = (p.now, EdgeId(l as u32));
+                        for net in [&mut p.cont, &mut p.twin] {
+                            net.set_link_capacity_factor(now, link, factor);
+                        }
+                        degraded[l] = !degraded[l];
+                    }
+                    _ => {}
+                }
+                p.cont.assert_heap_consistent();
+                p.twin.assert_heap_consistent();
+                if a % 3 != 0 {
+                    p.check();
+                }
+            }
+            p.check();
+        }
 
         #[test]
         fn bytes_are_conserved((caps, starts) in arb_starts()) {

@@ -26,7 +26,8 @@
 //!   persist across calls, so a recompute allocates nothing, and a solve
 //!   whose flow set only swapped a finished flow for one on the same route
 //!   is skipped outright (the rates are a function of the route multiset),
-//!   as is the swap's unlink and relink of that route.
+//!   as is the swap's unlink and relink of that route. A hop within a
+//!   batch does not reach the solver at all (`NetSim::continue_flow`).
 
 use std::borrow::Borrow;
 
@@ -161,7 +162,12 @@ pub fn max_min_rates(capacities: &[f64], flow_routes: &[Vec<usize>]) -> Vec<f64>
 /// [`MaxMinSolver::remove_flow`] *parks* the slot — its route and
 /// last-solved rate are kept until the next solve — and a
 /// [`MaxMinSolver::add_flow`] over an equal route revives a parked slot
-/// with that rate, which is still exact. Only an unmatched add, or a link
+/// with that rate, which is still exact. A hop from one file of a batch
+/// to the next never gets here: `NetSim::continue_flow` keeps the slot
+/// registered and the solver is not called. Parking serves the hops it
+/// cannot see, across a batch boundary: the finished batch's last flow
+/// ends, and the next batch's first flow starts over the same route after
+/// the server has picked its next request. Only an unmatched add, or a link
 /// down/up or capacity change on a link that a registered or parked flow
 /// crosses, marks the solver dirty (rates depend on no other link);
 /// [`MaxMinSolver::solve`] does no work (and says so) when nothing is
@@ -320,18 +326,28 @@ impl MaxMinSolver {
         I::Item: Borrow<usize>,
         I::IntoIter: Clone,
     {
+        self.register_flow(route).0
+    }
+
+    /// [`MaxMinSolver::add_flow`], also saying whether the slot is a
+    /// revived parked one.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the route references a link `>= capacities.len()`.
+    pub(crate) fn register_flow<I>(&mut self, route: I) -> (u32, bool)
+    where
+        I: IntoIterator,
+        I::Item: Borrow<usize>,
+        I::IntoIter: Clone,
+    {
         let route = route.into_iter();
         let links = || route.clone().map(|l| *l.borrow());
-        let revived = self.parked.iter().position(|&p| {
-            self.routes[p as usize]
-                .iter()
-                .map(|&l| l as usize)
-                .eq(links())
-        });
+        let revived = self.parked.iter().position(|&p| self.route_is(p, links()));
         let slot = if let Some(i) = revived {
             let slot = self.parked.swap_remove(i);
             if self.linked[slot as usize] {
-                return slot;
+                return (slot, true);
             }
             slot
         } else {
@@ -380,7 +396,7 @@ impl MaxMinSolver {
         self.live_pos[s] = self.live_slots.len() as u32;
         self.live_slots.push(slot);
         self.linked[s] = true;
-        slot
+        (slot, revived.is_some())
     }
 
     /// Unregisters a flow. The slot is parked (route and rate kept) until
@@ -571,6 +587,19 @@ impl MaxMinSolver {
     #[must_use]
     pub fn link_count(&self) -> usize {
         self.capacities.len()
+    }
+
+    /// Whether the flow in `slot` crosses exactly `route` (in order).
+    #[must_use]
+    pub(crate) fn route_is<I>(&self, slot: u32, route: I) -> bool
+    where
+        I: IntoIterator,
+        I::Item: Borrow<usize>,
+    {
+        self.routes[slot as usize]
+            .iter()
+            .map(|&l| l as usize)
+            .eq(route.into_iter().map(|l| *l.borrow()))
     }
 
     /// The rate computed for `slot` by the last [`MaxMinSolver::solve`]:

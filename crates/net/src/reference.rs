@@ -250,11 +250,11 @@ mod proptests {
             self.routes.push(route);
         }
 
-        /// Finishes the epoch engine's earliest completion in both engines
-        /// at its instant; returns the finished flow's route. The reference
-        /// must pick the same flow unless its pick completes within the
+        /// The epoch engine's earliest completion, checked against the
+        /// reference's, with the clock moved to it. The reference must
+        /// pick the same flow unless its pick completes within the
         /// rounding bound of it.
-        fn finish_next(&mut self) -> Option<Vec<EdgeId>> {
+        fn next_done(&mut self) -> Option<(SimTime, FlowId)> {
             let got = self.net.next_completion();
             let want = self.reference.next_completion();
             prop_assert_eq!(got.is_some(), want.is_some());
@@ -271,10 +271,33 @@ mod proptests {
                 );
             }
             self.now = t;
+            Some((t, id))
+        }
+
+        /// Finishes the earliest completion in both engines at its
+        /// instant; returns the finished flow's route.
+        fn finish_next(&mut self) -> Option<Vec<EdgeId>> {
+            let (t, id) = self.next_done()?;
             let tag = self.net.finish_flow(t, id);
             prop_assert_eq!(tag, id.raw());
             self.reference.finish_flow(t, id.raw());
             Some(self.routes[tag as usize].clone())
+        }
+
+        /// Continues the earliest completion with a successor over `route`
+        /// (the finished flow's own when `None`): in place in the epoch
+        /// engine, as a finish plus a start in the reference.
+        fn continue_next(&mut self, route: Option<Vec<EdgeId>>, bytes: f64, latency_s: f64) {
+            let Some((t, id)) = self.next_done() else {
+                return;
+            };
+            let route = route.unwrap_or_else(|| self.routes[id.raw() as usize].clone());
+            let tag = self.ids.len() as u64;
+            let next = self.net.continue_flow(t, id, &route, bytes, latency_s, tag);
+            self.reference.finish_flow(t, id.raw());
+            let rid = self.reference.start_flow(t, &route, bytes, latency_s);
+            self.ids.push((next, rid));
+            self.routes.push(route);
         }
 
         /// Moves the clock forward by `dt`, but never past the next
@@ -326,7 +349,8 @@ mod proptests {
         #![proptest_config(ProptestConfig::with_cases(128))]
 
         /// Random starts, cancels of live and finished flows, finishes at
-        /// `next_completion`, same-route swaps, clock advances and link
+        /// `next_completion`, same-route swaps, hops continued in place (on
+        /// the finished flow's route or another), clock advances and link
         /// down/up/degrade toggles: after every step the epoch engine
         /// matches the per-interval engine — rates, stalls, tags and ids
         /// bit for bit, ETAs and cancelled bytes within the rounding
@@ -340,8 +364,9 @@ mod proptests {
                 (caps, proptest::collection::vec(route, 1..5))
             }),
             // (kind, a, x): 0–1 start, 2 cancel, 3 finish, 4 same-route
-            // swap, 5 advance, 6 toggle a link down/up, 7 toggle degrade.
-            ops in proptest::collection::vec((0u8..8, 0usize..64, 0.0f64..1.0), 1..80),
+            // swap, 5 advance, 6 toggle a link down/up, 7 toggle degrade,
+            // 8 continue the next completion.
+            ops in proptest::collection::vec((0u8..9, 0usize..64, 0.0f64..1.0), 1..80),
         ) {
             let n_links = caps.len();
             let mut p = Pair {
@@ -400,6 +425,10 @@ mod proptests {
                         p.net.set_link_capacity_factor(now, link, factor);
                         p.reference.set_link_capacity_factor(now, link, factor);
                         degraded[l] = !degraded[l];
+                    }
+                    8 => {
+                        let route = (a % 3 == 0).then(|| pool[a % pool.len()].clone());
+                        p.continue_next(route, 500.0 * x, if a % 2 == 0 { x } else { 0.0 });
                     }
                     _ => {}
                 }

@@ -399,7 +399,6 @@ pub struct GridSim {
     schedule: Schedule<Event>,
     /// The fluid network; each flow is tagged with what it carries.
     net: NetSim<FlowPurpose>,
-    net_handle: Option<EventHandle>,
     stores: Vec<SiteStore>,
     scheduler: Box<dyn Scheduler>,
     workers: Vec<Worker>,
@@ -718,7 +717,6 @@ impl GridSim {
             site_routes,
             schedule: Schedule::new(),
             net,
-            net_handle: None,
             stores,
             scheduler,
             workers,
@@ -1312,12 +1310,16 @@ impl GridSim {
             to_fetch,
             current: None,
         });
-        self.advance_batch(site);
+        self.advance_batch(site, None);
     }
 
     /// Starts the next missing-file transfer of `site`'s active batch, or
-    /// completes the batch when nothing is left.
-    fn advance_batch(&mut self, site: usize) {
+    /// completes the batch when nothing is left. `held` is the batch's
+    /// flow that has just delivered its file but is not finished yet: the
+    /// next transfer continues it (see [`NetSim::continue_flow`]). The
+    /// caller holds a flow only when a missing file is left, so a held
+    /// flow is always continued.
+    fn advance_batch(&mut self, site: usize, held: Option<FlowId>) {
         loop {
             let batch = self.servers[site]
                 .active
@@ -1325,6 +1327,7 @@ impl GridSim {
                 .expect("advance_batch requires an active batch");
             debug_assert!(batch.current.is_none());
             let Some(file) = batch.to_fetch.pop_front() else {
+                debug_assert!(held.is_none(), "a held flow is left unfinished");
                 self.finish_batch(site);
                 return;
             };
@@ -1340,15 +1343,19 @@ impl GridSim {
                     .push(file);
                 continue;
             }
-            let route = Arc::clone(&self.site_routes[site]);
+            let now = self.now();
+            let route = &self.site_routes[site];
             let bytes = self.config.workload.file_size_bytes;
-            let fid = self.net.start_flow(
-                self.now(),
-                &route.links,
-                bytes,
-                route.latency_s,
-                FlowPurpose::Batch { site },
-            );
+            let purpose = FlowPurpose::Batch { site };
+            let fid = match held {
+                Some(done) => {
+                    self.net
+                        .continue_flow(now, done, &route.links, bytes, route.latency_s, purpose)
+                }
+                None => self
+                    .net
+                    .start_flow(now, &route.links, bytes, route.latency_s, purpose),
+            };
             self.ledger.flows_started += 1;
             self.servers[site]
                 .active
@@ -1366,7 +1373,10 @@ impl GridSim {
                     slot.source = None;
                     slot.pending_file = None;
                 }
-                self.arm_transfer_timeout(site, bytes, &route.links, route.latency_s);
+                let route = &self.site_routes[site];
+                let est = self.net.fair_share_estimate(&route.links);
+                let latency_s = route.latency_s;
+                self.arm_transfer_timeout(site, bytes, est, latency_s);
             }
             return;
         }
@@ -1572,20 +1582,30 @@ impl GridSim {
 
     // ----- network ------------------------------------------------------
 
-    /// Re-arms the single outstanding flow-completion event after any
-    /// change to the flow set.
+    /// Re-aims the flow-completion event after any change to the flow set:
+    /// the schedule's armed event is the next completion, or nothing when
+    /// no flow can complete. Arming replaces the previous completion in
+    /// place and takes a fresh sequence number, exactly as cancelling it
+    /// and scheduling the new one would (see [`Schedule::arm`]), so the
+    /// completion never enters the event heap and dispatch order is
+    /// unchanged. A resync that another one at the same instant would
+    /// replace before any event dispatches may be skipped: skipping it
+    /// moves no surviving event's place in the `(time, sequence)` order.
     fn resync_net(&mut self) {
-        if let Some(h) = self.net_handle.take() {
-            self.schedule.cancel(h);
-        }
-        if let Some((t, fid)) = self.net.next_completion() {
-            self.net_handle = Some(self.schedule.schedule_at(t, Event::FlowDone(fid)));
+        match self.net.next_completion() {
+            Some((t, fid)) => self.schedule.arm(t, Event::FlowDone(fid)),
+            None => self.schedule.disarm(),
         }
     }
 
     fn handle_flow_done(&mut self, fid: FlowId) {
-        let purpose = self.net.finish_flow(self.now(), fid);
-        self.net_handle = None;
+        let purpose = *self
+            .net
+            .tag(fid)
+            .expect("a flow completion names an active flow");
+        if !matches!(purpose, FlowPurpose::Batch { .. }) {
+            self.net.finish_flow(self.now(), fid);
+        }
         self.ledger.flows_completed += 1;
         match purpose {
             FlowPurpose::Batch { site } => {
@@ -1637,22 +1657,12 @@ impl GridSim {
                     .expect("active batch worker is running")
                     .pinned
                     .push(file);
-                // When another fetch flow will certainly start at this very
-                // instant, the resync here would arm a flow event that the
-                // fetch's own resync immediately cancels — skip the dead
-                // pair, so the finish(+start) burst costs one rate
-                // recompute instead of two — and, when the next fetch runs
-                // over the finished one's route, no max–min solve at all
-                // (the solver revives the finished flow's slot with its
-                // still-exact rate). That certainty holds in two
-                // cases: the batch itself still has a missing file to
-                // fetch, or the batch is done and the server's next
-                // serviceable request (first queue entry with a live
-                // generation) needs a file the store lacks — nothing
-                // between here and `maybe_start_service` changes this
-                // site's residency or any generation. Any other
-                // continuation may end this event without touching the net
-                // again, so the resync must stay.
+                // When the batch still has a missing file, its fetch starts
+                // at this very instant over the same route: hold the flow,
+                // and `advance_batch` continues it into that fetch — one
+                // heap re-key, no solver call, and no resync here, whose
+                // arm the fetch's own resync would immediately replace.
+                // Nothing between here and the fetch touches the network.
                 let fetch_starts_now = self.servers[site]
                     .active
                     .as_ref()
@@ -1660,28 +1670,42 @@ impl GridSim {
                     .to_fetch
                     .iter()
                     .any(|f| !self.stores[site].contains(*f));
-                let next_request_fetches = !fetch_starts_now
-                    && self.servers[site]
-                        .queue
-                        .iter()
-                        .find(|r| self.workers[r.worker].generation == r.generation)
-                        .is_some_and(|r| {
-                            let task = self.workers[r.worker]
-                                .current
-                                .as_ref()
-                                .expect("queued worker has a current task")
-                                .task;
-                            self.config
-                                .workload
-                                .task(task)
-                                .files()
-                                .iter()
-                                .any(|f| !self.stores[site].contains(*f))
-                        });
-                if !(fetch_starts_now || next_request_fetches) {
+                if fetch_starts_now {
+                    self.advance_batch(site, Some(fid));
+                    return;
+                }
+                self.net.finish_flow(self.now(), fid);
+                // The resync may still be skipped when the batch is done
+                // and the server's next serviceable request (first queue
+                // entry with a live generation) needs a file the store
+                // lacks: that fetch starts at this instant too (nothing
+                // between here and `maybe_start_service` changes this
+                // site's residency or any generation), and when it runs
+                // over the finished flow's route the solver revives the
+                // finished slot with its still-exact rate. Any other
+                // continuation may end this event without touching the net
+                // again, so the resync must stay.
+                let next_request_fetches = self.servers[site]
+                    .queue
+                    .iter()
+                    .find(|r| self.workers[r.worker].generation == r.generation)
+                    .is_some_and(|r| {
+                        let task = self.workers[r.worker]
+                            .current
+                            .as_ref()
+                            .expect("queued worker has a current task")
+                            .task;
+                        self.config
+                            .workload
+                            .task(task)
+                            .files()
+                            .iter()
+                            .any(|f| !self.stores[site].contains(*f))
+                    });
+                if !next_request_fetches {
                     self.resync_net();
                 }
-                self.advance_batch(site);
+                self.advance_batch(site, None);
             }
             FlowPurpose::Replication { site, file } => {
                 let bytes = self.config.workload.file_size_bytes;
@@ -1820,9 +1844,10 @@ impl GridSim {
             };
             self.replication.as_mut().expect("checked").mark_pushed(f);
             self.ledger.replication_pushes += 1;
-            let route = Arc::clone(&self.site_routes[target]);
+            let now = self.now();
+            let route = &self.site_routes[target];
             self.net.start_flow(
-                self.now(),
+                now,
                 &route.links,
                 self.config.workload.file_size_bytes,
                 route.latency_s,
@@ -2272,17 +2297,11 @@ impl GridSim {
 
     /// Arms the deadline for `site`'s just-started batch fetch: the
     /// timeout multiple × the transfer's expected duration at the current
-    /// fair share. The estimate lower-bounds the true max–min rate, so
-    /// `remaining / estimate` *upper*-bounds the healthy transfer time —
-    /// a flow progressing at its fair share never times out.
-    fn arm_transfer_timeout(
-        &mut self,
-        site: usize,
-        remaining: f64,
-        links: &[EdgeId],
-        latency_s: f64,
-    ) {
-        let est = self.net.fair_share_estimate(links);
+    /// fair share `est` over the fetch's route (read after the flow
+    /// started). The estimate lower-bounds the true max–min rate, so
+    /// `remaining / est` *upper*-bounds the healthy transfer time — a flow
+    /// progressing at its fair share never times out.
+    fn arm_transfer_timeout(&mut self, site: usize, remaining: f64, est: f64, latency_s: f64) {
         let Some(guard) = self.xfer.as_mut() else {
             return;
         };
@@ -2533,7 +2552,8 @@ impl GridSim {
         self.ledger.xfer_retries += 1;
         self.instruments.xfer_retry_count.incr();
         self.resync_net();
-        self.arm_transfer_timeout(site, remaining, &links, latency_s);
+        let est = self.net.fair_share_estimate(&links);
+        self.arm_transfer_timeout(site, remaining, est, latency_s);
     }
 
     /// A correlated burst strikes: one uniformly-drawn site loses up to

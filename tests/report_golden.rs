@@ -6,7 +6,11 @@
 //! control and proactive replication — and the test first checks that
 //! each of those counters is non-zero in at least one run, so the pin
 //! guards every accounting path. It then compares an FNV-1a-64 hash of
-//! each report's `Debug` rendering with the recorded value. The hashes were
+//! each report's `Debug` rendering with the recorded value, and one of
+//! each run's determinism digest stream (the `--digest-out` JSONL, which
+//! chains every dispatched event's time, kind and payload), so a change
+//! in dispatch order fails here even when the report happens to survive
+//! it. The hashes were
 //! first recorded from the engine that kept one field per counter in
 //! `GridSim`, and re-recorded when the network engine moved from a
 //! per-event to a per-rate-epoch byte drain, a change that left every
@@ -139,6 +143,11 @@ fn ledger(r: &MetricsReport) -> Vec<(&'static str, f64)> {
     ]
 }
 
+/// FNV-1a-64 of the storage-affinity run's `--digest-out` stream.
+const DIGEST_SA: u64 = 0x7aa2_766f_4bf1_ff5c;
+/// FNV-1a-64 of the combined.2 run's `--digest-out` stream.
+const DIGEST_CN: u64 = 0x58df_6b92_3914_3b82;
+
 fn fnv1a64(text: &str) -> u64 {
     text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
         (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
@@ -147,21 +156,37 @@ fn fnv1a64(text: &str) -> u64 {
 
 #[test]
 fn mixed_fault_reports_match_their_recorded_hashes() {
+    // (name, config, report hash, digest-stream hash)
     let runs = [
         (
             "storage-affinity adaptive",
             storage_affinity_adaptive(),
             0xfe31_e338_0222_add9,
+            DIGEST_SA,
         ),
         (
             "combined.2 naive retry",
             combined_naive_retry(),
             0x6cd4_729d_4ac8_4788,
+            DIGEST_CN,
         ),
     ];
+    let dir = std::env::temp_dir();
+    let digests: Vec<String> = (0..runs.len())
+        .map(|i| {
+            let path = dir.join(format!(
+                "gridsched-report-golden-{}-{i}.jsonl",
+                std::process::id()
+            ));
+            path.to_str().expect("utf-8 temp path").to_owned()
+        })
+        .collect();
     let reports: Vec<MetricsReport> = runs
         .iter()
-        .map(|(_, config, _)| GridSim::new(config.clone()).run())
+        .zip(&digests)
+        .map(|((_, config, _, _), path)| {
+            GridSim::new(config.clone().with_digest_out(path.clone())).run()
+        })
         .collect();
     let ledgers: Vec<_> = reports.iter().map(ledger).collect();
     for (i, &(name, _)) in ledgers[0].iter().enumerate() {
@@ -170,12 +195,22 @@ fn mixed_fault_reports_match_their_recorded_hashes() {
             "no run exercises `{name}`"
         );
     }
-    for ((name, _, golden), report) in runs.iter().zip(&reports) {
+    for (((name, _, golden, digest_golden), report), path) in
+        runs.iter().zip(&reports).zip(&digests)
+    {
         let debug = format!("{report:?}");
         assert_eq!(
             fnv1a64(&debug),
             *golden,
             "{name}: report changed; its Debug rendering is\n{debug}"
+        );
+        let stream = std::fs::read_to_string(path).expect("digest stream written");
+        std::fs::remove_file(path).expect("remove digest stream");
+        assert_eq!(
+            fnv1a64(&stream),
+            *digest_golden,
+            "{name}: dispatch order changed (digest stream hash {:#x})",
+            fnv1a64(&stream)
         );
     }
 }

@@ -125,8 +125,9 @@ proptest! {
     }
 
     /// Telemetry self-consistency on arbitrary runs: spans pair up, probe
-    /// timestamps strictly increase, and histogram observation counts
-    /// match their sibling counters exactly.
+    /// timestamps strictly increase, histogram observation counts match
+    /// their sibling counters exactly, and the flows continued in place or
+    /// started on a revived slot never outnumber the flows started.
     #[test]
     fn telemetry_invariants_hold(
         strategy in arb_strategy(),
@@ -240,6 +241,18 @@ proptest! {
             prop_assert_eq!(sites_count, counter("scheduler.rank.membership_changes"));
             prop_assert_eq!(sites_buckets, sites_count, "bucket totals != count");
         }
+
+        // 5. Every flow starts once: fresh, on a revived parked solver slot,
+        // or as a batch hop continued in place. Tasks read many files and
+        // stores start empty, so batches do hop.
+        let continued = counter("net.flow.continued");
+        let revives = counter("net.solver.revives");
+        prop_assert!(
+            continued + revives <= report.flows_started,
+            "continued {} + revives {} > flows started {}",
+            continued, revives, report.flows_started
+        );
+        prop_assert!(continued > 0, "no file hop was continued in place");
     }
 
     /// Availability-accounting audit: under heavy churn — Weibull repair
