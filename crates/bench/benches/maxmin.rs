@@ -8,24 +8,19 @@
 //!   flows);
 //! * `max_min_solver_churn` — the incremental `MaxMinSolver` the fluid
 //!   network actually runs. One flow per site streams from the file server
-//!   over the paper topology; each step retires one flow, admits its
-//!   successor and solves, the way a site's data server finishes one fetch
-//!   and starts the next. With `same_route` the successor takes the
-//!   finished flow's route, so the route multiset is unchanged and the
-//!   solver skips the fill; with `route_change` it takes another site's
-//!   route and every step pays a full progressive fill.
+//!   over the paper topology; each step retires one flow, admits a
+//!   successor over another site's route and solves, so every step pays a
+//!   full progressive fill (`route_change`).
 //!
 //! Two time the layers around it on the path every file hop takes:
 //!
 //! * `file_hop` — the fluid engine `NetSim` with one flow per site over
-//!   the paper topology. Each step hops from the earliest completion to
-//!   its successor on the same route and asks for the next completion:
-//!   the network cost of a `FlowDone` event. `finish_start` finishes the
-//!   flow and starts the successor, which the solver matches by route to
-//!   the finished flow's parked slot (the fill is skipped and no link list
-//!   is touched) — two heap operations and the route match; `continue`
-//!   hands the slot to the successor with `continue_flow` — one heap
-//!   re-key and no solver call. 320 flows widen the topology to 320 sites;
+//!   the paper topology. Each step finishes the earliest completion,
+//!   starts its successor on the same route and asks for the next
+//!   completion: the network cost of a `FlowDone` event. The successor
+//!   takes the finished flow's held solver slot over — one heap re-key and
+//!   no solver call (`finish_start`). 320 flows widen the topology to 320
+//!   sites;
 //! * `event_queue_hold` — the event queue under the classic hold model: a
 //!   constant population where each step pops the earliest event and
 //!   pushes a successor, and one step in four also cancels and re-pushes a
@@ -81,80 +76,61 @@ fn bench_solver_churn(c: &mut Criterion) {
                 route.links.iter().map(|l| l.index()).collect()
             })
             .collect();
-        for (case, same_route) in [("same_route", true), ("route_change", false)] {
-            let mut solver = MaxMinSolver::new(topology.graph.bandwidths());
-            let mut live: Vec<(u32, usize)> = (0..sites)
-                .map(|s| (solver.add_flow(&routes[s]), s))
-                .collect();
-            solver.solve();
-            let mut k = 0;
-            group.bench_with_input(
-                BenchmarkId::new(case, format!("{sites}sites")),
-                &sites,
-                |b, _| {
-                    b.iter(|| {
-                        for _ in 0..STEPS {
-                            k = (k + 1) % sites;
-                            let (slot, site) = live[k];
-                            solver.remove_flow(slot);
-                            // Any offset in 1..sites picks another site.
-                            let next = if same_route {
-                                site
-                            } else {
-                                (site + 1 + k % (sites - 1)) % sites
-                            };
-                            live[k] = (solver.add_flow(&routes[next]), next);
-                            solver.solve();
-                        }
-                        std::hint::black_box(solver.rate(live[k].0))
-                    })
-                },
-            );
-        }
+        let mut solver = MaxMinSolver::new(topology.graph.bandwidths());
+        let mut live: Vec<(u32, usize)> = (0..sites)
+            .map(|s| (solver.add_flow(&routes[s]), s))
+            .collect();
+        solver.solve();
+        let mut k = 0;
+        group.bench_with_input(
+            BenchmarkId::new("route_change", format!("{sites}sites")),
+            &sites,
+            |b, _| {
+                b.iter(|| {
+                    for _ in 0..STEPS {
+                        k = (k + 1) % sites;
+                        let (slot, site) = live[k];
+                        solver.remove_flow(slot);
+                        // Any offset in 1..sites picks another site.
+                        let next = (site + 1 + k % (sites - 1)) % sites;
+                        live[k] = (solver.add_flow(&routes[next]), next);
+                        solver.solve();
+                    }
+                    std::hint::black_box(solver.rate(live[k].0))
+                })
+            },
+        );
     }
     group.finish();
 }
 
 fn bench_file_hop(c: &mut Criterion) {
     let mut group = c.benchmark_group("file_hop");
-    for continued in [false, true] {
-        for flows in [5usize, 20, 80, 320] {
-            const BYTES: f64 = 25e6;
-            // The paper topology has 90 sites; a larger case widens every
-            // MAN the way `perf_scale` does, so each flow still has its own
-            // site.
-            let mut config = TiersConfig::paper(7);
-            config.sites_per_man = config.sites_per_man.max(flows.div_ceil(config.mans));
-            let topology = generate(&config);
-            let mut net = NetSim::new(topology.graph.bandwidths());
-            for site in 0..flows {
-                let route = topology.routes.site_to_file_server(site);
-                // Staggered sizes, so completions come one at a time.
-                let bytes = BYTES * (1.0 + site as f64 / flows as f64);
-                net.start_flow(SimTime::ZERO, &route.links, bytes, route.latency_s, site);
-            }
-            let name = if continued {
-                "continue"
-            } else {
-                "finish_start"
-            };
-            group.bench_with_input(BenchmarkId::new(name, flows), &flows, |b, _| {
-                b.iter(|| {
-                    for _ in 0..STEPS {
-                        let (t, id) = net.next_completion().expect("flows stay active");
-                        let site = *net.tag(id).expect("active flow");
-                        let route = topology.routes.site_to_file_server(site);
-                        if continued {
-                            net.continue_flow(t, id, &route.links, BYTES, route.latency_s, site);
-                        } else {
-                            net.finish_flow(t, id);
-                            net.start_flow(t, &route.links, BYTES, route.latency_s, site);
-                        }
-                    }
-                    std::hint::black_box(net.next_completion())
-                });
-            });
+    for flows in [5usize, 20, 80, 320] {
+        const BYTES: f64 = 25e6;
+        // The paper topology has 90 sites; a larger case widens every MAN
+        // the way `perf_scale` does, so each flow still has its own site.
+        let mut config = TiersConfig::paper(7);
+        config.sites_per_man = config.sites_per_man.max(flows.div_ceil(config.mans));
+        let topology = generate(&config);
+        let mut net = NetSim::new(topology.graph.bandwidths());
+        for site in 0..flows {
+            let route = topology.routes.site_to_file_server(site);
+            // Staggered sizes, so completions come one at a time.
+            let bytes = BYTES * (1.0 + site as f64 / flows as f64);
+            net.start_flow(SimTime::ZERO, &route.links, bytes, route.latency_s, site);
         }
+        group.bench_with_input(BenchmarkId::new("finish_start", flows), &flows, |b, _| {
+            b.iter(|| {
+                for _ in 0..STEPS {
+                    let (t, id) = net.next_completion().expect("flows stay active");
+                    let site = net.finish_flow(t, id);
+                    let route = topology.routes.site_to_file_server(site);
+                    net.start_flow(t, &route.links, BYTES, route.latency_s, site);
+                }
+                std::hint::black_box(net.next_completion())
+            });
+        });
     }
     group.finish();
 }

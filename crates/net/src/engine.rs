@@ -4,9 +4,8 @@
 //! The owner drives it with wall-clock-style calls:
 //!
 //! 1. [`NetSim::start_flow`] / [`NetSim::cancel_flow`] / [`NetSim::finish_flow`]
-//!    / [`NetSim::continue_flow`] mutate the flow set (each call first
-//!    moves the engine clock to `now`; rates are recomputed lazily at the
-//!    next observation point),
+//!    mutate the flow set (each call first moves the engine clock to
+//!    `now`; rates are recomputed lazily at the next observation point),
 //! 2. [`NetSim::next_completion`] reports when the earliest active flow will
 //!    finish if nothing else changes — the owner schedules exactly one DES
 //!    event for that instant and re-queries after every mutation.
@@ -40,25 +39,30 @@
 //!   completion in the heap.
 //!
 //! A solve that leaves a flow's rate bit-identical leaves its epoch and
-//! completion alone. A flow started on a slot the solver revived (a
-//! same-route swap, see [`MaxMinSolver`]) takes that slot's still-exact
-//! rate and files its real completion at once; any other flow files no
-//! completion until the solve its start made due reads every flow. A
-//! skipped solve therefore reads nothing, and no list of newly started
-//! flows is kept.
+//! completion alone. A flow that takes a held slot over (see *File hops*)
+//! keeps the slot's rate and files its completion at once; any other flow
+//! files no completion until the solve its start made due reads every
+//! flow. A skipped solve therefore reads nothing, and no list of newly
+//! started flows is kept.
 //!
 //! # File hops
 //!
 //! A batch stages its files one at a time over one route, so most flows
-//! end where the next begins. [`NetSim::continue_flow`] makes that hop one
-//! call: the successor takes the finished flow's solver slot, whose rate
-//! is still exact because the route multiset is unchanged, and re-keys the
-//! slot's heap entry in place. The hop costs one heap re-key; the solver
-//! is not called, and the solve stays skipped. A hop across a batch
-//! boundary (the next batch's first file, started after the server picks
-//! its next request) is still a finish and a start: the solver parks the
-//! finished slot and the start revives it by route match, touching no link
-//! list, because the unlink is deferred until link state is read.
+//! end at the instant the next begins. [`NetSim::finish_flow`] and
+//! [`NetSim::cancel_flow`] therefore take the flow out of the table but
+//! *hold* its solver slot and heap entry, and the next
+//! [`NetSim::start_flow`] over the held slot's route takes the slot over:
+//! the route multiset is unchanged, so the slot's rate is still exact. The
+//! hop costs one heap re-key, and the solver is not called. The hold is
+//! released (heap entry removed, slot unregistered) by a start over
+//! another route, another finish or cancel, a link change on a link the
+//! held route crosses, and any read of rates, completions or link
+//! registration while a flow is active, a clock move included. With no
+//! active flow nothing is solved, so the hold survives reads and clock
+//! moves, and [`NetSim::next_completion`] never reports it. Should a
+//! change elsewhere have made a solve due when the slot is taken, that
+//! solve runs at the same instant, before anything drains, and re-bases
+//! the successor like any flow whose rate moved.
 //!
 //! Each flow carries a caller tag (what the transfer is for), handed back
 //! by [`NetSim::finish_flow`] and listed by [`NetSim::flows`], so the owner
@@ -260,12 +264,9 @@ impl EtaHeap {
 /// therefore cost one recompute instead of one per mutation: rates are a
 /// pure function of the flow set and the link states, neither of which
 /// changes while the clock stands still, and a rate read back at the
-/// burst's instant takes effect from that instant. When the burst
-/// replaced each finished flow with one on the same route, the route
-/// multiset is unchanged too, and the solver skips the fill entirely (see
-/// [`MaxMinSolver`]); the flows started in the burst filed their
-/// completions at start. A hop made with [`NetSim::continue_flow`] does
-/// not reach the solver at all.
+/// burst's instant takes effect from that instant. A hop whose successor
+/// takes the finished flow's held slot over does not reach the solver at
+/// all (see the [module docs](self)).
 ///
 /// Bytes drain per rate epoch, not per event (see the
 /// [module docs](self)): the clock advance itself touches no flow.
@@ -300,18 +301,16 @@ pub struct NetSim<T> {
     bytes_delivered: f64,
     /// Number of flows finished (stats).
     flows_finished: u64,
-    /// `net.solver.recomputes` — max–min solves actually run; skipped
-    /// same-route swaps are not counted (inert unless telemetry is
-    /// attached).
+    /// The last finished or cancelled flow, while its solver slot and heap
+    /// entry are held for a successor on the same route.
+    held: Option<FlowId>,
+    /// `net.solver.recomputes` — max–min solves actually run (inert unless
+    /// telemetry is attached).
     recomputes: Counter,
     /// `net.solver.touched_flows` — flows visited per solve run.
     touched_flows: Histogram,
-    /// `net.flow.continued` — file hops continued in place by
-    /// [`NetSim::continue_flow`].
+    /// `net.flow.continued` — starts that took a held slot over.
     continued: Counter,
-    /// `net.solver.revives` — flows started on a parked slot the solver
-    /// revived (a same-route swap the solve then skips).
-    revives: Counter,
 }
 
 impl<T> NetSim<T> {
@@ -332,27 +331,31 @@ impl<T> NetSim<T> {
             last_update: SimTime::ZERO,
             bytes_delivered: 0.0,
             flows_finished: 0,
+            held: None,
             recomputes: Counter::disabled(),
             touched_flows: Histogram::disabled(),
             continued: Counter::disabled(),
-            revives: Counter::disabled(),
         }
     }
 
     /// Installs hot-path instrument handles (recompute count, flows
-    /// touched per recompute, hops continued in place, parked slots
-    /// revived). Recording through inert handles — the default — is a
-    /// no-op; attaching never changes any rate or ETA.
+    /// touched per recompute, held slots taken over). Recording through
+    /// inert handles — the default — is a no-op; attaching never changes
+    /// any rate or ETA.
     pub fn attach_telemetry(&mut self, telemetry: &Telemetry) {
         self.recomputes = telemetry.counter("net.solver.recomputes");
         self.touched_flows = telemetry.histogram("net.solver.touched_flows");
         self.continued = telemetry.counter("net.flow.continued");
-        self.revives = telemetry.counter("net.solver.revives");
     }
 
     /// Number of links crossed by at least one active flow.
     #[must_use]
     pub fn busy_links(&mut self) -> usize {
+        if self.flows.is_empty() {
+            // Only a held slot can be registered.
+            return 0;
+        }
+        self.release();
         self.solver.busy_links()
     }
 
@@ -374,6 +377,7 @@ impl<T> NetSim<T> {
     /// the link is already down.
     pub fn set_link_down(&mut self, now: SimTime, link: EdgeId) {
         self.advance_to(now);
+        self.release_if_crossing(link.index());
         self.solver.set_link_down(link.index());
     }
 
@@ -386,6 +390,7 @@ impl<T> NetSim<T> {
     /// the link is not down.
     pub fn set_link_up(&mut self, now: SimTime, link: EdgeId) {
         self.advance_to(now);
+        self.release_if_crossing(link.index());
         self.solver.set_link_up(link.index());
     }
 
@@ -399,6 +404,7 @@ impl<T> NetSim<T> {
     /// `factor` is outside `(0, 1]`.
     pub fn set_link_capacity_factor(&mut self, now: SimTime, link: EdgeId, factor: f64) {
         self.advance_to(now);
+        self.release_if_crossing(link.index());
         self.solver.set_link_capacity_factor(link.index(), factor);
     }
 
@@ -435,15 +441,24 @@ impl<T> NetSim<T> {
     /// transfer guard uses to size timeouts. `+∞` for an empty route.
     #[must_use]
     pub fn fair_share_estimate(&mut self, route: &[EdgeId]) -> f64 {
-        self.solver
-            .fair_share_estimate(route.iter().map(|e| e.index()))
+        let links = route.iter().map(|e| e.index());
+        if self.flows.is_empty() {
+            // Only a held slot can be registered; with no flow counted,
+            // each link's share is its whole capacity.
+            return links
+                .map(|l| self.solver.capacity(l))
+                .fold(f64::INFINITY, f64::min);
+        }
+        self.release();
+        self.solver.fair_share_estimate(links)
     }
 
     /// Starts a flow of `bytes` bytes across `route` with propagation
     /// latency `latency_s`, at time `now`, carrying `tag`. Returns its id.
     ///
     /// An empty route means both endpoints are co-located: the flow
-    /// completes after `latency_s` alone.
+    /// completes after `latency_s` alone. Over the route of a held slot
+    /// the flow takes that slot over (see the [module docs](self)).
     ///
     /// # Panics
     ///
@@ -460,86 +475,34 @@ impl<T> NetSim<T> {
     ) -> FlowId {
         check_flow_args(bytes, latency_s);
         self.advance_to(now);
-        let (slot, revived) = self.solver.register_flow(route.iter().map(|e| e.index()));
-        if revived {
-            self.revives.incr();
-        }
+        let links = route.iter().map(|e| e.index());
+        let taken = self
+            .held
+            .take_if(|done| self.solver.route_is(done.slot, links.clone()));
+        let slot = match taken {
+            Some(done) => {
+                self.continued.incr();
+                done.slot
+            }
+            None => {
+                self.release();
+                self.solver.add_flow(links)
+            }
+        };
         let s = slot as usize;
         if s >= self.pos.len() {
             self.pos.resize(s + 1, NO_FLOW);
         }
         debug_assert_eq!(self.pos[s], NO_FLOW, "solver handed out a live slot");
-        // A revived slot's rate is still exact, so its completion is real.
-        // Any other slot reads rate 0 (no completion) until the solve its
-        // registration made due; that solve runs at this instant, before
-        // anything drains, and re-reads every flow.
-        let flow = self.successor(now, slot, bytes, latency_s, tag);
-        self.etas.push(flow.eta, flow.id);
-        self.append(flow)
-    }
-
-    /// Finishes flow `id` at `now`, exactly as [`NetSim::finish_flow`]
-    /// does, and starts its successor over `route` in the same call, as
-    /// [`NetSim::start_flow`] would: a batch's next file fetched over the
-    /// route of the one that just arrived. Returns the successor's id.
-    ///
-    /// When `id`'s solver slot already crosses `route`, the successor
-    /// takes the slot over: it keeps the slot's rate, which a same-route
-    /// start would have revived, gets a fresh creation ordinal, and
-    /// re-keys the slot's heap entry in place. It moves to the end of the
-    /// flow table, where a start would have put it, so a later solve books
-    /// delivered bytes in the same order. The solver is not called, and
-    /// every rate, completion, id and byte total matches finish + start
-    /// bit for bit (a revived slot would hold the same rate, since flows
-    /// on equal routes solve to equal rates). Any other route falls back
-    /// to finish + start.
-    ///
-    /// # Panics
-    ///
-    /// As [`NetSim::finish_flow`] for `id`, and as [`NetSim::start_flow`]
-    /// for the successor's arguments.
-    pub fn continue_flow(
-        &mut self,
-        now: SimTime,
-        id: FlowId,
-        route: &[EdgeId],
-        bytes: f64,
-        latency_s: f64,
-        tag: T,
-    ) -> FlowId {
-        self.advance_to(now);
-        let same_route = self.position(id).is_some()
-            && self
-                .solver
-                .route_is(id.slot, route.iter().map(|e| e.index()));
-        if !same_route {
-            self.finish_flow(now, id);
-            return self.start_flow(now, route, bytes, latency_s, tag);
-        }
-        check_flow_args(bytes, latency_s);
-        let done = self.unfile(id).expect("checked above");
-        self.book_finished(now, &done);
-        let flow = self.successor(now, id.slot, bytes, latency_s, tag);
-        self.etas.update(flow.eta, flow.id);
-        self.continued.incr();
-        self.append(flow)
-    }
-
-    /// A new flow in solver slot `slot` at the slot's current rate, with
-    /// the next creation ordinal and its completion filled in.
-    fn successor(
-        &mut self,
-        now: SimTime,
-        slot: u32,
-        bytes: f64,
-        latency_s: f64,
-        tag: T,
-    ) -> FlowState<T> {
         let id = FlowId {
             ord: self.next_ord,
             slot,
         };
         self.next_ord += 1;
+        // A taken slot keeps its rate, so its completion is filed now; a
+        // fresh slot reads rate 0 (no completion) until the solve its
+        // registration made due. Any due solve runs at this instant,
+        // before anything drains, and re-bases the flow if its rate moved.
         let mut flow = FlowState {
             id,
             start: now + SimDuration::from_secs(latency_s),
@@ -550,13 +513,12 @@ impl<T> NetSim<T> {
             tag,
         };
         flow.eta = flow.completion();
-        flow
-    }
-
-    /// Appends `flow` to the end of the flow table and returns its id.
-    fn append(&mut self, flow: FlowState<T>) -> FlowId {
-        let id = flow.id;
-        self.pos[id.slot as usize] = self.flows.len() as u32;
+        if taken.is_some() {
+            self.etas.update(flow.eta, id);
+        } else {
+            self.etas.push(flow.eta, id);
+        }
+        self.pos[s] = self.flows.len() as u32;
         self.flows.push(flow);
         id
     }
@@ -564,18 +526,21 @@ impl<T> NetSim<T> {
     /// Cancels an active flow (e.g. a replicated task got cancelled while
     /// its input transfer was in flight). Returns the bytes that had *not*
     /// yet been delivered, or `None` if the flow was unknown/already done.
+    /// The flow's solver slot is held for a successor on its route.
     pub fn cancel_flow(&mut self, now: SimTime, id: FlowId) -> Option<f64> {
         self.advance_to(now);
-        let state = self.remove(id)?;
+        let state = self.unfile(id)?;
         let left = state.remaining_at(now);
         self.bytes_delivered += state.bytes_at_epoch - left;
+        self.hold(id);
         Some(left)
     }
 
     /// Marks the flow finished at `now` and returns its tag. The engine
     /// checks that the flow is indeed (numerically) drained — the owner
     /// must call this exactly at the instant reported by
-    /// [`NetSim::next_completion`].
+    /// [`NetSim::next_completion`]. The flow's solver slot is held for a
+    /// successor on its route (see the [module docs](self)).
     ///
     /// # Panics
     ///
@@ -584,15 +549,8 @@ impl<T> NetSim<T> {
     pub fn finish_flow(&mut self, now: SimTime, id: FlowId) -> T {
         self.advance_to(now);
         let state = self
-            .remove(id)
+            .unfile(id)
             .unwrap_or_else(|| panic!("finish_flow: unknown flow {id:?}"));
-        self.book_finished(now, &state);
-        state.tag
-    }
-
-    /// Checks that a flow just taken out of the table is drained at `now`
-    /// and books it as finished.
-    fn book_finished(&mut self, now: SimTime, state: &FlowState<T>) {
         let latency_left = if now < state.start {
             (state.start - now).as_secs()
         } else {
@@ -607,12 +565,18 @@ impl<T> NetSim<T> {
         // The drain since the flow's epoch, plus the numerically-lost tail.
         self.bytes_delivered += state.bytes_at_epoch;
         self.flows_finished += 1;
+        self.hold(id);
+        state.tag
     }
 
     /// The earliest `(time, flow)` completion among active flows, assuming
     /// no further changes. `None` when no flows are active.
     pub fn next_completion(&mut self) -> Option<(SimTime, FlowId)> {
         self.recompute_rates();
+        if self.flows.is_empty() {
+            // The heap may still file a held slot.
+            return None;
+        }
         // Stalled flows (down link on the route) file at `FAR_FUTURE`, after
         // every reachable completion: they wait for recovery, cancellation,
         // or a transfer-guard timeout, never for a completion event.
@@ -646,12 +610,31 @@ impl<T> NetSim<T> {
         (p != NO_FLOW && self.flows[p as usize].id == id).then_some(p as usize)
     }
 
-    /// Unlinks an active flow from the table, the heap and the solver.
-    fn remove(&mut self, id: FlowId) -> Option<FlowState<T>> {
-        let state = self.unfile(id)?;
-        self.etas.remove(id);
-        self.solver.remove_flow(id.slot);
-        Some(state)
+    /// Holds the slot of `id`, a flow just taken out of the table, for a
+    /// successor on its route, releasing any earlier hold.
+    fn hold(&mut self, id: FlowId) {
+        self.release();
+        self.held = Some(id);
+    }
+
+    /// Releases the held slot, if any: removes its heap entry and
+    /// unregisters it from the solver.
+    fn release(&mut self) {
+        if let Some(done) = self.held.take() {
+            self.etas.remove(done);
+            self.solver.remove_flow(done.slot);
+        }
+    }
+
+    /// Releases the held slot if its route crosses link `l`, whose state
+    /// is about to change.
+    fn release_if_crossing(&mut self, l: usize) {
+        if self
+            .held
+            .is_some_and(|done| self.solver.crosses(done.slot, l))
+        {
+            self.release();
+        }
     }
 
     /// Takes an active flow out of the table, leaving its slot's heap
@@ -706,14 +689,16 @@ impl<T> NetSim<T> {
         self.last_update = now;
     }
 
-    /// Recomputes the max–min fair allocation for the current flow set if
-    /// a solve is due, without allocating, and re-bases every flow whose
-    /// rate changed. The solver skips the fill when the flow set only
-    /// swapped finished flows for new ones on the same routes; then no
-    /// flow is read (the new ones filed their completions at start). With
-    /// no active flow nothing is solved: parked slots stay revivable.
+    /// Recomputes the max–min fair allocation for the active flows if a
+    /// solve is due, without allocating, and re-bases every flow whose
+    /// rate changed; the held slot is released first. With no active flow
+    /// nothing is solved, and the hold survives.
     fn recompute_rates(&mut self) {
-        if !self.flows.is_empty() && self.solver.solve() {
+        if self.flows.is_empty() {
+            return;
+        }
+        self.release();
+        if self.solver.solve() {
             self.recomputes.incr();
             self.touched_flows.record(self.flows.len() as u64);
             for p in 0..self.flows.len() {
@@ -749,23 +734,36 @@ impl<T> NetSim<T> {
 
     /// Checks the heap exactly: every entry satisfies the heap order and
     /// is indexed from its slot, the entries are the active flows' cached
-    /// `(eta, id)` pairs, and the top is the minimum of a linear scan.
+    /// `(eta, id)` pairs plus the held slot's, and the top is the minimum
+    /// of a linear scan. Also recounts the solver's link registration.
     #[cfg(test)]
     pub(crate) fn assert_heap_consistent(&self) {
         let entries = &self.etas.entries;
-        assert_eq!(entries.len(), self.flows.len());
+        let held = self.held.map(|done| {
+            assert_eq!(self.pos.get(done.slot as usize), Some(&NO_FLOW));
+            let entry = entries[self.etas.at[done.slot as usize] as usize];
+            assert_eq!(entry.1, done, "held slot's heap entry");
+            entry
+        });
+        assert_eq!(
+            entries.len(),
+            self.flows.len() + usize::from(held.is_some())
+        );
         for (i, &(eta, id)) in entries.iter().enumerate() {
             assert_eq!(
                 self.etas.at[id.slot as usize] as usize, i,
                 "heap index of {id:?}"
             );
-            assert_eq!(self.eta_of(id), Some(eta), "heap key of {id:?}");
+            if Some(id) != self.held {
+                assert_eq!(self.eta_of(id), Some(eta), "heap key of {id:?}");
+            }
             if i > 0 {
                 assert!(entries[(i - 1) / 2] <= entries[i], "heap order at {i}");
             }
         }
-        let scan = self.flows.iter().map(|f| (f.eta, f.id)).min();
+        let scan = self.flows.iter().map(|f| (f.eta, f.id)).chain(held).min();
         assert_eq!(self.etas.peek(), scan, "heap top vs linear scan");
+        self.solver.assert_links_consistent();
     }
 }
 
@@ -996,7 +994,7 @@ mod tests {
         assert_eq!(id, a);
         net.finish_flow(t_a, a);
         let c = net.start_flow(t_a, &[e(0), e(1)], 50.0, 0.5, ());
-        // The revived slot's rate is exact: the completion is real before
+        // The taken slot's rate is exact: the completion is real before
         // any solve or readback.
         let eta_c = net.eta_of(c).unwrap();
         assert!((eta_c.as_secs() - (t_a.as_secs() + 0.5 + 5.0)).abs() < 1e-9);
@@ -1013,14 +1011,20 @@ mod tests {
         let b = net.start_flow(SimTime::ZERO, &[e(1)], 1_000.0, 0.0, 'b');
         let (t_a, id) = net.next_completion().unwrap();
         assert_eq!(id, a);
-        let c = net.continue_flow(t_a, a, &[e(0), e(1)], 50.0, 0.5, 'c');
+        assert_eq!(net.finish_flow(t_a, a), 'a');
+        assert_eq!(net.held, Some(a));
+        net.assert_heap_consistent();
+        let c = net.start_flow(t_a, &[e(0), e(1)], 50.0, 0.5, 'c');
         assert_eq!((c.slot, c.raw()), (a.slot, 2), "same slot, fresh ordinal");
+        assert_eq!(net.held, None);
         assert_eq!(net.tag(a), None);
         assert_eq!(net.tag(c), Some(&'c'));
         assert_eq!(net.flows_finished(), 1);
-        // The rate carried over is exact: the completion is real at once.
+        // The rate carried over is exact: the completion is real at once,
+        // and nothing is left for the solver to do.
         let eta_c = net.eta_of(c).unwrap();
         assert!((eta_c.as_secs() - (t_a.as_secs() + 0.5 + 5.0)).abs() < 1e-9);
+        assert!(!net.solver.solve());
         net.assert_heap_consistent();
         assert_eq!(net.next_completion(), Some((eta_c, c)));
         // `b` kept its rate throughout, so it was never re-based: only the
@@ -1035,23 +1039,107 @@ mod tests {
         let mut net = NetSim::new(vec![10.0, 30.0]);
         let a = net.start_flow(SimTime::ZERO, &[e(0)], 100.0, 0.0, ());
         let (t_a, _) = net.next_completion().unwrap();
-        let c = net.continue_flow(t_a, a, &[e(1)], 60.0, 0.0, ());
+        net.finish_flow(t_a, a);
+        let c = net.start_flow(t_a, &[e(1)], 60.0, 0.0, ());
         assert_eq!(c.raw(), 1);
+        assert_eq!(net.held, None, "another route releases the hold");
+        assert_eq!(net.eta_of(c), Some(SimTime::FAR_FUTURE), "no rate yet");
         assert_eq!(net.active_flows(), 1);
         assert_eq!(net.flows_finished(), 1);
+        net.assert_heap_consistent();
         // The new route needs a solve: 60 bytes at 30 B/s.
         let (eta, id) = net.next_completion().unwrap();
         assert_eq!(id, c);
         assert!((eta.as_secs() - (t_a.as_secs() + 2.0)).abs() < 1e-9);
+        assert_eq!(net.busy_links(), 1);
         net.assert_heap_consistent();
     }
 
     #[test]
-    #[should_panic(expected = "unfinished flow")]
-    fn continuing_an_unfinished_flow_panics() {
-        let mut net = NetSim::new(vec![10.0]);
-        let f = net.start_flow(SimTime::ZERO, &[e(0)], 100.0, 0.0, ());
-        net.continue_flow(t(1.0), f, &[e(0)], 1.0, 0.0, ());
+    fn hold_survives_reads_and_clock_moves_while_no_flow_is_active() {
+        let mut net = NetSim::new(vec![10.0, 30.0]);
+        let a = net.start_flow(SimTime::ZERO, &[e(0), e(1)], 100.0, 0.0, ());
+        let (t_a, _) = net.next_completion().unwrap();
+        net.finish_flow(t_a, a);
+        // Every read answers for an idle network, and none releases.
+        assert_eq!(net.next_completion(), None);
+        assert_eq!(net.rate_of(a), None);
+        assert_eq!(net.busy_links(), 0);
+        assert_eq!(net.fair_share_estimate(&[e(0), e(1)]), 10.0);
+        assert_eq!(net.cancel_flow(t(20.0), a), None, "a clock move");
+        assert_eq!(net.held, Some(a));
+        net.assert_heap_consistent();
+        // A later start on the same route still takes the slot over.
+        let c = net.start_flow(t(20.0), &[e(0), e(1)], 50.0, 0.0, ());
+        assert_eq!(net.held, None);
+        assert_eq!(net.eta_of(c), Some(t(25.0)));
+        assert!(!net.solver.solve());
+        assert_eq!(net.next_completion(), Some((t(25.0), c)));
+        net.assert_heap_consistent();
+    }
+
+    /// Two flows on disjoint routes, `a` over links 0 and 1 and `b` over
+    /// link 2; `a` has finished and its slot is held.
+    fn held_beside_another_flow() -> (NetSim<()>, SimTime, FlowId, FlowId) {
+        let mut net = NetSim::new(vec![10.0, 30.0, 5.0]);
+        let a = net.start_flow(SimTime::ZERO, &[e(0), e(1)], 100.0, 0.0, ());
+        let b = net.start_flow(SimTime::ZERO, &[e(2)], 1_000.0, 0.0, ());
+        let (t_a, _) = net.next_completion().unwrap();
+        assert_eq!(t_a, t(10.0));
+        net.finish_flow(t_a, a);
+        assert_eq!(net.held, Some(a));
+        (net, t_a, a, b)
+    }
+
+    #[test]
+    fn link_change_on_the_held_route_releases_the_hold() {
+        for change in 0..3 {
+            let (mut net, now, _, _) = held_beside_another_flow();
+            match change {
+                0 => net.set_link_down(now, e(1)),
+                1 => net.set_link_capacity_factor(now, e(0), 0.5),
+                _ => net.set_link_capacity_factor(now, e(1), 1.0),
+            }
+            assert_eq!(net.held, None, "change {change}");
+            assert_eq!(net.busy_links(), 1);
+            net.assert_heap_consistent();
+        }
+    }
+
+    #[test]
+    fn link_change_off_the_held_route_keeps_the_hold() {
+        let (mut net, now, a, b) = held_beside_another_flow();
+        net.set_link_capacity_factor(now, e(2), 0.5);
+        net.set_link_down(now, e(2));
+        assert_eq!(net.held, Some(a));
+        net.assert_heap_consistent();
+        let c = net.start_flow(now, &[e(0), e(1)], 100.0, 0.0, ());
+        assert_eq!(net.held, None);
+        // The link changes made a solve due; `c` took the slot anyway, and
+        // the solve at this instant leaves its rate as it was.
+        assert_eq!(net.eta_of(c), Some(t(20.0)));
+        assert_eq!(net.next_completion(), Some((t(20.0), c)));
+        assert_eq!(net.flow_stalled(b), Some(true));
+        net.assert_heap_consistent();
+    }
+
+    #[test]
+    fn second_finish_releases_the_first_hold() {
+        let mut net = NetSim::new(vec![10.0, 10.0]);
+        let a = net.start_flow(SimTime::ZERO, &[e(0)], 100.0, 0.0, ());
+        let b = net.start_flow(SimTime::ZERO, &[e(1)], 100.0, 0.0, ());
+        let (done, _) = net.next_completion().unwrap();
+        net.finish_flow(done, a);
+        net.finish_flow(done, b);
+        assert_eq!(net.held, Some(b));
+        assert_eq!(net.etas.entries.len(), 1, "only the second hold is filed");
+        net.assert_heap_consistent();
+        // `a`'s route now needs a fresh slot and a solve.
+        let c = net.start_flow(done, &[e(0)], 100.0, 0.0, ());
+        assert_eq!(net.eta_of(c), Some(SimTime::FAR_FUTURE));
+        assert_eq!(net.held, None, "the start on another route released b");
+        assert_eq!(net.next_completion(), Some((t(20.0), c)));
+        net.assert_heap_consistent();
     }
 
     #[test]
@@ -1234,33 +1322,33 @@ mod proptests {
         })
     }
 
-    /// Two engines fed the same calls, except that each file hop is a
-    /// [`NetSim::continue_flow`] in `cont` and a finish plus a start in
-    /// `twin`. Index = creation ordinal = tag.
-    struct HopPair {
-        cont: NetSim<u64>,
+    /// Two engines fed the same calls, except that `twin` releases its
+    /// held slot after every call, so each of its hops is a finish, an
+    /// eager unregistration and a start on a fresh slot. Index = creation
+    /// ordinal = tag.
+    struct HoldPair {
+        net: NetSim<u64>,
         twin: NetSim<u64>,
         ids: Vec<(FlowId, FlowId)>,
         routes: Vec<Vec<EdgeId>>,
         now: SimTime,
     }
 
-    impl HopPair {
+    impl HoldPair {
         fn start(&mut self, route: Vec<EdgeId>, bytes: f64, latency_s: f64) {
             let tag = self.ids.len() as u64;
-            let a = self
-                .cont
-                .start_flow(self.now, &route, bytes, latency_s, tag);
+            let a = self.net.start_flow(self.now, &route, bytes, latency_s, tag);
             let b = self
                 .twin
                 .start_flow(self.now, &route, bytes, latency_s, tag);
+            prop_assert_eq!(a.raw(), b.raw());
             self.ids.push((a, b));
             self.routes.push(route);
         }
 
         /// Both engines' next completion, which must agree bit for bit.
         fn next_done(&mut self) -> Option<(SimTime, FlowId, FlowId)> {
-            let (a, b) = (self.cont.next_completion(), self.twin.next_completion());
+            let (a, b) = (self.net.next_completion(), self.twin.next_completion());
             prop_assert_eq!(
                 a.map(|(t, id)| (t.as_secs().to_bits(), id.raw())),
                 b.map(|(t, id)| (t.as_secs().to_bits(), id.raw()))
@@ -1270,24 +1358,20 @@ mod proptests {
             Some((t, a, b))
         }
 
-        fn hop(&mut self, route: Option<Vec<EdgeId>>, bytes: f64, latency_s: f64) {
-            let Some((t, a, b)) = self.next_done() else {
-                return;
-            };
-            let route = route.unwrap_or_else(|| self.routes[a.raw() as usize].clone());
-            let tag = self.ids.len() as u64;
-            let next_a = self.cont.continue_flow(t, a, &route, bytes, latency_s, tag);
+        /// Finishes the next completion in both engines and returns the
+        /// finished flow's route.
+        fn finish_next(&mut self) -> Option<Vec<EdgeId>> {
+            let (t, a, b) = self.next_done()?;
+            prop_assert_eq!(self.net.finish_flow(t, a), a.raw());
             prop_assert_eq!(self.twin.finish_flow(t, b), a.raw());
-            let next_b = self.twin.start_flow(t, &route, bytes, latency_s, tag);
-            prop_assert_eq!(next_a.raw(), next_b.raw());
-            self.ids.push((next_a, next_b));
-            self.routes.push(route);
+            self.twin.release();
+            Some(self.routes[a.raw() as usize].clone())
         }
 
         /// Everything observable agrees bit for bit.
-        fn check(&mut self) {
+        fn check(&mut self, pool: &[Vec<EdgeId>]) {
             prop_assert_eq!(
-                self.cont
+                self.net
                     .next_completion()
                     .map(|(t, id)| (t.as_secs().to_bits(), id.raw())),
                 self.twin
@@ -1296,35 +1380,45 @@ mod proptests {
             );
             for &(a, b) in &self.ids {
                 prop_assert_eq!(
-                    self.cont.rate_of(a).map(f64::to_bits),
+                    self.net.rate_of(a).map(f64::to_bits),
                     self.twin.rate_of(b).map(f64::to_bits)
                 );
                 prop_assert_eq!(
-                    self.cont.eta_of(a).map(|t| t.as_secs().to_bits()),
+                    self.net.eta_of(a).map(|t| t.as_secs().to_bits()),
                     self.twin.eta_of(b).map(|t| t.as_secs().to_bits())
                 );
-                prop_assert_eq!(self.cont.tag(a), self.twin.tag(b));
-                prop_assert_eq!(self.cont.flow_stalled(a), self.twin.flow_stalled(b));
+                prop_assert_eq!(self.net.tag(a), self.twin.tag(b));
+                prop_assert_eq!(self.net.flow_stalled(a), self.twin.flow_stalled(b));
             }
             prop_assert_eq!(
-                self.cont.bytes_delivered().to_bits(),
+                self.net.bytes_delivered().to_bits(),
                 self.twin.bytes_delivered().to_bits()
             );
-            prop_assert_eq!(self.cont.flows_finished(), self.twin.flows_finished());
-            prop_assert_eq!(self.cont.busy_links(), self.twin.busy_links());
+            prop_assert_eq!(self.net.flows_finished(), self.twin.flows_finished());
+            prop_assert_eq!(self.net.busy_links(), self.twin.busy_links());
+            for route in pool {
+                prop_assert_eq!(
+                    self.net.fair_share_estimate(route).to_bits(),
+                    self.twin.fair_share_estimate(route).to_bits()
+                );
+            }
         }
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
-        /// A hop continued in place is indistinguishable from finish plus
-        /// start: over random routes, hops on the finished flow's route and
-        /// on others, cancels, clock advances and link down/up and degrade
-        /// toggles, both engines report bit-identical completions, rates,
-        /// ETAs, ids and delivered bytes, and both heaps stay exact after
-        /// every call. Observations that solve run after only some calls,
-        /// so same-instant bursts of starts, hops and cancels go unsolved.
+        /// A hop whose successor takes the held slot over is
+        /// indistinguishable from a finish and a start on a fresh slot:
+        /// over random routes, hops on the finished flow's route and on
+        /// others, cancels, clock advances and link down/up and degrade
+        /// toggles, the engine and a twin that releases its hold after
+        /// every call report bit-identical completions, rates, ETAs, ids,
+        /// link reads and delivered bytes, and both heaps and solver
+        /// registrations stay exact after every call. Observations run
+        /// after only some calls, so holds also meet same-instant bursts
+        /// of starts, finishes and cancels, and clock moves with no flow
+        /// active.
         #[test]
         fn continued_hops_match_finish_then_start(
             (caps, pool) in (2usize..6).prop_flat_map(|n_links| {
@@ -1338,8 +1432,8 @@ mod proptests {
             ops in proptest::collection::vec((0u8..9, 0usize..64, 0.0f64..1.0), 1..100),
         ) {
             let n_links = caps.len();
-            let mut p = HopPair {
-                cont: NetSim::new(caps.clone()),
+            let mut p = HoldPair {
+                net: NetSim::new(caps.clone()),
                 twin: NetSim::new(caps),
                 ids: Vec::new(),
                 routes: Vec::new(),
@@ -1353,25 +1447,25 @@ mod proptests {
                 match kind {
                     0 | 1 => p.start(pool[a % pool.len()].clone(), bytes, latency),
                     2 if !p.ids.is_empty() => {
-                        let (ca, tb) = p.ids[a % p.ids.len()];
+                        let (na, tb) = p.ids[a % p.ids.len()];
                         let now = p.now;
                         prop_assert_eq!(
-                            p.cont.cancel_flow(now, ca).map(f64::to_bits),
+                            p.net.cancel_flow(now, na).map(f64::to_bits),
                             p.twin.cancel_flow(now, tb).map(f64::to_bits)
                         );
                     }
                     3 | 4 => {
-                        let route = (a % 4 == 0).then(|| pool[a % pool.len()].clone());
-                        p.hop(route, bytes, latency);
+                        if let Some(own) = p.finish_next() {
+                            let route = if a % 4 == 0 { pool[a % pool.len()].clone() } else { own };
+                            p.start(route, bytes, latency);
+                        }
                     }
                     5 => {
-                        if let Some((t, ca, tb)) = p.next_done() {
-                            prop_assert_eq!(p.cont.finish_flow(t, ca), p.twin.finish_flow(t, tb));
-                        }
+                        p.finish_next();
                     }
                     6 => {
                         let mut to = p.now + SimDuration::from_secs(10.0 * x);
-                        if let Some((t, _)) = p.cont.next_completion() {
+                        if let Some((t, _)) = p.net.next_completion() {
                             to = to.min(t);
                         }
                         p.now = to;
@@ -1379,7 +1473,7 @@ mod proptests {
                     7 => {
                         let l = a % n_links;
                         let (now, link) = (p.now, EdgeId(l as u32));
-                        for net in [&mut p.cont, &mut p.twin] {
+                        for net in [&mut p.net, &mut p.twin] {
                             if down[l] {
                                 net.set_link_up(now, link);
                             } else {
@@ -1392,20 +1486,22 @@ mod proptests {
                         let l = a % n_links;
                         let factor = if degraded[l] { 1.0 } else { 0.1 + 0.9 * x };
                         let (now, link) = (p.now, EdgeId(l as u32));
-                        for net in [&mut p.cont, &mut p.twin] {
+                        for net in [&mut p.net, &mut p.twin] {
                             net.set_link_capacity_factor(now, link, factor);
                         }
                         degraded[l] = !degraded[l];
                     }
                     _ => {}
                 }
-                p.cont.assert_heap_consistent();
+                p.twin.release();
+                prop_assert_eq!(p.twin.held, None);
+                p.net.assert_heap_consistent();
                 p.twin.assert_heap_consistent();
                 if a % 3 != 0 {
-                    p.check();
+                    p.check(&pool);
                 }
             }
-            p.check();
+            p.check(&pool);
         }
 
         #[test]

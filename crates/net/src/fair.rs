@@ -24,10 +24,9 @@
 //!   the same value either way), and per-link flow lists make the freeze
 //!   step `O(crossing flows)` instead of a full flow scan. Scratch buffers
 //!   persist across calls, so a recompute allocates nothing, and a solve
-//!   whose flow set only swapped a finished flow for one on the same route
-//!   is skipped outright (the rates are a function of the route multiset),
-//!   as is the swap's unlink and relink of that route. A hop within a
-//!   batch does not reach the solver at all (`NetSim::continue_flow`).
+//!   with nothing changed since the last one does no work. A file hop from
+//!   one flow to a successor on the same route does not reach the solver
+//!   at all (`NetSim` hands the finished flow's slot to the successor).
 
 use std::borrow::Borrow;
 
@@ -156,39 +155,14 @@ pub fn max_min_rates(capacities: &[f64], flow_routes: &[Vec<usize>]) -> Vec<f64>
 /// the solver bit-identical to a fresh [`max_min_rates`] call over the
 /// effective capacities and the non-stalled flows (property-tested).
 ///
-/// **Same-route swaps skip the solve.** The fill is a pure function of the
-/// route multiset, the capacities and the down states: flows with equal
-/// routes saturate in the same round, and the freeze order commutes. So
-/// [`MaxMinSolver::remove_flow`] *parks* the slot — its route and
-/// last-solved rate are kept until the next solve — and a
-/// [`MaxMinSolver::add_flow`] over an equal route revives a parked slot
-/// with that rate, which is still exact. A hop from one file of a batch
-/// to the next never gets here: `NetSim::continue_flow` keeps the slot
-/// registered and the solver is not called. Parking serves the hops it
-/// cannot see, across a batch boundary: the finished batch's last flow
-/// ends, and the next batch's first flow starts over the same route after
-/// the server has picked its next request. Only an unmatched add, or a link
-/// down/up or capacity change on a link that a registered or parked flow
-/// crosses, marks the solver dirty (rates depend on no other link);
-/// [`MaxMinSolver::solve`] does no work (and says so) when nothing is
-/// dirty and no slot is still parked, i.e. when every removal since the
-/// last solve was replaced on the same route.
-///
-/// **The unlink is deferred too.** A parked slot stays registered on its
-/// links (crossing counts, per-link flow lists, touched links, live list)
-/// until something reads that registration: [`MaxMinSolver::solve`],
-/// [`MaxMinSolver::set_link_down`], [`MaxMinSolver::set_link_up`],
-/// [`MaxMinSolver::set_link_capacity_factor`],
-/// [`MaxMinSolver::fair_share_estimate`], [`MaxMinSolver::busy_links`] and
-/// [`MaxMinSolver::flow_count`] each first deregister every parked slot
-/// still linked, so each sees exactly the state an eager unlink would have
-/// left. A same-route add that revives a still-linked slot therefore does
-/// no per-link work at all: its registration is already in place, and its
-/// stall count is current because every link event flushes first. A file
-/// hop — finish a flow, start its successor on the same route, solve —
-/// touches no link list.
+/// **Solves only when dirty.** An add, a removal, or a link down/up or
+/// capacity change on a link a registered flow crosses marks the solver
+/// dirty (rates depend on no other link); [`MaxMinSolver::solve`] does no
+/// work, and says so, when nothing is dirty. Registration is eager: a
+/// removal releases the slot's links at once. A same-route file hop never
+/// gets here: `NetSim` holds a finished flow's slot for a successor on
+/// the same route, whose rate the unchanged route multiset keeps exact.
 #[derive(Debug)]
-#[cfg_attr(test, derive(Clone))]
 pub struct MaxMinSolver {
     capacities: Vec<f64>,
     /// Configured capacities; `capacities` is `base × degrade factor`.
@@ -214,17 +188,9 @@ pub struct MaxMinSolver {
     /// multiplicity). Non-zero ⇒ the flow is stalled at rate `0.0`.
     stalled_by: Vec<u32>,
     free_slots: Vec<u32>,
-    /// Slots removed since the last solve, still holding their route and
-    /// last-solved rate for a same-route [`MaxMinSolver::add_flow`] to
-    /// revive. Released to `free_slots` by the next solve.
-    parked: Vec<u32>,
-    /// Per slot: whether the slot is counted in `crossing`, `crossing_up`,
-    /// `link_flows`, `touched` and `live_slots` — every registered slot,
-    /// and a parked one until the next [`MaxMinSolver::flush`].
-    linked: Vec<bool>,
-    /// Whether a change that can move a rate (an add not matched by a
-    /// parked slot, a link state or capacity change) happened since the
-    /// last solve.
+    /// Whether a change that can move a rate (an add, a removal, a link
+    /// state or capacity change on a used link) happened since the last
+    /// solve.
     dirty: bool,
     live_slots: Vec<u32>,
     live_pos: Vec<u32>,
@@ -292,8 +258,6 @@ impl MaxMinSolver {
             routes: Vec::new(),
             stalled_by: Vec::new(),
             free_slots: Vec::new(),
-            parked: Vec::new(),
-            linked: Vec::new(),
             dirty: false,
             live_slots: Vec::new(),
             live_pos: Vec::new(),
@@ -309,13 +273,8 @@ impl MaxMinSolver {
     }
 
     /// Registers a flow crossing `route` (link indices; empty = co-located
-    /// endpoints, rate `+∞`). Returns the flow's slot.
-    ///
-    /// A route equal to a slot parked by [`MaxMinSolver::remove_flow`]
-    /// since the last solve revives that slot, last-solved rate included
-    /// (and, if it is still linked, without touching a link); any other
-    /// route marks the solver dirty, and its slot reads rate `0.0` until
-    /// the next solve.
+    /// endpoints, rate `+∞`). Returns the flow's slot, which reads rate
+    /// `0.0` until the next solve.
     ///
     /// # Panics
     ///
@@ -324,55 +283,27 @@ impl MaxMinSolver {
     where
         I: IntoIterator,
         I::Item: Borrow<usize>,
-        I::IntoIter: Clone,
     {
-        self.register_flow(route).0
-    }
-
-    /// [`MaxMinSolver::add_flow`], also saying whether the slot is a
-    /// revived parked one.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the route references a link `>= capacities.len()`.
-    pub(crate) fn register_flow<I>(&mut self, route: I) -> (u32, bool)
-    where
-        I: IntoIterator,
-        I::Item: Borrow<usize>,
-        I::IntoIter: Clone,
-    {
-        let route = route.into_iter();
-        let links = || route.clone().map(|l| *l.borrow());
-        let revived = self.parked.iter().position(|&p| self.route_is(p, links()));
-        let slot = if let Some(i) = revived {
-            let slot = self.parked.swap_remove(i);
-            if self.linked[slot as usize] {
-                return (slot, true);
-            }
-            slot
-        } else {
-            self.dirty = true;
-            let slot = self.free_slots.pop().unwrap_or_else(|| {
-                let s = self.routes.len() as u32;
-                self.routes.push(Vec::new());
-                self.stalled_by.push(0);
-                self.linked.push(false);
-                self.saturated.push(false);
-                self.rates.push(0.0);
-                self.live_pos.push(0);
-                s
-            });
-            self.rates[slot as usize] = 0.0;
-            let n_links = self.capacities.len();
-            let r = &mut self.routes[slot as usize];
-            r.clear();
-            r.extend(links().map(|l| {
-                assert!(l < n_links, "route references unknown link {l}");
-                l as u32
-            }));
-            slot
-        };
+        self.dirty = true;
+        let slot = self.free_slots.pop().unwrap_or_else(|| {
+            let s = self.routes.len() as u32;
+            self.routes.push(Vec::new());
+            self.stalled_by.push(0);
+            self.saturated.push(false);
+            self.rates.push(0.0);
+            self.live_pos.push(0);
+            s
+        });
         let s = slot as usize;
+        self.rates[s] = 0.0;
+        let n_links = self.capacities.len();
+        let r = &mut self.routes[s];
+        r.clear();
+        r.extend(route.into_iter().map(|l| {
+            let l = *l.borrow();
+            assert!(l < n_links, "route references unknown link {l}");
+            l as u32
+        }));
         let stalls = self.routes[s]
             .iter()
             .filter(|&&l| self.down[l as usize])
@@ -395,41 +326,22 @@ impl MaxMinSolver {
         }
         self.live_pos[s] = self.live_slots.len() as u32;
         self.live_slots.push(slot);
-        self.linked[s] = true;
-        (slot, revived.is_some())
+        slot
     }
 
-    /// Unregisters a flow. The slot is parked (route and rate kept) until
-    /// the next [`MaxMinSolver::solve`], for a same-route
-    /// [`MaxMinSolver::add_flow`] to revive; its links are released only
-    /// when link state is next read (see the type docs).
+    /// Unregisters a flow: releases its links and frees its slot.
     ///
     /// # Panics
     ///
     /// Panics if `slot` is not a registered flow.
     pub fn remove_flow(&mut self, slot: u32) {
+        let s = slot as usize;
+        let pos = self.live_pos.get(s).map_or(usize::MAX, |&p| p as usize);
         assert!(
-            self.linked[slot as usize] && !self.parked.contains(&slot),
+            self.live_slots.get(pos) == Some(&slot),
             "flow {slot} not registered"
         );
-        self.parked.push(slot);
-    }
-
-    /// Deregisters every parked slot that is still linked, leaving the
-    /// link state an eager unlink at each removal would have left. Runs
-    /// first in every call that reads link registration.
-    fn flush(&mut self) {
-        for i in 0..self.parked.len() {
-            let slot = self.parked[i];
-            if self.linked[slot as usize] {
-                self.unlink(slot);
-            }
-        }
-    }
-
-    /// Releases `slot`'s links and drops it from the live list.
-    fn unlink(&mut self, slot: u32) {
-        let s = slot as usize;
+        self.dirty = true;
         let was_up = self.stalled_by[s] == 0;
         for j in 0..self.routes[s].len() {
             let l = self.routes[s][j] as usize;
@@ -438,23 +350,22 @@ impl MaxMinSolver {
                 self.crossing_up[l] -= 1;
             }
             let lf = &mut self.link_flows[l];
-            let pos = lf.iter().position(|&x| x == slot).expect("flow registered");
-            lf.swap_remove(pos);
+            let at = lf.iter().position(|&x| x == slot).expect("flow registered");
+            lf.swap_remove(at);
             if self.crossing[l] == 0 {
-                let pos = self
+                let at = self
                     .touched
                     .binary_search(&(l as u32))
                     .expect("touched link listed");
-                self.touched.remove(pos);
+                self.touched.remove(at);
             }
         }
-        let pos = self.live_pos[s] as usize;
         let last = self.live_slots.pop().expect("slot is live");
         if last != slot {
             self.live_slots[pos] = last;
             self.live_pos[last as usize] = pos as u32;
         }
-        self.linked[s] = false;
+        self.free_slots.push(slot);
     }
 
     /// Marks link `l` down: every crossing flow stalls at rate `0.0` on
@@ -468,10 +379,9 @@ impl MaxMinSolver {
     pub fn set_link_down(&mut self, l: usize) {
         assert!(l < self.down.len(), "unknown link {l}");
         assert!(!self.down[l], "link {l} already down");
-        self.flush();
         self.down[l] = true;
         self.down_count += 1;
-        self.dirty |= self.link_in_use(l);
+        self.dirty |= !self.link_flows[l].is_empty();
         for i in 0..self.link_flows[l].len() {
             let s = self.link_flows[l][i] as usize;
             if self.stalled_by[s] == 0 {
@@ -493,10 +403,9 @@ impl MaxMinSolver {
     pub fn set_link_up(&mut self, l: usize) {
         assert!(l < self.down.len(), "unknown link {l}");
         assert!(self.down[l], "link {l} is not down");
-        self.flush();
         self.down[l] = false;
         self.down_count -= 1;
-        self.dirty |= self.link_in_use(l);
+        self.dirty |= !self.link_flows[l].is_empty();
         for i in 0..self.link_flows[l].len() {
             let s = self.link_flows[l][i] as usize;
             self.stalled_by[s] -= 1;
@@ -522,8 +431,7 @@ impl MaxMinSolver {
             factor > 0.0 && factor <= 1.0 && factor.is_finite(),
             "degrade factor must be in (0, 1]: {factor}"
         );
-        self.flush();
-        self.dirty |= self.link_in_use(l);
+        self.dirty |= !self.link_flows[l].is_empty();
         self.capacities[l] = if factor == 1.0 {
             self.base_capacities[l]
         } else {
@@ -536,18 +444,6 @@ impl MaxMinSolver {
                 .expect("finite capacities")
                 .then(a.cmp(&b))
         });
-    }
-
-    /// Whether a registered flow crosses link `l`, or a parked slot
-    /// whose last-solved rate a same-route add could revive does. Rates
-    /// depend only on the links such flows cross, so a state change on any
-    /// other link leaves every rate as it is and needs no solve.
-    fn link_in_use(&self, l: usize) -> bool {
-        !self.link_flows[l].is_empty()
-            || self
-                .parked
-                .iter()
-                .any(|&p| self.routes[p as usize].contains(&(l as u32)))
     }
 
     /// Whether link `l` is currently down.
@@ -570,16 +466,14 @@ impl MaxMinSolver {
 
     /// Number of registered flows.
     #[must_use]
-    pub fn flow_count(&mut self) -> usize {
-        self.flush();
+    pub fn flow_count(&self) -> usize {
         self.live_slots.len()
     }
 
     /// Number of links crossed by at least one registered flow (the
     /// touched-link working set a [`MaxMinSolver::solve`] visits).
     #[must_use]
-    pub fn busy_links(&mut self) -> usize {
-        self.flush();
+    pub fn busy_links(&self) -> usize {
         self.touched.len()
     }
 
@@ -602,9 +496,20 @@ impl MaxMinSolver {
             .eq(route.into_iter().map(|l| *l.borrow()))
     }
 
-    /// The rate computed for `slot` by the last [`MaxMinSolver::solve`]:
-    /// a revived slot keeps the rate it was parked with, and a slot
-    /// registered on a new route since reads `0.0`.
+    /// Whether the flow in `slot` crosses link `l`.
+    #[must_use]
+    pub(crate) fn crosses(&self, slot: u32, l: usize) -> bool {
+        self.routes[slot as usize].contains(&(l as u32))
+    }
+
+    /// Link `l`'s effective capacity (configured × degrade factor).
+    #[must_use]
+    pub fn capacity(&self, l: usize) -> f64 {
+        self.capacities[l]
+    }
+
+    /// The rate computed for `slot` by the last [`MaxMinSolver::solve`];
+    /// a slot registered since reads `0.0`.
     #[must_use]
     pub fn rate(&self, slot: u32) -> f64 {
         self.rates[slot as usize]
@@ -619,12 +524,11 @@ impl MaxMinSolver {
     /// progressing at its fair share never times out. An empty route (no
     /// links crossed) estimates `+∞`.
     #[must_use]
-    pub fn fair_share_estimate<I>(&mut self, route: I) -> f64
+    pub fn fair_share_estimate<I>(&self, route: I) -> f64
     where
         I: IntoIterator,
         I::Item: Borrow<usize>,
     {
-        self.flush();
         route
             .into_iter()
             .map(|l| {
@@ -636,16 +540,13 @@ impl MaxMinSolver {
 
     /// Computes max–min fair rates for the registered flows (read back
     /// with [`MaxMinSolver::rate`]). Returns whether a fill actually ran:
-    /// `false` when every removal since the last solve was revived by a
-    /// same-route add and nothing else changed, so every rate already
-    /// holds.
+    /// `false` when nothing changed since the last solve, so every rate
+    /// already holds.
     pub fn solve(&mut self) -> bool {
-        if !self.dirty && self.parked.is_empty() {
+        if !self.dirty {
             return false;
         }
-        self.flush();
         self.dirty = false;
-        self.free_slots.append(&mut self.parked);
         for i in 0..self.live_slots.len() {
             let s = self.live_slots[i] as usize;
             if self.stalled_by[s] > 0 {
@@ -793,38 +694,18 @@ impl MaxMinSolver {
 
 #[cfg(test)]
 impl MaxMinSolver {
-    /// Recounts the link registration from the slots themselves: first as
-    /// stored (every linked slot, parked ones included), then as a flush
-    /// leaves it, which is what every reader sees (only registered slots).
+    /// Recounts the link registration from the slots themselves: every
+    /// slot not on the free list is registered, with a stall count that
+    /// matches the down links, and counted exactly once per crossing.
     pub(crate) fn assert_links_consistent(&self) {
-        for &slot in &self.free_slots {
-            assert!(!self.linked[slot as usize], "free slot {slot} is linked");
-            assert!(!self.parked.contains(&slot), "slot {slot} free and parked");
-        }
-        let linked: Vec<u32> = (0..self.routes.len() as u32)
-            .filter(|&s| self.linked[s as usize])
+        let slots: Vec<u32> = (0..self.routes.len() as u32)
+            .filter(|s| !self.free_slots.contains(s))
             .collect();
-        self.assert_registered(&linked);
-        let mut flushed = self.clone();
-        flushed.flush();
-        for &slot in &flushed.parked {
-            assert!(!flushed.linked[slot as usize], "flush left {slot} linked");
-        }
-        let registered: Vec<u32> = linked
-            .into_iter()
-            .filter(|s| !self.parked.contains(s))
-            .collect();
-        flushed.assert_registered(&registered);
-    }
-
-    /// Checks that the per-link registration counts exactly `slots`
-    /// (ascending), each with a stall count matching the down links.
-    fn assert_registered(&self, slots: &[u32]) {
         let n = self.capacities.len();
         let mut crossing = vec![0u32; n];
         let mut crossing_up = vec![0u32; n];
         let mut link_flows = vec![Vec::new(); n];
-        for &slot in slots {
+        for &slot in &slots {
             let route = &self.routes[slot as usize];
             let stalls = route.iter().filter(|&&l| self.down[l as usize]).count();
             assert_eq!(
@@ -853,9 +734,6 @@ impl MaxMinSolver {
         assert_eq!(live, slots, "live_slots");
         for (i, &slot) in self.live_slots.iter().enumerate() {
             assert_eq!(self.live_pos[slot as usize] as usize, i, "live_pos");
-        }
-        for slot in 0..self.routes.len() as u32 {
-            assert_eq!(self.linked[slot as usize], slots.contains(&slot), "linked");
         }
     }
 }
@@ -1115,8 +993,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "not registered")]
     fn double_remove_panics() {
-        // A second removal while the first is still parked would let two
-        // same-route adds revive one slot.
         let mut s = MaxMinSolver::new(vec![1.0]);
         let f = s.add_flow([0]);
         s.remove_flow(f);
@@ -1128,37 +1004,6 @@ mod tests {
     fn bad_degrade_factor_panics() {
         let mut s = MaxMinSolver::new(vec![1.0]);
         s.set_link_capacity_factor(0, 0.0);
-    }
-
-    #[test]
-    fn same_route_swap_skips_the_solve() {
-        let caps = vec![10.0, 6.0, 30.0];
-        let mut s = MaxMinSolver::new(caps.clone());
-        let a = s.add_flow([0, 2]);
-        let b = s.add_flow([1, 2]);
-        let c = s.add_flow([1, 2]);
-        assert!(s.solve(), "first solve runs");
-        let rate_b = s.rate(b);
-        s.remove_flow(b);
-        let d = s.add_flow([1, 2]);
-        assert!(!s.solve(), "a same-route swap leaves every rate in place");
-        assert_eq!(s.rate(d).to_bits(), rate_b.to_bits());
-        let spec = max_min_rates(&caps, &[vec![0, 2], vec![1, 2], vec![1, 2]]);
-        for (slot, want) in [a, d, c].into_iter().zip(spec) {
-            assert_eq!(s.rate(slot).to_bits(), want.to_bits());
-        }
-        // Several removes before several adds, matched in any order.
-        s.remove_flow(a);
-        s.remove_flow(c);
-        let e = s.add_flow([1, 2]);
-        let f = s.add_flow([0, 2]);
-        assert!(!s.solve());
-        let spec = max_min_rates(&caps, &[vec![1, 2], vec![1, 2], vec![0, 2]]);
-        for (slot, want) in [d, e, f].into_iter().zip(spec) {
-            assert_eq!(s.rate(slot).to_bits(), want.to_bits());
-        }
-        assert_eq!(s.flow_count(), 3);
-        assert!(!s.solve(), "nothing changed since");
     }
 
     #[test]
@@ -1217,7 +1062,7 @@ mod tests {
         s.set_link_capacity_factor(0, 0.5);
         assert!(s.solve());
         assert_eq!(s.rate(d).to_bits(), 5.0f64.to_bits());
-        // A revived slot picks up link state changed while it was parked.
+        // A successor registered after a link change on its route sees it.
         s.remove_flow(d);
         s.set_link_down(2);
         let e = s.add_flow([0, 2]);
@@ -1335,15 +1180,14 @@ mod proptests {
         }
 
         /// Bursts of removes and adds with no solve in between — same-route
-        /// swaps (the parked-slot path), route changes, several removes
-        /// before several adds — interleaved with link down/up and degrade
-        /// toggles and with reads of the link registration. After every op
-        /// the registration recounts exactly (as stored and as a flush
-        /// leaves it), and each read equals the live flows' counts. After
-        /// each burst the solver is bit-identical to the specification
-        /// over the live non-stalled flows, reports no work only when the
-        /// route multiset and the state of every link a flow crosses are
-        /// unchanged, and always skips a burst of pure same-route swaps.
+        /// swaps, route changes, several removes before several adds —
+        /// interleaved with link down/up and degrade toggles and with reads
+        /// of the link registration. After every op the registration
+        /// recounts exactly, and each read equals the live flows' counts.
+        /// After each burst the solver is bit-identical to the
+        /// specification over the live non-stalled flows, and reports no
+        /// work only when no flow came or went and no link a flow crosses
+        /// changed state.
         #[test]
         fn solver_churn_without_intermediate_solves(
             (caps, pool, initial) in (2usize..7).prop_flat_map(|n_links| {
@@ -1358,7 +1202,7 @@ mod proptests {
             // pool route, 2 = several removes then several adds, 3 = add,
             // 4 = remove, 5 = toggle link down/up, 6 = toggle degrade,
             // 7 = read the flow count, the busy links or the per-link
-            // estimates (one reader per op, so each one's flush counts).
+            // estimates.
             bursts in proptest::collection::vec(
                 proptest::collection::vec((0u8..8, 0usize..64, 0usize..64), 1..6),
                 1..12,
@@ -1381,17 +1225,15 @@ mod proptests {
             };
             let mut solved_routes = sorted_routes(&live);
             for burst in &bursts {
-                // Whether a link event hit a link that a live flow, or one
-                // removed in this burst (a parked slot), crosses.
-                let mut link_event = false;
-                let mut gone: Vec<Vec<usize>> = Vec::new();
-                let only_same_route_swaps = burst.iter().all(|&(kind, _, _)| kind == 0);
+                // Whether a flow came or went, or a link event hit a link
+                // that a live flow crosses.
+                let mut changed = false;
                 for &(kind, a, b) in burst {
                     match kind {
                         0 | 1 if !live.is_empty() => {
                             let (slot, route) = live.swap_remove(a % live.len());
                             solver.remove_flow(slot);
-                            gone.push(route.clone());
+                            changed = true;
                             let route = if kind == 0 { route } else { pool[b % pool.len()].clone() };
                             live.push((solver.add_flow(&route), route));
                         }
@@ -1401,7 +1243,7 @@ mod proptests {
                             for j in 0..n {
                                 let (slot, route) = live.swap_remove((a + j) % live.len());
                                 solver.remove_flow(slot);
-                                gone.push(route.clone());
+                                changed = true;
                                 removed.push(route);
                             }
                             // Re-add in reverse; an odd `b` replaces the
@@ -1418,15 +1260,16 @@ mod proptests {
                         3 => {
                             let route = pool[b % pool.len()].clone();
                             live.push((solver.add_flow(&route), route));
+                            changed = true;
                         }
                         4 if !live.is_empty() => {
-                            let (slot, route) = live.swap_remove(a % live.len());
+                            let (slot, _) = live.swap_remove(a % live.len());
                             solver.remove_flow(slot);
-                            gone.push(route);
+                            changed = true;
                         }
                         5 => {
                             let l = b % n_links;
-                            link_event |= live.iter().map(|(_, r)| r).chain(&gone).any(|r| r.contains(&l));
+                            changed |= live.iter().any(|(_, r)| r.contains(&l));
                             if down[l] {
                                 solver.set_link_up(l);
                             } else {
@@ -1436,7 +1279,7 @@ mod proptests {
                         }
                         6 => {
                             let l = b % n_links;
-                            link_event |= live.iter().map(|(_, r)| r).chain(&gone).any(|r| r.contains(&l));
+                            changed |= live.iter().any(|(_, r)| r.contains(&l));
                             degraded[l] = !degraded[l];
                             solver.set_link_capacity_factor(l, if degraded[l] { 0.25 } else { 1.0 });
                         }
@@ -1467,12 +1310,9 @@ mod proptests {
                 }
                 let ran = solver.solve();
                 let now_routes = sorted_routes(&live);
+                prop_assert_eq!(ran, changed, "a solve runs exactly after a change");
                 if !ran {
-                    prop_assert!(!link_event, "skipped a solve after an event on a used link");
                     prop_assert_eq!(&now_routes, &solved_routes);
-                }
-                if only_same_route_swaps {
-                    prop_assert!(!ran, "a burst of same-route swaps must skip the solve");
                 }
                 solved_routes = now_routes;
                 let eff: Vec<f64> = caps

@@ -20,10 +20,9 @@
 //!   finish's drained-check, or a solve that changes that flow's rate
 //!   (which re-bases it at that instant). Completion instants are cached
 //!   per flow and kept in a min-heap keyed by `(eta, creation ordinal)`,
-//!   and no clock advance visits every flow. A file hop whose solve is
-//!   skipped costs two heap operations and touches no link list: the
-//!   solver unlinks a finished flow only when link state is next read,
-//!   and a same-route successor revives it in place (see [`engine`]).
+//!   and no clock advance visits every flow. A file hop costs one heap
+//!   re-key and no solver call: a finished flow's solver slot is held,
+//!   and a successor on the same route takes it over (see [`engine`]).
 //!
 //! The engine is deliberately decoupled from the event queue: the caller
 //! (the grid simulator) owns the clock, asks [`NetSim::next_completion`]

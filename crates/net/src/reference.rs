@@ -284,22 +284,6 @@ mod proptests {
             Some(self.routes[tag as usize].clone())
         }
 
-        /// Continues the earliest completion with a successor over `route`
-        /// (the finished flow's own when `None`): in place in the epoch
-        /// engine, as a finish plus a start in the reference.
-        fn continue_next(&mut self, route: Option<Vec<EdgeId>>, bytes: f64, latency_s: f64) {
-            let Some((t, id)) = self.next_done() else {
-                return;
-            };
-            let route = route.unwrap_or_else(|| self.routes[id.raw() as usize].clone());
-            let tag = self.ids.len() as u64;
-            let next = self.net.continue_flow(t, id, &route, bytes, latency_s, tag);
-            self.reference.finish_flow(t, id.raw());
-            let rid = self.reference.start_flow(t, &route, bytes, latency_s);
-            self.ids.push((next, rid));
-            self.routes.push(route);
-        }
-
         /// Moves the clock forward by `dt`, but never past the next
         /// completion (the owner always handles it first).
         fn advance(&mut self, dt: f64) {
@@ -349,9 +333,10 @@ mod proptests {
         #![proptest_config(ProptestConfig::with_cases(128))]
 
         /// Random starts, cancels of live and finished flows, finishes at
-        /// `next_completion`, same-route swaps, hops continued in place (on
-        /// the finished flow's route or another), clock advances and link
-        /// down/up/degrade toggles: after every step the epoch engine
+        /// `next_completion`, same-route swaps, file hops (a finish and a
+        /// start on the finished flow's route or another, with latency),
+        /// clock advances and link down/up/degrade toggles: after every
+        /// step the epoch engine
         /// matches the per-interval engine — rates, stalls, tags and ids
         /// bit for bit, ETAs and cancelled bytes within the rounding
         /// bound — and its heap top equals a linear scan.
@@ -365,7 +350,7 @@ mod proptests {
             }),
             // (kind, a, x): 0–1 start, 2 cancel, 3 finish, 4 same-route
             // swap, 5 advance, 6 toggle a link down/up, 7 toggle degrade,
-            // 8 continue the next completion.
+            // 8 hop from the next completion.
             ops in proptest::collection::vec((0u8..9, 0usize..64, 0.0f64..1.0), 1..80),
         ) {
             let n_links = caps.len();
@@ -427,8 +412,10 @@ mod proptests {
                         degraded[l] = !degraded[l];
                     }
                     8 => {
-                        let route = (a % 3 == 0).then(|| pool[a % pool.len()].clone());
-                        p.continue_next(route, 500.0 * x, if a % 2 == 0 { x } else { 0.0 });
+                        if let Some(own) = p.finish_next() {
+                            let route = if a % 3 == 0 { pool[a % pool.len()].clone() } else { own };
+                            p.start(route, 500.0 * x, if a % 2 == 0 { x } else { 0.0 });
+                        }
                     }
                     _ => {}
                 }

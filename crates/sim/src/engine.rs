@@ -1310,16 +1310,14 @@ impl GridSim {
             to_fetch,
             current: None,
         });
-        self.advance_batch(site, None);
+        self.advance_batch(site);
     }
 
     /// Starts the next missing-file transfer of `site`'s active batch, or
-    /// completes the batch when nothing is left. `held` is the batch's
-    /// flow that has just delivered its file but is not finished yet: the
-    /// next transfer continues it (see [`NetSim::continue_flow`]). The
-    /// caller holds a flow only when a missing file is left, so a held
-    /// flow is always continued.
-    fn advance_batch(&mut self, site: usize, held: Option<FlowId>) {
+    /// completes the batch when nothing is left. A transfer started at the
+    /// instant the batch's previous file arrived takes that flow's solver
+    /// slot over (see [`NetSim::start_flow`]).
+    fn advance_batch(&mut self, site: usize) {
         loop {
             let batch = self.servers[site]
                 .active
@@ -1327,7 +1325,6 @@ impl GridSim {
                 .expect("advance_batch requires an active batch");
             debug_assert!(batch.current.is_none());
             let Some(file) = batch.to_fetch.pop_front() else {
-                debug_assert!(held.is_none(), "a held flow is left unfinished");
                 self.finish_batch(site);
                 return;
             };
@@ -1347,15 +1344,9 @@ impl GridSim {
             let route = &self.site_routes[site];
             let bytes = self.config.workload.file_size_bytes;
             let purpose = FlowPurpose::Batch { site };
-            let fid = match held {
-                Some(done) => {
-                    self.net
-                        .continue_flow(now, done, &route.links, bytes, route.latency_s, purpose)
-                }
-                None => self
-                    .net
-                    .start_flow(now, &route.links, bytes, route.latency_s, purpose),
-            };
+            let fid = self
+                .net
+                .start_flow(now, &route.links, bytes, route.latency_s, purpose);
             self.ledger.flows_started += 1;
             self.servers[site]
                 .active
@@ -1599,13 +1590,7 @@ impl GridSim {
     }
 
     fn handle_flow_done(&mut self, fid: FlowId) {
-        let purpose = *self
-            .net
-            .tag(fid)
-            .expect("a flow completion names an active flow");
-        if !matches!(purpose, FlowPurpose::Batch { .. }) {
-            self.net.finish_flow(self.now(), fid);
-        }
+        let purpose = self.net.finish_flow(self.now(), fid);
         self.ledger.flows_completed += 1;
         match purpose {
             FlowPurpose::Batch { site } => {
@@ -1637,75 +1622,56 @@ impl GridSim {
                         let _ = guard.breakers[s].on_success(t_s);
                     }
                 }
-                if self.stores[site].contains(file) {
+                let fresh = !self.stores[site].contains(file);
+                let (evicted, refs) = self.stores[site].insert_pinned(file);
+                if fresh {
+                    self.file_added(site, file, evicted, refs);
+                } else {
                     // A replication push landed this very file while the
                     // batch fetch was in flight: the fetch still consumed
                     // bandwidth (accounted above), but the store and the
                     // scheduler's overlap views already know the file — a
                     // second `on_file_added` would double-count it and
-                    // corrupt every cached counter. Just refresh recency.
-                    let evicted = self.stores[site].insert(file);
+                    // corrupt every cached counter. The insert only
+                    // refreshed its recency.
                     debug_assert!(evicted.is_empty(), "touching evicts nothing");
-                } else {
-                    self.insert_file(site, file);
                 }
                 let w = self.servers[site].active.as_ref().expect("active").worker;
-                self.stores[site].pin(file);
                 self.workers[w]
                     .current
                     .as_mut()
                     .expect("active batch worker is running")
                     .pinned
                     .push(file);
-                // When the batch still has a missing file, its fetch starts
-                // at this very instant over the same route: hold the flow,
-                // and `advance_batch` continues it into that fetch — one
-                // heap re-key, no solver call, and no resync here, whose
-                // arm the fetch's own resync would immediately replace.
-                // Nothing between here and the fetch touches the network.
-                let fetch_starts_now = self.servers[site]
-                    .active
-                    .as_ref()
-                    .expect("still active")
-                    .to_fetch
-                    .iter()
-                    .any(|f| !self.stores[site].contains(*f));
-                if fetch_starts_now {
-                    self.advance_batch(site, Some(fid));
-                    return;
-                }
-                self.net.finish_flow(self.now(), fid);
-                // The resync may still be skipped when the batch is done
-                // and the server's next serviceable request (first queue
-                // entry with a live generation) needs a file the store
-                // lacks: that fetch starts at this instant too (nothing
-                // between here and `maybe_start_service` changes this
-                // site's residency or any generation), and when it runs
-                // over the finished flow's route the solver revives the
-                // finished slot with its still-exact rate. Any other
-                // continuation may end this event without touching the net
-                // again, so the resync must stay.
-                let next_request_fetches = self.servers[site]
-                    .queue
-                    .iter()
-                    .find(|r| self.workers[r.worker].generation == r.generation)
-                    .is_some_and(|r| {
-                        let task = self.workers[r.worker]
-                            .current
-                            .as_ref()
-                            .expect("queued worker has a current task")
-                            .task;
-                        self.config
-                            .workload
-                            .task(task)
-                            .files()
-                            .iter()
-                            .any(|f| !self.stores[site].contains(*f))
-                    });
-                if !next_request_fetches {
+                // The resync may be skipped when a fetch starts at this site
+                // at this instant: the batch's next missing file, or, once
+                // the batch is done, the first file the store lacks of the
+                // server's next serviceable request (first queue entry with
+                // a live generation; nothing before `maybe_start_service`
+                // changes this site's residency or any generation). That
+                // fetch's own resync replaces this one's arm before any
+                // event dispatches. Any other continuation may end this
+                // event without touching the net again, so the resync must
+                // stay.
+                let lacks = |f: &FileId| !self.stores[site].contains(*f);
+                let batch = self.servers[site].active.as_ref().expect("still active");
+                let fetch_starts_now = batch.to_fetch.iter().any(lacks)
+                    || self.servers[site]
+                        .queue
+                        .iter()
+                        .find(|r| self.workers[r.worker].generation == r.generation)
+                        .is_some_and(|r| {
+                            let task = self.workers[r.worker]
+                                .current
+                                .as_ref()
+                                .expect("queued worker has a current task")
+                                .task;
+                            self.config.workload.task(task).files().iter().any(lacks)
+                        });
+                if !fetch_starts_now {
                     self.resync_net();
                 }
-                self.advance_batch(site, None);
+                self.advance_batch(site);
             }
             FlowPurpose::Replication { site, file } => {
                 let bytes = self.config.workload.file_size_bytes;
@@ -1780,11 +1746,19 @@ impl GridSim {
         }
     }
 
-    /// Inserts a file into a site store, forwarding eviction/addition
-    /// notifications to the scheduler (and to the replication state —
-    /// a lost copy may break the full coverage that exhausted a file).
+    /// Inserts a file into a site store and reports it (see
+    /// [`GridSim::file_added`]).
     fn insert_file(&mut self, site: usize, file: FileId) {
         let evicted = self.stores[site].insert(file);
+        let refs = self.stores[site].ref_count(file);
+        self.file_added(site, file, evicted, refs);
+    }
+
+    /// Forwards the eviction and addition notifications of a file that
+    /// just became resident at `site`, with `refs` past references there,
+    /// to the scheduler (and the evictions to the replication state — a
+    /// lost copy may break the full coverage that exhausted a file).
+    fn file_added(&mut self, site: usize, file: FileId, evicted: Vec<FileId>, refs: u32) {
         for e in evicted {
             self.ledger.per_site[site].evictions += 1;
             self.scheduler
@@ -1794,7 +1768,7 @@ impl GridSim {
             }
         }
         self.scheduler
-            .on_file_added(SiteId(site as u32), file, self.stores[site].ref_count(file));
+            .on_file_added(SiteId(site as u32), file, refs);
     }
 
     // ----- replication extension ----------------------------------------

@@ -323,9 +323,25 @@ impl SiteStore {
     /// [`StoreStats::overflow_inserts`]); the data server cannot drop files
     /// an executing task still needs.
     pub fn insert(&mut self, file: FileId) -> Vec<FileId> {
+        self.insert_slot(file).1
+    }
+
+    /// [`insert`](Self::insert) followed by [`pin`](Self::pin), with one
+    /// index lookup for both. Returns the evicted files and `file`'s `r_i`
+    /// (what [`ref_count`](Self::ref_count) would read).
+    pub fn insert_pinned(&mut self, file: FileId) -> (Vec<FileId>, u32) {
+        let (slot, evicted) = self.insert_slot(file);
+        let node = &mut self.nodes[slot as usize];
+        node.pins += 1;
+        (evicted, node.refs)
+    }
+
+    /// The body of [`insert`](Self::insert), also returning `file`'s slot.
+    fn insert_slot(&mut self, file: FileId) -> (u32, Vec<FileId>) {
         if self.contains(file) {
-            self.touch(file);
-            return Vec::new();
+            let slot = self.slots[&file];
+            self.touch_slot(slot);
+            return (slot, Vec::new());
         }
         let mut evicted = Vec::new();
         while self.len() >= self.capacity {
@@ -349,7 +365,7 @@ impl SiteStore {
         self.resident.insert(file);
         self.stats.insertions += 1;
         self.stats.max_resident = self.stats.max_resident.max(self.len());
-        evicted
+        (slot, evicted)
     }
 
     /// Evicts the policy's best victim among unpinned files. Returns `None`
@@ -496,6 +512,35 @@ mod tests {
         assert_eq!(s.len(), 1);
         assert_eq!(s.overlap(&[f(1), f(2), f(3)]), 1);
         assert_eq!(s.missing(&[f(1), f(2)]), vec![f(2)]);
+    }
+
+    #[test]
+    fn insert_pinned_matches_insert_then_ref_count_then_pin() {
+        for policy in [
+            EvictionPolicy::Lru,
+            EvictionPolicy::Fifo,
+            EvictionPolicy::Lfu,
+        ] {
+            let mut a = SiteStore::new(3, policy);
+            let mut b = SiteStore::new(3, policy);
+            for store in [&mut a, &mut b] {
+                store.record_task_reference(f(4));
+                store.record_task_reference(f(4));
+                store.insert(f(1));
+                store.pin(f(1));
+            }
+            // Fresh files (one referenced before, one evicting), a resident
+            // one (a touch) and a file pinned twice.
+            for file in [f(4), f(2), f(5), f(2), f(6), f(1)] {
+                let (evicted, refs) = a.insert_pinned(file);
+                assert_eq!(evicted, b.insert(file), "{policy:?} {file}");
+                assert_eq!(refs, b.ref_count(file));
+                b.pin(file);
+                assert_eq!(format!("{a:?}"), format!("{b:?}"), "{policy:?} {file}");
+            }
+            assert_eq!(a.ref_count(f(4)), 2);
+            assert_eq!(a.pinned_count(), 5, "pinned files overflow the store");
+        }
     }
 
     #[test]

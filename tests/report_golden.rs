@@ -17,11 +17,18 @@
 //! integer field identical and moved float fields by at most a few parts
 //! in 10⁹. Any change to a number, an event order or a field's formatting
 //! changes the hash.
+//!
+//! Both runs carry telemetry, which is inert, so the test also pins two
+//! network-engine counts: the max–min solves run
+//! (`net.solver.recomputes`) and the flow starts that took a finished
+//! flow's held solver slot over instead of registering anew
+//! (`net.flow.continued`).
 
 use std::sync::Arc;
 
 use gridsched::prelude::*;
 use gridsched::sim::SiteMetrics;
+use gridsched::telemetry::InstrumentValue;
 
 fn workload() -> Arc<Workload> {
     Arc::new(CoaddConfig::small(2).generate())
@@ -148,27 +155,51 @@ const DIGEST_SA: u64 = 0x7aa2_766f_4bf1_ff5c;
 /// FNV-1a-64 of the combined.2 run's `--digest-out` stream.
 const DIGEST_CN: u64 = 0x58df_6b92_3914_3b82;
 
+/// `net.solver.recomputes` of the storage-affinity run.
+const RECOMPUTES_SA: u64 = 12_587;
+/// `net.flow.continued` of the storage-affinity run.
+const CONTINUED_SA: u64 = 9_740;
+/// `net.solver.recomputes` of the combined.2 run.
+const RECOMPUTES_CN: u64 = 14_068;
+/// `net.flow.continued` of the combined.2 run.
+const CONTINUED_CN: u64 = 5_185;
+
 fn fnv1a64(text: &str) -> u64 {
     text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
         (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
     })
 }
 
+/// A counter's value in a telemetry snapshot.
+fn counter(telemetry: &Telemetry, name: &str) -> u64 {
+    telemetry
+        .snapshot()
+        .into_iter()
+        .find_map(|s| match s.value {
+            InstrumentValue::Counter { value } if s.name == name => Some(value),
+            _ => None,
+        })
+        .unwrap_or_else(|| panic!("no counter `{name}`"))
+}
+
 #[test]
 fn mixed_fault_reports_match_their_recorded_hashes() {
-    // (name, config, report hash, digest-stream hash)
+    // (name, config, report hash, digest-stream hash,
+    //  [net.solver.recomputes, net.flow.continued])
     let runs = [
         (
             "storage-affinity adaptive",
             storage_affinity_adaptive(),
             0xfe31_e338_0222_add9,
             DIGEST_SA,
+            [RECOMPUTES_SA, CONTINUED_SA],
         ),
         (
             "combined.2 naive retry",
             combined_naive_retry(),
             0x6cd4_729d_4ac8_4788,
             DIGEST_CN,
+            [RECOMPUTES_CN, CONTINUED_CN],
         ),
     ];
     let dir = std::env::temp_dir();
@@ -181,11 +212,15 @@ fn mixed_fault_reports_match_their_recorded_hashes() {
             path.to_str().expect("utf-8 temp path").to_owned()
         })
         .collect();
+    let telemetry: Vec<Telemetry> = runs.iter().map(|_| Telemetry::enabled()).collect();
     let reports: Vec<MetricsReport> = runs
         .iter()
         .zip(&digests)
-        .map(|((_, config, _, _), path)| {
-            GridSim::new(config.clone().with_digest_out(path.clone())).run()
+        .zip(&telemetry)
+        .map(|(((_, config, ..), path), t)| {
+            GridSim::new(config.clone().with_digest_out(path.clone()))
+                .with_telemetry(t.clone())
+                .run()
         })
         .collect();
     let ledgers: Vec<_> = reports.iter().map(ledger).collect();
@@ -195,8 +230,8 @@ fn mixed_fault_reports_match_their_recorded_hashes() {
             "no run exercises `{name}`"
         );
     }
-    for (((name, _, golden, digest_golden), report), path) in
-        runs.iter().zip(&reports).zip(&digests)
+    for ((((name, _, golden, digest_golden, counts), report), path), t) in
+        runs.iter().zip(&reports).zip(&digests).zip(&telemetry)
     {
         let debug = format!("{report:?}");
         assert_eq!(
@@ -212,5 +247,7 @@ fn mixed_fault_reports_match_their_recorded_hashes() {
             "{name}: dispatch order changed (digest stream hash {:#x})",
             fnv1a64(&stream)
         );
+        let got = ["net.solver.recomputes", "net.flow.continued"].map(|c| counter(t, c));
+        assert_eq!(got, *counts, "{name}: [recomputes, continued]");
     }
 }
