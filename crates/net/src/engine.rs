@@ -55,14 +55,15 @@
 //! the route multiset is unchanged, so the slot's rate is still exact. The
 //! hop costs one heap re-key, and the solver is not called. The hold is
 //! released (heap entry removed, slot unregistered) by a start over
-//! another route, another finish or cancel, a link change on a link the
-//! held route crosses, and any read of rates, completions or link
-//! registration while a flow is active, a clock move included. With no
-//! active flow nothing is solved, so the hold survives reads and clock
-//! moves, and [`NetSim::next_completion`] never reports it. Should a
-//! change elsewhere have made a solve due when the slot is taken, that
-//! solve runs at the same instant, before anything drains, and re-bases
-//! the successor like any flow whose rate moved.
+//! another route, another finish or cancel, and any read of rates,
+//! completions or link registration while a flow is active, a clock move
+//! included. With no active flow nothing is solved, so the hold survives
+//! reads and clock moves, and [`NetSim::next_completion`] never reports
+//! it. A link change keeps the hold too: the held slot is still
+//! registered, so a change on its route marks a solve due as it would
+//! under an active flow. Should any change have made a solve due when the
+//! slot is taken, that solve runs at the same instant, before anything
+//! drains, and re-bases the successor like any flow whose rate moved.
 //!
 //! Each flow carries a caller tag (what the transfer is for), handed back
 //! by [`NetSim::finish_flow`] and listed by [`NetSim::flows`], so the owner
@@ -377,7 +378,6 @@ impl<T> NetSim<T> {
     /// the link is already down.
     pub fn set_link_down(&mut self, now: SimTime, link: EdgeId) {
         self.advance_to(now);
-        self.release_if_crossing(link.index());
         self.solver.set_link_down(link.index());
     }
 
@@ -390,7 +390,6 @@ impl<T> NetSim<T> {
     /// the link is not down.
     pub fn set_link_up(&mut self, now: SimTime, link: EdgeId) {
         self.advance_to(now);
-        self.release_if_crossing(link.index());
         self.solver.set_link_up(link.index());
     }
 
@@ -404,7 +403,6 @@ impl<T> NetSim<T> {
     /// `factor` is outside `(0, 1]`.
     pub fn set_link_capacity_factor(&mut self, now: SimTime, link: EdgeId, factor: f64) {
         self.advance_to(now);
-        self.release_if_crossing(link.index());
         self.solver.set_link_capacity_factor(link.index(), factor);
     }
 
@@ -623,17 +621,6 @@ impl<T> NetSim<T> {
         if let Some(done) = self.held.take() {
             self.etas.remove(done);
             self.solver.remove_flow(done.slot);
-        }
-    }
-
-    /// Releases the held slot if its route crosses link `l`, whose state
-    /// is about to change.
-    fn release_if_crossing(&mut self, l: usize) {
-        if self
-            .held
-            .is_some_and(|done| self.solver.crosses(done.slot, l))
-        {
-            self.release();
         }
     }
 
@@ -1092,16 +1079,42 @@ mod tests {
     }
 
     #[test]
-    fn link_change_on_the_held_route_releases_the_hold() {
+    fn link_change_on_the_held_route_keeps_the_hold() {
+        // The held slot stays registered with the solver, so a change to
+        // a link its route crosses marks a solve due like any other. The
+        // successor takes the slot over, and the solve at that instant
+        // re-bases it to exactly what a fresh engine computes.
         for change in 0..3 {
-            let (mut net, now, _, _) = held_beside_another_flow();
-            match change {
+            let apply = |net: &mut NetSim<()>, now: SimTime| match change {
                 0 => net.set_link_down(now, e(1)),
                 1 => net.set_link_capacity_factor(now, e(0), 0.5),
                 _ => net.set_link_capacity_factor(now, e(1), 1.0),
-            }
-            assert_eq!(net.held, None, "change {change}");
-            assert_eq!(net.busy_links(), 1);
+            };
+            let (mut net, now, a, b) = held_beside_another_flow();
+            apply(&mut net, now);
+            assert_eq!(net.held, Some(a), "change {change}");
+            net.assert_heap_consistent();
+            let c = net.start_flow(now, &[e(0), e(1)], 100.0, 0.0, ());
+            assert_eq!(net.held, None);
+            // The fresh engine sees the changed link, then `b` with the
+            // 950 bytes it has left and `c`.
+            let mut fresh = NetSim::new(vec![10.0, 30.0, 5.0]);
+            apply(&mut fresh, now);
+            let fresh_b = fresh.start_flow(now, &[e(2)], 950.0, 0.0, ());
+            let fresh_c = fresh.start_flow(now, &[e(0), e(1)], 100.0, 0.0, ());
+            let rate = net.rate_of(c).map(f64::to_bits);
+            assert_eq!(
+                rate,
+                fresh.rate_of(fresh_c).map(f64::to_bits),
+                "change {change}"
+            );
+            assert_eq!(net.eta_of(c), fresh.eta_of(fresh_c), "change {change}");
+            assert_eq!(net.eta_of(b), fresh.eta_of(fresh_b), "change {change}");
+            assert_eq!(
+                net.next_completion().map(|(at, _)| at),
+                fresh.next_completion().map(|(at, _)| at),
+                "change {change}"
+            );
             net.assert_heap_consistent();
         }
     }

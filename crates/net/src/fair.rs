@@ -496,12 +496,6 @@ impl MaxMinSolver {
             .eq(route.into_iter().map(|l| *l.borrow()))
     }
 
-    /// Whether the flow in `slot` crosses link `l`.
-    #[must_use]
-    pub(crate) fn crosses(&self, slot: u32, l: usize) -> bool {
-        self.routes[slot as usize].contains(&(l as u32))
-    }
-
     /// Link `l`'s effective capacity (configured × degrade factor).
     #[must_use]
     pub fn capacity(&self, l: usize) -> f64 {

@@ -35,8 +35,29 @@
 //! * under active faults a scheduler's `Finished` verdict parks the worker
 //!   instead of retiring it — a fault may requeue work at any time.
 //!
-//! An inert fault config (or none) leaves the engine byte-identical to the
-//! fault-free model; `tests/fault_injection.rs` property-tests this.
+//! All of it lives in one optional subsystem, `Churn` (`crate::churn`):
+//! the worker, server and link churn processes, the crash-burst process,
+//! every open fault window and the link fault mode. Each handler re-arms
+//! its entity through one `rearm` and books downtime through one
+//! `close_window`, which also closes the windows still open at the end.
+//! An inert fault config (or none) builds no `Churn`, which leaves the
+//! engine byte-identical to the fault-free model;
+//! `tests/fault_injection.rs` property-tests this.
+//!
+//! ## Interrupted work
+//!
+//! Four events dissolve a site's active batch, each through one
+//! `dissolve_batch`: a replica cancel or worker crash that tears down the
+//! batch's execution, a data-server outage, and a fetch whose transfer
+//! guard has spent its retries. The dissolve aborts the in-flight attempt
+//! (if any) and books the bytes it delivered, stands the guard down,
+//! books the service time as transfer time, unpins the batch's files and
+//! closes the `staging` span. Then the teardown restarts service, the
+//! outage requeues the request at the head of the queue, and the spent
+//! guard hands the task back. A crash and a spent guard hand the lost
+//! execution back to the scheduler through one `lose_execution`, and every
+//! image write or restore fetch, completed or aborted, ends through one
+//! `end_ckpt_flow`.
 //!
 //! ## Checkpoint/restart
 //!
@@ -71,7 +92,7 @@ use gridsched_core::{
 };
 use gridsched_des::rng::{derive_seed, rng_for, Stream};
 use gridsched_des::{EventHandle, Schedule, SimDuration, SimTime};
-use gridsched_faults::{Entity, FaultKind, FaultTimeline};
+use gridsched_faults::{Entity, FaultKind};
 use gridsched_net::{FlowId, NetSim};
 use gridsched_storage::{CheckpointImage, ImageVault, SiteStore};
 use gridsched_telemetry::{
@@ -80,12 +101,13 @@ use gridsched_telemetry::{
 use gridsched_topology::{generate, EdgeId, Route, Topology};
 use gridsched_workload::{FileId, TaskId};
 
+use crate::churn::Churn;
 use crate::config::SimConfig;
 use crate::metrics::{MetricsReport, SiteMetrics};
 use crate::replication::ReplicationState;
 
 #[derive(Debug, Clone, Copy)]
-enum Event {
+pub(crate) enum Event {
     /// Poll the scheduler for this (flat-indexed) worker.
     WorkerIdle(usize),
     /// The network says this flow completed.
@@ -200,8 +222,6 @@ struct Worker {
     state: WorkerState,
     generation: u64,
     current: Option<RunningTask>,
-    /// When the worker crashed, while it is [`WorkerState::Down`].
-    down_since: Option<SimTime>,
 }
 
 #[derive(Debug)]
@@ -233,8 +253,6 @@ struct DataServer {
     active: Option<ActiveBatch>,
     /// Fault injection: the server is down and serves nothing.
     down: bool,
-    /// When the outage started, while down.
-    down_since: Option<SimTime>,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -275,56 +293,6 @@ struct CkptState {
     adaptive: bool,
 }
 
-/// The correlated crash-burst process (present only when the fault config
-/// sets a burst rate). Own decorrelated RNG stream — mirroring the
-/// per-entity [`FaultTimeline`] derivation with a burst-specific tag — so
-/// enabling bursts never perturbs the independent crash/repair schedules.
-#[derive(Debug)]
-struct BurstState {
-    rng: StdRng,
-    /// Mean seconds between bursts (exponential interarrival).
-    rate_s: f64,
-    /// Workers crashed per strike (capped by the site's live population).
-    size: u32,
-}
-
-/// Seed-derivation tag of the burst process (the per-entity tags use
-/// `0x1…`/`0x2…` for workers/servers).
-const BURST_STREAM_TAG: u64 = 0x3_0000_0000;
-
-impl BurstState {
-    fn new(master_seed: u64, rate_s: f64, size: u32) -> Self {
-        let base = derive_seed(master_seed, Stream::Faults);
-        let seed = derive_seed(base ^ BURST_STREAM_TAG, Stream::Faults);
-        BurstState {
-            rng: StdRng::seed_from_u64(seed),
-            rate_s,
-            size,
-        }
-    }
-
-    /// Time from now until the next burst (inverse-CDF exponential, one
-    /// uniform per draw like [`FaultTimeline`]).
-    fn next_gap(&mut self) -> SimDuration {
-        let u: f64 = self.rng.gen();
-        SimDuration::from_secs(-self.rate_s * (1.0 - u).ln())
-    }
-
-    /// The site this strike hits, uniform over the grid.
-    fn pick_site(&mut self, sites: usize) -> usize {
-        self.rng.gen_range(0..sites)
-    }
-}
-
-/// How a faulted link is currently impaired.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum LinkFaultMode {
-    /// Hard outage: flows crossing the link stall at rate zero.
-    Hard,
-    /// Degraded-bandwidth window: capacity × the configured factor.
-    Degraded,
-}
-
 /// Per-site transfer-guard bookkeeping for the site's active batch fetch.
 #[derive(Debug, Default)]
 struct GuardSlot {
@@ -352,7 +320,7 @@ struct GuardSlot {
 /// The transfer-resilience layer (present only when
 /// [`SimConfig::transfer_timeout_mult`] is set): per-site guard slots,
 /// per-site route circuit breakers, and the backoff jitter's own
-/// decorrelated RNG stream (same derivation pattern as [`BurstState`]).
+/// decorrelated RNG stream (same derivation pattern as the burst process's).
 struct XferGuard {
     rng: StdRng,
     timeout_mult: f64,
@@ -428,16 +396,9 @@ pub struct GridSim {
     telemetry: Telemetry,
     instruments: EngineInstruments,
     replication: Option<ReplicationState>,
-    replication_rng: rand::rngs::StdRng,
-    // --- fault injection ---
-    /// Whether the fault config injects anything; `false` keeps every
-    /// fault code path dormant so the run matches the fault-free engine
-    /// exactly.
-    faults_active: bool,
-    /// Per-worker stochastic churn processes (empty when inactive).
-    worker_timelines: Vec<Option<FaultTimeline>>,
-    /// Per-site data-server churn processes (empty when inactive).
-    server_timelines: Vec<Option<FaultTimeline>>,
+    /// Fault injection (`None` keeps every fault code path dormant so the
+    /// run matches the fault-free engine exactly).
+    churn: Option<Churn>,
     /// Checkpoint/restart subsystem (`None` keeps every checkpoint code
     /// path dormant so the run matches the checkpoint-free engine
     /// exactly).
@@ -445,14 +406,6 @@ pub struct GridSim {
     /// Closed-loop controllers (`None` keeps every control code path
     /// dormant so the run matches the open-loop engine exactly).
     control: Option<ControlPlane>,
-    /// Correlated crash-burst process (`None` = independent crashes only).
-    burst: Option<BurstState>,
-    /// Per-link stochastic outage processes (empty when link faults are
-    /// off; `None` entries when only scripted link events drive churn).
-    link_timelines: Vec<Option<FaultTimeline>>,
-    /// Per-link open fault window: impairment mode + when it opened
-    /// (empty when faults are inactive).
-    link_window: Vec<Option<(LinkFaultMode, SimTime)>>,
     /// Transfer-resilience layer (`None` keeps every guard code path
     /// dormant so the run matches the unguarded engine exactly).
     xfer: Option<XferGuard>,
@@ -478,7 +431,6 @@ struct EngineInstruments {
     control_breaker_opens: Counter,
     control_breaker_half_opens: Counter,
     control_breaker_closes: Counter,
-    link_outage_count: Counter,
     xfer_timeout_count: Counter,
     xfer_retry_count: Counter,
     xfer_failover_count: Counter,
@@ -498,7 +450,6 @@ impl EngineInstruments {
             control_breaker_opens: telemetry.counter("control.breaker.opens"),
             control_breaker_half_opens: telemetry.counter("control.breaker.half_opens"),
             control_breaker_closes: telemetry.counter("control.breaker.closes"),
-            link_outage_count: telemetry.counter("net.link.outages"),
             xfer_timeout_count: telemetry.counter("xfer.timeouts"),
             xfer_retry_count: telemetry.counter("xfer.retries"),
             xfer_failover_count: telemetry.counter("xfer.failovers"),
@@ -615,14 +566,12 @@ impl GridSim {
                     state: WorkerState::Idle,
                     generation: 0,
                     current: None,
-                    down_since: None,
                 });
             }
         }
         let servers = (0..config.sites).map(|_| DataServer::default()).collect();
         let mut scheduler = build_scheduler(&config, effective_throttle);
         scheduler.attach_telemetry(&telemetry);
-        let faults_active = config.faults.as_ref().is_some_and(|f| !f.is_inert());
         if let Some(trace) = config.faults.as_ref().and_then(|f| f.trace.as_ref()) {
             if let Err(e) = trace.validate(config.sites, config.workers_per_site) {
                 panic!("{e}");
@@ -635,28 +584,14 @@ impl GridSim {
                 );
             }
         }
-        let (worker_timelines, server_timelines) = if faults_active {
-            let fc = config.faults.as_ref().expect("active faults have a config");
-            let wtl = (0..workers.len())
-                .map(|w| {
-                    fc.worker_mtbf_s.map(|mtbf| {
-                        FaultTimeline::new(config.seed, Entity::Worker(w), mtbf, fc.worker_mttr_s)
-                            .with_repair_shape(fc.worker_mttr_shape)
-                    })
-                })
-                .collect();
-            let stl = (0..config.sites)
-                .map(|s| {
-                    fc.server_mtbf_s.map(|mtbf| {
-                        FaultTimeline::new(config.seed, Entity::Server(s), mtbf, fc.server_mttr_s)
-                            .with_repair_shape(fc.server_mttr_shape)
-                    })
-                })
-                .collect();
-            (wtl, stl)
-        } else {
-            (Vec::new(), Vec::new())
-        };
+        let churn = config.faults.as_ref().and_then(|fc| {
+            Churn::new(
+                fc,
+                config.seed,
+                (workers.len(), config.sites, net.link_count()),
+                &telemetry,
+            )
+        });
         let checkpointing = config
             .checkpointing
             .as_ref()
@@ -665,7 +600,7 @@ impl GridSim {
         let lost_ever = vec![false; config.workload.task_count()];
         let replication = config
             .replication
-            .map(|rc| ReplicationState::new(rc, config.workload.file_count()));
+            .map(|rc| ReplicationState::new(rc, config.workload.file_count(), config.seed));
         let per_site = vec![SiteMetrics::default(); config.sites];
         let site_routes: Vec<Arc<Route>> = (0..config.sites)
             .map(|s| Arc::new(topology.routes.site_to_file_server(s).clone()))
@@ -682,37 +617,11 @@ impl GridSim {
                 start_cap,
             )
         });
-        let burst = if faults_active {
-            config.faults.as_ref().and_then(|f| {
-                f.burst_rate_s
-                    .map(|rate| BurstState::new(config.seed, rate, f.burst_size))
-            })
-        } else {
-            None
-        };
-        let link_timelines: Vec<Option<FaultTimeline>> = if faults_active {
-            let fc = config.faults.as_ref().expect("active faults have a config");
-            (0..net.link_count())
-                .map(|l| {
-                    fc.link_mtbf_s.map(|mtbf| {
-                        FaultTimeline::new(config.seed, Entity::Link(l), mtbf, fc.link_mttr_s)
-                    })
-                })
-                .collect()
-        } else {
-            Vec::new()
-        };
-        let link_window = if faults_active {
-            vec![None; net.link_count()]
-        } else {
-            Vec::new()
-        };
         let xfer = config
             .transfer_timeout_mult
             .map(|mult| XferGuard::new(&config, mult));
         let parked = vec![BTreeSet::new(); config.sites];
         GridSim {
-            replication_rng: rng_for(config.seed, Stream::Replication),
             config,
             site_routes,
             schedule: Schedule::new(),
@@ -727,14 +636,9 @@ impl GridSim {
             instruments: EngineInstruments::new(&telemetry),
             telemetry,
             replication,
-            faults_active,
-            worker_timelines,
-            server_timelines,
+            churn,
             checkpointing,
             control,
-            burst,
-            link_timelines,
-            link_window,
             xfer,
             lost_ever,
             ledger: MetricsReport {
@@ -755,6 +659,9 @@ impl GridSim {
         self.scheduler.attach_telemetry(&telemetry);
         self.net.attach_telemetry(&telemetry);
         self.instruments = EngineInstruments::new(&telemetry);
+        if let Some(churn) = self.churn.as_mut() {
+            churn.outages = telemetry.counter("net.link.outages");
+        }
         self.telemetry = telemetry;
         self
     }
@@ -1075,28 +982,14 @@ impl GridSim {
 
     /// Closes the fault windows still open when the event queue drains
     /// (a scripted crash, outage or link cut with no scripted recovery
-    /// never sees a recover event): ends their spans and books their
-    /// downtime up to the makespan.
+    /// never sees a recover event).
     fn close_open_windows(&mut self) {
-        let t = self.now().as_secs();
-        for (w, worker) in self.workers.iter().enumerate() {
-            if let Some(since) = worker.down_since {
-                self.telemetry.span_end(Track::worker(w), "down", t);
-                let end = self.last_completion.max(since);
-                self.ledger.per_site[worker.id.site.index()].worker_downtime_s +=
-                    (end - since).as_secs();
-            }
-        }
-        for (site, server) in self.servers.iter().enumerate() {
-            if let Some(since) = server.down_since {
-                self.telemetry.span_end(Track::server(site), "outage", t);
-                let end = self.last_completion.max(since);
-                self.ledger.per_site[site].server_downtime_s += (end - since).as_secs();
-            }
-        }
-        for &(_, since) in self.link_window.iter().flatten() {
-            let end = self.last_completion.max(since);
-            self.ledger.link_downtime_s += (end - since).as_secs();
+        let entities = (0..self.workers.len())
+            .map(Entity::Worker)
+            .chain((0..self.config.sites).map(Entity::Server))
+            .chain((0..self.net.link_count()).map(Entity::Link));
+        for entity in entities {
+            self.close_window(entity);
         }
     }
 
@@ -1185,7 +1078,7 @@ impl GridSim {
                 // Under active faults "finished" is never final: a crash
                 // may orphan a task at any time, so keep the worker
                 // available for a wake-up instead of retiring it.
-                if self.faults_active {
+                if self.churn.is_some() {
                     self.park(w);
                 } else {
                     self.workers[w].state = WorkerState::Done;
@@ -1602,14 +1495,7 @@ impl GridSim {
                     .take()
                     .expect("batch has an in-flight file");
                 debug_assert_eq!(flow, fid);
-                // Under the guard a resumed re-fetch is smaller than the
-                // file — the slot tracks what this attempt carried.
-                let bytes = self
-                    .xfer
-                    .as_ref()
-                    .map_or(self.config.workload.file_size_bytes, |g| {
-                        g.slots[site].remaining
-                    });
+                let bytes = self.attempt_bytes(site);
                 self.ledger.per_site[site].file_transfers += 1;
                 self.ledger.per_site[site].bytes_transferred += bytes;
                 if self.xfer.is_some() {
@@ -1685,18 +1571,9 @@ impl GridSim {
             }
             FlowPurpose::Checkpoint { worker } => {
                 let site = self.workers[worker].id.site.index();
-                let now = self.now();
-                let current = self.workers[worker]
-                    .current
-                    .as_mut()
-                    .expect("checkpoint flow belongs to a running task");
-                debug_assert_eq!(current.ckpt_flow, Some(fid));
-                let started = current.ckpt_flow_started.take().expect("write in flight");
-                let (flops, invested) = current.pending_image.take().expect("image pending");
-                current.ckpt_flow = None;
-                let task = current.task;
+                let (flops, invested) = self.end_ckpt_flow(worker).expect("image pending");
+                let task = self.workers[worker].current.as_ref().expect("running").task;
                 let ckpt = self.checkpointing.as_mut().expect("checkpoint flow");
-                self.ledger.checkpoint_overhead_s += (now - started).as_secs();
                 // Only-improve: a lagging storage-affinity replica's image
                 // never clobbers a fresher one of the same task.
                 let fresher = ckpt
@@ -1720,26 +1597,18 @@ impl GridSim {
                     current.durable_flops = flops;
                     current.durable_s = invested;
                 }
-                self.telemetry
-                    .span_end(Track::worker(worker), "checkpoint", now.as_secs());
                 self.resync_net();
                 self.begin_compute_segment(worker);
             }
             FlowPurpose::Restore { worker, .. } => {
-                let now = self.now();
-                let current = self.workers[worker]
+                self.end_ckpt_flow(worker);
+                let saved = self.workers[worker]
                     .current
-                    .as_mut()
-                    .expect("restore flow belongs to a running task");
-                debug_assert_eq!(current.ckpt_flow, Some(fid));
-                let started = current.ckpt_flow_started.take().expect("restore in flight");
-                current.ckpt_flow = None;
-                let saved = current.progress_s;
-                self.ledger.checkpoint_overhead_s += (now - started).as_secs();
+                    .as_ref()
+                    .expect("running")
+                    .progress_s;
                 self.ledger.checkpoint_restores += 1;
                 self.ledger.work_saved_s += saved;
-                self.telemetry
-                    .span_end(Track::worker(worker), "restore", now.as_secs());
                 self.resync_net();
                 self.begin_compute_segment(worker);
             }
@@ -1761,14 +1630,23 @@ impl GridSim {
     fn file_added(&mut self, site: usize, file: FileId, evicted: Vec<FileId>, refs: u32) {
         for e in evicted {
             self.ledger.per_site[site].evictions += 1;
-            self.scheduler
-                .on_file_evicted(SiteId(site as u32), e, self.stores[site].ref_count(e));
-            if let Some(rep) = self.replication.as_mut() {
-                rep.on_copy_lost(e);
-            }
+            self.file_gone(site, e);
         }
         self.scheduler
             .on_file_added(SiteId(site as u32), file, refs);
+    }
+
+    /// Reports a copy of `file` that `site` lost (evicted, or with its
+    /// data server) to the scheduler and the replication state.
+    fn file_gone(&mut self, site: usize, file: FileId) {
+        self.scheduler.on_file_evicted(
+            SiteId(site as u32),
+            file,
+            self.stores[site].ref_count(file),
+        );
+        if let Some(rep) = self.replication.as_mut() {
+            rep.on_copy_lost(file);
+        }
     }
 
     // ----- replication extension ----------------------------------------
@@ -1800,7 +1678,15 @@ impl GridSim {
                     candidates.push(s);
                 }
             }
-            let Some(target) = self.pick_scored_push_target(&candidates) else {
+            // The churn-placement loop, when on, restricts the draw to the
+            // highest-scoring candidates (availability × breaker factor).
+            let scores = self
+                .control
+                .as_ref()
+                .filter(|p| p.placement_enabled())
+                .map(ControlPlane::site_scores);
+            let replication = self.replication.as_mut().expect("checked above");
+            let Some(target) = replication.pick_target(candidates, scores) else {
                 // Nothing can receive the file right now. If no server is
                 // down, every possible target already holds the file —
                 // coverage is complete, so stop re-scanning (and
@@ -1809,14 +1695,11 @@ impl GridSim {
                 // outage). A down server, by contrast, comes back empty
                 // after repair, so outage windows keep the file eligible.
                 if !any_down {
-                    self.replication
-                        .as_mut()
-                        .expect("checked")
-                        .mark_exhausted(f);
+                    replication.mark_exhausted(f);
                 }
                 continue;
             };
-            self.replication.as_mut().expect("checked").mark_pushed(f);
+            replication.mark_pushed(f);
             self.ledger.replication_pushes += 1;
             let now = self.now();
             let route = &self.site_routes[target];
@@ -1833,32 +1716,6 @@ impl GridSim {
             self.ledger.flows_started += 1;
             self.resync_net();
         }
-    }
-
-    /// Chooses a replication push target among `candidates`. Open-loop
-    /// runs keep the legacy uniform draw byte for byte; with the
-    /// churn-placement loop on, the draw is restricted to the
-    /// highest-scoring candidates (availability × breaker factor) — the
-    /// same *number* of RNG draws as the uniform pick (one iff the slate
-    /// is non-empty), so enabling the loop never desynchronises the
-    /// replication stream's draw count.
-    fn pick_scored_push_target(&mut self, candidates: &[usize]) -> Option<usize> {
-        let tied: Vec<usize> = match self.control.as_ref().filter(|p| p.placement_enabled()) {
-            Some(plane) => {
-                let scores = plane.site_scores();
-                let best = candidates
-                    .iter()
-                    .map(|&s| scores[s])
-                    .fold(f64::NEG_INFINITY, f64::max);
-                candidates
-                    .iter()
-                    .copied()
-                    .filter(|&s| scores[s] >= best - 1e-9)
-                    .collect()
-            }
-            None => return pick_push_target(&mut self.replication_rng, candidates),
-        };
-        pick_push_target(&mut self.replication_rng, &tied)
     }
 
     // ----- completion & replica cancellation -----------------------------
@@ -1945,111 +1802,94 @@ impl GridSim {
     /// cancels, down for crashes) and how the scheduler hears about it.
     fn teardown_execution(&mut self, w: usize) -> Option<(TaskId, bool)> {
         let site = self.workers[w].id.site.index();
-        let state = self.workers[w].state;
-        let current = self.workers[w].current.take()?;
-        // Close the lifecycle span the execution died in (the match below
-        // panics for states with no execution, so "" never reaches the
-        // tracer).
-        let open_phase = match state {
-            WorkerState::WaitingData => {
-                if self.servers[site]
-                    .active
-                    .as_ref()
-                    .is_some_and(|b| b.worker == w)
-                {
-                    "staging"
-                } else {
-                    "queued"
-                }
+        let task = self.workers[w].current.as_ref()?.task;
+        let t = self.now().as_secs();
+        let active = self.servers[site]
+            .active
+            .as_ref()
+            .is_some_and(|b| b.worker == w);
+        // Each arm closes the lifecycle span the execution died in.
+        match self.workers[w].state {
+            WorkerState::WaitingData if active => {
+                self.dissolve_batch(site);
             }
-            WorkerState::Restoring => "restore",
-            WorkerState::Computing if current.ckpt_flow.is_some() => "checkpoint",
-            WorkerState::Computing => "compute",
-            _ => "",
-        };
-        if !open_phase.is_empty() {
-            let t = self.now().as_secs();
-            self.telemetry.span_end(Track::worker(w), open_phase, t);
-            self.telemetry.instant_for_task(
-                Track::worker(w),
-                "aborted",
-                t,
-                current.task.index() as u64,
-            );
-        }
-        match state {
-            WorkerState::WaitingData => {
-                // Either still queued at the data server (left in place —
-                // the generation bump below marks the entry stale), or the
-                // active batch.
-                let is_active = self.servers[site]
-                    .active
-                    .as_ref()
-                    .is_some_and(|b| b.worker == w);
-                if is_active {
-                    let batch = self.servers[site]
-                        .active
-                        .take()
-                        .expect("checked active above");
-                    if let Some((_file, fid)) = batch.current {
-                        // Guard-aware byte base: a resumed re-fetch
-                        // carries fewer bytes than the full file.
-                        let attempt_size = self
-                            .xfer
-                            .as_ref()
-                            .map_or(self.config.workload.file_size_bytes, |g| {
-                                g.slots[site].remaining
-                            });
-                        if let Some(left) = self.abort_flow(fid) {
-                            let delivered = attempt_size - left;
-                            self.ledger.per_site[site].bytes_transferred += delivered.max(0.0);
-                        }
-                        self.resync_net();
-                    }
-                    // Batches awaiting a retry have no flow in flight but
-                    // still hold an armed backoff — stand the guard down
-                    // either way.
-                    self.disarm_transfer_guard(site);
-                    // Account the aborted service as transfer time spent.
-                    self.ledger.per_site[site].transfer_time_s +=
-                        (self.now() - batch.service_start).as_secs();
-                    self.maybe_start_service(site);
-                }
-            }
-            WorkerState::Restoring => {
-                // Cancel the in-flight image fetch; the image itself
-                // survives at its source for the next attempt. The aborted
-                // transfer still counts as checkpoint overhead.
-                if let Some(fid) = current.ckpt_flow {
-                    self.abort_flow(fid);
-                    self.resync_net();
-                    self.account_aborted_ckpt_stall(current.ckpt_flow_started);
-                }
-            }
-            WorkerState::Computing => {
-                if let Some(h) = current.compute_handle {
-                    self.schedule.cancel(h);
-                }
-                // Crash mid-image-write: the write dies with the worker,
-                // but the stall it caused was still paid.
-                if let Some(fid) = current.ckpt_flow {
-                    self.abort_flow(fid);
-                    self.resync_net();
-                    self.account_aborted_ckpt_stall(current.ckpt_flow_started);
-                }
+            // Still queued at the data server: the entry stays in place,
+            // and the caller's generation bump marks it stale.
+            WorkerState::WaitingData => self.telemetry.span_end(Track::worker(w), "queued", t),
+            WorkerState::Restoring | WorkerState::Computing => {
+                let current = self.workers[w].current.as_ref().expect("checked above");
+                let (handle, ckpt_flow) = (current.compute_handle, current.ckpt_flow);
                 // Committed-but-undurable segments are lost along with the
-                // in-flight segment; checkpointed work is not.
+                // in-flight segment; checkpointed work is not (a restoring
+                // execution has computed nothing since its image).
                 self.ledger.wasted_compute_s += current.progress_s - current.durable_s;
                 if let Some(started) = current.compute_started {
                     self.ledger.wasted_compute_s += (self.now() - started).as_secs();
                 }
+                if let Some(h) = handle {
+                    self.schedule.cancel(h);
+                }
+                // An image write or restore fetch dies with the execution
+                // (a restored image survives at its source), but the stall
+                // it caused was still paid.
+                if let Some(fid) = ckpt_flow {
+                    self.abort_flow(fid);
+                    self.resync_net();
+                    self.end_ckpt_flow(w);
+                } else {
+                    self.telemetry.span_end(Track::worker(w), "compute", t);
+                }
             }
             other => panic!("teardown_execution on worker in state {other:?}"),
         }
+        self.telemetry
+            .instant_for_task(Track::worker(w), "aborted", t, task.index() as u64);
+        if active {
+            self.maybe_start_service(site);
+        }
+        let current = self.workers[w].current.take().expect("checked above");
         for f in current.pinned {
             self.stores[site].unpin(f);
         }
-        Some((current.task, current.is_replica))
+        Some((task, current.is_replica))
+    }
+
+    /// Dissolves `site`'s active batch: aborts its in-flight attempt,
+    /// booking the bytes that attempt delivered, stands the transfer guard
+    /// down (cancelling an armed timeout or retry), books the service time
+    /// as transfer time, unpins the batch's files and closes the worker's
+    /// `staging` span. Returns the batch's worker, whose execution stays
+    /// in place for the caller to re-queue or hand back.
+    fn dissolve_batch(&mut self, site: usize) -> usize {
+        let batch = self.servers[site].active.take().expect("active batch");
+        let w = batch.worker;
+        if let Some((_, fid)) = batch.current {
+            let attempt = self.attempt_bytes(site);
+            if let Some(left) = self.abort_flow(fid) {
+                self.ledger.per_site[site].bytes_transferred += (attempt - left).max(0.0);
+            }
+            self.resync_net();
+        }
+        self.disarm_transfer_guard(site);
+        self.ledger.per_site[site].transfer_time_s += (self.now() - batch.service_start).as_secs();
+        let current = self.workers[w].current.as_mut().expect("batch worker runs");
+        for f in current.pinned.drain(..) {
+            self.stores[site].unpin(f);
+        }
+        self.telemetry
+            .span_end(Track::worker(w), "staging", self.now().as_secs());
+        w
+    }
+
+    /// The bytes `site`'s current batch attempt set out to carry: the
+    /// whole file, or under the transfer guard what the attempt still had
+    /// to deliver (a resumed re-fetch is smaller than the file).
+    fn attempt_bytes(&self, site: usize) -> f64 {
+        self.xfer
+            .as_ref()
+            .map_or(self.config.workload.file_size_bytes, |g| {
+                g.slots[site].remaining
+            })
     }
 
     /// Cancels flow `fid` as an abort (replica cancel, crash or server
@@ -2063,13 +1903,25 @@ impl GridSim {
         Some(left)
     }
 
-    /// Adds the elapsed stall of an aborted image write or restore fetch
-    /// to the checkpoint overhead (the time was spent even though the
-    /// image never landed).
-    fn account_aborted_ckpt_stall(&mut self, started: Option<SimTime>) {
-        if let Some(started) = started {
-            self.ledger.checkpoint_overhead_s += (self.now() - started).as_secs();
+    /// Ends `w`'s image write or restore fetch, completed or aborted:
+    /// clears the flow, books the stall since it started as checkpoint
+    /// overhead (spent even when the image never landed) and closes the
+    /// `checkpoint` or `restore` span. Returns the image a write carried.
+    fn end_ckpt_flow(&mut self, w: usize) -> Option<(f64, f64)> {
+        let now = self.now();
+        let phase = match self.workers[w].state {
+            WorkerState::Restoring => "restore",
+            _ => "checkpoint",
+        };
+        let current = self.workers[w].current.as_mut().expect("flow owner runs");
+        current.ckpt_flow = None;
+        if let Some(started) = current.ckpt_flow_started.take() {
+            self.ledger.checkpoint_overhead_s += (now - started).as_secs();
         }
+        let image = current.pending_image.take();
+        self.telemetry
+            .span_end(Track::worker(w), phase, now.as_secs());
+        image
     }
 
     /// Aborts `task`'s execution at `victim` (queued, transferring or
@@ -2102,45 +1954,21 @@ impl GridSim {
     /// Schedules the first stochastic fault of every entity plus every
     /// scripted trace event.
     fn arm_faults(&mut self) {
-        if !self.faults_active {
+        if self.churn.is_none() {
             return;
         }
         for w in 0..self.workers.len() {
-            if let Some(tl) = self.worker_timelines[w].as_mut() {
-                let d = tl.time_to_failure();
-                self.schedule.schedule_in(d, Event::WorkerCrash(w));
-            }
+            self.rearm(Entity::Worker(w), true);
         }
         for s in 0..self.config.sites {
-            if let Some(tl) = self.server_timelines[s].as_mut() {
-                let d = tl.time_to_failure();
-                self.schedule.schedule_in(d, Event::ServerFail(s));
-            }
+            self.rearm(Entity::Server(s), true);
         }
-        if let Some(b) = self.burst.as_mut() {
-            let gap = b.next_gap();
-            self.schedule.schedule_in(gap, Event::BurstStrike);
+        self.rearm_burst();
+        for l in 0..self.net.link_count() {
+            self.rearm(Entity::Link(l), true);
         }
-        // A degrade factor turns the stochastic link process soft; hard
-        // outages otherwise. Scripted link/partition events are always
-        // hard — a partitioned site is unreachable, not slow.
-        let soft = self
-            .config
-            .faults
-            .as_ref()
-            .is_some_and(|f| f.link_degrade_factor.is_some());
-        for l in 0..self.link_timelines.len() {
-            if let Some(tl) = self.link_timelines[l].as_mut() {
-                let d = tl.time_to_failure();
-                self.schedule.schedule_in(
-                    d,
-                    Event::LinkFail {
-                        link: l,
-                        hard: !soft,
-                    },
-                );
-            }
-        }
+        // Scripted link/partition events are always hard — a partitioned
+        // site is unreachable, not slow.
         let trace = self.config.faults.as_ref().and_then(|f| f.trace.clone());
         if let Some(trace) = trace {
             let wps = self.config.workers_per_site;
@@ -2182,6 +2010,57 @@ impl GridSim {
             .index()
     }
 
+    /// Schedules `entity`'s next stochastic failure (`fail`) or repair,
+    /// when a churn process drives it.
+    fn rearm(&mut self, entity: Entity, fail: bool) {
+        if let Some((delay, event)) = self.churn.as_mut().and_then(|c| c.next(entity, fail)) {
+            self.schedule.schedule_in(delay, event);
+        }
+    }
+
+    /// Schedules the next burst strike, when bursts are on.
+    fn rearm_burst(&mut self) {
+        if let Some(gap) = self.churn.as_mut().and_then(Churn::next_burst) {
+            self.schedule.schedule_in(gap, Event::BurstStrike);
+        }
+    }
+
+    /// Opens `entity`'s fault window now (`hard`: whether a link is cut
+    /// rather than degraded) and, for a worker or server, its span.
+    fn open_window(&mut self, entity: Entity, hard: bool) {
+        let now = self.now();
+        let churn = self.churn.as_mut().expect("fault events imply churn");
+        *churn.window(entity) = Some((now, hard));
+        let t = now.as_secs();
+        match entity {
+            Entity::Worker(w) => self.telemetry.span_begin(Track::worker(w), "down", t),
+            Entity::Server(s) => self.telemetry.span_begin(Track::server(s), "outage", t),
+            Entity::Link(_) => {}
+        }
+    }
+
+    /// Closes `entity`'s open fault window, if any: books its downtime,
+    /// clipped to the makespan, and ends its span. Returns whether the
+    /// window was a hard outage.
+    fn close_window(&mut self, entity: Entity) -> Option<bool> {
+        let (since, hard) = self.churn.as_mut()?.window(entity).take()?;
+        let downtime = (self.downtime_end().max(since) - since).as_secs();
+        let t = self.now().as_secs();
+        match entity {
+            Entity::Worker(w) => {
+                let site = self.workers[w].id.site.index();
+                self.ledger.per_site[site].worker_downtime_s += downtime;
+                self.telemetry.span_end(Track::worker(w), "down", t);
+            }
+            Entity::Server(s) => {
+                self.ledger.per_site[s].server_downtime_s += downtime;
+                self.telemetry.span_end(Track::server(s), "outage", t);
+            }
+            Entity::Link(_) => self.ledger.link_downtime_s += downtime,
+        }
+        Some(hard)
+    }
+
     /// A link fails (hard outage or degraded-bandwidth window). Flows
     /// crossing a hard-down link stall at rate zero — the transfer guard,
     /// when armed, is what turns the stall into a retry.
@@ -2189,66 +2068,46 @@ impl GridSim {
         if self.scheduler.unfinished() == 0 {
             return;
         }
+        let now = self.now();
+        let churn = self.churn.as_mut().expect("fault events imply churn");
         // Already impaired (scripted + stochastic overlap): ignore; the
         // stochastic process re-arms from the recovery, like worker
         // crashes.
-        if self.link_window[link].is_some() {
+        if churn.window(Entity::Link(link)).is_some() {
             return;
         }
-        let now = self.now();
-        let mode = if hard {
+        if hard {
             self.net.set_link_down(now, EdgeId(link as u32));
-            LinkFaultMode::Hard
         } else {
-            let factor = self
-                .config
-                .faults
-                .as_ref()
-                .and_then(|f| f.link_degrade_factor)
-                .expect("soft link fault implies a degrade factor");
+            let factor = churn.degrade_factor();
             self.net
                 .set_link_capacity_factor(now, EdgeId(link as u32), factor);
-            LinkFaultMode::Degraded
-        };
-        self.link_window[link] = Some((mode, now));
-        self.ledger.link_outages += 1;
-        self.instruments.link_outage_count.incr();
-        self.resync_net();
-        if let Some(tl) = self.link_timelines.get_mut(link).and_then(Option::as_mut) {
-            let d = tl.time_to_repair();
-            self.schedule.schedule_in(d, Event::LinkRecover { link });
         }
+        churn.outages.incr();
+        self.open_window(Entity::Link(link), hard);
+        self.ledger.link_outages += 1;
+        self.resync_net();
+        self.rearm(Entity::Link(link), false);
     }
 
     /// The link's repair completes: restore its capacity and account the
     /// outage window (clipped to the makespan like worker downtime).
     fn handle_link_recover(&mut self, link: usize) {
-        let Some((mode, since)) = self.link_window.get_mut(link).and_then(Option::take) else {
+        let Some(hard) = self.close_window(Entity::Link(link)) else {
             return;
         };
         let now = self.now();
-        match mode {
-            LinkFaultMode::Hard => self.net.set_link_up(now, EdgeId(link as u32)),
-            LinkFaultMode::Degraded => {
-                self.net
-                    .set_link_capacity_factor(now, EdgeId(link as u32), 1.0);
-            }
+        if hard {
+            self.net.set_link_up(now, EdgeId(link as u32));
+        } else {
+            self.net
+                .set_link_capacity_factor(now, EdgeId(link as u32), 1.0);
         }
-        let end = self.downtime_end().max(since);
-        self.ledger.link_downtime_s += (end - since).as_secs();
         self.resync_net();
         if self.scheduler.unfinished() == 0 {
             return;
         }
-        if let Some(tl) = self.link_timelines.get_mut(link).and_then(Option::as_mut) {
-            let d = tl.time_to_failure();
-            let hard = self
-                .config
-                .faults
-                .as_ref()
-                .is_none_or(|f| f.link_degrade_factor.is_none());
-            self.schedule.schedule_in(d, Event::LinkFail { link, hard });
-        }
+        self.rearm(Entity::Link(link), true);
     }
 
     // ----- transfer guard -------------------------------------------------
@@ -2335,12 +2194,11 @@ impl GridSim {
         let Some(batch) = self.servers[site].active.as_mut() else {
             return;
         };
-        let w = batch.worker;
         let Some((file, fid)) = batch.current.take() else {
             return;
         };
         let now = self.now();
-        let attempt_size = self.xfer.as_ref().expect("guarded").slots[site].remaining;
+        let attempt_size = self.attempt_bytes(site);
         let left = self
             .net
             .cancel_flow(now, fid)
@@ -2363,14 +2221,15 @@ impl GridSim {
             let _ = guard.breakers[s].on_failure(t_s);
         }
         let slot = &mut guard.slots[site];
-        slot.epoch += 1;
         slot.timeout = None;
         slot.attempts += 1;
         if slot.attempts > guard.max_retries {
+            // The dissolve stands the guard down, bumping the epoch.
             self.ledger.flows_requeued += 1;
-            self.requeue_after_exhausted_retries(site, w);
+            self.requeue_after_exhausted_retries(site);
             return;
         }
+        slot.epoch += 1;
         self.ledger.flows_retrying += 1;
         if guard.naive {
             self.ledger.xfer_bytes_retransmitted += delivered;
@@ -2403,44 +2262,24 @@ impl GridSim {
     /// including a site whose route still works. The worker itself is
     /// healthy (the network path failed, not the machine), so it goes
     /// straight back to the idle pool.
-    fn requeue_after_exhausted_retries(&mut self, site: usize, w: usize) {
-        let batch = self.servers[site]
-            .active
-            .take()
-            .expect("exhausted retries imply an active batch");
-        debug_assert_eq!(batch.worker, w);
-        self.ledger.per_site[site].transfer_time_s += (self.now() - batch.service_start).as_secs();
+    fn requeue_after_exhausted_retries(&mut self, site: usize) {
+        let w = self.dissolve_batch(site);
         let current = self.workers[w]
             .current
             .take()
             .expect("active batch worker is running");
-        let task = current.task;
-        let was_replica = current.is_replica;
-        let t = self.now().as_secs();
-        self.telemetry.span_end(Track::worker(w), "staging", t);
-        self.telemetry
-            .instant_for_task(Track::worker(w), "requeued", t, task.index() as u64);
-        for f in current.pinned {
-            self.stores[site].unpin(f);
-        }
-        if was_replica {
-            self.ledger.replicas_lost += 1;
-        }
-        let worker_id = self.workers[w].id;
-        self.workers[w].generation += 1;
+        self.telemetry.instant_for_task(
+            Track::worker(w),
+            "requeued",
+            self.now().as_secs(),
+            current.task.index() as u64,
+        );
         self.workers[w].state = WorkerState::Idle;
         // Lost-then-recovered in one instant: the scheduler orphans the
         // task (requeueing it unless another replica still runs) and
         // immediately gets the worker back.
-        let orphaned = self.scheduler.on_worker_lost(worker_id, Some(task));
-        self.scheduler.on_worker_recovered(worker_id);
-        if orphaned {
-            self.ledger.tasks_lost += 1;
-            self.lost_ever[task.index()] = true;
-            self.wake_parked();
-        } else if self.throttled && was_replica {
-            self.wake_parked();
-        }
+        self.lose_execution(w, Some((current.task, current.is_replica)));
+        self.scheduler.on_worker_recovered(self.workers[w].id);
         self.schedule.schedule_now(Event::WorkerIdle(w));
         self.maybe_start_service(site);
     }
@@ -2541,11 +2380,9 @@ impl GridSim {
         if self.scheduler.unfinished() == 0 {
             return;
         }
-        let b = self.burst.as_mut().expect("burst event implies the state");
-        let site = b.pick_site(self.config.sites);
-        let gap = b.next_gap();
-        let size = b.size as usize;
-        self.schedule.schedule_in(gap, Event::BurstStrike);
+        let churn = self.churn.as_mut().expect("fault events imply churn");
+        let (site, size) = churn.strike(self.config.sites);
+        self.rearm_burst();
         let base = site * self.config.workers_per_site;
         let mut struck = 0usize;
         for w in base..base + self.config.workers_per_site {
@@ -2562,31 +2399,19 @@ impl GridSim {
 
     fn handle_worker_crash(&mut self, w: usize) {
         // Once the job is done the churn processes stop re-arming and
-        // pending fault events drain without effect.
-        if self.scheduler.unfinished() == 0 {
+        // pending fault events drain without effect. A worker already
+        // down (scripted + stochastic overlap) ignores the crash.
+        if self.scheduler.unfinished() == 0 || self.workers[w].state == WorkerState::Down {
             return;
         }
-        // Already down (scripted + stochastic overlap): ignore.
-        if self.workers[w].state == WorkerState::Down {
-            return;
-        }
-        let worker_id = self.workers[w].id;
         let torn = self.teardown_execution(w);
-        let lost = torn.map(|(task, _)| task);
-        let was_replica = torn.is_some_and(|(_, is_replica)| is_replica);
-        if was_replica {
-            self.ledger.replicas_lost += 1;
-        }
-        self.workers[w].generation += 1;
         self.workers[w].state = WorkerState::Down;
-        self.workers[w].down_since = Some(self.now());
         self.ledger.worker_crashes += 1;
-        self.telemetry
-            .span_begin(Track::worker(w), "down", self.now().as_secs());
+        self.open_window(Entity::Worker(w), true);
         // Feed the estimators: availability integral, failure
         // interarrival (the self-tuning Young/Daly's input) and the
         // site's circuit breaker.
-        let site = worker_id.site.index();
+        let site = self.workers[w].id.site.index();
         let t_s = self.now().as_secs();
         let tripped = self
             .control
@@ -2598,22 +2423,32 @@ impl GridSim {
         if tripped {
             self.instruments.control_breaker_opens.incr();
         }
-        let orphaned = self.scheduler.on_worker_lost(worker_id, lost);
-        if orphaned {
+        self.lose_execution(w, torn);
+        self.rearm(Entity::Worker(w), false);
+    }
+
+    /// Hands worker `w`'s lost execution — `torn`, its task and whether it
+    /// ran as a replica, or `None` when it ran nothing — back to the
+    /// scheduler, and wakes parked workers when that requeued the task or
+    /// freed a throttled replica slot. Bumps the worker's generation.
+    fn lose_execution(&mut self, w: usize, torn: Option<(TaskId, bool)>) {
+        let was_replica = torn.is_some_and(|(_, is_replica)| is_replica);
+        if was_replica {
+            self.ledger.replicas_lost += 1;
+        }
+        self.workers[w].generation += 1;
+        let lost = torn.map(|(task, _)| task);
+        if self.scheduler.on_worker_lost(self.workers[w].id, lost) {
             let task = lost.expect("orphaned implies an in-flight task");
             self.ledger.tasks_lost += 1;
             self.lost_ever[task.index()] = true;
             // The requeued task may be picked up by parked workers.
             self.wake_parked();
         } else if self.throttled && was_replica {
-            // The crash freed a replica slot (task cap and/or site budget)
-            // without orphaning anything; crashes are rare enough that the
+            // The loss freed a replica slot (task cap and/or site budget)
+            // without orphaning anything; losses are rare enough that the
             // broad re-poll is the simple, safe hand-off.
             self.wake_parked();
-        }
-        if let Some(tl) = self.worker_timelines[w].as_mut() {
-            let d = tl.time_to_repair();
-            self.schedule.schedule_in(d, Event::WorkerRecover(w));
         }
     }
 
@@ -2622,12 +2457,7 @@ impl GridSim {
             return;
         }
         let site = self.workers[w].id.site.index();
-        if let Some(since) = self.workers[w].down_since.take() {
-            let end = self.downtime_end().max(since);
-            self.ledger.per_site[site].worker_downtime_s += (end - since).as_secs();
-        }
-        self.telemetry
-            .span_end(Track::worker(w), "down", self.now().as_secs());
+        self.close_window(Entity::Worker(w));
         self.workers[w].state = WorkerState::Idle;
         let t_s = self.now().as_secs();
         if let Some(plane) = self.control.as_mut() {
@@ -2639,53 +2469,22 @@ impl GridSim {
             return;
         }
         self.schedule.schedule_now(Event::WorkerIdle(w));
-        if let Some(tl) = self.worker_timelines[w].as_mut() {
-            let d = tl.time_to_failure();
-            self.schedule.schedule_in(d, Event::WorkerCrash(w));
-        }
+        self.rearm(Entity::Worker(w), true);
     }
 
     fn handle_server_fail(&mut self, site: usize) {
-        if self.scheduler.unfinished() == 0 {
-            return;
-        }
-        if self.servers[site].down {
+        if self.scheduler.unfinished() == 0 || self.servers[site].down {
             return;
         }
         self.servers[site].down = true;
-        self.servers[site].down_since = Some(self.now());
         self.ledger.server_outages += 1;
-        self.telemetry
-            .span_begin(Track::server(site), "outage", self.now().as_secs());
+        self.open_window(Entity::Server(site), true);
         // The active batch dissolves: its in-flight transfer is aborted
         // and the request goes back to the head of the queue, to be
         // re-served (re-fetching whatever the outage lost) after repair.
         // The worker keeps waiting; its task stays assigned.
-        if let Some(batch) = self.servers[site].active.take() {
-            let w = batch.worker;
-            if let Some((_file, fid)) = batch.current {
-                let attempt_size = self
-                    .xfer
-                    .as_ref()
-                    .map_or(self.config.workload.file_size_bytes, |g| {
-                        g.slots[site].remaining
-                    });
-                if let Some(left) = self.abort_flow(fid) {
-                    let delivered = attempt_size - left;
-                    self.ledger.per_site[site].bytes_transferred += delivered.max(0.0);
-                }
-                self.resync_net();
-            }
-            self.disarm_transfer_guard(site);
-            self.ledger.per_site[site].transfer_time_s +=
-                (self.now() - batch.service_start).as_secs();
-            let current = self.workers[w]
-                .current
-                .as_mut()
-                .expect("active batch worker is running");
-            for f in current.pinned.drain(..) {
-                self.stores[site].unpin(f);
-            }
+        if self.servers[site].active.is_some() {
+            let w = self.dissolve_batch(site);
             let enqueued_at = self.now();
             let generation = self.workers[w].generation;
             self.servers[site].queue.push_front(BatchRequest {
@@ -2694,16 +2493,13 @@ impl GridSim {
                 enqueued_at,
             });
             // The dissolved batch's worker goes back to waiting in queue.
-            let t = self.now().as_secs();
-            let task_id = self.workers[w]
-                .current
-                .as_ref()
-                .expect("active batch worker is running")
-                .task
-                .index() as u64;
-            self.telemetry.span_end(Track::worker(w), "staging", t);
-            self.telemetry
-                .span_begin_for_task(Track::worker(w), "queued", t, task_id);
+            let task = self.workers[w].current.as_ref().expect("running").task;
+            self.telemetry.span_begin_for_task(
+                Track::worker(w),
+                "queued",
+                enqueued_at.as_secs(),
+                task.index() as u64,
+            );
         }
         // Inbound replication pushes have no destination anymore.
         let mut inbound: Vec<FlowId> = self
@@ -2742,16 +2538,9 @@ impl GridSim {
         let lost = self.stores[site].fail();
         self.ledger.per_site[site].files_lost += lost.len() as u64;
         for f in lost {
-            self.scheduler
-                .on_file_evicted(SiteId(site as u32), f, self.stores[site].ref_count(f));
-            if let Some(rep) = self.replication.as_mut() {
-                rep.on_copy_lost(f);
-            }
+            self.file_gone(site, f);
         }
-        if let Some(tl) = self.server_timelines[site].as_mut() {
-            let d = tl.time_to_repair();
-            self.schedule.schedule_in(d, Event::ServerRecover(site));
-        }
+        self.rearm(Entity::Server(site), false);
     }
 
     /// Aborts every checkpoint flow the failure of `site`'s data server
@@ -2777,22 +2566,16 @@ impl GridSim {
         }
         writes.sort_unstable();
         restores.sort_unstable();
-        for &(fid, w) in writes.iter().chain(&restores) {
+        for &(fid, _) in writes.iter().chain(&restores) {
             self.abort_flow(fid);
-            let current = self.workers[w].current.as_mut().expect("flow owner runs");
-            current.ckpt_flow = None;
-            let stall_started = current.ckpt_flow_started.take();
-            current.pending_image = None;
-            self.account_aborted_ckpt_stall(stall_started);
         }
         self.resync_net();
-        let t = self.now().as_secs();
         for &(_, w) in &writes {
-            self.telemetry.span_end(Track::worker(w), "checkpoint", t);
+            self.end_ckpt_flow(w);
             self.begin_compute_segment(w);
         }
         for &(_, w) in &restores {
-            self.telemetry.span_end(Track::worker(w), "restore", t);
+            self.end_ckpt_flow(w);
             let current = self.workers[w].current.as_mut().expect("restorer runs");
             current.progress_flops = 0.0;
             current.progress_s = 0.0;
@@ -2807,20 +2590,12 @@ impl GridSim {
             return;
         }
         self.servers[site].down = false;
-        if let Some(since) = self.servers[site].down_since.take() {
-            let end = self.downtime_end().max(since);
-            self.ledger.per_site[site].server_downtime_s += (end - since).as_secs();
-        }
-        self.telemetry
-            .span_end(Track::server(site), "outage", self.now().as_secs());
+        self.close_window(Entity::Server(site));
         self.maybe_start_service(site);
         if self.scheduler.unfinished() == 0 {
             return;
         }
-        if let Some(tl) = self.server_timelines[site].as_mut() {
-            let d = tl.time_to_failure();
-            self.schedule.schedule_in(d, Event::ServerFail(site));
-        }
+        self.rearm(Entity::Server(site), true);
     }
 
     // ----- reporting ------------------------------------------------------
@@ -2879,18 +2654,6 @@ impl GridSim {
             ..ledger.clone()
         }
     }
-}
-
-/// Chooses a replication push target uniformly among `candidates`,
-/// consuming one RNG draw **iff** the slate is non-empty. An empty slate
-/// must leave the replication stream untouched: drawing on it would let
-/// transient store/outage states shift every later placement decision — a
-/// determinism hazard across configurations.
-fn pick_push_target<R: Rng + ?Sized>(rng: &mut R, candidates: &[usize]) -> Option<usize> {
-    if candidates.is_empty() {
-        return None;
-    }
-    Some(candidates[rng.gen_range(0..candidates.len())])
 }
 
 /// Flattens a (site, worker-in-site) pair to the engine's worker index.
@@ -3081,7 +2844,6 @@ mod tests {
         // where they would have), full coverage must exhaust the file
         // (no more O(S) re-scans while coverage holds, re-armed when a
         // copy is lost), and an outage window must only *defer* the push.
-        use rand::rngs::StdRng;
         let wl = Arc::new(CoaddConfig::small(0).generate());
         let config = SimConfig::paper(wl, StrategyKind::Rest)
             .with_sites(3)
@@ -3090,18 +2852,21 @@ mod tests {
                 max_replicas_per_file: 5,
             });
         let mut sim = GridSim::new(config);
-        let probe = |rng: &StdRng| rng.clone().gen_range(0..1_000_000u64);
+        let probe = |sim: &GridSim| {
+            let rep = sim.replication.as_ref().expect("enabled");
+            rep.rng.clone().gen_range(0..1_000_000u64)
+        };
         let f = FileId(0);
         // Full coverage: every non-origin store already holds `f`.
         for s in 1..3 {
             let evicted = sim.stores[s].insert(f);
             assert!(evicted.is_empty());
         }
-        let before = probe(&sim.replication_rng);
+        let before = probe(&sim);
         sim.maybe_replicate(&[f], 0);
         assert_eq!(sim.ledger.replication_pushes, 0, "nowhere to push");
         assert_eq!(
-            probe(&sim.replication_rng),
+            probe(&sim),
             before,
             "full-coverage slate must not advance the RNG"
         );
@@ -3119,7 +2884,7 @@ mod tests {
         sim.maybe_replicate(&[g], 0);
         assert_eq!(sim.ledger.replication_pushes, 0, "outage blocks the push");
         assert_eq!(
-            probe(&sim.replication_rng),
+            probe(&sim),
             before,
             "outage-window slate must not advance the RNG"
         );
@@ -3131,7 +2896,7 @@ mod tests {
             "outage only defers the push"
         );
         assert_ne!(
-            probe(&sim.replication_rng),
+            probe(&sim),
             before,
             "the deferred push consumes exactly the draw it always would"
         );
@@ -3155,23 +2920,22 @@ mod tests {
         // Regression: `maybe_replicate` used to draw from the replication
         // RNG even when no site could receive the push (full coverage or
         // an outage window), so transient state shifted every later
-        // placement. The draw must be skipped entirely.
-        use rand::rngs::StdRng;
-        use rand::SeedableRng;
-        let mut rng = StdRng::seed_from_u64(42);
-        let mut untouched = rng.clone();
-        assert_eq!(pick_push_target(&mut rng, &[]), None);
-        assert_eq!(pick_push_target(&mut rng, &[]), None);
+        // placement. The draw must be skipped entirely, scored or not.
+        let config = crate::replication::ReplicationConfig::default();
+        let mut st = ReplicationState::new(config, 1, 42);
+        let mut untouched = st.rng.clone();
+        assert_eq!(st.pick_target(vec![], None), None);
+        assert_eq!(st.pick_target(vec![], Some(&[])), None);
         assert_eq!(
-            rng.gen_range(0..1_000_000),
+            st.rng.gen_range(0..1_000_000),
             untouched.gen_range(0..1_000_000),
             "empty slates must not advance the stream"
         );
         // Non-empty slates still consume exactly one draw each.
-        let picked = pick_push_target(&mut rng, &[3, 5, 9]).expect("non-empty");
+        let picked = st.pick_target(vec![3, 5, 9], None).expect("non-empty");
         assert!([3, 5, 9].contains(&picked));
         assert_ne!(
-            rng.gen_range(0..1_000_000),
+            st.rng.gen_range(0..1_000_000),
             untouched.gen_range(0..1_000_000),
             "a real pick consumes the stream"
         );
@@ -3670,6 +3434,42 @@ mod tests {
         );
         let b = GridSim::new(config()).run();
         assert_eq!(a, b, "partition + guard broke determinism");
+    }
+
+    #[test]
+    fn server_outage_during_a_retry_backoff_dissolves_the_waiting_batch() {
+        // Site 0 is cut off at 60 s; its stalled fetch times out within a
+        // few minutes and then waits out a backoff of at least 2,500 s.
+        // The outage at 1,500 s dissolves the batch while no flow is in
+        // flight, so nothing is aborted and the armed retry is cancelled:
+        // every other timeout's retry is issued, that one never is.
+        let trace = gridsched_faults::FaultTrace::parse(
+            "60 partition 0\n1500 server-fail 0\n1600 server-recover 0\n6000 partition-heal 0",
+        )
+        .expect("parses");
+        let config = || {
+            small_config(StrategyKind::Rest)
+                .with_faults(gridsched_faults::FaultConfig::none().with_trace(trace.clone()))
+                .with_transfer_timeout(2.0)
+                .with_transfer_retries(3)
+                .with_retry_backoff(5_000.0)
+        };
+        let a = GridSim::new(config()).run();
+        assert_eq!(a.tasks_completed, 200);
+        assert_eq!(a.server_outages, 1);
+        assert!(a.xfer_timeouts >= 1);
+        assert_eq!(a.flows_aborted, 0, "no flow was in flight at the outage");
+        assert_eq!(
+            a.flows_retrying,
+            a.xfer_retries + 1,
+            "the outage cancelled exactly one armed retry"
+        );
+        assert_eq!(
+            a.flows_started,
+            a.flows_completed + a.flows_aborted + a.flows_retrying + a.flows_requeued
+        );
+        let b = GridSim::new(config()).run();
+        assert_eq!(a, b, "outage during a backoff broke determinism");
     }
 
     #[test]

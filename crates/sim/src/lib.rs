@@ -43,6 +43,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod churn;
 pub mod config;
 pub mod engine;
 pub mod metrics;

@@ -8,8 +8,11 @@
 //! reference counts; when a file's popularity crosses the threshold it is
 //! pushed once to a random site that lacks it.
 
+use rand::rngs::StdRng;
+use rand::Rng;
 use serde::{Deserialize, Serialize};
 
+use gridsched_des::rng::{rng_for, Stream};
 use gridsched_workload::FileId;
 
 /// Configuration of the proactive replication extension.
@@ -32,7 +35,7 @@ impl Default for ReplicationConfig {
     }
 }
 
-/// Tracks global popularity and decides when to push.
+/// Tracks global popularity, decides when to push, and draws where to.
 #[derive(Debug, Clone)]
 pub struct ReplicationState {
     config: ReplicationConfig,
@@ -43,18 +46,46 @@ pub struct ReplicationState {
     /// [`ReplicationState::record_reference`], so the engine never repeats
     /// its `O(S)` candidate scan for them.
     exhausted: Vec<bool>,
+    /// The push-target draws' own stream.
+    pub(crate) rng: StdRng,
 }
 
 impl ReplicationState {
-    /// Creates state for `num_files` files.
+    /// Creates state for `num_files` files, drawing push targets from the
+    /// replication stream of master seed `seed`.
     #[must_use]
-    pub fn new(config: ReplicationConfig, num_files: usize) -> Self {
+    pub fn new(config: ReplicationConfig, num_files: usize, seed: u64) -> Self {
         ReplicationState {
             config,
             refs: vec![0; num_files],
             pushed: vec![0; num_files],
             exhausted: vec![false; num_files],
+            rng: rng_for(seed, Stream::Replication),
         }
+    }
+
+    /// Draws a push target uniformly among `candidates` — among the
+    /// best-scored ones when per-site `scores` are given — consuming one
+    /// RNG draw **iff** that slate is non-empty. An empty slate must leave
+    /// the stream untouched: drawing on it would let transient store or
+    /// outage states shift every later placement, and scoring must not
+    /// change the draw count either.
+    pub fn pick_target(
+        &mut self,
+        mut candidates: Vec<usize>,
+        scores: Option<&[f64]>,
+    ) -> Option<usize> {
+        if let Some(scores) = scores {
+            let best = candidates
+                .iter()
+                .map(|&s| scores[s])
+                .fold(f64::NEG_INFINITY, f64::max);
+            candidates.retain(|&s| scores[s] >= best - 1e-9);
+        }
+        if candidates.is_empty() {
+            return None;
+        }
+        Some(candidates[self.rng.gen_range(0..candidates.len())])
     }
 
     /// Records one global reference of `file`; returns `true` when this
@@ -109,6 +140,7 @@ mod tests {
                 max_replicas_per_file: 1,
             },
             4,
+            0,
         );
         let f = FileId(2);
         assert!(!st.record_reference(f));
@@ -127,6 +159,7 @@ mod tests {
                 max_replicas_per_file: 5,
             },
             2,
+            0,
         );
         let f = FileId(1);
         assert!(st.record_reference(f));
@@ -156,6 +189,7 @@ mod tests {
                 max_replicas_per_file: 1,
             },
             1,
+            0,
         );
         let f = FileId(0);
         for _ in 0..3 {
@@ -168,6 +202,26 @@ mod tests {
     }
 
     #[test]
+    fn scored_pick_draws_once_among_the_best() {
+        // Scores restrict the slate to its best-scored sites (within
+        // 1e-9) and still take exactly the one draw an unscored pick of
+        // the same slate takes.
+        let scores = [0.0, 0.9, 0.5, 0.9 - 1e-12];
+        let mut scored = ReplicationState::new(ReplicationConfig::default(), 1, 7);
+        let mut plain = scored.clone();
+        for _ in 0..20 {
+            let pick = scored.pick_target(vec![0, 1, 2, 3], Some(&scores));
+            assert!(matches!(pick, Some(1 | 3)), "{pick:?}");
+            plain.pick_target(vec![0, 1, 2, 3], None);
+        }
+        assert_eq!(
+            scored.rng.gen_range(0..1_000_000),
+            plain.rng.gen_range(0..1_000_000),
+            "one draw per pick either way"
+        );
+    }
+
+    #[test]
     fn max_replicas_respected() {
         let mut st = ReplicationState::new(
             ReplicationConfig {
@@ -175,6 +229,7 @@ mod tests {
                 max_replicas_per_file: 2,
             },
             1,
+            0,
         );
         let f = FileId(0);
         assert!(st.record_reference(f));

@@ -184,6 +184,20 @@ impl Opts {
         }
     }
 
+    /// A count (`--sites`, `--tasks`, ...): the library builders assert
+    /// at least 1, so zero is rejected here as a usage error.
+    fn get_count<T>(&self, key: &str, default: T) -> Result<T, String>
+    where
+        T: std::str::FromStr + PartialEq + Default,
+        T::Err: std::fmt::Display,
+    {
+        let n = self.get(key, default)?;
+        if n == T::default() {
+            return Err(format!("--{key} must be >= 1"));
+        }
+        Ok(n)
+    }
+
     fn get_opt<T: std::str::FromStr>(&self, key: &str) -> Result<Option<T>, String>
     where
         T::Err: std::fmt::Display,
@@ -247,7 +261,7 @@ fn load_or_generate_workload(opts: &Opts) -> Result<Arc<Workload>, String> {
         return Ok(Arc::new(wl));
     }
     let mut cfg = CoaddConfig::paper_6000();
-    cfg.tasks = opts.get("tasks", 6000u32)?;
+    cfg.tasks = opts.get_count("tasks", 6000u32)?;
     cfg.seed = opts.get("workload-seed", 0u64)?;
     let fsmb: f64 = opts.get("file-size-mb", 25.0)?;
     if fsmb <= 0.0 {
@@ -452,14 +466,22 @@ fn build_control_config(
 fn cmd_simulate(opts: &Opts) -> Result<(), String> {
     let strategy: StrategyKind = opts.get("strategy", StrategyKind::Rest2)?;
     let workload = load_or_generate_workload(opts)?;
-    let mut config = SimConfig::paper(workload, strategy)
-        .with_sites(opts.get("sites", 10usize)?)
-        .with_workers_per_site(opts.get("workers", 1usize)?)
-        .with_capacity(opts.get("capacity", 6000usize)?)
+    let config = SimConfig::paper(workload, strategy);
+    let sites = opts.get_count("sites", 10usize)?;
+    let max_sites = config.topology.site_count();
+    if sites > max_sites {
+        return Err(format!(
+            "--sites {sites} exceeds the topology's {max_sites} sites"
+        ));
+    }
+    let mut config = config
+        .with_sites(sites)
+        .with_workers_per_site(opts.get_count("workers", 1usize)?)
+        .with_capacity(opts.get_count("capacity", 6000usize)?)
         .with_policy(opts.get("policy", EvictionPolicy::Lru)?)
         .with_seed(opts.get("seed", 0u64)?);
-    if let Some(n) = opts.get_opt::<usize>("choose-n")? {
-        config = config.with_choose_n(n);
+    if opts.values.contains_key("choose-n") {
+        config = config.with_choose_n(opts.get_count("choose-n", 0usize)?);
     }
     if let Some(mode) = opts.get_opt::<EvalMode>("eval-mode")? {
         config = config.with_eval_mode(mode);
@@ -845,7 +867,7 @@ fn validate_out_path(flag: &str, path: &str) -> Result<(), String> {
 
 fn cmd_workload(opts: &Opts) -> Result<(), String> {
     let mut cfg = CoaddConfig::paper_6000();
-    cfg.tasks = opts.get("tasks", 6000u32)?;
+    cfg.tasks = opts.get_count("tasks", 6000u32)?;
     cfg.seed = opts.get("seed", 0u64)?;
     let fsmb: f64 = opts.get("file-size-mb", 25.0)?;
     let wl = cfg.with_file_size_mb(fsmb).generate();

@@ -901,6 +901,42 @@ fn simulate_rejects_bad_network_flags() {
 }
 
 #[test]
+fn grid_size_flags_out_of_range_are_clean_errors() {
+    // (arguments, flag the error must name). The library builders assert
+    // these bounds; the CLI must reject them before any builder runs.
+    let cases: [(&[&str], &str); 7] = [
+        (&["simulate", "--tasks", "50", "--sites", "0"], "--sites"),
+        (&["simulate", "--tasks", "50", "--sites", "500"], "--sites"),
+        (
+            &["simulate", "--tasks", "50", "--workers", "0"],
+            "--workers",
+        ),
+        (
+            &["simulate", "--tasks", "50", "--capacity", "0"],
+            "--capacity",
+        ),
+        (
+            &["simulate", "--tasks", "50", "--choose-n", "0"],
+            "--choose-n",
+        ),
+        (&["simulate", "--tasks", "0"], "--tasks"),
+        (&["workload", "--tasks", "0"], "--tasks"),
+    ];
+    for (args, flag) in cases {
+        let out = gridsched(args);
+        let stderr = String::from_utf8(out.stderr).expect("utf8");
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(
+            stderr
+                .lines()
+                .any(|l| l.starts_with("error:") && l.contains(flag)),
+            "{args:?}: {stderr}"
+        );
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    }
+}
+
+#[test]
 fn simulate_rejects_bad_strategy() {
     let out = gridsched(&["simulate", "--strategy", "magic"]);
     assert!(!out.status.success());

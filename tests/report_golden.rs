@@ -18,8 +18,10 @@
 //! in 10⁹. Any change to a number, an event order or a field's formatting
 //! changes the hash.
 //!
-//! Both runs carry telemetry, which is inert, so the test also pins two
-//! network-engine counts: the max–min solves run
+//! Both runs carry telemetry, which is inert, so the test also pins an
+//! FNV-1a-64 hash of each run's Chrome trace (`Telemetry::to_chrome_trace`),
+//! which records every lifecycle span and instant in the order the
+//! handlers emit them, and two network-engine counts: the max–min solves run
 //! (`net.solver.recomputes`) and the flow starts that took a finished
 //! flow's held solver slot over instead of registering anew
 //! (`net.flow.continued`).
@@ -155,6 +157,11 @@ const DIGEST_SA: u64 = 0x7aa2_766f_4bf1_ff5c;
 /// FNV-1a-64 of the combined.2 run's `--digest-out` stream.
 const DIGEST_CN: u64 = 0x58df_6b92_3914_3b82;
 
+/// FNV-1a-64 of the storage-affinity run's Chrome trace.
+const TRACE_SA: u64 = 0x5abf_f4b8_bea2_a1a5;
+/// FNV-1a-64 of the combined.2 run's Chrome trace.
+const TRACE_CN: u64 = 0xb1ad_a892_99b3_2fc5;
+
 /// `net.solver.recomputes` of the storage-affinity run.
 const RECOMPUTES_SA: u64 = 12_587;
 /// `net.flow.continued` of the storage-affinity run.
@@ -162,7 +169,7 @@ const CONTINUED_SA: u64 = 9_740;
 /// `net.solver.recomputes` of the combined.2 run.
 const RECOMPUTES_CN: u64 = 14_068;
 /// `net.flow.continued` of the combined.2 run.
-const CONTINUED_CN: u64 = 5_185;
+const CONTINUED_CN: u64 = 5_186;
 
 fn fnv1a64(text: &str) -> u64 {
     text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
@@ -184,7 +191,7 @@ fn counter(telemetry: &Telemetry, name: &str) -> u64 {
 
 #[test]
 fn mixed_fault_reports_match_their_recorded_hashes() {
-    // (name, config, report hash, digest-stream hash,
+    // (name, config, report hash, digest-stream hash, trace hash,
     //  [net.solver.recomputes, net.flow.continued])
     let runs = [
         (
@@ -192,6 +199,7 @@ fn mixed_fault_reports_match_their_recorded_hashes() {
             storage_affinity_adaptive(),
             0xfe31_e338_0222_add9,
             DIGEST_SA,
+            TRACE_SA,
             [RECOMPUTES_SA, CONTINUED_SA],
         ),
         (
@@ -199,6 +207,7 @@ fn mixed_fault_reports_match_their_recorded_hashes() {
             combined_naive_retry(),
             0x6cd4_729d_4ac8_4788,
             DIGEST_CN,
+            TRACE_CN,
             [RECOMPUTES_CN, CONTINUED_CN],
         ),
     ];
@@ -230,7 +239,7 @@ fn mixed_fault_reports_match_their_recorded_hashes() {
             "no run exercises `{name}`"
         );
     }
-    for ((((name, _, golden, digest_golden, counts), report), path), t) in
+    for ((((name, _, golden, digest_golden, trace_golden, counts), report), path), t) in
         runs.iter().zip(&reports).zip(&digests).zip(&telemetry)
     {
         let debug = format!("{report:?}");
@@ -246,6 +255,11 @@ fn mixed_fault_reports_match_their_recorded_hashes() {
             *digest_golden,
             "{name}: dispatch order changed (digest stream hash {:#x})",
             fnv1a64(&stream)
+        );
+        let trace = fnv1a64(&t.to_chrome_trace());
+        assert_eq!(
+            trace, *trace_golden,
+            "{name}: span order changed (Chrome trace hash {trace:#x})"
         );
         let got = ["net.solver.recomputes", "net.flow.continued"].map(|c| counter(t, c));
         assert_eq!(got, *counts, "{name}: [recomputes, continued]");
