@@ -1,135 +1,354 @@
 //! # gridsched-bench — the experiment harness
 //!
-//! One binary per figure/table of the paper (see `src/bin/`), plus
-//! criterion micro-benchmarks (see `benches/`). This library holds the
-//! shared plumbing: CLI parsing, the paper's default experiment setup,
-//! aligned-table printing and CSV emission.
+//! The paper's figures and tables, the `ChooseTask(n)` finding and the
+//! ablations are entries of one registry, `CLAIMS`, run by the `claims`
+//! binary ([`run_claims`]). `perf_scale` (a scaling benchmark, not a claim)
+//! and the criterion micro-benchmarks in `benches/` stand apart. This
+//! library holds the registry, the run context `Ctx` every entry reads its
+//! options from and reports through, and the aligned-table printing.
 //!
-//! Every binary supports:
+//! ```text
+//! claims [--quick] [--check] [--out DIR | --no-out] [--seeds a,b,c] [NAME...]
+//! ```
 //!
+//! * `NAME...` — the entries to run, always in registry order (all of them
+//!   when none is named);
 //! * `--quick` — 2 topology replicates and a 1,500-task workload instead
 //!   of 5 × 6,000 (for CI and smoke runs);
-//! * `--out <dir>` — also write the series as CSV (default `results/`);
+//! * `--out <dir>` — also write every table as CSV, and what each entry
+//!   reported (tables and checks) as `claims.json` (default `results/`);
 //! * `--check` — assert the paper's qualitative claims and exit non-zero
-//!   if the reproduction lost the shape;
+//!   at the first one the reproduction lost;
 //! * `--seeds a,b,c` — override the topology seed list.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+use std::cell::RefCell;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use gridsched_core::StrategyKind;
+use gridsched_sim::telemetry::json::write_json_string;
 use gridsched_sim::{run_averaged, MetricsReport, SimConfig};
 use gridsched_workload::coadd::CoaddConfig;
 use gridsched_workload::Workload;
 
-/// Parsed command-line options shared by all experiment binaries.
-#[derive(Debug, Clone)]
-pub struct Cli {
-    /// Reduced workload and replicate count.
-    pub quick: bool,
-    /// Where to write CSV output (`None` disables).
-    pub out_dir: Option<PathBuf>,
-    /// Assert the paper's qualitative claims.
-    pub check: bool,
-    /// Topology seeds to average over.
-    pub seeds: Vec<u64>,
+mod ablations;
+mod adaptive;
+mod netfaults;
+mod paper;
+
+/// A registry entry: the claim's command-line name and its body.
+type Claim = (&'static str, fn(&Ctx));
+
+/// The registry: every claim, in run order.
+const CLAIMS: &[Claim] = &[
+    ("fig1_3_file_cdf", paper::fig1_3_file_cdf),
+    ("fig4_capacity", paper::fig4_capacity),
+    ("fig6_workers", paper::fig6_workers),
+    ("fig7_sites", paper::fig7_sites),
+    ("fig8_filesize", paper::fig8_filesize),
+    ("table2_workload", paper::table2_workload),
+    ("table3_waiting", paper::table3_waiting),
+    ("ablation_adaptive", adaptive::ablation_adaptive),
+    ("ablation_baselines", ablations::ablation_baselines),
+    ("ablation_checkpoint", ablations::ablation_checkpoint),
+    ("ablation_choose_n", ablations::ablation_choose_n),
+    ("ablation_churn", ablations::ablation_churn),
+    ("ablation_compute_scale", ablations::ablation_compute_scale),
+    ("ablation_netfaults", netfaults::ablation_netfaults),
+    ("ablation_policy", ablations::ablation_policy),
+    ("ablation_replication", ablations::ablation_replication),
+];
+
+/// Runs the claims the command line `args` (program name excluded) picks,
+/// then writes `claims.json` under `--out`. Usage errors exit 2, and under
+/// `--check` the first failing check exits 1.
+pub fn run_claims(args: impl Iterator<Item = String>) {
+    let mut ctx = Ctx::default();
+    let mut picked = Vec::new();
+    let mut args = args;
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--quick" => {
+                ctx.quick = true;
+                ctx.seeds = vec![0, 1];
+            }
+            "--check" => ctx.check = true,
+            "--no-out" => ctx.out_dir = None,
+            "--out" => {
+                let dir = args
+                    .next()
+                    .unwrap_or_else(|| usage("--out needs a directory"));
+                ctx.out_dir = Some(PathBuf::from(dir));
+            }
+            "--seeds" => {
+                let list = args.next().unwrap_or_else(|| usage("--seeds needs a list"));
+                ctx.seeds = list
+                    .split(',')
+                    .map(|s| s.trim().parse().unwrap_or_else(|_| usage("bad seed list")))
+                    .collect();
+            }
+            "--help" | "-h" => {
+                print_usage();
+                std::process::exit(0);
+            }
+            flag if flag.starts_with('-') => usage(&format!("unknown flag `{flag}`")),
+            name if CLAIMS.iter().any(|&(n, _)| n == name) => picked.push(arg),
+            name => usage(&format!("unknown claim `{name}`")),
+        }
+    }
+    for &(name, body) in CLAIMS {
+        if picked.is_empty() || picked.iter().any(|p| p == name) {
+            ctx.records.borrow_mut().push(Record {
+                name,
+                tables: Vec::new(),
+                checks: Vec::new(),
+            });
+            body(&ctx);
+        }
+    }
+    ctx.write_json();
 }
 
-impl Default for Cli {
+const USAGE: &str =
+    "usage: claims [--quick] [--check] [--out DIR | --no-out] [--seeds a,b,c] [NAME...]";
+
+fn print_usage() {
+    let names: Vec<&str> = CLAIMS.iter().map(|&(n, _)| n).collect();
+    eprintln!("{USAGE}\nnames: {}", names.join(" "));
+}
+
+fn usage(msg: &str) -> ! {
+    eprintln!("error: {msg}");
+    print_usage();
+    std::process::exit(2);
+}
+
+/// The run context of the claims: the command-line options every entry
+/// reads, and the collector of the tables and checks each one reports.
+#[derive(Debug)]
+pub(crate) struct Ctx {
+    /// Reduced workload and replicate count.
+    pub(crate) quick: bool,
+    /// Where to write CSV output and `claims.json` (`None` disables).
+    out_dir: Option<PathBuf>,
+    /// Assert the paper's qualitative claims.
+    check: bool,
+    /// Topology seeds to average over.
+    pub(crate) seeds: Vec<u64>,
+    records: RefCell<Vec<Record>>,
+}
+
+/// What one entry reported.
+#[derive(Debug)]
+struct Record {
+    name: &'static str,
+    tables: Vec<Table>,
+    checks: Vec<(String, bool)>,
+}
+
+impl Default for Ctx {
     fn default() -> Self {
-        Cli {
+        Ctx {
             quick: false,
             out_dir: Some(PathBuf::from("results")),
             check: false,
             seeds: vec![0, 1, 2, 3, 4],
+            records: RefCell::default(),
         }
     }
 }
 
-impl Cli {
-    /// Parses `std::env::args`. Unknown flags abort with a usage message.
-    #[must_use]
-    pub fn parse() -> Self {
-        let mut cli = Cli::default();
-        let mut args = std::env::args().skip(1);
-        while let Some(arg) = args.next() {
-            match arg.as_str() {
-                "--quick" => {
-                    cli.quick = true;
-                    cli.seeds = vec![0, 1];
-                }
-                "--check" => cli.check = true,
-                "--no-out" => cli.out_dir = None,
-                "--out" => {
-                    let dir = args
-                        .next()
-                        .unwrap_or_else(|| usage("--out needs a directory"));
-                    cli.out_dir = Some(PathBuf::from(dir));
-                }
-                "--seeds" => {
-                    let list = args.next().unwrap_or_else(|| usage("--seeds needs a list"));
-                    cli.seeds = list
-                        .split(',')
-                        .map(|s| s.trim().parse().unwrap_or_else(|_| usage("bad seed list")))
-                        .collect();
-                    if cli.seeds.is_empty() {
-                        usage("empty seed list");
-                    }
-                }
-                "--help" | "-h" => {
-                    eprintln!("{USAGE}");
-                    std::process::exit(0);
-                }
-                other => usage(&format!("unknown flag `{other}`")),
-            }
-        }
-        cli
-    }
-
+impl Ctx {
     /// The Coadd workload for this run (scaled down under `--quick`).
     #[must_use]
-    pub fn workload(&self) -> Arc<Workload> {
-        let mut cfg = CoaddConfig::paper_6000();
-        if self.quick {
-            cfg.tasks = 1500;
-        }
-        Arc::new(cfg.generate())
+    pub(crate) fn workload(&self) -> Arc<Workload> {
+        Arc::new(self.coadd_config().generate())
     }
 
-    /// The Coadd generator config for this run (for binaries that sweep
+    /// The Coadd generator config for this run (for entries that sweep
     /// workload parameters, e.g. file size).
     #[must_use]
-    pub fn coadd_config(&self) -> CoaddConfig {
+    pub(crate) fn coadd_config(&self) -> CoaddConfig {
         let mut cfg = CoaddConfig::paper_6000();
         if self.quick {
             cfg.tasks = 1500;
         }
         cfg
     }
+
+    /// Runs `config` averaged over the topology seeds.
+    #[must_use]
+    pub(crate) fn run(&self, config: &SimConfig) -> MetricsReport {
+        run_averaged(config, &self.seeds)
+    }
+
+    /// Prints `table`, writes it as `<name>.csv` under `--out` and records
+    /// it for `claims.json`.
+    pub(crate) fn emit(&self, table: Table, name: &str) {
+        print!("{}", table.render());
+        if let Some(dir) = &self.out_dir {
+            write_out(dir, &format!("{name}.csv"), &table.to_csv());
+        }
+        self.record(table);
+    }
+
+    /// Records `table` for `claims.json` only: numbers the entry prints
+    /// in its own words rather than as a table.
+    pub(crate) fn record(&self, table: Table) {
+        self.records
+            .borrow_mut()
+            .last_mut()
+            .expect("an entry is running")
+            .tables
+            .push(table);
+    }
+
+    /// Records a check and prints its PASS/FAIL line; under `--check`, a
+    /// failing check writes `claims.json` and exits 1.
+    pub(crate) fn check(&self, label: &str, pass: bool) {
+        self.records
+            .borrow_mut()
+            .last_mut()
+            .expect("an entry is running")
+            .checks
+            .push((label.to_string(), pass));
+        if pass {
+            println!("CHECK PASS: {label}");
+        } else if self.check {
+            eprintln!("CHECK FAIL: {label}");
+            self.write_json();
+            std::process::exit(1);
+        } else {
+            println!("CHECK FAIL (informational): {label}");
+        }
+    }
+
+    /// Writes `claims.json` under `--out`: for each entry that ran, its
+    /// name, the run's options, and every table and check it reported.
+    fn write_json(&self) {
+        let Some(dir) = &self.out_dir else { return };
+        let strs = |items: &[String]| list(items.iter().map(|s| json_str(s)));
+        let seeds = list(self.seeds.iter().map(u64::to_string));
+        let records = self.records.borrow();
+        let entries: Vec<String> = records
+            .iter()
+            .map(|r| {
+                let tables = r.tables.iter().map(|t| {
+                    format!(
+                        "{{\"title\": {}, \"headers\": {}, \"rows\": {}}}",
+                        json_str(&t.title),
+                        strs(&t.headers),
+                        list(t.rows.iter().map(|row| strs(row)))
+                    )
+                });
+                let checks = r.checks.iter().map(|(label, pass)| {
+                    format!("{{\"label\": {}, \"pass\": {pass}}}", json_str(label))
+                });
+                format!(
+                    "{{\"name\": \"{}\", \"quick\": {}, \"seeds\": {seeds}, \"tables\": {}, \
+                 \"checks\": {}}}",
+                    r.name,
+                    self.quick,
+                    list(tables),
+                    list(checks)
+                )
+            })
+            .collect();
+        let json = format!("{{\"claims\": [\n{}\n]}}\n", entries.join(",\n"));
+        write_out(dir, "claims.json", &json);
+    }
 }
 
-const USAGE: &str =
-    "usage: <experiment> [--quick] [--check] [--out DIR | --no-out] [--seeds a,b,c]";
-
-fn usage(msg: &str) -> ! {
-    eprintln!("error: {msg}\n{USAGE}");
-    std::process::exit(2);
+fn json_str(s: &str) -> String {
+    let mut out = String::new();
+    write_json_string(&mut out, s);
+    out
 }
 
-/// The paper's six algorithms (§5.3), in figure-legend order.
-#[must_use]
-pub fn paper_strategies() -> Vec<StrategyKind> {
-    StrategyKind::PAPER_SET.to_vec()
+fn list(items: impl Iterator<Item = String>) -> String {
+    format!("[{}]", items.collect::<Vec<_>>().join(", "))
 }
 
-/// Runs `config` averaged over the CLI's topology seeds.
-#[must_use]
-pub fn run(cli: &Cli, config: &SimConfig) -> MetricsReport {
-    run_averaged(config, &cli.seeds)
+/// Writes `contents` to `<dir>/<file>`, creating the directory; a failure
+/// is a warning, not an abort.
+fn write_out(dir: &Path, file: &str, contents: &str) {
+    let path = dir.join(file);
+    match std::fs::create_dir_all(dir).and_then(|()| std::fs::write(&path, contents)) {
+        Ok(()) => println!("wrote {}", path.display()),
+        Err(e) => eprintln!("warning: could not write {file}: {e}"),
+    }
+}
+
+/// The reports of one sweep: for each x, every strategy's run, in order.
+#[derive(Debug)]
+pub(crate) struct Sweep {
+    strategies: Vec<StrategyKind>,
+    /// `reports[strategy][x]`.
+    reports: Vec<Vec<MetricsReport>>,
+}
+
+impl Sweep {
+    /// For each x, for each strategy: builds the config, runs it, hands
+    /// the report to `row` (to push the table rows) and keeps it.
+    pub(crate) fn run<X: Copy>(
+        ctx: &Ctx,
+        xs: &[X],
+        strategies: &[StrategyKind],
+        config: impl Fn(X, StrategyKind) -> SimConfig,
+        mut row: impl FnMut(X, StrategyKind, &MetricsReport),
+    ) -> Self {
+        let mut reports = vec![Vec::new(); strategies.len()];
+        for &x in xs {
+            for (i, &strategy) in strategies.iter().enumerate() {
+                let r = ctx.run(&config(x, strategy));
+                row(x, strategy, &r);
+                reports[i].push(r);
+            }
+        }
+        Sweep {
+            strategies: strategies.to_vec(),
+            reports,
+        }
+    }
+
+    /// `strategy`'s reports across the sweep, in x order.
+    #[must_use]
+    pub(crate) fn of(&self, strategy: StrategyKind) -> &[MetricsReport] {
+        let i = self
+            .strategies
+            .iter()
+            .position(|&s| s == strategy)
+            .expect("strategy in sweep");
+        &self.reports[i]
+    }
+
+    /// `strategy`'s makespans (minutes) across the sweep, in x order.
+    #[must_use]
+    pub(crate) fn makespans(&self, strategy: StrategyKind) -> Vec<f64> {
+        self.of(strategy)
+            .iter()
+            .map(|r| r.makespan_minutes)
+            .collect()
+    }
+
+    /// The best makespan of the four transfer-aware worker-centric
+    /// strategies at the `x`-th point.
+    #[must_use]
+    pub(crate) fn best_worker_centric(&self, x: usize) -> f64 {
+        [
+            StrategyKind::Rest,
+            StrategyKind::Combined,
+            StrategyKind::Rest2,
+            StrategyKind::Combined2,
+        ]
+        .iter()
+        .map(|&k| self.of(k)[x].makespan_minutes)
+        .fold(f64::MAX, f64::min)
+    }
 }
 
 /// A printable/serialisable results table.
@@ -202,47 +421,11 @@ impl Table {
         }
         out
     }
-
-    /// Prints the table and, if `out_dir` is set, writes `<name>.csv`.
-    pub fn emit(&self, cli: &Cli, name: &str) {
-        print!("{}", self.render());
-        if let Some(dir) = &cli.out_dir {
-            if let Err(e) = write_csv(dir, name, &self.to_csv()) {
-                eprintln!("warning: could not write CSV {name}: {e}");
-            }
-        }
-    }
-}
-
-/// Writes `contents` to `<dir>/<name>.csv`, creating the directory.
-///
-/// # Errors
-///
-/// Propagates filesystem errors.
-pub fn write_csv(dir: &Path, name: &str, contents: &str) -> std::io::Result<()> {
-    std::fs::create_dir_all(dir)?;
-    let path = dir.join(format!("{name}.csv"));
-    std::fs::write(&path, contents)?;
-    println!("wrote {}", path.display());
-    Ok(())
-}
-
-/// Check helper: asserts `cond` (with a message) when `--check` is on,
-/// otherwise prints a PASS/FAIL line.
-pub fn check(cli: &Cli, label: &str, cond: bool) {
-    if cond {
-        println!("CHECK PASS: {label}");
-    } else if cli.check {
-        eprintln!("CHECK FAIL: {label}");
-        std::process::exit(1);
-    } else {
-        println!("CHECK FAIL (informational): {label}");
-    }
 }
 
 /// Formats a float with `digits` decimals.
 #[must_use]
-pub fn fmt(value: f64, digits: usize) -> String {
+pub(crate) fn fmt(value: f64, digits: usize) -> String {
     format!("{value:.digits$}")
 }
 
@@ -272,16 +455,17 @@ mod tests {
 
     #[test]
     fn default_cli() {
-        let cli = Cli::default();
-        assert_eq!(cli.seeds.len(), 5);
-        assert!(!cli.quick);
+        let ctx = Ctx::default();
+        assert_eq!(ctx.seeds.len(), 5);
+        assert!(!ctx.quick);
+        assert_eq!(ctx.out_dir, Some(PathBuf::from("results")));
     }
 
     #[test]
     fn quick_workload_is_smaller() {
-        let quick = Cli {
+        let quick = Ctx {
             quick: true,
-            ..Cli::default()
+            ..Ctx::default()
         };
         assert_eq!(quick.workload().task_count(), 1500);
     }

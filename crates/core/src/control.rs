@@ -753,7 +753,7 @@ impl ControlPlane {
 
     /// Estimated per-worker MTBF at `site` in sim seconds, from the
     /// observed crash interarrival process. A site-local estimate needs
-    /// [`SITE_MIN_GAPS`] gaps; before that the global process (scaled to
+    /// `SITE_MIN_GAPS` (3) gaps; before that the global process (scaled to
     /// one worker) stands in; before *that*, `None` — the consumer keeps
     /// its bootstrap behaviour (no checkpoints until failures are seen).
     #[must_use]

@@ -12,8 +12,8 @@
 //!   `Rest` (`1/(|t|−|F_t|)`) and `Combined`
 //!   (`ref_t/totalRef + rest_t/totalRest`);
 //! * [`StorageAffinity`] — the task-centric baseline of Santos-Neto et al.
-//!   (data reuse + task replication), §3.1/[14];
-//! * [`Workqueue`] — the classic FIFO pull scheduler [6];
+//!   (data reuse + task replication), §3.1/\[14\];
+//! * [`Workqueue`] — the classic FIFO pull scheduler \[6\];
 //! * [`index::FileIndex`] / [`index::SiteView`] / [`index::TaskRank`] /
 //!   [`index::ColdRank`] — an inverted file→task index with
 //!   incrementally-maintained per-site counters (overlap for every metric;

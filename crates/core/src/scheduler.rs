@@ -271,7 +271,7 @@ pub trait Scheduler {
 /// workqueue baseline, as a parseable configuration enum.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum StrategyKind {
-    /// Task-centric storage affinity (data reuse + task replication) [14].
+    /// Task-centric storage affinity (data reuse + task replication) \[14\].
     StorageAffinity,
     /// Worker-centric, `overlap` metric, deterministic.
     Overlap,
@@ -283,9 +283,9 @@ pub enum StrategyKind {
     Rest2,
     /// Worker-centric, `combined` metric, randomized `ChooseTask(2)`.
     Combined2,
-    /// FIFO workqueue (no locality) [6].
+    /// FIFO workqueue (no locality) \[6\].
     Workqueue,
-    /// Data-aware XSufferage-style baseline (Casanova et al. [5]).
+    /// Data-aware XSufferage-style baseline (Casanova et al. \[5\]).
     Sufferage,
 }
 

@@ -1,4 +1,4 @@
-//! Task-centric **storage affinity** baseline (Santos-Neto et al. [14]).
+//! Task-centric **storage affinity** baseline (Santos-Neto et al. \[14\]).
 //!
 //! As described in §3.1 of the paper:
 //!

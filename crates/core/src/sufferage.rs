@@ -1,6 +1,6 @@
-//! XSufferage-style data-aware baseline (Casanova et al. [5]).
+//! XSufferage-style data-aware baseline (Casanova et al. \[5\]).
 //!
-//! The storage-affinity paper ([14], this paper's baseline) positioned
+//! The storage-affinity paper (\[14\], this paper's baseline) positioned
 //! itself against **XSufferage**, the cluster-level sufferage heuristic of
 //! Casanova et al.: a task's *sufferage* is the difference between its
 //! best and second-best cluster-level completion-time estimate; tasks that

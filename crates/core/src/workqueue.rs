@@ -1,4 +1,4 @@
-//! The classic workqueue scheduler (Cirne et al. [6]).
+//! The classic workqueue scheduler (Cirne et al. \[6\]).
 //!
 //! "One example of the worker-centric scheduling is the traditional
 //! workqueue algorithm, which dispatches a task in FIFO order to an idle

@@ -1,4 +1,4 @@
-//! Proactive data replication (Ranganathan & Foster [13]) — ablation.
+//! Proactive data replication (Ranganathan & Foster \[13\]) — ablation.
 //!
 //! The paper argues data replication is **orthogonal** to worker-centric
 //! scheduling (§3.2): task-centric schedulers *need* it to fix unbalanced
@@ -21,7 +21,7 @@ pub struct ReplicationConfig {
     /// A file is replicated once its global reference count reaches this
     /// threshold.
     pub popularity_threshold: u32,
-    /// Maximum number of proactive pushes per file (1 in [13]'s simplest
+    /// Maximum number of proactive pushes per file (1 in \[13\]'s simplest
     /// scheme).
     pub max_replicas_per_file: u32,
 }

@@ -24,9 +24,10 @@
 //! * the [`Registry`] of named instruments (hot-path cost counters — rank
 //!   repairs, pending-log replays, solver recomputes, wake fan-outs,
 //!   throttle admits/parks/releases);
-//! * the [`Tracer`] of per-entity spans (task lifecycle phases on worker
-//!   tracks, fault/outage windows), exportable as Chrome Trace Event
-//!   Format JSON (loadable in Perfetto / `chrome://tracing`);
+//! * the trace of per-entity spans ([`TraceEvent`]s on [`Track`]s: task
+//!   lifecycle phases on worker tracks, fault/outage windows), exportable
+//!   as Chrome Trace Event Format JSON (loadable in Perfetto /
+//!   `chrome://tracing`);
 //! * the [`ProbeSample`] time series (per-site queue depth, worker states,
 //!   in-flight flows, link occupancy), exportable as compact JSONL.
 

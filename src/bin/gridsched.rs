@@ -260,14 +260,21 @@ fn load_or_generate_workload(opts: &Opts) -> Result<Arc<Workload>, String> {
             .map_err(|e| format!("parse {path}: {e}"))?;
         return Ok(Arc::new(wl));
     }
+    Ok(Arc::new(coadd_config(opts, "workload-seed")?.generate()))
+}
+
+/// The Coadd generator config from `--tasks`, `--file-size-mb` and the
+/// seed flag `seed_key`.
+fn coadd_config(opts: &Opts, seed_key: &str) -> Result<CoaddConfig, String> {
     let mut cfg = CoaddConfig::paper_6000();
     cfg.tasks = opts.get_count("tasks", 6000u32)?;
-    cfg.seed = opts.get("workload-seed", 0u64)?;
-    let fsmb: f64 = opts.get("file-size-mb", 25.0)?;
-    if fsmb <= 0.0 {
-        return Err("--file-size-mb must be positive".into());
+    cfg.seed = opts.get(seed_key, 0u64)?;
+    let cfg = cfg.with_file_size_mb(opts.get("file-size-mb", 25.0)?);
+    // `Workload::new` asserts a positive, finite file size.
+    if !(cfg.file_size_bytes > 0.0 && cfg.file_size_bytes.is_finite()) {
+        return Err("--file-size-mb must be positive and finite".into());
     }
-    Ok(Arc::new(cfg.with_file_size_mb(fsmb).generate()))
+    Ok(cfg)
 }
 
 fn build_fault_config(opts: &Opts) -> Result<FaultConfig, String> {
@@ -866,11 +873,7 @@ fn validate_out_path(flag: &str, path: &str) -> Result<(), String> {
 }
 
 fn cmd_workload(opts: &Opts) -> Result<(), String> {
-    let mut cfg = CoaddConfig::paper_6000();
-    cfg.tasks = opts.get_count("tasks", 6000u32)?;
-    cfg.seed = opts.get("seed", 0u64)?;
-    let fsmb: f64 = opts.get("file-size-mb", 25.0)?;
-    let wl = cfg.with_file_size_mb(fsmb).generate();
+    let wl = coadd_config(opts, "seed")?.generate();
     let s = wl.stats();
     println!("tasks              : {}", s.tasks);
     println!("total files        : {}", s.total_files);

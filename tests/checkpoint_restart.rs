@@ -11,13 +11,16 @@
 //! 3. with stochastic churn and Young/Daly checkpointing on, total
 //!    re-executed compute time is strictly lower than the no-checkpoint
 //!    run on the same seed (the ISSUE's acceptance criterion);
-//! 4. checkpoint images die with the data server that holds them.
+//! 4. checkpoint images die with the data server that holds them;
+//! 5. a restore fetch whose source server fails mid-transfer restarts the
+//!    task from scratch.
 
 use std::sync::Arc;
 
 use proptest::prelude::*;
 
 use gridsched::prelude::*;
+use gridsched::telemetry::{SpanPhase, TraceEvent, Track};
 
 fn small_workload(seed: u64, tasks: u32) -> Arc<Workload> {
     let mut cfg = CoaddConfig::small(seed);
@@ -191,6 +194,111 @@ fn server_outage_loses_checkpoint_images() {
     assert!(
         report.checkpoints_lost > 0,
         "a warm vault must lose images to the outage"
+    );
+}
+
+/// Seconds worker `w` spent in `compute` spans of `task`.
+fn compute_s(events: &[TraceEvent], w: usize, task: u64) -> f64 {
+    let mut open: Option<(f64, Option<u64>)> = None;
+    let mut total = 0.0;
+    for e in events
+        .iter()
+        .filter(|e| e.track == Track::worker(w) && e.name == "compute")
+    {
+        match e.phase {
+            SpanPhase::Begin => open = Some((e.ts_s, e.task)),
+            SpanPhase::End => {
+                if let Some((begin, Some(t))) = open.take() {
+                    if t == task {
+                        total += e.ts_s - begin;
+                    }
+                }
+            }
+            SpanPhase::Instant => {}
+        }
+    }
+    total
+}
+
+/// (5) A restore fetch whose source server fails mid-transfer: the image
+/// dies with the server, so the worker that was fetching it starts the
+/// task over from scratch, and the aborted fetch counts no restore.
+#[test]
+fn restore_source_outage_restarts_from_scratch() {
+    // Two sites, one worker each, fixed speed. The site-0 worker crashes
+    // 2 h in and never recovers, so its orphaned task — whose images sit
+    // on site 0's server — is re-run by the site-1 worker, which must
+    // fetch the latest image across sites.
+    let workload = small_workload(7, 40);
+    let config = |trace: &str| {
+        SimConfig::paper(workload.clone(), StrategyKind::Workqueue)
+            .with_sites(2)
+            .with_capacity(600)
+            .with_seed(7)
+            .with_speeds(SpeedModel::Fixed(1e10))
+            .with_faults(FaultConfig::none().with_trace(FaultTrace::parse(trace).expect("valid")))
+            .with_checkpointing(CheckpointConfig::fixed(300.0))
+    };
+    let crash = "7200 worker-crash 0 0\n";
+    let run = |trace: &str| {
+        let telemetry = Telemetry::enabled();
+        let report = GridSim::new(config(trace))
+            .with_telemetry(telemetry.clone())
+            .run();
+        (report, telemetry.trace_events())
+    };
+
+    // Undisturbed, the site-1 worker fetches the image and resumes.
+    let (calm, events) = run(crash);
+    let fetch: Vec<&TraceEvent> = events
+        .iter()
+        .filter(|e| e.track == Track::worker(1) && e.name == "restore")
+        .collect();
+    let [begin, end] = fetch[..] else {
+        panic!("expected one cross-site restore fetch: {fetch:?}");
+    };
+    assert_eq!(begin.phase, SpanPhase::Begin);
+    let task = begin.task.expect("restore spans carry their task");
+    let full_s = workload.tasks()[task as usize].flops / 1e10;
+    assert_eq!(calm.tasks_completed, 40);
+    assert_eq!(calm.checkpoint_restores, 1);
+    assert!(calm.work_saved_s > 0.0);
+    assert!(
+        compute_s(&events, 1, task) < full_s - 1.0,
+        "the restored run must skip the saved work"
+    );
+
+    // Site 0's server fails halfway through that fetch.
+    let fail_s = (begin.ts_s + end.ts_s) / 2.0;
+    let trace = format!(
+        "{crash}{fail_s:.6} server-fail 0\n{:.6} server-recover 0\n",
+        fail_s + 600.0
+    );
+    let (stormy, events) = run(&trace);
+    assert_eq!(stormy.tasks_completed, 40);
+    assert_eq!(stormy.server_outages, 1);
+    assert!(
+        stormy.checkpoints_lost > 0,
+        "the image dies with its server"
+    );
+    assert_eq!(
+        stormy.checkpoint_restores, 0,
+        "the aborted fetch restores nothing"
+    );
+    assert_eq!(stormy.work_saved_s, 0.0);
+    assert_eq!(
+        stormy.flows_started,
+        stormy.flows_completed
+            + stormy.flows_aborted
+            + stormy.flows_retrying
+            + stormy.flows_requeued,
+        "flow ledger"
+    );
+    // The fetching worker recomputes the whole task.
+    let redone_s = compute_s(&events, 1, task);
+    assert!(
+        (redone_s - full_s).abs() < 1e-6 * full_s,
+        "recomputed {redone_s}s of a {full_s}s task"
     );
 }
 

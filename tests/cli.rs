@@ -904,7 +904,7 @@ fn simulate_rejects_bad_network_flags() {
 fn grid_size_flags_out_of_range_are_clean_errors() {
     // (arguments, flag the error must name). The library builders assert
     // these bounds; the CLI must reject them before any builder runs.
-    let cases: [(&[&str], &str); 7] = [
+    let cases: [(&[&str], &str); 9] = [
         (&["simulate", "--tasks", "50", "--sites", "0"], "--sites"),
         (&["simulate", "--tasks", "50", "--sites", "500"], "--sites"),
         (
@@ -921,6 +921,8 @@ fn grid_size_flags_out_of_range_are_clean_errors() {
         ),
         (&["simulate", "--tasks", "0"], "--tasks"),
         (&["workload", "--tasks", "0"], "--tasks"),
+        (&["workload", "--file-size-mb", "0"], "--file-size-mb"),
+        (&["workload", "--file-size-mb", "-1"], "--file-size-mb"),
     ];
     for (args, flag) in cases {
         let out = gridsched(args);

@@ -1,6 +1,6 @@
 //! Scaled-down versions of the paper's qualitative claims, cheap enough
-//! for `cargo test`. The full-scale versions live in the experiment
-//! binaries' `--check` mode (`gridsched-bench`).
+//! for `cargo test`. The full-scale versions are the `claims` binary's
+//! entries under `--check` (`gridsched-bench`).
 
 use std::sync::Arc;
 
