@@ -19,8 +19,9 @@
 //!   that stops dispatch into a crash storm and re-admits the site with
 //!   timed probes;
 //! * [`ControlPlane`] — the engine-facing bundle: it ingests the events
-//!   the engine already emits (crash, recover, completion, tick) and
-//!   produces [`ControlDirective`]s.
+//!   the engine already emits (crash, recover, completion, tick),
+//!   produces [`ControlDirective`]s and counts its own ticks, estimator
+//!   updates, cap moves and breaker transitions (`control.*`).
 //!
 //! Everything here is **deterministic and sim-time-driven**: no wall
 //! clocks, no RNG. State changes only on engine events and on the
@@ -34,6 +35,7 @@
 use std::collections::VecDeque;
 use std::fmt;
 
+use gridsched_telemetry::{Counter, Telemetry};
 use serde::{Deserialize, Serialize};
 
 /// Which closed loops are enabled, and the shared tick period.
@@ -625,7 +627,19 @@ pub struct ControlPlane {
     site_scores: Vec<f64>,
     site_interarrival: Vec<InterarrivalTracker>,
     global_interarrival: InterarrivalTracker,
-    estimator_updates: u64,
+    counters: PlaneCounters,
+}
+
+/// The plane's `control.*` counters, inert until attached.
+#[derive(Default)]
+struct PlaneCounters {
+    ticks: Counter,
+    estimator_updates: Counter,
+    cap_raises: Counter,
+    cap_lowers: Counter,
+    breaker_opens: Counter,
+    breaker_half_opens: Counter,
+    breaker_closes: Counter,
 }
 
 /// Minimum observed gaps before a site's own interarrival estimate is
@@ -672,8 +686,21 @@ impl ControlPlane {
                 .map(|_| InterarrivalTracker::new(GAP_ALPHA))
                 .collect(),
             global_interarrival: InterarrivalTracker::new(GAP_ALPHA),
-            estimator_updates: 0,
+            counters: PlaneCounters::default(),
         }
+    }
+
+    /// Routes the plane's `control.*` counters to `telemetry`.
+    pub fn attach_telemetry(&mut self, telemetry: &Telemetry) {
+        self.counters = PlaneCounters {
+            ticks: telemetry.counter("control.ticks"),
+            estimator_updates: telemetry.counter("control.estimator.updates"),
+            cap_raises: telemetry.counter("control.cap.raises"),
+            cap_lowers: telemetry.counter("control.cap.lowers"),
+            breaker_opens: telemetry.counter("control.breaker.opens"),
+            breaker_half_opens: telemetry.counter("control.breaker.half_opens"),
+            breaker_closes: telemetry.counter("control.breaker.closes"),
+        };
     }
 
     /// The configured loops.
@@ -686,18 +713,6 @@ impl ControlPlane {
     #[must_use]
     pub fn placement_enabled(&self) -> bool {
         self.config.churn_placement
-    }
-
-    /// Whether the adaptive-checkpoint loop is on.
-    #[must_use]
-    pub fn checkpoint_enabled(&self) -> bool {
-        self.config.adaptive_checkpoint
-    }
-
-    /// Total estimator observations folded in so far.
-    #[must_use]
-    pub fn estimator_updates(&self) -> u64 {
-        self.estimator_updates
     }
 
     /// The current placement-score vector (last tick's, before that all
@@ -723,20 +738,20 @@ impl ControlPlane {
     /// A worker at `site` crashed at sim time `t_s`. Returns `true` iff
     /// the site's breaker tripped open on this crash.
     pub fn on_worker_crash(&mut self, site: usize, t_s: f64) -> bool {
-        self.estimator_updates += 1;
+        self.counters.estimator_updates.incr();
         self.availability[site].on_worker_down(t_s);
         self.site_interarrival[site].observe_event(t_s);
         self.global_interarrival.observe_event(t_s);
-        if self.config.churn_placement {
-            self.breakers[site].on_failure(t_s)
-        } else {
-            false
+        let tripped = self.config.churn_placement && self.breakers[site].on_failure(t_s);
+        if tripped {
+            self.counters.breaker_opens.incr();
         }
+        tripped
     }
 
     /// A worker at `site` recovered at sim time `t_s`.
     pub fn on_worker_recover(&mut self, site: usize, t_s: f64) {
-        self.estimator_updates += 1;
+        self.counters.estimator_updates.incr();
         self.availability[site].on_worker_up(t_s);
     }
 
@@ -744,11 +759,11 @@ impl ControlPlane {
     /// this success closed a half-open breaker (the engine should wake
     /// the site's parked workers).
     pub fn on_site_success(&mut self, site: usize, t_s: f64) -> bool {
-        if self.config.churn_placement {
-            self.breakers[site].on_success(t_s)
-        } else {
-            false
+        let closed = self.config.churn_placement && self.breakers[site].on_success(t_s);
+        if closed {
+            self.counters.breaker_closes.incr();
         }
+        closed
     }
 
     /// Estimated per-worker MTBF at `site` in sim seconds, from the
@@ -792,6 +807,7 @@ impl ControlPlane {
         replicas_cancelled: u64,
         replicas_completed: u64,
     ) -> TickOutcome {
+        self.counters.ticks.incr();
         let mut out = TickOutcome::default();
         if let Some(ctl) = self.cap_controller.as_mut() {
             let old_cap = ctl.cap();
@@ -802,11 +818,17 @@ impl ControlPlane {
             if let Some(new_cap) = ctl.tick(d_cancel, d_complete) {
                 out.new_cap = Some(new_cap);
                 out.cap_raised = new_cap > old_cap;
+                if out.cap_raised {
+                    self.counters.cap_raises.incr();
+                } else {
+                    self.counters.cap_lowers.incr();
+                }
             }
         }
         if self.config.churn_placement {
             for (site, breaker) in self.breakers.iter_mut().enumerate() {
                 if breaker.tick(t_s) {
+                    self.counters.breaker_half_opens.incr();
                     out.half_opened.push(site);
                 }
             }
@@ -824,7 +846,6 @@ impl fmt::Debug for ControlPlane {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("ControlPlane")
             .field("config", &self.config)
-            .field("estimator_updates", &self.estimator_updates)
             .finish_non_exhaustive()
     }
 }
@@ -1087,6 +1108,50 @@ mod tests {
         }
         assert_eq!(caps, vec![3, 2, 1]);
         assert!(plane.waste_ratio().unwrap() > 0.8);
+    }
+
+    #[test]
+    fn plane_counts_its_own_events() {
+        let telemetry = Telemetry::enabled();
+        let cfg = ControlConfig::none()
+            .with_adaptive_throttle()
+            .with_churn_placement();
+        let mut plane = ControlPlane::new(cfg, 2, 4, 4);
+        plane.attach_telemetry(&telemetry);
+        for t in [100.0, 101.0, 102.0] {
+            plane.on_worker_crash(0, t);
+        }
+        plane.on_worker_recover(0, 150.0);
+        let mut lowers = 0;
+        for k in 1..=10 {
+            let out = plane.tick(102.0 + CircuitBreaker::COOLDOWN_S, 90 * k, 10 * k);
+            if out.new_cap.is_some() {
+                assert!(!out.cap_raised);
+                lowers += 1;
+            }
+        }
+        assert!(plane.on_site_success(0, 900.0));
+        let counts: Vec<(&str, u64)> = telemetry
+            .snapshot()
+            .into_iter()
+            .map(|s| match s.value {
+                gridsched_telemetry::InstrumentValue::Counter { value } => (s.name, value),
+                other => panic!("{}: not a counter: {other:?}", s.name),
+            })
+            .collect();
+        assert!(lowers > 0, "the waste must move the cap");
+        assert_eq!(
+            counts,
+            [
+                ("control.breaker.closes", 1),
+                ("control.breaker.half_opens", 1),
+                ("control.breaker.opens", 1),
+                ("control.cap.lowers", lowers),
+                ("control.cap.raises", 0),
+                ("control.estimator.updates", 4),
+                ("control.ticks", 10),
+            ]
+        );
     }
 
     #[test]

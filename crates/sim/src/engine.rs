@@ -59,50 +59,38 @@
 //! image write or restore fetch, completed or aborted, ends through one
 //! `end_ckpt_flow`.
 //!
-//! ## Checkpoint/restart
+//! ## Subsystems
 //!
-//! With an active [`gridsched_checkpoint::CheckpointConfig`], compute is
-//! segmented: after every checkpoint interval (fixed, or the per-site
-//! Young/Daly optimum `sqrt(2 · MTBF · C)`) the worker stalls and writes a
-//! checkpoint image to its site's data server — a real flow across the
-//! site's access link, contending with the server's file fetches. The
-//! latest image of each task survives worker crashes (but dies with the
-//! data server that holds it): when a fault-orphaned task is reassigned,
-//! the new execution *restores* from the image — fetching it through the
-//! backbone when it lives at another site — and computes only the
-//! remaining flops. `wasted_compute_s` then counts only the work since the
-//! last durable image, and `work_saved_s` the work a restore rescued.
-//!
-//! An inert checkpoint config (or none) leaves the engine byte-identical
-//! to the PR 1 churn engine; `tests/checkpoint_restart.rs` property-tests
-//! this.
+//! Each extension of the paper's model is an optional subsystem that owns
+//! its state and instruments and exists only when configured: `Churn`, the
+//! transfer guard `XferGuard`, `Checkpointing`, the [`ControlPlane`] and
+//! the replication pushes. The engine performs every side effect they
+//! decide on: flows, events, spans, ledger entries and wake-ups.
 
 use std::collections::{BTreeSet, VecDeque};
+use std::fmt::Write as _;
 use std::sync::Arc;
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-
-use gridsched_checkpoint::{young_daly_interval, CheckpointConfig, CheckpointPolicy, ImageTracker};
 use gridsched_core::GridEnv;
 use gridsched_core::{
-    Assignment, CapController, CircuitBreaker, ControlDirective, ControlPlane, ReplicaThrottle,
-    Scheduler, SiteId, StorageAffinity, StrategyKind, Sufferage, WorkerCentric, WorkerId,
-    Workqueue,
+    Assignment, CapController, ControlDirective, ControlPlane, ReplicaThrottle, Scheduler, SiteId,
+    StorageAffinity, StrategyKind, Sufferage, WorkerCentric, WorkerId, Workqueue,
 };
-use gridsched_des::rng::{derive_seed, rng_for, Stream};
+use gridsched_des::rng::{rng_for, Stream};
 use gridsched_des::{EventHandle, Schedule, SimDuration, SimTime};
 use gridsched_faults::{Entity, FaultKind};
 use gridsched_net::{FlowId, NetSim};
-use gridsched_storage::{CheckpointImage, ImageVault, SiteStore};
+use gridsched_storage::SiteStore;
 use gridsched_telemetry::{
     expose, Counter, DigestFold, Histogram, MetricsServer, ProbeSample, SiteProbe, Telemetry, Track,
 };
-use gridsched_topology::{generate, EdgeId, Route, Topology};
+use gridsched_topology::{generate, EdgeId, Route};
 use gridsched_workload::{FileId, TaskId};
 
+use crate::checkpointing::{Checkpointing, Progress};
 use crate::churn::Churn;
 use crate::config::SimConfig;
+use crate::guard::XferGuard;
 use crate::metrics::{MetricsReport, SiteMetrics};
 use crate::replication::ReplicationState;
 
@@ -138,8 +126,7 @@ pub(crate) enum Event {
     /// Fault injection: the link's repair completes.
     LinkRecover { link: usize },
     /// Transfer guard: `site`'s in-flight batch fetch blew its deadline.
-    /// `epoch` stamps the guard-slot arming that scheduled this event;
-    /// a mismatch at dispatch identifies it as stale.
+    /// `epoch` stamps the arming that scheduled it (stale on a mismatch).
     TransferTimeout { site: usize, epoch: u64 },
     /// Transfer guard: `site`'s backoff elapsed — re-issue the fetch.
     TransferRetry { site: usize, epoch: u64 },
@@ -187,13 +174,9 @@ struct RunningTask {
     durable_flops: f64,
     /// Compute-seconds held by the latest durable image.
     durable_s: f64,
-    /// In-flight checkpoint image write or restore fetch.
-    ckpt_flow: Option<FlowId>,
-    /// When `ckpt_flow` started (overhead accounting).
-    ckpt_flow_started: Option<SimTime>,
-    /// Image contents (flops, invested seconds) being written by
-    /// `ckpt_flow`.
-    pending_image: Option<(f64, f64)>,
+    /// In-flight checkpoint image write or restore fetch: the flow, when
+    /// it started (its stall is overhead) and, for a write, the image.
+    ckpt_flow: Option<(FlowId, SimTime, Option<Progress>)>,
 }
 
 impl RunningTask {
@@ -209,8 +192,6 @@ impl RunningTask {
             durable_flops: 0.0,
             durable_s: 0.0,
             ckpt_flow: None,
-            ckpt_flow_started: None,
-            pending_image: None,
         }
     }
 }
@@ -222,6 +203,18 @@ struct Worker {
     state: WorkerState,
     generation: u64,
     current: Option<RunningTask>,
+}
+
+impl Worker {
+    /// The execution this worker is running.
+    fn running(&mut self) -> &mut RunningTask {
+        self.current.as_mut().expect("worker runs a task")
+    }
+
+    /// The task this worker is running.
+    fn task(&self) -> TaskId {
+        self.current.as_ref().expect("worker runs a task").task
+    }
 }
 
 #[derive(Debug)]
@@ -268,101 +261,14 @@ enum FlowPurpose {
     Restore { worker: usize, from_site: usize },
 }
 
-/// Runtime state of the checkpoint/restart subsystem (present only when a
-/// non-inert [`CheckpointConfig`] is active).
-#[derive(Debug)]
-struct CkptState {
-    /// Checkpoint image size in bytes.
-    size_bytes: f64,
-    /// Per-site checkpoint interval, seconds (Young/Daly adapts to each
-    /// site's access-link write cost; fixed policies repeat one value).
-    interval_s: Vec<f64>,
-    /// Per-site access link crossed by image writes (the last hop of the
-    /// site's route — the data server's uplink is the shared bottleneck).
-    access_link: Vec<EdgeId>,
-    /// Per-site image storage, dying with the site's data server.
-    vaults: Vec<ImageVault>,
-    /// Which site holds each task's latest image.
-    tracker: ImageTracker,
-    /// Per-site access-link write cost of one image, seconds — kept so
-    /// the adaptive Young/Daly loop can re-derive `interval_s` at tick
-    /// time from the *observed* failure process.
-    write_cost_s: Vec<f64>,
-    /// Whether the policy is [`CheckpointPolicy::YoungDalyAdaptive`]
-    /// (the control plane owns the interval; static policies never move).
-    adaptive: bool,
-}
-
-/// Per-site transfer-guard bookkeeping for the site's active batch fetch.
-#[derive(Debug, Default)]
-struct GuardSlot {
-    /// Monotonic stamp distinguishing live timeout/retry events from
-    /// stale ones (bumped on every arm/disarm, like worker generations).
-    epoch: u64,
-    /// Timed-out attempts of the current file so far.
-    attempts: u32,
-    /// Bytes the current attempt still has to deliver. Resume keeps this
-    /// shrinking across retries; naive mode resets it to the full file
-    /// size — it is also the byte base for splitting a cancelled attempt
-    /// into delivered vs wasted.
-    remaining: f64,
-    /// The armed deadline of the in-flight attempt.
-    timeout: Option<EventHandle>,
-    /// The armed backoff-delayed retry (no flow in flight meanwhile).
-    retry: Option<EventHandle>,
-    /// The file awaiting retry while no flow is in flight.
-    pending_file: Option<FileId>,
-    /// Failover source site of the in-flight attempt (`None` = the
-    /// origin file server).
-    source: Option<usize>,
-}
-
-/// The transfer-resilience layer (present only when
-/// [`SimConfig::transfer_timeout_mult`] is set): per-site guard slots,
-/// per-site route circuit breakers, and the backoff jitter's own
-/// decorrelated RNG stream (same derivation pattern as the burst process's).
-struct XferGuard {
-    rng: StdRng,
-    timeout_mult: f64,
-    max_retries: u32,
-    backoff_s: f64,
-    /// Restart-from-zero mode (the ablation baseline): no resume, no
-    /// failover — every retry re-fetches the whole file from the origin.
-    naive: bool,
-    /// Per-site breakers over the site ↔ file-server route, multiplied
-    /// into placement scores and failover-source choice.
-    breakers: Vec<CircuitBreaker>,
-    slots: Vec<GuardSlot>,
-}
-
-/// Seed-derivation tag of the transfer guard's jitter stream (workers,
-/// servers, bursts and links use `0x1…`–`0x4…`).
-const XFER_STREAM_TAG: u64 = 0x5_0000_0000;
-
-impl XferGuard {
-    fn new(config: &SimConfig, timeout_mult: f64) -> Self {
-        let base = derive_seed(config.seed, Stream::Faults);
-        let seed = derive_seed(base ^ XFER_STREAM_TAG, Stream::Faults);
-        XferGuard {
-            rng: StdRng::seed_from_u64(seed),
-            timeout_mult,
-            max_retries: config.transfer_retries,
-            backoff_s: config.retry_backoff_s,
-            naive: config.transfer_naive_retry,
-            breakers: (0..config.sites).map(|_| CircuitBreaker::new()).collect(),
-            slots: (0..config.sites).map(|_| GuardSlot::default()).collect(),
-        }
-    }
-}
-
 /// One deterministic simulation run. See the [crate docs](crate) for an
 /// example.
 pub struct GridSim {
     config: SimConfig,
     /// Shared per-site routes to the file server: flows borrow these
     /// instead of cloning a `Route` per transfer (engine hot path). The
-    /// full [`Topology`] is dropped after construction — only the routes
-    /// are needed at run time.
+    /// full topology is dropped after construction — only the routes are
+    /// needed at run time.
     site_routes: Vec<Arc<Route>>,
     schedule: Schedule<Event>,
     /// The fluid network; each flow is tagged with what it carries.
@@ -395,19 +301,12 @@ pub struct GridSim {
     /// event, no effect on any scheduling decision.
     telemetry: Telemetry,
     instruments: EngineInstruments,
+    // The optional subsystems: `None` keeps every code path of one dormant,
+    // so the run matches the engine without it exactly.
     replication: Option<ReplicationState>,
-    /// Fault injection (`None` keeps every fault code path dormant so the
-    /// run matches the fault-free engine exactly).
     churn: Option<Churn>,
-    /// Checkpoint/restart subsystem (`None` keeps every checkpoint code
-    /// path dormant so the run matches the checkpoint-free engine
-    /// exactly).
-    checkpointing: Option<CkptState>,
-    /// Closed-loop controllers (`None` keeps every control code path
-    /// dormant so the run matches the open-loop engine exactly).
+    checkpointing: Option<Checkpointing>,
     control: Option<ControlPlane>,
-    /// Transfer-resilience layer (`None` keeps every guard code path
-    /// dormant so the run matches the unguarded engine exactly).
     xfer: Option<XferGuard>,
     /// Tasks that were fault-orphaned at least once (re-execution
     /// accounting).
@@ -419,22 +318,12 @@ pub struct GridSim {
 }
 
 /// The engine's cached instrument handles: the facade's registry lookup
-/// is a `BTreeMap` walk, too slow for per-event hot paths.
+/// is a `BTreeMap` walk, too slow for per-event hot paths. Each subsystem
+/// caches its own.
 struct EngineInstruments {
     wake_calls: Counter,
     wake_fanout: Histogram,
     wake_targeted: Counter,
-    control_ticks: Counter,
-    control_estimates: Counter,
-    control_cap_raises: Counter,
-    control_cap_lowers: Counter,
-    control_breaker_opens: Counter,
-    control_breaker_half_opens: Counter,
-    control_breaker_closes: Counter,
-    xfer_timeout_count: Counter,
-    xfer_retry_count: Counter,
-    xfer_failover_count: Counter,
-    xfer_resumed_bytes: Histogram,
 }
 
 impl EngineInstruments {
@@ -443,17 +332,6 @@ impl EngineInstruments {
             wake_calls: telemetry.counter("engine.wake.calls"),
             wake_fanout: telemetry.histogram("engine.wake.fanout"),
             wake_targeted: telemetry.counter("engine.wake.targeted"),
-            control_ticks: telemetry.counter("control.ticks"),
-            control_estimates: telemetry.counter("control.estimator.updates"),
-            control_cap_raises: telemetry.counter("control.cap.raises"),
-            control_cap_lowers: telemetry.counter("control.cap.lowers"),
-            control_breaker_opens: telemetry.counter("control.breaker.opens"),
-            control_breaker_half_opens: telemetry.counter("control.breaker.half_opens"),
-            control_breaker_closes: telemetry.counter("control.breaker.closes"),
-            xfer_timeout_count: telemetry.counter("xfer.timeouts"),
-            xfer_retry_count: telemetry.counter("xfer.retries"),
-            xfer_failover_count: telemetry.counter("xfer.failovers"),
-            xfer_resumed_bytes: telemetry.histogram("xfer.bytes_resumed"),
         }
     }
 }
@@ -526,15 +404,6 @@ impl GridSim {
             "correlated crash bursts need worker faults (burst victims repair \
              through the worker MTTR process)"
         );
-        assert!(
-            config
-                .checkpointing
-                .as_ref()
-                .is_none_or(|c| c.policy != CheckpointPolicy::YoungDalyAdaptive)
-                || config.control.adaptive_checkpoint,
-            "young-daly-adaptive checkpointing needs the adaptive-checkpoint \
-             control loop"
-        );
         // An adaptive throttle with no user-configured throttle starts
         // from the controller's default cap; the user's own bounds win
         // when present. The *configured* throttle stays in the summary —
@@ -592,11 +461,7 @@ impl GridSim {
                 &telemetry,
             )
         });
-        let checkpointing = config
-            .checkpointing
-            .as_ref()
-            .filter(|c| !c.is_inert())
-            .map(|c| build_ckpt_state(c, &config, &topology));
+        let checkpointing = Checkpointing::new(&config, &topology);
         let lost_ever = vec![false; config.workload.task_count()];
         let replication = config
             .replication
@@ -610,16 +475,16 @@ impl GridSim {
             let start_cap = effective_throttle
                 .replica_cap
                 .unwrap_or(CapController::DEFAULT_START_CAP);
-            ControlPlane::new(
+            let mut plane = ControlPlane::new(
                 config.control,
                 config.sites,
                 u32::try_from(config.workers_per_site).expect("workers_per_site fits u32"),
                 start_cap,
-            )
+            );
+            plane.attach_telemetry(&telemetry);
+            plane
         });
-        let xfer = config
-            .transfer_timeout_mult
-            .map(|mult| XferGuard::new(&config, mult));
+        let xfer = XferGuard::new(&config, &telemetry);
         let parked = vec![BTreeSet::new(); config.sites];
         GridSim {
             config,
@@ -661,6 +526,12 @@ impl GridSim {
         self.instruments = EngineInstruments::new(&telemetry);
         if let Some(churn) = self.churn.as_mut() {
             churn.outages = telemetry.counter("net.link.outages");
+        }
+        if let Some(plane) = self.control.as_mut() {
+            plane.attach_telemetry(&telemetry);
+        }
+        if let Some(guard) = self.xfer.as_mut() {
+            guard.attach_telemetry(&telemetry);
         }
         self.telemetry = telemetry;
         self
@@ -833,27 +704,16 @@ impl GridSim {
     /// Prometheus text format plus run-level gauges.
     fn render_exposition(&self, events_dispatched: u64) -> String {
         let mut out = gridsched_telemetry::render_prometheus(&self.telemetry.snapshot());
-        out.push_str("# TYPE gridsched_sim_time_seconds gauge\n");
-        expose::write_sample(
-            &mut out,
-            "gridsched_sim_time_seconds",
-            &[],
-            self.now().as_secs(),
-        );
-        out.push_str("# TYPE gridsched_events_dispatched_total counter\n");
-        expose::write_sample(
-            &mut out,
-            "gridsched_events_dispatched_total",
-            &[],
-            events_dispatched as f64,
-        );
-        out.push_str("# TYPE gridsched_tasks_completed_total counter\n");
-        expose::write_sample(
-            &mut out,
-            "gridsched_tasks_completed_total",
-            &[],
-            self.ledger.tasks_completed as f64,
-        );
+        let (dispatched, completed) =
+            (events_dispatched as f64, self.ledger.tasks_completed as f64);
+        for (name, kind, value) in [
+            ("gridsched_sim_time_seconds", "gauge", self.now().as_secs()),
+            ("gridsched_events_dispatched_total", "counter", dispatched),
+            ("gridsched_tasks_completed_total", "counter", completed),
+        ] {
+            let _ = writeln!(out, "# TYPE {name} {kind}");
+            expose::write_sample(&mut out, name, &[], value);
+        }
         out.push_str("# TYPE gridsched_run_info gauge\n");
         expose::write_sample(
             &mut out,
@@ -923,8 +783,9 @@ impl GridSim {
     /// failure interarrival process (taking effect at the next segment
     /// boundary — in-flight segments are never rescheduled).
     fn control_tick(&mut self, at: SimTime) {
-        let mut plane = self.control.take().expect("tick implies a control plane");
-        self.instruments.control_ticks.incr();
+        let Some(plane) = self.control.as_mut() else {
+            return;
+        };
         // Cancelled *or* fault-lost replicas both count as speculative
         // waste the throttle should react to.
         let outcome = plane.tick(
@@ -932,19 +793,18 @@ impl GridSim {
             self.ledger.replicas_cancelled + self.ledger.replicas_lost,
             self.ledger.replicas_completed,
         );
+        if let Some(ckpt) = self.checkpointing.as_mut() {
+            ckpt.retune(plane);
+        }
         if let Some(cap) = outcome.new_cap {
             self.scheduler
                 .on_control(&ControlDirective::SetReplicaCap(cap));
             if outcome.cap_raised {
-                self.instruments.control_cap_raises.incr();
                 // The raise re-admits parked replica candidates.
                 self.wake_parked();
-            } else {
-                self.instruments.control_cap_lowers.incr();
             }
         }
         for &site in &outcome.half_opened {
-            self.instruments.control_breaker_half_opens.incr();
             // Half-open re-admits the site's traffic (the dispatch gate
             // only blocks while fully open): wake every parked worker.
             // The first crash re-trips the breaker for a fresh cooldown;
@@ -953,31 +813,12 @@ impl GridSim {
             self.wake_site_parked(site);
         }
         if let Some(mut scores) = outcome.scores {
-            // Route breakers multiply into placement: a site whose
-            // transfers keep timing out scores toward zero even when its
-            // workers are perfectly healthy.
             if let Some(guard) = self.xfer.as_mut() {
-                for (s, score) in scores.iter_mut().enumerate() {
-                    let _ = guard.breakers[s].tick(at.as_secs());
-                    *score *= guard.breakers[s].score_factor();
-                }
+                guard.tick_breakers(at.as_secs(), &mut scores);
             }
             self.scheduler
                 .on_control(&ControlDirective::SiteScores(scores));
         }
-        if plane.checkpoint_enabled() {
-            if let Some(ckpt) = self.checkpointing.as_mut() {
-                if ckpt.adaptive {
-                    for site in 0..self.config.sites {
-                        if let Some(mtbf) = plane.site_worker_mtbf_s(site) {
-                            ckpt.interval_s[site] =
-                                young_daly_interval(mtbf, ckpt.write_cost_s[site]);
-                        }
-                    }
-                }
-            }
-        }
-        self.control = Some(plane);
     }
 
     /// Closes the fault windows still open when the event queue drains
@@ -1007,6 +848,26 @@ impl GridSim {
 
     fn now(&self) -> SimTime {
         self.schedule.now()
+    }
+
+    /// Opens span `name` for `task` on worker `w`'s track now.
+    fn begin_span(&self, w: usize, name: &'static str, task: TaskId) {
+        let (t, task) = (self.now().as_secs(), task.index() as u64);
+        self.telemetry
+            .span_begin_for_task(Track::worker(w), name, t, task);
+    }
+
+    /// Closes span `name` on worker `w`'s track now.
+    fn end_span(&self, w: usize, name: &'static str) {
+        self.telemetry
+            .span_end(Track::worker(w), name, self.now().as_secs());
+    }
+
+    /// Records instant `name` for `task` on worker `w`'s track now.
+    fn instant(&self, w: usize, name: &'static str, task: TaskId) {
+        let (t, task) = (self.now().as_secs(), task.index() as u64);
+        self.telemetry
+            .instant_for_task(Track::worker(w), name, t, task);
     }
 
     // ----- scheduler interaction -------------------------------------
@@ -1049,12 +910,7 @@ impl GridSim {
                 }
                 self.workers[w].state = WorkerState::WaitingData;
                 self.workers[w].current = Some(RunningTask::new(task, is_replica));
-                self.telemetry.span_begin_for_task(
-                    Track::worker(w),
-                    "queued",
-                    self.now().as_secs(),
-                    task.index() as u64,
-                );
+                self.begin_span(w, "queued", task);
                 let enqueued_at = self.now();
                 let generation = self.workers[w].generation;
                 self.servers[site].queue.push_back(BatchRequest {
@@ -1113,11 +969,19 @@ impl GridSim {
         list.sort_unstable();
         self.instruments.wake_fanout.record(list.len() as u64);
         for w in list {
-            if self.workers[w].state == WorkerState::Parked {
-                self.workers[w].state = WorkerState::Idle;
-                self.schedule.schedule_now(Event::WorkerIdle(w));
-            }
+            self.unpark(w);
         }
+    }
+
+    /// Re-polls `w` if it is still parked (a crash since parking leaves a
+    /// stale entry behind). Returns whether it was.
+    fn unpark(&mut self, w: usize) -> bool {
+        let parked = self.workers[w].state == WorkerState::Parked;
+        if parked {
+            self.workers[w].state = WorkerState::Idle;
+            self.schedule.schedule_now(Event::WorkerIdle(w));
+        }
+        parked
     }
 
     /// Wakes the lowest-indexed parked worker of `site`, if any — the
@@ -1129,9 +993,7 @@ impl GridSim {
         self.instruments.wake_targeted.incr();
         while let Some(w) = self.parked[site].pop_first() {
             self.parked_count -= 1;
-            if self.workers[w].state == WorkerState::Parked {
-                self.workers[w].state = WorkerState::Idle;
-                self.schedule.schedule_now(Event::WorkerIdle(w));
+            if self.unpark(w) {
                 return;
             }
         }
@@ -1143,10 +1005,7 @@ impl GridSim {
         let list = std::mem::take(&mut self.parked[site]);
         self.parked_count -= list.len();
         for w in list {
-            if self.workers[w].state == WorkerState::Parked {
-                self.workers[w].state = WorkerState::Idle;
-                self.schedule.schedule_now(Event::WorkerIdle(w));
-            }
+            self.unpark(w);
         }
     }
 
@@ -1167,15 +1026,9 @@ impl GridSim {
             }
         };
         let w = request.worker;
-        let t = self.now().as_secs();
-        let task = self.workers[w]
-            .current
-            .as_ref()
-            .expect("queued worker has a current task")
-            .task;
-        self.telemetry.span_end(Track::worker(w), "queued", t);
-        self.telemetry
-            .span_begin_for_task(Track::worker(w), "staging", t, task.index() as u64);
+        let task = self.workers[w].task();
+        self.end_span(w, "queued");
+        self.begin_span(w, "staging", task);
         let files: Vec<FileId> = self.config.workload.task(task).files().to_vec();
         // Waiting time: enqueue → service start (Table 3 column 1).
         let waited = (self.now() - request.enqueued_at).as_secs();
@@ -1187,12 +1040,7 @@ impl GridSim {
         for &f in &files {
             if self.stores[site].contains(f) {
                 self.stores[site].pin(f);
-                self.workers[w]
-                    .current
-                    .as_mut()
-                    .expect("current set above")
-                    .pinned
-                    .push(f);
+                self.workers[w].running().pinned.push(f);
             } else {
                 to_fetch.push_back(f);
             }
@@ -1225,12 +1073,7 @@ impl GridSim {
             // The file may have arrived meanwhile (replication push).
             if self.stores[site].contains(file) {
                 self.stores[site].pin(file);
-                self.workers[w]
-                    .current
-                    .as_mut()
-                    .expect("active batch worker is running")
-                    .pinned
-                    .push(file);
+                self.workers[w].running().pinned.push(file);
                 continue;
             }
             let now = self.now();
@@ -1246,21 +1089,15 @@ impl GridSim {
                 .as_mut()
                 .expect("still active")
                 .current = Some((file, fid));
-            self.resync_net();
-            if self.xfer.is_some() {
-                // Fresh file, fresh attempt budget. The deadline is armed
-                // *after* the flow starts so the fair-share estimate sees
-                // the flow's own claim on its route.
-                {
-                    let slot = &mut self.xfer.as_mut().expect("checked").slots[site];
-                    slot.attempts = 0;
-                    slot.source = None;
-                    slot.pending_file = None;
-                }
+            resync(&mut self.net, &mut self.schedule);
+            if let Some(guard) = self.xfer.as_mut() {
+                // A fresh file with a fresh attempt budget. The deadline is
+                // armed *after* the flow starts so the fair-share estimate
+                // sees the flow's own claim on its route.
                 let route = &self.site_routes[site];
                 let est = self.net.fair_share_estimate(&route.links);
-                let latency_s = route.latency_s;
-                self.arm_transfer_timeout(site, bytes, est, latency_s);
+                let schedule = |delay, event| self.schedule.schedule_in(delay, event);
+                guard.arm(site, true, bytes, est, route.latency_s, schedule);
             }
             return;
         }
@@ -1271,17 +1108,12 @@ impl GridSim {
     fn finish_batch(&mut self, site: usize) {
         let batch = self.servers[site].active.take().expect("active batch");
         let w = batch.worker;
-        self.telemetry
-            .span_end(Track::worker(w), "staging", self.now().as_secs());
+        self.end_span(w, "staging");
         let transfer_time = (self.now() - batch.service_start).as_secs();
         self.ledger.per_site[site].transfer_time_s += transfer_time;
         self.ledger.per_site[site].tasks_started += 1;
 
-        let task = self.workers[w]
-            .current
-            .as_ref()
-            .expect("worker owns the batch")
-            .task;
+        let task = self.workers[w].task();
         let files: Vec<FileId> = self.config.workload.task(task).files().to_vec();
         for &f in &files {
             self.stores[site].record_task_reference(f);
@@ -1308,21 +1140,12 @@ impl GridSim {
     /// started (the worker is [`WorkerState::Restoring`] until it lands);
     /// a local image restores for free and compute can begin immediately.
     fn try_restore(&mut self, w: usize, site: usize) -> bool {
-        let Some(ckpt) = self.checkpointing.as_mut() else {
+        let task = self.workers[w].task();
+        let Some((img_site, image)) = self.checkpointing.as_ref().and_then(|c| c.image(task))
+        else {
             return false;
         };
-        let task = self.workers[w]
-            .current
-            .as_ref()
-            .expect("restoring worker is running")
-            .task;
-        let Some(img_site) = ckpt.tracker.site_of(task) else {
-            return false;
-        };
-        let image = ckpt.vaults[img_site]
-            .get(task)
-            .expect("tracker and vaults agree");
-        let current = self.workers[w].current.as_mut().expect("running");
+        let current = self.workers[w].running();
         current.progress_flops = image.flops_done;
         current.progress_s = image.invested_s;
         current.durable_flops = image.flops_done;
@@ -1337,12 +1160,11 @@ impl GridSim {
         // The image travels source site → backbone → destination site
         // (all inter-site traffic rides the file-server backbone in this
         // model).
-        let size = ckpt.size_bytes;
-        let (links, latency_s) = self.union_route(img_site, site);
+        let (links, latency_s) = union_route(&self.site_routes, img_site, site);
         let fid = self.net.start_flow(
             self.now(),
             &links,
-            size,
+            image.bytes,
             latency_s,
             FlowPurpose::Restore {
                 worker: w,
@@ -1351,14 +1173,11 @@ impl GridSim {
         );
         self.ledger.flows_started += 1;
         let started = self.now();
-        let current = self.workers[w].current.as_mut().expect("running");
-        current.ckpt_flow = Some(fid);
-        current.ckpt_flow_started = Some(started);
-        let task_id = current.task.index() as u64;
+        let current = self.workers[w].running();
+        current.ckpt_flow = Some((fid, started, None));
         self.workers[w].state = WorkerState::Restoring;
-        self.telemetry
-            .span_begin_for_task(Track::worker(w), "restore", started.as_secs(), task_id);
-        self.resync_net();
+        self.begin_span(w, "restore", task);
+        resync(&mut self.net, &mut self.schedule);
         true
     }
 
@@ -1369,19 +1188,11 @@ impl GridSim {
         let site = self.workers[w].id.site.index();
         let speed = self.workers[w].speed_flops;
         let generation = self.workers[w].generation;
-        let task = self.workers[w]
-            .current
-            .as_ref()
-            .expect("computing worker is running")
-            .task;
-        let progress = self.workers[w]
-            .current
-            .as_ref()
-            .expect("running")
-            .progress_flops;
+        let task = self.workers[w].task();
+        let progress = self.workers[w].running().progress_flops;
         let flops = self.config.workload.task(task).flops;
         let remaining_s = (flops - progress).max(0.0) / speed;
-        let interval = self.checkpointing.as_ref().map(|c| c.interval_s[site]);
+        let interval = self.checkpointing.as_ref().map(|c| c.interval_s(site));
         let handle = match interval {
             Some(t) if remaining_s > t => self.schedule.schedule_in(
                 SimDuration::from_secs(t),
@@ -1400,16 +1211,11 @@ impl GridSim {
             ),
         };
         let started = self.now();
-        let current = self.workers[w].current.as_mut().expect("running");
+        let current = self.workers[w].running();
         current.compute_handle = Some(handle);
         current.compute_started = Some(started);
         self.workers[w].state = WorkerState::Computing;
-        self.telemetry.span_begin_for_task(
-            Track::worker(w),
-            "compute",
-            started.as_secs(),
-            task.index() as u64,
-        );
+        self.begin_span(w, "compute", task);
     }
 
     /// A compute segment ended: commit its progress and write a checkpoint
@@ -1425,7 +1231,7 @@ impl GridSim {
         let site = self.workers[w].id.site.index();
         let speed = self.workers[w].speed_flops;
         let now = self.now();
-        let current = self.workers[w].current.as_mut().expect("computing");
+        let current = self.workers[w].running();
         let started = current
             .compute_started
             .take()
@@ -1434,18 +1240,16 @@ impl GridSim {
         current.progress_flops += seg_s * speed;
         current.progress_s += seg_s;
         current.compute_handle = None;
-        self.telemetry
-            .span_end(Track::worker(w), "compute", now.as_secs());
+        self.end_span(w, "compute");
         if self.servers[site].down {
             self.begin_compute_segment(w);
             return;
         }
-        let ckpt = self
+        let (link, size) = self
             .checkpointing
             .as_ref()
-            .expect("checkpoint event implies checkpointing");
-        let link = ckpt.access_link[site];
-        let size = ckpt.size_bytes;
+            .expect("checkpoint event implies checkpointing")
+            .write_path(site);
         let fid = self.net.start_flow(
             now,
             &[link],
@@ -1454,33 +1258,14 @@ impl GridSim {
             FlowPurpose::Checkpoint { worker: w },
         );
         self.ledger.flows_started += 1;
-        let current = self.workers[w].current.as_mut().expect("computing");
-        current.ckpt_flow = Some(fid);
-        current.ckpt_flow_started = Some(now);
-        current.pending_image = Some((current.progress_flops, current.progress_s));
-        let task_id = current.task.index() as u64;
-        self.telemetry
-            .span_begin_for_task(Track::worker(w), "checkpoint", now.as_secs(), task_id);
-        self.resync_net();
+        let current = self.workers[w].running();
+        let image = (current.progress_flops, current.progress_s);
+        current.ckpt_flow = Some((fid, now, Some(image)));
+        self.begin_span(w, "checkpoint", self.workers[w].task());
+        resync(&mut self.net, &mut self.schedule);
     }
 
     // ----- network ------------------------------------------------------
-
-    /// Re-aims the flow-completion event after any change to the flow set:
-    /// the schedule's armed event is the next completion, or nothing when
-    /// no flow can complete. Arming replaces the previous completion in
-    /// place and takes a fresh sequence number, exactly as cancelling it
-    /// and scheduling the new one would (see [`Schedule::arm`]), so the
-    /// completion never enters the event heap and dispatch order is
-    /// unchanged. A resync that another one at the same instant would
-    /// replace before any event dispatches may be skipped: skipping it
-    /// moves no surviving event's place in the `(time, sequence)` order.
-    fn resync_net(&mut self) {
-        match self.net.next_completion() {
-            Some((t, fid)) => self.schedule.arm(t, Event::FlowDone(fid)),
-            None => self.schedule.disarm(),
-        }
-    }
 
     fn handle_flow_done(&mut self, fid: FlowId) {
         let purpose = self.net.finish_flow(self.now(), fid);
@@ -1498,16 +1283,10 @@ impl GridSim {
                 let bytes = self.attempt_bytes(site);
                 self.ledger.per_site[site].file_transfers += 1;
                 self.ledger.per_site[site].bytes_transferred += bytes;
-                if self.xfer.is_some() {
-                    let t_s = self.now().as_secs();
-                    let src = self.xfer.as_ref().expect("checked").slots[site].source;
-                    self.disarm_transfer_guard(site);
-                    let guard = self.xfer.as_mut().expect("checked");
-                    let _ = guard.breakers[site].on_success(t_s);
-                    if let Some(s) = src {
-                        let _ = guard.breakers[s].on_success(t_s);
-                    }
+                if let Some(guard) = self.xfer.as_mut() {
+                    guard.feed(site, self.schedule.now().as_secs(), true);
                 }
+                self.disarm_transfer_guard(site);
                 let fresh = !self.stores[site].contains(file);
                 let (evicted, refs) = self.stores[site].insert_pinned(file);
                 if fresh {
@@ -1523,12 +1302,7 @@ impl GridSim {
                     debug_assert!(evicted.is_empty(), "touching evicts nothing");
                 }
                 let w = self.servers[site].active.as_ref().expect("active").worker;
-                self.workers[w]
-                    .current
-                    .as_mut()
-                    .expect("active batch worker is running")
-                    .pinned
-                    .push(file);
+                self.workers[w].running().pinned.push(file);
                 // The resync may be skipped when a fetch starts at this site
                 // at this instant: the batch's next missing file, or, once
                 // the batch is done, the first file the store lacks of the
@@ -1547,15 +1321,11 @@ impl GridSim {
                         .iter()
                         .find(|r| self.workers[r.worker].generation == r.generation)
                         .is_some_and(|r| {
-                            let task = self.workers[r.worker]
-                                .current
-                                .as_ref()
-                                .expect("queued worker has a current task")
-                                .task;
+                            let task = self.workers[r.worker].task();
                             self.config.workload.task(task).files().iter().any(lacks)
                         });
                 if !fetch_starts_now {
-                    self.resync_net();
+                    resync(&mut self.net, &mut self.schedule);
                 }
                 self.advance_batch(site);
             }
@@ -1565,62 +1335,32 @@ impl GridSim {
                 self.ledger.per_site[site].file_transfers += 1;
                 self.ledger.per_site[site].bytes_transferred += bytes;
                 if !self.stores[site].contains(file) {
-                    self.insert_file(site, file);
+                    let evicted = self.stores[site].insert(file);
+                    let refs = self.stores[site].ref_count(file);
+                    self.file_added(site, file, evicted, refs);
                 }
-                self.resync_net();
+                resync(&mut self.net, &mut self.schedule);
             }
             FlowPurpose::Checkpoint { worker } => {
                 let site = self.workers[worker].id.site.index();
-                let (flops, invested) = self.end_ckpt_flow(worker).expect("image pending");
-                let task = self.workers[worker].current.as_ref().expect("running").task;
+                let image = self.end_ckpt_flow(worker).expect("image pending");
+                let current = self.workers[worker].running();
                 let ckpt = self.checkpointing.as_mut().expect("checkpoint flow");
-                // Only-improve: a lagging storage-affinity replica's image
-                // never clobbers a fresher one of the same task.
-                let fresher = ckpt
-                    .tracker
-                    .site_of(task)
-                    .and_then(|s| ckpt.vaults[s].get(task))
-                    .is_none_or(|old| flops > old.flops_done);
-                if fresher {
-                    if let Some(old) = ckpt.tracker.record(task, site) {
-                        ckpt.vaults[old].remove(task);
-                    }
-                    ckpt.vaults[site].put(
-                        task,
-                        CheckpointImage {
-                            flops_done: flops,
-                            invested_s: invested,
-                            bytes: ckpt.size_bytes,
-                        },
-                    );
-                    let current = self.workers[worker].current.as_mut().expect("running");
-                    current.durable_flops = flops;
-                    current.durable_s = invested;
+                if ckpt.commit(current.task, site, image) {
+                    (current.durable_flops, current.durable_s) = image;
                 }
-                self.resync_net();
+                resync(&mut self.net, &mut self.schedule);
                 self.begin_compute_segment(worker);
             }
             FlowPurpose::Restore { worker, .. } => {
                 self.end_ckpt_flow(worker);
-                let saved = self.workers[worker]
-                    .current
-                    .as_ref()
-                    .expect("running")
-                    .progress_s;
+                let saved = self.workers[worker].running().progress_s;
                 self.ledger.checkpoint_restores += 1;
                 self.ledger.work_saved_s += saved;
-                self.resync_net();
+                resync(&mut self.net, &mut self.schedule);
                 self.begin_compute_segment(worker);
             }
         }
-    }
-
-    /// Inserts a file into a site store and reports it (see
-    /// [`GridSim::file_added`]).
-    fn insert_file(&mut self, site: usize, file: FileId) {
-        let evicted = self.stores[site].insert(file);
-        let refs = self.stores[site].ref_count(file);
-        self.file_added(site, file, evicted, refs);
     }
 
     /// Forwards the eviction and addition notifications of a file that
@@ -1652,16 +1392,14 @@ impl GridSim {
     // ----- replication extension ----------------------------------------
 
     fn maybe_replicate(&mut self, files: &[FileId], origin_site: usize) {
-        if self.replication.is_none() || self.config.sites < 2 {
+        let Some(replication) = self.replication.as_mut() else {
+            return;
+        };
+        if self.config.sites < 2 {
             return;
         }
         for &f in files {
-            let eligible = self
-                .replication
-                .as_mut()
-                .expect("checked above")
-                .record_reference(f);
-            if !eligible {
+            if !replication.record_reference(f) {
                 continue;
             }
             // Pick a random site lacking the file (skipping servers that
@@ -1685,7 +1423,6 @@ impl GridSim {
                 .as_ref()
                 .filter(|p| p.placement_enabled())
                 .map(ControlPlane::site_scores);
-            let replication = self.replication.as_mut().expect("checked above");
             let Some(target) = replication.pick_target(candidates, scores) else {
                 // Nothing can receive the file right now. If no server is
                 // down, every possible target already holds the file —
@@ -1701,7 +1438,7 @@ impl GridSim {
             };
             replication.mark_pushed(f);
             self.ledger.replication_pushes += 1;
-            let now = self.now();
+            let now = self.schedule.now();
             let route = &self.site_routes[target];
             self.net.start_flow(
                 now,
@@ -1714,7 +1451,7 @@ impl GridSim {
                 },
             );
             self.ledger.flows_started += 1;
-            self.resync_net();
+            resync(&mut self.net, &mut self.schedule);
         }
     }
 
@@ -1740,9 +1477,8 @@ impl GridSim {
         let current = self.workers[w].current.take().expect("computing worker");
         debug_assert_eq!(current.task, task);
         let t = self.now().as_secs();
-        self.telemetry.span_end(Track::worker(w), "compute", t);
-        self.telemetry
-            .instant_for_task(Track::worker(w), "complete", t, task.index() as u64);
+        self.end_span(w, "compute");
+        self.instant(w, "complete", task);
         let was_replica = current.is_replica;
         for f in current.pinned {
             self.stores[site].unpin(f);
@@ -1760,16 +1496,10 @@ impl GridSim {
             .as_mut()
             .is_some_and(|plane| plane.on_site_success(site, t));
         if breaker_closed {
-            self.instruments.control_breaker_closes.incr();
             self.wake_site_parked(site);
         }
-
-        // A finished task's image is dead weight; drop it (not a loss).
         if let Some(ckpt) = self.checkpointing.as_mut() {
-            if let Some(s) = ckpt.tracker.site_of(task) {
-                ckpt.vaults[s].remove(task);
-                ckpt.tracker.forget(task);
-            }
+            ckpt.complete(task);
         }
 
         let outcome = self.scheduler.on_task_complete(self.workers[w].id, task);
@@ -1802,8 +1532,8 @@ impl GridSim {
     /// cancels, down for crashes) and how the scheduler hears about it.
     fn teardown_execution(&mut self, w: usize) -> Option<(TaskId, bool)> {
         let site = self.workers[w].id.site.index();
-        let task = self.workers[w].current.as_ref()?.task;
-        let t = self.now().as_secs();
+        let current = self.workers[w].current.as_ref()?;
+        let (task, is_replica) = (current.task, current.is_replica);
         let active = self.servers[site]
             .active
             .as_ref()
@@ -1815,16 +1545,17 @@ impl GridSim {
             }
             // Still queued at the data server: the entry stays in place,
             // and the caller's generation bump marks it stale.
-            WorkerState::WaitingData => self.telemetry.span_end(Track::worker(w), "queued", t),
+            WorkerState::WaitingData => self.end_span(w, "queued"),
             WorkerState::Restoring | WorkerState::Computing => {
-                let current = self.workers[w].current.as_ref().expect("checked above");
+                let now = self.now();
+                let current = self.workers[w].running();
                 let (handle, ckpt_flow) = (current.compute_handle, current.ckpt_flow);
                 // Committed-but-undurable segments are lost along with the
                 // in-flight segment; checkpointed work is not (a restoring
                 // execution has computed nothing since its image).
                 self.ledger.wasted_compute_s += current.progress_s - current.durable_s;
                 if let Some(started) = current.compute_started {
-                    self.ledger.wasted_compute_s += (self.now() - started).as_secs();
+                    self.ledger.wasted_compute_s += (now - started).as_secs();
                 }
                 if let Some(h) = handle {
                     self.schedule.cancel(h);
@@ -1832,26 +1563,25 @@ impl GridSim {
                 // An image write or restore fetch dies with the execution
                 // (a restored image survives at its source), but the stall
                 // it caused was still paid.
-                if let Some(fid) = ckpt_flow {
+                if let Some((fid, ..)) = ckpt_flow {
                     self.abort_flow(fid);
-                    self.resync_net();
+                    resync(&mut self.net, &mut self.schedule);
                     self.end_ckpt_flow(w);
                 } else {
-                    self.telemetry.span_end(Track::worker(w), "compute", t);
+                    self.end_span(w, "compute");
                 }
             }
             other => panic!("teardown_execution on worker in state {other:?}"),
         }
-        self.telemetry
-            .instant_for_task(Track::worker(w), "aborted", t, task.index() as u64);
+        self.instant(w, "aborted", task);
         if active {
             self.maybe_start_service(site);
         }
-        let current = self.workers[w].current.take().expect("checked above");
-        for f in current.pinned {
+        let pinned = self.workers[w].current.take().map(|c| c.pinned);
+        for f in pinned.into_iter().flatten() {
             self.stores[site].unpin(f);
         }
-        Some((task, current.is_replica))
+        Some((task, is_replica))
     }
 
     /// Dissolves `site`'s active batch: aborts its in-flight attempt,
@@ -1868,16 +1598,15 @@ impl GridSim {
             if let Some(left) = self.abort_flow(fid) {
                 self.ledger.per_site[site].bytes_transferred += (attempt - left).max(0.0);
             }
-            self.resync_net();
+            resync(&mut self.net, &mut self.schedule);
         }
         self.disarm_transfer_guard(site);
         self.ledger.per_site[site].transfer_time_s += (self.now() - batch.service_start).as_secs();
-        let current = self.workers[w].current.as_mut().expect("batch worker runs");
+        let current = self.workers[w].running();
         for f in current.pinned.drain(..) {
             self.stores[site].unpin(f);
         }
-        self.telemetry
-            .span_end(Track::worker(w), "staging", self.now().as_secs());
+        self.end_span(w, "staging");
         w
     }
 
@@ -1887,9 +1616,7 @@ impl GridSim {
     fn attempt_bytes(&self, site: usize) -> f64 {
         self.xfer
             .as_ref()
-            .map_or(self.config.workload.file_size_bytes, |g| {
-                g.slots[site].remaining
-            })
+            .map_or(self.config.workload.file_size_bytes, |g| g.remaining(site))
     }
 
     /// Cancels flow `fid` as an abort (replica cancel, crash or server
@@ -1907,20 +1634,16 @@ impl GridSim {
     /// clears the flow, books the stall since it started as checkpoint
     /// overhead (spent even when the image never landed) and closes the
     /// `checkpoint` or `restore` span. Returns the image a write carried.
-    fn end_ckpt_flow(&mut self, w: usize) -> Option<(f64, f64)> {
+    fn end_ckpt_flow(&mut self, w: usize) -> Option<Progress> {
         let now = self.now();
         let phase = match self.workers[w].state {
             WorkerState::Restoring => "restore",
             _ => "checkpoint",
         };
-        let current = self.workers[w].current.as_mut().expect("flow owner runs");
-        current.ckpt_flow = None;
-        if let Some(started) = current.ckpt_flow_started.take() {
-            self.ledger.checkpoint_overhead_s += (now - started).as_secs();
-        }
-        let image = current.pending_image.take();
-        self.telemetry
-            .span_end(Track::worker(w), phase, now.as_secs());
+        let flow = self.workers[w].running().ckpt_flow.take();
+        let (_, started, image) = flow.expect("an image flow is in flight");
+        self.ledger.checkpoint_overhead_s += (now - started).as_secs();
+        self.end_span(w, phase);
         image
     }
 
@@ -1971,15 +1694,19 @@ impl GridSim {
         // site is unreachable, not slow.
         let trace = self.config.faults.as_ref().and_then(|f| f.trace.clone());
         if let Some(trace) = trace {
+            // `FaultTrace::validate` in `GridSim::new` bounds each worker.
             let wps = self.config.workers_per_site;
+            let flat = |site: usize, worker: usize| {
+                WorkerId::new(SiteId(site as u32), worker as u32).flat_index(wps)
+            };
             for e in &trace.events {
                 let at = SimTime::from_secs(e.at_s);
                 let event = match e.kind {
                     FaultKind::WorkerCrash { site, worker } => {
-                        Event::WorkerCrash(flat_worker(site, worker, wps))
+                        Event::WorkerCrash(flat(site, worker))
                     }
                     FaultKind::WorkerRecover { site, worker } => {
-                        Event::WorkerRecover(flat_worker(site, worker, wps))
+                        Event::WorkerRecover(flat(site, worker))
                     }
                     FaultKind::ServerFail { site } => Event::ServerFail(site),
                     FaultKind::ServerRecover { site } => Event::ServerRecover(site),
@@ -2050,7 +1777,7 @@ impl GridSim {
             Entity::Worker(w) => {
                 let site = self.workers[w].id.site.index();
                 self.ledger.per_site[site].worker_downtime_s += downtime;
-                self.telemetry.span_end(Track::worker(w), "down", t);
+                self.end_span(w, "down");
             }
             Entity::Server(s) => {
                 self.ledger.per_site[s].server_downtime_s += downtime;
@@ -2086,7 +1813,7 @@ impl GridSim {
         churn.outages.incr();
         self.open_window(Entity::Link(link), hard);
         self.ledger.link_outages += 1;
-        self.resync_net();
+        resync(&mut self.net, &mut self.schedule);
         self.rearm(Entity::Link(link), false);
     }
 
@@ -2103,7 +1830,7 @@ impl GridSim {
             self.net
                 .set_link_capacity_factor(now, EdgeId(link as u32), 1.0);
         }
-        self.resync_net();
+        resync(&mut self.net, &mut self.schedule);
         if self.scheduler.unfinished() == 0 {
             return;
         }
@@ -2112,149 +1839,53 @@ impl GridSim {
 
     // ----- transfer guard -------------------------------------------------
 
-    /// The replica-to-replica transfer route: source site → backbone →
-    /// destination site (shared links crossed once), plus summed latency.
-    /// Failover re-fetches and checkpoint restores both travel it.
-    fn union_route(&self, from: usize, to: usize) -> (Vec<EdgeId>, f64) {
-        let src = &self.site_routes[from];
-        let dst = &self.site_routes[to];
-        let mut links = Vec::with_capacity(src.links.len() + dst.links.len());
-        links.extend_from_slice(&src.links);
-        for &l in &dst.links {
-            if !links.contains(&l) {
-                links.push(l);
-            }
-        }
-        (links, src.latency_s + dst.latency_s)
-    }
-
-    /// Arms the deadline for `site`'s just-started batch fetch: the
-    /// timeout multiple × the transfer's expected duration at the current
-    /// fair share `est` over the fetch's route (read after the flow
-    /// started). The estimate lower-bounds the true max–min rate, so
-    /// `remaining / est` *upper*-bounds the healthy transfer time — a flow
-    /// progressing at its fair share never times out.
-    fn arm_transfer_timeout(&mut self, site: usize, remaining: f64, est: f64, latency_s: f64) {
-        let Some(guard) = self.xfer.as_mut() else {
-            return;
-        };
-        let expected_s = latency_s
-            + if est.is_finite() {
-                remaining / est
-            } else {
-                0.0
-            };
-        let timeout_s = guard.timeout_mult * expected_s;
-        let slot = &mut guard.slots[site];
-        slot.epoch += 1;
-        slot.remaining = remaining;
-        let epoch = slot.epoch;
-        let handle = self.schedule.schedule_in(
-            SimDuration::from_secs(timeout_s),
-            Event::TransferTimeout { site, epoch },
-        );
-        slot.timeout = Some(handle);
-    }
-
-    /// Stands down `site`'s guard slot: bumps the epoch (invalidating any
-    /// in-flight timeout/retry event) and cancels the armed handles. Runs
-    /// whenever the guarded fetch ends for another reason — completion,
-    /// batch dissolution, execution teardown.
+    /// Stands `site`'s guard slot down and cancels its armed timeout or
+    /// retry. Runs whenever the guarded fetch ends without a timeout:
+    /// completion or batch dissolution.
     fn disarm_transfer_guard(&mut self, site: usize) {
-        let Some(guard) = self.xfer.as_mut() else {
-            return;
-        };
-        let slot = &mut guard.slots[site];
-        slot.epoch += 1;
-        slot.pending_file = None;
-        slot.source = None;
-        let timeout = slot.timeout.take();
-        let retry = slot.retry.take();
-        if let Some(h) = timeout {
-            self.schedule.cancel(h);
-        }
-        if let Some(h) = retry {
-            self.schedule.cancel(h);
+        if let Some(timer) = self.xfer.as_mut().and_then(|g| g.stand_down(site)) {
+            self.schedule.cancel(timer);
         }
     }
 
     /// `site`'s in-flight batch fetch blew its deadline: cancel the flow,
-    /// feed the route breakers, and either schedule a backoff-delayed
-    /// retry or — once the attempt budget is spent — requeue the task.
+    /// book the bytes it delivered, and either schedule the guard's
+    /// backoff-delayed retry or, once the attempt budget is spent, hand
+    /// the task back.
     fn handle_transfer_timeout(&mut self, site: usize, epoch: u64) {
-        if self
-            .xfer
-            .as_ref()
-            .is_none_or(|g| g.slots[site].epoch != epoch)
-        {
+        let Some(guard) = self.xfer.as_mut().filter(|g| g.is_live(site, epoch)) else {
             // Stale event from a disarmed guard; the handle should have
             // been cancelled, but be tolerant.
             return;
-        }
-        let Some(batch) = self.servers[site].active.as_mut() else {
+        };
+        let batch = self.servers[site].active.as_mut();
+        let Some((file, fid)) = batch.and_then(|b| b.current.take()) else {
             return;
         };
-        let Some((file, fid)) = batch.current.take() else {
-            return;
-        };
-        let now = self.now();
-        let attempt_size = self.attempt_bytes(site);
+        let now = self.schedule.now();
         let left = self
             .net
             .cancel_flow(now, fid)
             .expect("guarded fetch is an active flow");
         // What did move stays on the books; whether it is kept (resume)
-        // or re-sent (naive restart) is decided below.
-        let delivered = (attempt_size - left).max(0.0);
+        // or re-sent (naive restart) is the guard's call.
+        let delivered = (guard.remaining(site) - left).max(0.0);
         self.ledger.per_site[site].bytes_transferred += delivered;
-        self.resync_net();
+        resync(&mut self.net, &mut self.schedule);
         self.ledger.xfer_timeouts += 1;
-        self.instruments.xfer_timeout_count.incr();
-        let t_s = now.as_secs();
-        let full_size = self.config.workload.file_size_bytes;
-        let guard = self.xfer.as_mut().expect("guarded");
-        let src = guard.slots[site].source.take();
-        // The destination's route breaker always hears the failure; the
-        // failover source's too when one was in play.
-        let _ = guard.breakers[site].on_failure(t_s);
-        if let Some(s) = src {
-            let _ = guard.breakers[s].on_failure(t_s);
-        }
-        let slot = &mut guard.slots[site];
-        slot.timeout = None;
-        slot.attempts += 1;
-        if slot.attempts > guard.max_retries {
+        let schedule = |delay, event| self.schedule.schedule_in(delay, event);
+        if !guard.timed_out(site, now.as_secs(), file, left, delivered, schedule) {
             // The dissolve stands the guard down, bumping the epoch.
             self.ledger.flows_requeued += 1;
             self.requeue_after_exhausted_retries(site);
             return;
         }
-        slot.epoch += 1;
         self.ledger.flows_retrying += 1;
-        if guard.naive {
-            self.ledger.xfer_bytes_retransmitted += delivered;
-            slot.remaining = full_size;
-        } else {
+        if guard.resumes() {
             self.ledger.xfer_bytes_resumed += delivered;
-            #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-            self.instruments.xfer_resumed_bytes.record(delivered as u64);
-            slot.remaining = left;
+        } else {
+            self.ledger.xfer_bytes_retransmitted += delivered;
         }
-        slot.pending_file = Some(file);
-        // Seeded exponential backoff with jitter in [0.5, 1.5) of the
-        // nominal delay — retries across sites decorrelate instead of
-        // thundering back in lockstep.
-        let nominal = guard.backoff_s * 2f64.powi(i32::try_from(slot.attempts - 1).unwrap_or(30));
-        let backoff = nominal * (0.5 + guard.rng.gen::<f64>());
-        let retry_epoch = slot.epoch;
-        let handle = self.schedule.schedule_in(
-            SimDuration::from_secs(backoff),
-            Event::TransferRetry {
-                site,
-                epoch: retry_epoch,
-            },
-        );
-        slot.retry = Some(handle);
     }
 
     /// The retry budget for `site`'s fetch is spent: dissolve the batch
@@ -2268,12 +1899,7 @@ impl GridSim {
             .current
             .take()
             .expect("active batch worker is running");
-        self.telemetry.instant_for_task(
-            Track::worker(w),
-            "requeued",
-            self.now().as_secs(),
-            current.task.index() as u64,
-        );
+        self.instant(w, "requeued", current.task);
         self.workers[w].state = WorkerState::Idle;
         // Lost-then-recovered in one instant: the scheduler orphans the
         // task (requeueing it unless another replica still runs) and
@@ -2284,89 +1910,53 @@ impl GridSim {
         self.maybe_start_service(site);
     }
 
-    /// The backoff elapsed: re-issue `site`'s pending fetch — from the
-    /// best-scored replica holder when failover finds one, else from the
-    /// origin file server (even through a still-down route: the flow
-    /// stalls and the next timeout fires, burning another attempt).
+    /// The backoff elapsed: re-issue `site`'s pending fetch from the
+    /// source the guard picks among the other sites that hold the file,
+    /// are up and have a working route, else from the origin file server
+    /// (even through a still-down route: the flow stalls and the next
+    /// timeout fires, burning another attempt).
     fn handle_transfer_retry(&mut self, site: usize, epoch: u64) {
-        if self
-            .xfer
-            .as_ref()
-            .is_none_or(|g| g.slots[site].epoch != epoch)
-        {
+        let Some(guard) = self.xfer.as_mut().filter(|g| g.is_live(site, epoch)) else {
             return;
-        }
+        };
         let Some(batch) = self.servers[site].active.as_ref() else {
             return;
         };
         debug_assert!(batch.current.is_none(), "retry implies no flow in flight");
-        let now = self.now();
-        let t_s = now.as_secs();
-        let (file, remaining, naive) = {
-            let guard = self.xfer.as_mut().expect("checked");
-            // Open breakers may have cooled into half-open by now.
-            for b in &mut guard.breakers {
-                let _ = b.tick(t_s);
-            }
-            let slot = &mut guard.slots[site];
-            slot.retry = None;
-            let Some(file) = slot.pending_file.take() else {
-                return;
-            };
-            (file, slot.remaining, guard.naive)
+        let now = self.schedule.now();
+        let Some((file, remaining)) = guard.take_retry(site, now.as_secs()) else {
+            return;
         };
-        // Failover: the highest-scored other site that holds the file,
-        // is up, and has a working route (ties → lowest index; no RNG —
-        // the choice must not perturb any other random stream).
-        let mut source: Option<usize> = None;
-        if !naive {
-            let guard = self.xfer.as_ref().expect("checked");
-            let mut best = 0.0_f64;
-            for s in 0..self.config.sites {
-                if s == site || self.servers[s].down || !self.stores[s].contains(file) {
-                    continue;
-                }
-                let (links, _) = self.union_route(s, site);
-                if !self.net.route_up(&links) {
-                    continue;
-                }
-                let score = guard.breakers[s].score_factor();
-                if score > best {
-                    best = score;
-                    source = Some(s);
-                }
-            }
-        }
-        let (links, latency_s) = match source {
+        let candidates = (0..self.config.sites).filter(|&s| {
+            s != site
+                && !self.servers[s].down
+                && self.stores[s].contains(file)
+                && self
+                    .net
+                    .route_up(&union_route(&self.site_routes, s, site).0)
+        });
+        let (links, latency_s) = match guard.retry_source(site, candidates) {
             Some(src) => {
                 self.ledger.xfer_failovers += 1;
-                self.instruments.xfer_failover_count.incr();
-                self.union_route(src, site)
+                union_route(&self.site_routes, src, site)
             }
             None => {
                 let route = &self.site_routes[site];
                 (route.links.clone(), route.latency_s)
             }
         };
-        let fid = self.net.start_flow(
-            now,
-            &links,
-            remaining,
-            latency_s,
-            FlowPurpose::Batch { site },
-        );
+        let purpose = FlowPurpose::Batch { site };
+        let fid = self
+            .net
+            .start_flow(now, &links, remaining, latency_s, purpose);
         self.ledger.flows_started += 1;
-        self.servers[site]
-            .active
-            .as_mut()
-            .expect("still active")
-            .current = Some((file, fid));
-        self.xfer.as_mut().expect("checked").slots[site].source = source;
+        let batch = self.servers[site].active.as_mut().expect("still active");
+        batch.current = Some((file, fid));
         self.ledger.xfer_retries += 1;
-        self.instruments.xfer_retry_count.incr();
-        self.resync_net();
+        resync(&mut self.net, &mut self.schedule);
         let est = self.net.fair_share_estimate(&links);
-        self.arm_transfer_timeout(site, remaining, est, latency_s);
+        let schedule = |delay, event| self.schedule.schedule_in(delay, event);
+        guard.arm(site, false, remaining, est, latency_s, schedule);
     }
 
     /// A correlated burst strikes: one uniformly-drawn site loses up to
@@ -2412,16 +2002,8 @@ impl GridSim {
         // interarrival (the self-tuning Young/Daly's input) and the
         // site's circuit breaker.
         let site = self.workers[w].id.site.index();
-        let t_s = self.now().as_secs();
-        let tripped = self
-            .control
-            .as_mut()
-            .is_some_and(|plane| plane.on_worker_crash(site, t_s));
-        if self.control.is_some() {
-            self.instruments.control_estimates.incr();
-        }
-        if tripped {
-            self.instruments.control_breaker_opens.incr();
+        if let Some(plane) = self.control.as_mut() {
+            plane.on_worker_crash(site, self.schedule.now().as_secs());
         }
         self.lose_execution(w, torn);
         self.rearm(Entity::Worker(w), false);
@@ -2459,10 +2041,8 @@ impl GridSim {
         let site = self.workers[w].id.site.index();
         self.close_window(Entity::Worker(w));
         self.workers[w].state = WorkerState::Idle;
-        let t_s = self.now().as_secs();
         if let Some(plane) = self.control.as_mut() {
-            plane.on_worker_recover(site, t_s);
-            self.instruments.control_estimates.incr();
+            plane.on_worker_recover(site, self.schedule.now().as_secs());
         }
         self.scheduler.on_worker_recovered(self.workers[w].id);
         if self.scheduler.unfinished() == 0 {
@@ -2493,13 +2073,7 @@ impl GridSim {
                 enqueued_at,
             });
             // The dissolved batch's worker goes back to waiting in queue.
-            let task = self.workers[w].current.as_ref().expect("running").task;
-            self.telemetry.span_begin_for_task(
-                Track::worker(w),
-                "queued",
-                enqueued_at.as_secs(),
-                task.index() as u64,
-            );
+            self.begin_span(w, "queued", self.workers[w].task());
         }
         // Inbound replication pushes have no destination anymore.
         let mut inbound: Vec<FlowId> = self
@@ -2512,23 +2086,19 @@ impl GridSim {
         for fid in inbound {
             self.abort_flow(fid);
         }
-        self.resync_net();
+        resync(&mut self.net, &mut self.schedule);
         // Checkpointing: in-flight image writes to this server and image
         // fetches *from* it die with it; every image it held is lost.
         if self.checkpointing.is_some() {
             self.abort_ckpt_flows_for_failed_server(site);
-            let ckpt = self.checkpointing.as_mut().expect("checked above");
-            ckpt.vaults[site].fail();
-            ckpt.tracker.drop_site(site);
+        }
+        if let Some(ckpt) = self.checkpointing.as_mut() {
+            ckpt.lose_server(site);
             // Running executions whose durable image just vanished have
             // nothing to fall back on anymore: a later crash wastes
             // everything they have computed, not just the tail.
-            let ckpt = self.checkpointing.as_ref().expect("checked above");
-            for worker in &mut self.workers {
-                let Some(current) = worker.current.as_mut() else {
-                    continue;
-                };
-                if current.durable_s > 0.0 && ckpt.tracker.site_of(current.task).is_none() {
+            for current in self.workers.iter_mut().filter_map(|w| w.current.as_mut()) {
+                if current.durable_s > 0.0 && ckpt.image(current.task).is_none() {
                     current.durable_flops = 0.0;
                     current.durable_s = 0.0;
                 }
@@ -2569,14 +2139,14 @@ impl GridSim {
         for &(fid, _) in writes.iter().chain(&restores) {
             self.abort_flow(fid);
         }
-        self.resync_net();
+        resync(&mut self.net, &mut self.schedule);
         for &(_, w) in &writes {
             self.end_ckpt_flow(w);
             self.begin_compute_segment(w);
         }
         for &(_, w) in &restores {
             self.end_ckpt_flow(w);
-            let current = self.workers[w].current.as_mut().expect("restorer runs");
+            let current = self.workers[w].running();
             current.progress_flops = 0.0;
             current.progress_s = 0.0;
             current.durable_flops = 0.0;
@@ -2633,13 +2203,10 @@ impl GridSim {
                 + self.net.active_flows() as u64,
             "flow conservation out of balance"
         );
-        let (checkpoints_written, checkpoints_lost) =
-            self.checkpointing.as_ref().map_or((0, 0), |c| {
-                (
-                    c.vaults.iter().map(ImageVault::written).sum(),
-                    c.vaults.iter().map(ImageVault::lost).sum(),
-                )
-            });
+        let (checkpoints_written, checkpoints_lost) = self
+            .checkpointing
+            .as_ref()
+            .map_or((0, 0), Checkpointing::totals);
         MetricsReport {
             config: self.config.summary(),
             makespan_minutes: self.last_completion.as_minutes(),
@@ -2656,58 +2223,36 @@ impl GridSim {
     }
 }
 
-/// Flattens a (site, worker-in-site) pair to the engine's worker index.
-///
-/// # Panics
-///
-/// Panics if the worker index is out of the configured range (a fault
-/// trace referencing a worker the run does not have).
-fn flat_worker(site: usize, worker: usize, workers_per_site: usize) -> usize {
-    assert!(
-        worker < workers_per_site,
-        "fault trace references worker {worker} at site {site} but the run has \
-         {workers_per_site} workers per site"
-    );
-    site * workers_per_site + worker
+/// Re-aims the flow-completion event after any change to the flow set:
+/// the schedule's armed event is the next completion, or nothing when no
+/// flow can complete. Arming replaces the previous completion in place and
+/// takes a fresh sequence number, exactly as cancelling it and scheduling
+/// the new one would (see [`Schedule::arm`]), so the completion never
+/// enters the event heap and dispatch order is unchanged. A resync that
+/// another one at the same instant would replace before any event
+/// dispatches may be skipped: skipping it moves no surviving event's place
+/// in the `(time, sequence)` order.
+fn resync(net: &mut NetSim<FlowPurpose>, schedule: &mut Schedule<Event>) {
+    match net.next_completion() {
+        Some((t, fid)) => schedule.arm(t, Event::FlowDone(fid)),
+        None => schedule.disarm(),
+    }
 }
 
-/// Builds the checkpoint runtime state for a non-inert config: per-site
-/// intervals (Young/Daly adapts to each site's access-link write cost) and
-/// per-site image vaults.
-///
-/// # Panics
-///
-/// Panics if the policy is Young/Daly and the fault model has no worker
-/// MTBF to derive the interval from.
-fn build_ckpt_state(c: &CheckpointConfig, config: &SimConfig, topology: &Topology) -> CkptState {
-    let mtbf = config.faults.as_ref().and_then(|f| f.worker_mtbf_s);
-    let mut interval_s = Vec::with_capacity(config.sites);
-    let mut access_link = Vec::with_capacity(config.sites);
-    let mut write_costs = Vec::with_capacity(config.sites);
-    for site in 0..config.sites {
-        let route = topology.routes.site_to_file_server(site);
-        let link = *route
-            .links
-            .last()
-            .expect("site routes cross at least one link");
-        let bandwidth = topology.graph.link(link).bandwidth_bps;
-        let write_cost_s = c.size_bytes / bandwidth;
-        interval_s.push(
-            c.interval_s(mtbf, write_cost_s)
-                .expect("non-inert checkpoint config has an interval"),
-        );
-        access_link.push(link);
-        write_costs.push(write_cost_s);
+/// The replica-to-replica transfer route between two sites with routes
+/// `routes` to the file server: source site → backbone → destination site
+/// (shared links crossed once), plus summed latency. Failover re-fetches
+/// and checkpoint restores both travel it.
+fn union_route(routes: &[Arc<Route>], from: usize, to: usize) -> (Vec<EdgeId>, f64) {
+    let (src, dst) = (&routes[from], &routes[to]);
+    let mut links = Vec::with_capacity(src.links.len() + dst.links.len());
+    links.extend_from_slice(&src.links);
+    for &l in &dst.links {
+        if !links.contains(&l) {
+            links.push(l);
+        }
     }
-    CkptState {
-        size_bytes: c.size_bytes,
-        interval_s,
-        access_link,
-        vaults: vec![ImageVault::new(); config.sites],
-        tracker: ImageTracker::new(),
-        write_cost_s: write_costs,
-        adaptive: c.policy == CheckpointPolicy::YoungDalyAdaptive,
-    }
+    (links, src.latency_s + dst.latency_s)
 }
 
 /// Builds the scheduler for a strategy kind. `throttle` is the *effective*
@@ -2739,6 +2284,8 @@ fn build_scheduler(config: &SimConfig, throttle: ReplicaThrottle) -> Box<dyn Sch
 mod tests {
     use super::*;
     use std::sync::Arc;
+
+    use rand::Rng;
 
     use gridsched_workload::coadd::CoaddConfig;
     use gridsched_workload::Workload;
@@ -3527,6 +3074,17 @@ mod tests {
         // full file per transfer they completed.
         assert!(resume.bytes_transferred > 0.0);
         assert!(naive.bytes_transferred >= resume.bytes_transferred - 1e-6);
+    }
+
+    #[test]
+    #[should_panic(expected = "references worker")]
+    fn trace_with_out_of_range_worker_panics() {
+        // `small_config` runs one worker per site.
+        let trace = gridsched_faults::FaultTrace::parse("600 worker-crash 0 1").expect("parses");
+        let _ = GridSim::new(
+            small_config(StrategyKind::Rest)
+                .with_faults(gridsched_faults::FaultConfig::none().with_trace(trace)),
+        );
     }
 
     #[test]

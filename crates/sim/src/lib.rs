@@ -43,9 +43,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod checkpointing;
 mod churn;
 pub mod config;
 pub mod engine;
+mod guard;
 pub mod metrics;
 pub mod replication;
 pub mod runner;

@@ -893,10 +893,10 @@ fn cmd_workload(opts: &Opts) -> Result<(), String> {
 
 fn cmd_topology(opts: &Opts) -> Result<(), String> {
     let mut cfg = TiersConfig::paper(opts.get("seed", 0u64)?);
-    let sites: usize = opts.get("sites", 90usize)?;
-    if sites == 0 || !sites.is_multiple_of(cfg.sites_per_man) && sites < cfg.sites_per_man {
+    let sites = opts.get_count("sites", 90usize)?;
+    if !sites.is_multiple_of(cfg.sites_per_man) && sites < cfg.sites_per_man {
         cfg.mans = 1;
-        cfg.sites_per_man = sites.max(1);
+        cfg.sites_per_man = sites;
     } else if sites != cfg.site_count() {
         cfg.mans = sites.div_ceil(cfg.sites_per_man);
     }

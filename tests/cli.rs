@@ -904,8 +904,9 @@ fn simulate_rejects_bad_network_flags() {
 fn grid_size_flags_out_of_range_are_clean_errors() {
     // (arguments, flag the error must name). The library builders assert
     // these bounds; the CLI must reject them before any builder runs.
-    let cases: [(&[&str], &str); 9] = [
+    let cases: [(&[&str], &str); 10] = [
         (&["simulate", "--tasks", "50", "--sites", "0"], "--sites"),
+        (&["topology", "--sites", "0"], "--sites"),
         (&["simulate", "--tasks", "50", "--sites", "500"], "--sites"),
         (
             &["simulate", "--tasks", "50", "--workers", "0"],

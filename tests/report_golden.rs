@@ -25,6 +25,11 @@
 //! (`net.solver.recomputes`) and the flow starts that took a finished
 //! flow's held solver slot over instead of registering anew
 //! (`net.flow.continued`).
+//!
+//! A second test checks that each optional subsystem counts its own
+//! events: the transfer guard's `xfer.*` counters agree with the report,
+//! and the control plane's `control.*` instruments exist only on the run
+//! that has a control loop.
 
 use std::sync::Arc;
 
@@ -263,5 +268,49 @@ fn mixed_fault_reports_match_their_recorded_hashes() {
         );
         let got = ["net.solver.recomputes", "net.flow.continued"].map(|c| counter(t, c));
         assert_eq!(got, *counts, "{name}: [recomputes, continued]");
+    }
+}
+
+#[test]
+fn subsystem_counters_agree_with_the_report() {
+    const CONTROL: [&str; 7] = [
+        "control.breaker.closes",
+        "control.breaker.half_opens",
+        "control.breaker.opens",
+        "control.cap.lowers",
+        "control.cap.raises",
+        "control.estimator.updates",
+        "control.ticks",
+    ];
+    let runs = [
+        (
+            "storage-affinity adaptive",
+            storage_affinity_adaptive(),
+            true,
+        ),
+        ("combined.2 naive retry", combined_naive_retry(), false),
+    ];
+    for (name, config, controlled) in runs {
+        let telemetry = Telemetry::enabled();
+        let report = GridSim::new(config).with_telemetry(telemetry.clone()).run();
+        let guard =
+            ["xfer.timeouts", "xfer.retries", "xfer.failovers"].map(|c| counter(&telemetry, c));
+        assert_eq!(
+            guard,
+            [
+                report.xfer_timeouts,
+                report.xfer_retries,
+                report.xfer_failovers
+            ],
+            "{name}: [timeouts, retries, failovers]"
+        );
+        let control: Vec<&str> = telemetry
+            .snapshot()
+            .iter()
+            .map(|s| s.name)
+            .filter(|n| n.starts_with("control."))
+            .collect();
+        let expected: &[&str] = if controlled { &CONTROL } else { &[] };
+        assert_eq!(control, expected, "{name}: control instruments");
     }
 }
