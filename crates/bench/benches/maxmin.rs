@@ -7,10 +7,15 @@
 //!   the paper's setups (90-site topologies ≈ 100 links; ≤ ~30 concurrent
 //!   flows);
 //! * `max_min_solver_churn` — the incremental `MaxMinSolver` the fluid
-//!   network actually runs. One flow per site streams from the file server
-//!   over the paper topology; each step retires one flow, admits a
-//!   successor over another site's route and solves, so every step pays a
-//!   full progressive fill (`route_change`).
+//!   network actually runs. Flows stream from the file server to sites
+//!   of the topology; each step retires one flow, admits a successor over
+//!   another site's route and solves, so every step pays a full
+//!   progressive fill (`route_change`). With one flow per site on the
+//!   paper topology (`25sites`, `40sites`) most links are in use; with 4
+//!   flows on a topology widened to 320 sites (`4flows_320sites`, the
+//!   shape of a faulty run's few guarded fetches on a large grid) almost
+//!   none are, and a fill costs what the links in use cost, not the
+//!   topology's size.
 //!
 //! Two time the layers around it on the path every file hop takes:
 //!
@@ -24,7 +29,12 @@
 //! * `event_queue_hold` — the event queue under the classic hold model: a
 //!   constant population where each step pops the earliest event and
 //!   pushes a successor, and one step in four also cancels and re-pushes a
-//!   random pending event (a flow-completion reschedule).
+//!   random pending event (a flow-completion reschedule). The
+//!   `rearmed_deadlines` cases add one deadline per site, one of which is
+//!   re-aimed every step (a guarded file hop's transfer deadline), either
+//!   as the site's keyed timer (`keyed`) or by cancelling its pending
+//!   event and pushing a new one (`cancel_push`), which leaves a dead
+//!   entry in the heap for a later pop to skip.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
@@ -66,10 +76,18 @@ fn bench_maxmin(c: &mut Criterion) {
 /// Churn steps per timed sample (one step alone is below timer resolution).
 const STEPS: usize = 100;
 
+/// The paper topology (90 sites), with every MAN widened to hold at
+/// least `sites` sites the way `perf_scale` widens it.
+fn topology_for(sites: usize) -> TiersConfig {
+    let mut config = TiersConfig::paper(7);
+    config.sites_per_man = config.sites_per_man.max(sites.div_ceil(config.mans));
+    config
+}
+
 fn bench_solver_churn(c: &mut Criterion) {
-    let topology = generate(&TiersConfig::paper(7));
     let mut group = c.benchmark_group("max_min_solver_churn");
-    for sites in [25usize, 40] {
+    for (flows, sites) in [(25usize, 25usize), (40, 40), (4, 320)] {
+        let topology = generate(&topology_for(sites));
         let routes: Vec<Vec<usize>> = (0..sites)
             .map(|s| {
                 let route = topology.routes.site_to_file_server(s);
@@ -77,29 +95,32 @@ fn bench_solver_churn(c: &mut Criterion) {
             })
             .collect();
         let mut solver = MaxMinSolver::new(topology.graph.bandwidths());
-        let mut live: Vec<(u32, usize)> = (0..sites)
+        // Flows start on sites spread evenly over the topology.
+        let mut live: Vec<(u32, usize)> = (0..flows)
+            .map(|f| f * sites / flows)
             .map(|s| (solver.add_flow(&routes[s]), s))
             .collect();
         solver.solve();
         let mut k = 0;
-        group.bench_with_input(
-            BenchmarkId::new("route_change", format!("{sites}sites")),
-            &sites,
-            |b, _| {
-                b.iter(|| {
-                    for _ in 0..STEPS {
-                        k = (k + 1) % sites;
-                        let (slot, site) = live[k];
-                        solver.remove_flow(slot);
-                        // Any offset in 1..sites picks another site.
-                        let next = (site + 1 + k % (sites - 1)) % sites;
-                        live[k] = (solver.add_flow(&routes[next]), next);
-                        solver.solve();
-                    }
-                    std::hint::black_box(solver.rate(live[k].0))
-                })
-            },
-        );
+        let label = if flows == sites {
+            format!("{sites}sites")
+        } else {
+            format!("{flows}flows_{sites}sites")
+        };
+        group.bench_with_input(BenchmarkId::new("route_change", label), &sites, |b, _| {
+            b.iter(|| {
+                for _ in 0..STEPS {
+                    k = (k + 1) % flows;
+                    let (slot, site) = live[k];
+                    solver.remove_flow(slot);
+                    // Any offset in 1..sites picks another site.
+                    let next = (site + 1 + k % (sites - 1)) % sites;
+                    live[k] = (solver.add_flow(&routes[next]), next);
+                    solver.solve();
+                }
+                std::hint::black_box(solver.rate(live[k].0))
+            })
+        });
     }
     group.finish();
 }
@@ -108,11 +129,9 @@ fn bench_file_hop(c: &mut Criterion) {
     let mut group = c.benchmark_group("file_hop");
     for flows in [5usize, 20, 80, 320] {
         const BYTES: f64 = 25e6;
-        // The paper topology has 90 sites; a larger case widens every MAN
-        // the way `perf_scale` does, so each flow still has its own site.
-        let mut config = TiersConfig::paper(7);
-        config.sites_per_man = config.sites_per_man.max(flows.div_ceil(config.mans));
-        let topology = generate(&config);
+        // The paper topology has 90 sites; a larger case widens it, so
+        // each flow still has its own site.
+        let topology = generate(&topology_for(flows));
         let mut net = NetSim::new(topology.graph.bandwidths());
         for site in 0..flows {
             let route = topology.routes.site_to_file_server(site);
@@ -161,6 +180,49 @@ fn bench_event_queue_hold(c: &mut Criterion) {
                             if queue.cancel(handles[victim]) {
                                 handles[victim] = queue.push(later(&mut rng), victim);
                             }
+                        }
+                    }
+                    std::hint::black_box(queue.len())
+                });
+            },
+        );
+    }
+    // One deadline per site beside the hold population; every step
+    // re-aims the next site's deadline to the popped event's time plus a
+    // draw, and a deadline that pops is re-aimed on its site's next turn.
+    const SITES: usize = 10;
+    for keyed in [true, false] {
+        let population = 80;
+        let mut rng = StdRng::seed_from_u64(42);
+        let mut queue = EventQueue::new();
+        for i in 0..population {
+            queue.push(SimTime::from_secs(rng.gen_range(0.0..1_000.0)), i);
+        }
+        let mut deadlines: Vec<Option<EventHandle>> = vec![None; SITES];
+        let mut site = 0;
+        let way = if keyed { "keyed" } else { "cancel_push" };
+        group.bench_with_input(
+            BenchmarkId::new("rearmed_deadlines", format!("{way}_{SITES}sites")),
+            &keyed,
+            |b, _| {
+                b.iter(|| {
+                    for _ in 0..STEPS {
+                        let (at, i) = queue.pop().expect("population is constant");
+                        let later = |rng: &mut StdRng| {
+                            SimTime::from_secs(at.as_secs() + rng.gen_range(0.0..1_000.0))
+                        };
+                        if i < population {
+                            queue.push(later(&mut rng), i);
+                        }
+                        site = (site + 1) % SITES;
+                        let deadline = later(&mut rng);
+                        if keyed {
+                            queue.arm_timer(site, deadline, population + site);
+                        } else {
+                            if let Some(h) = deadlines[site] {
+                                queue.cancel(h);
+                            }
+                            deadlines[site] = Some(queue.push(deadline, population + site));
                         }
                     }
                     std::hint::black_box(queue.len())

@@ -9,8 +9,10 @@
 //!   stable FIFO ordering for simultaneous events (O(1), hash-free
 //!   cancellation through slot-checked handles), plus one *armed* event
 //!   kept outside the heap for an owner that re-aims a single pending
-//!   event after every state change; arming dispatches exactly as a cancel
-//!   plus a push would, so it changes no dispatch order,
+//!   event after every state change, and keyed timers (one pending event
+//!   per small integer key, in an indexed heap beside the main one);
+//!   arming either dispatches exactly as a cancel plus a push would, so it
+//!   changes no dispatch order,
 //! * [`Schedule`] — a thin driver that owns the queue and the clock and
 //!   enforces time monotonicity,
 //! * [`rng`] — seed-derivation helpers so every simulation component gets an

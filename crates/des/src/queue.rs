@@ -38,6 +38,27 @@
 //! Keeping the old one would let the re-armed event pop before events
 //! pushed for the same instant between the two arms, which the cancel and
 //! push it stands for would have let go first.
+//!
+//! # Keyed timers
+//!
+//! An owner that keeps at most one pending event *per small integer key*
+//! and moves or drops it often — the simulator's per-site transfer
+//! deadline, re-aimed on every guarded file hop — arms it as a *keyed
+//! timer* ([`EventQueue::arm_timer`], [`EventQueue::disarm_timer`]). The
+//! timers live in an indexed min-heap beside the main heap, with each
+//! key's position in it, so re-aiming one re-sifts it in place and
+//! disarming one removes it outright: no dead entry is left in the main
+//! heap for a later pop to skip.
+//!
+//! The dispatch order argument is the armed event's, key by key: every
+//! `arm_timer` takes a fresh sequence number from the shared counter, a
+//! replaced or disarmed timer is gone as a cancelled event is, and `pop`
+//! and `peek_time` take the least `(time, sequence)` key among the heap
+//! top, the armed event and the earliest timer. So arming a key is exactly
+//! a cancel of its previous timer plus a push, and disarming it exactly
+//! that cancel. The flow-completion slot above stays separate: it is
+//! re-armed after nearly every event, and a plain field is cheaper to
+//! overwrite than a heap entry to re-sift.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -61,6 +82,9 @@ const DEAD: u64 = u64::MAX;
 /// `Entry::slot` of the armed event, which owns no slot.
 const ARMED: u32 = u32::MAX;
 
+/// `Timers::at` marker for a key with no timer armed.
+const UNARMED: u32 = u32::MAX;
+
 struct Entry<E> {
     at: SimTime,
     seq: u64,
@@ -68,11 +92,120 @@ struct Entry<E> {
     event: E,
 }
 
+impl<E> Entry<E> {
+    /// The `(time, sequence)` key every source of events orders by.
+    #[inline]
+    fn key(&self) -> (SimTime, u64) {
+        (self.at, self.seq)
+    }
+}
+
+/// Keyed timers: an indexed binary min-heap on `(time, sequence)`, at most
+/// one entry per key. An entry's `slot` holds its key, and `at[key]` is the
+/// entry's heap index, or [`UNARMED`].
+struct Timers<E> {
+    heap: Vec<Entry<E>>,
+    at: Vec<u32>,
+}
+
+impl<E> Timers<E> {
+    fn peek(&self) -> Option<&Entry<E>> {
+        self.heap.first()
+    }
+
+    fn is_armed(&self, key: usize) -> bool {
+        self.at.get(key).is_some_and(|&i| i != UNARMED)
+    }
+
+    /// Files `entry` under its key, replacing the key's timer, if any.
+    fn set(&mut self, entry: Entry<E>) {
+        let key = entry.slot as usize;
+        if key >= self.at.len() {
+            self.at.resize(key + 1, UNARMED);
+        }
+        let i = self.at[key];
+        if i == UNARMED {
+            self.heap.push(entry);
+            self.sift_up(self.heap.len() - 1);
+            return;
+        }
+        let i = i as usize;
+        let later = entry.key() > self.heap[i].key();
+        self.heap[i] = entry;
+        if later {
+            self.sift_down(i);
+        } else {
+            self.sift_up(i);
+        }
+    }
+
+    /// Takes `key`'s timer out, if one is armed.
+    fn remove(&mut self, key: usize) -> Option<Entry<E>> {
+        let i = *self.at.get(key).filter(|&&i| i != UNARMED)? as usize;
+        self.at[key] = UNARMED;
+        let entry = self.heap.swap_remove(i);
+        if i < self.heap.len() {
+            // The last entry moved into the hole; either sift re-indexes it.
+            if self.heap[i].key() < entry.key() {
+                self.sift_up(i);
+            } else {
+                self.sift_down(i);
+            }
+        }
+        Some(entry)
+    }
+
+    fn sift_up(&mut self, mut i: usize) {
+        while i > 0 {
+            let parent = (i - 1) / 2;
+            if self.heap[parent].key() <= self.heap[i].key() {
+                break;
+            }
+            self.swap(i, parent);
+            i = parent;
+        }
+        self.at[self.heap[i].slot as usize] = i as u32;
+    }
+
+    fn sift_down(&mut self, mut i: usize) {
+        let n = self.heap.len();
+        loop {
+            let mut child = 2 * i + 1;
+            if child >= n {
+                break;
+            }
+            if child + 1 < n && self.heap[child + 1].key() < self.heap[child].key() {
+                child += 1;
+            }
+            if self.heap[i].key() <= self.heap[child].key() {
+                break;
+            }
+            self.swap(i, child);
+            i = child;
+        }
+        self.at[self.heap[i].slot as usize] = i as u32;
+    }
+
+    /// Swaps two entries, re-indexing the one that lands at `a`.
+    fn swap(&mut self, a: usize, b: usize) {
+        self.heap.swap(a, b);
+        self.at[self.heap[a].slot as usize] = a as u32;
+    }
+}
+
+/// Where the earliest live event sits.
+#[derive(Clone, Copy)]
+enum Source {
+    Heap,
+    Armed,
+    Timer,
+}
+
 // Reverse ordering: BinaryHeap is a max-heap, we want earliest-first, and for
 // equal times, smallest sequence number first (FIFO).
 impl<E> PartialEq for Entry<E> {
     fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
+        self.key() == other.key()
     }
 }
 impl<E> Eq for Entry<E> {}
@@ -83,10 +216,7 @@ impl<E> PartialOrd for Entry<E> {
 }
 impl<E> Ord for Entry<E> {
     fn cmp(&self, other: &Self) -> Ordering {
-        other
-            .at
-            .cmp(&self.at)
-            .then_with(|| other.seq.cmp(&self.seq))
+        other.key().cmp(&self.key())
     }
 }
 
@@ -118,6 +248,8 @@ pub struct EventQueue<E> {
     /// The armed event, kept outside the heap (see the
     /// [module docs](self)).
     armed: Option<Entry<E>>,
+    /// The keyed timers (see the [module docs](self#keyed-timers)).
+    timers: Timers<E>,
 }
 
 impl<E> Default for EventQueue<E> {
@@ -137,6 +269,10 @@ impl<E> EventQueue<E> {
             live: 0,
             next_seq: 0,
             armed: None,
+            timers: Timers {
+                heap: Vec::new(),
+                at: Vec::new(),
+            },
         }
     }
 
@@ -200,29 +336,56 @@ impl<E> EventQueue<E> {
         self.armed = None;
     }
 
+    /// Arms `event` at `at` as the timer of `key`, replacing that key's
+    /// timer, if any. Like [`EventQueue::arm`], every call takes a fresh
+    /// sequence number, so the event pops exactly where cancelling the
+    /// key's previous timer and pushing this one would put it (see the
+    /// [module docs](self#keyed-timers)). Keys index a table, so keep them
+    /// small and dense.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `key` does not fit in a `u32`.
+    pub fn arm_timer(&mut self, key: usize, at: SimTime, event: E) {
+        let slot = u32::try_from(key).expect("timer key fits in a u32");
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        self.timers.set(Entry {
+            at,
+            seq,
+            slot,
+            event,
+        });
+    }
+
+    /// Drops `key`'s timer; a no-op when none is armed.
+    pub fn disarm_timer(&mut self, key: usize) {
+        self.timers.remove(key);
+    }
+
+    /// Whether `key` has a timer armed.
+    #[must_use]
+    pub fn timer_armed(&self, key: usize) -> bool {
+        self.timers.is_armed(key)
+    }
+
     /// Removes and returns the earliest live event, skipping cancelled ones.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        if self.armed.is_some() {
-            self.drop_dead_top();
-            let armed = self.armed.as_ref().expect("checked above");
-            if self
-                .heap
-                .peek()
-                .is_none_or(|top| (armed.at, armed.seq) < (top.at, top.seq))
-            {
-                let armed = self.armed.take().expect("checked above");
-                return Some((armed.at, armed.event));
-            }
-        }
-        while let Some(entry) = self.heap.pop() {
-            let seq = std::mem::replace(&mut self.slots[entry.slot as usize], DEAD);
-            self.free.push(entry.slot);
-            if seq == entry.seq {
+        let entry = match self.earliest()? {
+            Source::Heap => {
+                let entry = self.heap.pop().expect("earliest is the heap top");
+                self.slots[entry.slot as usize] = DEAD;
+                self.free.push(entry.slot);
                 self.live -= 1;
-                return Some((entry.at, entry.event));
+                entry
             }
-        }
-        None
+            Source::Armed => self.armed.take().expect("earliest is the armed event"),
+            Source::Timer => {
+                let key = self.timers.peek().expect("earliest is a timer").slot;
+                self.timers.remove(key as usize).expect("key is armed")
+            }
+        };
+        Some((entry.at, entry.event))
     }
 
     /// The timestamp of the earliest live event, if any.
@@ -231,12 +394,32 @@ impl<E> EventQueue<E> {
     /// entries off the top of the heap.
     #[must_use]
     pub fn peek_time(&mut self) -> Option<SimTime> {
+        Some(match self.earliest()? {
+            Source::Heap => self.heap.peek().expect("earliest is the heap top").at,
+            Source::Armed => self.armed.as_ref().expect("earliest is armed").at,
+            Source::Timer => self.timers.peek().expect("earliest is a timer").at,
+        })
+    }
+
+    /// Which source holds the earliest live event on the `(time,
+    /// sequence)` key: the heap top (cancelled entries dropped first), the
+    /// armed event or the earliest timer. Keys are unique, so there is
+    /// never a tie.
+    #[inline]
+    fn earliest(&mut self) -> Option<Source> {
         self.drop_dead_top();
-        let queued = self.heap.peek().map(|top| top.at);
-        match (self.armed.as_ref().map(|armed| armed.at), queued) {
-            (Some(a), Some(q)) => Some(a.min(q)),
-            (a, q) => a.or(q),
+        let mut best = self.heap.peek().map(|top| (top.key(), Source::Heap));
+        for (key, source) in [
+            (self.armed.as_ref().map(Entry::key), Source::Armed),
+            (self.timers.peek().map(Entry::key), Source::Timer),
+        ] {
+            if let Some(key) = key {
+                if best.as_ref().is_none_or(|&(b, _)| key < b) {
+                    best = Some((key, source));
+                }
+            }
         }
+        best.map(|(_, source)| source)
     }
 
     /// Pops cancelled entries off the top of the heap, so that its top, if
@@ -252,10 +435,11 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Number of live (non-cancelled) events, the armed one included.
+    /// Number of live (non-cancelled) events, the armed one and the
+    /// keyed timers included.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.live + usize::from(self.armed.is_some())
+        self.live + usize::from(self.armed.is_some()) + self.timers.heap.len()
     }
 
     /// Whether the queue holds no live events.
@@ -271,6 +455,7 @@ impl<E> std::fmt::Debug for EventQueue<E> {
             .field("live", &self.live)
             .field("heap_len", &self.heap.len())
             .field("armed", &self.armed.is_some())
+            .field("timers", &self.timers.heap.len())
             .finish()
     }
 }
@@ -432,6 +617,93 @@ mod tests {
     }
 
     #[test]
+    fn keyed_timer_tied_with_queued_and_armed_events_pops_in_sequence_order() {
+        let mut q = EventQueue::new();
+        q.push(t(1.0), "queued first");
+        q.arm_timer(3, t(1.0), "timer 3");
+        q.arm(t(1.0), "armed");
+        q.arm_timer(0, t(1.0), "timer 0");
+        q.push(t(1.0), "queued last");
+        q.arm_timer(1, t(0.5), "timer 1, earlier");
+        let order: Vec<&str> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
+        assert_eq!(
+            order,
+            [
+                "timer 1, earlier",
+                "queued first",
+                "timer 3",
+                "armed",
+                "timer 0",
+                "queued last"
+            ]
+        );
+        assert!(q.is_empty());
+        assert!(!q.timer_armed(0) && !q.timer_armed(1) && !q.timer_armed(3));
+    }
+
+    #[test]
+    fn rearming_a_timer_replaces_it_with_a_fresh_sequence() {
+        let mut q = EventQueue::new();
+        q.arm_timer(2, t(2.0), "stale");
+        q.push(t(2.0), "queued");
+        // Re-armed at the same instant: it now sorts after `queued`, as a
+        // cancel plus a fresh push would.
+        q.arm_timer(2, t(2.0), "timer");
+        assert_eq!(q.len(), 2);
+        assert_eq!(q.pop().map(|(_, e)| e), Some("queued"));
+        assert_eq!(q.pop().map(|(_, e)| e), Some("timer"));
+        assert_eq!(q.pop(), None);
+        // Re-aimed earlier and later among other keys' timers.
+        q.arm_timer(0, t(5.0), "zero");
+        q.arm_timer(1, t(6.0), "one");
+        q.arm_timer(1, t(4.0), "one, earlier");
+        q.arm_timer(0, t(7.0), "zero, later");
+        let order: Vec<&str> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
+        assert_eq!(order, ["one, earlier", "zero, later"]);
+    }
+
+    #[test]
+    fn disarming_an_unarmed_key_is_a_noop() {
+        let mut q = EventQueue::new();
+        q.disarm_timer(7);
+        q.push(t(1.0), 'a');
+        q.arm_timer(1, t(2.0), 'b');
+        q.disarm_timer(0);
+        q.disarm_timer(9);
+        assert_eq!(q.len(), 2);
+        q.disarm_timer(1);
+        q.disarm_timer(1);
+        assert_eq!(q.len(), 1);
+        assert!(!q.timer_armed(1));
+        assert_eq!(q.pop().map(|(_, e)| e), Some('a'));
+        assert_eq!(q.pop(), None);
+    }
+
+    #[test]
+    fn len_and_peek_time_count_keyed_timers() {
+        let mut q = EventQueue::new();
+        q.arm_timer(0, t(3.0), 0);
+        assert_eq!(q.len(), 1);
+        assert!(!q.is_empty());
+        assert_eq!(q.peek_time(), Some(t(3.0)));
+        let h = q.push(t(1.0), 1);
+        q.arm_timer(4, t(2.0), 4);
+        q.arm(t(5.0), 5);
+        assert_eq!(q.len(), 4);
+        assert_eq!(q.peek_time(), Some(t(1.0)));
+        // A cancelled heap top does not hide the timers behind it.
+        assert!(q.cancel(h));
+        assert_eq!(q.len(), 3);
+        assert_eq!(q.peek_time(), Some(t(2.0)));
+        q.disarm_timer(4);
+        assert_eq!(q.peek_time(), Some(t(3.0)));
+        assert_eq!(q.len(), 2);
+        let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
+        assert_eq!(order, [0, 5]);
+        assert_eq!(q.len(), 0);
+    }
+
+    #[test]
     fn interleaved_push_pop_cancel() {
         let mut q = EventQueue::new();
         let h1 = q.push(t(10.0), 1);
@@ -480,23 +752,27 @@ mod proptests {
         }
 
         /// Interleaved push, pop, cancel (of live, fired and cancelled
-        /// handles alike), peek, arm and disarm agree with a sorted-`Vec`
-        /// model at every step: same popped event, same peeked time, same
-        /// cancel result, same length. The model knows no armed event: an
-        /// arm is a cancel of the previously armed event plus a push, and a
-        /// disarm is that cancel alone, so pops of tied events must follow
-        /// the sequence numbers of those pushes.
+        /// handles alike), peek, arm, disarm and keyed `arm_timer` and
+        /// `disarm_timer` over a few keys agree with a sorted-`Vec` model at
+        /// every step: same popped event, same peeked time, same cancel
+        /// result, same length. The model knows no armed event and no
+        /// timer: an arm is a cancel of the previously armed event (or of
+        /// the key's live timer) plus a push, and a disarm is that cancel
+        /// alone, so pops of tied events must follow the sequence numbers
+        /// of those pushes.
         #[test]
         fn matches_sorted_vec_model(
-            ops in proptest::collection::vec((0u8..6, 0u32..50, any::<u16>()), 1..200),
+            ops in proptest::collection::vec((0u8..8, 0u32..50, any::<u16>()), 1..200),
         ) {
             let mut q = EventQueue::new();
             // Model: live (time, seq, id) triples; the queue pops the least.
             let mut model: Vec<(u32, u64, usize)> = Vec::new();
             // Every handle ever issued, with the model's id for it.
             let mut handles: Vec<(EventHandle, u64)> = Vec::new();
-            // The model's seq of the armed event while it is live.
+            // The model's seq of the armed event while it is live, and of
+            // each key's timer.
             let mut armed: Option<u64> = None;
+            let mut timers: [Option<u64>; 5] = [None; 5];
             let mut next_seq = 0u64;
             for (op, time, pick) in ops {
                 match op {
@@ -531,12 +807,31 @@ mod proptests {
                             let got = q.pop().map(|(at, id)| (at.as_secs() as u32, id));
                             let want = want.map(|i| {
                                 let (t, s, id) = model.remove(i);
-                                if armed == Some(s) {
-                                    armed = None;
+                                for live in std::iter::once(&mut armed).chain(&mut timers) {
+                                    if *live == Some(s) {
+                                        *live = None;
+                                    }
                                 }
                                 (t, id)
                             });
                             prop_assert_eq!(got, want);
+                        }
+                    }
+                    6 | 7 => {
+                        let key = usize::from(pick) % timers.len();
+                        if let Some(seq) = timers[key].take() {
+                            model.retain(|&(_, s, _)| s != seq);
+                        }
+                        if op == 6 {
+                            q.arm_timer(key, SimTime::from_secs(f64::from(time)), next_seq as usize);
+                            model.push((time, next_seq, next_seq as usize));
+                            timers[key] = Some(next_seq);
+                            next_seq += 1;
+                        } else {
+                            q.disarm_timer(key);
+                        }
+                        for (k, live) in timers.iter().enumerate() {
+                            prop_assert_eq!(q.timer_armed(k), live.is_some());
                         }
                     }
                     _ => {

@@ -10,7 +10,8 @@
 //! never needs a handle to, kept outside the heap. It dispatches exactly
 //! where a cancel of the previous armed event plus a fresh
 //! [`Schedule::schedule_at`] would have put it (see the
-//! [queue docs](crate::queue)).
+//! [queue docs](crate::queue)). Keyed timers ([`Schedule::arm_timer`])
+//! extend that to one such event per small integer key.
 
 use crate::queue::{EventHandle, EventQueue};
 use crate::time::{SimDuration, SimTime};
@@ -122,6 +123,30 @@ impl<E> Schedule<E> {
         self.queue.disarm();
     }
 
+    /// Arms `event` at the absolute time `at` as the timer of `key`,
+    /// replacing that key's timer, if any. It dispatches where cancelling
+    /// the key's previous timer and calling `schedule_at(at, event)` would
+    /// (see [`EventQueue::arm_timer`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `at` is before the current time or is not finite.
+    pub fn arm_timer(&mut self, key: usize, at: SimTime, event: E) {
+        self.check_time(at);
+        self.queue.arm_timer(key, at, event);
+    }
+
+    /// Drops `key`'s timer; a no-op when none is armed.
+    pub fn disarm_timer(&mut self, key: usize) {
+        self.queue.disarm_timer(key);
+    }
+
+    /// Whether `key` has a timer armed.
+    #[must_use]
+    pub fn timer_armed(&self, key: usize) -> bool {
+        self.queue.timer_armed(key)
+    }
+
     /// Cancels a pending event. Returns `true` if it had not yet fired.
     pub fn cancel(&mut self, handle: EventHandle) -> bool {
         self.queue.cancel(handle)
@@ -226,6 +251,32 @@ mod tests {
         assert_eq!(order, ["queued first", "armed", "queued last"]);
         assert_eq!(s.dispatched(), 3);
         assert!(s.is_idle());
+    }
+
+    #[test]
+    fn keyed_timers_dispatch_as_cancel_plus_schedule() {
+        let mut s: Schedule<&str> = Schedule::new();
+        let at = SimTime::from_secs(2.0);
+        s.arm_timer(0, at, "stale");
+        s.schedule_at(at, "queued");
+        s.arm_timer(1, SimTime::from_secs(3.0), "dropped");
+        s.arm_timer(0, at, "timer");
+        s.disarm_timer(1);
+        assert!(s.timer_armed(0) && !s.timer_armed(1));
+        assert_eq!(s.pending(), 2);
+        let order: Vec<&str> = std::iter::from_fn(|| s.next().map(|(_, e)| e)).collect();
+        assert_eq!(order, ["queued", "timer"]);
+        assert_eq!(s.dispatched(), 2);
+        assert!(!s.timer_armed(0));
+    }
+
+    #[test]
+    #[should_panic(expected = "in the past")]
+    fn arming_a_timer_in_the_past_panics() {
+        let mut s: Schedule<u32> = Schedule::new();
+        s.schedule_at(SimTime::from_secs(5.0), 1);
+        s.next();
+        s.arm_timer(0, SimTime::from_secs(1.0), 2);
     }
 
     #[test]

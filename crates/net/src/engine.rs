@@ -157,12 +157,12 @@ impl<T> FlowState<T> {
     }
 }
 
-/// `(eta, id)` order on heap entries, with plain float compares: ETAs are
-/// never NaN, and ids are unique, so creation ordinals break every tie.
+/// `(eta, id)` order on heap entries, in `SimTime`'s integer order (see
+/// `gridsched_des::time`); ids are unique, so creation ordinals break
+/// every tie.
 #[inline]
 fn earlier(a: (SimTime, FlowId), b: (SimTime, FlowId)) -> bool {
-    let (x, y) = (a.0.as_secs(), b.0.as_secs());
-    x < y || (x == y && a.1.ord < b.1.ord)
+    (a.0, a.1.ord) < (b.0, b.1.ord)
 }
 
 /// Indexed binary min-heap of active flows keyed by `(eta, id)`; `at[slot]`

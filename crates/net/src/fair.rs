@@ -140,12 +140,13 @@ pub fn max_min_rates(capacities: &[f64], flow_routes: &[Vec<usize>]) -> Vec<f64>
 /// * links carrying exactly one flow all receive identical per-round
 ///   subtraction chains, which preserves their relative order (f64
 ///   subtraction of a common value is weakly monotone) — so the
-///   single-flow bottleneck candidate comes from a cursor over a
-///   **static** capacity-sorted link order instead of a per-round scan,
-///   with an equal-value run walk reproducing the specification's
-///   lowest-link-id tie-break when rounding merges adjacent values. Only
-///   genuinely shared links (the backbone, a handful per topology) are
-///   scanned per round.
+///   single-flow bottleneck candidate comes from one cursor per solve
+///   over the links in use, kept in `(capacity, id)` order as flows come
+///   and go, instead of a per-round scan, with an equal-value run walk
+///   reproducing the specification's lowest-link-id tie-break when
+///   rounding merges adjacent values. A solve thus costs O(links in use),
+///   not O(topology). Only genuinely shared links (the backbone, a
+///   handful per topology) are scanned per round.
 ///
 /// Links can be marked **down** or **degraded** ([`MaxMinSolver::set_link_down`],
 /// [`MaxMinSolver::set_link_capacity_factor`]): a down link stalls every
@@ -171,9 +172,10 @@ pub struct MaxMinSolver {
     down: Vec<bool>,
     /// Count of down links (cheap probe-column readback).
     down_count: usize,
-    /// Link ids sorted by `(capacity, id)` — re-sorted only when a degrade
-    /// factor changes a capacity.
-    caps_order: Vec<u32>,
+    /// The links with `crossing > 0`, sorted by `(capacity, id)`: a link
+    /// enters when its first flow registers and leaves with its last, and
+    /// the list is re-sorted when a degrade factor changes a capacity.
+    in_use: Vec<u32>,
     /// Per link: registered flows crossing it.
     crossing: Vec<u32>,
     /// Per link: registered *non-stalled* flows crossing it — the crossing
@@ -227,6 +229,13 @@ fn materialize(remaining: &mut [f64], applied: &mut [u32], shares: &[f64], l: us
     applied[l] = shares.len() as u32;
 }
 
+/// The `(capacity, id)` sort key of link `l`. Capacities are positive and
+/// finite, so their bit patterns order as their values do.
+#[inline]
+fn capacity_order(capacities: &[f64], l: u32) -> (u64, u32) {
+    (capacities[l as usize].to_bits(), l)
+}
+
 impl MaxMinSolver {
     /// A solver over links with the given capacities (bytes/second).
     ///
@@ -239,19 +248,12 @@ impl MaxMinSolver {
             assert!(c.is_finite() && c > 0.0, "capacity must be positive: {c}");
         }
         let n = capacities.len();
-        let mut caps_order: Vec<u32> = (0..n as u32).collect();
-        caps_order.sort_unstable_by(|&a, &b| {
-            capacities[a as usize]
-                .partial_cmp(&capacities[b as usize])
-                .expect("finite capacities")
-                .then(a.cmp(&b))
-        });
         MaxMinSolver {
             base_capacities: capacities.clone(),
             capacities,
             down: vec![false; n],
             down_count: 0,
-            caps_order,
+            in_use: Vec::new(),
             crossing: vec![0; n],
             crossing_up: vec![0; n],
             link_flows: vec![Vec::new(); n],
@@ -317,6 +319,14 @@ impl MaxMinSolver {
                     .binary_search(&(l as u32))
                     .expect_err("link was untouched");
                 self.touched.insert(pos, l as u32);
+                let caps = &self.capacities;
+                let pos = self
+                    .in_use
+                    .binary_search_by_key(&capacity_order(caps, l as u32), |&x| {
+                        capacity_order(caps, x)
+                    })
+                    .expect_err("link was not in use");
+                self.in_use.insert(pos, l as u32);
             }
             self.crossing[l] += 1;
             if stalls == 0 {
@@ -358,6 +368,14 @@ impl MaxMinSolver {
                     .binary_search(&(l as u32))
                     .expect("touched link listed");
                 self.touched.remove(at);
+                let caps = &self.capacities;
+                let at = self
+                    .in_use
+                    .binary_search_by_key(&capacity_order(caps, l as u32), |&x| {
+                        capacity_order(caps, x)
+                    })
+                    .expect("link in use listed");
+                self.in_use.remove(at);
             }
         }
         let last = self.live_slots.pop().expect("slot is live");
@@ -419,8 +437,9 @@ impl MaxMinSolver {
 
     /// Sets link `l`'s effective capacity to `base × factor` (a degraded-
     /// bandwidth window; `1.0` restores the configured capacity exactly).
-    /// The capacity-sorted candidate order is re-sorted — an `O(L log L)`
-    /// cost paid only on fault transitions, never per solve.
+    /// The links in use are re-sorted by capacity — an `O(U log U)` cost
+    /// for `U` links in use, paid only on fault transitions, never per
+    /// solve.
     ///
     /// # Panics
     ///
@@ -438,12 +457,8 @@ impl MaxMinSolver {
             self.base_capacities[l] * factor
         };
         let caps = &self.capacities;
-        self.caps_order.sort_unstable_by(|&a, &b| {
-            caps[a as usize]
-                .partial_cmp(&caps[b as usize])
-                .expect("finite capacities")
-                .then(a.cmp(&b))
-        });
+        self.in_use
+            .sort_unstable_by_key(|&x| capacity_order(caps, x));
     }
 
     /// Whether link `l` is currently down.
@@ -574,25 +589,25 @@ impl MaxMinSolver {
         let mut cursor = 0usize;
         let mut acc = 0.0f64;
         loop {
-            // Single-flow candidate: the first still-active entry in the
-            // static (capacity, id) order; rounding can merge adjacent
-            // values, and the specification breaks value ties by the
-            // lowest link id, so walk the equal-value run.
-            while cursor < self.caps_order.len() {
-                let l = self.caps_order[cursor] as usize;
+            // Single-flow candidate: the first still-active entry among
+            // the links in use, in (capacity, id) order; rounding can
+            // merge adjacent values, and the specification breaks value
+            // ties by the lowest link id, so walk the equal-value run.
+            while cursor < self.in_use.len() {
+                let l = self.in_use[cursor] as usize;
                 if self.crossing_up[l] == 1 && self.active[l] == 1 {
                     break;
                 }
                 cursor += 1;
             }
-            let single = if cursor < self.caps_order.len() {
-                let head = self.caps_order[cursor] as usize;
+            let single = if cursor < self.in_use.len() {
+                let head = self.in_use[cursor] as usize;
                 materialize(&mut self.remaining, &mut self.applied, &self.shares, head);
                 let value = self.remaining[head];
                 let mut best_l = head;
                 let mut j = cursor + 1;
-                while j < self.caps_order.len() {
-                    let l = self.caps_order[j] as usize;
+                while j < self.in_use.len() {
+                    let l = self.in_use[j] as usize;
                     j += 1;
                     if self.crossing_up[l] != 1 || self.active[l] != 1 {
                         continue;
@@ -690,7 +705,8 @@ impl MaxMinSolver {
 impl MaxMinSolver {
     /// Recounts the link registration from the slots themselves: every
     /// slot not on the free list is registered, with a stall count that
-    /// matches the down links, and counted exactly once per crossing.
+    /// matches the down links, and counted exactly once per crossing; the
+    /// in-use list holds exactly the crossed links, by `(capacity, id)`.
     pub(crate) fn assert_links_consistent(&self) {
         let slots: Vec<u32> = (0..self.routes.len() as u32)
             .filter(|s| !self.free_slots.contains(s))
@@ -723,6 +739,17 @@ impl MaxMinSolver {
             .filter(|&l| crossing[l as usize] > 0)
             .collect();
         assert_eq!(self.touched, touched, "touched");
+        let mut in_use = touched;
+        in_use.sort_by(|&a, &b| {
+            let (ca, cb) = (self.capacities[a as usize], self.capacities[b as usize]);
+            ca.partial_cmp(&cb)
+                .expect("finite capacities")
+                .then(a.cmp(&b))
+        });
+        assert_eq!(
+            self.in_use, in_use,
+            "in_use: the links crossed, by (capacity, id)"
+        );
         let mut live = self.live_slots.clone();
         live.sort_unstable();
         assert_eq!(live, slots, "live_slots");
@@ -967,6 +994,41 @@ mod tests {
         let spec = max_min_rates(&[8.0, 32.0], &[vec![0, 1], vec![1]]);
         assert_eq!(s.rate(f0).to_bits(), spec[0].to_bits());
         assert_eq!(s.rate(f1).to_bits(), spec[1].to_bits());
+    }
+
+    #[test]
+    fn few_flows_on_a_wide_topology_match_the_spec_across_a_degrade() {
+        // 400 links of scattered capacities; two flows share link 150.
+        let base: Vec<f64> = (0..400u64)
+            .map(|l| 1.0 + ((l * 7919) % 400) as f64 * 0.25)
+            .collect();
+        let routes = vec![vec![3, 150, 399], vec![150, 77]];
+        let mut s = MaxMinSolver::new(base.clone());
+        let slots: Vec<u32> = routes.iter().map(|r| s.add_flow(r)).collect();
+        assert_eq!(s.busy_links(), 4);
+        let check = |s: &mut MaxMinSolver, caps: &[f64]| {
+            s.assert_links_consistent();
+            s.solve();
+            let spec = max_min_rates(caps, &routes);
+            for (&slot, want) in slots.iter().zip(&spec) {
+                assert_eq!(s.rate(slot).to_bits(), want.to_bits(), "slot {slot}");
+            }
+        };
+        check(&mut s, &base);
+        // Degrade a single-flow link below every other: it becomes the
+        // head of the in-use order and the first bottleneck.
+        let mut caps = base.clone();
+        s.set_link_capacity_factor(77, 0.01);
+        caps[77] *= 0.01;
+        check(&mut s, &caps);
+        // A degrade on a link no flow crosses moves no rate.
+        s.set_link_capacity_factor(5, 0.5);
+        caps[5] *= 0.5;
+        check(&mut s, &caps);
+        // Factor 1.0 restores the configured capacity exactly.
+        s.set_link_capacity_factor(77, 1.0);
+        caps[77] = base[77];
+        check(&mut s, &caps);
     }
 
     #[test]

@@ -180,11 +180,12 @@ struct RunningTask {
 }
 
 impl RunningTask {
-    fn new(task: TaskId, is_replica: bool) -> Self {
+    /// A fresh execution of `task`, which reads `files` input files.
+    fn new(task: TaskId, is_replica: bool, files: usize) -> Self {
         RunningTask {
             task,
             is_replica,
-            pinned: Vec::new(),
+            pinned: Vec::with_capacity(files),
             compute_handle: None,
             compute_started: None,
             progress_flops: 0.0,
@@ -909,7 +910,8 @@ impl GridSim {
                     self.ledger.re_executions += 1;
                 }
                 self.workers[w].state = WorkerState::WaitingData;
-                self.workers[w].current = Some(RunningTask::new(task, is_replica));
+                let files = self.config.workload.task(task).files().len();
+                self.workers[w].current = Some(RunningTask::new(task, is_replica, files));
                 self.begin_span(w, "queued", task);
                 let enqueued_at = self.now();
                 let generation = self.workers[w].generation;
@@ -1029,7 +1031,10 @@ impl GridSim {
         let task = self.workers[w].task();
         self.end_span(w, "queued");
         self.begin_span(w, "staging", task);
-        let files: Vec<FileId> = self.config.workload.task(task).files().to_vec();
+        // The file list is borrowed through a handle of the workload, not
+        // copied, while `self` is mutated below.
+        let workload = Arc::clone(&self.config.workload);
+        let files = workload.task(task).files();
         // Waiting time: enqueue → service start (Table 3 column 1).
         let waited = (self.now() - request.enqueued_at).as_secs();
         let sm = &mut self.ledger.per_site[site];
@@ -1037,7 +1042,7 @@ impl GridSim {
         sm.waiting_time_s += waited;
         // Pin what is present; fetch the rest.
         let mut to_fetch = VecDeque::new();
-        for &f in &files {
+        for &f in files {
             if self.stores[site].contains(f) {
                 self.stores[site].pin(f);
                 self.workers[w].running().pinned.push(f);
@@ -1096,8 +1101,7 @@ impl GridSim {
                 // sees the flow's own claim on its route.
                 let route = &self.site_routes[site];
                 let est = self.net.fair_share_estimate(&route.links);
-                let schedule = |delay, event| self.schedule.schedule_in(delay, event);
-                guard.arm(site, true, bytes, est, route.latency_s, schedule);
+                guard.arm(site, true, bytes, est, route.latency_s, &mut self.schedule);
             }
             return;
         }
@@ -1114,13 +1118,14 @@ impl GridSim {
         self.ledger.per_site[site].tasks_started += 1;
 
         let task = self.workers[w].task();
-        let files: Vec<FileId> = self.config.workload.task(task).files().to_vec();
-        for &f in &files {
+        let workload = Arc::clone(&self.config.workload);
+        let files = workload.task(task).files();
+        for &f in files {
             self.stores[site].record_task_reference(f);
         }
         self.scheduler
-            .on_files_referenced(SiteId(site as u32), &files);
-        self.maybe_replicate(&files, site);
+            .on_files_referenced(SiteId(site as u32), files);
+        self.maybe_replicate(files, site);
 
         // Checkpoint restore: a re-executed task resumes from its latest
         // surviving image instead of recomputing from scratch. A remote
@@ -1839,12 +1844,13 @@ impl GridSim {
 
     // ----- transfer guard -------------------------------------------------
 
-    /// Stands `site`'s guard slot down and cancels its armed timeout or
-    /// retry. Runs whenever the guarded fetch ends without a timeout:
-    /// completion or batch dissolution.
+    /// Stands `site`'s guard slot down and disarms its timer (the armed
+    /// timeout or retry, if any). Runs whenever the guarded fetch ends
+    /// without a timeout: completion or batch dissolution.
     fn disarm_transfer_guard(&mut self, site: usize) {
-        if let Some(timer) = self.xfer.as_mut().and_then(|g| g.stand_down(site)) {
-            self.schedule.cancel(timer);
+        if let Some(guard) = self.xfer.as_mut() {
+            guard.stand_down(site);
+            self.schedule.disarm_timer(site);
         }
     }
 
@@ -1853,11 +1859,9 @@ impl GridSim {
     /// backoff-delayed retry or, once the attempt budget is spent, hand
     /// the task back.
     fn handle_transfer_timeout(&mut self, site: usize, epoch: u64) {
-        let Some(guard) = self.xfer.as_mut().filter(|g| g.is_live(site, epoch)) else {
-            // Stale event from a disarmed guard; the handle should have
-            // been cancelled, but be tolerant.
-            return;
-        };
+        let guard = self.xfer.as_mut().expect("timeout implies a guard");
+        // A stand-down disarms the site's timer, so no stale one dispatches.
+        debug_assert!(guard.is_live(site, epoch), "stale timeout at site {site}");
         let batch = self.servers[site].active.as_mut();
         let Some((file, fid)) = batch.and_then(|b| b.current.take()) else {
             return;
@@ -1873,8 +1877,14 @@ impl GridSim {
         self.ledger.per_site[site].bytes_transferred += delivered;
         resync(&mut self.net, &mut self.schedule);
         self.ledger.xfer_timeouts += 1;
-        let schedule = |delay, event| self.schedule.schedule_in(delay, event);
-        if !guard.timed_out(site, now.as_secs(), file, left, delivered, schedule) {
+        if !guard.timed_out(
+            site,
+            now.as_secs(),
+            file,
+            left,
+            delivered,
+            &mut self.schedule,
+        ) {
             // The dissolve stands the guard down, bumping the epoch.
             self.ledger.flows_requeued += 1;
             self.requeue_after_exhausted_retries(site);
@@ -1916,9 +1926,8 @@ impl GridSim {
     /// (even through a still-down route: the flow stalls and the next
     /// timeout fires, burning another attempt).
     fn handle_transfer_retry(&mut self, site: usize, epoch: u64) {
-        let Some(guard) = self.xfer.as_mut().filter(|g| g.is_live(site, epoch)) else {
-            return;
-        };
+        let guard = self.xfer.as_mut().expect("retry implies a guard");
+        debug_assert!(guard.is_live(site, epoch), "stale retry at site {site}");
         let Some(batch) = self.servers[site].active.as_ref() else {
             return;
         };
@@ -1927,13 +1936,14 @@ impl GridSim {
         let Some((file, remaining)) = guard.take_retry(site, now.as_secs()) else {
             return;
         };
+        // The union route is up exactly when both sites' routes are.
+        let routes = &self.site_routes;
         let candidates = (0..self.config.sites).filter(|&s| {
             s != site
                 && !self.servers[s].down
                 && self.stores[s].contains(file)
-                && self
-                    .net
-                    .route_up(&union_route(&self.site_routes, s, site).0)
+                && self.net.route_up(&routes[s].links)
+                && self.net.route_up(&routes[site].links)
         });
         let (links, latency_s) = match guard.retry_source(site, candidates) {
             Some(src) => {
@@ -1955,8 +1965,7 @@ impl GridSim {
         self.ledger.xfer_retries += 1;
         resync(&mut self.net, &mut self.schedule);
         let est = self.net.fair_share_estimate(&links);
-        let schedule = |delay, event| self.schedule.schedule_in(delay, event);
-        guard.arm(site, false, remaining, est, latency_s, schedule);
+        guard.arm(site, false, remaining, est, latency_s, &mut self.schedule);
     }
 
     /// A correlated burst strikes: one uniformly-drawn site loses up to

@@ -8,21 +8,26 @@
 //! whose route breaker scores best (else the origin); the naive ablation
 //! baseline re-sends the whole file from the origin. Timeout number
 //! `max_retries + 1` spends the budget and the engine hands the task back.
-//! Each arming and stand-down bumps the site's epoch, which makes any
-//! event stamped with an older one stale. The breakers also weigh the
+//! Each arming and stand-down bumps the site's epoch, which the event
+//! carries into the determinism digest. The breakers also weigh the
 //! placement loop's site scores.
+//!
+//! Site `s`'s deadline and retry are the schedule's keyed timer `s` (see
+//! [`Schedule::arm_timer`]): the guard arms it, re-aiming replaces it in
+//! place, and the engine disarms it when the fetch ends without a timeout.
+//! A stand-down leaves no dead event behind, and a deadline or retry that
+//! dispatches is always the site's live one.
 //!
 //! The engine holds an [`XferGuard`] only when
 //! [`SimConfig::transfer_timeout_mult`] is set. The guard decides; the
-//! engine moves the flows, schedules and cancels the events, and books the
-//! ledger.
+//! engine moves the flows, disarms the site's timer and books the ledger.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use gridsched_core::CircuitBreaker;
 use gridsched_des::rng::{derive_seed, Stream};
-use gridsched_des::{EventHandle, SimDuration};
+use gridsched_des::{Schedule, SimDuration};
 use gridsched_telemetry::{Counter, Histogram, Telemetry};
 use gridsched_workload::FileId;
 
@@ -38,8 +43,6 @@ struct Slot {
     attempts: u32,
     /// Bytes the current attempt set out to deliver.
     remaining: f64,
-    /// The armed deadline, or the armed retry while no flow is in flight.
-    timer: Option<EventHandle>,
     /// The file awaiting retry.
     pending_file: Option<FileId>,
     /// Failover source of the in-flight attempt (`None` = the origin).
@@ -117,8 +120,8 @@ impl XferGuard {
 
     /// Arms the deadline of `site`'s just-started fetch of `remaining`
     /// bytes over a route with fair share `est` and latency `latency_s`
-    /// (`fresh`: a new file, with a fresh attempt budget), through the
-    /// engine's `schedule`.
+    /// (`fresh`: a new file, with a fresh attempt budget) as `schedule`'s
+    /// timer `site`.
     pub(crate) fn arm(
         &mut self,
         site: usize,
@@ -126,8 +129,15 @@ impl XferGuard {
         remaining: f64,
         est: f64,
         latency_s: f64,
-        schedule: impl FnOnce(SimDuration, Event) -> EventHandle,
+        schedule: &mut Schedule<Event>,
     ) {
+        // A fetch starts only after the previous one's timeout or retry
+        // dispatched or was disarmed. A timer still armed here would be
+        // replaced, dropping an event a cancel-and-push queue dispatches.
+        debug_assert!(
+            !schedule.timer_armed(site),
+            "site {site}'s guard timer is still armed"
+        );
         let slot = &mut self.slots[site];
         if fresh {
             slot.attempts = 0;
@@ -143,17 +153,17 @@ impl XferGuard {
         slot.epoch += 1;
         slot.remaining = remaining;
         let epoch = slot.epoch;
-        slot.timer = Some(schedule(delay, Event::TransferTimeout { site, epoch }));
+        let at = schedule.now() + delay;
+        schedule.arm_timer(site, at, Event::TransferTimeout { site, epoch });
     }
 
-    /// Stands `site`'s slot down when its fetch ends without a timeout,
-    /// returning the armed event to cancel.
-    pub(crate) fn stand_down(&mut self, site: usize) -> Option<EventHandle> {
+    /// Stands `site`'s slot down when its fetch ends without a timeout (the
+    /// engine disarms the site's timer).
+    pub(crate) fn stand_down(&mut self, site: usize) {
         let slot = &mut self.slots[site];
         slot.epoch += 1;
         slot.pending_file = None;
         slot.source = None;
-        slot.timer.take()
     }
 
     /// Feeds the outcome of `site`'s attempt (`ok`: it delivered) to the
@@ -170,9 +180,9 @@ impl XferGuard {
     }
 
     /// `site`'s attempt at `file` timed out at `t_s` with `delivered` bytes
-    /// delivered and `left` undelivered. Arms the backoff-delayed retry
-    /// through the engine's `schedule`, or returns `false` when this timeout
-    /// spent the budget.
+    /// delivered and `left` undelivered. Arms the backoff-delayed retry as
+    /// `schedule`'s timer `site`, or returns `false` when this timeout spent
+    /// the budget.
     pub(crate) fn timed_out(
         &mut self,
         site: usize,
@@ -180,12 +190,11 @@ impl XferGuard {
         file: FileId,
         left: f64,
         delivered: f64,
-        schedule: impl FnOnce(SimDuration, Event) -> EventHandle,
+        schedule: &mut Schedule<Event>,
     ) -> bool {
         self.timeouts.incr();
         self.feed(site, t_s, false);
         let slot = &mut self.slots[site];
-        slot.timer = None;
         slot.attempts += 1;
         if slot.attempts > self.max_retries {
             return false;
@@ -202,7 +211,8 @@ impl XferGuard {
         let nominal = self.backoff_s * 2f64.powi(i32::try_from(slot.attempts - 1).unwrap_or(30));
         let backoff = SimDuration::from_secs(nominal * (0.5 + self.rng.gen::<f64>()));
         let epoch = slot.epoch;
-        slot.timer = Some(schedule(backoff, Event::TransferRetry { site, epoch }));
+        let at = schedule.now() + backoff;
+        schedule.arm_timer(site, at, Event::TransferRetry { site, epoch });
         true
     }
 
@@ -211,7 +221,6 @@ impl XferGuard {
     pub(crate) fn take_retry(&mut self, site: usize, t_s: f64) -> Option<(FileId, f64)> {
         self.tick_breakers(t_s, &mut []);
         let slot = &mut self.slots[site];
-        slot.timer = None;
         Some((slot.pending_file.take()?, slot.remaining))
     }
 
@@ -281,37 +290,41 @@ mod tests {
         XferGuard::new(&config, &Telemetry::disabled()).expect("a timeout is configured")
     }
 
-    /// Arms `site`'s fetch of `bytes` and returns the timeout's epoch.
-    fn arm(g: &mut XferGuard, sched: &mut Schedule<Event>, site: usize, bytes: f64) -> u64 {
-        let mut epoch = None;
-        g.arm(site, true, bytes, 1e6, 0.0, |delay, event| {
-            if let Event::TransferTimeout { epoch: e, .. } = event {
-                epoch = Some(e);
-            }
-            sched.schedule_in(delay, event)
-        });
-        epoch.expect("arming schedules a timeout")
+    /// Pops the schedule's next event, which must be `site`'s timer.
+    fn fire(sched: &mut Schedule<Event>, site: usize) -> (f64, Event) {
+        assert!(sched.timer_armed(site));
+        let (at, event) = sched.next().expect("the timer is pending");
+        assert!(!sched.timer_armed(site), "a dispatched timer is gone");
+        (at.as_secs(), event)
     }
 
-    /// Times `site`'s attempt out with half its bytes delivered, then
-    /// re-issues it; returns the retry's delay, `None` once spent.
+    /// Arms `site`'s fetch of `bytes` and returns the timeout's epoch.
+    fn arm(g: &mut XferGuard, sched: &mut Schedule<Event>, site: usize, bytes: f64) -> u64 {
+        g.arm(site, true, bytes, 1e6, 0.0, sched);
+        assert!(sched.timer_armed(site), "arming sets the site's timer");
+        g.slots[site].epoch
+    }
+
+    /// Fires `site`'s deadline with half its bytes delivered, then the
+    /// retry, and re-issues the fetch; returns the retry's delay, `None`
+    /// once spent.
     fn time_out_and_retry(
         g: &mut XferGuard,
         sched: &mut Schedule<Event>,
         site: usize,
     ) -> Option<f64> {
+        let (timeout_at, event) = fire(sched, site);
+        assert!(matches!(event, Event::TransferTimeout { site: s, .. } if s == site));
         let half = g.remaining(site) / 2.0;
-        let mut delay = None;
-        let retrying = g.timed_out(site, 0.0, FILE, half, half, |d, event| {
-            delay = Some(d.as_secs());
-            sched.schedule_in(d, event)
-        });
-        if !retrying {
+        if !g.timed_out(site, 0.0, FILE, half, half, sched) {
+            assert!(!sched.timer_armed(site), "a spent budget arms no retry");
             return None;
         }
+        let (retry_at, event) = fire(sched, site);
+        assert!(matches!(event, Event::TransferRetry { site: s, .. } if s == site));
         let (_, bytes) = g.take_retry(site, 0.0).expect("a file awaits");
-        g.arm(site, false, bytes, 1e6, 0.0, |d, e| sched.schedule_in(d, e));
-        delay
+        g.arm(site, false, bytes, 1e6, 0.0, sched);
+        Some(retry_at - timeout_at)
     }
 
     #[test]
@@ -333,11 +346,9 @@ mod tests {
         let (mut g, mut sched) = (guard(false, 3), Schedule::new());
         let first = arm(&mut g, &mut sched, 1, 1e6);
         assert!(g.is_live(1, first));
-        assert!(
-            g.stand_down(1).is_some(),
-            "the armed timeout comes back to cancel"
-        );
+        g.stand_down(1);
         assert!(!g.is_live(1, first), "a stand-down retires the epoch");
+        sched.disarm_timer(1);
         let second = arm(&mut g, &mut sched, 1, 1e6);
         assert!(g.is_live(1, second));
         assert!(!g.is_live(1, first), "a re-arm leaves the old epoch stale");
@@ -370,8 +381,8 @@ mod tests {
             let size = g.file_size;
             arm(&mut g, &mut sched, 0, size);
             let left = size / 4.0;
-            assert!(g.timed_out(0, 0.0, FILE, left, size - left, |d, e| sched
-                .schedule_in(d, e)));
+            fire(&mut sched, 0);
+            assert!(g.timed_out(0, 0.0, FILE, left, size - left, &mut sched));
             let expected = if naive { size } else { left };
             assert_eq!(g.remaining(0), expected, "naive {naive}");
             assert_eq!(g.take_retry(0, 0.0), Some((FILE, expected)));
