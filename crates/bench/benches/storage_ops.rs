@@ -7,6 +7,9 @@
 //!   files pinned at the head of the eviction order);
 //! * the per-task hot path: `record_task_reference` (`r_i += 1` plus a
 //!   recency touch) over a resident 78-file task;
+//! * a task's whole file reference cycle (pin, reference, unpin its 78
+//!   files) in the `sched` workload's 2,375-file universe and in the
+//!   178,684-file universe of a T = 20,000 workload;
 //! * overlap queries and the reference sum used by the `combined` metric.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -94,6 +97,46 @@ fn bench_reference_touch(c: &mut Criterion) {
     });
 }
 
+fn bench_file_reference_cycle(c: &mut Criterion) {
+    let mut group = c.benchmark_group("store_file_reference_cycle");
+    for universe in [2_375u32, 178_684] {
+        // The site holds every file of the universe, so its slot index and
+        // node slab span all of it.
+        let mut store = SiteStore::new(universe as usize, EvictionPolicy::Lru);
+        for i in 0..universe {
+            store.insert(FileId(i));
+        }
+        // 64 tasks of 78 files, each drawn from a window of 300 ids (Coadd
+        // inputs cluster in id space). One sample runs all 64 cycles:
+        // divide by 4,992 for the time per file.
+        let mut rng = StdRng::seed_from_u64(4);
+        let tasks: Vec<Vec<FileId>> = (0..64)
+            .map(|_| {
+                let start = rng.gen_range(0..universe - 300);
+                (0..78)
+                    .map(|_| FileId(start + rng.gen_range(0..300u32)))
+                    .collect()
+            })
+            .collect();
+        group.bench_with_input(BenchmarkId::from_parameter(universe), &tasks, |b, tasks| {
+            b.iter(|| {
+                for files in tasks {
+                    for &f in files {
+                        store.pin(f);
+                    }
+                    for &f in files {
+                        store.record_task_reference(f);
+                    }
+                    for &f in files {
+                        store.unpin(f);
+                    }
+                }
+            })
+        });
+    }
+    group.finish();
+}
+
 fn bench_overlap_queries(c: &mut Criterion) {
     let mut store = SiteStore::new(6000, EvictionPolicy::Lru);
     let mut rng = StdRng::seed_from_u64(2);
@@ -121,6 +164,7 @@ criterion_group!(
     bench_insert_churn,
     bench_pinned_eviction_churn,
     bench_reference_touch,
+    bench_file_reference_cycle,
     bench_overlap_queries
 );
 criterion_main!(benches);

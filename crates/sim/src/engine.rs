@@ -1293,9 +1293,9 @@ impl GridSim {
                 }
                 self.disarm_transfer_guard(site);
                 let fresh = !self.stores[site].contains(file);
-                let (evicted, refs) = self.stores[site].insert_pinned(file);
+                let refs = self.stores[site].admit_pinned(file);
                 if fresh {
-                    self.file_added(site, file, evicted, refs);
+                    self.file_added(site, file, refs);
                 } else {
                     // A replication push landed this very file while the
                     // batch fetch was in flight: the fetch still consumed
@@ -1304,7 +1304,10 @@ impl GridSim {
                     // second `on_file_added` would double-count it and
                     // corrupt every cached counter. The insert only
                     // refreshed its recency.
-                    debug_assert!(evicted.is_empty(), "touching evicts nothing");
+                    debug_assert!(
+                        self.stores[site].evicted().is_empty(),
+                        "touching evicts nothing"
+                    );
                 }
                 let w = self.servers[site].active.as_ref().expect("active").worker;
                 self.workers[w].running().pinned.push(file);
@@ -1340,9 +1343,8 @@ impl GridSim {
                 self.ledger.per_site[site].file_transfers += 1;
                 self.ledger.per_site[site].bytes_transferred += bytes;
                 if !self.stores[site].contains(file) {
-                    let evicted = self.stores[site].insert(file);
-                    let refs = self.stores[site].ref_count(file);
-                    self.file_added(site, file, evicted, refs);
+                    let refs = self.stores[site].admit(file);
+                    self.file_added(site, file, refs);
                 }
                 resync(&mut self.net, &mut self.schedule);
             }
@@ -1369,26 +1371,27 @@ impl GridSim {
     }
 
     /// Forwards the eviction and addition notifications of a file that
-    /// just became resident at `site`, with `refs` past references there,
-    /// to the scheduler (and the evictions to the replication state — a
-    /// lost copy may break the full coverage that exhausted a file).
-    fn file_added(&mut self, site: usize, file: FileId, evicted: Vec<FileId>, refs: u32) {
-        for e in evicted {
+    /// the store just admitted at `site`, with `refs` past references
+    /// there, to the scheduler (and the evictions to the replication state
+    /// — a lost copy may break the full coverage that exhausted a file).
+    fn file_added(&mut self, site: usize, file: FileId, refs: u32) {
+        // The store keeps the admit's evictions until its next insert,
+        // which none of these notifications makes.
+        for k in 0..self.stores[site].evicted().len() {
+            let (gone, gone_refs) = self.stores[site].evicted()[k];
             self.ledger.per_site[site].evictions += 1;
-            self.file_gone(site, e);
+            self.file_gone(site, gone, gone_refs);
         }
         self.scheduler
             .on_file_added(SiteId(site as u32), file, refs);
     }
 
-    /// Reports a copy of `file` that `site` lost (evicted, or with its
-    /// data server) to the scheduler and the replication state.
-    fn file_gone(&mut self, site: usize, file: FileId) {
-        self.scheduler.on_file_evicted(
-            SiteId(site as u32),
-            file,
-            self.stores[site].ref_count(file),
-        );
+    /// Reports a copy of `file`, with `refs` past references at `site`,
+    /// that `site` lost (evicted, or with its data server) to the
+    /// scheduler and the replication state.
+    fn file_gone(&mut self, site: usize, file: FileId, refs: u32) {
+        self.scheduler
+            .on_file_evicted(SiteId(site as u32), file, refs);
         if let Some(rep) = self.replication.as_mut() {
             rep.on_copy_lost(file);
         }
@@ -2117,7 +2120,8 @@ impl GridSim {
         let lost = self.stores[site].fail();
         self.ledger.per_site[site].files_lost += lost.len() as u64;
         for f in lost {
-            self.file_gone(site, f);
+            let refs = self.stores[site].ref_count(f);
+            self.file_gone(site, f, refs);
         }
         self.rearm(Entity::Server(site), false);
     }

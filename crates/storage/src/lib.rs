@@ -18,10 +18,14 @@
 //!
 //! [`SiteStore`] implements all of this with O(1) LRU/FIFO insert and
 //! touch (an intrusive list over a per-site node slab; LFU uses an ordered
-//! set) and evictions that cost O(pinned files skipped); residency lives
-//! in a dense [`FileSet`] bitset (FileIds are dense `u32`s) so membership
-//! probes are a shift-and-mask and overlap queries can use AND+popcount
-//! via [`FileMask`]. [`ImageVault`] holds the checkpoint images the
+//! set over a side table of use counts) and evictions that cost O(pinned
+//! files skipped). FileIds are dense `u32`s, so nothing is hashed: a
+//! file's slab slot is found through a page table of 64-id pages,
+//! allocated as the site touches them, and residency lives in a dense
+//! [`FileSet`] bitset, so membership probes are a shift-and-mask and
+//! overlap queries can use AND+popcount via [`FileMask`]. An insert hands
+//! back what it evicted, with each file's `r_i`, from a buffer the store
+//! reuses. [`ImageVault`] holds the checkpoint images the
 //! checkpoint/restart subsystem parks beside the file cache — task-private
 //! blobs that never enter the replacement policy but are lost with the
 //! server when it fails.

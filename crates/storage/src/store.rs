@@ -1,7 +1,6 @@
 //! Capacity-bounded site storage with pinning and reference tracking.
 
-use std::collections::{BTreeSet, HashMap};
-use std::hash::{BuildHasherDefault, Hasher};
+use std::collections::BTreeSet;
 
 use serde::{Deserialize, Serialize};
 
@@ -24,8 +23,12 @@ pub struct StoreStats {
     pub max_resident: usize,
 }
 
-/// End-of-list marker for the intrusive eviction list.
+/// End-of-list marker for the intrusive eviction list, and the empty entry
+/// of the slot index.
 const NIL: u32 = u32::MAX;
+
+/// File ids per page of the slot index.
+const PAGE: usize = 64;
 
 /// Per-file bookkeeping, one slab slot per file ever inserted or
 /// referenced at the site.
@@ -40,43 +43,50 @@ struct Node {
     pins: u32,
     /// `r_i`: past task references; survives eviction.
     refs: u32,
-    /// Use count while resident (LFU only).
-    freq: u64,
-    /// Insertion sequence number, [`StoreStats::insertions`] at insert
-    /// time (LFU tie-break).
-    inserted: u64,
     /// Position stamp in the LRU/FIFO list, assigned at every append:
     /// stamps ascend from head to tail.
     stamp: u64,
 }
 
-/// Multiplicative hasher for the `FileId → slot` index. File ids are dense
-/// small integers, so one multiply by an odd constant spreads them over
-/// both the low (bucket) and high (tag) bits of the hash.
+/// A file's LFU order, kept beside its [`Node`] by an LFU store only.
 #[derive(Debug, Clone, Copy, Default)]
-struct IdHasher(u64);
-
-impl Hasher for IdHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_u64(u64::from(b));
-        }
-    }
-
-    fn write_u32(&mut self, n: u32) {
-        self.write_u64(u64::from(n));
-    }
-
-    fn write_u64(&mut self, n: u64) {
-        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
+struct LfuEntry {
+    /// Use count while resident.
+    freq: u64,
+    /// Insertion sequence number, [`StoreStats::insertions`] at insert
+    /// time (the tie-break).
+    inserted: u64,
 }
 
-type SlotIndex = HashMap<FileId, u32, BuildHasherDefault<IdHasher>>;
+/// The `FileId → slot` index. File ids are dense, so the index is a
+/// directory with one entry per [`PAGE`] consecutive ids, pointing at a
+/// page of their slots (`NIL` where an id has none); a page is allocated
+/// the first time one of its ids is touched.
+#[derive(Debug, Clone, Default)]
+struct SlotIndex {
+    pages: Vec<Option<Box<[u32; PAGE]>>>,
+}
+
+impl SlotIndex {
+    /// The slot of `file`, if it has one.
+    fn get(&self, file: FileId) -> Option<u32> {
+        let id = file.index();
+        let page = self.pages.get(id / PAGE)?.as_ref()?;
+        let slot = page[id % PAGE];
+        (slot != NIL).then_some(slot)
+    }
+
+    /// The slot entry of `file` (`NIL` if it has none), allocating its page
+    /// on first touch.
+    fn entry(&mut self, file: FileId) -> &mut u32 {
+        let id = file.index();
+        let d = id / PAGE;
+        if d >= self.pages.len() {
+            self.pages.resize(d + 1, None);
+        }
+        &mut self.pages[d].get_or_insert_with(|| Box::new([NIL; PAGE]))[id % PAGE]
+    }
+}
 
 /// The local storage of one site's data server.
 ///
@@ -88,25 +98,33 @@ type SlotIndex = HashMap<FileId, u32, BuildHasherDefault<IdHasher>>;
 /// # Layout and cost
 ///
 /// Every file ever inserted or referenced at the site owns one slot in a
-/// node slab holding its pins, `r_i` and eviction-order links. A single
-/// `FileId → slot` index (a multiplicative integer hash) is the only hash
-/// probe per call, and a dense [`FileSet`] bitset answers membership.
+/// node slab holding its pins, `r_i` and eviction-order links (32 bytes).
+/// Slots are numbered in first-touch order. A paged index finds a file's
+/// slot with two loads and no hashing: a directory entry per 64
+/// consecutive ids points at a page of those ids' slots, and a page is
+/// allocated the first time one of its ids is touched. A dense
+/// [`FileSet`] bitset answers membership.
 ///
 /// * **LRU / FIFO** keep resident files in a doubly linked list over slab
 ///   slots, oldest at the head: insert appends, an LRU touch moves the
 ///   file to the tail and a FIFO touch leaves it. Insert and touch are
 ///   O(1).
 /// * **LFU** keeps an ordered set keyed by (use count, insertion order),
-///   so a touch is O(log n).
+///   so a touch is O(log n). The two keys live in a side table beside the
+///   slab that only an LFU store fills.
 ///
 /// Eviction takes the first unpinned file in that order. Under LRU/FIFO
 /// a first-unpinned cursor remembers how far the pinned files at the head
 /// of the list reach (every file before it is pinned), so files pinned by
 /// running tasks are skipped once, not on every eviction; an unpin before
 /// the cursor (told apart by the files' list stamps) moves it back. LFU
-/// costs O(1 + pinned files skipped) per eviction. Memory is proportional
-/// to the files the site has touched — the same bound as `r_i` itself —
-/// and never to the size of the file universe.
+/// costs O(1 + pinned files skipped) per eviction.
+///
+/// Memory is the slab, proportional to the files the site has touched
+/// (the same bound as `r_i` itself), plus the index: 256 bytes per
+/// touched page and one 8-byte page pointer per 64 ids up to the highest
+/// id touched, the same as the residency bitset's 8 bytes per 64 ids.
+/// Coadd files cluster in id space, so a site touches few pages.
 ///
 /// # Example
 ///
@@ -138,8 +156,13 @@ pub struct SiteStore {
     cursor: u32,
     /// Stamp of the next list append.
     next_stamp: u64,
+    /// LFU keys, one per slab slot (empty otherwise).
+    lfu: Vec<LfuEntry>,
     /// LFU eviction order: `(freq, inserted, slot)` (empty otherwise).
     by_freq: BTreeSet<(u64, u64, u32)>,
+    /// The files the latest insert evicted, with their `r_i`, in eviction
+    /// order (reused across inserts).
+    evicted: Vec<(FileId, u32)>,
     stats: StoreStats,
 }
 
@@ -162,7 +185,9 @@ impl SiteStore {
             tail: NIL,
             cursor: NIL,
             next_stamp: 0,
+            lfu: Vec::new(),
             by_freq: BTreeSet::new(),
+            evicted: Vec::new(),
             stats: StoreStats::default(),
         }
     }
@@ -226,8 +251,8 @@ impl SiteStore {
     #[must_use]
     pub fn ref_count(&self, file: FileId) -> u32 {
         self.slots
-            .get(&file)
-            .map_or(0, |&slot| self.nodes[slot as usize].refs)
+            .get(file)
+            .map_or(0, |slot| self.nodes[slot as usize].refs)
     }
 
     /// Sum of `r_i` over the *resident* subset of `files` — `ref_t` in the
@@ -243,27 +268,33 @@ impl SiteStore {
 
     /// The slot of `file`, allocating a fresh node on first sight.
     fn slot_or_new(&mut self, file: FileId) -> u32 {
-        let nodes = &mut self.nodes;
-        *self.slots.entry(file).or_insert_with(|| {
-            let slot = u32::try_from(nodes.len()).expect("fewer than 2^32 files per site");
-            nodes.push(Node {
+        let entry = self.slots.entry(file);
+        if *entry == NIL {
+            *entry = u32::try_from(self.nodes.len()).expect("fewer than 2^32 files per site");
+            self.nodes.push(Node {
                 file,
                 prev: NIL,
                 next: NIL,
                 pins: 0,
                 refs: 0,
-                freq: 0,
-                inserted: 0,
                 stamp: 0,
             });
-            slot
-        })
+            if self.policy == EvictionPolicy::Lfu {
+                self.lfu.push(LfuEntry::default());
+            }
+        }
+        *entry
     }
 
     /// The slot of a resident `file`.
     fn resident_slot(&self, file: FileId, op: &str) -> u32 {
         assert!(self.contains(file), "{op}: file {file} not resident");
-        self.slots[&file]
+        self.slot_of_resident(file)
+    }
+
+    /// [`resident_slot`](Self::resident_slot) for a file known resident.
+    fn slot_of_resident(&self, file: FileId) -> u32 {
+        self.slots.get(file).expect("a resident file has a slot")
     }
 
     fn push_back(&mut self, slot: u32) {
@@ -299,8 +330,8 @@ impl SiteStore {
     }
 
     fn lfu_key(&self, slot: u32) -> (u64, u64, u32) {
-        let node = &self.nodes[slot as usize];
-        (node.freq, node.inserted, slot)
+        let entry = self.lfu[slot as usize];
+        (entry.freq, entry.inserted, slot)
     }
 
     /// Drops a resident, unpinned file from the eviction order and the
@@ -323,41 +354,71 @@ impl SiteStore {
     /// [`StoreStats::overflow_inserts`]); the data server cannot drop files
     /// an executing task still needs.
     pub fn insert(&mut self, file: FileId) -> Vec<FileId> {
-        self.insert_slot(file).1
+        self.insert_slot(file);
+        self.evicted_files()
     }
 
     /// [`insert`](Self::insert) followed by [`pin`](Self::pin), with one
     /// index lookup for both. Returns the evicted files and `file`'s `r_i`
     /// (what [`ref_count`](Self::ref_count) would read).
     pub fn insert_pinned(&mut self, file: FileId) -> (Vec<FileId>, u32) {
-        let (slot, evicted) = self.insert_slot(file);
-        let node = &mut self.nodes[slot as usize];
-        node.pins += 1;
-        (evicted, node.refs)
+        let refs = self.admit_pinned(file);
+        (self.evicted_files(), refs)
     }
 
-    /// The body of [`insert`](Self::insert), also returning `file`'s slot.
-    fn insert_slot(&mut self, file: FileId) -> (u32, Vec<FileId>) {
+    /// [`insert`](Self::insert) without building the list of evicted
+    /// files: they stay readable, with their `r_i`, through
+    /// [`evicted`](Self::evicted) until the next insert. Returns `file`'s
+    /// `r_i` (what [`ref_count`](Self::ref_count) would read), from the
+    /// same index lookup.
+    pub fn admit(&mut self, file: FileId) -> u32 {
+        let slot = self.insert_slot(file);
+        self.nodes[slot as usize].refs
+    }
+
+    /// [`admit`](Self::admit) followed by [`pin`](Self::pin), with one
+    /// index lookup for both.
+    pub fn admit_pinned(&mut self, file: FileId) -> u32 {
+        let slot = self.insert_slot(file);
+        let node = &mut self.nodes[slot as usize];
+        node.pins += 1;
+        node.refs
+    }
+
+    /// The files the latest insert (any of [`insert`](Self::insert),
+    /// [`insert_pinned`](Self::insert_pinned), [`admit`](Self::admit) and
+    /// [`admit_pinned`](Self::admit_pinned)) evicted, each with its `r_i`,
+    /// in eviction order.
+    #[must_use]
+    pub fn evicted(&self) -> &[(FileId, u32)] {
+        &self.evicted
+    }
+
+    fn evicted_files(&self) -> Vec<FileId> {
+        self.evicted.iter().map(|&(file, _)| file).collect()
+    }
+
+    /// The body of every insert: fills [`SiteStore::evicted`] and returns
+    /// `file`'s slot.
+    fn insert_slot(&mut self, file: FileId) -> u32 {
+        self.evicted.clear();
         if self.contains(file) {
-            let slot = self.slots[&file];
+            let slot = self.slot_of_resident(file);
             self.touch_slot(slot);
-            return (slot, Vec::new());
+            return slot;
         }
-        let mut evicted = Vec::new();
         while self.len() >= self.capacity {
-            match self.evict_one() {
-                Some(f) => evicted.push(f),
-                None => {
-                    self.stats.overflow_inserts += 1;
-                    break;
-                }
+            if !self.evict_one() {
+                self.stats.overflow_inserts += 1;
+                break;
             }
         }
         let slot = self.slot_or_new(file);
-        let node = &mut self.nodes[slot as usize];
-        node.freq = 0;
-        node.inserted = self.stats.insertions;
         if self.policy == EvictionPolicy::Lfu {
+            self.lfu[slot as usize] = LfuEntry {
+                freq: 0,
+                inserted: self.stats.insertions,
+            };
             self.by_freq.insert(self.lfu_key(slot));
         } else {
             self.push_back(slot);
@@ -365,29 +426,36 @@ impl SiteStore {
         self.resident.insert(file);
         self.stats.insertions += 1;
         self.stats.max_resident = self.stats.max_resident.max(self.len());
-        (slot, evicted)
+        slot
     }
 
-    /// Evicts the policy's best victim among unpinned files. Returns `None`
-    /// if everything is pinned.
-    fn evict_one(&mut self) -> Option<FileId> {
+    /// Evicts the policy's best victim among unpinned files onto
+    /// [`SiteStore::evicted`]. Returns `false` if everything is pinned.
+    fn evict_one(&mut self) -> bool {
         let slot = if self.policy == EvictionPolicy::Lfu {
-            self.by_freq
+            let Some(slot) = self
+                .by_freq
                 .iter()
                 .map(|&(_, _, slot)| slot)
-                .find(|&slot| self.nodes[slot as usize].pins == 0)?
+                .find(|&slot| self.nodes[slot as usize].pins == 0)
+            else {
+                return false;
+            };
+            slot
         } else {
             while self.cursor != NIL && self.nodes[self.cursor as usize].pins > 0 {
                 self.cursor = self.nodes[self.cursor as usize].next;
             }
             if self.cursor == NIL {
-                return None;
+                return false;
             }
             self.cursor
         };
         self.remove_resident(slot);
         self.stats.evictions += 1;
-        Some(self.nodes[slot as usize].file)
+        let node = &self.nodes[slot as usize];
+        self.evicted.push((node.file, node.refs));
+        true
     }
 
     /// Marks `file` as used now (updates LRU recency / LFU frequency). No-op
@@ -396,7 +464,7 @@ impl SiteStore {
         if self.policy == EvictionPolicy::Fifo || !self.contains(file) {
             return;
         }
-        let slot = self.slots[&file];
+        let slot = self.slot_of_resident(file);
         self.touch_slot(slot);
     }
 
@@ -412,7 +480,7 @@ impl SiteStore {
             EvictionPolicy::Fifo => {} // insertion order never changes
             EvictionPolicy::Lfu => {
                 self.by_freq.remove(&self.lfu_key(slot));
-                self.nodes[slot as usize].freq += 1;
+                self.lfu[slot as usize].freq += 1;
                 self.by_freq.insert(self.lfu_key(slot));
             }
         }
@@ -480,7 +548,7 @@ impl SiteStore {
         let lost: Vec<(FileId, u32)> = self
             .resident
             .iter()
-            .map(|f| (f, self.slots[&f]))
+            .map(|f| (f, self.slot_of_resident(f)))
             .filter(|&(_, slot)| self.nodes[slot as usize].pins == 0)
             .collect();
         for &(_, slot) in &lost {
@@ -523,9 +591,11 @@ mod tests {
         ] {
             let mut a = SiteStore::new(3, policy);
             let mut b = SiteStore::new(3, policy);
-            for store in [&mut a, &mut b] {
+            let mut c = SiteStore::new(3, policy);
+            for store in [&mut a, &mut b, &mut c] {
                 store.record_task_reference(f(4));
                 store.record_task_reference(f(4));
+                store.record_task_reference(f(1));
                 store.insert(f(1));
                 store.pin(f(1));
             }
@@ -536,7 +606,12 @@ mod tests {
                 assert_eq!(evicted, b.insert(file), "{policy:?} {file}");
                 assert_eq!(refs, b.ref_count(file));
                 b.pin(file);
+                assert_eq!(c.admit_pinned(file), refs);
                 assert_eq!(format!("{a:?}"), format!("{b:?}"), "{policy:?} {file}");
+                assert_eq!(format!("{a:?}"), format!("{c:?}"), "{policy:?} {file}");
+                let with_refs: Vec<(FileId, u32)> =
+                    evicted.iter().map(|&e| (e, b.ref_count(e))).collect();
+                assert_eq!(c.evicted(), with_refs, "{policy:?} {file}");
             }
             assert_eq!(a.ref_count(f(4)), 2);
             assert_eq!(a.pinned_count(), 5, "pinned files overflow the store");
@@ -707,6 +782,75 @@ mod tests {
     #[should_panic(expected = "capacity must be positive")]
     fn zero_capacity_panics() {
         let _ = SiteStore::new(0, EvictionPolicy::Lru);
+    }
+
+    #[test]
+    fn admit_hands_back_evictions_with_their_refs() {
+        let mut s = SiteStore::new(2, EvictionPolicy::Lru);
+        s.record_task_reference(f(1));
+        s.record_task_reference(f(1));
+        s.record_task_reference(f(3));
+        assert_eq!(s.admit(f(1)), 2);
+        assert_eq!(s.admit(f(2)), 0);
+        assert!(s.evicted().is_empty());
+        assert_eq!(s.admit(f(3)), 1);
+        assert_eq!(s.evicted(), [(f(1), 2)]);
+        s.touch(f(2));
+        assert_eq!(s.evicted(), [(f(1), 2)], "kept until the next insert");
+        // Re-admitting a resident file is a touch: nothing evicted.
+        assert_eq!(s.admit(f(3)), 1);
+        assert!(s.evicted().is_empty());
+    }
+
+    #[test]
+    fn a_file_on_an_untouched_page_is_absent() {
+        let mut s = SiteStore::new(4, EvictionPolicy::Lru);
+        s.insert(f(5));
+        s.record_task_reference(f(5));
+        // Same page as f5 but never touched; a page never allocated inside
+        // the directory; a page beyond it.
+        for file in [f(6), f(64), f(127), f(100_000)] {
+            assert!(!s.contains(file), "{file}");
+            assert_eq!(s.ref_count(file), 0, "{file}");
+        }
+        assert_eq!(s.ref_count(f(5)), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "pin: file f100000 not resident")]
+    fn pin_on_an_untouched_page_panics() {
+        let mut s = SiteStore::new(4, EvictionPolicy::Lru);
+        s.insert(f(5));
+        s.pin(f(100_000));
+    }
+
+    #[test]
+    #[should_panic(expected = "unpin: file f130 not resident")]
+    fn unpin_on_an_untouched_page_panics() {
+        let mut s = SiteStore::new(4, EvictionPolicy::Lru);
+        s.insert(f(200));
+        s.unpin(f(130));
+    }
+
+    #[test]
+    fn refs_survive_eviction_on_a_page_a_neighbour_allocated() {
+        for policy in EvictionPolicy::ALL {
+            let mut s = SiteStore::new(1, policy);
+            s.insert(f(128)); // allocates the page of ids 128..192
+            s.record_task_reference(f(129));
+            s.record_task_reference(f(129));
+            s.insert(f(129)); // evicts 128
+            s.insert(f(7)); // evicts 129
+            assert!(!s.contains(f(129)), "{policy:?}");
+            assert_eq!(s.ref_count(f(129)), 2, "{policy:?}");
+            assert_eq!(s.ref_count(f(128)), 0, "{policy:?}");
+            assert_eq!(s.insert_pinned(f(129)), (vec![f(7)], 2), "{policy:?}");
+        }
+    }
+
+    #[test]
+    fn node_fits_in_32_bytes() {
+        assert!(std::mem::size_of::<Node>() <= 32);
     }
 }
 
@@ -924,7 +1068,29 @@ mod proptests {
     }
 
     /// File universe of the differential test: a few times the capacity.
+    /// Operations name a file by its index in the universe.
     const UNIVERSE: u32 = 24;
+
+    /// The dense universe: ids `0..UNIVERSE`, all on one index page.
+    fn dense_universe() -> Vec<FileId> {
+        (0..UNIVERSE).map(FileId).collect()
+    }
+
+    /// A sparse universe over many index pages: both sides of
+    /// `UNIVERSE / 2` page boundaries (`64k − 1` and `64k`), near the start
+    /// of the id space and at ids ≥ 100,000.
+    fn arb_sparse_universe() -> impl Strategy<Value = Vec<FileId>> {
+        let boundary = prop_oneof![
+            (1u32..16).prop_map(|k| 64 * k),
+            (1563u32..1600).prop_map(|k| 64 * k),
+        ];
+        proptest::collection::vec(boundary, UNIVERSE as usize / 2).prop_map(|bounds| {
+            bounds
+                .into_iter()
+                .flat_map(|b| [FileId(b - 1), FileId(b)])
+                .collect()
+        })
+    }
 
     fn arb_diff_ops() -> impl Strategy<Value = (usize, EvictionPolicy, Vec<DiffOp>)> {
         // Inserts are listed twice: they are what forces evictions.
@@ -991,30 +1157,42 @@ mod proptests {
         )
     }
 
-    /// Applies `ops` to a [`SiteStore`] and the [`ModelStore`] and checks
-    /// that every observable agrees after each one.
-    fn check_against_model(cap: usize, policy: EvictionPolicy, ops: Vec<DiffOp>) {
+    /// Applies `ops` over `universe` to a [`SiteStore`] and the
+    /// [`ModelStore`] and checks that every observable agrees after each
+    /// one.
+    fn check_against_model(
+        cap: usize,
+        policy: EvictionPolicy,
+        ops: Vec<DiffOp>,
+        universe: &[FileId],
+    ) {
         let mut s = SiteStore::new(cap, policy);
         let mut m = ModelStore::new(cap, policy);
         let mut held: Vec<FileId> = Vec::new();
         for op in ops {
             match op {
                 DiffOp::Insert(x) => {
-                    prop_assert_eq!(s.insert(FileId(x)), m.insert(FileId(x)));
+                    let file = universe[x as usize];
+                    let evicted = m.insert(file);
+                    prop_assert_eq!(s.insert(file), evicted.clone());
+                    let with_refs: Vec<(FileId, u32)> =
+                        evicted.into_iter().map(|e| (e, m.ref_count(e))).collect();
+                    prop_assert_eq!(s.evicted(), with_refs);
                 }
                 DiffOp::Touch(x) => {
-                    s.touch(FileId(x));
-                    m.touch(FileId(x));
+                    s.touch(universe[x as usize]);
+                    m.touch(universe[x as usize]);
                 }
                 DiffOp::Reference(x) => {
-                    s.record_task_reference(FileId(x));
-                    m.record_task_reference(FileId(x));
+                    s.record_task_reference(universe[x as usize]);
+                    m.record_task_reference(universe[x as usize]);
                 }
                 DiffOp::Pin(x) => {
-                    if m.contains(FileId(x)) {
-                        s.pin(FileId(x));
-                        m.pin(FileId(x));
-                        held.push(FileId(x));
+                    let file = universe[x as usize];
+                    if m.contains(file) {
+                        s.pin(file);
+                        m.pin(file);
+                        held.push(file);
                     }
                 }
                 DiffOp::Unpin(n) => {
@@ -1029,8 +1207,7 @@ mod proptests {
             prop_assert_eq!(s.len(), m.len());
             prop_assert_eq!(s.stats(), m.stats());
             prop_assert_eq!(s.pinned_count(), m.pinned_count());
-            for x in 0..UNIVERSE {
-                let f = FileId(x);
+            for &f in universe {
                 prop_assert_eq!(s.contains(f), m.contains(f), "contains {}", f);
                 prop_assert_eq!(s.ref_count(f), m.ref_count(f), "ref_count {}", f);
             }
@@ -1046,12 +1223,34 @@ mod proptests {
 
         #[test]
         fn matches_reference_model((cap, policy, ops) in arb_diff_ops()) {
-            check_against_model(cap, policy, ops);
+            check_against_model(cap, policy, ops, &dense_universe());
         }
 
         #[test]
         fn matches_reference_model_when_pins_pile_up((cap, policy, ops) in arb_pin_heavy_ops()) {
-            check_against_model(cap, policy, ops);
+            check_against_model(cap, policy, ops, &dense_universe());
+        }
+    }
+
+    proptest! {
+        // Fewer cases: every check walks a residency bitset over ~1,600
+        // words here.
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn matches_reference_model_over_sparse_ids(
+            (cap, policy, ops) in arb_diff_ops(),
+            universe in arb_sparse_universe(),
+        ) {
+            check_against_model(cap, policy, ops, &universe);
+        }
+
+        #[test]
+        fn matches_reference_model_when_pins_pile_up_over_sparse_ids(
+            (cap, policy, ops) in arb_pin_heavy_ops(),
+            universe in arb_sparse_universe(),
+        ) {
+            check_against_model(cap, policy, ops, &universe);
         }
     }
 }
