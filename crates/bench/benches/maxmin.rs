@@ -77,7 +77,7 @@ fn bench_maxmin(c: &mut Criterion) {
 const STEPS: usize = 100;
 
 /// The paper topology (90 sites), with every MAN widened to hold at
-/// least `sites` sites the way `perf_scale` widens it.
+/// least `sites` sites the way the `perf_scale` claims entry widens it.
 fn topology_for(sites: usize) -> TiersConfig {
     let mut config = TiersConfig::paper(7);
     config.sites_per_man = config.sites_per_man.max(sites.div_ceil(config.mans));

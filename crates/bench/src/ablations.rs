@@ -23,7 +23,7 @@ use crate::{fmt, Ctx, Sweep, Table};
 ///
 /// Also sweeps storage affinity's **replica throttle** over the
 /// (replica-cap, site-replica-budget) grid — the makespan-vs-wasted-compute
-/// Pareto trade the fixed `perf_scale` throttle point cannot show — and
+/// Pareto trade the `perf_scale` entries' one throttle point cannot show — and
 /// marks the **knee**: the configuration minimising the summed normalised
 /// distance to the utopia point (fastest makespan, least speculative
 /// waste). Run with 4 workers per site so queue imbalance actually drives

@@ -1,18 +1,19 @@
 //! # gridsched-bench — the experiment harness
 //!
-//! The paper's figures and tables, the `ChooseTask(n)` finding and the
-//! ablations are entries of one registry, `CLAIMS`, run by the `claims`
-//! binary ([`run_claims`]). `perf_scale` (a scaling benchmark, not a claim)
-//! and the criterion micro-benchmarks in `benches/` stand apart. This
-//! library holds the registry, the run context `Ctx` every entry reads its
-//! options from and reports through, and the aligned-table printing.
+//! The paper's figures and tables, the `ChooseTask(n)` finding, the
+//! ablations and the scaling benchmark (`perf_scale`, `perf_scale_1e5`)
+//! are entries of one registry, `CLAIMS`, run by the `claims` binary
+//! ([`run_claims`]). The criterion micro-benchmarks in `benches/` stand
+//! apart. This library holds the registry, the run context `Ctx` every
+//! entry reads its options from and reports through, and the
+//! aligned-table printing.
 //!
 //! ```text
 //! claims [--quick] [--check] [--out DIR | --no-out] [--seeds a,b,c] [NAME...]
 //! ```
 //!
-//! * `NAME...` — the entries to run, always in registry order (all of them
-//!   when none is named);
+//! * `NAME...` — the entries to run, always in registry order (when none
+//!   is named, every entry but the hour-long `perf_scale_1e5`);
 //! * `--quick` — 2 topology replicates and a 1,500-task workload instead
 //!   of 5 × 6,000 (for CI and smoke runs);
 //! * `--out <dir>` — also write every table as CSV, and what each entry
@@ -39,6 +40,7 @@ mod ablations;
 mod adaptive;
 mod netfaults;
 mod paper;
+mod scale;
 
 /// A registry entry: the claim's command-line name and its body.
 type Claim = (&'static str, fn(&Ctx));
@@ -61,7 +63,25 @@ const CLAIMS: &[Claim] = &[
     ("ablation_netfaults", netfaults::ablation_netfaults),
     ("ablation_policy", ablations::ablation_policy),
     ("ablation_replication", ablations::ablation_replication),
+    ("perf_scale", scale::perf_scale),
+    ("perf_scale_1e5", scale::perf_scale_1e5),
 ];
+
+/// The claims a run that names none leaves out: the 10⁵-worker scale
+/// point alone takes about an hour.
+const WHEN_NAMED: &[&str] = &["perf_scale_1e5"];
+
+/// The entries a run executes, in registry order: the `named` ones, or
+/// every entry not `WHEN_NAMED` when none is named.
+fn selection(named: &[String]) -> impl Iterator<Item = &'static Claim> + '_ {
+    CLAIMS.iter().filter(move |&&(name, _)| {
+        if named.is_empty() {
+            !WHEN_NAMED.contains(&name)
+        } else {
+            named.iter().any(|n| n == name)
+        }
+    })
+}
 
 /// Runs the claims the command line `args` (program name excluded) picks,
 /// then writes `claims.json` under `--out`. Usage errors exit 2, and under
@@ -100,15 +120,13 @@ pub fn run_claims(args: impl Iterator<Item = String>) {
             name => usage(&format!("unknown claim `{name}`")),
         }
     }
-    for &(name, body) in CLAIMS {
-        if picked.is_empty() || picked.iter().any(|p| p == name) {
-            ctx.records.borrow_mut().push(Record {
-                name,
-                tables: Vec::new(),
-                checks: Vec::new(),
-            });
-            body(&ctx);
-        }
+    for &(name, body) in selection(&picked) {
+        ctx.records.borrow_mut().push(Record {
+            name,
+            tables: Vec::new(),
+            checks: Vec::new(),
+        });
+        body(&ctx);
     }
     ctx.write_json();
 }
@@ -459,6 +477,19 @@ mod tests {
         assert_eq!(ctx.seeds.len(), 5);
         assert!(!ctx.quick);
         assert_eq!(ctx.out_dir, Some(PathBuf::from("results")));
+    }
+
+    #[test]
+    fn the_hour_long_scale_point_runs_only_when_named() {
+        let names = |named: &[&str]| -> Vec<&str> {
+            let named: Vec<String> = named.iter().map(ToString::to_string).collect();
+            selection(&named).map(|&(n, _)| n).collect()
+        };
+        let all = names(&[]);
+        assert!(all.contains(&"perf_scale"));
+        assert!(!all.contains(&"perf_scale_1e5"));
+        assert_eq!(all.len(), CLAIMS.len() - 1);
+        assert_eq!(names(&["perf_scale_1e5"]), ["perf_scale_1e5"]);
     }
 
     #[test]

@@ -91,3 +91,72 @@ fn out_dir_gets_the_csv_and_claims_json() {
         assert_eq!(check.get("pass"), Some(&JsonValue::Bool(true)));
     }
 }
+
+#[test]
+fn quick_perf_scale_passes_its_checks_with_one_row_per_run_key() {
+    let dir = std::env::temp_dir().join(format!("gridsched-scale-test-{}", std::process::id()));
+    let out = claims(&[
+        "--quick",
+        "--check",
+        "--out",
+        dir.to_str().expect("utf8 path"),
+        "perf_scale",
+    ]);
+    let json = std::fs::read_to_string(dir.join("claims.json"));
+    let _ = std::fs::remove_dir_all(&dir);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+
+    let doc = parse(&json.expect("claims.json written")).expect("valid JSON");
+    let entries = doc
+        .get("claims")
+        .and_then(JsonValue::as_array)
+        .expect("list");
+    let entry = entries
+        .iter()
+        .find(|e| e.get("name").and_then(JsonValue::as_str) == Some("perf_scale"))
+        .expect("the perf_scale entry");
+    let checks = entry
+        .get("checks")
+        .and_then(JsonValue::as_array)
+        .expect("checks");
+    assert!(!checks.is_empty());
+    for check in checks {
+        assert_eq!(check.get("pass"), Some(&JsonValue::Bool(true)), "{check:?}");
+    }
+
+    let runs = &entry
+        .get("tables")
+        .and_then(JsonValue::as_array)
+        .expect("tables")[0];
+    let headers: Vec<&str> = runs
+        .get("headers")
+        .and_then(JsonValue::as_array)
+        .expect("headers")
+        .iter()
+        .map(|h| h.as_str().expect("header"))
+        .collect();
+    let key_columns: Vec<usize> = ["workers", "sites", "strategy", "mode", "throttle"]
+        .iter()
+        .map(|k| headers.iter().position(|h| h == k).expect("key column"))
+        .collect();
+    let rows = runs
+        .get("rows")
+        .and_then(JsonValue::as_array)
+        .expect("rows");
+    let keys: std::collections::HashSet<Vec<&str>> = rows
+        .iter()
+        .map(|row| {
+            let cells = row.as_array().expect("row");
+            key_columns
+                .iter()
+                .map(|&i| cells[i].as_str().expect("cell"))
+                .collect()
+        })
+        .collect();
+    assert_eq!(keys.len(), rows.len(), "one row per run key");
+    assert!(rows.len() >= 20, "{} rows", rows.len());
+}

@@ -126,7 +126,7 @@
 //! [`ColdRank::assert_consistent`] check the cached counters, the sparse
 //! membership and the site lists against ground truth — it only changes
 //! the constant/complexity; the `sched_decision` criterion bench and the
-//! `perf_scale` harness quantify the gap.
+//! `perf_scale` entry of the `claims` binary quantify the gap.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;

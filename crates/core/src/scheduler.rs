@@ -31,7 +31,7 @@ use crate::weight::WeightMetric;
 /// Both modes are property-tested to produce byte-identical assignment
 /// sequences (and therefore identical simulation output); they differ only
 /// in per-decision cost. See `tests/scheduler_equivalence.rs` and the
-/// `perf_scale` harness.
+/// `perf_scale` entry of the `claims` binary.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
 pub enum EvalMode {
     /// Incrementally-maintained per-site priority indexes
@@ -73,8 +73,9 @@ impl std::str::FromStr for EvalMode {
 /// every completion cancels the losers, and the cancelled workers go idle
 /// and replicate again — a launch/cancel storm whose event count dwarfs the
 /// useful work (283M events vs ~1.8M for the worker-centric strategies at
-/// 10⁵ workers in `BENCH_scale.json`). The throttle bounds the fan-out on
-/// two axes without touching the paper's small-grid behaviour:
+/// 10⁵ workers, the `perf_scale_1e5` entry of `BENCH_scale.json`). The
+/// throttle bounds the fan-out on two axes without touching the paper's
+/// small-grid behaviour:
 ///
 /// * [`replica_cap`](ReplicaThrottle::replica_cap) — at most this many
 ///   concurrent *replica* executions per task (primaries never count, so a
