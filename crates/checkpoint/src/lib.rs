@@ -46,6 +46,7 @@ use std::collections::HashMap;
 
 use serde::{Deserialize, Serialize};
 
+use gridsched_des::config::{positive, ConfigError};
 use gridsched_workload::TaskId;
 
 /// When a running task checkpoints its progress.
@@ -97,24 +98,16 @@ impl CheckpointConfig {
     }
 
     /// Fixed-interval checkpointing.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `interval_s` is not strictly positive and finite.
     #[must_use]
     pub fn fixed(interval_s: f64) -> Self {
-        assert!(
-            interval_s > 0.0 && interval_s.is_finite(),
-            "checkpoint interval must be positive"
-        );
         CheckpointConfig {
             policy: CheckpointPolicy::Fixed { interval_s },
             size_bytes: DEFAULT_IMAGE_BYTES,
         }
     }
 
-    /// Young/Daly adaptive checkpointing (requires a worker MTBF in the
-    /// fault model).
+    /// Young/Daly adaptive checkpointing (the simulator requires a worker
+    /// MTBF in the fault model).
     #[must_use]
     pub fn young_daly() -> Self {
         CheckpointConfig {
@@ -125,9 +118,9 @@ impl CheckpointConfig {
 
     /// Self-tuning Young/Daly checkpointing: the MTBF is estimated online
     /// by the control plane instead of declared, so no fault-model MTBF is
-    /// required. The engine requires the adaptive-checkpoint control loop
-    /// to be enabled alongside this policy (otherwise nothing would ever
-    /// set an interval).
+    /// required. The simulator requires the adaptive-checkpoint control
+    /// loop to be enabled alongside this policy (otherwise nothing would
+    /// ever set an interval).
     #[must_use]
     pub fn young_daly_adaptive() -> Self {
         CheckpointConfig {
@@ -137,18 +130,25 @@ impl CheckpointConfig {
     }
 
     /// Overrides the checkpoint image size.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bytes` is not strictly positive and finite.
     #[must_use]
     pub fn with_size_bytes(mut self, bytes: f64) -> Self {
-        assert!(
-            bytes > 0.0 && bytes.is_finite(),
-            "checkpoint image size must be positive"
-        );
         self.size_bytes = bytes;
         self
+    }
+
+    /// Checks that a fixed interval and the image size are positive and
+    /// finite. Which policies the fault model and the control loops
+    /// support is the simulator's check, as they are not part of this
+    /// config.
+    ///
+    /// # Errors
+    ///
+    /// The first rule broken, naming the field.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        if let CheckpointPolicy::Fixed { interval_s } = self.policy {
+            positive("policy.interval_s", interval_s, "checkpoint interval")?;
+        }
+        positive("size_bytes", self.size_bytes, "checkpoint image size")
     }
 
     /// Whether this configuration never checkpoints. An inert config must
@@ -167,7 +167,7 @@ impl CheckpointConfig {
     ///
     /// Panics if the policy is Young/Daly and `worker_mtbf_s` is `None` —
     /// the adaptive interval is derived from the fault model, so it needs
-    /// one (CLI validation rejects this combination up front).
+    /// one (`SimConfig::validate` rejects this combination up front).
     #[must_use]
     pub fn interval_s(&self, worker_mtbf_s: Option<f64>, write_cost_s: f64) -> Option<f64> {
         match self.policy {
@@ -300,6 +300,14 @@ impl ImageTracker {
 mod tests {
     use super::*;
 
+    /// Panics with the text of the first rule `config` breaks, as the
+    /// simulator does.
+    fn assert_valid(config: &CheckpointConfig) {
+        if let Err(e) = config.validate() {
+            panic!("{e}");
+        }
+    }
+
     #[test]
     fn none_is_inert() {
         assert!(CheckpointConfig::none().is_inert());
@@ -312,6 +320,7 @@ mod tests {
     fn fixed_interval_ignores_fault_model() {
         let c = CheckpointConfig::fixed(450.0);
         assert!(!c.is_inert());
+        assert_eq!(c.validate(), Ok(()));
         assert_eq!(c.interval_s(None, 99.0), Some(450.0));
         assert!(c.summary().contains("interval=450s"));
     }
@@ -343,13 +352,13 @@ mod tests {
     #[test]
     #[should_panic(expected = "interval must be positive")]
     fn zero_interval_rejected() {
-        let _ = CheckpointConfig::fixed(0.0);
+        assert_valid(&CheckpointConfig::fixed(0.0));
     }
 
     #[test]
     #[should_panic(expected = "size must be positive")]
     fn zero_size_rejected() {
-        let _ = CheckpointConfig::fixed(10.0).with_size_bytes(0.0);
+        assert_valid(&CheckpointConfig::fixed(10.0).with_size_bytes(0.0));
     }
 
     #[test]

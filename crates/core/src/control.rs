@@ -35,6 +35,7 @@
 use std::collections::VecDeque;
 use std::fmt;
 
+use gridsched_des::config::{require, ConfigError};
 use gridsched_telemetry::{Counter, Telemetry};
 use serde::{Deserialize, Serialize};
 
@@ -97,18 +98,25 @@ impl ControlConfig {
     }
 
     /// Sets the controller tick period in sim seconds.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `tick_s` is finite and positive.
     #[must_use]
     pub fn with_tick_s(mut self, tick_s: f64) -> Self {
-        assert!(
-            tick_s > 0.0 && tick_s.is_finite(),
-            "control tick must be finite and positive"
-        );
         self.tick_s = tick_s;
         self
+    }
+
+    /// Checks that the tick period is finite and positive: a zero period
+    /// would tick forever without advancing sim time. Which loops suit the
+    /// strategy and the checkpoint policy is the simulator's check.
+    ///
+    /// # Errors
+    ///
+    /// The broken rule, naming the field.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        require(
+            self.tick_s > 0.0 && self.tick_s.is_finite(),
+            "tick_s",
+            "control tick must be finite and positive",
+        )
     }
 
     /// Whether every loop is disabled (the plane need not exist).
@@ -874,7 +882,9 @@ mod tests {
     #[test]
     #[should_panic(expected = "control tick must be finite and positive")]
     fn zero_tick_panics() {
-        let _ = ControlConfig::none().with_tick_s(0.0);
+        if let Err(e) = ControlConfig::none().with_tick_s(0.0).validate() {
+            panic!("{e}");
+        }
     }
 
     #[test]

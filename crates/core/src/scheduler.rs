@@ -18,6 +18,7 @@ use std::fmt;
 
 use serde::{Deserialize, Serialize};
 
+use gridsched_des::config::{require, ConfigError};
 use gridsched_storage::SiteStore;
 use gridsched_telemetry::Telemetry;
 use gridsched_workload::{FileId, TaskId};
@@ -110,29 +111,37 @@ impl ReplicaThrottle {
     }
 
     /// Sets the per-task replica cap.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cap` is zero: a fault-orphaned task that is in nobody's
-    /// queue anymore can only come back as a replica, so a zero cap could
-    /// deadlock churned runs.
     #[must_use]
     pub fn with_replica_cap(mut self, cap: u32) -> Self {
-        assert!(cap >= 1, "replica cap must be >= 1");
         self.replica_cap = Some(cap);
         self
     }
 
     /// Sets the per-site in-flight replica budget.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `budget` is zero (same deadlock hazard as a zero cap).
     #[must_use]
     pub fn with_site_budget(mut self, budget: u32) -> Self {
-        assert!(budget >= 1, "site replica budget must be >= 1");
         self.site_budget = Some(budget);
         self
+    }
+
+    /// Checks that neither bound is zero: a fault-orphaned task that is in
+    /// nobody's queue anymore can only come back as a replica, so a zero
+    /// bound could deadlock churned runs.
+    ///
+    /// # Errors
+    ///
+    /// The first rule broken, naming the field.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        require(
+            self.replica_cap != Some(0),
+            "replica_cap",
+            "replica cap must be >= 1",
+        )?;
+        require(
+            self.site_budget != Some(0),
+            "site_budget",
+            "site replica budget must be >= 1",
+        )
     }
 
     /// Human-readable summary (`"none"` when inactive).
@@ -402,7 +411,9 @@ mod tests {
     #[test]
     #[should_panic(expected = "replica cap must be >= 1")]
     fn zero_cap_panics() {
-        let _ = ReplicaThrottle::none().with_replica_cap(0);
+        if let Err(e) = ReplicaThrottle::none().with_replica_cap(0).validate() {
+            panic!("{e}");
+        }
     }
 
     /// Every strategy whose metric ignores references keeps the batched

@@ -16,7 +16,9 @@
 //! * [`Schedule`] — a thin driver that owns the queue and the clock and
 //!   enforces time monotonicity,
 //! * [`rng`] — seed-derivation helpers so every simulation component gets an
-//!   independent, reproducible random stream from one master seed.
+//!   independent, reproducible random stream from one master seed,
+//! * [`config`] — [`ConfigError`], the error every configuration type's
+//!   `validate` returns, and the two helpers those rules are written with.
 //!
 //! The kernel replaces the role SimGrid plays in the paper *"New
 //! Worker-Centric Scheduling Strategies for Data-Intensive Grid
@@ -41,11 +43,13 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod config;
 pub mod queue;
 pub mod rng;
 pub mod schedule;
 pub mod time;
 
+pub use config::ConfigError;
 pub use queue::{EventHandle, EventQueue};
 pub use schedule::Schedule;
 pub use time::{SimDuration, SimTime};

@@ -46,6 +46,8 @@ pub use trace::{FaultEvent, FaultKind, FaultTrace};
 
 use serde::{Deserialize, Serialize};
 
+use gridsched_des::config::{positive, require, ConfigError};
+
 /// The fault environment of one simulation run.
 ///
 /// All rates are mean seconds of the corresponding exponential
@@ -115,20 +117,8 @@ impl FaultConfig {
 
     /// Enables worker churn: crashes every `Exp(mtbf_s)`, repairs after
     /// `Exp(mttr_s)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either mean is not strictly positive and finite.
     #[must_use]
     pub fn with_worker_faults(mut self, mtbf_s: f64, mttr_s: f64) -> Self {
-        assert!(
-            mtbf_s > 0.0 && mtbf_s.is_finite(),
-            "worker MTBF must be positive"
-        );
-        assert!(
-            mttr_s > 0.0 && mttr_s.is_finite(),
-            "worker MTTR must be positive"
-        );
         self.worker_mtbf_s = Some(mtbf_s);
         self.worker_mttr_s = mttr_s;
         self
@@ -136,20 +126,8 @@ impl FaultConfig {
 
     /// Enables data-server churn: outages every `Exp(mtbf_s)` with loss of
     /// all unpinned cached files, repairs after `Exp(mttr_s)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either mean is not strictly positive and finite.
     #[must_use]
     pub fn with_server_faults(mut self, mtbf_s: f64, mttr_s: f64) -> Self {
-        assert!(
-            mtbf_s > 0.0 && mtbf_s.is_finite(),
-            "server MTBF must be positive"
-        );
-        assert!(
-            mttr_s > 0.0 && mttr_s.is_finite(),
-            "server MTTR must be positive"
-        );
         self.server_mtbf_s = Some(mtbf_s);
         self.server_mttr_s = mttr_s;
         self
@@ -158,32 +136,16 @@ impl FaultConfig {
     /// Sets the Weibull shape of the worker repair distribution (1.0 keeps
     /// the exponential repairs byte-for-byte; the ROADMAP's fat-tailed
     /// follow-up uses shapes < 1).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shape` is not strictly positive and finite.
     #[must_use]
     pub fn with_worker_repair_shape(mut self, shape: f64) -> Self {
-        assert!(
-            shape > 0.0 && shape.is_finite(),
-            "worker repair shape must be positive"
-        );
         self.worker_mttr_shape = shape;
         self
     }
 
     /// Sets the Weibull shape of the server repair distribution (1.0 =
     /// exponential).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shape` is not strictly positive and finite.
     #[must_use]
     pub fn with_server_repair_shape(mut self, shape: f64) -> Self {
-        assert!(
-            shape > 0.0 && shape.is_finite(),
-            "server repair shape must be positive"
-        );
         self.server_mttr_shape = shape;
         self
     }
@@ -193,20 +155,8 @@ impl FaultConfig {
     /// (crossing flows stall at rate zero); see
     /// [`FaultConfig::with_link_degrade_factor`] for degraded-bandwidth
     /// windows instead.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either mean is not strictly positive and finite.
     #[must_use]
     pub fn with_link_faults(mut self, mtbf_s: f64, mttr_s: f64) -> Self {
-        assert!(
-            mtbf_s > 0.0 && mtbf_s.is_finite(),
-            "link MTBF must be positive"
-        );
-        assert!(
-            mttr_s > 0.0 && mttr_s.is_finite(),
-            "link MTTR must be positive"
-        );
         self.link_mtbf_s = Some(mtbf_s);
         self.link_mttr_s = mttr_s;
         self
@@ -214,18 +164,8 @@ impl FaultConfig {
 
     /// Makes link fault windows *degraded-bandwidth* windows (the link
     /// stays up at `capacity × factor`) instead of hard outages.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `factor` is strictly inside `(0, 1)` — `1` would be
-    /// a no-op and `0` is an outage, spelled `--link-mtbf` without a
-    /// degrade factor.
     #[must_use]
     pub fn with_link_degrade_factor(mut self, factor: f64) -> Self {
-        assert!(
-            factor > 0.0 && factor < 1.0 && factor.is_finite(),
-            "link degrade factor must be in (0, 1)"
-        );
         self.link_degrade_factor = Some(factor);
         self
     }
@@ -241,23 +181,70 @@ impl FaultConfig {
     /// Enables correlated site-scoped crash bursts: every `Exp(rate_s)` a
     /// uniformly-drawn site loses up to `size` live workers at once.
     /// Burst victims repair through the normal worker-MTTR process, so
-    /// worker faults must also be enabled (the engine asserts this).
+    /// worker faults must also be enabled ([`FaultConfig::validate`]).
     /// Disabled bursts are byte-identical to the independent model.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `rate_s` is strictly positive and finite and
-    /// `size >= 1`.
     #[must_use]
     pub fn with_worker_bursts(mut self, rate_s: f64, size: u32) -> Self {
-        assert!(
-            rate_s > 0.0 && rate_s.is_finite(),
-            "burst rate must be positive"
-        );
-        assert!(size >= 1, "burst size must be >= 1");
         self.burst_rate_s = Some(rate_s);
         self.burst_size = size;
         self
+    }
+
+    /// Checks the fault model's rules: every mean and repair shape of an
+    /// enabled process positive and finite, a degrade factor strictly
+    /// inside `(0, 1)` (`1` would be a no-op, `0` an outage), and bursts
+    /// of at least one worker, only alongside worker faults. Whether a
+    /// scripted trace fits the grid is the simulator's check
+    /// ([`FaultTrace::validate`]), as the grid is not part of this config.
+    ///
+    /// # Errors
+    ///
+    /// The first rule broken, naming the field.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        if let Some(mtbf) = self.worker_mtbf_s {
+            positive("worker_mtbf_s", mtbf, "worker MTBF")?;
+            positive("worker_mttr_s", self.worker_mttr_s, "worker MTTR")?;
+        }
+        if let Some(mtbf) = self.server_mtbf_s {
+            positive("server_mtbf_s", mtbf, "server MTBF")?;
+            positive("server_mttr_s", self.server_mttr_s, "server MTTR")?;
+        }
+        if let Some(mtbf) = self.link_mtbf_s {
+            positive("link_mtbf_s", mtbf, "link MTBF")?;
+            positive("link_mttr_s", self.link_mttr_s, "link MTTR")?;
+        }
+        positive(
+            "worker_mttr_shape",
+            self.worker_mttr_shape,
+            "worker repair shape",
+        )?;
+        positive(
+            "server_mttr_shape",
+            self.server_mttr_shape,
+            "server repair shape",
+        )?;
+        if let Some(f) = self.link_degrade_factor {
+            require(
+                f > 0.0 && f < 1.0,
+                "link_degrade_factor",
+                "link degrade factor must be in (0, 1)",
+            )?;
+        }
+        if let Some(rate) = self.burst_rate_s {
+            positive("burst_rate_s", rate, "burst rate")?;
+            require(
+                self.burst_size >= 1,
+                "burst_size",
+                "burst size must be >= 1",
+            )?;
+            require(
+                self.worker_mtbf_s.is_some(),
+                "burst_rate_s",
+                "correlated crash bursts need worker faults (burst victims repair \
+                 through the worker MTTR process)",
+            )?;
+        }
+        Ok(())
     }
 
     /// Whether this configuration injects no faults at all. An inert config
@@ -331,6 +318,14 @@ impl Default for FaultConfig {
 mod tests {
     use super::*;
 
+    /// Panics with the text of the first rule `config` breaks, as the
+    /// simulator does.
+    fn assert_valid(config: &FaultConfig) {
+        if let Err(e) = config.validate() {
+            panic!("{e}");
+        }
+    }
+
     #[test]
     fn none_is_inert() {
         assert!(FaultConfig::none().is_inert());
@@ -357,7 +352,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "MTBF must be positive")]
     fn zero_mtbf_rejected() {
-        let _ = FaultConfig::none().with_worker_faults(0.0, 600.0);
+        assert_valid(&FaultConfig::none().with_worker_faults(0.0, 600.0));
     }
 
     #[test]
@@ -378,7 +373,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "repair shape must be positive")]
     fn negative_shape_rejected() {
-        let _ = FaultConfig::none().with_worker_repair_shape(-1.0);
+        assert_valid(&FaultConfig::none().with_worker_repair_shape(-1.0));
     }
 
     #[test]
@@ -387,6 +382,7 @@ mod tests {
             .with_worker_faults(3600.0, 600.0)
             .with_worker_bursts(1800.0, 4);
         assert!(!cfg.is_inert());
+        assert_eq!(cfg.validate(), Ok(()));
         assert!(
             cfg.summary().contains("bursts rate=1800s size=4"),
             "{}",
@@ -420,24 +416,24 @@ mod tests {
     #[test]
     #[should_panic(expected = "link MTBF must be positive")]
     fn zero_link_mtbf_rejected() {
-        let _ = FaultConfig::none().with_link_faults(0.0, 300.0);
+        assert_valid(&FaultConfig::none().with_link_faults(0.0, 300.0));
     }
 
     #[test]
     #[should_panic(expected = "degrade factor must be in (0, 1)")]
     fn degrade_factor_one_rejected() {
-        let _ = FaultConfig::none().with_link_degrade_factor(1.0);
+        assert_valid(&FaultConfig::none().with_link_degrade_factor(1.0));
     }
 
     #[test]
     #[should_panic(expected = "burst rate must be positive")]
     fn zero_burst_rate_rejected() {
-        let _ = FaultConfig::none().with_worker_bursts(0.0, 4);
+        assert_valid(&FaultConfig::none().with_worker_bursts(0.0, 4));
     }
 
     #[test]
     #[should_panic(expected = "burst size must be >= 1")]
     fn zero_burst_size_rejected() {
-        let _ = FaultConfig::none().with_worker_bursts(1800.0, 0);
+        assert_valid(&FaultConfig::none().with_worker_bursts(1800.0, 0));
     }
 }

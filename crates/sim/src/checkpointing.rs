@@ -48,21 +48,11 @@ pub(crate) struct Checkpointing {
 }
 
 impl Checkpointing {
-    /// The checkpoint state of a run under `config` over `topology`, or
-    /// `None` without an active policy.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the policy is Young/Daly and the fault model has no worker
-    /// MTBF to derive the interval from, or if it is adaptive without the
-    /// adaptive-checkpoint control loop.
+    /// The checkpoint state of a run under `config` (already validated)
+    /// over `topology`, or `None` without an active policy.
     pub(crate) fn new(config: &SimConfig, topology: &Topology) -> Option<Self> {
         let c = config.checkpointing.as_ref().filter(|c| !c.is_inert())?;
         let adaptive = c.policy == CheckpointPolicy::YoungDalyAdaptive;
-        assert!(
-            !adaptive || config.control.adaptive_checkpoint,
-            "young-daly-adaptive checkpointing needs the adaptive-checkpoint control loop"
-        );
         let mtbf = config.faults.as_ref().and_then(|f| f.worker_mtbf_s);
         let mut state = Checkpointing {
             size_bytes: c.size_bytes,

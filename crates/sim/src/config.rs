@@ -4,11 +4,12 @@ use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
-use gridsched_checkpoint::CheckpointConfig;
+use gridsched_checkpoint::{CheckpointConfig, CheckpointPolicy};
 use gridsched_core::{ControlConfig, EvalMode, ReplicaThrottle, StrategyKind};
-use gridsched_faults::FaultConfig;
+use gridsched_des::config::{positive, require, ConfigError};
+use gridsched_faults::{FaultConfig, FaultTrace};
 use gridsched_storage::EvictionPolicy;
-use gridsched_topology::TiersConfig;
+use gridsched_topology::{TiersConfig, Topology};
 use gridsched_workload::Workload;
 
 use crate::replication::ReplicationConfig;
@@ -206,42 +207,22 @@ impl SimConfig {
     }
 
     /// Sets the number of sites used (Figure 7 sweeps 10–26).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sites` is zero or exceeds the topology's site count.
     #[must_use]
     pub fn with_sites(mut self, sites: usize) -> Self {
-        assert!(sites >= 1, "need at least one site");
-        assert!(
-            sites <= self.topology.site_count(),
-            "topology only has {} sites",
-            self.topology.site_count()
-        );
         self.sites = sites;
         self
     }
 
     /// Sets workers per site (Figure 6 sweeps 2–10).
-    ///
-    /// # Panics
-    ///
-    /// Panics if zero.
     #[must_use]
     pub fn with_workers_per_site(mut self, workers: usize) -> Self {
-        assert!(workers >= 1, "need at least one worker per site");
         self.workers_per_site = workers;
         self
     }
 
     /// Sets the data-server capacity (Figure 4 sweeps 3,000–30,000).
-    ///
-    /// # Panics
-    ///
-    /// Panics if zero.
     #[must_use]
     pub fn with_capacity(mut self, files: usize) -> Self {
-        assert!(files >= 1, "capacity must be positive");
         self.capacity_files = files;
         self
     }
@@ -282,13 +263,8 @@ impl SimConfig {
     }
 
     /// Overrides `ChooseTask(n)` for worker-centric strategies (ablation).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` is zero.
     #[must_use]
     pub fn with_choose_n(mut self, n: usize) -> Self {
-        assert!(n >= 1, "ChooseTask(n) needs n >= 1");
         self.choose_n_override = Some(n);
         self
     }
@@ -322,10 +298,6 @@ impl SimConfig {
     }
 
     /// Caps concurrent replica executions per task.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cap` is zero.
     #[must_use]
     pub fn with_replica_cap(mut self, cap: u32) -> Self {
         self.replica_throttle = self.replica_throttle.with_replica_cap(cap);
@@ -333,10 +305,6 @@ impl SimConfig {
     }
 
     /// Caps concurrent replica executions launched per site.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `budget` is zero.
     #[must_use]
     pub fn with_site_replica_budget(mut self, budget: u32) -> Self {
         self.replica_throttle = self.replica_throttle.with_site_budget(budget);
@@ -352,18 +320,8 @@ impl SimConfig {
 
     /// Arms the transfer guard: every batch fetch times out after `mult ×`
     /// its expected fair-share duration.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `mult` is not strictly greater than 1 and finite (a
-    /// multiple at or below the expected duration would time out healthy
-    /// transfers).
     #[must_use]
     pub fn with_transfer_timeout(mut self, mult: f64) -> Self {
-        assert!(
-            mult > 1.0 && mult.is_finite(),
-            "transfer timeout multiple must be > 1"
-        );
         self.transfer_timeout_mult = Some(mult);
         self
     }
@@ -376,16 +334,8 @@ impl SimConfig {
     }
 
     /// Sets the exponential retry backoff base, seconds.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `backoff_s` is not positive and finite.
     #[must_use]
     pub fn with_retry_backoff(mut self, backoff_s: f64) -> Self {
-        assert!(
-            backoff_s > 0.0 && backoff_s.is_finite(),
-            "retry backoff must be positive"
-        );
         self.retry_backoff_s = backoff_s;
         self
     }
@@ -423,16 +373,8 @@ impl SimConfig {
 
     /// Samples per-site occupancy time series every `interval_s` sim
     /// seconds.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `interval_s` is not positive and finite.
     #[must_use]
     pub fn with_probe_interval(mut self, interval_s: f64) -> Self {
-        assert!(
-            interval_s > 0.0 && interval_s.is_finite(),
-            "probe interval must be positive"
-        );
         self.probe_interval_s = Some(interval_s);
         self
     }
@@ -445,16 +387,8 @@ impl SimConfig {
     }
 
     /// Sets the digest window width (sim seconds).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `window_s` is not positive and finite.
     #[must_use]
     pub fn with_digest_window(mut self, window_s: f64) -> Self {
-        assert!(
-            window_s > 0.0 && window_s.is_finite(),
-            "digest window must be positive"
-        );
         self.digest_window_s = window_s;
         self
     }
@@ -467,18 +401,164 @@ impl SimConfig {
     }
 
     /// Keeps serving for `linger_s` wall seconds after the run finishes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `linger_s` is negative or not finite.
     #[must_use]
     pub fn with_serve_linger(mut self, linger_s: f64) -> Self {
-        assert!(
-            linger_s >= 0.0 && linger_s.is_finite(),
-            "serve linger must be non-negative"
-        );
         self.serve_linger_s = linger_s;
         self
+    }
+
+    /// Checks every configuration rule, each stated once: the range of
+    /// each setting (here and in the sub-configs' own `validate`) and each
+    /// rule that spans several settings. [`GridSim::new`] runs it and
+    /// panics on an error; a front end runs it first to report the error
+    /// instead. The one rule it cannot check needs the generated topology:
+    /// see [`SimConfig::validate_links`].
+    ///
+    /// # Errors
+    ///
+    /// The first rule broken, naming the offending field by its path
+    /// (`faults.worker_mtbf_s`).
+    ///
+    /// [`GridSim::new`]: crate::GridSim::new
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        let site_count = self.topology.site_count();
+        require(self.sites >= 1, "sites", "need at least one site")?;
+        require(
+            self.sites <= site_count,
+            "sites",
+            format_args!(
+                "{} sites requested but the topology only has {site_count} sites",
+                self.sites
+            ),
+        )?;
+        require(
+            self.workers_per_site >= 1,
+            "workers_per_site",
+            "need at least one worker per site",
+        )?;
+        require(
+            self.capacity_files >= 1,
+            "capacity_files",
+            "capacity must be positive",
+        )?;
+        let strategy = self.strategy;
+        if let Some(n) = self.choose_n_override {
+            require(n >= 1, "choose_n_override", "ChooseTask(n) needs n >= 1")?;
+            require(
+                strategy.metric().is_some(),
+                "choose_n_override",
+                format_args!(
+                    "ChooseTask(n) only applies to worker-centric strategies \
+                     (configured strategy: {strategy})"
+                ),
+            )?;
+        }
+        let throttle = self.replica_throttle;
+        throttle
+            .validate()
+            .map_err(|e| e.within("replica_throttle"))?;
+        let storage_affinity = strategy == StrategyKind::StorageAffinity;
+        require(
+            storage_affinity || !throttle.is_active(),
+            if throttle.replica_cap.is_some() {
+                "replica_throttle.replica_cap"
+            } else {
+                "replica_throttle.site_budget"
+            },
+            format_args!(
+                "the replica throttle only applies to storage-affinity \
+                 (configured strategy: {strategy})"
+            ),
+        )?;
+        self.control.validate().map_err(|e| e.within("control"))?;
+        require(
+            storage_affinity || !self.control.adaptive_throttle,
+            "control.adaptive_throttle",
+            format_args!(
+                "the adaptive replica throttle only applies to storage-affinity \
+                 (configured strategy: {strategy})"
+            ),
+        )?;
+        if let Some(mult) = self.transfer_timeout_mult {
+            // A multiple at or below the expected duration would time out
+            // healthy transfers.
+            require(
+                mult > 1.0 && mult.is_finite(),
+                "transfer_timeout_mult",
+                "transfer timeout multiple must be > 1",
+            )?;
+        }
+        positive("retry_backoff_s", self.retry_backoff_s, "retry backoff")?;
+        if let Some(dt) = self.probe_interval_s {
+            positive("probe_interval_s", dt, "probe interval")?;
+        }
+        positive("digest_window_s", self.digest_window_s, "digest window")?;
+        require(
+            self.serve_linger_s >= 0.0 && self.serve_linger_s.is_finite(),
+            "serve_linger_s",
+            "serve linger must be non-negative and finite",
+        )?;
+        if let Some(faults) = &self.faults {
+            faults.validate().map_err(|e| e.within("faults"))?;
+            if let Some(trace) = &faults.trace {
+                trace
+                    .validate(self.sites, self.workers_per_site)
+                    .map_err(|message| ConfigError {
+                        field: "faults.trace".to_string(),
+                        message,
+                    })?;
+            }
+        }
+        if let Some(c) = &self.checkpointing {
+            c.validate().map_err(|e| e.within("checkpointing"))?;
+        }
+        let policy = self.checkpointing.map(|c| c.policy);
+        let worker_mtbf = self.faults.as_ref().and_then(|f| f.worker_mtbf_s);
+        require(
+            policy != Some(CheckpointPolicy::YoungDaly) || worker_mtbf.is_some(),
+            "checkpointing.policy",
+            "young-daly checkpointing needs a worker MTBF (fault model)",
+        )?;
+        // The adaptive policy and its control loop come as a pair: the
+        // policy alone never sets an interval, and the loop alone has
+        // no interval to re-derive.
+        let adaptive_policy = policy == Some(CheckpointPolicy::YoungDalyAdaptive);
+        require(
+            !adaptive_policy || self.control.adaptive_checkpoint,
+            "checkpointing.policy",
+            "young-daly-adaptive checkpointing needs the adaptive-checkpoint control loop",
+        )?;
+        require(
+            adaptive_policy || !self.control.adaptive_checkpoint,
+            "control.adaptive_checkpoint",
+            "the adaptive-checkpoint control loop needs young-daly-adaptive checkpointing",
+        )
+    }
+
+    /// Checks the fault trace's link indices against `topology`, the
+    /// topology generated from [`SimConfig::topology`] (link indices are
+    /// scoped to a generated topology, so [`SimConfig::validate`] cannot
+    /// see them).
+    ///
+    /// # Errors
+    ///
+    /// A `faults.trace` error when the trace references a link `topology`
+    /// lacks.
+    pub fn validate_links(&self, topology: &Topology) -> Result<(), ConfigError> {
+        let trace = self.faults.as_ref().and_then(|f| f.trace.as_ref());
+        let Some(link) = trace.and_then(FaultTrace::max_link) else {
+            return Ok(());
+        };
+        let links = topology.graph.edge_count();
+        require(
+            link < links,
+            "faults.trace",
+            format_args!(
+                "fault trace references link {link} but topology seed {} has only \
+                 {links} links",
+                topology.seed
+            ),
+        )
     }
 
     /// True when any telemetry output is requested, so the engine enables
@@ -572,6 +652,14 @@ mod tests {
         Arc::new(CoaddConfig::small(0).generate())
     }
 
+    /// Panics with the text of the first rule `config` breaks, as
+    /// `GridSim::new` does.
+    fn assert_valid(config: &SimConfig) {
+        if let Err(e) = config.validate() {
+            panic!("{e}");
+        }
+    }
+
     #[test]
     fn paper_defaults_match_table1() {
         let c = SimConfig::paper(wl(), StrategyKind::Rest);
@@ -649,19 +737,19 @@ mod tests {
     #[test]
     #[should_panic(expected = "transfer timeout multiple must be > 1")]
     fn timeout_mult_at_one_panics() {
-        let _ = SimConfig::paper(wl(), StrategyKind::Rest).with_transfer_timeout(1.0);
+        assert_valid(&SimConfig::paper(wl(), StrategyKind::Rest).with_transfer_timeout(1.0));
     }
 
     #[test]
     #[should_panic(expected = "retry backoff must be positive")]
     fn zero_retry_backoff_panics() {
-        let _ = SimConfig::paper(wl(), StrategyKind::Rest).with_retry_backoff(0.0);
+        assert_valid(&SimConfig::paper(wl(), StrategyKind::Rest).with_retry_backoff(0.0));
     }
 
     #[test]
     #[should_panic(expected = "topology only has")]
     fn too_many_sites_panics() {
-        let _ = SimConfig::paper(wl(), StrategyKind::Rest).with_sites(91);
+        assert_valid(&SimConfig::paper(wl(), StrategyKind::Rest).with_sites(91));
     }
 
     #[test]
@@ -685,7 +773,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "probe interval must be positive")]
     fn zero_probe_interval_panics() {
-        let _ = SimConfig::paper(wl(), StrategyKind::Rest).with_probe_interval(0.0);
+        assert_valid(&SimConfig::paper(wl(), StrategyKind::Rest).with_probe_interval(0.0));
     }
 
     #[test]
@@ -725,6 +813,80 @@ mod tests {
     #[test]
     #[should_panic(expected = "digest window must be positive")]
     fn zero_digest_window_panics() {
-        let _ = SimConfig::paper(wl(), StrategyKind::Rest).with_digest_window(0.0);
+        assert_valid(&SimConfig::paper(wl(), StrategyKind::Rest).with_digest_window(0.0));
+    }
+
+    /// Settings written straight into the public fields, never through a
+    /// builder, are checked all the same. A zero probe interval or control
+    /// tick would make the run loop's samplers fire forever at one instant.
+    #[test]
+    fn validate_checks_fields_set_directly() {
+        let mut probed = SimConfig::paper(wl(), StrategyKind::Rest).with_metrics_out("m.jsonl");
+        probed.probe_interval_s = Some(0.0);
+        assert!(probed.telemetry_requested());
+        assert_eq!(probed.validate().unwrap_err().field, "probe_interval_s");
+
+        let mut ticked = SimConfig::paper(wl(), StrategyKind::Rest)
+            .with_control(ControlConfig::none().with_churn_placement());
+        ticked.control.tick_s = 0.0;
+        assert_eq!(ticked.validate().unwrap_err().field, "control.tick_s");
+
+        let mut faults = FaultConfig::none().with_worker_faults(3600.0, 600.0);
+        faults.worker_mtbf_s = Some(f64::NAN);
+        let err = SimConfig::paper(wl(), StrategyKind::Rest)
+            .with_faults(faults)
+            .validate()
+            .unwrap_err();
+        assert_eq!(err.field, "faults.worker_mtbf_s");
+        assert!(
+            err.message.contains("worker MTBF must be positive"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn choose_n_needs_a_worker_centric_strategy() {
+        let rest = SimConfig::paper(wl(), StrategyKind::Rest).with_choose_n(3);
+        assert_eq!(rest.validate(), Ok(()));
+        for strategy in [
+            StrategyKind::StorageAffinity,
+            StrategyKind::Workqueue,
+            StrategyKind::Sufferage,
+        ] {
+            let err = rest.clone().with_strategy(strategy).validate().unwrap_err();
+            assert_eq!(err.field, "choose_n_override");
+            assert!(
+                err.message.contains("only applies to worker-centric"),
+                "{err}"
+            );
+        }
+    }
+
+    #[test]
+    fn paper_defaults_and_sub_config_errors_name_their_path() {
+        assert_eq!(
+            SimConfig::paper(wl(), StrategyKind::Rest).validate(),
+            Ok(())
+        );
+        let err = SimConfig::paper(wl(), StrategyKind::StorageAffinity)
+            .with_site_replica_budget(0)
+            .validate()
+            .unwrap_err();
+        assert_eq!(err.field, "replica_throttle.site_budget");
+        assert_eq!(
+            err.to_string(),
+            "replica_throttle.site_budget: site replica budget must be >= 1"
+        );
+        let err = SimConfig::paper(wl(), StrategyKind::Rest)
+            .with_checkpointing(CheckpointConfig::fixed(600.0).with_size_bytes(-1.0))
+            .validate()
+            .unwrap_err();
+        assert_eq!(err.field, "checkpointing.size_bytes");
+        // The adaptive checkpoint loop alone has no interval to re-derive.
+        let err = SimConfig::paper(wl(), StrategyKind::Rest)
+            .with_control(ControlConfig::none().with_adaptive_checkpoint())
+            .validate()
+            .unwrap_err();
+        assert_eq!(err.field, "control.adaptive_checkpoint");
     }
 }

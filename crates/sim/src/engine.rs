@@ -364,47 +364,18 @@ impl GridSim {
     ///
     /// # Panics
     ///
-    /// Panics if the configuration is inconsistent (e.g. more sites than
-    /// the topology provides).
+    /// Panics with the error's text if `config.validate()` fails, or if
+    /// the fault trace references a link the generated topology lacks
+    /// ([`SimConfig::validate_links`]).
     #[must_use]
     pub fn new(config: SimConfig) -> Self {
         let topology = generate(&config.topology);
-        assert!(
-            config.sites <= topology.sites.len(),
-            "config uses {} sites but topology has {}",
-            config.sites,
-            topology.sites.len()
-        );
-        assert!(
-            !config.replica_throttle.is_active()
-                || config.strategy == StrategyKind::StorageAffinity,
-            "the replica throttle only applies to storage-affinity \
-             (configured strategy: {})",
-            config.strategy
-        );
-        // The builders already reject zero bounds, but the struct's public
-        // fields (and deserialized configs) can bypass them — and a zero
-        // cap can deadlock churned runs (a fault-orphaned task that is in
-        // nobody's queue can only come back as a replica).
-        assert!(
-            config.replica_throttle.replica_cap != Some(0)
-                && config.replica_throttle.site_budget != Some(0),
-            "replica cap and site replica budget must be >= 1"
-        );
-        assert!(
-            !config.control.adaptive_throttle || config.strategy == StrategyKind::StorageAffinity,
-            "the adaptive replica throttle only applies to storage-affinity \
-             (configured strategy: {})",
-            config.strategy
-        );
-        assert!(
-            config
-                .faults
-                .as_ref()
-                .is_none_or(|f| f.burst_rate_s.is_none() || f.worker_mtbf_s.is_some()),
-            "correlated crash bursts need worker faults (burst victims repair \
-             through the worker MTTR process)"
-        );
+        if let Err(e) = config
+            .validate()
+            .and_then(|()| config.validate_links(&topology))
+        {
+            panic!("{e}");
+        }
         // An adaptive throttle with no user-configured throttle starts
         // from the controller's default cap; the user's own bounds win
         // when present. The *configured* throttle stays in the summary —
@@ -442,18 +413,6 @@ impl GridSim {
         let servers = (0..config.sites).map(|_| DataServer::default()).collect();
         let mut scheduler = build_scheduler(&config, effective_throttle);
         scheduler.attach_telemetry(&telemetry);
-        if let Some(trace) = config.faults.as_ref().and_then(|f| f.trace.as_ref()) {
-            if let Err(e) = trace.validate(config.sites, config.workers_per_site) {
-                panic!("{e}");
-            }
-            if let Some(ml) = trace.max_link() {
-                assert!(
-                    ml < net.link_count(),
-                    "fault trace references link {ml} but the topology has {} links",
-                    net.link_count()
-                );
-            }
-        }
         let churn = config.faults.as_ref().and_then(|fc| {
             Churn::new(
                 fc,

@@ -71,4 +71,5 @@ pub use gridsched_telemetry::{self as telemetry, Telemetry};
 // configuration surface so simulator users need only `gridsched_sim`.
 pub use gridsched_checkpoint::{CheckpointConfig, CheckpointPolicy};
 pub use gridsched_core::{BreakerState, ControlConfig};
+pub use gridsched_des::ConfigError;
 pub use gridsched_faults::{FaultConfig, FaultEvent, FaultKind, FaultTrace};

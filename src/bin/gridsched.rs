@@ -133,9 +133,9 @@ usage:
                      [--transfer-timeout MULT] (transfer guard: time out a
                        batch fetch at MULT x its fair-share estimate, MULT > 1)
                      [--transfer-retries N] (retry budget per fetch before the
-                       task is requeued, default 3)
+                       task is requeued, default 0)
                      [--retry-backoff SECS] (exponential backoff base,
-                       default 30)
+                       default 60)
                      [--checkpoint-policy none|fixed|young-daly|young-daly-adaptive]
                      [--checkpoint-interval SECS] (fixed policy's interval)
                      [--checkpoint-size MB] (image size, default 25)
@@ -184,8 +184,8 @@ impl Opts {
         }
     }
 
-    /// A count (`--sites`, `--tasks`, ...): the library builders assert
-    /// at least 1, so zero is rejected here as a usage error.
+    /// A count (`--tasks`, `topology --sites`): zero is rejected here as
+    /// a usage error, before a generator that needs at least one runs.
     fn get_count<T>(&self, key: &str, default: T) -> Result<T, String>
     where
         T: std::str::FromStr + PartialEq + Default,
@@ -277,72 +277,83 @@ fn coadd_config(opts: &Opts, seed_key: &str) -> Result<CoaddConfig, String> {
     Ok(cfg)
 }
 
+/// Flags that mean nothing without another: `(dependent, required)`.
+/// Given alone they are rejected, not silently ignored.
+const DEPENDENT_FLAGS: &[(&str, &str)] = &[
+    ("mttr", "mtbf"),
+    ("mttr-shape", "mtbf"),
+    ("server-mttr", "server-mtbf"),
+    ("server-mttr-shape", "server-mtbf"),
+    ("fault-burst-rate", "mtbf"),
+    ("fault-burst-size", "fault-burst-rate"),
+    ("link-mttr", "link-mtbf"),
+    ("link-degrade-factor", "link-mtbf"),
+    ("transfer-retries", "transfer-timeout"),
+    ("retry-backoff", "transfer-timeout"),
+    ("digest-window", "digest-out"),
+    ("serve-linger", "serve-metrics"),
+];
+
+/// The flag that sets each config field a [`ConfigError`] can name, so
+/// the library's rules are reported in the CLI's terms.
+const FIELD_FLAGS: &[(&str, &str)] = &[
+    ("sites", "sites"),
+    ("workers_per_site", "workers"),
+    ("capacity_files", "capacity"),
+    ("choose_n_override", "choose-n"),
+    ("replica_throttle.replica_cap", "replica-cap"),
+    ("replica_throttle.site_budget", "site-replica-budget"),
+    ("transfer_timeout_mult", "transfer-timeout"),
+    ("retry_backoff_s", "retry-backoff"),
+    ("probe_interval_s", "probe-interval"),
+    ("digest_window_s", "digest-window"),
+    ("serve_linger_s", "serve-linger"),
+    ("faults.worker_mtbf_s", "mtbf"),
+    ("faults.worker_mttr_s", "mttr"),
+    ("faults.worker_mttr_shape", "mttr-shape"),
+    ("faults.server_mtbf_s", "server-mtbf"),
+    ("faults.server_mttr_s", "server-mttr"),
+    ("faults.server_mttr_shape", "server-mttr-shape"),
+    ("faults.link_mtbf_s", "link-mtbf"),
+    ("faults.link_mttr_s", "link-mttr"),
+    ("faults.link_degrade_factor", "link-degrade-factor"),
+    ("faults.burst_rate_s", "fault-burst-rate"),
+    ("faults.burst_size", "fault-burst-size"),
+    ("faults.trace", "fault-trace"),
+    ("checkpointing.policy", "checkpoint-policy"),
+    ("checkpointing.policy.interval_s", "checkpoint-interval"),
+    ("checkpointing.size_bytes", "checkpoint-size"),
+    ("control.adaptive_throttle", "adaptive"),
+    ("control.adaptive_checkpoint", "adaptive"),
+    ("control.tick_s", "control-tick"),
+];
+
+/// A library configuration error as a CLI error line naming the flag.
+fn flag_error(e: ConfigError) -> String {
+    match FIELD_FLAGS.iter().find(|(field, _)| *field == e.field) {
+        Some((_, flag)) => format!("--{flag}: {}", e.message),
+        None => e.to_string(),
+    }
+}
+
 fn build_fault_config(opts: &Opts) -> Result<FaultConfig, String> {
-    // Dependent flags are rejected (not silently ignored) when the flag
-    // that gives them meaning is missing.
-    for (dependent, required) in [
-        ("mttr", "mtbf"),
-        ("mttr-shape", "mtbf"),
-        ("server-mttr", "server-mtbf"),
-        ("server-mttr-shape", "server-mtbf"),
-        ("fault-burst-rate", "mtbf"),
-        ("fault-burst-size", "fault-burst-rate"),
-        ("link-mttr", "link-mtbf"),
-        ("link-degrade-factor", "link-mtbf"),
-    ] {
-        if opts.values.contains_key(dependent) && !opts.values.contains_key(required) {
-            return Err(format!("--{dependent} requires --{required}"));
-        }
-    }
     let mut faults = FaultConfig::none();
-    if let Some(mtbf) = opts.get_opt::<f64>("mtbf")? {
-        let mttr: f64 = opts.get("mttr", 600.0)?;
-        if mtbf <= 0.0 || mttr <= 0.0 {
-            return Err("--mtbf/--mttr must be positive seconds".into());
-        }
-        faults = faults.with_worker_faults(mtbf, mttr);
-        if let Some(shape) = opts.get_opt::<f64>("mttr-shape")? {
-            if shape <= 0.0 {
-                return Err("--mttr-shape must be a positive Weibull shape".into());
-            }
-            faults = faults.with_worker_repair_shape(shape);
-        }
-        if let Some(rate) = opts.get_opt::<f64>("fault-burst-rate")? {
-            if rate <= 0.0 || !rate.is_finite() {
-                return Err("--fault-burst-rate must be positive seconds".into());
-            }
-            let size: u32 = opts.get("fault-burst-size", 4u32)?;
-            if size == 0 {
-                return Err("--fault-burst-size must be >= 1".into());
-            }
-            faults = faults.with_worker_bursts(rate, size);
+    if let Some(mtbf) = opts.get_opt("mtbf")? {
+        faults = faults
+            .with_worker_faults(mtbf, opts.get("mttr", 600.0)?)
+            .with_worker_repair_shape(opts.get("mttr-shape", 1.0)?);
+        if let Some(rate) = opts.get_opt("fault-burst-rate")? {
+            faults = faults.with_worker_bursts(rate, opts.get("fault-burst-size", 4u32)?);
         }
     }
-    if let Some(mtbf) = opts.get_opt::<f64>("server-mtbf")? {
-        let mttr: f64 = opts.get("server-mttr", 900.0)?;
-        if mtbf <= 0.0 || mttr <= 0.0 {
-            return Err("--server-mtbf/--server-mttr must be positive seconds".into());
-        }
-        faults = faults.with_server_faults(mtbf, mttr);
-        if let Some(shape) = opts.get_opt::<f64>("server-mttr-shape")? {
-            if shape <= 0.0 {
-                return Err("--server-mttr-shape must be a positive Weibull shape".into());
-            }
-            faults = faults.with_server_repair_shape(shape);
-        }
+    if let Some(mtbf) = opts.get_opt("server-mtbf")? {
+        faults = faults
+            .with_server_faults(mtbf, opts.get("server-mttr", 900.0)?)
+            .with_server_repair_shape(opts.get("server-mttr-shape", 1.0)?);
     }
-    if let Some(mtbf) = opts.get_opt::<f64>("link-mtbf")? {
-        let mttr: f64 = opts.get("link-mttr", 900.0)?;
-        if mtbf <= 0.0 || mttr <= 0.0 {
-            return Err("--link-mtbf/--link-mttr must be positive seconds".into());
-        }
-        faults = faults.with_link_faults(mtbf, mttr);
-        if let Some(factor) = opts.get_opt::<f64>("link-degrade-factor")? {
-            if factor <= 0.0 || factor >= 1.0 || !factor.is_finite() {
-                return Err("--link-degrade-factor must be in (0, 1)".into());
-            }
-            faults = faults.with_link_degrade_factor(factor);
-        }
+    if let Some(mtbf) = opts.get_opt("link-mtbf")? {
+        faults = faults.with_link_faults(mtbf, opts.get("link-mttr", 900.0)?);
+        faults.link_degrade_factor = opts.get_opt("link-degrade-factor")?;
     }
     if let Some(path) = opts.values.get("fault-trace") {
         let text = std::fs::read_to_string(path).map_err(|e| format!("read {path}: {e}"))?;
@@ -351,7 +362,7 @@ fn build_fault_config(opts: &Opts) -> Result<FaultConfig, String> {
     Ok(faults)
 }
 
-fn build_checkpoint_config(opts: &Opts, faults: &FaultConfig) -> Result<CheckpointConfig, String> {
+fn build_checkpoint_config(opts: &Opts) -> Result<CheckpointConfig, String> {
     let policy = opts.values.get("checkpoint-policy").map(String::as_str);
     if policy.is_none() || policy == Some("none") {
         for flag in ["checkpoint-interval", "checkpoint-size"] {
@@ -361,52 +372,27 @@ fn build_checkpoint_config(opts: &Opts, faults: &FaultConfig) -> Result<Checkpoi
         }
         return Ok(CheckpointConfig::none());
     }
-    let mut ckpt = match policy.expect("checked above") {
-        "fixed" => {
-            let interval: f64 = opts
-                .get_opt("checkpoint-interval")?
-                .ok_or("--checkpoint-policy fixed requires --checkpoint-interval")?;
-            if interval <= 0.0 {
-                return Err("--checkpoint-interval must be positive seconds".into());
-            }
-            CheckpointConfig::fixed(interval)
-        }
-        "young-daly" | "youngdaly" | "yd" => {
-            if faults.worker_mtbf_s.is_none() {
-                return Err(
-                    "--checkpoint-policy young-daly derives its interval from the fault \
-                     model and requires --mtbf"
-                        .into(),
-                );
-            }
-            if opts.values.contains_key("checkpoint-interval") {
-                return Err(
-                    "--checkpoint-interval only applies to --checkpoint-policy fixed".into(),
-                );
-            }
-            CheckpointConfig::young_daly()
-        }
-        "young-daly-adaptive" | "yda" => {
-            if opts.values.contains_key("checkpoint-interval") {
-                return Err(
-                    "--checkpoint-interval only applies to --checkpoint-policy fixed".into(),
-                );
-            }
-            CheckpointConfig::young_daly_adaptive()
-        }
+    let ckpt = match policy.expect("checked above") {
+        "fixed" => CheckpointConfig::fixed(
+            opts.get_opt("checkpoint-interval")?
+                .ok_or("--checkpoint-policy fixed requires --checkpoint-interval")?,
+        ),
+        "young-daly" | "youngdaly" | "yd" => CheckpointConfig::young_daly(),
+        "young-daly-adaptive" | "yda" => CheckpointConfig::young_daly_adaptive(),
         other => {
             return Err(format!(
                 "unknown checkpoint policy `{other}` (none|fixed|young-daly|young-daly-adaptive)"
             ))
         }
     };
-    if let Some(mb) = opts.get_opt::<f64>("checkpoint-size")? {
-        if mb <= 0.0 {
-            return Err("--checkpoint-size must be positive MB".into());
-        }
-        ckpt = ckpt.with_size_bytes(mb * 1e6);
+    let fixed = matches!(ckpt.policy, CheckpointPolicy::Fixed { .. });
+    if !fixed && opts.values.contains_key("checkpoint-interval") {
+        return Err("--checkpoint-interval only applies to --checkpoint-policy fixed".into());
     }
-    Ok(ckpt)
+    match opts.get_opt::<f64>("checkpoint-size")? {
+        Some(mb) => Ok(ckpt.with_size_bytes(mb * 1e6)),
+        None => Ok(ckpt),
+    }
 }
 
 /// `--adaptive` / `--control-tick`: the closed-loop controller surface.
@@ -415,11 +401,7 @@ fn build_checkpoint_config(opts: &Opts, faults: &FaultConfig) -> Result<Checkpoi
 /// on its own (the policy *is* the loop's actuator), so `--adaptive
 /// checkpoint` is only needed when combining it with other loops
 /// explicitly.
-fn build_control_config(
-    opts: &Opts,
-    strategy: StrategyKind,
-    adaptive_ckpt_policy: bool,
-) -> Result<ControlConfig, String> {
+fn build_control_config(opts: &Opts, adaptive_ckpt_policy: bool) -> Result<ControlConfig, String> {
     let mut control = ControlConfig::none();
     if let Some(raw) = opts.values.get("adaptive") {
         for name in raw.split(',').map(str::trim) {
@@ -442,18 +424,6 @@ fn build_control_config(
     if adaptive_ckpt_policy {
         control = control.with_adaptive_checkpoint();
     }
-    if control.adaptive_throttle && strategy != StrategyKind::StorageAffinity {
-        return Err(format!(
-            "--adaptive throttle only applies to --strategy storage-affinity (got `{strategy}`)"
-        ));
-    }
-    if control.adaptive_checkpoint && !adaptive_ckpt_policy {
-        return Err(
-            "--adaptive checkpoint needs --checkpoint-policy young-daly-adaptive \
-             (the loop re-derives that policy's interval)"
-                .into(),
-        );
-    }
     if let Some(tick) = opts.get_opt::<f64>("control-tick")? {
         if control.is_inert() {
             return Err(
@@ -462,147 +432,65 @@ fn build_control_config(
                     .into(),
             );
         }
-        if tick <= 0.0 || !tick.is_finite() {
-            return Err("--control-tick must be positive sim seconds".into());
-        }
         control = control.with_tick_s(tick);
     }
     Ok(control)
 }
 
 fn cmd_simulate(opts: &Opts) -> Result<(), String> {
+    for (dependent, required) in DEPENDENT_FLAGS {
+        if opts.values.contains_key(*dependent) && !opts.values.contains_key(*required) {
+            return Err(format!("--{dependent} requires --{required}"));
+        }
+    }
     let strategy: StrategyKind = opts.get("strategy", StrategyKind::Rest2)?;
     let workload = load_or_generate_workload(opts)?;
-    let config = SimConfig::paper(workload, strategy);
-    let sites = opts.get_count("sites", 10usize)?;
-    let max_sites = config.topology.site_count();
-    if sites > max_sites {
-        return Err(format!(
-            "--sites {sites} exceeds the topology's {max_sites} sites"
-        ));
-    }
-    let mut config = config
-        .with_sites(sites)
-        .with_workers_per_site(opts.get_count("workers", 1usize)?)
-        .with_capacity(opts.get_count("capacity", 6000usize)?)
+    let mut config = SimConfig::paper(workload, strategy)
+        .with_sites(opts.get("sites", 10usize)?)
+        .with_workers_per_site(opts.get("workers", 1usize)?)
+        .with_capacity(opts.get("capacity", 6000usize)?)
         .with_policy(opts.get("policy", EvictionPolicy::Lru)?)
-        .with_seed(opts.get("seed", 0u64)?);
-    if opts.values.contains_key("choose-n") {
-        config = config.with_choose_n(opts.get_count("choose-n", 0usize)?);
-    }
-    if let Some(mode) = opts.get_opt::<EvalMode>("eval-mode")? {
-        config = config.with_eval_mode(mode);
-    }
+        .with_seed(opts.get("seed", 0u64)?)
+        .with_eval_mode(opts.get("eval-mode", EvalMode::default())?);
+    config.choose_n_override = opts.get_opt("choose-n")?;
     if let Some(t) = opts.get_opt::<u32>("replication-threshold")? {
         config = config.with_replication(ReplicationConfig {
             popularity_threshold: t,
             max_replicas_per_file: 1,
         });
     }
-    for flag in ["replica-cap", "site-replica-budget"] {
-        if opts.values.contains_key(flag) && strategy != StrategyKind::StorageAffinity {
-            return Err(format!(
-                "--{flag} only applies to --strategy storage-affinity (got `{strategy}`)"
-            ));
-        }
-    }
-    if let Some(cap) = opts.get_opt::<u32>("replica-cap")? {
-        if cap == 0 {
-            return Err("--replica-cap must be >= 1".into());
-        }
-        config = config.with_replica_cap(cap);
-    }
-    if let Some(budget) = opts.get_opt::<u32>("site-replica-budget")? {
-        if budget == 0 {
-            return Err("--site-replica-budget must be >= 1".into());
-        }
-        config = config.with_site_replica_budget(budget);
-    }
-    for (dependent, required) in [
-        ("transfer-retries", "transfer-timeout"),
-        ("retry-backoff", "transfer-timeout"),
-    ] {
-        if opts.values.contains_key(dependent) && !opts.values.contains_key(required) {
-            return Err(format!("--{dependent} requires --{required}"));
-        }
-    }
-    if let Some(mult) = opts.get_opt::<f64>("transfer-timeout")? {
-        if mult <= 1.0 || !mult.is_finite() {
-            return Err("--transfer-timeout must be a multiple > 1".into());
-        }
-        config = config.with_transfer_timeout(mult);
-        if let Some(retries) = opts.get_opt::<u32>("transfer-retries")? {
-            config = config.with_transfer_retries(retries);
-        }
-        if let Some(backoff) = opts.get_opt::<f64>("retry-backoff")? {
-            if backoff <= 0.0 || !backoff.is_finite() {
-                return Err("--retry-backoff must be positive seconds".into());
-            }
-            config = config.with_retry_backoff(backoff);
-        }
-    }
-    if let Some(interval) = opts.get_opt::<f64>("probe-interval")? {
-        if interval <= 0.0 || !interval.is_finite() {
-            return Err("--probe-interval must be positive seconds".into());
-        }
-        config = config.with_probe_interval(interval);
-    }
+    config.replica_throttle.replica_cap = opts.get_opt("replica-cap")?;
+    config.replica_throttle.site_budget = opts.get_opt("site-replica-budget")?;
+    config.transfer_timeout_mult = opts.get_opt("transfer-timeout")?;
+    config.transfer_retries = opts.get("transfer-retries", config.transfer_retries)?;
+    config.retry_backoff_s = opts.get("retry-backoff", config.retry_backoff_s)?;
+    config.probe_interval_s = opts.get_opt("probe-interval")?;
     for flag in ["trace-out", "metrics-out", "digest-out"] {
         if let Some(path) = opts.values.get(flag) {
             validate_out_path(flag, path)?;
         }
     }
-    if let Some(path) = opts.values.get("trace-out") {
-        config = config.with_trace_out(path.clone());
-    }
-    if let Some(path) = opts.values.get("metrics-out") {
-        config = config.with_metrics_out(path.clone());
-    }
-    if let Some(path) = opts.values.get("digest-out") {
-        config = config.with_digest_out(path.clone());
-    }
-    if let Some(window) = opts.get_opt::<f64>("digest-window")? {
-        if !opts.values.contains_key("digest-out") {
-            return Err("--digest-window requires --digest-out".into());
-        }
-        if window <= 0.0 || !window.is_finite() {
-            return Err("--digest-window must be positive sim seconds".into());
-        }
-        config = config.with_digest_window(window);
-    }
-    if let Some(linger) = opts.get_opt::<f64>("serve-linger")? {
-        if !opts.values.contains_key("serve-metrics") {
-            return Err("--serve-linger requires --serve-metrics".into());
-        }
-        if linger < 0.0 || !linger.is_finite() {
-            return Err("--serve-linger must be non-negative seconds".into());
-        }
-        config = config.with_serve_linger(linger);
-    }
+    config.trace_out = opts.values.get("trace-out").cloned();
+    config.metrics_out = opts.values.get("metrics-out").cloned();
+    config.digest_out = opts.values.get("digest-out").cloned();
+    config.digest_window_s = opts.get("digest-window", config.digest_window_s)?;
+    config.serve_linger_s = opts.get("serve-linger", config.serve_linger_s)?;
     if let Some(addr) = opts.values.get("serve-metrics") {
         addr.parse::<std::net::SocketAddr>()
             .map_err(|e| format!("--serve-metrics: bad address `{addr}`: {e}"))?;
         config = config.with_serve_metrics(addr.clone());
     }
     let faults = build_fault_config(opts)?;
-    let checkpointing = build_checkpoint_config(opts, &faults)?;
-    let control = build_control_config(
-        opts,
-        strategy,
-        checkpointing.policy == CheckpointPolicy::YoungDalyAdaptive,
-    )?;
-    if !control.is_inert() {
-        config = config.with_control(control);
-    }
     if !faults.is_inert() {
-        if let Some(trace) = &faults.trace {
-            trace.validate(config.sites, config.workers_per_site)?;
-        }
         config = config.with_faults(faults);
     }
+    let checkpointing = build_checkpoint_config(opts)?;
+    let adaptive_ckpt_policy = checkpointing.policy == CheckpointPolicy::YoungDalyAdaptive;
+    config.control = build_control_config(opts, adaptive_ckpt_policy)?;
     if !checkpointing.is_inert() {
         config = config.with_checkpointing(checkpointing);
     }
+    config.validate().map_err(flag_error)?;
     let seeds = parse_seed_list(
         opts.values
             .get("topology-seeds")
@@ -615,23 +503,14 @@ fn cmd_simulate(opts: &Opts) -> Result<(), String> {
                 .into(),
         );
     }
-    // Link indices are topology-scoped, so the grid-shape validation
-    // above cannot see them; check against every replicate's generated
-    // topology here rather than letting the engine assert mid-run.
-    if let Some(trace) = config.faults.as_ref().and_then(|f| f.trace.as_ref()) {
-        if let Some(ml) = trace.max_link() {
-            for &ts in &seeds {
-                let links = generate_topology(&config.clone().with_topology_seed(ts).topology)
-                    .graph
-                    .bandwidths()
-                    .len();
-                if ml >= links {
-                    return Err(format!(
-                        "fault trace references link {ml} but topology seed {ts} has only \
-                         {links} links"
-                    ));
-                }
-            }
+    // Link indices are scoped to a generated topology, so check a fault
+    // trace's link events against every replicate's before any runs.
+    let trace = config.faults.as_ref().and_then(|f| f.trace.as_ref());
+    if trace.and_then(FaultTrace::max_link).is_some() {
+        for &ts in &seeds {
+            let replicate = config.clone().with_topology_seed(ts);
+            let topology = generate_topology(&replicate.topology);
+            replicate.validate_links(&topology).map_err(flag_error)?;
         }
     }
     let telemetry_requested = config.telemetry_requested();

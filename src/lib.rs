@@ -63,6 +63,7 @@ pub mod prelude {
         ReplicaThrottle, Scheduler, SiteId, StorageAffinity, StrategyKind, Sufferage, WeightMetric,
         WorkerCentric, WorkerId, Workqueue,
     };
+    pub use gridsched_des::ConfigError;
     pub use gridsched_faults::{FaultConfig, FaultEvent, FaultKind, FaultTrace};
     pub use gridsched_sim::{
         run_averaged, run_averaged_with_spread, GridSim, MetricsReport, ReplicationConfig,

@@ -221,9 +221,12 @@ fn simulate_rejects_bad_checkpoint_flags() {
 
     // Young/Daly derives its interval from the fault model.
     let out = gridsched(&["simulate", "--checkpoint-policy", "young-daly"]);
-    assert!(!out.status.success());
+    assert_eq!(out.status.code(), Some(1));
     let stderr = String::from_utf8(out.stderr).expect("utf8");
-    assert!(stderr.contains("requires --mtbf"), "stderr: {stderr}");
+    assert!(
+        stderr.contains("--checkpoint-policy: young-daly checkpointing needs a worker MTBF"),
+        "stderr: {stderr}"
+    );
 
     let out = gridsched(&["simulate", "--checkpoint-policy", "sometimes"]);
     assert!(!out.status.success());
@@ -350,10 +353,10 @@ fn simulate_rejects_throttle_for_worker_centric_strategies() {
         "--tasks",
         "50",
     ]);
-    assert!(!out.status.success());
+    assert_eq!(out.status.code(), Some(1));
     let stderr = String::from_utf8(out.stderr).expect("utf8");
     assert!(
-        stderr.contains("only applies to --strategy storage-affinity"),
+        stderr.contains("--replica-cap: the replica throttle only applies to storage-affinity"),
         "stderr: {stderr}"
     );
 
@@ -857,10 +860,10 @@ fn simulate_rejects_bad_network_flags() {
     assert!(stderr.contains("must be in (0, 1)"), "stderr: {stderr}");
 
     let out = gridsched(&["simulate", "--transfer-timeout", "1"]);
-    assert!(!out.status.success());
+    assert_eq!(out.status.code(), Some(1));
     let stderr = String::from_utf8(out.stderr).expect("utf8");
     assert!(
-        stderr.contains("must be a multiple > 1"),
+        stderr.contains("--transfer-timeout: transfer timeout multiple must be > 1"),
         "stderr: {stderr}"
     );
 
@@ -902,8 +905,8 @@ fn simulate_rejects_bad_network_flags() {
 
 #[test]
 fn grid_size_flags_out_of_range_are_clean_errors() {
-    // (arguments, flag the error must name). The library builders assert
-    // these bounds; the CLI must reject them before any builder runs.
+    // (arguments, flag the error must name). `SimConfig::validate` or the
+    // CLI's own count parsing rejects each bound before anything runs.
     let cases: [(&[&str], &str); 10] = [
         (&["simulate", "--tasks", "50", "--sites", "0"], "--sites"),
         (&["topology", "--sites", "0"], "--sites"),
@@ -937,6 +940,111 @@ fn grid_size_flags_out_of_range_are_clean_errors() {
         );
         assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
     }
+}
+
+/// Non-finite values the CLI once passed to panicking library builders:
+/// each must now be a clean `error:` line naming the flag (the library's
+/// `SimConfig::validate` holds the rule), never a panic.
+#[test]
+fn non_finite_fault_and_checkpoint_values_are_clean_errors() {
+    let dir = TestDir::new("non-finite");
+    let wl = dir.path("wl.trace");
+    let wl_arg = wl.to_str().expect("utf8 path");
+    let out = gridsched(&["workload", "--tasks", "40", "--out", wl_arg]);
+    assert!(out.status.success());
+    let base = ["simulate", "--trace", wl_arg, "--sites", "2"];
+    let cases: [(&[&str], &str); 10] = [
+        (&["--mtbf", "inf"], "--mtbf"),
+        (&["--mtbf", "NaN"], "--mtbf"),
+        (&["--mtbf", "3600", "--mttr", "inf"], "--mttr"),
+        (&["--server-mtbf", "inf"], "--server-mtbf"),
+        (&["--link-mtbf", "inf"], "--link-mtbf"),
+        (&["--mtbf", "3600", "--mttr-shape", "inf"], "--mttr-shape"),
+        (&["--mtbf", "3600", "--mttr-shape", "NaN"], "--mttr-shape"),
+        (
+            &[
+                "--checkpoint-policy",
+                "fixed",
+                "--checkpoint-interval",
+                "inf",
+            ],
+            "--checkpoint-interval",
+        ),
+        (
+            &[
+                "--checkpoint-policy",
+                "fixed",
+                "--checkpoint-interval",
+                "NaN",
+            ],
+            "--checkpoint-interval",
+        ),
+        (
+            &[
+                "--checkpoint-policy",
+                "young-daly",
+                "--mtbf",
+                "3600",
+                "--checkpoint-size",
+                "inf",
+            ],
+            "--checkpoint-size",
+        ),
+    ];
+    for (extra, flag) in cases {
+        let args: Vec<&str> = base.iter().chain(extra).copied().collect();
+        let out = gridsched(&args);
+        let stderr = String::from_utf8(out.stderr).expect("utf8");
+        assert_eq!(out.status.code(), Some(1), "{extra:?}: {stderr}");
+        assert!(
+            stderr
+                .lines()
+                .any(|l| l.starts_with(&format!("error: {flag}:"))),
+            "{extra:?}: {stderr}"
+        );
+        assert!(!stderr.contains("panicked"), "{extra:?}: {stderr}");
+    }
+}
+
+/// `ChooseTask(n)` only exists in the worker-centric strategies, so
+/// `--choose-n` with any other strategy is an error, not silently ignored.
+#[test]
+fn choose_n_requires_a_worker_centric_strategy() {
+    for strategy in ["storage-affinity", "workqueue", "xsufferage"] {
+        let out = gridsched(&[
+            "simulate",
+            "--tasks",
+            "20",
+            "--strategy",
+            strategy,
+            "--choose-n",
+            "7",
+        ]);
+        let stderr = String::from_utf8(out.stderr).expect("utf8");
+        assert_eq!(out.status.code(), Some(1), "{strategy}: {stderr}");
+        assert!(
+            stderr.contains("error: --choose-n: ChooseTask(n) only applies to worker-centric"),
+            "{strategy}: {stderr}"
+        );
+    }
+    let out = gridsched(&[
+        "simulate",
+        "--tasks",
+        "20",
+        "--sites",
+        "2",
+        "--topology-seeds",
+        "0",
+        "--strategy",
+        "rest",
+        "--choose-n",
+        "3",
+    ]);
+    assert!(
+        out.status.success(),
+        "stderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
 }
 
 #[test]
