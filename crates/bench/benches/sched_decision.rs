@@ -13,7 +13,10 @@
 //! * storage affinity's full `O(T·I·S)` assignment phase,
 //! * one task start's references at a warm site, through the scheduler's
 //!   batched hook: a no-op for `rest`, one pass over each file's readers
-//!   for `combined`,
+//!   for `combined`; with the whole queue pending, and with half of it
+//!   started, so that a reader's liveness is a coin flip as it is mid-run,
+//! * one fetched file's arrival at a warm site with half the queue started,
+//!   through the scheduler's `on_file_added` hook,
 //!
 //! at several queue lengths `T`.
 
@@ -26,7 +29,8 @@ use rand::SeedableRng;
 use gridsched_core::index::{ColdRank, FileIndex, SiteView};
 use gridsched_core::weight::weigh_all_naive;
 use gridsched_core::{
-    ChooseTask, GridEnv, Scheduler, SiteId, StorageAffinity, TaskPool, WeightMetric, WorkerCentric,
+    Assignment, ChooseTask, GridEnv, Scheduler, SiteId, StorageAffinity, TaskPool, WeightMetric,
+    WorkerCentric, WorkerId,
 };
 use gridsched_storage::{EvictionPolicy, SiteStore};
 use gridsched_workload::coadd::CoaddConfig;
@@ -213,49 +217,133 @@ fn bench_pick_vs_sites(c: &mut Criterion) {
 /// Task starts per timed sample.
 const STARTS_PER_SAMPLE: usize = 100;
 
+/// A `worker-centric` scheduler for `metric` over one site holding
+/// `store`, initialized with the whole queue pending or, with
+/// `half_started`, every odd-id task started: the queue is drained
+/// through ranked picks, then each even-id task is handed back as a lost
+/// worker's. The coadd ids are shuffled against the sky, so about half of
+/// any file's readers are then pending, as in mid-run.
+fn warm_scheduler(
+    workload: &Arc<Workload>,
+    metric: WeightMetric,
+    store: &SiteStore,
+    half_started: bool,
+) -> Box<dyn Scheduler> {
+    let env = GridEnv {
+        sites: 1,
+        workers_per_site: 1,
+        capacity_files: store.capacity(),
+    };
+    let mut sched: Box<dyn Scheduler> =
+        Box::new(WorkerCentric::new(Arc::clone(workload), metric, 2, 0));
+    sched.initialize(&env, std::slice::from_ref(store));
+    if !half_started {
+        return sched;
+    }
+    let worker = WorkerId::new(SiteId(0), 0);
+    let mut started = Vec::new();
+    while let Assignment::Run(t) = sched.on_worker_idle(worker, store) {
+        started.push(t);
+    }
+    for t in started.into_iter().filter(|t| t.0 % 2 == 0) {
+        sched.on_worker_lost(worker, Some(t));
+    }
+    sched
+}
+
 /// One task start's references at a warm site, as the engine's
 /// `finish_batch` delivers them: each input's `r_i` bumped in the store,
 /// then one [`Scheduler::on_files_referenced`] call through a trait
-/// object. The site holds a warm 3000-file store with the whole queue
-/// pending; the starts cycle over the tasks whose inputs are all
-/// resident, so every reference is to a resident file.
+/// object. The site holds a warm 3000-file store, with the whole queue
+/// pending (`rest`, `combined`) or half of it started ([`warm_scheduler`]:
+/// `rest_half_started`, `combined_half_started`); the starts cycle over the
+/// tasks whose inputs are all resident, so every reference is to a
+/// resident file.
 fn bench_task_start_refs(c: &mut Criterion) {
     let mut group = c.benchmark_group("task_start_refs");
     for &tasks in &[500u32, 2000, 6000] {
         let mut cfg = CoaddConfig::paper_6000();
         cfg.tasks = tasks;
         let workload = Arc::new(cfg.generate());
-        let env = GridEnv {
-            sites: 1,
-            workers_per_site: 1,
-            capacity_files: 3000,
-        };
-        for metric in [WeightMetric::Rest, WeightMetric::Combined] {
-            let mut stores = vec![warm_store(&workload, 3000)];
-            let mut sched: Box<dyn Scheduler> =
-                Box::new(WorkerCentric::new(Arc::clone(&workload), metric, 2, 0));
-            sched.initialize(&env, &stores);
+        for (metric, half) in [
+            (WeightMetric::Rest, false),
+            (WeightMetric::Combined, false),
+            (WeightMetric::Rest, true),
+            (WeightMetric::Combined, true),
+        ] {
+            let mut store = warm_store(&workload, 3000);
+            let mut sched = warm_scheduler(&workload, metric, &store, half);
             let starts: Vec<_> = workload
                 .tasks()
                 .iter()
-                .filter(|t| t.files().iter().all(|&f| stores[0].contains(f)))
+                .filter(|t| t.files().iter().all(|&f| store.contains(f)))
                 .collect();
             assert!(!starts.is_empty(), "warm store holds whole tasks");
             let mut next = 0;
+            let name = if half {
+                format!("{metric}_half_started")
+            } else {
+                metric.to_string()
+            };
+            group.bench_with_input(BenchmarkId::new(name, tasks), &tasks, |b, _| {
+                b.iter(|| {
+                    for _ in 0..STARTS_PER_SAMPLE {
+                        let files = starts[next].files();
+                        next = (next + 1) % starts.len();
+                        for &f in files {
+                            store.record_task_reference(f);
+                        }
+                        sched.on_files_referenced(SiteId(0), files);
+                    }
+                })
+            });
+        }
+    }
+    group.finish();
+}
+
+/// File arrivals per timed sample.
+const ARRIVALS_PER_SAMPLE: usize = 100;
+
+/// One fetched file's arrival at a warm site, as the engine delivers it
+/// after the store admits the file: one [`Scheduler::on_file_added`] call
+/// through a trait object with the file's `r_i`. The site holds a warm
+/// 3000-file store with half the queue started ([`warm_scheduler`]); every
+/// sample starts from that state (the setup is not timed) and brings in
+/// the next [`ARRIVALS_PER_SAMPLE`] non-resident coadd inputs in task
+/// order, so most readers of an arriving file already overlap the site
+/// and are re-marked rather than entering its rank.
+fn bench_file_arrival(c: &mut Criterion) {
+    let mut group = c.benchmark_group("file_arrival");
+    for &tasks in &[500u32, 2000, 6000] {
+        let mut cfg = CoaddConfig::paper_6000();
+        cfg.tasks = tasks;
+        let workload = Arc::new(cfg.generate());
+        let store = warm_store(&workload, 3000);
+        let mut arrivals: Vec<_> = workload
+            .tasks()
+            .iter()
+            .flat_map(|t| t.files().iter().copied())
+            .filter(|&f| !store.contains(f))
+            .collect();
+        let mut seen = vec![false; workload.file_count()];
+        arrivals.retain(|f| !std::mem::replace(&mut seen[f.index()], true));
+        arrivals.truncate(ARRIVALS_PER_SAMPLE);
+        assert_eq!(arrivals.len(), ARRIVALS_PER_SAMPLE, "enough files to fetch");
+        for metric in [WeightMetric::Rest, WeightMetric::Combined] {
             group.bench_with_input(
                 BenchmarkId::new(metric.to_string(), tasks),
                 &tasks,
                 |b, _| {
-                    b.iter(|| {
-                        for _ in 0..STARTS_PER_SAMPLE {
-                            let files = starts[next].files();
-                            next = (next + 1) % starts.len();
-                            for &f in files {
-                                stores[0].record_task_reference(f);
+                    b.iter_with_setup(
+                        || warm_scheduler(&workload, metric, &store, true),
+                        |mut sched| {
+                            for &f in &arrivals {
+                                sched.on_file_added(SiteId(0), f, 0);
                             }
-                            sched.on_files_referenced(SiteId(0), files);
-                        }
-                    })
+                            sched
+                        },
+                    )
                 },
             );
         }
@@ -295,6 +383,7 @@ criterion_group!(
     bench_ranked_refile,
     bench_pick_vs_sites,
     bench_task_start_refs,
+    bench_file_arrival,
     bench_storage_affinity_assignment
 );
 criterion_main!(benches);

@@ -35,7 +35,7 @@
 use std::collections::VecDeque;
 use std::fmt;
 
-use gridsched_des::config::{require, ConfigError};
+use gridsched_des::config::{cadence, require, ConfigError};
 use gridsched_telemetry::{Counter, Telemetry};
 use serde::{Deserialize, Serialize};
 
@@ -54,7 +54,8 @@ pub struct ControlConfig {
     /// Self-tuning Young–Daly: re-derive per-site checkpoint intervals
     /// from the observed failure interarrival process.
     pub adaptive_checkpoint: bool,
-    /// Controller tick period in sim seconds.
+    /// Controller tick period in sim seconds, at least
+    /// [`MIN_CADENCE_S`](gridsched_des::config::MIN_CADENCE_S).
     pub tick_s: f64,
 }
 
@@ -104,9 +105,12 @@ impl ControlConfig {
         self
     }
 
-    /// Checks that the tick period is finite and positive: a zero period
-    /// would tick forever without advancing sim time. Which loops suit the
-    /// strategy and the checkpoint policy is the simulator's check.
+    /// Checks that the tick period is finite and at least
+    /// [`MIN_CADENCE_S`](gridsched_des::config::MIN_CADENCE_S): a zero
+    /// period would tick forever without advancing sim time, and a tiny one
+    /// ticks so often between two events that the run never ends. Which
+    /// loops suit the strategy and the checkpoint policy is the
+    /// simulator's check.
     ///
     /// # Errors
     ///
@@ -116,7 +120,8 @@ impl ControlConfig {
             self.tick_s > 0.0 && self.tick_s.is_finite(),
             "tick_s",
             "control tick must be finite and positive",
-        )
+        )?;
+        cadence("tick_s", self.tick_s, "control tick")
     }
 
     /// Whether every loop is disabled (the plane need not exist).

@@ -60,6 +60,28 @@ pub fn require(holds: bool, field: &str, message: impl fmt::Display) -> Result<(
     })
 }
 
+/// The shortest sampling period, in sim seconds, a configuration may set:
+/// the probe interval and the control tick. The run loop fires such a
+/// cadence once per period between two dispatched events, and tasks last
+/// minutes, so a period far below a second would fire without end in
+/// practice (`1e-300` s ticks between every pair of events until killed).
+/// Every shipped configuration samples every 5 s or more.
+pub const MIN_CADENCE_S: f64 = 1.0;
+
+/// The floor of a sampling period: `value` is at least [`MIN_CADENCE_S`].
+/// Check [`positive`] first; this rule speaks only to the floor.
+///
+/// # Errors
+///
+/// "`what` must be at least 1 s" about `field` otherwise (NaN included).
+pub fn cadence(field: &str, value: f64, what: &str) -> Result<(), ConfigError> {
+    require(
+        value >= MIN_CADENCE_S,
+        field,
+        format_args!("{what} must be at least {MIN_CADENCE_S} s"),
+    )
+}
+
 /// The range rule of a duration, rate or size: `value` is positive and
 /// finite.
 ///

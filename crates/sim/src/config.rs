@@ -6,7 +6,7 @@ use serde::{Deserialize, Serialize};
 
 use gridsched_checkpoint::{CheckpointConfig, CheckpointPolicy};
 use gridsched_core::{ControlConfig, EvalMode, ReplicaThrottle, StrategyKind};
-use gridsched_des::config::{positive, require, ConfigError};
+use gridsched_des::config::{cadence, positive, require, ConfigError};
 use gridsched_faults::{FaultConfig, FaultTrace};
 use gridsched_storage::EvictionPolicy;
 use gridsched_topology::{TiersConfig, Topology};
@@ -108,7 +108,8 @@ pub struct SimConfig {
     pub metrics_out: Option<String>,
     /// Sim-time probe sampling interval in seconds (`--probe-interval`):
     /// per-site queue depth / worker-state / link-occupancy time series,
-    /// sampled between dispatched events (never *as* an event). `None`
+    /// sampled between dispatched events (never *as* an event). At least
+    /// [`MIN_CADENCE_S`](gridsched_des::config::MIN_CADENCE_S). `None`
     /// disables probing.
     pub probe_interval_s: Option<f64>,
     /// Determinism-digest output path (`--digest-out`): windowed rolling
@@ -491,6 +492,7 @@ impl SimConfig {
         positive("retry_backoff_s", self.retry_backoff_s, "retry backoff")?;
         if let Some(dt) = self.probe_interval_s {
             positive("probe_interval_s", dt, "probe interval")?;
+            cadence("probe_interval_s", dt, "probe interval")?;
         }
         positive("digest_window_s", self.digest_window_s, "digest window")?;
         require(
@@ -646,6 +648,7 @@ pub fn seeded_output_path(path: &str, seed: u64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gridsched_des::config::MIN_CADENCE_S;
     use gridsched_workload::coadd::CoaddConfig;
 
     fn wl() -> Arc<Workload> {
@@ -774,6 +777,26 @@ mod tests {
     #[should_panic(expected = "probe interval must be positive")]
     fn zero_probe_interval_panics() {
         assert_valid(&SimConfig::paper(wl(), StrategyKind::Rest).with_probe_interval(0.0));
+    }
+
+    /// A positive period below the 1 s floor is rejected too: the run
+    /// loop would fire it once per period between two events.
+    #[test]
+    fn sampling_periods_have_a_floor() {
+        let probed = SimConfig::paper(wl(), StrategyKind::Rest);
+        let err = probed
+            .clone()
+            .with_probe_interval(1e-300)
+            .validate()
+            .unwrap_err();
+        assert_eq!(err.field, "probe_interval_s");
+        assert!(err.message.contains("at least 1 s"), "{err}");
+        assert_valid(&probed.clone().with_probe_interval(MIN_CADENCE_S));
+
+        let control = ControlConfig::none().with_churn_placement();
+        let ticked = probed.with_control(control.with_tick_s(0.5));
+        assert_eq!(ticked.validate().unwrap_err().field, "control.tick_s");
+        assert_valid(&ticked.with_control(control.with_tick_s(MIN_CADENCE_S)));
     }
 
     #[test]

@@ -1006,6 +1006,74 @@ fn non_finite_fault_and_checkpoint_values_are_clean_errors() {
     }
 }
 
+/// A tiny positive sampling period used to fire once per period between
+/// every pair of events, so the run never ended. Both periods now have a
+/// 1 s floor in `SimConfig::validate`, checked before anything runs; the
+/// child is killed after a deadline so a lost floor fails instead of
+/// hanging the suite.
+#[test]
+fn tiny_sampling_periods_are_clean_errors() {
+    use std::process::Stdio;
+    use std::time::{Duration, Instant};
+
+    let dir = TestDir::new("tiny-cadence");
+    let wl = dir.path("wl.trace");
+    let wl_arg = wl.to_str().expect("utf8 path");
+    let out = gridsched(&["workload", "--tasks", "40", "--out", wl_arg]);
+    assert!(out.status.success());
+    let metrics = dir.path("m.jsonl");
+    let metrics_arg = metrics.to_str().expect("utf8 path");
+    let base = [
+        "simulate",
+        "--trace",
+        wl_arg,
+        "--sites",
+        "2",
+        "--topology-seeds",
+        "0",
+    ];
+    let cases: [(&[&str], &str); 3] = [
+        (
+            &["--adaptive", "placement", "--control-tick", "1e-300"],
+            "--control-tick",
+        ),
+        (
+            &["--metrics-out", metrics_arg, "--probe-interval", "1e-300"],
+            "--probe-interval",
+        ),
+        (
+            &["--metrics-out", metrics_arg, "--probe-interval", "0.5"],
+            "--probe-interval",
+        ),
+    ];
+    for (extra, flag) in cases {
+        let mut child = Command::new(env!("CARGO_BIN_EXE_gridsched"))
+            .args(base.iter().chain(extra))
+            .stdout(Stdio::null())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("spawn gridsched");
+        let deadline = Instant::now() + Duration::from_secs(60);
+        while child.try_wait().expect("poll gridsched").is_none() {
+            if Instant::now() > deadline {
+                child.kill().expect("kill gridsched");
+                panic!("{extra:?} still running after 60 s");
+            }
+            std::thread::sleep(Duration::from_millis(20));
+        }
+        let out = child.wait_with_output().expect("collect gridsched");
+        let stderr = String::from_utf8(out.stderr).expect("utf8");
+        assert_eq!(out.status.code(), Some(1), "{extra:?}: {stderr}");
+        assert!(
+            stderr
+                .lines()
+                .any(|l| l.starts_with(&format!("error: {flag}:")) && l.contains("at least 1 s")),
+            "{extra:?}: {stderr}"
+        );
+        assert!(!stderr.contains("panicked"), "{extra:?}: {stderr}");
+    }
+}
+
 /// `ChooseTask(n)` only exists in the worker-centric strategies, so
 /// `--choose-n` with any other strategy is an error, not silently ignored.
 #[test]
